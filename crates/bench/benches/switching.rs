@@ -9,10 +9,7 @@ use sirpent::router::viper::SwitchMode;
 use sirpent::sim::stats::PipelineStats;
 use sirpent::sim::{SimDuration, SimTime};
 use sirpent::wire::buf::{FrameBuf, PacketBuf};
-use sirpent::wire::packet::{
-    append_return_hop, append_return_hop_buf, strip_front_segment, strip_front_segment_buf,
-    PacketBuilder,
-};
+use sirpent::wire::packet::{append_return_hop_buf, strip_front_segment_buf, PacketBuilder};
 use sirpent::wire::viper::{Priority, SegmentRepr, PORT_LOCAL};
 use sirpent_bench::topo::{chain, frame, packet};
 
@@ -85,12 +82,9 @@ fn sweep_packet(payload: usize) -> Vec<u8> {
 
 /// Payload-size sweep of the per-hop forwarding operation (strip the
 /// leading segment, append the reversed return hop) over a full
-/// `SWEEP_HOPS`-hop route. On the zero-copy `PacketBuf` path both are
-/// offset moves into pre-reserved space, so cost must stay flat from
-/// 64 B to 1400 B. The legacy `Vec` path memmoves the whole packet on
-/// every strip; at the 1500-byte VIPER transmission unit that memmove
-/// is cheap enough to hide in the segment-parse cost, so the structural
-/// win shows up in the fan-out sweep below rather than here.
+/// `SWEEP_HOPS`-hop route. Both are offset moves into pre-reserved
+/// space on the zero-copy `PacketBuf`, so cost must stay flat from
+/// 64 B to 1400 B.
 fn bench_per_hop_payload_sweep(c: &mut Criterion) {
     let mut g = c.benchmark_group("per_hop_cost");
     g.sample_size(30);
@@ -119,19 +113,6 @@ fn bench_per_hop_payload_sweep(c: &mut Criterion) {
                 )
             },
         );
-        g.bench_with_input(BenchmarkId::new("vec_40hops", size), &bytes, |b, bytes| {
-            b.iter_batched(
-                || bytes.clone(),
-                |mut p| {
-                    for _ in 0..SWEEP_HOPS {
-                        let seg = strip_front_segment(&mut p).unwrap();
-                        append_return_hop(&mut p, SegmentRepr { port: 1, ..seg }).unwrap();
-                    }
-                    p
-                },
-                BatchSize::SmallInput,
-            )
-        });
     }
     g.finish();
 }

@@ -3,8 +3,9 @@
 //! companion), next to the IP baseline's per-hop work.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use sirpent::wire::buf::PacketBuf;
 use sirpent::wire::packet::{
-    append_return_hop, peek_front_segment, strip_front_segment, PacketBuilder, PacketView,
+    append_return_hop_buf, peek_front_segment, strip_front_segment_buf, PacketBuilder, PacketView,
 };
 use sirpent::wire::viper::{SegmentRepr, PORT_LOCAL};
 use sirpent::wire::{ethernet, ipish, vmtp};
@@ -51,9 +52,9 @@ fn bench_router_byte_ops(c: &mut Criterion) {
             &pkt,
             |bench, pkt| {
                 bench.iter(|| {
-                    let mut p = pkt.clone();
-                    let seg = strip_front_segment(&mut p).unwrap();
-                    append_return_hop(&mut p, SegmentRepr { port: 1, ..seg }).unwrap();
+                    let mut p = PacketBuf::from_vec(pkt.clone());
+                    let seg = strip_front_segment_buf(&mut p).unwrap().to_repr();
+                    append_return_hop_buf(&mut p, SegmentRepr { port: 1, ..seg }).unwrap();
                     p
                 })
             },

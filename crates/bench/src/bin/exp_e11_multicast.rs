@@ -14,6 +14,7 @@ use sirpent::router::multicast::encode_tree;
 use sirpent::router::scripted::ScriptedHost;
 use sirpent::router::viper::{ViperConfig, ViperRouter};
 use sirpent::sim::{NodeId, SimDuration, SimTime, Simulator};
+use sirpent::wire::buf::PacketBuf;
 use sirpent::wire::packet::{PacketBuilder, PacketView};
 use sirpent::wire::trailer;
 use sirpent::wire::viper::{Flags, SegmentRepr, PORT_LOCAL};
@@ -148,13 +149,14 @@ fn main() {
             let hdr = tree_seg.buffer_len();
             let mut pkt = tree_seg.to_bytes();
             pkt.extend_from_slice(&[0x32; 64]);
-            trailer::Entry::Base.append_to(&mut pkt).unwrap();
+            let mut pkt = PacketBuf::from_vec(pkt);
+            trailer::Entry::Base.append_to_buf(&mut pkt).unwrap();
             sim.node_mut::<ScriptedHost>(src).plan(
                 SimTime::ZERO,
                 0,
                 LinkFrame::Sirpent {
                     ff_hint: 0,
-                    packet: pkt.into(),
+                    packet: pkt,
                 }
                 .to_p2p_bytes(),
             );

@@ -102,6 +102,10 @@ pub struct HostStats {
     /// Packets whose local segment's endpoint selector named a
     /// different intra-host endpoint (§2.2 unified addressing).
     pub wrong_endpoint: u64,
+    /// Packets the wire builder refused (route plus payload over the
+    /// 1500-byte transmission unit, or a malformed route): nothing was
+    /// sent.
+    pub build_refused: u64,
 }
 
 struct ReplyContext {
@@ -306,6 +310,7 @@ impl SirpentHost {
             .payload(vmtp)
             .build()
         else {
+            self.stats.build_refused += 1;
             return;
         };
         let lf = LinkFrame::Sirpent {

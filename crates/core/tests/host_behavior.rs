@@ -456,3 +456,74 @@ fn compressed_ethernet_port_info_saves_bytes_and_still_routes() {
     assert_eq!(client.inbox.len(), 1, "routed and replied");
     assert_eq!(client.inbox[0].message, b"compressed");
 }
+
+#[test]
+fn oversize_route_is_refused_and_counted_not_silently_dropped() {
+    // A 1000 B request over an n-hop token route: every hop adds a
+    // 32-byte-token segment, so past some n the packet no longer fits
+    // the 1500-byte transmission unit. Up to that boundary the host
+    // sends; one hop more it must refuse *and say so* in its stats.
+    let token_route = |n: usize| {
+        let hop = |i: usize| HopSpec {
+            router_id: i as u32 + 1,
+            port: 2,
+            ethernet_next: None,
+            bandwidth_bps: RATE,
+            prop_delay: PROP,
+            mtu: 1550,
+            cost: 1,
+            security: Security::Controlled,
+        };
+        CompiledRoute::compile(
+            &RouteRecord {
+                access: AccessSpec {
+                    host_port: 0,
+                    ethernet_next: None,
+                    bandwidth_bps: RATE,
+                    prop_delay: PROP,
+                    mtu: 1550,
+                },
+                hops: (0..n).map(hop).collect(),
+                endpoint_selector: vec![],
+            },
+            &vec![vec![0xA5; 32]; n],
+            Priority::NORMAL,
+        )
+    };
+    // (packets that reached the wire, builds refused) for an n-hop route.
+    let attempt = |n: usize| {
+        let mut net = Net::new(9);
+        let a = net.host(0xA, vec![(0, HostPortKind::PointToPoint)]);
+        let tap = net.sim.add_node(Box::new(ScriptedHost::new()));
+        net.p2p(a, 0, tap, 0, RATE, PROP);
+        let mut sim = net.into_sim();
+        sim.node_mut::<SirpentHost>(a)
+            .install_routes(EntityId(0xB), vec![token_route(n)]);
+        sim.node_mut::<SirpentHost>(a)
+            .queue_request(SimTime::ZERO, EntityId(0xB), vec![7u8; 1000]);
+        SirpentHost::start(&mut sim, a);
+        sim.run_until(SimTime(5_000_000));
+        let sent: Vec<usize> = sim
+            .node::<ScriptedHost>(tap)
+            .received_p2p()
+            .iter()
+            .map(|(_, lf)| match lf {
+                LinkFrame::Sirpent { packet, .. } => packet.len(),
+                _ => 0,
+            })
+            .collect();
+        (sent, sim.node::<SirpentHost>(a).stats.build_refused)
+    };
+
+    let longest = (1..48)
+        .take_while(|&n| !attempt(n).0.is_empty())
+        .last()
+        .expect("a one-hop route fits");
+    let (sent, refused) = attempt(longest);
+    assert_eq!(refused, 0, "the longest fitting route is not refused");
+    assert!(sent.iter().all(|&len| len <= 1500 && len + 40 > 1500));
+
+    let (sent, refused) = attempt(longest + 1);
+    assert!(sent.is_empty(), "one more hop: nothing reaches the wire");
+    assert!(refused > 0, "and the refusal is counted");
+}

@@ -10,6 +10,7 @@ use sirpent_router::viper::{
 };
 use sirpent_sim::{NodeId, SimDuration, SimTime, Simulator};
 use sirpent_token::{AuthPolicy, Grant, TokenMinter};
+use sirpent_wire::buf::PacketBuf;
 use sirpent_wire::packet::{PacketBuilder, PacketView};
 use sirpent_wire::viper::{Flags, Priority, SegmentRepr, PORT_LOCAL};
 use sirpent_wire::{ethernet, trailer};
@@ -669,10 +670,11 @@ fn tree_multicast_routes_each_branch() {
     // top level — each branch carries its own).
     let mut pkt = tree_seg.to_bytes();
     pkt.extend_from_slice(b"branching");
-    trailer::Entry::Base.append_to(&mut pkt).unwrap();
+    let mut pkt = PacketBuf::from_vec(pkt);
+    trailer::Entry::Base.append_to_buf(&mut pkt).unwrap();
 
     sim.node_mut::<ScriptedHost>(a)
-        .plan(SimTime::ZERO, 0, sirpent_frame(pkt));
+        .plan(SimTime::ZERO, 0, sirpent_frame(pkt.to_vec()));
     ScriptedHost::start(&mut sim, a);
     sim.run(100_000);
 

@@ -1559,18 +1559,7 @@ impl Simulator {
     /// Run until simulated `deadline` (events at exactly `deadline` are
     /// processed; later ones stay queued).
     pub fn run_until(&mut self, deadline: SimTime) {
-        loop {
-            let next_queue = self.core.queue.min_key().map(|k| SimTime(k.0));
-            let next_chaos = self.core.chaos.front().map(|c| c.at);
-            let next = match (next_queue, next_chaos) {
-                (Some(h), Some(c)) => h.min(c),
-                (Some(h), None) => h,
-                (None, Some(c)) => c,
-                (None, None) => break,
-            };
-            if next > deadline {
-                break;
-            }
+        while self.next_event_ns().is_some_and(|t| t <= deadline.0) {
             self.step();
         }
         self.core.now = self.core.now.max(deadline);
@@ -1583,26 +1572,17 @@ impl Simulator {
     /// arrivals landing at `end`, which the barrier exchange has not yet
     /// delivered).
     pub(crate) fn run_before(&mut self, end: SimTime) {
-        loop {
-            let next_queue = self.core.queue.min_key().map(|k| SimTime(k.0));
-            let next_chaos = self.core.chaos.front().map(|c| c.at);
-            let next = match (next_queue, next_chaos) {
-                (Some(h), Some(c)) => h.min(c),
-                (Some(h), None) => h,
-                (None, Some(c)) => c,
-                (None, None) => break,
-            };
-            if next >= end {
-                break;
-            }
+        while self.next_event_ns().is_some_and(|t| t < end.0) {
             self.step();
         }
         self.core.now = self.core.now.max(end);
     }
 
     /// The instant of the next pending work item — node event or chaos
-    /// action — in nanoseconds, if any. The parallel runner's window
-    /// placement starts each window at the global minimum of these.
+    /// action — in nanoseconds, if any: the one statement of "what is
+    /// due next" behind both run loops and the parallel runner's window
+    /// placement (each window starts at the global minimum of these).
+    #[inline]
     pub(crate) fn next_event_ns(&mut self) -> Option<u64> {
         let next_queue = self.core.queue.min_key().map(|k| k.0);
         let next_chaos = self.core.chaos.front().map(|c| c.at.as_nanos());

@@ -44,7 +44,7 @@ pub use scenario::{
 pub use shrink::{shrink, write_fixture};
 pub use spec::{Profile, Scenario};
 pub use te::{FlowNode, TePlan, TeRunReport, TeWorkload};
-pub use topo::{RelayNode, TopoReport, TopoShape, TopoSpec};
+pub use topo::{TopoReport, TopoShape, TopoSpec};
 
 use sirpent_sim::{Context, Event, FrameId, Node, SimTime};
 use std::any::Any;

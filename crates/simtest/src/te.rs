@@ -39,21 +39,8 @@ use sirpent_sim::{
 };
 use sirpent_transport::weighted_pick;
 
-use crate::scenario::fnv64;
+use crate::scenario::{fnv64, splitmix64};
 use crate::topo::TopoShape;
-
-/// Timer keys at or above this value address pending forwards; keys
-/// below it index a source's planned packet shots.
-const PENDING_BASE: u64 = 1 << 32;
-
-/// SplitMix64 finalizer — seed-derived structure only, never run-time
-/// randomness.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// One TE workload: a mesh, a flash crowd, and a routing policy.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -169,11 +156,11 @@ impl TeWorkload {
     /// [`crate::topo::TopoSpec::adjacency`] derivation (so a node's
     /// port for a link is the link's index in its list), **augmented
     /// with a ring**: seeded circulant offsets can share a factor with
-    /// the node count and split the mesh into components, which a
-    /// hot-potato relay never notices but end-to-end flows cannot
-    /// tolerate. The extra `i — i+1` edges guarantee one component for
-    /// every shape and seed; existing edges and ports are unchanged
-    /// (ring ports append after the shape's own).
+    /// the node count and split the mesh into components, which the
+    /// topo mesh's hash-chosen walks never notice but end-to-end flows
+    /// cannot tolerate. The extra `i — i+1` edges guarantee one
+    /// component for every shape and seed; existing edges and ports are
+    /// unchanged (ring ports append after the shape's own).
     pub fn adjacency(&self) -> Vec<Vec<usize>> {
         let mut adj = crate::topo::TopoSpec {
             seed: self.seed,
@@ -441,6 +428,10 @@ pub fn plan(spec: &TeWorkload) -> TePlan {
     }
 }
 
+/// Timer keys at or above this value address pending forwards; keys
+/// below it index a source's planned packet shots.
+const PENDING_BASE: u64 = 1 << 32;
+
 /// A source-routing flow node: planned timer keys inject packets whose
 /// header carries the full out-port list; transit nodes forward along
 /// it after a content-hashed delay; the final node records delivery.
@@ -581,24 +572,24 @@ impl Node for FlowNode {
     }
 }
 
-/// Instantiate a planned crowd: flow nodes, full-duplex links from the
-/// adjacency, and one kick per packet. Returns the simulator and every
-/// directed channel for utilization accounting.
-pub fn build(spec: &TeWorkload, plan: &TePlan) -> (Simulator, Vec<ChannelId>) {
-    let mut spec = spec.clone();
-    spec.normalize();
-    let adj = spec.adjacency();
-    let mut sim = Simulator::new(spec.seed);
-    let ids: Vec<NodeId> = adj
-        .iter()
-        .map(|nbrs| {
-            let _ = nbrs;
-            sim.add_node(Box::new(FlowNode {
-                payload_len: spec.payload_len,
-                ..FlowNode::default()
-            }))
-        })
-        .collect();
+/// A mesh of [`FlowNode`]s: node `i` is `NodeId(i)`, joined by one
+/// full-duplex link per undirected edge of `adj` (a node's port for a
+/// link is the link's index in its list). Returns the simulator and
+/// every directed channel for utilization accounting.
+pub(crate) fn mesh(
+    seed: u64,
+    adj: &[Vec<usize>],
+    payload_len: usize,
+    rate_bps: u64,
+    prop_ns: u64,
+) -> (Simulator, Vec<ChannelId>) {
+    let mut sim = Simulator::new(seed);
+    for _ in adj {
+        sim.add_node(Box::new(FlowNode {
+            payload_len,
+            ..FlowNode::default()
+        }));
+    }
     let mut channels: Vec<ChannelId> = Vec::new();
     for (a, nbrs) in adj.iter().enumerate() {
         for (pa, &b) in nbrs.iter().enumerate() {
@@ -608,45 +599,73 @@ pub fn build(spec: &TeWorkload, plan: &TePlan) -> (Simulator, Vec<ChannelId>) {
             let Some(pb) = adj.get(b).and_then(|l| l.iter().position(|&x| x == a)) else {
                 continue;
             };
-            let (Some(&na), Some(&nb)) = (ids.get(a), ids.get(b)) else {
-                continue;
-            };
             let (ab, ba) = sim.p2p(
-                na,
+                NodeId(a),
                 pa as u8,
-                nb,
+                NodeId(b),
                 pb as u8,
-                spec.rate_bps,
-                SimDuration(spec.prop_ns),
+                rate_bps,
+                SimDuration(prop_ns),
             );
             channels.push(ab);
             channels.push(ba);
         }
     }
+    (sim, channels)
+}
+
+/// Register one source-routed flow at `node` and kick one packet shot
+/// per entry of `times` (nanoseconds).
+pub(crate) fn inject(
+    sim: &mut Simulator,
+    node: NodeId,
+    ports: Vec<u8>,
+    marker: u64,
+    times: impl Iterator<Item = u64>,
+) {
+    let fnode: &mut FlowNode = sim.node_mut(node);
+    fnode.flows.push((ports, marker));
+    let local = (fnode.flows.len() - 1) as u32;
+    for at in times {
+        let fnode: &mut FlowNode = sim.node_mut(node);
+        fnode.shots.push(local);
+        let key = (fnode.shots.len() - 1) as u64;
+        sim.kick(SimTime(at), node, key);
+    }
+}
+
+/// Instantiate a planned crowd: a [`mesh`] over the workload's
+/// adjacency and one kick per packet.
+pub fn build(spec: &TeWorkload, plan: &TePlan) -> (Simulator, Vec<ChannelId>) {
+    let mut spec = spec.clone();
+    spec.normalize();
+    let (mut sim, channels) = mesh(
+        spec.seed,
+        &spec.adjacency(),
+        spec.payload_len,
+        spec.rate_bps,
+        spec.prop_ns,
+    );
 
     // Packet pacing: streams at a quarter of line rate, plus a small
     // content-hashed jitter so two flows never beat in lockstep.
     let pkt_ns = spec.payload_len as u64 * 8 * 1_000_000_000 / spec.rate_bps.max(1);
     let spacing = (pkt_ns * 4).max(1);
     for flow in &plan.flows {
-        let Some(&node) = ids.get(flow.src) else {
+        if flow.src >= spec.nodes {
             continue;
-        };
-        let local = {
-            let fnode: &mut FlowNode = sim.node_mut(node);
-            fnode.flows.push((flow.ports.clone(), flow.marker));
-            (fnode.flows.len() - 1) as u32
-        };
-        for j in 0..flow.pkts as u64 {
-            let jitter = splitmix64(flow.marker ^ j) % (spacing / 2 + 1);
-            let at = flow.start_ns + j * spacing + jitter;
-            let key = {
-                let fnode = sim.node_mut::<FlowNode>(node);
-                fnode.shots.push(local);
-                (fnode.shots.len() - 1) as u64
-            };
-            sim.kick(SimTime(at), node, key);
         }
+        let times = (0..flow.pkts as u64).map(|j| {
+            let jitter = splitmix64(flow.marker ^ j) % (spacing / 2 + 1);
+            flow.start_ns + j * spacing + jitter
+        });
+        inject(
+            &mut sim,
+            NodeId(flow.src),
+            flow.ports.clone(),
+            flow.marker,
+            times,
+        );
     }
     (sim, channels)
 }

@@ -1,15 +1,15 @@
 //! Parameterized large-topology generators for scale tests (ring, grid,
 //! seeded random-regular) up to 10 000 nodes — the workloads behind the
-//! sharded-engine digest invariants and BENCH-7.
+//! sharded-engine digest invariants.
 //!
 //! The [`spec`](crate::spec) module's scenario generator deliberately
 //! caps rails at 12 nodes so chaos invariants stay tractable; scale
 //! runs need orders of magnitude more. A [`TopoSpec`] describes a
-//! relay mesh driven by [`RelayNode`]s — hot-potato forwarding with a
-//! TTL, **zero RNG draws anywhere** — so a run's digest depends only on
-//! the topology and workload, not on shard count or thread count: the
-//! same spec produces byte-identical digests serial, sharded 2/4/8
-//! ways, on any number of worker threads.
+//! mesh of [`te::FlowNode`]s relaying TTL-limited frames along
+//! hash-chosen walks with **zero RNG draws anywhere**, so a run's
+//! digest depends only on the topology and workload, not on shard count
+//! or thread count: the same spec produces byte-identical digests
+//! serial, sharded 2/4/8 ways, on any number of worker threads.
 //!
 //! Two design points keep digests shard-invariant (DESIGN.md §11):
 //! * every forward is re-scheduled through a content-hashed timer delay,
@@ -18,24 +18,10 @@
 //! * per-node accumulators fold delivery records commutatively, so the
 //!   residual tie order — if one ever occurs — still cannot show.
 
-use std::any::Any;
+use sirpent_sim::{NodeId, ShardedSimulator, SimTime, Simulator};
 
-use sirpent_sim::{Context, Event, Node, ShardedSimulator, SimDuration, SimTime, Simulator};
-
-use crate::scenario::fnv64;
-
-/// Timer keys at or above this value address pending forwards; keys
-/// below it index a source's planned injections.
-const PENDING_BASE: u64 = 1 << 32;
-
-/// SplitMix64 finalizer — used for seed-derived structure (offsets,
-/// send times), never for run-time randomness.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+use crate::scenario::splitmix64;
+use crate::te;
 
 /// Topology family of a [`TopoSpec`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,9 +56,10 @@ pub struct TopoSpec {
     pub sources: usize,
     /// Frames injected per source.
     pub frames_per_source: usize,
-    /// Hop budget per frame; each relay decrements, delivery at zero.
+    /// Hops every frame travels before it is delivered.
     pub ttl: u8,
-    /// Frame payload length in bytes (TTL byte + 8-byte marker + pad).
+    /// Frame payload length in bytes (2-byte route cursor + `ttl`
+    /// out-ports + 8-byte marker + pad).
     pub payload_len: usize,
     /// Propagation delay of every link, nanoseconds.
     pub prop_ns: u64,
@@ -87,7 +74,7 @@ pub struct TopoSpec {
 /// equality and to rate engine throughput.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TopoReport {
-    /// Canonical per-node digest of the run (see [`digest`]).
+    /// Canonical per-node digest of the run (see [`te::digest`]).
     pub digest: String,
     /// Total events the engine dispatched.
     pub events: u64,
@@ -141,7 +128,7 @@ impl TopoSpec {
         self.sources = self.sources.clamp(1, self.nodes);
         self.frames_per_source = self.frames_per_source.clamp(1, 64);
         self.ttl = self.ttl.clamp(1, 32);
-        self.payload_len = self.payload_len.clamp(9, 1_500);
+        self.payload_len = self.payload_len.clamp(10 + self.ttl as usize, 1_500);
         self.prop_ns = self.prop_ns.clamp(500, 1_000_000);
         self.rate_bps = self.rate_bps.clamp(1_000_000, 10_000_000_000);
         self.horizon_ns = self.horizon_ns.clamp(1_000_000, 10_000_000_000);
@@ -313,197 +300,55 @@ impl TopoSpec {
         }
         plan
     }
-}
 
-/// A TTL-relay node: planned timer keys inject fresh frames; received
-/// frames are folded into commutative accumulators and, while hops
-/// remain, re-emitted on a content-hashed port after a content-hashed
-/// delay (see the module docs for why the delay matters).
-#[derive(Default)]
-pub struct RelayNode {
-    /// Number of attached transmit ports.
-    degree: u8,
-    /// Frame payload length this node emits.
-    payload_len: usize,
-    /// Marker per planned injection, indexed by kick key.
-    plans: Vec<u64>,
-    /// TTL stamped on fresh injections.
-    ttl: u8,
-    /// Forwards awaiting their hashed delay: `(timer key, port, bytes)`.
-    pending: Vec<(u64, u8, Vec<u8>)>,
-    /// Next pending timer key (offset under [`PENDING_BASE`]).
-    next_pending: u64,
-    /// Frames transmitted (fresh + forwarded).
-    pub tx: u64,
-    /// Transmissions the engine refused (should stay zero here).
-    pub tx_fail: u64,
-    /// Frames received.
-    pub rx: u64,
-    /// Payload bytes received.
-    pub rx_bytes: u64,
-    /// Frames whose TTL expired here (final deliveries).
-    pub delivered: u64,
-    /// Commutative fold of per-delivery record hashes.
-    pub acc: u64,
-}
-
-impl RelayNode {
-    /// Port a frame with `marker` leaves a node on, at `ttl` hops left.
-    fn route_port(&self, me: u64, marker: u64, ttl: u8) -> u8 {
-        if self.degree == 0 {
-            return 0;
-        }
-        (splitmix64(marker ^ me.rotate_left(17) ^ (ttl as u64) << 56) % self.degree as u64) as u8
-    }
-
-    fn frame_bytes(&self, ttl: u8, marker: u64) -> Vec<u8> {
-        let mut v = vec![0u8; self.payload_len];
-        v[0] = ttl;
-        v[1..9].copy_from_slice(&marker.to_le_bytes());
-        // Deterministic pad so corruption anywhere would show in `acc`.
-        for (i, b) in v.iter_mut().enumerate().skip(9) {
-            *b = (marker >> (8 * (i % 8))) as u8 ^ i as u8;
-        }
-        v
-    }
-
-    fn transmit(&mut self, ctx: &mut Context<'_>, port: u8, bytes: Vec<u8>) {
-        match ctx.transmit(port, bytes) {
-            Ok(_) => self.tx += 1,
-            Err(_) => self.tx_fail += 1,
-        }
+    /// The out-port walk of the frame `marker` injected at `src`: `ttl`
+    /// hops, each out-port hash-chosen from `(node, marker, hops left)`
+    /// — a function of the spec alone, so the whole walk is known
+    /// before the run starts and rides in the frame as a source route.
+    fn walk(&self, adj: &[Vec<usize>], src: usize, marker: u64) -> Vec<u8> {
+        let mut at = src;
+        (0..self.ttl)
+            .rev()
+            .map(|left| {
+                let h = splitmix64(marker ^ (at as u64).rotate_left(17) ^ (left as u64) << 56);
+                let port = (h % adj[at].len() as u64) as usize;
+                at = adj[at][port];
+                port as u8
+            })
+            .collect()
     }
 }
 
-impl Node for RelayNode {
-    fn on_event(&mut self, ctx: &mut Context<'_>, ev: Event) {
-        match ev {
-            Event::Timer { key } if key >= PENDING_BASE => {
-                let Some(i) = self.pending.iter().position(|&(k, _, _)| k == key) else {
-                    return;
-                };
-                let (_, port, bytes) = self.pending.remove(i);
-                self.transmit(ctx, port, bytes);
-            }
-            Event::Timer { key } => {
-                let Some(&marker) = self.plans.get(key as usize) else {
-                    return;
-                };
-                let (ttl, me) = (self.ttl, ctx.me().0 as u64);
-                let port = self.route_port(me, marker, ttl);
-                let bytes = self.frame_bytes(ttl, marker);
-                self.transmit(ctx, port, bytes);
-            }
-            Event::Frame(fe) => {
-                let bytes = fe.frame.payload.to_vec();
-                self.rx += 1;
-                self.rx_bytes += bytes.len() as u64;
-                // Order-insensitive record fold: (arrival, port, bytes).
-                let mut rec = Vec::with_capacity(bytes.len() + 9);
-                rec.extend_from_slice(&ctx.now().as_nanos().to_le_bytes());
-                rec.push(fe.port);
-                rec.extend_from_slice(&bytes);
-                self.acc = self.acc.wrapping_add(fnv64(&rec));
-                let ttl = bytes.first().copied().unwrap_or(0);
-                if ttl == 0 || bytes.len() < 9 {
-                    self.delivered += 1;
-                    return;
-                }
-                let mut m = [0u8; 8];
-                m.copy_from_slice(&bytes[1..9]);
-                let marker = u64::from_le_bytes(m);
-                let me = ctx.me().0 as u64;
-                let mut fwd = bytes;
-                fwd[0] = ttl - 1;
-                let port = self.route_port(me, marker, ttl - 1);
-                // Content-hashed sub-propagation delay: decorrelates
-                // same-instant transits so engine tie-break order can
-                // never surface in the digest.
-                let h = splitmix64(fnv64(&fwd) ^ me ^ ctx.now().as_nanos());
-                let delay = 1 + h % 4_093;
-                let key = PENDING_BASE + self.next_pending;
-                self.next_pending += 1;
-                self.pending.push((key, port, fwd));
-                ctx.schedule_in(SimDuration(delay), key);
-            }
-            _ => {}
-        }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-/// Instantiate a spec: relay nodes, full-duplex links from the
-/// adjacency lists, and kicks for every planned injection.
+/// Instantiate a spec: a [`te::mesh`] of [`te::FlowNode`]s over the
+/// adjacency lists, and one single-packet flow per planned injection.
 pub fn build(spec: &TopoSpec) -> Simulator {
     let mut spec = spec.clone();
     spec.normalize();
     let adj = spec.adjacency();
-    let mut sim = Simulator::new(spec.seed);
-    let ids: Vec<_> = adj
-        .iter()
-        .map(|nbrs| {
-            sim.add_node(Box::new(RelayNode {
-                degree: nbrs.len() as u8,
-                payload_len: spec.payload_len,
-                ttl: spec.ttl,
-                ..RelayNode::default()
-            }))
-        })
-        .collect();
-    for (a, nbrs) in adj.iter().enumerate() {
-        for (pa, &b) in nbrs.iter().enumerate() {
-            if b < a {
-                continue; // one p2p per undirected edge
-            }
-            let pb = adj[b]
-                .iter()
-                .position(|&x| x == a)
-                .expect("adjacency is symmetric");
-            sim.p2p(
-                ids[a],
-                pa as u8,
-                ids[b],
-                pb as u8,
-                spec.rate_bps,
-                SimDuration(spec.prop_ns),
-            );
-        }
-    }
+    let (mut sim, _) = te::mesh(
+        spec.seed,
+        &adj,
+        spec.payload_len,
+        spec.rate_bps,
+        spec.prop_ns,
+    );
     for (at, node, marker) in spec.injections() {
-        let key = {
-            let relay: &mut RelayNode = sim.node_mut(ids[node]);
-            relay.plans.push(marker);
-            (relay.plans.len() - 1) as u64
-        };
-        sim.kick(at, ids[node], key);
+        let walk = spec.walk(&adj, node, marker);
+        te::inject(
+            &mut sim,
+            NodeId(node),
+            walk,
+            marker,
+            std::iter::once(at.as_nanos()),
+        );
     }
     sim
 }
 
-/// Canonical digest of a finished topo run: engine event count plus
-/// every node's counters and record fold, one line per node.
-pub fn digest(sim: &Simulator, nodes: usize) -> TopoReport {
-    let mut out = String::with_capacity(nodes * 48 + 32);
-    out.push_str("topo-digest v1\n");
-    out.push_str(&format!("events={}\n", sim.events_dispatched()));
-    for i in 0..nodes {
-        let r: &RelayNode = sim.node(sirpent_sim::NodeId(i));
-        out.push_str(&format!(
-            "n{} tx={} txf={} rx={} bytes={} del={} acc={:016x}\n",
-            i, r.tx, r.tx_fail, r.rx, r.rx_bytes, r.delivered, r.acc
-        ));
-    }
-    TopoReport {
-        digest: out,
-        events: sim.events_dispatched(),
-    }
+/// Digest a finished topo run (see [`te::digest`]).
+fn report(sim: &Simulator, nodes: usize) -> TopoReport {
+    let (digest, events) = te::digest(sim, nodes);
+    TopoReport { digest, events }
 }
 
 /// Build and run a spec on the serial engine.
@@ -512,7 +357,7 @@ pub fn execute(spec: &TopoSpec) -> TopoReport {
     spec.normalize();
     let mut sim = build(&spec);
     sim.run_until(SimTime(spec.horizon_ns));
-    digest(&sim, spec.nodes)
+    report(&sim, spec.nodes)
 }
 
 /// Build and run a spec on the sharded engine (`shards` spatial shards,
@@ -523,8 +368,7 @@ pub fn execute_sharded(spec: &TopoSpec, shards: usize, threads: usize) -> TopoRe
     let sim = build(&spec);
     let mut sharded = ShardedSimulator::split(sim, shards);
     sharded.run_until(SimTime(spec.horizon_ns), threads);
-    let sim = sharded.into_serial();
-    digest(&sim, spec.nodes)
+    report(&sharded.into_serial(), spec.nodes)
 }
 
 #[cfg(test)]
@@ -600,10 +444,28 @@ mod tests {
 
     #[test]
     fn frames_actually_relay() {
-        let spec = TopoSpec::from_seed(5);
-        let report = execute(&spec);
-        let total: usize = spec.sources.min(spec.nodes) * spec.frames_per_source;
-        assert!(report.events > total as u64, "relays generated events");
-        assert!(report.digest.contains("del="), "digest has delivery lines");
+        // Every injected frame is delivered exactly once, `ttl` hops
+        // from its source, at the end of its pre-computed walk.
+        for seed in 0..32u64 {
+            let spec = TopoSpec::from_seed(seed);
+            let adj = spec.adjacency();
+            let mut sim = build(&spec);
+            sim.run_until(SimTime(spec.horizon_ns));
+            let nodes: Vec<&te::FlowNode> = (0..spec.nodes).map(|i| sim.node(NodeId(i))).collect();
+            let injections = spec.injections();
+            assert_eq!(
+                nodes.iter().map(|n| n.delivered).sum::<u64>(),
+                injections.len() as u64,
+                "seed {seed}: delivered == injections"
+            );
+            assert_eq!(nodes.iter().map(|n| n.tx_fail).sum::<u64>(), 0);
+            for (_, src, marker) in injections {
+                let walk = spec.walk(&adj, src, marker);
+                assert_eq!(walk.len(), spec.ttl as usize);
+                let end = walk.iter().fold(src, |at, &p| adj[at][p as usize]);
+                let got = nodes[end].done.get(&marker).map(|&(count, _)| count);
+                assert_eq!(got, Some(1), "seed {seed}: frame {marker:#x} ends its walk");
+            }
+        }
     }
 }

@@ -157,7 +157,7 @@ mod tests {
     fn divert_at_first_hop_takes_full_detour() {
         let mut pkt = protected_packet();
         // Router 1 strips its segment, then finds the next hop down.
-        let stripped = crate::packet::strip_front_segment(&mut pkt).unwrap();
+        let stripped = crate::packet::oracle::strip_front_segment(&mut pkt).unwrap();
         assert_eq!(stripped.alt, Some(AltBranch { port: 3, splice: 0 }));
         let diverted = divert_onto_recovery(&pkt, 0).unwrap();
         let (route, recovery, data_at) = crate::packet::parse_route_full(&diverted).unwrap();
@@ -172,8 +172,8 @@ mod tests {
     #[test]
     fn divert_at_last_hop_splices_to_terminator() {
         let mut pkt = protected_packet();
-        crate::packet::strip_front_segment(&mut pkt).unwrap();
-        crate::packet::strip_front_segment(&mut pkt).unwrap();
+        crate::packet::oracle::strip_front_segment(&mut pkt).unwrap();
+        crate::packet::oracle::strip_front_segment(&mut pkt).unwrap();
         let diverted = divert_onto_recovery(&pkt, 1).unwrap();
         let (route, _, data_at) = crate::packet::parse_route_full(&diverted).unwrap();
         assert_eq!(
@@ -186,7 +186,7 @@ mod tests {
     #[test]
     fn splice_one_past_list_rejected() {
         let mut pkt = protected_packet();
-        crate::packet::strip_front_segment(&mut pkt).unwrap();
+        crate::packet::oracle::strip_front_segment(&mut pkt).unwrap();
         // The recovery list has two entries; splice 2 is one past it.
         assert_eq!(
             divert_onto_recovery(&pkt, 2).unwrap_err(),
@@ -202,7 +202,7 @@ mod tests {
             .payload(b"x".to_vec())
             .build()
             .unwrap();
-        crate::packet::strip_front_segment(&mut pkt).unwrap();
+        crate::packet::oracle::strip_front_segment(&mut pkt).unwrap();
         assert_eq!(divert_onto_recovery(&pkt, 0).unwrap_err(), Error::Malformed);
     }
 

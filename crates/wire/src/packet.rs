@@ -260,21 +260,12 @@ pub fn parse_route_full(buffer: &[u8]) -> Result<(Vec<SegmentRepr>, Vec<SegmentR
 }
 
 /// Router operation: strip the leading header segment off a packet,
-/// returning the segment and leaving `packet` holding the rest (§2: "the
-/// router removes the network header from the front of the packet as well
-/// as the port, typeOfService and portToken fields").
-pub fn strip_front_segment(packet: &mut Vec<u8>) -> Result<SegmentRepr> {
-    let seg = Segment::new_checked(&packet[..])?;
-    let len = seg.total_len();
-    let repr = SegmentRepr::parse(&seg)?;
-    packet.drain(..len);
-    Ok(repr)
-}
-
-/// Zero-copy successor of [`strip_front_segment`]: strip the leading
-/// header segment off a shared [`PacketBuf`] by advancing its head
-/// offset — O(1), no memmove — and return a [`SegmentView`] whose
-/// variable fields borrow the shared store instead of allocating.
+/// leaving `packet` holding the rest (§2: "the router removes the
+/// network header from the front of the packet as well as the port,
+/// typeOfService and portToken fields"). O(1) on the shared
+/// [`PacketBuf`] — the head offset advances, no memmove — and the
+/// returned [`SegmentView`]'s variable fields borrow the shared store
+/// instead of allocating.
 pub fn strip_front_segment_buf(packet: &mut PacketBuf) -> Result<SegmentView> {
     let view = SegmentView::parse(packet)?;
     packet.advance(view.encoded_len());
@@ -293,36 +284,52 @@ pub fn peek_front_segment(packet: &[u8]) -> Result<SegmentRepr> {
 /// (§2: the router "revises the network-specific portion … so that it
 /// constitutes a correct return hop through this router and appends the
 /// return port and network header fields to the end of the packet").
-pub fn append_return_hop(packet: &mut Vec<u8>, return_hop: SegmentRepr) -> Result<()> {
-    Entry::ReturnHop(return_hop).append_to(packet)
-}
-
-/// Zero-copy successor of [`append_return_hop`]: appends in place when
-/// the router uniquely owns the packet (the steady per-hop state).
+/// Appends in place when the router uniquely owns the packet (the
+/// steady per-hop state).
 pub fn append_return_hop_buf(packet: &mut PacketBuf, return_hop: SegmentRepr) -> Result<()> {
     Entry::ReturnHop(return_hop).append_to_buf(packet)
 }
 
 /// Router operation: mark a packet as truncated after `keep` bytes. The
-/// tail is dropped and the truncation marker appended so "the receiver can
-/// detect packet truncation even when it only affects the packet trailer"
-/// (§2).
-pub fn truncate_packet(packet: &mut Vec<u8>, keep: usize) {
-    let lost = packet.len().saturating_sub(keep) as u32;
-    packet.truncate(keep);
-    Entry::Truncated { lost_bytes: lost }
-        .append_to(packet)
-        .expect("4-byte payload always fits the length field");
-}
-
-/// Zero-copy successor of [`truncate_packet`]: lowers the tail watermark
-/// (O(1)) and appends the truncation marker in place.
+/// tail is dropped (the tail watermark lowers, O(1)) and the truncation
+/// marker appended in place so "the receiver can detect packet
+/// truncation even when it only affects the packet trailer" (§2).
 pub fn truncate_packet_buf(packet: &mut PacketBuf, keep: usize) {
     let lost = packet.len().saturating_sub(keep) as u32;
     packet.truncate(keep);
     Entry::Truncated { lost_bytes: lost }
         .append_to_buf(packet)
         .expect("4-byte payload always fits the length field");
+}
+
+/// The per-router byte operations on a plain `Vec<u8>`: the obviously
+/// correct reference the proptests hold the [`PacketBuf`] path to.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+
+    /// Reference for [`strip_front_segment_buf`].
+    pub(crate) fn strip_front_segment(packet: &mut Vec<u8>) -> Result<SegmentRepr> {
+        let seg = Segment::new_checked(&packet[..])?;
+        let len = seg.total_len();
+        let repr = SegmentRepr::parse(&seg)?;
+        packet.drain(..len);
+        Ok(repr)
+    }
+
+    /// Reference for [`append_return_hop_buf`].
+    pub(crate) fn append_return_hop(packet: &mut Vec<u8>, return_hop: SegmentRepr) -> Result<()> {
+        Entry::ReturnHop(return_hop).append_to(packet)
+    }
+
+    /// Reference for [`truncate_packet_buf`].
+    pub(crate) fn truncate_packet(packet: &mut Vec<u8>, keep: usize) {
+        let lost = packet.len().saturating_sub(keep) as u32;
+        packet.truncate(keep);
+        Entry::Truncated { lost_bytes: lost }
+            .append_to(packet)
+            .expect("4-byte payload always fits the length field");
+    }
 }
 
 /// Receiver operation: given a delivered packet (single local segment at
@@ -339,6 +346,7 @@ pub fn reply_route(view: &PacketView) -> Vec<SegmentRepr> {
 
 #[cfg(test)]
 mod tests {
+    use super::oracle::*;
     use super::*;
     use crate::viper::Flags;
 
@@ -744,6 +752,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::oracle::*;
     use super::*;
     use proptest::prelude::*;
 

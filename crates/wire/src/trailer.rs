@@ -67,7 +67,7 @@ pub enum Entry {
 }
 
 impl Entry {
-    /// Bytes appended by [`Entry::append_to`].
+    /// Bytes appended by [`Entry::append_to_buf`].
     pub fn encoded_len(&self) -> usize {
         self.payload_len() + ENTRY_OVERHEAD
     }
@@ -104,7 +104,7 @@ impl Entry {
     ///
     /// Fails with [`Error::TrailerPayloadTooLong`] when the payload
     /// exceeds the u16 length field; the packet is left untouched.
-    pub fn append_to(&self, packet: &mut Vec<u8>) -> Result<()> {
+    pub(crate) fn append_to(&self, packet: &mut Vec<u8>) -> Result<()> {
         let plen = self.checked_payload_len()?;
         match self {
             Entry::Base => {}

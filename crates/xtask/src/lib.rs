@@ -34,12 +34,10 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 pub mod callgraph;
-pub mod json;
 pub mod lexer;
 pub mod rules;
 pub mod source;
 pub mod symbols;
-pub mod trend;
 
 use lexer::TokKind;
 use rules::{Config, Diagnostic, LintCtx, Rule};

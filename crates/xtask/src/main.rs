@@ -3,7 +3,6 @@
 //! ```text
 //! cargo run -p xtask -- lint [--rule <name>]... [--root <path>] [--json]
 //! cargo run -p xtask -- lint --list
-//! cargo run -p xtask -- bench-trend [--results <dir>]
 //! ```
 //!
 //! `lint` exits 0 when the workspace holds its invariants, 1 with
@@ -12,13 +11,6 @@
 //! per finding, fields always in the order `file`, `line`, `rule`,
 //! `message`, `chain` — so CI can archive machine-readable reports whose
 //! diffs stay byte-stable across runs.
-//!
-//! `bench-trend` re-reads `results/BENCH_5.json`, `BENCH_6.json`,
-//! `BENCH_7.json` and `TE.json` against `results/bench_baseline.json`
-//! and the benches' own gate thresholds, prints one markdown trend
-//! table (also appended to `$GITHUB_STEP_SUMMARY` when set), and exits
-//! 1 on any violation — same thresholds the `--check` runs enforce,
-//! rendered readable.
 
 #![forbid(unsafe_code)]
 
@@ -31,53 +23,12 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => lint(&args[1..]),
-        Some("bench-trend") => bench_trend(&args[1..]),
         _ => {
             eprintln!(
-                "usage: cargo run -p xtask -- lint [--rule <name>]... [--root <path>] [--json] [--list]\n       cargo run -p xtask -- bench-trend [--results <dir>]"
+                "usage: cargo run -p xtask -- lint [--rule <name>]... [--root <path>] [--json] [--list]"
             );
             ExitCode::from(2)
         }
-    }
-}
-
-fn bench_trend(args: &[String]) -> ExitCode {
-    let mut results: Option<PathBuf> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--results" if i + 1 < args.len() => {
-                results = Some(PathBuf::from(&args[i + 1]));
-                i += 2;
-            }
-            other => {
-                eprintln!("xtask bench-trend: unknown argument `{other}`");
-                return ExitCode::from(2);
-            }
-        }
-    }
-    let results = results.unwrap_or_else(|| xtask::workspace_root().join("results"));
-    let report = xtask::trend::run_bench_trend(&results);
-    print!("{}", report.markdown);
-    if let Ok(summary) = std::env::var("GITHUB_STEP_SUMMARY") {
-        use std::io::Write as _;
-        let appended = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&summary)
-            .and_then(|mut f| f.write_all(report.markdown.as_bytes()));
-        if let Err(e) = appended {
-            eprintln!("xtask bench-trend: could not append to {summary}: {e}");
-        }
-    }
-    if report.violations.is_empty() {
-        eprintln!("xtask bench-trend: all gates green");
-        ExitCode::SUCCESS
-    } else {
-        for v in &report.violations {
-            eprintln!("xtask bench-trend: FAIL {v}");
-        }
-        ExitCode::FAILURE
     }
 }
 
