@@ -80,7 +80,7 @@ fn cvc_total(m: usize, msg_bytes: usize) -> f64 {
             }
             .to_bytes(),
         )
-        .to_p2p_bytes(),
+        .into_p2p_frame(),
     );
     ScriptedHost::start(&mut sim, host);
     // Step until the Accept arrives back at the host — that instant is
@@ -100,7 +100,7 @@ fn cvc_total(m: usize, msg_bytes: usize) -> f64 {
                 }
                 .to_bytes(),
             )
-            .to_p2p_bytes(),
+            .into_p2p_frame(),
         );
     }
     ScriptedHost::start(&mut sim, host);
@@ -215,7 +215,7 @@ fn main() {
                     }
                     .to_bytes(),
                 )
-                .to_p2p_bytes(),
+                .into_p2p_frame(),
             );
         }
         ScriptedHost::start(&mut sim, host);

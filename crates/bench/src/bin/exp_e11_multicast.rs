@@ -53,7 +53,7 @@ fn count_delivered(sim: &Simulator, members: &[NodeId], tag: u8) -> usize {
         .iter()
         .filter(|&&m| {
             sim.node::<ScriptedHost>(m).received.iter().any(|f| {
-                let Ok(LinkFrame::Sirpent { packet, .. }) = LinkFrame::from_p2p_bytes(&f.bytes)
+                let Ok(LinkFrame::Sirpent { packet, .. }) = LinkFrame::from_p2p_frame(&f.frame)
                 else {
                     return false;
                 };
@@ -108,7 +108,7 @@ fn main() {
                     ff_hint: 0,
                     packet: pkt.into(),
                 }
-                .to_p2p_bytes(),
+                .into_p2p_frame(),
             );
             ScriptedHost::start(&mut sim, src);
             sim.run_until(SimTime(50_000_000));
@@ -158,7 +158,7 @@ fn main() {
                     ff_hint: 0,
                     packet: pkt,
                 }
-                .to_p2p_bytes(),
+                .into_p2p_frame(),
             );
             ScriptedHost::start(&mut sim, src);
             sim.run_until(SimTime(50_000_000));
@@ -210,7 +210,7 @@ fn main() {
                     ff_hint: 0,
                     packet: pkt.into(),
                 }
-                .to_p2p_bytes(),
+                .into_p2p_frame(),
             );
             ScriptedHost::start(&mut sim, src);
             while sim.node::<ScriptedHost>(agent).received.is_empty() {
@@ -232,7 +232,7 @@ fn main() {
                         ff_hint: 0,
                         packet: pkt.into(),
                     }
-                    .to_p2p_bytes(),
+                    .into_p2p_frame(),
                 );
             }
             ScriptedHost::start(&mut sim, agent);

@@ -215,7 +215,7 @@ fn ip_run(corrupt: f64) -> (u64, u64, u64) {
         sim.node_mut::<ScriptedHost>(src).plan(
             SimTime(i as u64 * 2_000_000),
             0,
-            LinkFrame::Ipish(d).to_p2p_bytes(),
+            LinkFrame::Ipish(d).into_p2p_frame(),
         );
     }
     ScriptedHost::start(&mut sim, src);
@@ -232,7 +232,7 @@ fn ip_run(corrupt: f64) -> (u64, u64, u64) {
     let corrupt_payloads = rx
         .iter()
         .filter(|f| {
-            matches!(LinkFrame::from_p2p_bytes(&f.bytes),
+            matches!(LinkFrame::from_p2p_frame(&f.frame),
                 Ok(LinkFrame::Ipish(d)) if d[ipish::HEADER_LEN..].iter().any(|&b| b != 0x44))
         })
         .count() as u64;

@@ -74,7 +74,7 @@ fn trunk_run(n: usize, size: usize, logical: bool, gap_ns: u64) -> (f64, Vec<usi
                 ff_hint: 0,
                 packet: pkt.into(),
             }
-            .to_p2p_bytes(),
+            .into_p2p_frame(),
         );
     }
     ScriptedHost::start(&mut sim, src);
@@ -187,7 +187,7 @@ fn main() {
                 ff_hint: 0,
                 packet: pkt.into(),
             }
-            .to_p2p_bytes(),
+            .into_p2p_frame(),
         );
         ScriptedHost::start(&mut sim, src);
         sim.run(10_000);

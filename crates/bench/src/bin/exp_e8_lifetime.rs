@@ -165,14 +165,12 @@ fn main() {
     struct All {
         delays: Vec<DelayRow>,
         skews: Vec<SkewRow>,
-        ttl_rewrite_ns: f64,
     }
     write_json(
         "e8_lifetime",
         &All {
             delays: rows,
             skews: skew_rows,
-            ttl_rewrite_ns: ns,
         },
     );
 }

@@ -54,7 +54,7 @@ fn sim_arrivals(c: &sirpent_bench::topo::Chain) -> Vec<SimTime> {
         .node::<ScriptedHost>(c.dst)
         .received
         .iter()
-        .filter(|r| LinkFrame::from_p2p_bytes(&r.bytes).is_ok())
+        .filter(|r| LinkFrame::from_p2p_frame(&r.frame).is_ok())
         .map(|r| r.last_bit)
         .collect()
 }
@@ -156,7 +156,7 @@ fn main() {
             .node::<ScriptedHost>(c.dst)
             .received
             .iter()
-            .filter(|r| r.bytes.len() < 1300) // stream packets only
+            .filter(|r| r.frame.len() < 1300) // stream packets only
             .map(|r| r.last_bit)
             .collect();
         let disturbed = rx

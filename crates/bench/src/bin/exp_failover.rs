@@ -33,6 +33,7 @@ use sirpent::wire::packet::{PacketBuilder, PacketView};
 use sirpent::wire::viper::{AltBranch, Priority, SegmentRepr, PORT_LOCAL};
 use sirpent::wire::vmtp::EntityId;
 use sirpent::Net;
+use sirpent_bench::topo::frame;
 use sirpent_bench::{write_json, Table};
 
 const RATE: u64 = 10_000_000;
@@ -78,14 +79,6 @@ fn stripped_packet(idx: u32) -> Vec<u8> {
         .payload(payload(idx))
         .build()
         .expect("valid stripped packet")
-}
-
-fn frame(packet: Vec<u8>) -> Vec<u8> {
-    LinkFrame::Sirpent {
-        ff_hint: 0,
-        packet: packet.into(),
-    }
-    .to_p2p_bytes()
 }
 
 struct StreamResult {
@@ -151,7 +144,7 @@ fn stream(armed: bool) -> StreamResult {
     let mut delivered = Vec::new();
     let mut arrivals = Vec::new();
     for rec in &sim.node::<ScriptedHost>(b).received {
-        let Ok(LinkFrame::Sirpent { packet, .. }) = LinkFrame::from_p2p_bytes(&rec.bytes) else {
+        let Ok(LinkFrame::Sirpent { packet, .. }) = LinkFrame::from_p2p_frame(&rec.frame) else {
             continue;
         };
         let view = PacketView::parse(&packet).expect("delivered packet parses");

@@ -125,6 +125,7 @@ pub mod topo {
     use sirpent::router::scripted::ScriptedHost;
     use sirpent::router::viper::{SwitchMode, ViperConfig, ViperRouter};
     use sirpent::sim::{NodeId, SimDuration, Simulator};
+    use sirpent::wire::buf::FrameBuf;
     use sirpent::wire::packet::PacketBuilder;
     use sirpent::wire::viper::{Priority, SegmentRepr, PORT_LOCAL};
 
@@ -192,11 +193,11 @@ pub mod topo {
     }
 
     /// Frame a Sirpent packet for a point-to-point link.
-    pub fn frame(packet: Vec<u8>) -> Vec<u8> {
+    pub fn frame(packet: Vec<u8>) -> FrameBuf {
         LinkFrame::Sirpent {
             ff_hint: 0,
             packet: packet.into(),
         }
-        .to_p2p_bytes()
+        .into_p2p_frame()
     }
 }

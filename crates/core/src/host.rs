@@ -19,6 +19,7 @@ use std::collections::HashMap;
 use sirpent_router::link::LinkFrame;
 use sirpent_sim::{transmission_time, Context, Event, Node, SimDuration, SimTime};
 use sirpent_transport::{Action, Endpoint, EndpointConfig, FailoverPolicy, RouteSet, Verdict};
+use sirpent_wire::buf::{FrameBuf, PacketBuf};
 use sirpent_wire::ethernet;
 use sirpent_wire::packet::{PacketBuilder, PacketView};
 use sirpent_wire::viper::{SegmentRepr, PORT_LOCAL};
@@ -126,7 +127,7 @@ struct SendTracker {
 }
 
 enum Pending {
-    Transmit { port: u8, bytes: Vec<u8> },
+    Transmit { port: u8, frame: FrameBuf },
     Retransmit { transaction: u32 },
 }
 
@@ -308,29 +309,26 @@ impl SirpentHost {
             .route(segments.to_vec())
             .recovery(recovery.to_vec())
             .payload(vmtp)
-            .build()
+            .build_buf()
         else {
             self.stats.build_refused += 1;
             return;
         };
-        let lf = LinkFrame::Sirpent {
-            ff_hint: 0,
-            packet: packet.into(),
-        };
-        let bytes = match (&self.ports.get(&host_port), eth) {
-            (Some(HostPortKind::Ethernet { mac }), Some(h)) => lf.to_ethernet_bytes(*mac, h.dst),
+        let lf = LinkFrame::Sirpent { ff_hint: 0, packet };
+        let frame = match (self.ports.get(&host_port), eth) {
+            (Some(HostPortKind::Ethernet { mac }), Some(h)) => lf.into_ethernet_frame(*mac, h.dst),
             (Some(HostPortKind::Ethernet { mac }), None) => {
                 // Shouldn't happen with well-formed routes; broadcast.
-                lf.to_ethernet_bytes(*mac, ethernet::Address::BROADCAST)
+                lf.into_ethernet_frame(*mac, ethernet::Address::BROADCAST)
             }
-            _ => lf.to_p2p_bytes(),
+            _ => lf.into_p2p_frame(),
         };
         self.schedule(
             ctx,
             at.max(ctx.now()),
             Pending::Transmit {
                 port: host_port,
-                bytes,
+                frame,
             },
         );
     }
@@ -581,7 +579,7 @@ impl SirpentHost {
     fn on_sirpent_packet(
         &mut self,
         ctx: &mut Context<'_>,
-        packet: sirpent_wire::buf::PacketBuf,
+        packet: PacketBuf,
         arrival_port: u8,
         arrival_eth: Option<ethernet::Repr>,
     ) {
@@ -628,7 +626,7 @@ impl SirpentHost {
                     eth: arrival_eth.map(|h| h.reversed()),
                 },
             );
-            let actions = self.endpoint.on_packet_buf(now, &data);
+            let actions = self.endpoint.on_packet(now, &data);
             self.run_actions(ctx, actions, hdr.src, true);
         } else {
             self.stats.unparseable += 1;
@@ -678,8 +676,8 @@ impl Node for SirpentHost {
             }
             Event::Timer { key: KEY_KICK } => self.send_queued(ctx),
             Event::Timer { key } => match self.pending.remove(&key) {
-                Some(Pending::Transmit { port, bytes }) => {
-                    let _ = ctx.transmit(port, bytes);
+                Some(Pending::Transmit { port, frame }) => {
+                    let _ = ctx.transmit(port, frame);
                 }
                 Some(Pending::Retransmit { transaction }) => self.on_retransmit(ctx, transaction),
                 None => {}
@@ -709,13 +707,16 @@ impl SirpentHost {
         let now = ctx.now();
         self.stats.backpressure_received += 1;
         self.endpoint.pacer.on_backpressure(msg.allowed_bps);
-        // Switch away from routes transiting the congested router.
-        let dsts: Vec<EntityId> = self
+        // Switch away from routes transiting the congested router, in
+        // destination order: `routes` iterates in per-instance hash
+        // order, and `events` must repeat run to run.
+        let mut dsts: Vec<EntityId> = self
             .routes
             .iter()
             .filter(|(_, set)| set.current().router_ids.contains(&msg.congested_router))
             .map(|(d, _)| *d)
             .collect();
+        dsts.sort_unstable();
         for dst in dsts {
             if let Some(set) = self.routes.get_mut(&dst) {
                 match set.on_backpressure(now) {

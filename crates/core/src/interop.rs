@@ -23,7 +23,7 @@ use std::collections::HashMap;
 
 use sirpent_router::link::LinkFrame;
 use sirpent_sim::{Context, Event, Node, SimDuration, SimTime};
-use sirpent_wire::buf::PacketBuf;
+use sirpent_wire::buf::{FrameBuf, PacketBuf};
 use sirpent_wire::ipish;
 use sirpent_wire::packet::{append_return_hop_buf, strip_front_segment_buf};
 use sirpent_wire::viper::{Flags, SegmentRepr, PORT_LOCAL};
@@ -76,7 +76,7 @@ pub struct IpGateway {
     pending: HashMap<u64, Pending>,
     next_key: u64,
     busy: HashMap<u8, bool>,
-    queues: HashMap<u8, Vec<Vec<u8>>>,
+    queues: HashMap<u8, Vec<FrameBuf>>,
     ident: u16,
     /// Counters.
     pub stats: GatewayStats,
@@ -105,7 +105,7 @@ impl IpGateway {
         }
     }
 
-    fn send(&mut self, ctx: &mut Context<'_>, port: u8, frame: Vec<u8>) {
+    fn send(&mut self, ctx: &mut Context<'_>, port: u8, frame: FrameBuf) {
         if *self.busy.get(&port).unwrap_or(&false) {
             self.queues.entry(port).or_default().push(frame);
         } else {
@@ -166,11 +166,11 @@ impl IpGateway {
             self.ident = self.ident.wrapping_add(1);
             dgram.extend_from_slice(packet.as_slice());
             self.stats.encapsulated += 1;
-            let frame = LinkFrame::Ipish(dgram).to_p2p_bytes();
+            let frame = LinkFrame::Ipish(dgram).into_p2p_frame();
             self.send(ctx, self.cfg.ip_port, frame);
         } else if self.cfg.local_ports.contains(&out_port) {
             self.stats.forwarded_local += 1;
-            let frame = LinkFrame::Sirpent { ff_hint: 0, packet }.to_p2p_bytes();
+            let frame = LinkFrame::Sirpent { ff_hint: 0, packet }.into_p2p_frame();
             self.send(ctx, out_port, frame);
         } else {
             self.stats.dropped += 1;

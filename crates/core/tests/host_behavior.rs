@@ -9,7 +9,7 @@ use sirpent::router::viper::{PortConfig, PortKind, ViperConfig, ViperRouter};
 use sirpent::sim::{SimDuration, SimTime};
 use sirpent::transport::FailoverPolicy;
 use sirpent::wire::ethernet;
-use sirpent::wire::packet::PacketBuilder;
+use sirpent::wire::packet::{PacketBuilder, PacketView};
 use sirpent::wire::viper::{Priority, SegmentRepr, PORT_LOCAL};
 use sirpent::wire::vmtp::EntityId;
 use sirpent::Net;
@@ -145,7 +145,7 @@ fn misrouted_packet_counted_and_ignored() {
             ff_hint: 0,
             packet: pkt.into(),
         }
-        .to_p2p_bytes(),
+        .into_p2p_frame(),
     );
     ScriptedHost::start(&mut sim, x);
     sim.run_until(SimTime(10_000_000));
@@ -189,7 +189,7 @@ fn backpressure_slows_pacer_and_switches_routes() {
     sim.node_mut::<ScriptedHost>(x).plan(
         SimTime::ZERO,
         0,
-        LinkFrame::RateControl(rc).to_p2p_bytes(),
+        LinkFrame::RateControl(rc).into_p2p_frame(),
     );
     ScriptedHost::start(&mut sim, x);
     sim.run_until(SimTime(10_000_000));
@@ -238,7 +238,7 @@ fn backpressure_for_foreign_router_does_not_switch() {
     sim.node_mut::<ScriptedHost>(x).plan(
         SimTime::ZERO,
         0,
-        LinkFrame::RateControl(rc).to_p2p_bytes(),
+        LinkFrame::RateControl(rc).into_p2p_frame(),
     );
     ScriptedHost::start(&mut sim, x);
     sim.run_until(SimTime(10_000_000));
@@ -526,4 +526,124 @@ fn oversize_route_is_refused_and_counted_not_silently_dropped() {
     let (sent, refused) = attempt(longest + 1);
     assert!(sent.is_empty(), "one more hop: nothing reaches the wire");
     assert!(refused > 0, "and the refusal is counted");
+}
+
+#[test]
+fn rate_control_events_come_out_in_destination_order() {
+    // Twelve destinations all transit router 9 and all have an alternate,
+    // so one rate-control frame naming router 9 switches every one of
+    // them. The host keeps routes in a hash map; the events must not
+    // inherit its iteration order.
+    let mut net = Net::new(10);
+    let a = net.host(
+        0xA,
+        vec![
+            (0, HostPortKind::PointToPoint),
+            (1, HostPortKind::PointToPoint),
+        ],
+    );
+    let x = net.sim.add_node(Box::new(ScriptedHost::new()));
+    let y = net.sim.add_node(Box::new(ScriptedHost::new()));
+    net.p2p(x, 0, a, 0, RATE, PROP);
+    net.p2p(y, 0, a, 1, RATE, PROP);
+    let mut sim = net.into_sim();
+
+    let dsts: Vec<EntityId> = (0..12u64).map(|i| EntityId(0xB00 + i * 5 % 12)).collect();
+    for &dst in &dsts {
+        sim.node_mut::<SirpentHost>(a)
+            .install_routes(dst, vec![p2p_route(0, 9, 2), p2p_route(1, 8, 2)]);
+    }
+    let rc = RateControlMsg {
+        congested_router: 9,
+        congested_port: 2,
+        allowed_bps: 1_000_000,
+        queue_len: 9,
+    };
+    sim.node_mut::<ScriptedHost>(x).plan(
+        SimTime::ZERO,
+        0,
+        LinkFrame::RateControl(rc).into_p2p_frame(),
+    );
+    ScriptedHost::start(&mut sim, x);
+    sim.run_until(SimTime(10_000_000));
+
+    let switched: Vec<EntityId> = sim
+        .node::<SirpentHost>(a)
+        .events
+        .iter()
+        .map(|e| match e {
+            HostEvent::RouteSwitched { dst, index: 1, .. } => *dst,
+            other => panic!("unexpected event {other:?}"),
+        })
+        .collect();
+    let mut want = dsts;
+    want.sort();
+    assert_eq!(switched, want);
+}
+
+#[test]
+fn first_frame_on_the_wire_is_link_header_then_built_packet() {
+    // What a host puts on a link is `[tag, ff_hint] ++ PacketBuilder::build()`
+    // — behind the 14-byte header on an Ethernet — with the link header
+    // composed in the frame's owned header and the packet as its body.
+    let mac_a = ethernet::Address::from_index(0xA);
+    let mac_r = ethernet::Address::from_index(0x21);
+    let eth_route = CompiledRoute::compile(
+        &RouteRecord {
+            access: AccessSpec {
+                host_port: 0,
+                ethernet_next: Some(EthernetHop {
+                    src: mac_a,
+                    dst: mac_r,
+                }),
+                bandwidth_bps: RATE,
+                prop_delay: PROP,
+                mtu: 1550,
+            },
+            hops: vec![],
+            endpoint_selector: vec![],
+        },
+        &[],
+        Priority::NORMAL,
+    );
+    let eth_header = ethernet::Repr {
+        dst: mac_r,
+        src: mac_a,
+        ethertype: ethernet::EtherType::Sirpent,
+    }
+    .to_bytes();
+    let cases = [
+        (HostPortKind::PointToPoint, p2p_route(0, 9, 2), vec![]),
+        (HostPortKind::Ethernet { mac: mac_a }, eth_route, eth_header),
+    ];
+    for (kind, route, mut link_header) in cases {
+        let mut net = Net::new(11);
+        let a = net.host(0xA, vec![(0, kind)]);
+        let tap = net.sim.add_node(Box::new(ScriptedHost::new()));
+        net.bus(RATE, PROP, &[(a, 0), (tap, 0)]);
+        let mut sim = net.into_sim();
+        sim.node_mut::<SirpentHost>(a)
+            .install_routes(EntityId(0xB), vec![route.clone()]);
+        sim.node_mut::<SirpentHost>(a).queue_request(
+            SimTime::ZERO,
+            EntityId(0xB),
+            b"first".to_vec(),
+        );
+        SirpentHost::start(&mut sim, a);
+        sim.run_until(SimTime(1_000_000));
+
+        let frame = &sim.node::<ScriptedHost>(tap).received[0].frame;
+        link_header.extend([1, 0]); // Sirpent tag, feed-forward hint 0
+        assert_eq!(frame.header(), &link_header[..]);
+        let packet = frame.body();
+        let view = PacketView::parse(packet).unwrap();
+        let rebuilt = PacketBuilder::new()
+            .route(route.segments)
+            .recovery(route.recovery)
+            .payload(view.data(packet))
+            .build()
+            .unwrap();
+        assert_eq!(packet.as_slice(), &rebuilt[..]);
+        assert_eq!(frame.to_vec(), [link_header, rebuilt].concat());
+    }
 }

@@ -542,7 +542,7 @@ mod tests {
         sim.node_mut::<ScriptedHost>(a).plan(
             SimTime::ZERO,
             0,
-            LinkFrame::Cvc(setup.to_bytes()).to_p2p_bytes(),
+            LinkFrame::Cvc(setup.to_bytes()).into_p2p_frame(),
         );
         ScriptedHost::start(&mut sim, a);
         sim.run(10_000);
@@ -572,12 +572,12 @@ mod tests {
                 }
                 .to_bytes(),
             )
-            .to_p2p_bytes(),
+            .into_p2p_frame(),
         );
         sim.node_mut::<ScriptedHost>(a).plan(
             t0 + SimDuration::from_millis(1),
             0,
-            LinkFrame::Cvc(Message::Teardown { vci: 9 }.to_bytes()).to_p2p_bytes(),
+            LinkFrame::Cvc(Message::Teardown { vci: 9 }.to_bytes()).into_p2p_frame(),
         );
         ScriptedHost::start(&mut sim, a);
         sim.run(10_000);
@@ -601,7 +601,7 @@ mod tests {
         sim.node_mut::<ScriptedHost>(a).plan(
             SimTime::ZERO,
             0,
-            LinkFrame::Cvc(setup.to_bytes()).to_p2p_bytes(),
+            LinkFrame::Cvc(setup.to_bytes()).into_p2p_frame(),
         );
         ScriptedHost::start(&mut sim, a);
         sim.run(10_000);
@@ -633,7 +633,7 @@ mod tests {
             sim.node_mut::<ScriptedHost>(a).plan(
                 SimTime(i as u64 * 2_000_000),
                 0,
-                LinkFrame::Cvc(setup.to_bytes()).to_p2p_bytes(),
+                LinkFrame::Cvc(setup.to_bytes()).into_p2p_frame(),
             );
         }
         ScriptedHost::start(&mut sim, a);
@@ -657,7 +657,7 @@ mod tests {
             sim.node_mut::<ScriptedHost>(a).plan(
                 SimTime(i * 2_000_000),
                 0,
-                LinkFrame::Cvc(setup.to_bytes()).to_p2p_bytes(),
+                LinkFrame::Cvc(setup.to_bytes()).into_p2p_frame(),
             );
         }
         ScriptedHost::start(&mut sim, a);
@@ -679,7 +679,7 @@ mod tests {
             sim.node_mut::<ScriptedHost>(a).plan(
                 SimTime(i as u64 * 1_000_000),
                 0,
-                LinkFrame::Cvc(setup.to_bytes()).to_p2p_bytes(),
+                LinkFrame::Cvc(setup.to_bytes()).into_p2p_frame(),
             );
         }
         ScriptedHost::start(&mut sim, a);

@@ -570,7 +570,7 @@ mod tests {
         sim.node_mut::<ScriptedHost>(src).plan(
             SimTime::ZERO,
             0,
-            LinkFrame::Ipish(d).to_p2p_bytes(),
+            LinkFrame::Ipish(d).into_p2p_frame(),
         );
         ScriptedHost::start(&mut sim, src);
         sim.run(10_000);
@@ -604,7 +604,7 @@ mod tests {
         sim.node_mut::<ScriptedHost>(src).plan(
             SimTime::ZERO,
             0,
-            LinkFrame::Ipish(d).to_p2p_bytes(),
+            LinkFrame::Ipish(d).into_p2p_frame(),
         );
         ScriptedHost::start(&mut sim, src);
         sim.run(10_000);
@@ -623,7 +623,7 @@ mod tests {
         sim.node_mut::<ScriptedHost>(src).plan(
             SimTime::ZERO,
             0,
-            LinkFrame::Ipish(d).to_p2p_bytes(),
+            LinkFrame::Ipish(d).into_p2p_frame(),
         );
         ScriptedHost::start(&mut sim, src);
         sim.run(10_000);
@@ -638,7 +638,7 @@ mod tests {
         sim.node_mut::<ScriptedHost>(src).plan(
             SimTime::ZERO,
             0,
-            LinkFrame::Ipish(d).to_p2p_bytes(),
+            LinkFrame::Ipish(d).into_p2p_frame(),
         );
         ScriptedHost::start(&mut sim, src);
         sim.run(10_000);
@@ -686,7 +686,7 @@ mod tests {
         sim.node_mut::<ScriptedHost>(src).plan(
             SimTime::ZERO,
             0,
-            LinkFrame::Ipish(d).to_p2p_bytes(),
+            LinkFrame::Ipish(d).into_p2p_frame(),
         );
         ScriptedHost::start(&mut sim, src);
         sim.run(10_000);
@@ -766,7 +766,7 @@ mod tests {
         sim.node_mut::<ScriptedHost>(src).plan(
             SimTime::ZERO,
             0,
-            LinkFrame::Ipish(d).to_p2p_bytes(),
+            LinkFrame::Ipish(d).into_p2p_frame(),
         );
         ScriptedHost::start(&mut sim, src);
         sim.run(100_000);
@@ -815,7 +815,7 @@ mod tests {
         sim.node_mut::<ScriptedHost>(src).plan(
             SimTime::ZERO,
             0,
-            LinkFrame::Ipish(d).to_p2p_bytes(),
+            LinkFrame::Ipish(d).into_p2p_frame(),
         );
         ScriptedHost::start(&mut sim, src);
         sim.run(100_000);

@@ -10,6 +10,7 @@ use std::any::Any;
 
 use sirpent_sim::stats::{DropReason, PipelineStats, Stage};
 use sirpent_sim::{Context, Event, Node, SimError, SimTime};
+use sirpent_wire::buf::FrameBuf;
 use sirpent_wire::ethernet;
 
 use sirpent_telemetry::HopKind;
@@ -32,12 +33,12 @@ fn link_flight_key(link: &LinkFrame) -> Option<u64> {
     }
 }
 
-/// [`link_flight_key`] over raw planned bytes: try the point-to-point
-/// framing first, then Ethernet. Undecodable bytes carry no key.
-fn frame_flight_key(bytes: &[u8]) -> Option<u64> {
-    let link = match LinkFrame::from_p2p_bytes(bytes) {
+/// [`link_flight_key`] of a frame on the wire: try the point-to-point
+/// framing first, then Ethernet. Undecodable frames carry no key.
+fn frame_flight_key(frame: &FrameBuf) -> Option<u64> {
+    let link = match LinkFrame::from_p2p_frame(frame) {
         Ok(f) => f,
-        Err(_) => LinkFrame::from_ethernet_bytes(bytes).ok()?.1,
+        Err(_) => LinkFrame::from_ethernet_frame(frame).ok()?.1,
     };
     link_flight_key(&link)
 }
@@ -51,8 +52,8 @@ pub struct Received {
     pub last_bit: SimTime,
     /// Arrival port.
     pub port: u8,
-    /// Raw frame bytes.
-    pub bytes: Vec<u8>,
+    /// The frame as it arrived (body shared with the sender's copy).
+    pub frame: FrameBuf,
     /// Whether fault injection corrupted this copy.
     pub corrupted: bool,
     /// Engine frame id (for abort matching).
@@ -66,8 +67,8 @@ pub struct Planned {
     pub at: SimTime,
     /// Which local port to send on.
     pub port: u8,
-    /// The fully framed bytes to put on the wire.
-    pub bytes: Vec<u8>,
+    /// The link frame to put on the wire, header included.
+    pub frame: FrameBuf,
 }
 
 /// The scripted endpoint.
@@ -103,13 +104,9 @@ impl ScriptedHost {
 
     /// Add one planned transmission. Plans must be added before the
     /// simulation starts and be kicked with [`ScriptedHost::start`].
-    pub fn plan(&mut self, at: SimTime, port: u8, bytes: Vec<u8>) {
-        self.plan.push(Planned { at, port, bytes });
-    }
-
-    /// Convenience: plan a link frame on a point-to-point port.
-    pub fn plan_p2p(&mut self, at: SimTime, port: u8, frame: &LinkFrame) {
-        self.plan(at, port, frame.to_p2p_bytes());
+    pub fn plan(&mut self, at: SimTime, port: u8, frame: impl Into<FrameBuf>) {
+        let frame = frame.into();
+        self.plan.push(Planned { at, port, frame });
     }
 
     /// Sort pending plans and arm the next timer. Call after adding
@@ -132,7 +129,7 @@ impl ScriptedHost {
         self.received
             .iter()
             .filter_map(|r| {
-                LinkFrame::from_p2p_bytes(&r.bytes)
+                LinkFrame::from_p2p_frame(&r.frame)
                     .ok()
                     .map(|f| (r.last_bit, f))
             })
@@ -144,7 +141,7 @@ impl ScriptedHost {
         self.received
             .iter()
             .filter_map(|r| {
-                LinkFrame::from_ethernet_bytes(&r.bytes)
+                LinkFrame::from_ethernet_frame(&r.frame)
                     .ok()
                     .map(|(h, f)| (r.last_bit, h, f))
             })
@@ -169,10 +166,7 @@ impl Node for ScriptedHost {
                 self.stats.enter(Stage::Parse);
                 self.stats.local += 1;
                 if ctx.flight_enabled() {
-                    let link = LinkFrame::from_p2p_frame(&fe.frame.payload).or_else(|_| {
-                        LinkFrame::from_ethernet_frame(&fe.frame.payload).map(|(_, f)| f)
-                    });
-                    if let Some(key) = link.ok().as_ref().and_then(link_flight_key) {
+                    if let Some(key) = frame_flight_key(&fe.frame.payload) {
                         ctx.flight_record_at(fe.last_bit, key, HopKind::Delivered);
                     }
                 }
@@ -180,7 +174,7 @@ impl Node for ScriptedHost {
                     first_bit: fe.first_bit,
                     last_bit: fe.last_bit,
                     port: fe.port,
-                    bytes: fe.frame.payload.to_vec(),
+                    frame: fe.frame.payload,
                     corrupted: fe.corrupted,
                     frame_id: fe.frame.id,
                 });
@@ -191,11 +185,11 @@ impl Node for ScriptedHost {
                     let p = self.plan[self.next].clone();
                     self.next += 1;
                     let key = if ctx.flight_enabled() {
-                        frame_flight_key(&p.bytes)
+                        frame_flight_key(&p.frame)
                     } else {
                         None
                     };
-                    match ctx.transmit(p.port, p.bytes) {
+                    match ctx.transmit(p.port, p.frame) {
                         Ok(_) => {
                             self.stats.enter(Stage::Transmit);
                             self.stats.forwarded += 1;
@@ -270,9 +264,9 @@ mod tests {
         sim.run(100);
         let rx = &sim.node::<ScriptedHost>(b).received;
         assert_eq!(rx.len(), 3);
-        assert_eq!(rx[0].bytes, vec![1]);
-        assert_eq!(rx[1].bytes, vec![2]);
-        assert_eq!(rx[2].bytes, vec![3]);
+        assert_eq!(rx[0].frame.to_vec(), vec![1]);
+        assert_eq!(rx[1].frame.to_vec(), vec![2]);
+        assert_eq!(rx[2].frame.to_vec(), vec![3]);
         assert_eq!(sim.node::<ScriptedHost>(a).tx_done.len(), 3);
     }
 
@@ -291,7 +285,7 @@ mod tests {
         sim.node_mut::<ScriptedHost>(b).mac = Some(mac_b);
         sim.node_mut::<ScriptedHost>(c).mac = Some(mac_c);
         let frame =
-            LinkFrame::Ipish(vec![7]).to_ethernet_bytes(ethernet::Address::from_index(1), mac_b);
+            LinkFrame::Ipish(vec![7]).into_ethernet_frame(ethernet::Address::from_index(1), mac_b);
         sim.node_mut::<ScriptedHost>(a)
             .plan(SimTime::ZERO, 0, frame);
         ScriptedHost::start(&mut sim, a);

@@ -71,9 +71,9 @@ impl ViperRouter {
             return;
         };
         let frame = match &fp.cfg.kind {
-            PortKind::PointToPoint => LinkFrame::RateControl(msg).to_p2p_bytes(),
+            PortKind::PointToPoint => LinkFrame::RateControl(msg).into_p2p_frame(),
             PortKind::Ethernet { mac } => {
-                LinkFrame::RateControl(msg).to_ethernet_bytes(*mac, ethernet::Address::BROADCAST)
+                LinkFrame::RateControl(msg).into_ethernet_frame(*mac, ethernet::Address::BROADCAST)
             }
         };
         let _ = ctx.transmit(feeder, frame);

@@ -198,12 +198,12 @@ impl ViperRouter {
                 packet: packet.clone(),
             };
             match &kind {
-                PortKind::PointToPoint => Some(lf.to_p2p_frame()),
+                PortKind::PointToPoint => Some(lf.into_p2p_frame()),
                 PortKind::Ethernet { mac } => {
                     // The stripped segment's portInfo was the Ethernet
                     // header for this hop (§2's running example), already
                     // resolved to a destination in `meta`.
-                    Some(lf.to_ethernet_frame(*mac, meta.eth_dst?))
+                    Some(lf.into_ethernet_frame(*mac, meta.eth_dst?))
                 }
             }
         };

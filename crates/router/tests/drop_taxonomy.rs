@@ -11,6 +11,7 @@ use sirpent_router::viper::{AuthConfig, DropReason, ViperConfig, ViperRouter};
 use sirpent_sim::stats::{PipelineStats, Stage};
 use sirpent_sim::{NodeId, SimDuration, SimTime, Simulator};
 use sirpent_token::{AuthPolicy, TokenMinter};
+use sirpent_wire::buf::FrameBuf;
 use sirpent_wire::packet::PacketBuilder;
 use sirpent_wire::viper::{SegmentRepr, PORT_LOCAL};
 
@@ -89,12 +90,12 @@ fn one_router(cfg: ViperConfig) -> (Simulator, NodeId, NodeId) {
     (sim, a, r)
 }
 
-fn frame(pkt: Vec<u8>) -> Vec<u8> {
+fn frame(pkt: Vec<u8>) -> FrameBuf {
     LinkFrame::Sirpent {
         ff_hint: 0,
         packet: pkt.into(),
     }
-    .to_p2p_bytes()
+    .into_p2p_frame()
 }
 
 #[test]

@@ -9,6 +9,7 @@ use sirpent_router::viper::{DropReason, ViperConfig, ViperRouter};
 use sirpent_sim::{
     ChaosAction, ChaosEvent, FaultSchedule, NodeId, SimDuration, SimTime, Simulator,
 };
+use sirpent_wire::buf::FrameBuf;
 use sirpent_wire::packet::{PacketBuilder, PacketView};
 use sirpent_wire::viper::{AltBranch, SegmentRepr, PORT_LOCAL};
 
@@ -23,12 +24,12 @@ fn local() -> SegmentRepr {
     SegmentRepr::minimal(PORT_LOCAL)
 }
 
-fn sirpent_frame(packet: Vec<u8>) -> Vec<u8> {
+fn sirpent_frame(packet: Vec<u8>) -> FrameBuf {
     LinkFrame::Sirpent {
         ff_hint: 0,
         packet: packet.into(),
     }
-    .to_p2p_bytes()
+    .into_p2p_frame()
 }
 
 /// host A —(p1)R1(p2)—(p1)R2(p2)— host B, plus a bypass wire from R1

@@ -66,7 +66,7 @@ fn run(w: &Workload, mode: SwitchMode) -> (u64, u64, u64, u64, u64) {
                 ff_hint: 0,
                 packet: pkt.into(),
             }
-            .to_p2p_bytes(),
+            .into_p2p_frame(),
         );
     }
     ScriptedHost::start(&mut sim, src);

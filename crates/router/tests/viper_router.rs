@@ -10,7 +10,7 @@ use sirpent_router::viper::{
 };
 use sirpent_sim::{NodeId, SimDuration, SimTime, Simulator};
 use sirpent_token::{AuthPolicy, Grant, TokenMinter};
-use sirpent_wire::buf::PacketBuf;
+use sirpent_wire::buf::{FrameBuf, PacketBuf};
 use sirpent_wire::packet::{PacketBuilder, PacketView};
 use sirpent_wire::viper::{Flags, Priority, SegmentRepr, PORT_LOCAL};
 use sirpent_wire::{ethernet, trailer};
@@ -26,12 +26,12 @@ fn local() -> SegmentRepr {
     SegmentRepr::minimal(PORT_LOCAL)
 }
 
-fn sirpent_frame(packet: Vec<u8>) -> Vec<u8> {
+fn sirpent_frame(packet: Vec<u8>) -> FrameBuf {
     LinkFrame::Sirpent {
         ff_hint: 0,
         packet: packet.into(),
     }
-    .to_p2p_bytes()
+    .into_p2p_frame()
 }
 
 /// host A (port0) — router R (port1 in, port2 out) — host B (port0).
@@ -220,7 +220,7 @@ fn ethernet_hop_swaps_addresses_in_return_info() {
         ff_hint: 0,
         packet: pkt.into(),
     }
-    .to_ethernet_bytes(mac_a, mac_r);
+    .into_ethernet_frame(mac_a, mac_r);
     sim.node_mut::<ScriptedHost>(a)
         .plan(SimTime::ZERO, 0, frame);
     ScriptedHost::start(&mut sim, a);
@@ -824,7 +824,7 @@ fn rate_limits_recover_after_congestion_clears() {
     sim.node_mut::<ScriptedHost>(b).plan(
         SimTime::ZERO,
         0,
-        LinkFrame::RateControl(rc).to_p2p_bytes(),
+        LinkFrame::RateControl(rc).into_p2p_frame(),
     );
     ScriptedHost::start(&mut sim, b);
     sim.run_until(SimTime(2_000_000));
@@ -876,7 +876,7 @@ fn cut_through_never_outruns_the_arriving_tail() {
         ingress_tail_ns
     );
     // And the payload is intact.
-    let LinkFrame::Sirpent { packet, .. } = LinkFrame::from_p2p_bytes(&rx[0].bytes).unwrap() else {
+    let LinkFrame::Sirpent { packet, .. } = LinkFrame::from_p2p_frame(&rx[0].frame).unwrap() else {
         panic!()
     };
     let view = PacketView::parse(&packet).unwrap();

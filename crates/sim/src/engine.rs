@@ -492,7 +492,6 @@ pub(crate) struct Core {
     /// per-transmission fan-out list without a per-call allocation.
     rx_scratch: Vec<(NodeId, u8)>,
     pub(crate) rng: StdRng,
-    pub(crate) trace: Option<Vec<(SimTime, NodeId, String)>>,
     pub(crate) events_dispatched: u64,
     /// Remaining chaos events, time-sorted (front = next).
     pub(crate) chaos: VecDeque<ChaosEvent>,
@@ -1007,15 +1006,6 @@ impl Context<'_> {
         &mut self.core.rng
     }
 
-    /// Record a trace line (no-op unless tracing was enabled on the
-    /// simulator).
-    pub fn trace(&mut self, msg: impl FnOnce() -> String) {
-        if let Some(t) = self.core.trace.as_mut() {
-            let line = msg();
-            t.push((self.core.now, self.me, line));
-        }
-    }
-
     /// Whether the flight recorder is on. Callers use this to skip key
     /// extraction entirely when disabled, keeping the off path free.
     pub fn flight_enabled(&self) -> bool {
@@ -1074,7 +1064,6 @@ impl Simulator {
                 tx_map: Vec::new(),
                 rx_scratch: Vec::new(),
                 rng: StdRng::seed_from_u64(seed),
-                trace: None,
                 events_dispatched: 0,
                 chaos: VecDeque::new(),
                 chaos_stats: PipelineStats::new(),
@@ -1094,16 +1083,6 @@ impl Simulator {
             nodes: Vec::new(),
             batch: Vec::new(),
         }
-    }
-
-    /// Turn on trace collection.
-    pub fn enable_trace(&mut self) {
-        self.core.trace = Some(Vec::new());
-    }
-
-    /// The collected trace (empty unless enabled).
-    pub fn trace(&self) -> &[(SimTime, NodeId, String)] {
-        self.core.trace.as_deref().unwrap_or(&[])
     }
 
     /// Add a node; returns its id.
@@ -2017,29 +1996,6 @@ mod tests {
         sim.kick(SimTime::ZERO, a, 0);
         sim.run(10);
         assert_eq!(sim.node::<Aborter>(a).0, Some(SimError::NothingToAbort));
-    }
-
-    #[test]
-    fn trace_collection() {
-        struct Tracer;
-        impl Node for Tracer {
-            fn on_event(&mut self, ctx: &mut Context<'_>, _ev: Event) {
-                ctx.trace(|| "hello".to_string());
-            }
-            fn as_any(&self) -> &dyn Any {
-                self
-            }
-            fn as_any_mut(&mut self) -> &mut dyn Any {
-                self
-            }
-        }
-        let mut sim = Simulator::new(11);
-        let a = sim.add_node(Box::new(Tracer));
-        sim.enable_trace();
-        sim.kick(SimTime(100), a, 0);
-        sim.run(10);
-        assert_eq!(sim.trace().len(), 1);
-        assert_eq!(sim.trace()[0].2, "hello");
     }
 
     // ----- chaos layer ---------------------------------------------------

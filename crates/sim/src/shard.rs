@@ -22,7 +22,7 @@ use rand::SeedableRng;
 use sirpent_telemetry::{FlightRecorder, HopEvent, Registry, RegistryError};
 
 use crate::chaos::{ChaosAction, ChaosEvent};
-use crate::engine::{Channel, Event, NodeId, Simulator};
+use crate::engine::{Channel, Event, Simulator};
 use crate::queue::QueueKind;
 use crate::time::{SimDuration, SimTime};
 
@@ -315,7 +315,6 @@ impl ShardedSimulator {
         let seed = core.seed;
         let kind = core.queue_kind;
         let flight_cap = core.flight.as_ref().map(|f| f.capacity());
-        let trace_on = core.trace.is_some();
         let orig_chaos: Vec<ChaosEvent> = core.chaos.iter().cloned().collect();
 
         let mut sims: Vec<Simulator> = (0..s)
@@ -345,9 +344,6 @@ impl ShardedSimulator {
                 if let Ok(fr) = FlightRecorder::new(cap) {
                     sx.core.flight = Some(fr);
                 }
-            }
-            if trace_on {
-                sx.core.trace = Some(Vec::new());
             }
             sx.core.chaos = core
                 .chaos
@@ -396,12 +392,9 @@ impl ShardedSimulator {
             }
         }
 
-        // Dispatch ledger and any pre-split trace lines live in shard 0.
+        // The dispatch ledger lives in shard 0.
         if let Some(s0) = sims.get_mut(0) {
             s0.core.events_dispatched = core.events_dispatched;
-            if let (Some(dst), Some(src)) = (s0.core.trace.as_mut(), core.trace.as_mut()) {
-                dst.append(src);
-            }
         }
 
         // Route pre-scheduled events (kicks, planned workload timers) to
@@ -698,23 +691,8 @@ fn merge_shards(
         }
     }
 
-    // Trace lines re-sort by (timestamp, shard); sort_by_key is stable,
-    // so each shard's own order is preserved inside a tie.
-    if cores.iter().any(|c| c.trace.is_some()) {
-        let mut all: Vec<(u64, usize, (SimTime, NodeId, String))> = Vec::new();
-        for (k, c) in cores.iter_mut().enumerate() {
-            if let Some(lines) = c.trace.take() {
-                for line in lines {
-                    all.push((line.0.as_nanos(), k, line));
-                }
-            }
-        }
-        all.sort_by_key(|&(t, k, _)| (t, k));
-        merged.core.trace = Some(all.into_iter().map(|(_, _, line)| line).collect());
-    }
-
-    // Flight recorders merge the same way: capacity sums, events re-sort
-    // by (timestamp, shard), eviction counters add.
+    // Flight recorders merge: capacity sums, events re-sort by
+    // (timestamp, shard), eviction counters add.
     let flights: Vec<FlightRecorder> = cores.iter_mut().filter_map(|c| c.flight.take()).collect();
     if !flights.is_empty() {
         merged.core.flight = merge_flights(flights);
@@ -752,7 +730,7 @@ fn merge_flights(parts: Vec<FlightRecorder>) -> Option<FlightRecorder> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Context;
+    use crate::engine::{Context, NodeId};
 
     /// Minimal relay: a timer seeds a frame; received frames are logged
     /// and forwarded out port 0 with the lead byte (a TTL) decremented.

@@ -1,12 +1,11 @@
-//! Measurement utilities: running summaries, delay histograms,
-//! time-weighted averages (for queue lengths and utilization), and the
-//! workspace-wide observability spine — the unified [`DropReason`] /
+//! Measurement utilities: running summaries, the analytic M/D/1 model,
+//! and the workspace-wide observability spine — the unified [`DropReason`] /
 //! [`Stage`] taxonomy, array-backed counters, and the [`NodeStats`]
 //! scrape contract every data-plane node exposes.
 
 use std::ops::Index;
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// The stages of the shared staged data plane
 /// (`parse → route → authorize → police → enqueue → transmit`).
@@ -583,111 +582,6 @@ impl Summary {
     }
 }
 
-/// Fixed-bucket histogram over durations, log₂-spaced from 1 ns up.
-#[derive(Debug, Clone)]
-pub struct DelayHistogram {
-    buckets: Vec<u64>,
-    summary: Summary,
-}
-
-impl DelayHistogram {
-    /// 64 log₂ buckets cover 1 ns … ~584 years.
-    pub fn new() -> DelayHistogram {
-        DelayHistogram {
-            buckets: vec![0; 64],
-            summary: Summary::new(),
-        }
-    }
-
-    /// Record one delay.
-    pub fn record(&mut self, d: SimDuration) {
-        let idx = 64 - d.as_nanos().max(1).leading_zeros() as usize - 1;
-        self.buckets[idx.min(63)] += 1;
-        self.summary.record_duration(d);
-    }
-
-    /// The scalar summary.
-    pub fn summary(&self) -> &Summary {
-        &self.summary
-    }
-
-    /// Approximate percentile (by bucket upper bound), `p` in 0..=100.
-    pub fn percentile(&self, p: f64) -> SimDuration {
-        let total: u64 = self.buckets.iter().sum();
-        if total == 0 {
-            return SimDuration::ZERO;
-        }
-        let target = (p / 100.0 * total as f64).ceil() as u64;
-        let mut acc = 0;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            acc += c;
-            if acc >= target {
-                return SimDuration(1u64 << (i + 1).min(63));
-            }
-        }
-        SimDuration(u64::MAX)
-    }
-}
-
-impl Default for DelayHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Time-weighted average of a step function (e.g. queue length over
-/// time). Integrates value·dt between updates.
-#[derive(Debug, Clone)]
-pub struct TimeWeighted {
-    last_t: SimTime,
-    last_v: f64,
-    integral: f64,
-    t0: SimTime,
-    peak: f64,
-}
-
-impl TimeWeighted {
-    /// Start tracking at `t0` with initial value `v0`.
-    pub fn new(t0: SimTime, v0: f64) -> TimeWeighted {
-        TimeWeighted {
-            last_t: t0,
-            last_v: v0,
-            integral: 0.0,
-            t0,
-            peak: v0,
-        }
-    }
-
-    /// The value changed to `v` at time `t`.
-    pub fn update(&mut self, t: SimTime, v: f64) {
-        let dt = (t - self.last_t).as_secs_f64();
-        self.integral += self.last_v * dt;
-        self.last_t = t;
-        self.last_v = v;
-        self.peak = self.peak.max(v);
-    }
-
-    /// Time-weighted mean over `[t0, t]`.
-    pub fn mean_at(&self, t: SimTime) -> f64 {
-        let span = (t - self.t0).as_secs_f64();
-        if span <= 0.0 {
-            return self.last_v;
-        }
-        let tail = (t - self.last_t).as_secs_f64();
-        (self.integral + self.last_v * tail) / span
-    }
-
-    /// Largest value seen.
-    pub fn peak(&self) -> f64 {
-        self.peak
-    }
-
-    /// The current value.
-    pub fn current(&self) -> f64 {
-        self.last_v
-    }
-}
-
 /// Analytic M/D/1 queueing results used by §6.1 ("M/D/1 modeling of the
 /// queue suggests an average queue length of approximately one packet or
 /// less … at up to about 70 percent utilization").
@@ -730,28 +624,6 @@ mod tests {
         assert_eq!(s.min(), 0.0);
         assert_eq!(s.max(), 0.0);
         assert_eq!(s.stddev(), 0.0);
-    }
-
-    #[test]
-    fn histogram_buckets_and_percentiles() {
-        let mut h = DelayHistogram::new();
-        for us in [1u64, 2, 4, 8, 100, 1000] {
-            h.record(SimDuration::from_micros(us));
-        }
-        assert_eq!(h.summary().count(), 6);
-        assert!(h.percentile(50.0) <= SimDuration::from_micros(16));
-        assert!(h.percentile(100.0) >= SimDuration::from_micros(1000));
-    }
-
-    #[test]
-    fn time_weighted_square_wave() {
-        let mut tw = TimeWeighted::new(SimTime::ZERO, 0.0);
-        tw.update(SimTime(500_000_000), 2.0); // 0 for 0.5 s
-        tw.update(SimTime(1_000_000_000), 0.0); // 2 for 0.5 s
-        let mean = tw.mean_at(SimTime(1_000_000_000));
-        assert!((mean - 1.0).abs() < 1e-12, "mean={mean}");
-        assert_eq!(tw.peak(), 2.0);
-        assert_eq!(tw.current(), 0.0);
     }
 
     #[test]

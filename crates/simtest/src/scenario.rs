@@ -22,6 +22,7 @@ use sirpent_sim::{
     ChannelId, ChaosAction, ChaosEvent, FaultConfig, FaultSchedule, NodeId, ShardedSimulator,
     SimDuration, SimTime, Simulator,
 };
+use sirpent_wire::buf::FrameBuf;
 use sirpent_wire::cvc::Message;
 use sirpent_wire::ipish::{self, Address};
 use sirpent_wire::packet::PacketBuilder;
@@ -225,7 +226,7 @@ fn viper_cfg(router_id: u32, kind: RailKind, protected: bool) -> ViperConfig {
     }
 }
 
-fn viper_workload_frame(hops: usize, marker: u64, len: usize) -> Vec<u8> {
+fn viper_workload_frame(hops: usize, marker: u64, len: usize) -> FrameBuf {
     let mut b = PacketBuilder::new();
     for _ in 0..hops {
         b = b.segment(SegmentRepr {
@@ -236,13 +237,9 @@ fn viper_workload_frame(hops: usize, marker: u64, len: usize) -> Vec<u8> {
     let packet = b
         .segment(SegmentRepr::minimal(PORT_LOCAL))
         .payload(marker_payload(marker, len))
-        .build()
+        .build_buf()
         .expect("workload packet builds");
-    LinkFrame::Sirpent {
-        ff_hint: 0,
-        packet: packet.into(),
-    }
-    .to_p2p_bytes()
+    LinkFrame::Sirpent { ff_hint: 0, packet }.into_p2p_frame()
 }
 
 /// The armed counterpart of [`viper_workload_frame`]: every transit
@@ -251,7 +248,7 @@ fn viper_workload_frame(hops: usize, marker: u64, len: usize) -> Vec<u8> {
 /// to router `j+2` — rejoining at recovery index `j` — except the last
 /// two routers, whose bypass wires land directly on the destination
 /// (recovery's final, local entry at index `n-1`).
-fn viper_protected_frame(hops: usize, marker: u64, len: usize) -> Vec<u8> {
+fn viper_protected_frame(hops: usize, marker: u64, len: usize) -> FrameBuf {
     let n = hops;
     let mut b = PacketBuilder::new();
     for j in 1..=n {
@@ -275,13 +272,9 @@ fn viper_protected_frame(hops: usize, marker: u64, len: usize) -> Vec<u8> {
         .segment(SegmentRepr::minimal(PORT_LOCAL))
         .recovery(recovery)
         .payload(marker_payload(marker, len))
-        .build()
+        .build_buf()
         .expect("protected workload packet builds");
-    LinkFrame::Sirpent {
-        ff_hint: 0,
-        packet: packet.into(),
-    }
-    .to_p2p_bytes()
+    LinkFrame::Sirpent { ff_hint: 0, packet }.into_p2p_frame()
 }
 
 fn ip_rail_addrs(rail_idx: usize) -> (Address, Address) {
@@ -289,7 +282,7 @@ fn ip_rail_addrs(rail_idx: usize) -> (Address, Address) {
     (Address::new(10, i, 1, 1), Address::new(10, i, 2, 2))
 }
 
-fn ip_workload_frame(rail_idx: usize, marker: u64, len: usize, ident: u16) -> Vec<u8> {
+fn ip_workload_frame(rail_idx: usize, marker: u64, len: usize, ident: u16) -> FrameBuf {
     let (src, dst) = ip_rail_addrs(rail_idx);
     let payload = marker_payload(marker, len);
     let mut d = ipish::Repr {
@@ -306,15 +299,15 @@ fn ip_workload_frame(rail_idx: usize, marker: u64, len: usize, ident: u16) -> Ve
     }
     .to_bytes();
     d.extend(payload);
-    LinkFrame::Ipish(d).to_p2p_bytes()
+    LinkFrame::Ipish(d).into_p2p_frame()
 }
 
 fn cvc_dest(rail_idx: usize) -> u32 {
     0xC0A8_0000 + rail_idx as u32
 }
 
-fn cvc_frame(m: Message) -> Vec<u8> {
-    LinkFrame::Cvc(m.to_bytes()).to_p2p_bytes()
+fn cvc_frame(m: Message) -> FrameBuf {
+    LinkFrame::Cvc(m.to_bytes()).into_p2p_frame()
 }
 
 /// Instantiate the scenario: nodes, channels, static fault configs,
@@ -720,7 +713,7 @@ fn finish(mut built: BuiltScenario) -> (RunReport, Option<sirpent_telemetry::Fli
         {
             let dst = built.sim.node::<ScriptedHost>(rail.dst);
             for rec in dst.received.iter().filter(|r| !r.corrupted) {
-                let Ok(LinkFrame::Sirpent { packet, .. }) = LinkFrame::from_p2p_bytes(&rec.bytes)
+                let Ok(LinkFrame::Sirpent { packet, .. }) = LinkFrame::from_p2p_frame(&rec.frame)
                 else {
                     continue;
                 };
@@ -759,7 +752,7 @@ fn finish(mut built: BuiltScenario) -> (RunReport, Option<sirpent_telemetry::Fli
                         ff_hint: 0,
                         packet: reply.into(),
                     }
-                    .to_p2p_bytes(),
+                    .into_p2p_frame(),
                 ));
             }
         }
@@ -865,7 +858,8 @@ fn scrape(built: BuiltScenario, reply_book: Vec<ReplyRecord>) -> RunReport {
                         corrupted_delivered += 1;
                         continue;
                     }
-                    match known.iter().find(|&&m| contains_marker(&rec.bytes, m)) {
+                    let bytes = rec.frame.to_vec();
+                    match known.iter().find(|&&m| contains_marker(&bytes, m)) {
                         Some(&m) => *marker_hits.entry(m).or_insert(0) += 1,
                         None => phantom_frames += 1,
                     }
@@ -889,15 +883,16 @@ fn scrape(built: BuiltScenario, reply_book: Vec<ReplyRecord>) -> RunReport {
         let src = sim.node::<ScriptedHost>(rail.src);
         delivered_frames += src.received.len() as u64;
         for rec in src.received.iter().filter(|r| !r.corrupted) {
+            let bytes = rec.frame.to_vec();
             if let Some(&m) = replies_expected
                 .iter()
-                .find(|&&m| contains_marker(&rec.bytes, m))
+                .find(|&&m| contains_marker(&bytes, m))
             {
                 *reply_hits.entry(m).or_insert(0) += 1;
                 // The reply's own trailer names the path it took back —
                 // the diverted-replies invariant checks it mirrors the
                 // forward path.
-                if let Ok(LinkFrame::Sirpent { packet, .. }) = LinkFrame::from_p2p_bytes(&rec.bytes)
+                if let Ok(LinkFrame::Sirpent { packet, .. }) = LinkFrame::from_p2p_frame(&rec.frame)
                 {
                     if let Ok(t) = Trailer::parse(&packet) {
                         reply_trailer_hops
@@ -918,8 +913,8 @@ fn scrape(built: BuiltScenario, reply_book: Vec<ReplyRecord>) -> RunReport {
                         "({},{},{},{:016x},{})",
                         r.last_bit.as_nanos(),
                         r.port,
-                        r.bytes.len(),
-                        fnv64(&r.bytes),
+                        r.frame.len(),
+                        fnv64(&r.frame.to_vec()),
                         u8::from(r.corrupted),
                     )
                 })

@@ -308,20 +308,9 @@ impl Endpoint {
         Action::Transmit { at, bytes }
     }
 
-    /// Process one arriving VMTP packet still held in a shared
-    /// [`PacketBuf`](sirpent_wire::buf::PacketBuf) — the zero-copy path
-    /// from the host's Sirpent unwrap. No bytes are copied: the parse
-    /// borrows the buffer's payload window directly.
-    pub fn on_packet_buf(
-        &mut self,
-        now: SimTime,
-        packet: &sirpent_wire::buf::PacketBuf,
-    ) -> Vec<Action> {
-        self.on_packet(now, packet.as_slice())
-    }
-
     /// Process one arriving VMTP packet (already unwrapped from its
-    /// Sirpent packet by the host).
+    /// Sirpent packet by the host). The parse borrows `bytes`, so a
+    /// window of a shared `PacketBuf` is processed without a copy.
     pub fn on_packet(&mut self, now: SimTime, bytes: &[u8]) -> Vec<Action> {
         let pkt = match Packet::parse(bytes) {
             Ok(p) => p,

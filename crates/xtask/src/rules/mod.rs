@@ -112,6 +112,7 @@ pub const DATAPLANE_PREFIXES: &[&str] =
 pub const DATAPLANE_FILES: &[&str] = &[
     "crates/router/src/ip.rs",
     "crates/router/src/cvc.rs",
+    "crates/router/src/link.rs",
     "crates/wire/src/buf.rs",
     "crates/wire/src/alt.rs",
     "crates/sim/src/queue.rs",

@@ -66,7 +66,7 @@ fn build(video_priority: u8) -> (Simulator, Vec<SimTime>, sirpent_ids::Ids) {
                 ff_hint: 0,
                 packet: pkt.into(),
             }
-            .to_p2p_bytes(),
+            .into_p2p_frame(),
         );
     }
 
@@ -90,7 +90,7 @@ fn build(video_priority: u8) -> (Simulator, Vec<SimTime>, sirpent_ids::Ids) {
                 ff_hint: 0,
                 packet: pkt.into(),
             }
-            .to_p2p_bytes(),
+            .into_p2p_frame(),
         );
     }
 

@@ -31,6 +31,7 @@ use sirpent::router::LogicalTable;
 use sirpent::sim::stats::Summary;
 use sirpent::sim::{ChannelId, FaultConfig, NodeId, SimDuration, SimTime, Simulator};
 use sirpent::token::{AuthPolicy, Grant, TokenMinter};
+use sirpent::wire::buf::FrameBuf;
 use sirpent::wire::cvc::Message;
 use sirpent::wire::ipish::{self, Address};
 use sirpent::wire::packet::PacketBuilder;
@@ -105,12 +106,12 @@ fn viper_cfg(router_id: u32, exit_mtu: usize, queue_capacity: usize) -> ViperCon
     }
 }
 
-fn sirpent_frame(packet: Vec<u8>) -> Vec<u8> {
+fn sirpent_frame(packet: Vec<u8>) -> FrameBuf {
     LinkFrame::Sirpent {
         ff_hint: 0,
         packet: packet.into(),
     }
-    .to_p2p_bytes()
+    .into_p2p_frame()
 }
 
 /// A two-hop Sirpent packet: r1 exit port 2, then r2 exit port 2 (with
@@ -324,30 +325,34 @@ fn build(seed: u64) -> Topology {
             h.plan(
                 SimTime(i * 500_000),
                 0,
-                LinkFrame::Ipish(ip_datagram(src, dst, 100, ipish::DEFAULT_TTL)).to_p2p_bytes(),
+                LinkFrame::Ipish(ip_datagram(src, dst, 100, ipish::DEFAULT_TTL)).into_p2p_frame(),
             );
         }
         // TTL expiry.
         h.plan(
             SimTime(3_000_000),
             0,
-            LinkFrame::Ipish(ip_datagram(src, dst, 40, 1)).to_p2p_bytes(),
+            LinkFrame::Ipish(ip_datagram(src, dst, 40, 1)).into_p2p_frame(),
         );
         // Corrupted header: checksum drop.
         let mut bad = ip_datagram(src, dst, 40, 9);
         bad[16] ^= 0x55;
-        h.plan(SimTime(4_000_000), 0, LinkFrame::Ipish(bad).to_p2p_bytes());
+        h.plan(
+            SimTime(4_000_000),
+            0,
+            LinkFrame::Ipish(bad).into_p2p_frame(),
+        );
         // No route.
         h.plan(
             SimTime(5_000_000),
             0,
-            LinkFrame::Ipish(ip_datagram(src, Address::new(10, 9, 9, 9), 40, 9)).to_p2p_bytes(),
+            LinkFrame::Ipish(ip_datagram(src, Address::new(10, 9, 9, 9), 40, 9)).into_p2p_frame(),
         );
         // Fragmentation to the 256-byte exit MTU.
         h.plan(
             SimTime(6_000_000),
             0,
-            LinkFrame::Ipish(ip_datagram(src, dst, 1000, 9)).to_p2p_bytes(),
+            LinkFrame::Ipish(ip_datagram(src, dst, 1000, 9)).into_p2p_frame(),
         );
     }
 
@@ -371,7 +376,11 @@ fn build(seed: u64) -> Topology {
     {
         let h = sim.node_mut::<ScriptedHost>(he);
         let plan_cvc = |h: &mut ScriptedHost, at: u64, m: Message| {
-            h.plan(SimTime(at), 0, LinkFrame::Cvc(m.to_bytes()).to_p2p_bytes());
+            h.plan(
+                SimTime(at),
+                0,
+                LinkFrame::Cvc(m.to_bytes()).into_p2p_frame(),
+            );
         };
         plan_cvc(
             h,
@@ -504,8 +513,8 @@ fn digest(seed: u64) -> String {
                     "({},{},{},{:016x},{})",
                     r.last_bit.as_nanos(),
                     r.port,
-                    r.bytes.len(),
-                    fnv64(&r.bytes),
+                    r.frame.len(),
+                    fnv64(&r.frame.to_vec()),
                     u8::from(r.corrupted),
                 )
             })

@@ -204,8 +204,8 @@ fn gateway_rejects_foreign_datagrams() {
 
     {
         let h = sim.node_mut::<ScriptedHost>(outsider);
-        h.plan(SimTime::ZERO, 0, LinkFrame::Ipish(d1).to_p2p_bytes());
-        h.plan(SimTime(1_000_000), 0, LinkFrame::Ipish(d2).to_p2p_bytes());
+        h.plan(SimTime::ZERO, 0, LinkFrame::Ipish(d1).into_p2p_frame());
+        h.plan(SimTime(1_000_000), 0, LinkFrame::Ipish(d2).into_p2p_frame());
     }
     ScriptedHost::start(&mut sim, outsider);
     sim.run_until(SimTime(10_000_000));
