@@ -14,7 +14,7 @@
 //!   corruption) is counted for the experiments.
 
 use std::any::Any;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use sirpent_router::link::LinkFrame;
 use sirpent_sim::{transmission_time, Context, Event, Node, SimDuration, SimTime};
@@ -147,8 +147,8 @@ const MAX_ATTEMPTS: u32 = 5;
 /// The Sirpent host node.
 pub struct SirpentHost {
     endpoint: Endpoint,
-    ports: HashMap<u8, HostPortKind>,
-    routes: HashMap<EntityId, RouteSet<CompiledRoute>>,
+    ports: BTreeMap<u8, HostPortKind>,
+    routes: BTreeMap<EntityId, RouteSet<CompiledRoute>>,
     reply_ctx: HashMap<EntityId, ReplyContext>,
     /// Responses already sent, retained for re-send on replayed
     /// requests (the VMTP server-side transaction record).
@@ -186,7 +186,7 @@ impl SirpentHost {
         SirpentHost {
             endpoint: Endpoint::new(endpoint),
             ports: ports.into_iter().collect(),
-            routes: HashMap::new(),
+            routes: BTreeMap::new(),
             reply_ctx: HashMap::new(),
             sent_responses: HashMap::new(),
             inflight: HashMap::new(),
@@ -377,8 +377,11 @@ impl SirpentHost {
                 } => {
                     self.deliver(ctx, peer, transaction, kind, message, false);
                 }
-                Action::SendComplete { transaction } => {
-                    if let Some(t) = self.inflight.get_mut(&transaction) {
+                Action::SendComplete { peer, transaction } => {
+                    // `inflight` holds our own requests; a finished response
+                    // to `peer`'s same-numbered request is not one of them.
+                    let own = self.inflight.get_mut(&transaction);
+                    if let Some(t) = own.filter(|t| t.dst == peer) {
                         t.send_done = true;
                     }
                 }
@@ -564,11 +567,11 @@ impl SirpentHost {
         if let Some(set) = self.routes.get_mut(&dst) {
             set.select_for_flow(txn as u64);
         }
-        let mut actions = self.endpoint.on_retransmit_timer(now, txn);
+        let mut actions = self.endpoint.on_retransmit_timer(now, dst, txn);
         if actions.is_empty() {
             // The request is fully acknowledged but no response came:
             // probe the server so it re-sends the response.
-            actions = self.endpoint.probe(now, txn);
+            actions = self.endpoint.probe(now, dst, txn);
         }
         self.run_actions(ctx, actions, dst, false);
         let timeout = self.txn_timeout(dst, payload_len);
@@ -707,27 +710,19 @@ impl SirpentHost {
         let now = ctx.now();
         self.stats.backpressure_received += 1;
         self.endpoint.pacer.on_backpressure(msg.allowed_bps);
-        // Switch away from routes transiting the congested router, in
-        // destination order: `routes` iterates in per-instance hash
-        // order, and `events` must repeat run to run.
-        let mut dsts: Vec<EntityId> = self
-            .routes
-            .iter()
-            .filter(|(_, set)| set.current().router_ids.contains(&msg.congested_router))
-            .map(|(d, _)| *d)
-            .collect();
-        dsts.sort_unstable();
-        for dst in dsts {
-            if let Some(set) = self.routes.get_mut(&dst) {
-                match set.on_backpressure(now) {
-                    Verdict::Switched(i) => self.events.push(HostEvent::RouteSwitched {
-                        dst,
-                        index: i,
-                        at: now,
-                    }),
-                    Verdict::Requery => self.events.push(HostEvent::NeedsRequery { dst, at: now }),
-                    Verdict::Stay => {}
-                }
+        // Switch away from routes transiting the congested router.
+        for (&dst, set) in self.routes.iter_mut() {
+            if !set.current().router_ids.contains(&msg.congested_router) {
+                continue;
+            }
+            match set.on_backpressure(now) {
+                Verdict::Switched(i) => self.events.push(HostEvent::RouteSwitched {
+                    dst,
+                    index: i,
+                    at: now,
+                }),
+                Verdict::Requery => self.events.push(HostEvent::NeedsRequery { dst, at: now }),
+                Verdict::Stay => {}
             }
         }
     }

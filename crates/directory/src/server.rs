@@ -166,11 +166,6 @@ impl Directory {
         self.te.as_ref().map(|t| t.epoch()).unwrap_or(0)
     }
 
-    /// Register (or extend) a service record.
-    pub fn register_service(&mut self, name: Name) -> &mut ServiceRecord {
-        self.records.entry(name).or_default()
-    }
-
     /// Register a route to `service` usable by clients within
     /// `client_region`.
     pub fn register_route(&mut self, service: &Name, client_region: Name, route: RouteRecord) {

@@ -300,11 +300,6 @@ impl TeTopology {
             .unwrap_or(false)
     }
 
-    /// Number of registered directed links.
-    pub fn link_count(&self) -> usize {
-        self.links.len()
-    }
-
     fn residual_of(l: &TeLink) -> u64 {
         let free = LOAD_SCALE.saturating_sub(l.load_milli) as u64;
         l.metrics.bandwidth_bps / LOAD_SCALE as u64 * free

@@ -135,18 +135,6 @@ impl ScriptedHost {
             })
             .collect()
     }
-
-    /// Received frames decoded as Ethernet (decode failures skipped).
-    pub fn received_ethernet(&self) -> Vec<(SimTime, ethernet::Repr, LinkFrame)> {
-        self.received
-            .iter()
-            .filter_map(|r| {
-                LinkFrame::from_ethernet_frame(&r.frame)
-                    .ok()
-                    .map(|(h, f)| (r.last_bit, h, f))
-            })
-            .collect()
-    }
 }
 
 impl Node for ScriptedHost {

@@ -941,15 +941,6 @@ impl Context<'_> {
         Ok(self.core.channels[ch.0].rate_bps)
     }
 
-    /// The propagation delay of the channel behind `port`.
-    pub fn channel_prop(&self, port: u8) -> Result<SimDuration, SimError> {
-        let ch = self
-            .core
-            .tx_lookup(self.me, port)
-            .ok_or(SimError::PortNotAttached)?;
-        Ok(self.core.channels[ch.0].prop)
-    }
-
     /// Whether the channel behind `port` is up (chaos link state). This
     /// is what a real switch learns from loss-of-carrier on the failed
     /// link — local knowledge, available at route-decision time.

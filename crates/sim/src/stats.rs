@@ -236,8 +236,9 @@ impl DropCounters {
         DropCounters::default()
     }
 
-    /// Count one drop.
-    pub fn record(&mut self, why: DropReason) {
+    /// Count one drop. Private: [`PipelineStats::drop`] is the only way
+    /// in, which is what makes every drop counted exactly once.
+    fn record(&mut self, why: DropReason) {
         self.0[why.index()] += 1;
     }
 
@@ -285,8 +286,8 @@ impl StageCounters {
         StageCounters::default()
     }
 
-    /// Count one entry into a stage.
-    pub fn record(&mut self, s: Stage) {
+    /// Count one entry into a stage ([`PipelineStats::enter`] only).
+    fn record(&mut self, s: Stage) {
         self.0[s.index()] += 1;
     }
 

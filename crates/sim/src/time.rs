@@ -24,11 +24,6 @@ impl SimTime {
         self.0
     }
 
-    /// Microseconds since the epoch (rounded down).
-    pub fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Milliseconds since the epoch (rounded down).
     pub fn as_millis(self) -> u64 {
         self.0 / 1_000_000

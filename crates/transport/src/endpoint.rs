@@ -46,6 +46,8 @@ pub enum Action {
     },
     /// A transaction's packet group is fully acknowledged.
     SendComplete {
+        /// The entity the group was sent to.
+        peer: EntityId,
         /// The transaction.
         transaction: u32,
     },
@@ -84,7 +86,6 @@ pub struct TransportStats {
 }
 
 struct Outgoing {
-    dst: EntityId,
     kind: Kind,
     group: GroupSender,
     done: bool,
@@ -113,7 +114,10 @@ pub struct Endpoint {
     seg_size: usize,
     /// The pacer, public for backpressure/loss feedback wiring.
     pub pacer: RatePacer,
-    outgoing: HashMap<u32, Outgoing>,
+    /// Unfinished sends by `(peer, transaction)` — the pair an `Ack`'s
+    /// `(src, transaction)` names. Transaction ids are per-requester, so
+    /// our request 1 to B and our response to C's request 1 coexist.
+    outgoing: HashMap<(EntityId, u32), Outgoing>,
     incoming: HashMap<(EntityId, u32, u8), GroupReceiver>,
     completed: HashSet<(EntityId, u32, u8)>,
     /// Counters.
@@ -199,7 +203,7 @@ impl Endpoint {
         kind: Kind,
         data: &[u8],
     ) -> Option<Vec<Action>> {
-        let mut group = GroupSender::split(data, self.seg_size)?;
+        let group = GroupSender::split(data, self.seg_size)?;
         let n = group.group_size();
         let mlen = group.message_len() as u32;
         let mut actions = Vec::with_capacity(n);
@@ -208,13 +212,11 @@ impl Endpoint {
             let at = self.pacer.schedule(now, seg.len() + 50);
             let bytes =
                 self.packet_bytes(dst, transaction, kind, n as u8, i as u8, 0, mlen, &seg, at);
-            group.note_sent(i);
             actions.push(Action::Transmit { at, bytes });
         }
         self.outgoing.insert(
-            transaction,
+            (dst, transaction),
             Outgoing {
-                dst,
                 kind,
                 group,
                 done: false,
@@ -228,12 +230,11 @@ impl Endpoint {
     /// — for requests — reports the replay so the response can be
     /// re-sent. This is how a client recovers when its request got
     /// through but the response was lost.
-    pub fn probe(&mut self, now: SimTime, transaction: u32) -> Vec<Action> {
-        let Some(o) = self.outgoing.get(&transaction) else {
+    pub fn probe(&mut self, now: SimTime, dst: EntityId, transaction: u32) -> Vec<Action> {
+        let Some(o) = self.outgoing.get(&(dst, transaction)) else {
             return Vec::new();
         };
         let i = o.group.group_size() - 1;
-        let dst = o.dst;
         let kind = o.kind;
         let n = o.group.group_size() as u8;
         let mlen = o.group.message_len() as u32;
@@ -244,17 +245,23 @@ impl Endpoint {
         vec![Action::Transmit { at, bytes }]
     }
 
-    /// Which members of `transaction` remain unacknowledged.
-    pub fn unacked(&self, transaction: u32) -> Option<Vec<usize>> {
-        let o = self.outgoing.get(&transaction)?;
+    /// Which members of `transaction` to `dst` remain unacknowledged.
+    pub fn unacked(&self, dst: EntityId, transaction: u32) -> Option<Vec<usize>> {
+        let o = self.outgoing.get(&(dst, transaction))?;
         let mut g = o.group.clone();
         Some(g.on_ack(0))
     }
 
-    /// A retransmission timer fired for `transaction`: resend every
-    /// unacknowledged member (selective, §4.3).
-    pub fn on_retransmit_timer(&mut self, now: SimTime, transaction: u32) -> Vec<Action> {
-        let Some(o) = self.outgoing.get(&transaction) else {
+    /// A retransmission timer fired for `transaction` to `dst`: resend
+    /// every unacknowledged member (selective, §4.3).
+    pub fn on_retransmit_timer(
+        &mut self,
+        now: SimTime,
+        dst: EntityId,
+        transaction: u32,
+    ) -> Vec<Action> {
+        let key = (dst, transaction);
+        let Some(o) = self.outgoing.get(&key) else {
             return Vec::new();
         };
         if o.done {
@@ -264,20 +271,14 @@ impl Endpoint {
             let mut g = o.group.clone();
             g.on_ack(0)
         };
-        let dst = o.dst;
         let kind = o.kind;
         let n = o.group.group_size() as u8;
         let mlen = o.group.message_len() as u32;
         let mut actions = Vec::new();
         for i in missing {
-            let seg = self.outgoing[&transaction].group.segment(i).to_vec();
+            let seg = self.outgoing[&key].group.segment(i).to_vec();
             let at = self.pacer.schedule(now, seg.len() + 50);
             let bytes = self.packet_bytes(dst, transaction, kind, n, i as u8, 0, mlen, &seg, at);
-            self.outgoing
-                .get_mut(&transaction)
-                .expect("present")
-                .group
-                .note_sent(i);
             self.stats.retransmissions += 1;
             actions.push(Action::Transmit { at, bytes });
         }
@@ -342,14 +343,14 @@ impl Endpoint {
 
         match pkt.header.kind {
             Kind::Ack => {
-                let txn = pkt.header.transaction;
-                let Some(o) = self.outgoing.get_mut(&txn) else {
+                let (peer, transaction) = (pkt.header.src, pkt.header.transaction);
+                let Some(o) = self.outgoing.get_mut(&(peer, transaction)) else {
                     return Vec::new();
                 };
                 let missing = o.group.on_ack(pkt.header.delivery_mask);
                 if missing.is_empty() && !o.done {
                     o.done = true;
-                    return vec![Action::SendComplete { transaction: txn }];
+                    return vec![Action::SendComplete { peer, transaction }];
                 }
                 Vec::new()
             }
@@ -487,7 +488,13 @@ mod tests {
                 message: b"hello".to_vec(),
             }]
         );
-        assert_eq!(complete, vec![Action::SendComplete { transaction: 7 }]);
+        assert_eq!(
+            complete,
+            vec![Action::SendComplete {
+                peer: EntityId(2),
+                transaction: 7
+            }]
+        );
         assert_eq!(b.stats.delivered, 1);
     }
 
@@ -525,9 +532,9 @@ mod tests {
         let (delivered, _) = exchange(&mut a, &mut b, acts, SimTime(1000), &|i| i == 1);
         assert!(delivered.is_empty(), "incomplete without member 1");
         // The ack on the final member told A exactly what's missing.
-        assert_eq!(a.unacked(9).unwrap(), vec![1]);
+        assert_eq!(a.unacked(EntityId(2), 9).unwrap(), vec![1]);
         // Retransmit: only one packet goes out.
-        let re = a.on_retransmit_timer(SimTime(2000), 9);
+        let re = a.on_retransmit_timer(SimTime(2000), EntityId(2), 9);
         assert_eq!(re.len(), 1);
         assert_eq!(a.stats.retransmissions, 1);
         let (delivered, complete) = exchange(&mut a, &mut b, re, SimTime(3000), &|_| false);
@@ -535,7 +542,54 @@ mod tests {
             [Action::Deliver { message, .. }] => assert_eq!(message, &msg),
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(complete, vec![Action::SendComplete { transaction: 9 }]);
+        assert_eq!(
+            complete,
+            vec![Action::SendComplete {
+                peer: EntityId(2),
+                transaction: 9
+            }]
+        );
+    }
+
+    /// Transaction ids are per-requester: our request 1 to B and our
+    /// response to C's request 1 are distinct sends, and losing the
+    /// first copy of both must not let one shadow the other.
+    #[test]
+    fn same_transaction_id_to_two_peers_retransmits_each_to_its_own() {
+        let mut a = endpoint(1);
+        let mut b = endpoint(2);
+        let mut c = endpoint(3);
+        // Both first copies are lost: nothing is delivered anywhere.
+        a.send_message(SimTime::ZERO, EntityId(2), 1, Kind::Request, b"to-b")
+            .unwrap();
+        a.send_message(SimTime::ZERO, EntityId(3), 1, Kind::Response, b"to-c")
+            .unwrap();
+        for (peer, to, kind, body) in [
+            (EntityId(2), &mut b, Kind::Request, &b"to-b"[..]),
+            (EntityId(3), &mut c, Kind::Response, &b"to-c"[..]),
+        ] {
+            assert_eq!(a.unacked(peer, 1).unwrap(), vec![0]);
+            let re = a.on_retransmit_timer(SimTime(2000), peer, 1);
+            assert_eq!(re.len(), 1);
+            let (delivered, complete) = exchange(&mut a, to, re, SimTime(3000), &|_| false);
+            assert_eq!(
+                delivered,
+                vec![Action::Deliver {
+                    peer: EntityId(1),
+                    transaction: 1,
+                    kind,
+                    message: body.to_vec(),
+                }]
+            );
+            assert_eq!(
+                complete,
+                vec![Action::SendComplete {
+                    peer,
+                    transaction: 1
+                }]
+            );
+        }
+        assert_eq!(a.stats.retransmissions, 2);
     }
 
     #[test]

@@ -280,12 +280,6 @@ impl<R> RouteSet<R> {
         *self = RouteSet::new(routes, self.policy);
     }
 
-    /// Replace the whole set with a weighted one after a TE re-query.
-    pub fn replace_weighted(&mut self, routes: Vec<(R, SimDuration, u64)>) {
-        assert!(!routes.is_empty());
-        *self = RouteSet::new_weighted(routes, self.policy);
-    }
-
     /// Whether per-flow weighted spreading is enabled.
     pub fn spreads(&self) -> bool {
         self.spread

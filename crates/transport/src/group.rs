@@ -16,8 +16,6 @@ pub struct GroupSender {
     segments: Vec<Vec<u8>>,
     /// Bits acknowledged so far.
     acked: u32,
-    /// Times each member has been (re)transmitted.
-    sends: Vec<u32>,
 }
 
 impl GroupSender {
@@ -37,12 +35,7 @@ impl GroupSender {
                 message[lo..hi].to_vec()
             })
             .collect();
-        let sends = vec![0; segments.len()];
-        Some(GroupSender {
-            segments,
-            acked: 0,
-            sends,
-        })
+        Some(GroupSender { segments, acked: 0 })
     }
 
     /// Number of packets in the group.
@@ -60,11 +53,6 @@ impl GroupSender {
         &self.segments[i]
     }
 
-    /// Record an initial or re-transmission of member `i`.
-    pub fn note_sent(&mut self, i: usize) {
-        self.sends[i] += 1;
-    }
-
     /// Incorporate a delivery mask from an acknowledgement. Returns the
     /// member indices that still need retransmission (§4.3's selective
     /// retransmission set).
@@ -79,11 +67,6 @@ impl GroupSender {
     pub fn complete(&self) -> bool {
         let full = Self::full_mask(self.segments.len());
         self.acked & full == full
-    }
-
-    /// Total transmissions performed (initial + retransmissions).
-    pub fn total_sends(&self) -> u32 {
-        self.sends.iter().sum()
     }
 
     /// The all-members mask for a group of `n`.
@@ -177,11 +160,8 @@ mod tests {
     #[test]
     fn selective_retransmission_names_exact_missing_members() {
         let msg = vec![7u8; 100];
-        let mut g = GroupSender::split(&msg, 25).unwrap(); // 4 members
-        for i in 0..4 {
-            g.note_sent(i);
-        }
-        // Receiver got 0 and 2 only.
+        // Four members; the receiver got 0 and 2 only.
+        let mut g = GroupSender::split(&msg, 25).unwrap();
         let missing = g.on_ack(0b0101);
         assert_eq!(missing, vec![1, 3], "retransmit only the lost ones");
         assert!(!g.complete());

@@ -423,12 +423,6 @@ impl FrameBuf {
         v.extend_from_slice(self.body.as_slice());
         v
     }
-
-    /// Whether this frame's body shares a store with `other` (fan-out
-    /// copies should). Exposed for tests.
-    pub fn shares_body_with(&self, other: &FrameBuf) -> bool {
-        self.body.shares_store_with(&other.body)
-    }
 }
 
 impl From<Vec<u8>> for FrameBuf {

@@ -13,15 +13,17 @@
 //!   slice-indexing in data-plane modules outside `#[cfg(test)]`.
 //! * `queue-discipline` — no O(n) head ops (`remove(0)`, `insert(0,..)`)
 //!   in data-plane modules.
-//! * `drop-accounting` — drops flow through `PipelineStats::drop` only;
-//!   every `DropReason` variant is constructed in product code.
-//! * `shim-surface` — only APIs the vendored shims define may be named
-//!   in shim-crate paths.
+//! * `drop-accounting` — every `DropReason` variant is constructed in
+//!   product code.
 //! * `telemetry-naming` — metric names are snake_case constants
 //!   registered exactly once in the telemetry name registry; `publish_*`
 //!   call sites never pass raw string literals.
-//! * `unsafe-audit` — no `unsafe` outside the (empty) allowlist; crate
-//!   roots carry `#![forbid(unsafe_code)]`.
+//! * `determinism` — no hash-ordered iteration, wall clock, env, thread
+//!   or ambient-RNG source in any crate a simulation runs.
+//! * `sync-discipline` — `std::sync` construction only in `sim/sync.rs`;
+//!   no guard across a barrier wait; ascending mailbox lock order.
+//! * `rng-draw-order` — node/router code draws only from
+//!   `Context::rng()`.
 //!
 //! Escape hatch: `// lint: allow(<rule>) -- <reason>` on the offending
 //! line or the line above. The reason is mandatory; a reason-less allow
@@ -29,17 +31,13 @@
 
 #![forbid(unsafe_code)]
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::{Path, PathBuf};
 
-pub mod callgraph;
 pub mod lexer;
 pub mod rules;
 pub mod source;
-pub mod symbols;
 
-use lexer::TokKind;
 use rules::{Config, Diagnostic, LintCtx, Rule};
 use source::SourceFile;
 
@@ -82,110 +80,6 @@ pub fn walk_rs_files(root: &Path) -> Vec<String> {
     out
 }
 
-/// Collect every identifier the shim crate under `dir` defines:
-/// fn/struct/enum/trait/mod/type/const/static/union names, enum
-/// variants, `macro_rules!` names, and `use` re-exports. This is the
-/// "surface" the `shim-surface` rule checks call paths against.
-fn shim_surface_of(dir: &Path) -> BTreeSet<String> {
-    let mut names = BTreeSet::new();
-    for rel in walk_rs_files(dir) {
-        let Ok(src) = fs::read_to_string(dir.join(&rel)) else {
-            continue;
-        };
-        let f = SourceFile::analyze(rel, &src);
-        let mut i = 0usize;
-        while i < f.code.len() {
-            let t = f.tok(i);
-            if t.kind == TokKind::Ident {
-                match t.text.as_str() {
-                    "fn" | "struct" | "enum" | "trait" | "mod" | "type" | "union" | "const"
-                    | "static" => {
-                        if i + 1 < f.code.len() && f.tok(i + 1).kind == TokKind::Ident {
-                            let n = f.tok(i + 1).text.clone();
-                            // `const fn` / `static ref` style keywords
-                            // fall through to their own arm next round.
-                            if !matches!(n.as_str(), "fn" | "mut" | "ref") {
-                                names.insert(n);
-                            }
-                        }
-                        // Enum variants are part of the path surface.
-                        if t.text == "enum" {
-                            collect_enum_variants(&f, i, &mut names);
-                        }
-                    }
-                    "macro_rules" if i + 2 < f.code.len() && f.tok(i + 1).text == "!" => {
-                        names.insert(f.tok(i + 2).text.clone());
-                    }
-                    "use" => {
-                        let mut j = i + 1;
-                        while j < f.code.len() && f.tok(j).text != ";" {
-                            if f.tok(j).kind == TokKind::Ident {
-                                names.insert(f.tok(j).text.clone());
-                            }
-                            j += 1;
-                        }
-                        i = j;
-                    }
-                    _ => {}
-                }
-            }
-            i += 1;
-        }
-    }
-    names
-}
-
-/// Add the variant names of the enum declared at code index `i` (the
-/// `enum` keyword) to `names`.
-fn collect_enum_variants(f: &SourceFile, i: usize, names: &mut BTreeSet<String>) {
-    let Some(open) = (i + 1..f.code.len()).find(|&k| f.tok(k).text == "{") else {
-        return;
-    };
-    let mut depth = 0usize;
-    let mut k = open;
-    while k < f.code.len() {
-        match f.tok(k).text.as_str() {
-            "{" | "(" | "[" => depth += 1,
-            "}" | ")" | "]" => {
-                depth -= 1;
-                if depth == 0 {
-                    return;
-                }
-            }
-            _ => {
-                if depth == 1
-                    && f.tok(k).kind == TokKind::Ident
-                    && matches!(f.tok(k - 1).text.as_str(), "{" | ",")
-                {
-                    names.insert(f.tok(k).text.clone());
-                }
-            }
-        }
-        k += 1;
-    }
-}
-
-/// The shim crates the `shim-surface` rule knows about: directory names
-/// under `shims/` double as crate names.
-fn discover_shims(root: &Path) -> BTreeMap<String, BTreeSet<String>> {
-    let mut shims = BTreeMap::new();
-    let Ok(entries) = fs::read_dir(root.join("shims")) else {
-        return shims;
-    };
-    let mut dirs: Vec<PathBuf> = entries
-        .flatten()
-        .map(|e| e.path())
-        .filter(|p| p.is_dir())
-        .collect();
-    dirs.sort();
-    for dir in dirs {
-        if let Some(name) = dir.file_name().map(|n| n.to_string_lossy().to_string()) {
-            shims.insert(name, shim_surface_of(&dir));
-        }
-    }
-    shims
-}
-
 /// Lint the file set `rels` (workspace-relative) under `root`, running
 /// the named rules (or the full registry when `rule_filter` is `None`).
 /// Returns the surviving diagnostics, sorted.
@@ -202,16 +96,7 @@ pub fn lint_files(
         };
         files.push(SourceFile::analyze(rel.clone(), &src));
     }
-    let shims = discover_shims(root);
-    let sym = symbols::SymbolTable::build(root, &files);
-    let graph = callgraph::CallGraph::build(&files, &sym);
-    let ctx = LintCtx {
-        files: &files,
-        cfg,
-        shims: &shims,
-        symbols: &sym,
-        graph: &graph,
-    };
+    let ctx = LintCtx { files: &files, cfg };
     let rules: Vec<Box<dyn Rule>> = rules::all_rules()
         .into_iter()
         .filter(|r| {

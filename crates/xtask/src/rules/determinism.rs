@@ -1,8 +1,8 @@
-//! `determinism`: nondeterminism sources must not reach the
-//! deterministic core.
+//! `determinism`: no nondeterminism source in any crate a simulation
+//! runs.
 //!
 //! The simulation's whole verification story — golden digests, 32-seed
-//! replay suites, shard-count invariance — rests on core behaviour
+//! replay suites, shard-count invariance — rests on simulated behaviour
 //! being a pure function of (topology, seed). This rule finds the
 //! ambient-state sources that silently break that contract:
 //!
@@ -15,16 +15,17 @@
 //! * ambient RNG (`thread_rng`, `from_entropy`, `OsRng`) that bypasses
 //!   the engine-owned seeded stream behind `Context::rng()`.
 //!
-//! Findings come in two flavours. A source *inside* a core crate
-//! ([`crate::rules::CORE_CRATES`]) is flagged at its own site. A source
-//! in a non-core fn is flagged only when the call graph shows a path
-//! from a core fn down to it — the diagnostic carries the caller chain
-//! (`sim::Engine::run -> bench::stamp`), which is what a per-file token
-//! scan structurally cannot see.
+//! Every source is flagged at its own site, in every crate under
+//! `crates/` outside [`crate::rules::TOOL_CRATES`]: hosts and routers
+//! run behind `Box<dyn Node>`, so which crate a fn lives in says nothing
+//! about whether the engine reaches it. Inside the deterministic core
+//! ([`crate::rules::CORE_CRATES`]) merely owning a `HashMap`/`HashSet`
+//! is flagged too — a latent iteration hazard with no lookup-heavy
+//! table to justify it.
 
 use crate::lexer::TokKind;
 use crate::rules::{Diagnostic, LintCtx, Rule};
-use crate::source::SourceFile;
+use crate::source::{is_test_location, SourceFile};
 use std::collections::BTreeSet;
 
 /// Methods whose receiver order is the container's iteration order.
@@ -42,16 +43,6 @@ const ITER_METHODS: &[&str] = &[
     "retain_mut",
 ];
 
-/// One detected nondeterminism source.
-struct SourceSite {
-    /// Code index of the offending token.
-    code_idx: usize,
-    /// 1-based line.
-    line: u32,
-    /// Human-readable description of the source.
-    what: String,
-}
-
 /// See the module docs.
 pub struct Determinism;
 
@@ -61,69 +52,29 @@ impl Rule for Determinism {
     }
 
     fn describe(&self) -> &'static str {
-        "no hash-ordered iteration, wall-clock, env, thread, or ambient-RNG source in (or reachable from) the deterministic core"
+        "no hash-ordered iteration, wall-clock, env, thread, or ambient-RNG source in any crate a simulation runs; no HashMap/HashSet at all in the deterministic core"
     }
 
     fn check(&self, ctx: &LintCtx<'_>, out: &mut Vec<Diagnostic>) {
-        for (fi, f) in ctx.files.iter().enumerate() {
-            if crate::symbols::is_test_location(&f.rel) {
+        for f in ctx.files {
+            if is_test_location(&f.rel) || !ctx.cfg.is_sim_file(&f.rel) {
                 continue;
             }
             let in_core = ctx.cfg.is_core_file(&f.rel);
             let exempt_thread = ctx.cfg.is_sync_module(&f.rel);
-            let (taints, containers) = find_sources(f, exempt_thread);
-            if in_core {
-                // Direct findings: the source sits in the core itself.
-                for s in containers.iter().chain(taints.iter()) {
-                    out.push(Diagnostic::new(&f.rel, s.line, self.name(), s.what.clone()));
-                }
-                continue;
-            }
-            // Interprocedural: flag the source only if a core fn can
-            // reach the fn containing it.
-            for s in &taints {
-                let Some(target) = ctx.symbols.enclosing_fn(fi, s.code_idx) else {
-                    continue;
-                };
-                if ctx.symbols.fns[target].is_test {
-                    continue;
-                }
-                let chain = ctx.graph.chain_to(ctx.symbols, target, |id| {
-                    id != target
-                        && !ctx.symbols.fns[id].is_test
-                        && ctx
-                            .cfg
-                            .is_core_file(&ctx.files[ctx.symbols.fns[id].file].rel)
-                });
-                if let Some(chain) = chain {
-                    let labels: Vec<String> = chain
-                        .iter()
-                        .map(|&id| ctx.symbols.fns[id].label())
-                        .collect();
-                    out.push(
-                        Diagnostic::new(
-                            &f.rel,
-                            s.line,
-                            self.name(),
-                            format!("{} — and the deterministic core can reach it", s.what),
-                        )
-                        .with_chain(labels),
-                    );
-                }
+            for (line, what) in find_sources(f, in_core, exempt_thread) {
+                out.push(Diagnostic::new(&f.rel, line, self.name(), what));
             }
         }
     }
 }
 
-/// Scan one file for nondeterminism sources. Returns `(taints,
-/// containers)`: taints participate in interprocedural reachability;
-/// container-type sites (a `HashMap`/`HashSet` ident at all) are only
-/// reported when the file itself is core — owning one in the core is
-/// already a latent iteration hazard.
-fn find_sources(f: &SourceFile, exempt_thread: bool) -> (Vec<SourceSite>, Vec<SourceSite>) {
+/// Scan one file for nondeterminism sources, as `(line, message)`.
+/// Container-type sites (a `HashMap`/`HashSet` ident at all) are
+/// reported only when the file is core (`in_core`).
+fn find_sources(f: &SourceFile, in_core: bool, exempt_thread: bool) -> Vec<(u32, String)> {
     let hash_names = hash_bound_names(f);
-    let mut taints = Vec::new();
-    let mut containers = Vec::new();
+    let mut sites = Vec::new();
     let n = f.code.len();
     for i in 0..n {
         if f.in_attribute(i) {
@@ -136,16 +87,15 @@ fn find_sources(f: &SourceFile, exempt_thread: bool) -> (Vec<SourceSite>, Vec<So
         let prev = (i > 0).then(|| f.tok(i - 1).text.as_str());
         let next = (i + 1 < n).then(|| f.tok(i + 1).text.as_str());
         match t.text.as_str() {
-            "HashMap" | "HashSet" if prev != Some("fn") => {
-                containers.push(SourceSite {
-                    code_idx: i,
-                    line: t.line,
-                    what: format!(
+            "HashMap" | "HashSet" if in_core && prev != Some("fn") => {
+                sites.push((
+                    t.line,
+                    format!(
                         "`{}` in the deterministic core — iteration order varies per process; \
                          use BTreeMap/BTreeSet, LinearMap, or a sorted Vec",
                         t.text
                     ),
-                });
+                ));
             }
             m if ITER_METHODS.contains(&m)
                 && prev == Some(".")
@@ -154,40 +104,26 @@ fn find_sources(f: &SourceFile, exempt_thread: bool) -> (Vec<SourceSite>, Vec<So
                 && f.tok(i - 2).kind == TokKind::Ident
                 && hash_names.contains(&f.tok(i - 2).text) =>
             {
-                taints.push(SourceSite {
-                    code_idx: i,
-                    line: t.line,
-                    what: format!(
-                        "iteration over hash-ordered `{}` is nondeterministic — \
-                         use BTreeMap/BTreeSet or sort before iterating",
-                        f.tok(i - 2).text
-                    ),
-                });
+                sites.push((t.line, hash_iteration_msg(&f.tok(i - 2).text)));
             }
-            "for" => {
-                if let Some(site) = for_loop_over_hash(f, i, &hash_names) {
-                    taints.push(site);
-                }
-            }
+            "for" => sites.extend(for_loop_over_hash(f, i, &hash_names)),
             "Instant" | "SystemTime" if prev != Some("fn") => {
-                taints.push(SourceSite {
-                    code_idx: i,
-                    line: t.line,
-                    what: format!(
-                        "`{}` reads wall-clock time — core behaviour must be a function of \
-                         SimTime (and the seed) only",
+                sites.push((
+                    t.line,
+                    format!(
+                        "`{}` reads wall-clock time — simulated behaviour must be a function \
+                         of SimTime (and the seed) only",
                         t.text
                     ),
-                });
+                ));
             }
             "env" if next == Some(":") && i >= 3 && f.tok(i - 3).text == "std" => {
-                taints.push(SourceSite {
-                    code_idx: i,
-                    line: t.line,
-                    what: "`std::env` reads ambient process state — thread configuration \
-                           through SimConfig instead"
+                sites.push((
+                    t.line,
+                    "`std::env` reads ambient process state — thread configuration \
+                     through SimConfig instead"
                         .to_string(),
-                });
+                ));
             }
             "spawn" | "scope"
                 if !exempt_thread
@@ -202,33 +138,38 @@ fn find_sources(f: &SourceFile, exempt_thread: bool) -> (Vec<SourceSite>, Vec<So
                 {
                     continue;
                 }
-                taints.push(SourceSite {
-                    code_idx: i,
-                    line: t.line,
-                    what: format!(
+                sites.push((
+                    t.line,
+                    format!(
                         "`{}` creates threads outside sim/sync.rs — scheduling order would \
                          leak into results; all parallelism goes through the conservative \
                          window protocol",
                         t.text
                     ),
-                });
+                ));
             }
             "thread_rng" | "from_entropy" | "OsRng" if prev != Some("fn") => {
-                taints.push(SourceSite {
-                    code_idx: i,
-                    line: t.line,
-                    what: format!(
+                sites.push((
+                    t.line,
+                    format!(
                         "`{}` is ambient (entropy-seeded) RNG — draw through the \
                          engine-owned seeded stream (`Context::rng()`) so runs replay \
                          by seed",
                         t.text
                     ),
-                });
+                ));
             }
             _ => {}
         }
     }
-    (taints, containers)
+    sites
+}
+
+fn hash_iteration_msg(name: &str) -> String {
+    format!(
+        "iteration over hash-ordered `{name}` is nondeterministic — \
+         use BTreeMap/BTreeSet or sort before iterating"
+    )
 }
 
 /// Names bound to a `HashMap`/`HashSet` anywhere in the file: struct
@@ -274,7 +215,7 @@ fn for_loop_over_hash(
     f: &SourceFile,
     for_idx: usize,
     hash_names: &BTreeSet<String>,
-) -> Option<SourceSite> {
+) -> Option<(u32, String)> {
     let n = f.code.len();
     let mut seen_in = false;
     for j in for_idx + 1..(for_idx + 96).min(n) {
@@ -284,15 +225,7 @@ fn for_loop_over_hash(
             "in" if t.kind == TokKind::Ident => seen_in = true,
             _ => {
                 if seen_in && t.kind == TokKind::Ident && hash_names.contains(&t.text) {
-                    return Some(SourceSite {
-                        code_idx: j,
-                        line: t.line,
-                        what: format!(
-                            "iteration over hash-ordered `{}` is nondeterministic — \
-                             use BTreeMap/BTreeSet or sort before iterating",
-                            t.text
-                        ),
-                    });
+                    return Some((t.line, hash_iteration_msg(&t.text)));
                 }
             }
         }
@@ -324,9 +257,12 @@ mod tests {
             "struct S { m: HashMap<u8, u8> }\n\
              impl S { fn go(&self) { for k in self.m.keys() {} } }\n",
         );
-        let (taints, containers) = find_sources(&f, false);
-        assert!(!containers.is_empty());
-        assert!(taints.iter().any(|s| s.what.contains("`m`")));
+        let core = find_sources(&f, true, false);
+        assert!(core.iter().any(|(_, what)| what.contains("`HashMap` in")));
+        // Outside the core, owning the map is fine; iterating it is not.
+        let sites = find_sources(&f, false, false);
+        assert!(sites.iter().all(|(line, _)| *line == 2), "{sites:?}");
+        assert!(sites.iter().any(|(_, what)| what.contains("`m`")));
     }
 
     #[test]
@@ -336,22 +272,19 @@ mod tests {
             "use std::collections::BTreeMap;\n\
              fn go(m: &BTreeMap<u8, u8>) { for k in m.keys() {} }\n",
         );
-        let (taints, containers) = find_sources(&f, false);
-        assert!(taints.is_empty());
-        assert!(containers.is_empty());
+        assert!(find_sources(&f, true, false).is_empty());
     }
 
     #[test]
     fn clock_env_thread_rng_sources() {
         let f = SourceFile::analyze(
-            "crates/bench/src/x.rs".into(),
+            "crates/transport/src/x.rs".into(),
             "fn a() { let t = std::time::Instant::now(); }\n\
              fn b() { let p = std::env::var(\"X\"); }\n\
              fn c() { std::thread::spawn(|| {}); }\n\
              fn d() { let r = rand::thread_rng(); }\n",
         );
-        let (taints, _) = find_sources(&f, false);
-        assert_eq!(taints.len(), 4);
+        assert_eq!(find_sources(&f, false, false).len(), 4);
     }
 
     #[test]
@@ -360,11 +293,28 @@ mod tests {
             "crates/sim/src/sync.rs".into(),
             "fn run() { std::thread::scope(|s| { s.spawn(|| {}); }); }\n",
         );
-        let (taints, _) = find_sources(&f, true);
-        assert!(
-            taints.is_empty(),
-            "{:?}",
-            taints.iter().map(|s| &s.what).collect::<Vec<_>>()
-        );
+        let sites = find_sources(&f, true, true);
+        assert!(sites.is_empty(), "{sites:?}");
+    }
+
+    #[test]
+    fn scope_is_every_crate_but_the_tools() {
+        let cfg = crate::rules::Config::default();
+        for rel in [
+            "crates/core/src/host.rs",
+            "crates/transport/src/endpoint.rs",
+            "crates/token/src/cache.rs",
+            "crates/sim/src/engine.rs",
+        ] {
+            assert!(cfg.is_sim_file(rel), "{rel}");
+        }
+        for rel in [
+            "crates/bench/src/lib.rs",
+            "crates/xtask/src/main.rs",
+            "shims/rand/src/lib.rs",
+            "examples/quickstart.rs",
+        ] {
+            assert!(!cfg.is_sim_file(rel), "{rel}");
+        }
     }
 }

@@ -1,9 +1,10 @@
-//! `drop-accounting`: the exactly-once drop discipline. Every dropped
-//! packet moves exactly one `DropReason` counter, and it moves through
-//! the single shared entry point (`PipelineStats::drop` in `sim::stats`)
-//! — never by bumping a counter structure directly. Symmetrically, every
+//! `drop-accounting`: the live-taxonomy half of the exactly-once drop
+//! discipline. Every dropped packet moves exactly one `DropReason`
+//! counter through the single entry point `PipelineStats::drop` — that
+//! half needs no lint, because `DropCounters::record` is private to
+//! `sim::stats`. What a visibility cannot state is checked here: every
 //! variant in the taxonomy must actually be constructed somewhere in
-//! product code: a dead variant means either dead taxonomy or a drop
+//! product code. A dead variant means either dead taxonomy or a drop
 //! path that silently stopped being accounted.
 
 use crate::lexer::TokKind;
@@ -19,28 +20,15 @@ impl Rule for DropAccounting {
     }
 
     fn describe(&self) -> &'static str {
-        "drops flow through PipelineStats::drop only; every DropReason variant is constructed"
+        "every DropReason variant is constructed in product code (no dead taxonomy, no unaccounted drop path)"
     }
 
     fn check(&self, ctx: &LintCtx<'_>, out: &mut Vec<Diagnostic>) {
         // Locate the defining file and collect the variant list.
-        let mut def: Option<(&SourceFile, Vec<(String, u32)>)> = None;
-        for f in ctx.files {
-            if let Some(variants) = find_enum_variants(f, "DropReason") {
-                def = Some((f, variants));
-                break;
-            }
-        }
-
-        for f in ctx.files {
-            // The defining module hosts the one legitimate
-            // `drops.record(..)` call (inside `PipelineStats::drop`).
-            let is_def = def.as_ref().is_some_and(|(d, _)| d.rel == f.rel);
-            if !is_def {
-                self.check_direct_bumps(f, out);
-            }
-        }
-
+        let def = ctx
+            .files
+            .iter()
+            .find_map(|f| find_enum_variants(f, "DropReason").map(|v| (f, v)));
         let Some((def_file, variants)) = def else {
             return; // Nothing to audit (file sets without the enum).
         };
@@ -85,39 +73,6 @@ impl Rule for DropAccounting {
                         "`DropReason::{name}` is never constructed in product code — dead \
                          taxonomy entry (or an unaccounted drop path)"
                     ),
-                ));
-            }
-        }
-    }
-}
-
-impl DropAccounting {
-    /// Flag direct counter bumps: `<expr>.drops.record(..)` or
-    /// `DropCounters::record(..)` anywhere outside the defining module.
-    fn check_direct_bumps(&self, f: &SourceFile, out: &mut Vec<Diagnostic>) {
-        for i in 0..f.code.len() {
-            if f.in_attribute(i) {
-                continue;
-            }
-            let t = f.tok(i);
-            let hit = (t.text == "drops"
-                && i + 3 < f.code.len()
-                && f.tok(i + 1).text == "."
-                && f.tok(i + 2).text == "record"
-                && f.tok(i + 3).text == "(")
-                || (t.text == "DropCounters"
-                    && i + 3 < f.code.len()
-                    && f.tok(i + 1).text == ":"
-                    && f.tok(i + 2).text == ":"
-                    && f.tok(i + 3).text == "record");
-            if hit {
-                out.push(Diagnostic::new(
-                    &f.rel,
-                    t.line,
-                    self.name(),
-                    "drop counters move only through the shared entry point \
-                     `PipelineStats::drop` — direct `drops.record(..)` bypasses the \
-                     exactly-once accounting contract",
                 ));
             }
         }

@@ -3,36 +3,28 @@
 //!
 //! Each rule is a token-pattern check over [`SourceFile`]s. Rules are
 //! deliberately syntactic: the invariants they guard (panic-free data
-//! plane, O(1) queue ops, single drop-accounting entry point, offline
-//! shim surface, no `unsafe`) are all expressible as "this token shape
-//! must not appear here", which a hand-rolled lexer can enforce without
-//! `syn` — a hard requirement in the registry-less build environment.
+//! plane, O(1) queue ops, live drop taxonomy, determinism sources) are
+//! all expressible as "this token shape must not appear here", which a
+//! hand-rolled lexer can enforce without `syn` — a hard requirement in
+//! the registry-less build environment.
 
-use std::collections::BTreeMap;
-
-use crate::callgraph::CallGraph;
 use crate::source::SourceFile;
-use crate::symbols::SymbolTable;
 
 mod determinism;
 mod drop_accounting;
 mod panic_free;
 mod queue_discipline;
 mod rng_draw_order;
-mod shim_surface;
 mod sync_discipline;
 mod telemetry_naming;
-mod unsafe_audit;
 
 pub use determinism::Determinism;
 pub use drop_accounting::DropAccounting;
 pub use panic_free::PanicFree;
 pub use queue_discipline::QueueDiscipline;
 pub use rng_draw_order::RngDrawOrder;
-pub use shim_surface::ShimSurface;
 pub use sync_discipline::SyncDiscipline;
 pub use telemetry_naming::TelemetryNaming;
-pub use unsafe_audit::UnsafeAudit;
 
 /// One CI-failing finding, rendered as `file:line: [rule] message`.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -45,10 +37,6 @@ pub struct Diagnostic {
     pub rule: String,
     /// Human-readable finding.
     pub msg: String,
-    /// Interprocedural findings: the caller chain from the deterministic
-    /// core down to the source site (`crate::Type::fn` labels). Empty
-    /// for intraprocedural findings.
-    pub chain: Vec<String>,
 }
 
 impl Diagnostic {
@@ -59,14 +47,7 @@ impl Diagnostic {
             line,
             rule: rule.to_string(),
             msg: msg.into(),
-            chain: Vec::new(),
         }
-    }
-
-    /// Attach a call chain (core entry first, source fn last).
-    pub fn with_chain(mut self, chain: Vec<String>) -> Diagnostic {
-        self.chain = chain;
-        self
     }
 }
 
@@ -76,11 +57,7 @@ impl std::fmt::Display for Diagnostic {
             f,
             "{}:{}: [{}] {}",
             self.file, self.line, self.rule, self.msg
-        )?;
-        if !self.chain.is_empty() {
-            write!(f, " (reached from core via {})", self.chain.join(" -> "))?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -91,14 +68,11 @@ pub struct Config {
     /// the golden tests exercise data-plane rules on standalone
     /// snippets).
     pub all_dataplane: bool,
-    /// Workspace-relative files permitted to contain `unsafe` (the
-    /// audited allowlist). Empty: the workspace is `unsafe`-free.
-    pub unsafe_allowlist: Vec<String>,
-    /// Fixture mode for the interprocedural rules: derive a file's scope
+    /// Fixture mode for the scope-sensitive rules: derive a file's scope
     /// from its stem (`*core*` → deterministic core, `*sync*` → the sync
-    /// module, `*node*` → node/router code) instead of its workspace
-    /// path, so standalone golden snippets can exercise scope-sensitive
-    /// rules.
+    /// module, `*node*` → node/router code; every file is simulation
+    /// code) instead of its workspace path, so standalone golden
+    /// snippets can exercise scope-sensitive rules.
     pub fixture_scopes: bool,
 }
 
@@ -122,13 +96,20 @@ pub const DATAPLANE_FILES: &[&str] = &[
     "crates/simtest/src/te.rs",
 ];
 
-/// The deterministic core: crates where simulated behaviour must be a
-/// pure function of (topology, seed). Nondeterminism reaching these —
-/// directly or through calls — breaks golden digests and seed replay.
+/// Crates under `crates/` whose code never runs inside a simulation:
+/// the experiment drivers (which time themselves and read argv/env) and
+/// this linter. Every other crate does — the engine reaches hosts and
+/// routers through `Box<dyn Node>` — so `determinism` flags its taint
+/// sources there at their own site.
+pub const TOOL_CRATES: &[&str] = &["bench", "xtask"];
+
+/// The deterministic core: the subset of simulation crates that may not
+/// own a `HashMap`/`HashSet` at all (elsewhere — the token cache, the
+/// directory — hash-keyed lookup is fine and only iteration is banned).
 pub const CORE_CRATES: &[&str] = &["sim", "router", "wire", "simtest", "telemetry"];
 
 /// Individual files outside [`CORE_CRATES`] held to the same
-/// determinism contract: the TE route search must return byte-identical
+/// no-hash-container contract: the TE route search must return byte-identical
 /// k-route sets for a given (topology, query) — client spreading and
 /// the `exp_te` digests replay it.
 pub const CORE_FILES: &[&str] = &["crates/directory/src/te.rs"];
@@ -157,6 +138,17 @@ impl Config {
         self.all_dataplane
             || DATAPLANE_PREFIXES.iter().any(|p| rel.starts_with(p))
             || DATAPLANE_FILES.contains(&rel)
+    }
+
+    /// Whether `rel` is code a simulation runs: any crate under
+    /// `crates/` outside [`TOOL_CRATES`].
+    pub fn is_sim_file(&self, rel: &str) -> bool {
+        if self.fixture_scopes {
+            return true;
+        }
+        rel.strip_prefix("crates/")
+            .and_then(|r| r.split('/').next())
+            .is_some_and(|krate| !TOOL_CRATES.contains(&krate))
     }
 
     /// Whether `rel` belongs to the deterministic core ([`CORE_CRATES`]
@@ -188,19 +180,12 @@ impl Config {
     }
 }
 
-/// Everything a rule can see: all analyzed files, the config, and the
-/// vendored-shim API surfaces.
+/// Everything a rule can see: all analyzed files and the config.
 pub struct LintCtx<'a> {
     /// All files being linted.
     pub files: &'a [SourceFile],
     /// Engine configuration.
     pub cfg: &'a Config,
-    /// Shim crate name → set of identifiers its sources define.
-    pub shims: &'a BTreeMap<String, std::collections::BTreeSet<String>>,
-    /// Workspace symbol table (fn items, use maps, crate dep closure).
-    pub symbols: &'a SymbolTable,
-    /// Over-approximate caller → callee graph over [`Self::symbols`].
-    pub graph: &'a CallGraph,
 }
 
 /// A project-invariant rule.
@@ -219,9 +204,7 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(PanicFree),
         Box::new(QueueDiscipline),
         Box::new(DropAccounting),
-        Box::new(ShimSurface),
         Box::new(TelemetryNaming),
-        Box::new(UnsafeAudit),
         Box::new(Determinism),
         Box::new(SyncDiscipline),
         Box::new(RngDrawOrder),

@@ -44,7 +44,7 @@ impl Rule for RngDrawOrder {
 
     fn check(&self, ctx: &LintCtx<'_>, out: &mut Vec<Diagnostic>) {
         for f in ctx.files {
-            if !ctx.cfg.is_node_code(&f.rel) || crate::symbols::is_test_location(&f.rel) {
+            if !ctx.cfg.is_node_code(&f.rel) || crate::source::is_test_location(&f.rel) {
                 continue;
             }
             for i in 0..f.code.len() {
@@ -84,23 +84,16 @@ mod tests {
     use super::*;
     use crate::rules::Config;
     use crate::source::SourceFile;
-    use std::collections::BTreeMap;
 
     fn run_on(rel: &str, src: &str) -> Vec<Diagnostic> {
         let files = vec![SourceFile::analyze(rel.to_string(), src)];
-        let sym = crate::symbols::SymbolTable::build(std::path::Path::new("/nonexistent"), &files);
-        let graph = crate::callgraph::CallGraph::build(&files, &sym);
         let cfg = Config {
             fixture_scopes: true,
             ..Config::default()
         };
-        let shims = BTreeMap::new();
         let ctx = LintCtx {
             files: &files,
             cfg: &cfg,
-            shims: &shims,
-            symbols: &sym,
-            graph: &graph,
         };
         let mut out = Vec::new();
         RngDrawOrder.check(&ctx, &mut out);

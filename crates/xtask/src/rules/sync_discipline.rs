@@ -1,6 +1,6 @@
 //! `sync-discipline`: the sharded engine's synchronization invariants.
 //!
-//! Three checks (DESIGN.md §12.3):
+//! Three checks (DESIGN.md §12):
 //!
 //! * **Primitive containment** — `std::sync` primitive construction
 //!   (`Mutex::new`, `Barrier::new`, atomics, mpsc channels) is allowed
@@ -72,7 +72,7 @@ impl Rule for SyncDiscipline {
 
     fn check(&self, ctx: &LintCtx<'_>, out: &mut Vec<Diagnostic>) {
         for f in ctx.files {
-            if crate::symbols::is_test_location(&f.rel) {
+            if crate::source::is_test_location(&f.rel) {
                 continue;
             }
             if ctx.cfg.is_sync_module(&f.rel) {
@@ -309,23 +309,16 @@ fn parse_guard_let(f: &SourceFile, i: usize, depth: i64) -> Option<Guard> {
 mod tests {
     use super::*;
     use crate::rules::Config;
-    use std::collections::BTreeMap;
 
     fn run_on(rel: &str, src: &str) -> Vec<Diagnostic> {
         let files = vec![SourceFile::analyze(rel.to_string(), src)];
-        let sym = crate::symbols::SymbolTable::build(std::path::Path::new("/nonexistent"), &files);
-        let graph = crate::callgraph::CallGraph::build(&files, &sym);
         let cfg = Config {
             fixture_scopes: true,
             ..Config::default()
         };
-        let shims = BTreeMap::new();
         let ctx = LintCtx {
             files: &files,
             cfg: &cfg,
-            shims: &shims,
-            symbols: &sym,
-            graph: &graph,
         };
         let mut out = Vec::new();
         SyncDiscipline.check(&ctx, &mut out);

@@ -18,6 +18,17 @@ pub struct Allow {
     pub has_reason: bool,
 }
 
+/// Whether `rel` is test-only source by location: integration tests,
+/// benches, or examples (their fns never run on the product path).
+/// The linter's own golden fixtures are exempt — they are
+/// product-shaped snippets that exist to be analyzed.
+pub fn is_test_location(rel: &str) -> bool {
+    if rel.contains("tests/fixtures/") {
+        return false;
+    }
+    rel.contains("/tests/") || rel.contains("/benches/") || rel.starts_with("tests/")
+}
+
 /// One analyzed source file.
 pub struct SourceFile {
     /// Workspace-relative path with `/` separators (stable diagnostics).

@@ -16,12 +16,9 @@ const FIXTURES: &[(&str, &str)] = &[
     ("panic-free-dataplane", "panic-free-dataplane"),
     ("queue-discipline", "queue-discipline"),
     ("drop-accounting", "drop-accounting"),
-    ("shim-surface", "shim-surface"),
     ("telemetry-naming", "telemetry-naming"),
-    ("unsafe-audit", "unsafe-audit"),
     ("lint-allow", "panic-free-dataplane"),
     ("determinism", "determinism"),
-    ("determinism-interproc", "determinism"),
     ("sync-discipline", "sync-discipline"),
     ("rng-draw-order", "rng-draw-order"),
 ];
@@ -47,7 +44,6 @@ fn fixture_rels(root: &Path, dir: &str, prefix: &str) -> Vec<String> {
 fn run(root: &Path, rule: &str, rels: &[String]) -> String {
     let cfg = Config {
         all_dataplane: true,
-        unsafe_allowlist: Vec::new(),
         fixture_scopes: true,
     };
     let filter = [rule.to_string()];
@@ -91,43 +87,6 @@ fn clean_fixtures_produce_nothing() {
             "{dir}: clean fixture should produce no diagnostics"
         );
     }
-}
-
-/// The interprocedural fixture's core file must contain none of the
-/// tokens the determinism rule treats as sources — so a per-file
-/// token-pattern scan finds nothing, and only the call graph can
-/// connect the core to the leak two hops away. This pins the tentpole
-/// capability: if call-graph construction regresses, the finding (and
-/// its rendered chain) disappears and this test fails.
-#[test]
-fn interproc_fixture_defeats_token_scanning() {
-    let root = xtask::workspace_root();
-    let core = fs::read_to_string(
-        root.join("crates/xtask/tests/fixtures/determinism-interproc/bad_core.rs"),
-    )
-    .expect("fixture");
-    for needle in [
-        "HashMap",
-        "HashSet",
-        "Instant",
-        "SystemTime",
-        "env",
-        "spawn",
-        "thread_rng",
-        "from_entropy",
-        "OsRng",
-    ] {
-        assert!(
-            !core.contains(needle),
-            "bad_core.rs must stay source-free; found `{needle}`"
-        );
-    }
-    let rels = fixture_rels(&root, "determinism-interproc", "bad");
-    let got = run(&root, "determinism", &rels);
-    assert!(
-        got.contains("reached from core via"),
-        "expected a chain-carrying finding, got:\n{got}"
-    );
 }
 
 #[test]
