@@ -239,6 +239,32 @@ impl Directory {
         (down, load)
     }
 
+    /// One sealed port token per hop of `route`, charged to `account`
+    /// (empty when the directory has no minter).
+    fn mint_tokens(&mut self, route: &RouteRecord, account: u32) -> Vec<Vec<u8>> {
+        let Some(issue) = self.issue.as_mut() else {
+            return Vec::new();
+        };
+        route
+            .hops
+            .iter()
+            .map(|h| {
+                issue
+                    .minter
+                    .mint(Grant {
+                        router_id: h.router_id,
+                        port: h.port,
+                        max_priority: issue.max_priority,
+                        reverse_ok: issue.reverse_ok,
+                        account,
+                        byte_limit: issue.byte_limit,
+                        expiry_s: issue.expiry_s,
+                    })
+                    .to_vec()
+            })
+            .collect()
+    }
+
     /// Query routes from `client` to `service` with a preference.
     /// Returns up to `max_routes` advisories, best first; routes through
     /// links reported down are excluded, heavily loaded routes are
@@ -280,27 +306,7 @@ impl Directory {
         let advisories = candidates
             .into_iter()
             .map(|(route, props, load)| {
-                let tokens = match self.issue.as_mut() {
-                    None => Vec::new(),
-                    Some(issue) => route
-                        .hops
-                        .iter()
-                        .map(|h| {
-                            issue
-                                .minter
-                                .mint(Grant {
-                                    router_id: h.router_id,
-                                    port: h.port,
-                                    max_priority: issue.max_priority,
-                                    reverse_ok: issue.reverse_ok,
-                                    account,
-                                    byte_limit: issue.byte_limit,
-                                    expiry_s: issue.expiry_s,
-                                })
-                                .to_vec()
-                        })
-                        .collect(),
-                };
+                let tokens = self.mint_tokens(&route, account);
                 let free = (LOAD_SCALE as f64 * (1.0 - load)) as u64;
                 Advisory {
                     props,
@@ -361,27 +367,7 @@ impl Directory {
             let Some(route) = record else {
                 continue;
             };
-            let tokens = match self.issue.as_mut() {
-                None => Vec::new(),
-                Some(issue) => route
-                    .hops
-                    .iter()
-                    .map(|h| {
-                        issue
-                            .minter
-                            .mint(Grant {
-                                router_id: h.router_id,
-                                port: h.port,
-                                max_priority: issue.max_priority,
-                                reverse_ok: issue.reverse_ok,
-                                account,
-                                byte_limit: issue.byte_limit,
-                                expiry_s: issue.expiry_s,
-                            })
-                            .to_vec()
-                    })
-                    .collect(),
-            };
+            let tokens = self.mint_tokens(&route, account);
             let (_, load) = self.route_status(&route);
             advisories.push(Advisory {
                 props: route.properties(),

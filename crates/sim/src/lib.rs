@@ -43,3 +43,13 @@ pub use engine::{
 pub use queue::QueueKind;
 pub use shard::{partition_topology, shard_seed, Partition, ShardedSimulator};
 pub use time::{bytes_in, transmission_time, SimDuration, SimTime};
+
+/// SplitMix64 finalizer — a strong bijective mixer. The one way the
+/// workspace derives seed-dependent *structure* (per-shard seeds, flow
+/// picks, send times, markers); never a source of run-time randomness.
+pub fn splitmix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}

@@ -24,16 +24,8 @@ use sirpent_telemetry::{FlightRecorder, HopEvent, Registry, RegistryError};
 use crate::chaos::{ChaosAction, ChaosEvent};
 use crate::engine::{Channel, Event, Simulator};
 use crate::queue::QueueKind;
+use crate::splitmix64;
 use crate::time::{SimDuration, SimTime};
-
-/// SplitMix64 finalizer — a strong bijective mixer used to derive
-/// statistically independent per-shard seeds from the master seed.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// Derive the RNG seed for `shard` of `total`.
 ///

@@ -25,6 +25,12 @@
 //!
 //! When a seed fails, the [`shrink`] module minimizes the scenario with
 //! a ddmin-style pass and writes a rerunnable text fixture.
+//!
+//! Beside the chaos harness sits the one scale workload: [`te`] plans a
+//! flash crowd with the directory's TE search and runs it on cut-through
+//! `ViperRouter`s over a [`topo`] mesh of up to 10 000 nodes. The TE
+//! experiment (`exp_te`) and the sharded engine's digest-equality suite
+//! (`tests/parallel_digest.rs`) are the same code at different sizes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,8 +49,8 @@ pub use scenario::{
 };
 pub use shrink::{shrink, write_fixture};
 pub use spec::{Profile, Scenario};
-pub use te::{FlowNode, TePlan, TeRunReport, TeWorkload};
-pub use topo::{TopoReport, TopoShape, TopoSpec};
+pub use te::{TePlan, TeRunReport, TeWorkload};
+pub use topo::TopoShape;
 
 use sirpent_sim::{Context, Event, FrameId, Node, SimTime};
 use std::any::Any;

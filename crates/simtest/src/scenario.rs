@@ -157,15 +157,6 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// SplitMix64 finalizer — seed-derived structure (offsets, send times,
-/// markers) only, never run-time randomness.
-pub(crate) fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Bit-exact signature of a delay summary.
 pub fn summary_sig(s: &Summary) -> String {
     format!(

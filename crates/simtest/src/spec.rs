@@ -10,6 +10,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use sirpent_sim::splitmix64;
 
 /// Last instant (µs) a workload packet may be injected.
 pub const INJECT_END_US: u64 = 20_000;
@@ -239,14 +240,6 @@ pub struct Scenario {
     pub faults: Vec<FaultSpec>,
 }
 
-/// SplitMix64: cheap seed-derived marker values.
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl Scenario {
     /// Generate a scenario from one seed: a random 3–12 node mixed
     /// topology, workload, and fault schedule. Deterministic — the same
@@ -294,7 +287,7 @@ impl Scenario {
                     PacketSpec {
                         at_us: rng.gen_range(0..INJECT_END_US),
                         payload_len: rng.gen_range(16..=600usize),
-                        marker: splitmix(seed ^ (marker_ctr << 16)),
+                        marker: splitmix64(seed ^ (marker_ctr << 16)),
                     }
                 })
                 .collect();
@@ -404,7 +397,7 @@ impl Scenario {
                 packets: vec![PacketSpec {
                     at_us: 0,
                     payload_len: 16,
-                    marker: splitmix(self.seed),
+                    marker: splitmix64(self.seed),
                 }],
             });
         }

@@ -1,8 +1,8 @@
-//! Traffic-engineered heavy-traffic workload over a [`topo`](crate::topo)
+//! Traffic-engineered heavy-traffic workload over a [`topo`]
 //! mesh: the directory's weighted TE topology plans k constrained routes
 //! per flow, clients pick among them weighted by advertised residual
-//! capacity, and a source-routed flow simulation measures what actually
-//! happened on the wires.
+//! capacity, and VIPER routers forwarding the source-routed packets
+//! measure what actually happened on the wires.
 //!
 //! The workload models a **flash crowd**: thousands of flows with
 //! heavy-tailed sizes, all starting inside one short arrival window,
@@ -20,27 +20,42 @@
 //! by one, and each placement feeds its offered load back into the
 //! directory's TE topology (`add_load_milli` per hop), so later queries
 //! see earlier placements — residual weights shrink and, past the
-//! congestion threshold, detour insertion kicks in. The simulation then
-//! executes the planned source routes on the real engine; per-channel
-//! busy time gives ground-truth trunk utilization.
+//! congestion threshold, detour insertion kicks in. A route is kept
+//! only if the wire format can carry it (at most
+//! `VIPER_MAX_SEGMENTS − 1` transit hops); the rest are `unroutable`.
 //!
-//! Digests are shard-invariant by the same two devices as
-//! [`topo`](crate::topo): content-hashed forward delays and commutative
-//! per-node record folds. Packets of one flow are byte-identical, so
-//! even a residual same-instant tie between them cannot surface.
+//! The simulation then executes the plan on the real forwarder
+//! ([`build`]): every vertex is a cut-through [`ViperRouter`], every
+//! packet a real VIPER packet — one header segment per planned port,
+//! stripped hop by hop while the trailer grows — shot from a
+//! [`ScriptedHost`] on its source router's access port and read back
+//! from the destination router's `local_delivered`. Per-channel busy
+//! time gives ground-truth trunk utilization, header and trailer bytes
+//! included: a stretched route is also a fatter packet.
+//!
+//! Digests are shard-invariant (DESIGN.md §11.6) because the run draws
+//! no RNG, every send instant is hashed to its own nanosecond so
+//! packets do not tie at a router, and [`digest`] folds each router's
+//! deliveries commutatively.
 
-use std::any::Any;
 use std::collections::BTreeMap;
 
 use sirpent_directory::te::{LinkMetrics, TeQuery};
 use sirpent_directory::{Directory, Peer, TeTopology};
+use sirpent_router::link::LinkFrame;
+use sirpent_router::scripted::ScriptedHost;
+use sirpent_router::viper::{ViperConfig, ViperRouter};
 use sirpent_sim::{
-    ChannelId, Context, Event, Node, NodeId, ShardedSimulator, SimDuration, SimTime, Simulator,
+    splitmix64, ChannelId, NodeId, ShardedSimulator, SimDuration, SimTime, Simulator,
 };
 use sirpent_transport::weighted_pick;
+use sirpent_wire::buf::FrameBuf;
+use sirpent_wire::packet::PacketBuilder;
+use sirpent_wire::viper::{SegmentRepr, PORT_LOCAL};
+use sirpent_wire::{VIPER_MAX_SEGMENTS, VIPER_ROUTE_BYTE_BUDGET, VIPER_TRANSMISSION_UNIT};
 
-use crate::scenario::{fnv64, splitmix64};
-use crate::topo::TopoShape;
+use crate::scenario::fnv64;
+use crate::topo::{self, TopoShape};
 
 /// One TE workload: a mesh, a flash crowd, and a routing policy.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,7 +83,7 @@ pub struct TeWorkload {
     pub congestion_threshold_milli: u32,
     /// Heavy-tail cap: a flow carries up to `2^(level+1) - 1` packets.
     pub max_pkt_level: u32,
-    /// Bytes per packet (all frames equal-sized).
+    /// User-data bytes per packet; header segments and trailer ride on top.
     pub payload_len: usize,
     /// Per-link propagation delay, nanoseconds.
     pub prop_ns: u64,
@@ -98,9 +113,9 @@ impl TeWorkload {
             max_stretch_milli: 1_500,
             congestion_threshold_milli: 600,
             max_pkt_level: 6,
-            payload_len: 64,
+            payload_len: 512,
             prop_ns: 10_000,
-            rate_bps: 10_000_000,
+            rate_bps: 80_000_000,
             window_ns: 50_000_000,
             horizon_ns: 250_000_000,
         }
@@ -119,6 +134,28 @@ impl TeWorkload {
         }
     }
 
+    /// A test-sized crowd on a seed-derived mesh — ring, grid or
+    /// random-regular, 16..=96 routers, a few dozen flows: the
+    /// property-test and sharding-suite workload.
+    pub fn from_seed(seed: u64) -> TeWorkload {
+        let r = |salt: u64| splitmix64(seed ^ salt);
+        let shape = match r(1) % 3 {
+            0 => TopoShape::Ring,
+            1 => TopoShape::Grid {
+                cols: 3 + (r(2) % 6) as usize,
+            },
+            _ => TopoShape::Random {
+                degree: 2 + 2 * (r(3) % 3) as usize,
+            },
+        };
+        TeWorkload {
+            shape,
+            nodes: 16 + (r(4) % 81) as usize,
+            flows: 16 + (r(5) % 49) as usize,
+            ..TeWorkload::small(seed)
+        }
+    }
+
     /// The shortest-path-only control: identical mesh and crowd, but
     /// `k = 1`, no spreading, no congestion avoidance.
     pub fn shortest_path_only(&self) -> TeWorkload {
@@ -130,8 +167,7 @@ impl TeWorkload {
         }
     }
 
-    /// Clamp every field into the supported envelope (mirrors
-    /// [`crate::topo::TopoSpec::normalize`]).
+    /// Clamp every field into the supported envelope.
     pub fn normalize(&mut self) {
         self.nodes = self.nodes.clamp(8, 10_000);
         if let TopoShape::Grid { cols } = &mut self.shape {
@@ -144,31 +180,27 @@ impl TeWorkload {
         self.hotspots = self.hotspots.clamp(1, self.nodes / 2);
         self.k = self.k.clamp(1, 8);
         self.max_pkt_level = self.max_pkt_level.min(8);
-        // Room for pos + len + 18 route ports + 8 marker bytes.
-        self.payload_len = self.payload_len.clamp(40, 1_500);
+        // Room for the 8-byte marker below; above, room for a
+        // full-length route header inside the transmission unit.
+        self.payload_len = self
+            .payload_len
+            .clamp(8, VIPER_TRANSMISSION_UNIT - VIPER_ROUTE_BYTE_BUDGET);
         self.prop_ns = self.prop_ns.clamp(1, 1_000_000);
         self.rate_bps = self.rate_bps.clamp(1_000, 10_000_000_000);
         self.window_ns = self.window_ns.clamp(1_000_000, 10_000_000_000);
         self.horizon_ns = self.horizon_ns.max(self.window_ns.saturating_mul(2));
     }
 
-    /// The undirected adjacency this workload runs over — the
-    /// [`crate::topo::TopoSpec::adjacency`] derivation (so a node's
-    /// port for a link is the link's index in its list), **augmented
-    /// with a ring**: seeded circulant offsets can share a factor with
-    /// the node count and split the mesh into components, which the
-    /// topo mesh's hash-chosen walks never notice but end-to-end flows
-    /// cannot tolerate. The extra `i — i+1` edges guarantee one
-    /// component for every shape and seed; existing edges and ports are
-    /// unchanged (ring ports append after the shape's own).
+    /// The undirected adjacency this workload runs over —
+    /// [`topo::adjacency`] (so a node's port for a link is the link's
+    /// index in its list), **augmented with a ring**: seeded circulant
+    /// offsets can share a factor with the node count and split the
+    /// mesh into components, which end-to-end flows cannot tolerate.
+    /// The extra `i — i+1` edges guarantee one component for every
+    /// shape and seed; existing edges and ports are unchanged (ring
+    /// ports append after the shape's own).
     pub fn adjacency(&self) -> Vec<Vec<usize>> {
-        let mut adj = crate::topo::TopoSpec {
-            seed: self.seed,
-            shape: self.shape,
-            nodes: self.nodes,
-            ..crate::topo::TopoSpec::from_seed(self.seed)
-        }
-        .adjacency();
+        let mut adj = topo::adjacency(self.seed, self.shape, self.nodes);
         let n = adj.len();
         for i in 0..n {
             let j = (i + 1) % n;
@@ -331,8 +363,9 @@ pub fn plan(spec: &TeWorkload) -> TePlan {
     let mut flows: Vec<FlowPlan> = Vec::with_capacity(spec.flows);
     let mut unroutable = 0u64;
     let mut routes_digest = 0xcbf2_9ce4_8422_2325u64;
-    // Route ports must fit the frame header: pos + len + ports + marker.
-    let max_route = spec.payload_len.saturating_sub(10).min(255);
+    // What the wire format admits: a segment per transit hop plus the
+    // local-delivery segment at the destination router.
+    let max_route = VIPER_MAX_SEGMENTS - 1;
 
     for f in 0..spec.flows as u64 {
         let r = splitmix64(spec.seed ^ 0x51f0_a11c ^ (f << 1));
@@ -428,167 +461,57 @@ pub fn plan(spec: &TeWorkload) -> TePlan {
     }
 }
 
-/// Timer keys at or above this value address pending forwards; keys
-/// below it index a source's planned packet shots.
-const PENDING_BASE: u64 = 1 << 32;
+/// Output-queue capacity of every router, packets. Deep enough that
+/// neither arm of the experiment tail-drops (the shortest-path arm's
+/// deepest queue peaks near 140): the comparison is where the crowd's
+/// bytes go, not which arm loses fewer of them.
+const QUEUE_CAPACITY: usize = 1_024;
 
-/// A source-routing flow node: planned timer keys inject packets whose
-/// header carries the full out-port list; transit nodes forward along
-/// it after a content-hashed delay; the final node records delivery.
-#[derive(Default)]
-pub struct FlowNode {
-    /// Frame payload length this node emits.
-    payload_len: usize,
-    /// Flows originating here: `(out-ports, marker)`.
-    flows: Vec<(Vec<u8>, u64)>,
-    /// Packet shots, indexed by kick key: local flow index.
-    shots: Vec<u32>,
-    /// Forwards awaiting their hashed delay: `(timer key, port, bytes)`.
-    pending: Vec<(u64, u8, Vec<u8>)>,
-    /// Next pending timer key (offset under [`PENDING_BASE`]).
-    next_pending: u64,
-    /// Frames transmitted (fresh + forwarded).
-    pub tx: u64,
-    /// Transmissions the engine refused (stays zero here).
-    pub tx_fail: u64,
-    /// Frames received (transit + final).
-    pub rx: u64,
-    /// Frames delivered here (route exhausted).
-    pub delivered: u64,
-    /// Commutative fold of per-arrival record hashes.
-    pub acc: u64,
-    /// Per-flow delivery: marker → (packets, last arrival ns).
-    pub done: BTreeMap<u64, (u32, u64)>,
+/// Router port a source host's access link lands on; trunks take
+/// `1..=degree`.
+const ACCESS_PORT: u8 = 255;
+
+/// One packet of a flow, framed for its source's access link: a VIPER
+/// segment per planned port (adjacency index `p` is router port
+/// `p + 1`), the local-delivery segment for the destination router, and
+/// `payload_len` bytes of user data opening with the flow marker.
+/// `None` when the wire format refuses the route (too many segments,
+/// over the transmission unit) — [`plan`] keeps no such route.
+fn packet_frame(flow: &FlowPlan, payload_len: usize) -> Option<FrameBuf> {
+    let mut payload = flow.marker.to_le_bytes().to_vec();
+    payload.resize(payload_len, 0);
+    let packet = PacketBuilder::new()
+        .route(
+            flow.ports
+                .iter()
+                .map(|&p| SegmentRepr::minimal(p.saturating_add(1))),
+        )
+        .segment(SegmentRepr::minimal(PORT_LOCAL))
+        .payload(payload)
+        .build_buf()
+        .ok()?;
+    Some(LinkFrame::Sirpent { ff_hint: 0, packet }.into_p2p_frame())
 }
 
-impl FlowNode {
-    fn frame_bytes(&self, ports: &[u8], marker: u64) -> Vec<u8> {
-        let len = ports.len().min(255);
-        let mut v = Vec::with_capacity(self.payload_len);
-        v.push(1); // pos: next port index after the source's own send
-        v.push(len as u8);
-        v.extend_from_slice(ports.get(..len).unwrap_or(ports));
-        v.extend_from_slice(&marker.to_le_bytes());
-        // Deterministic pad so corruption anywhere would show in `acc`.
-        while v.len() < self.payload_len {
-            let i = v.len();
-            v.push((marker >> (8 * (i % 8))) as u8 ^ i as u8);
-        }
-        v
-    }
+/// Instantiate a planned crowd on real routers: a cut-through
+/// [`ViperRouter`] per vertex of the workload's adjacency (router `i` is
+/// `NodeId(i)`), one full-duplex trunk per undirected edge, one
+/// [`ScriptedHost`] per distinct source router on that router's
+/// access port, and one planned send per packet. Returns the
+/// simulator and every directed trunk channel for utilization
+/// accounting.
+pub fn build(spec: &TeWorkload, plan: &TePlan) -> (Simulator, Vec<ChannelId>) {
+    let mut spec = spec.clone();
+    spec.normalize();
+    let adj = spec.adjacency();
+    let prop = SimDuration(spec.prop_ns);
 
-    fn transmit(&mut self, ctx: &mut Context<'_>, port: u8, bytes: Vec<u8>) {
-        match ctx.transmit(port, bytes) {
-            Ok(_) => self.tx += 1,
-            Err(_) => self.tx_fail += 1,
-        }
-    }
-}
-
-impl Node for FlowNode {
-    fn on_event(&mut self, ctx: &mut Context<'_>, ev: Event) {
-        match ev {
-            Event::Timer { key } if key >= PENDING_BASE => {
-                let Some(i) = self.pending.iter().position(|&(k, _, _)| k == key) else {
-                    return;
-                };
-                let (_, port, bytes) = self.pending.remove(i);
-                self.transmit(ctx, port, bytes);
-            }
-            Event::Timer { key } => {
-                let Some(&flow) = self.shots.get(key as usize) else {
-                    return;
-                };
-                let Some((ports, marker)) = self.flows.get(flow as usize).cloned() else {
-                    return;
-                };
-                let Some(first) = ports.first().copied() else {
-                    return;
-                };
-                let bytes = self.frame_bytes(&ports, marker);
-                self.transmit(ctx, first, bytes);
-            }
-            Event::Frame(fe) => {
-                let bytes = fe.frame.payload.to_vec();
-                self.rx += 1;
-                // Order-insensitive record fold: (arrival, port, bytes).
-                let mut rec = Vec::with_capacity(bytes.len() + 9);
-                rec.extend_from_slice(&ctx.now().as_nanos().to_le_bytes());
-                rec.push(fe.port);
-                rec.extend_from_slice(&bytes);
-                self.acc = self.acc.wrapping_add(fnv64(&rec));
-
-                let pos = bytes.first().copied().unwrap_or(0);
-                let len = bytes.get(1).copied().unwrap_or(0);
-                let marker_off = 2 + len as usize;
-                let marker = bytes
-                    .get(marker_off..marker_off + 8)
-                    .and_then(|m| <[u8; 8]>::try_from(m).ok())
-                    .map(u64::from_le_bytes);
-                let Some(marker) = marker else {
-                    return;
-                };
-                if pos >= len {
-                    // Route exhausted: this is the destination.
-                    self.delivered += 1;
-                    let now = ctx.now().as_nanos();
-                    self.done
-                        .entry(marker)
-                        .and_modify(|e| {
-                            e.0 += 1;
-                            e.1 = e.1.max(now);
-                        })
-                        .or_insert((1, now));
-                    return;
-                }
-                let Some(port) = bytes.get(2 + pos as usize).copied() else {
-                    return;
-                };
-                let mut fwd = bytes;
-                if let Some(b) = fwd.get_mut(0) {
-                    *b = pos + 1;
-                }
-                // Content-hashed sub-propagation delay: decorrelates
-                // same-instant transits so engine tie-break order can
-                // never surface in the digest (DESIGN.md §11).
-                let me = ctx.me().0 as u64;
-                let h = splitmix64(fnv64(&fwd) ^ me ^ ctx.now().as_nanos());
-                let delay = 1 + h % 4_093;
-                let key = PENDING_BASE + self.next_pending;
-                self.next_pending += 1;
-                self.pending.push((key, port, fwd));
-                ctx.schedule_in(SimDuration(delay), key);
-            }
-            _ => {}
-        }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-}
-
-/// A mesh of [`FlowNode`]s: node `i` is `NodeId(i)`, joined by one
-/// full-duplex link per undirected edge of `adj` (a node's port for a
-/// link is the link's index in its list). Returns the simulator and
-/// every directed channel for utilization accounting.
-pub(crate) fn mesh(
-    seed: u64,
-    adj: &[Vec<usize>],
-    payload_len: usize,
-    rate_bps: u64,
-    prop_ns: u64,
-) -> (Simulator, Vec<ChannelId>) {
-    let mut sim = Simulator::new(seed);
-    for _ in adj {
-        sim.add_node(Box::new(FlowNode {
-            payload_len,
-            ..FlowNode::default()
-        }));
+    let mut sim = Simulator::new(spec.seed);
+    for (i, nbrs) in adj.iter().enumerate() {
+        let ports: Vec<u8> = (1..=nbrs.len() as u8).chain([ACCESS_PORT]).collect();
+        let mut cfg = ViperConfig::basic(i as u32, &ports);
+        cfg.queue_capacity = QUEUE_CAPACITY;
+        sim.add_node(Box::new(ViperRouter::new(cfg)));
     }
     let mut channels: Vec<ChannelId> = Vec::new();
     for (a, nbrs) in adj.iter().enumerate() {
@@ -601,96 +524,80 @@ pub(crate) fn mesh(
             };
             let (ab, ba) = sim.p2p(
                 NodeId(a),
-                pa as u8,
+                pa as u8 + 1,
                 NodeId(b),
-                pb as u8,
-                rate_bps,
-                SimDuration(prop_ns),
+                pb as u8 + 1,
+                spec.rate_bps,
+                prop,
             );
             channels.push(ab);
             channels.push(ba);
         }
     }
-    (sim, channels)
-}
-
-/// Register one source-routed flow at `node` and kick one packet shot
-/// per entry of `times` (nanoseconds).
-pub(crate) fn inject(
-    sim: &mut Simulator,
-    node: NodeId,
-    ports: Vec<u8>,
-    marker: u64,
-    times: impl Iterator<Item = u64>,
-) {
-    let fnode: &mut FlowNode = sim.node_mut(node);
-    fnode.flows.push((ports, marker));
-    let local = (fnode.flows.len() - 1) as u32;
-    for at in times {
-        let fnode: &mut FlowNode = sim.node_mut(node);
-        fnode.shots.push(local);
-        let key = (fnode.shots.len() - 1) as u64;
-        sim.kick(SimTime(at), node, key);
-    }
-}
-
-/// Instantiate a planned crowd: a [`mesh`] over the workload's
-/// adjacency and one kick per packet.
-pub fn build(spec: &TeWorkload, plan: &TePlan) -> (Simulator, Vec<ChannelId>) {
-    let mut spec = spec.clone();
-    spec.normalize();
-    let (mut sim, channels) = mesh(
-        spec.seed,
-        &spec.adjacency(),
-        spec.payload_len,
-        spec.rate_bps,
-        spec.prop_ns,
-    );
 
     // Packet pacing: streams at a quarter of line rate, plus a small
     // content-hashed jitter so two flows never beat in lockstep.
     let pkt_ns = spec.payload_len as u64 * 8 * 1_000_000_000 / spec.rate_bps.max(1);
     let spacing = (pkt_ns * 4).max(1);
+    let mut hosts: BTreeMap<usize, NodeId> = BTreeMap::new();
     for flow in &plan.flows {
         if flow.src >= spec.nodes {
             continue;
         }
-        let times = (0..flow.pkts as u64).map(|j| {
+        let Some(frame) = packet_frame(flow, spec.payload_len) else {
+            continue;
+        };
+        let host = match hosts.get(&flow.src) {
+            Some(&h) => h,
+            None => {
+                let h = sim.add_node(Box::new(ScriptedHost::new()));
+                sim.p2p(h, 0, NodeId(flow.src), ACCESS_PORT, spec.rate_bps, prop);
+                hosts.insert(flow.src, h);
+                h
+            }
+        };
+        let gun: &mut ScriptedHost = sim.node_mut(host);
+        for j in 0..flow.pkts as u64 {
             let jitter = splitmix64(flow.marker ^ j) % (spacing / 2 + 1);
-            flow.start_ns + j * spacing + jitter
-        });
-        inject(
-            &mut sim,
-            NodeId(flow.src),
-            flow.ports.clone(),
-            flow.marker,
-            times,
-        );
+            let at = flow.start_ns + j * spacing + jitter;
+            gun.plan(SimTime(at), 0, frame.clone());
+        }
+    }
+    for &host in hosts.values() {
+        ScriptedHost::start(&mut sim, host);
     }
     (sim, channels)
 }
 
+/// The flow marker opening a delivered payload.
+fn marker_of(payload: &[u8]) -> Option<u64> {
+    let m = payload.get(..8)?;
+    <[u8; 8]>::try_from(m).ok().map(u64::from_le_bytes)
+}
+
 /// Canonical digest of a finished TE run: engine event count plus every
-/// node's counters, record fold, and per-flow delivery fold.
+/// router's counters and a commutative fold of what it delivered (when,
+/// and the bytes — data and the trailer's record of the path taken).
 pub fn digest(sim: &Simulator, nodes: usize) -> (String, u64) {
     let mut out = String::with_capacity(nodes * 56 + 32);
-    out.push_str("te-digest v1\n");
+    out.push_str("te-digest v2\n");
     out.push_str(&format!("events={}\n", sim.events_dispatched()));
     for i in 0..nodes {
-        let n: &FlowNode = sim.node(NodeId(i));
-        // BTreeMap iteration order is deterministic, so a sequential
-        // fold of the delivery map is stable across shard counts.
-        let mut dacc = 0xcbf2_9ce4_8422_2325u64;
-        for (&marker, &(count, last)) in &n.done {
-            let mut rec = Vec::with_capacity(20);
-            rec.extend_from_slice(&marker.to_le_bytes());
-            rec.extend_from_slice(&count.to_le_bytes());
-            rec.extend_from_slice(&last.to_le_bytes());
-            dacc = dacc.wrapping_mul(0x1_0000_01b3) ^ fnv64(&rec);
+        let r: &ViperRouter = sim.node(NodeId(i));
+        let mut dacc = 0u64;
+        for (at, payload) in &r.local_delivered {
+            let mut rec = Vec::with_capacity(payload.len() + 8);
+            rec.extend_from_slice(&at.as_nanos().to_le_bytes());
+            rec.extend_from_slice(payload);
+            dacc = dacc.wrapping_add(fnv64(&rec));
         }
         out.push_str(&format!(
-            "n{} tx={} txf={} rx={} del={} acc={:016x} dacc={:016x}\n",
-            i, n.tx, n.tx_fail, n.rx, n.delivered, n.acc, dacc
+            "r{} fwd={} local={} drops={} dacc={:016x}\n",
+            i,
+            r.stats.forwarded,
+            r.stats.local,
+            r.stats.total_drops(),
+            dacc
         ));
     }
     (out, sim.events_dispatched())
@@ -714,6 +621,20 @@ fn report(
 ) -> TeRunReport {
     let (digest, events) = digest(sim, spec.nodes);
 
+    // What the destination routers delivered, by `(router, marker)`:
+    // packet count and last arrival.
+    let mut done: BTreeMap<(usize, u64), (u32, u64)> = BTreeMap::new();
+    for i in 0..spec.nodes {
+        let r: &ViperRouter = sim.node(NodeId(i));
+        for (at, payload) in &r.local_delivered {
+            if let Some(marker) = marker_of(payload) {
+                let e = done.entry((i, marker)).or_insert((0, 0));
+                e.0 += 1;
+                e.1 = e.1.max(at.as_nanos());
+            }
+        }
+    }
+
     let mut injected = 0u64;
     let mut delivered = 0u64;
     let mut starved = 0u64;
@@ -723,12 +644,7 @@ fn report(
     let mut stretch_max = 0u64;
     for flow in &plan.flows {
         injected += flow.pkts as u64;
-        let got = sim
-            .node::<FlowNode>(NodeId(flow.dst))
-            .done
-            .get(&flow.marker)
-            .copied();
-        match got {
+        match done.get(&(flow.dst, flow.marker)).copied() {
             None => starved += 1,
             Some((count, last)) => {
                 delivered += count as u64;
@@ -831,14 +747,56 @@ mod tests {
 
     #[test]
     fn planned_routes_fit_frames_and_terminate() {
-        let spec = TeWorkload::small(12);
-        let p = plan(&spec);
-        for f in &p.flows {
-            assert!(!f.ports.is_empty());
-            assert!(f.ports.len() + 10 <= spec.payload_len);
-            assert_eq!(f.hops, f.ports.len());
-            assert!(f.sp_hops >= 1);
+        // Deployability (ROADMAP item 4): a route the planner keeps is
+        // one the wire format carries and the mesh actually has.
+        let mut shapes = [0usize; 3];
+        for seed in 0..32u64 {
+            let mut spec = TeWorkload::from_seed(seed);
+            spec.normalize();
+            shapes[match spec.shape {
+                TopoShape::Ring => 0,
+                TopoShape::Grid { .. } => 1,
+                TopoShape::Random { .. } => 2,
+            }] += 1;
+            let adj = spec.adjacency();
+            let p = plan(&spec);
+            assert!(!p.flows.is_empty(), "seed {seed}: nothing planned");
+            for f in &p.flows {
+                assert_eq!(f.hops, f.ports.len());
+                assert!(f.sp_hops >= 1 && f.sp_hops <= f.hops);
+                // `PacketBuilder` refuses > 48 segments or a packet over
+                // the transmission unit, so a frame is both checks.
+                assert!(f.ports.len() < VIPER_MAX_SEGMENTS);
+                assert!(
+                    packet_frame(f, spec.payload_len).is_some(),
+                    "seed {seed}: the builder refused a {}-hop route",
+                    f.hops
+                );
+                let end = f.ports.iter().fold(f.src, |at, &p| adj[at][p as usize]);
+                assert_eq!(end, f.dst, "seed {seed}: route ends off its destination");
+            }
         }
+        assert!(shapes.iter().all(|&n| n > 0), "shapes seen: {shapes:?}");
+    }
+
+    #[test]
+    fn routes_the_header_cannot_carry_are_unroutable() {
+        // A 96-router ring's antipodes are 48 transit hops apart: one
+        // more than a 48-segment header (47 + local delivery) carries.
+        let spec = TeWorkload {
+            shape: TopoShape::Ring,
+            nodes: 96,
+            ..TeWorkload::from_seed(9)
+        };
+        let p = plan(&spec);
+        assert!(p.unroutable > 0, "this crowd has antipodal flows");
+        let longest = p.flows.iter().map(|f| f.hops).max();
+        assert_eq!(longest, Some(VIPER_MAX_SEGMENTS - 1));
+        let far = FlowPlan {
+            ports: vec![0; VIPER_MAX_SEGMENTS],
+            ..p.flows[0].clone()
+        };
+        assert!(packet_frame(&far, spec.payload_len).is_none());
     }
 
     #[test]

@@ -22,14 +22,7 @@
 //! route index), so every run — and every shard count — picks the same
 //! routes.
 
-use sirpent_sim::{SimDuration, SimTime};
-
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
+use sirpent_sim::{splitmix64, SimDuration, SimTime};
 
 /// Pick an index from `weights` for `flow`, deterministically: hash the
 /// flow key, reduce modulo the total weight, and walk the cumulative
