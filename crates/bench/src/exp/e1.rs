@@ -4,20 +4,13 @@
 //! the 32-bit minimum segment, the 18-byte "VIPER header plus Ethernet
 //! header" per-hop figure of §6.2, the 255-escape for long fields, and
 //! the §2.3 scaling claim that 48 segments stay "under 500 bytes" while
-//! addressing 2^(8·48) endpoints. Also measures raw parse throughput.
+//! addressing 2^(8·48) endpoints.
 
-use serde::Serialize;
+use crate::json::obj;
+use crate::{Report, Table};
 use sirpent::wire::ethernet;
 use sirpent::wire::viper::{Flags, Priority, SegmentRepr};
 use sirpent::wire::{VIPER_MAX_SEGMENTS, VIPER_ROUTE_BYTE_BUDGET};
-use sirpent_bench::{write_json, Table};
-
-#[derive(Serialize)]
-struct Row {
-    config: String,
-    bytes: usize,
-    roundtrip_ok: bool,
-}
 
 fn seg_bytes(r: &SegmentRepr) -> (usize, bool) {
     let bytes = r.to_bytes();
@@ -25,7 +18,9 @@ fn seg_bytes(r: &SegmentRepr) -> (usize, bool) {
     (bytes.len(), used == bytes.len() && &back == r)
 }
 
-fn main() {
+/// Run E1.
+pub fn run() -> Report {
+    let mut r = Report::default();
     let mut rows = Vec::new();
     let mut t = Table::new(
         "E1 / Figure 1 — VIPER header segment sizes",
@@ -108,13 +103,9 @@ fn main() {
     for (name, seg) in &cases {
         let (bytes, ok) = seg_bytes(seg);
         t.row(&[name, &bytes, &ok]);
-        rows.push(Row {
-            config: name.clone(),
-            bytes,
-            roundtrip_ok: ok,
-        });
+        rows.push(obj! { config: name.clone(), bytes: bytes, roundtrip_ok: ok });
     }
-    t.print();
+    r.table(&t);
 
     // §2.3: full-route budget.
     let minimal_route: usize = (0..VIPER_MAX_SEGMENTS)
@@ -142,43 +133,12 @@ fn main() {
         &(ethernet_route <= 900), // the paper's 1500-byte unit leaves room
         &"2^384",
     ]);
-    t2.print();
-    println!(
+    r.table(&t2);
+    r.note(
         "note: 2^384 ≈ 3.9e115 endpoints — \"far exceeding the total required\n\
-         for the future global internetwork\" (§2.3); even 6 segments give 2^48."
+         for the future global internetwork\" (§2.3); even 6 segments give 2^48.",
     );
 
-    // Parse throughput (whole-route walk).
-    let route_bytes = {
-        let mut v = Vec::new();
-        for _ in 0..5 {
-            v.extend_from_slice(
-                &SegmentRepr {
-                    port: 2,
-                    port_info: vec![0; 14],
-                    ..Default::default()
-                }
-                .to_bytes(),
-            );
-        }
-        v.extend_from_slice(&SegmentRepr::minimal(0).to_bytes());
-        v
-    };
-    let iters = 200_000u64;
-    let t0 = std::time::Instant::now();
-    let mut sink = 0usize;
-    for _ in 0..iters {
-        let (route, used) = sirpent::wire::packet::parse_route(&route_bytes).unwrap();
-        sink += route.len() + used;
-    }
-    let dt = t0.elapsed().as_secs_f64();
-    let per_seg_ns = dt / (iters as f64 * 6.0) * 1e9;
-    println!(
-        "\nparse throughput: {:.0} routes/s ({:.0} ns/segment; decision fields are \n\
-        at fixed offsets — the hardware path §6.1 assumes needs only the first 4 bytes) [{sink}]",
-        iters as f64 / dt,
-        per_seg_ns
-    );
-
-    write_json("e1_header", &rows);
+    r.json = rows.into();
+    r
 }

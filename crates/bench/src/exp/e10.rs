@@ -10,7 +10,9 @@
 //!   utilization with the bursty traffic characteristic of computer
 //!   communication" (§6.1, citing Blazenet).
 
-use serde::Serialize;
+use crate::json::obj;
+use crate::topo::{chain, frame, packet};
+use crate::{dur_us, pct, Report, Table};
 use sirpent::router::cvc::{CvcConfig, CvcRoute, CvcSwitch};
 use sirpent::router::link::LinkFrame;
 use sirpent::router::scripted::ScriptedHost;
@@ -18,8 +20,6 @@ use sirpent::router::viper::SwitchMode;
 use sirpent::sim::{SimDuration, SimTime, Simulator};
 use sirpent::wire::cvc::Message;
 use sirpent::wire::viper::Priority;
-use sirpent_bench::topo::{chain, frame, packet};
-use sirpent_bench::{dur_us, pct, write_json, Table};
 
 const RATE: u64 = 10_000_000;
 const PROP: SimDuration = SimDuration(250_000); // 250 µs — a wide-area hop
@@ -110,15 +110,9 @@ fn cvc_total(m: usize, msg_bytes: usize) -> f64 {
     s2ref.local_delivered.last().unwrap().0.as_nanos() as f64 / 1e9
 }
 
-#[derive(Serialize)]
-struct AmortRow {
-    messages: usize,
-    sirpent_ms: f64,
-    cvc_ms: f64,
-    cvc_penalty: f64,
-}
-
-fn main() {
+/// Run E10.
+pub fn run() -> Report {
+    let mut r = Report::default();
     // ---- setup amortization ------------------------------------------------
     let mut t = Table::new(
         "E10a — m messages over a fresh association (2 hops, 250 µs/link prop)",
@@ -134,18 +128,18 @@ fn main() {
         let s = sirpent_total(m, 512);
         let c = cvc_total(m, 512);
         t.row(&[&m, &dur_us(s), &dur_us(c), &format!("{:.2}×", c / s)]);
-        rows.push(AmortRow {
+        rows.push(obj! {
             messages: m,
             sirpent_ms: s * 1e3,
             cvc_ms: c * 1e3,
             cvc_penalty: c / s,
         });
     }
-    t.print();
-    println!(
+    r.table(&t);
+    r.note(
         "single-transaction traffic pays the full setup round trip (≈ 2×) —\n\
          \"increases in transactional traffic … make the logical connections\n\
-         even shorter\" (§1); only long conversations amortize it."
+         even shorter\" (§1); only long conversations amortize it.",
     );
 
     // ---- bursty utilization --------------------------------------------------
@@ -169,12 +163,12 @@ fn main() {
         &(packet_flows as u64),
         &pct(packet_flows * mean / RATE as f64 * 0.9), // queueing headroom
     ]);
-    t2.print();
-    println!(
+    r.table(&t2);
+    r.note(
         "the reserved circuit idles through the off-periods (20% utilization);\n\
          statistical multiplexing admits 5× the flows — the Blazenet argument\n\
          §6.1 cites. (Rate-based control supplies the loss protection circuits\n\
-         buy with reservation; see E4.)"
+         buy with reservation; see E4.)",
     );
 
     // ---- switch state ----------------------------------------------------------
@@ -182,12 +176,6 @@ fn main() {
         "E10c — switch state vs concurrent conversations",
         &["conversations", "CVC switch bytes", "Sirpent router bytes"],
     );
-    #[derive(Serialize)]
-    struct StateRow {
-        conversations: usize,
-        cvc_bytes: usize,
-        sirpent_bytes: usize,
-    }
     let mut srows = Vec::new();
     for n in [10usize, 100, 1000] {
         let mut sim = Simulator::new(103);
@@ -221,32 +209,25 @@ fn main() {
         ScriptedHost::start(&mut sim, host);
         sim.run_until(SimTime(n as u64 * 200_000 + 100_000_000));
         let sw = sim.node::<CvcSwitch>(s1);
-        assert_eq!(sw.circuits(), n);
+        r.gate(
+            sw.circuits() == n,
+            format!("{n} setups left {} circuits", sw.circuits()),
+        );
         // A Sirpent router holds no per-conversation state at all (soft
         // congestion state is per-route-class, not per conversation).
         t3.row(&[&n, &sw.state_bytes(), &0usize]);
-        srows.push(StateRow {
+        srows.push(obj! {
             conversations: n,
             cvc_bytes: sw.state_bytes(),
-            sirpent_bytes: 0,
+            sirpent_bytes: 0usize,
         });
     }
-    t3.print();
-    println!(
+    r.table(&t3);
+    r.note(
         "\"a significant amount of state in the gateways\" (§1) vs none: the\n\
-         Sirpent conversation lives in the packets and the endpoints."
+         Sirpent conversation lives in the packets and the endpoints.",
     );
 
-    #[derive(Serialize)]
-    struct All {
-        amortization: Vec<AmortRow>,
-        state: Vec<StateRow>,
-    }
-    write_json(
-        "e10_cvc",
-        &All {
-            amortization: rows,
-            state: srows,
-        },
-    );
+    r.json = obj! { amortization: rows, state: srows };
+    r
 }

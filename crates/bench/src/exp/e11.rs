@@ -7,7 +7,9 @@
 //! completeness, copies generated, and header bytes carried by the
 //! original packet as the group grows.
 
-use serde::Serialize;
+use crate::json::{obj, Json};
+use crate::topo::frame;
+use crate::{Report, Table};
 use sirpent::router::link::LinkFrame;
 use sirpent::router::logical::PortBinding;
 use sirpent::router::multicast::encode_tree;
@@ -18,7 +20,6 @@ use sirpent::wire::buf::PacketBuf;
 use sirpent::wire::packet::{PacketBuilder, PacketView};
 use sirpent::wire::trailer;
 use sirpent::wire::viper::{Flags, SegmentRepr, PORT_LOCAL};
-use sirpent_bench::{write_json, Table};
 
 const RATE: u64 = 10_000_000;
 const PROP: SimDuration = SimDuration(2_000);
@@ -65,16 +66,19 @@ fn count_delivered(sim: &Simulator, members: &[NodeId], tag: u8) -> usize {
         .count()
 }
 
-#[derive(Serialize)]
-struct McRow {
-    mechanism: String,
-    group: usize,
-    header_bytes: usize,
-    delivered: usize,
-    copies_at_router: u64,
+fn mc_row(mechanism: &str, group: usize, header_bytes: usize, d: usize, copies: u64) -> Json {
+    obj! {
+        mechanism: mechanism,
+        group: group,
+        header_bytes: header_bytes,
+        delivered: d,
+        copies_at_router: copies,
+    }
 }
 
-fn main() {
+/// Run E11.
+pub fn run() -> Report {
+    let mut r = Report::default();
     let mut t = Table::new(
         "E11 — the three multicast mechanisms (§2), star of k members",
         &[
@@ -90,7 +94,7 @@ fn main() {
     for k in [2usize, 4, 8, 16] {
         // --- mechanism 1: reserved port value → port set -----------------
         {
-            let (mut sim, src, members, r) = star(
+            let (mut sim, src, members, router) = star(
                 k,
                 Some(PortBinding::MulticastSet((2..2 + k as u8).collect())),
             );
@@ -101,33 +105,20 @@ fn main() {
                 .build()
                 .unwrap();
             let hdr = 4 + 4;
-            sim.node_mut::<ScriptedHost>(src).plan(
-                SimTime::ZERO,
-                0,
-                LinkFrame::Sirpent {
-                    ff_hint: 0,
-                    packet: pkt.into(),
-                }
-                .into_p2p_frame(),
-            );
+            sim.node_mut::<ScriptedHost>(src)
+                .plan(SimTime::ZERO, 0, frame(pkt));
             ScriptedHost::start(&mut sim, src);
             sim.run_until(SimTime(50_000_000));
             let d = count_delivered(&sim, &members, 0x31);
-            let copies = sim.node::<ViperRouter>(r).stats.forwarded;
+            let copies = sim.node::<ViperRouter>(router).stats.forwarded;
             t.row(&[&"port set", &k, &hdr, &format!("{d}/{k}"), &copies]);
-            rows.push(McRow {
-                mechanism: "port_set".into(),
-                group: k,
-                header_bytes: hdr,
-                delivered: d,
-                copies_at_router: copies,
-            });
-            assert_eq!(d, k);
+            rows.push(mc_row("port_set", k, hdr, d, copies));
+            r.gate(d == k, format!("port set reached {d}/{k} members"));
         }
 
         // --- mechanism 2: tree-structured segments ------------------------
         {
-            let (mut sim, src, members, r) = star(k, None);
+            let (mut sim, src, members, router) = star(k, None);
             let branches: Vec<Vec<SegmentRepr>> = (0..k)
                 .map(|i| {
                     vec![
@@ -151,28 +142,15 @@ fn main() {
             pkt.extend_from_slice(&[0x32; 64]);
             let mut pkt = PacketBuf::from_vec(pkt);
             trailer::Entry::Base.append_to_buf(&mut pkt).unwrap();
-            sim.node_mut::<ScriptedHost>(src).plan(
-                SimTime::ZERO,
-                0,
-                LinkFrame::Sirpent {
-                    ff_hint: 0,
-                    packet: pkt,
-                }
-                .into_p2p_frame(),
-            );
+            sim.node_mut::<ScriptedHost>(src)
+                .plan(SimTime::ZERO, 0, frame(pkt));
             ScriptedHost::start(&mut sim, src);
             sim.run_until(SimTime(50_000_000));
             let d = count_delivered(&sim, &members, 0x32);
-            let copies = sim.node::<ViperRouter>(r).stats.forwarded;
+            let copies = sim.node::<ViperRouter>(router).stats.forwarded;
             t.row(&[&"tree segments", &k, &hdr, &format!("{d}/{k}"), &copies]);
-            rows.push(McRow {
-                mechanism: "tree".into(),
-                group: k,
-                header_bytes: hdr,
-                delivered: d,
-                copies_at_router: copies,
-            });
-            assert_eq!(d, k);
+            rows.push(mc_row("tree", k, hdr, d, copies));
+            r.gate(d == k, format!("tree segments reached {d}/{k} members"));
         }
 
         // --- mechanism 3: multicast agent ---------------------------------
@@ -189,11 +167,11 @@ fn main() {
             let mut ports = vec![1u8, 2];
             ports.extend(3..3 + k as u8);
             let cfg = ViperConfig::basic(1, &ports);
-            let r = sim.add_node(Box::new(ViperRouter::new(cfg)));
-            sim.p2p(src, 0, r, 1, RATE, PROP);
-            sim.p2p(agent, 0, r, 2, RATE, PROP);
+            let router = sim.add_node(Box::new(ViperRouter::new(cfg)));
+            sim.p2p(src, 0, router, 1, RATE, PROP);
+            sim.p2p(agent, 0, router, 2, RATE, PROP);
             for (i, &m) in members.iter().enumerate() {
-                sim.p2p(r, 3 + i as u8, m, 0, RATE, PROP);
+                sim.p2p(router, 3 + i as u8, m, 0, RATE, PROP);
             }
             // Phase 1: unicast to the agent.
             let pkt = PacketBuilder::new()
@@ -203,15 +181,8 @@ fn main() {
                 .build()
                 .unwrap();
             let hdr = 8;
-            sim.node_mut::<ScriptedHost>(src).plan(
-                SimTime::ZERO,
-                0,
-                LinkFrame::Sirpent {
-                    ff_hint: 0,
-                    packet: pkt.into(),
-                }
-                .into_p2p_frame(),
-            );
+            sim.node_mut::<ScriptedHost>(src)
+                .plan(SimTime::ZERO, 0, frame(pkt));
             ScriptedHost::start(&mut sim, src);
             while sim.node::<ScriptedHost>(agent).received.is_empty() {
                 assert!(sim.step());
@@ -225,41 +196,29 @@ fn main() {
                     .payload(vec![0x33; 64])
                     .build()
                     .unwrap();
-                sim.node_mut::<ScriptedHost>(agent).plan(
-                    explode_at,
-                    0,
-                    LinkFrame::Sirpent {
-                        ff_hint: 0,
-                        packet: pkt.into(),
-                    }
-                    .into_p2p_frame(),
-                );
+                sim.node_mut::<ScriptedHost>(agent)
+                    .plan(explode_at, 0, frame(pkt));
             }
             ScriptedHost::start(&mut sim, agent);
             sim.run_until(SimTime(explode_at.as_nanos() + 50_000_000));
             let d = count_delivered(&sim, &members, 0x33);
-            let copies = sim.node::<ViperRouter>(r).stats.forwarded;
+            let copies = sim.node::<ViperRouter>(router).stats.forwarded;
             t.row(&[&"agent explosion", &k, &hdr, &format!("{d}/{k}"), &copies]);
-            rows.push(McRow {
-                mechanism: "agent".into(),
-                group: k,
-                header_bytes: hdr,
-                delivered: d,
-                copies_at_router: copies,
-            });
-            assert_eq!(d, k);
+            rows.push(mc_row("agent", k, hdr, d, copies));
+            r.gate(d == k, format!("agent explosion reached {d}/{k} members"));
         }
     }
-    t.print();
-    println!(
+    r.table(&t);
+    r.note(
         "port set: constant 8 B header, but group membership lives in router\n\
          configuration. tree: the source carries the whole tree (header grows\n\
          ~10 B/member) and routers need nothing. agent: constant header and\n\
          router state, one extra unicast hop through the agent — \"the full\n\
          header is delivered to each of the multicast agents\" (§2). The\n\
          mechanisms trade header bytes against router/agent state exactly as\n\
-         the paper lays out."
+         the paper lays out.",
     );
 
-    write_json("e11_multicast", &rows);
+    r.json = rows.into();
+    r
 }

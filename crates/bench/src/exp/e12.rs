@@ -12,7 +12,8 @@
 //! ever accepted**. The IP baseline's per-router checksum drop is run on
 //! the same topology for contrast.
 
-use serde::Serialize;
+use crate::json::obj;
+use crate::{pct, Report, Table};
 use sirpent::compile::CompiledRoute;
 use sirpent::directory::{AccessSpec, HopSpec, RouteRecord, Security};
 use sirpent::host::{HostPortKind, SirpentHost};
@@ -27,13 +28,11 @@ use sirpent::wire::ipish;
 use sirpent::wire::viper::Priority;
 use sirpent::wire::vmtp::EntityId;
 use sirpent::Net;
-use sirpent_bench::{pct, write_json, Table};
 
 const RATE: u64 = 10_000_000;
 const PROP: SimDuration = SimDuration(5_000);
 const N: usize = 400;
 
-#[derive(Serialize)]
 struct Row {
     corrupt_prob: f64,
     sent: usize,
@@ -239,7 +238,9 @@ fn ip_run(corrupt: f64) -> (u64, u64, u64) {
     (checksum_drops, delivered, corrupt_payloads)
 }
 
-fn main() {
+/// Run E12.
+pub fn run() -> Report {
+    let mut r = Report::default();
     let mut t = Table::new(
         "E12 — header corruption on the middle link (Sirpent, no network checksum)",
         &[
@@ -255,27 +256,43 @@ fn main() {
     );
     let mut rows = Vec::new();
     for p in [0.0f64, 0.05, 0.2, 0.5] {
-        let r = sirpent_run(p);
+        let s = sirpent_run(p);
         t.row(&[
-            &pct(r.corrupt_prob),
-            &format!("{}/{}", r.delivered_clean, r.sent),
-            &r.router_drops,
-            &r.host_misrouted,
-            &r.host_unparseable,
-            &r.transport_misdelivered,
-            &r.transport_checksum,
-            &r.accepted_corrupt,
+            &pct(s.corrupt_prob),
+            &format!("{}/{}", s.delivered_clean, s.sent),
+            &s.router_drops,
+            &s.host_misrouted,
+            &s.host_unparseable,
+            &s.transport_misdelivered,
+            &s.transport_checksum,
+            &s.accepted_corrupt,
         ]);
-        assert_eq!(r.accepted_corrupt, 0, "end-to-end integrity must hold");
-        rows.push(r);
+        r.gate(
+            s.accepted_corrupt == 0,
+            format!(
+                "p(corrupt) {p}: {} corrupted payloads accepted",
+                s.accepted_corrupt
+            ),
+        );
+        rows.push(obj! {
+            corrupt_prob: s.corrupt_prob,
+            sent: s.sent,
+            delivered_clean: s.delivered_clean,
+            router_drops: s.router_drops,
+            host_misrouted: s.host_misrouted,
+            host_unparseable: s.host_unparseable,
+            transport_misdelivered: s.transport_misdelivered,
+            transport_checksum: s.transport_checksum,
+            accepted_corrupt: s.accepted_corrupt,
+        });
     }
-    t.print();
-    println!(
+    r.table(&t);
+    r.note(
         "corrupted headers misroute or die structurally; every survivor is\n\
          rejected by the transport's 64-bit entity check or its checksum —\n\
          zero corrupted payloads accepted. Retransmission recovers the rest\n\
          (clean deliveries stay high at low corruption rates, the regime the\n\
-         paper argues from: \"header corruption is a low probability event\")."
+         paper argues from: \"header corruption is a low probability event\").",
     );
 
     let mut t2 = Table::new(
@@ -287,43 +304,26 @@ fn main() {
             "of which corrupt payload",
         ],
     );
-    #[derive(Serialize)]
-    struct IpRow {
-        corrupt_prob: f64,
-        checksum_drops: u64,
-        delivered: u64,
-        corrupt_payloads: u64,
-    }
     let mut iprows = Vec::new();
     for p in [0.05f64, 0.2, 0.5] {
         let (drops, delivered, corrupt_payloads) = ip_run(p);
         t2.row(&[&pct(p), &drops, &delivered, &corrupt_payloads]);
-        iprows.push(IpRow {
+        iprows.push(obj! {
             corrupt_prob: p,
             checksum_drops: drops,
-            delivered,
-            corrupt_payloads,
+            delivered: delivered,
+            corrupt_payloads: corrupt_payloads,
         });
     }
-    t2.print();
-    println!(
+    r.table(&t2);
+    r.note(
         "IP detects corruption one hop earlier at the price of verifying and\n\
          rewriting a checksum on *every* packet at *every* router (§1). Note\n\
          the IP header checksum does not protect the payload either — both\n\
          architectures need the transport for end-to-end integrity (§4.1's\n\
-         end-to-end argument)."
+         end-to-end argument).",
     );
 
-    #[derive(Serialize)]
-    struct All {
-        sirpent: Vec<Row>,
-        ip: Vec<IpRow>,
-    }
-    write_json(
-        "e12_misdelivery",
-        &All {
-            sirpent: rows,
-            ip: iprows,
-        },
-    );
+    r.json = obj! { sirpent: rows, ip: iprows };
+    r
 }

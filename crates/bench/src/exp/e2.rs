@@ -15,15 +15,16 @@
 //!    queueing delay of "approximately the transmission time for half an
 //!    average packet" — measured against the analytic curve.
 
-use rand::Rng;
-use serde::Serialize;
+use crate::json::obj;
+use crate::topo::{chain, frame, packet};
+use crate::{dur_us, Report, Table};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use sirpent::router::scripted::ScriptedHost;
-use sirpent::router::viper::{SwitchMode, ViperRouter};
+use sirpent::router::viper::{SwitchMode, ViperConfig, ViperRouter};
 use sirpent::sim::stats::mdl;
-use sirpent::sim::{transmission_time, SimDuration, SimTime};
+use sirpent::sim::{transmission_time, SimDuration, SimTime, Simulator};
 use sirpent::wire::viper::Priority;
-use sirpent_bench::topo::{chain, frame, packet};
-use sirpent_bench::{dur_us, write_json, Table};
 
 const RATE: u64 = 10_000_000; // 10 Mb/s links
 const PROP: SimDuration = SimDuration(5_000); // 5 µs per link
@@ -43,32 +44,9 @@ fn one_way_delay(n_routers: usize, payload: usize, mode: SwitchMode) -> f64 {
     rx[0].last_bit.as_nanos() as f64 / 1e9
 }
 
-#[derive(Serialize)]
-struct SizeRow {
-    payload: usize,
-    cut_through_us: f64,
-    store_forward_us: f64,
-    saved_us: f64,
-}
-
-#[derive(Serialize)]
-struct HopRow {
-    hops: usize,
-    cut_through_us: f64,
-    store_forward_us: f64,
-    ratio: f64,
-}
-
-#[derive(Serialize)]
-struct MdlRow {
-    rho_target: f64,
-    rho_measured: f64,
-    wait_measured_service_times: f64,
-    wait_analytic_service_times: f64,
-    mean_queue_excl_service: f64,
-}
-
-fn main() {
+/// Run E2.
+pub fn run() -> Report {
+    let mut r = Report::default();
     // ---- 1. per-hop delay vs packet size --------------------------------
     let mut t1 = Table::new(
         "E2a — one-router delivery delay vs packet size (10 Mb/s links)",
@@ -98,20 +76,20 @@ fn main() {
             &dur_us(sf - ct),
             &dur_us(wire),
         ]);
-        size_rows.push(SizeRow {
-            payload,
+        size_rows.push(obj! {
+            payload: payload,
             cut_through_us: ct * 1e6,
             store_forward_us: sf * 1e6,
             saved_us: (sf - ct) * 1e6,
         });
     }
-    t1.print();
-    println!(
+    r.table(&t1);
+    r.note(format!(
         "the saving grows with packet size: store-and-forward re-pays the wire\n\
          time at the router (plus {} processing); cut-through pays only the\n\
          leading-segment time + decision delay (§6.1).",
         dur_us(SF_PROC.as_secs_f64())
-    );
+    ));
 
     // ---- 2. hop-count sweep ---------------------------------------------
     let mut t2 = Table::new(
@@ -129,14 +107,14 @@ fn main() {
             },
         );
         t2.row(&[&hops, &dur_us(ct), &dur_us(sf), &format!("{:.2}×", sf / ct)]);
-        hop_rows.push(HopRow {
-            hops,
+        hop_rows.push(obj! {
+            hops: hops,
             cut_through_us: ct * 1e6,
             store_forward_us: sf * 1e6,
             ratio: sf / ct,
         });
     }
-    t2.print();
+    r.table(&t2);
 
     // ---- 3. M/D/1 at the output port --------------------------------------
     // Fast ingress (20× the egress) so arrivals at the output queue stay
@@ -153,42 +131,34 @@ fn main() {
     );
     let mut mdl_rows = Vec::new();
     for rho in [0.1f64, 0.3, 0.5, 0.7, 0.8, 0.9] {
-        let mut c = chain(23, 1, RATE * 20, SimDuration(1_000), SwitchMode::CutThrough);
-        // Downgrade the router's egress: rebuild last link… simpler: build
-        // a custom chain where the egress link is slower. We re-create
-        // with per-link control:
-        let mut sim = sirpent::sim::Simulator::new(37 + (rho * 100.0) as u64);
+        let mut sim = Simulator::new(37 + (rho * 100.0) as u64);
         let src = sim.add_node(Box::new(ScriptedHost::new()));
         let dst = sim.add_node(Box::new(ScriptedHost::new()));
-        let mut cfg = sirpent::router::viper::ViperConfig::basic(1, &[1, 2]);
+        let mut cfg = ViperConfig::basic(1, &[1, 2]);
         cfg.queue_capacity = 10_000;
         cfg.mode = SwitchMode::CutThrough;
-        let r = sim.add_node(Box::new(ViperRouter::new(cfg)));
-        sim.p2p(src, 0, r, 1, RATE * 20, SimDuration(1_000));
-        let (out_ch, _) = sim.p2p(r, 2, dst, 0, RATE, SimDuration(1_000));
-        c.sim = sim; // reuse variable name below
+        let router = sim.add_node(Box::new(ViperRouter::new(cfg)));
+        sim.p2p(src, 0, router, 1, RATE * 20, SimDuration(1_000));
+        let (out_ch, _) = sim.p2p(router, 2, dst, 0, RATE, SimDuration(1_000));
         let payload = 1250 - 2 - 9; // wire frame ≈ 1250 B on egress
         let service = transmission_time(1250, RATE).as_secs_f64(); // 1 ms
         let lambda = rho / service;
         // Poisson schedule for 4000 packets.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(99);
-        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(99);
         let mut at = 0f64;
         let n_pkts = 4000;
         for _ in 0..n_pkts {
             let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
             at += -u.ln() / lambda;
             let pkt = packet(1, vec![0x4D; payload], Priority::NORMAL);
-            c.sim
-                .node_mut::<ScriptedHost>(src)
+            sim.node_mut::<ScriptedHost>(src)
                 .plan(SimTime((at * 1e9) as u64), 0, frame(pkt));
         }
-        ScriptedHost::start(&mut c.sim, src);
+        ScriptedHost::start(&mut sim, src);
         let horizon = at + 0.5;
-        c.sim.run_until(SimTime((horizon * 1e9) as u64));
+        sim.run_until(SimTime((horizon * 1e9) as u64));
 
-        let router = c.sim.node::<ViperRouter>(r);
-        let fwd = &router.stats.forward_delay;
+        let fwd = &sim.node::<ViperRouter>(router).stats.forward_delay;
         // Deterministic pipeline component (no contention): segment
         // arrival on the fast ingress + decision delay.
         let det = {
@@ -197,8 +167,7 @@ fn main() {
         };
         let wait = (fwd.mean() - det).max(0.0) / service;
         let analytic = mdl::mean_wait_in_service_times(rho);
-        let rho_meas = c
-            .sim
+        let rho_meas = sim
             .channel_stats(out_ch)
             .utilization(SimDuration((horizon * 1e9) as u64));
         let queue_excl = wait * rho_meas / rho.max(1e-9) * rho; // Little: Lq = λ·Wq = ρ·(Wq/S)
@@ -209,7 +178,7 @@ fn main() {
             &format!("{analytic:.3}"),
             &format!("{queue_excl:.3}"),
         ]);
-        mdl_rows.push(MdlRow {
+        mdl_rows.push(obj! {
             rho_target: rho,
             rho_measured: rho_meas,
             wait_measured_service_times: wait,
@@ -217,25 +186,13 @@ fn main() {
             mean_queue_excl_service: queue_excl,
         });
     }
-    t3.print();
-    println!(
+    r.table(&t3);
+    r.note(
         "paper: at ρ ≤ 0.7, M/D/1 queue ≈ 1 packet or less and the mean wait is\n\
          about half a packet time at moderate load — the measured column tracks\n\
-         the Pollaczek–Khinchine curve ρ/(2(1−ρ))."
+         the Pollaczek–Khinchine curve ρ/(2(1−ρ)).",
     );
 
-    #[derive(Serialize)]
-    struct AllRows {
-        size: Vec<SizeRow>,
-        hops: Vec<HopRow>,
-        mdl: Vec<MdlRow>,
-    }
-    write_json(
-        "e2_switching",
-        &AllRows {
-            size: size_rows,
-            hops: hop_rows,
-            mdl: mdl_rows,
-        },
-    );
+    r.json = obj! { size: size_rows, hops: hop_rows, mdl: mdl_rows };
+    r
 }

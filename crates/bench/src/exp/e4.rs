@@ -14,7 +14,9 @@
 //!    faster and more reliably … than can the hop-by-hop optimization of
 //!    conventional distributed routing" (§6.3).
 
-use serde::Serialize;
+use crate::json::obj;
+use crate::topo::{frame, packet};
+use crate::{pct, Report, Table};
 use sirpent::compile::CompiledRoute;
 use sirpent::directory::{AccessSpec, HopSpec, RouteRecord, Security};
 use sirpent::host::{HostEvent, HostPortKind, SirpentHost};
@@ -25,8 +27,6 @@ use sirpent::transport::FailoverPolicy;
 use sirpent::wire::viper::Priority;
 use sirpent::wire::vmtp::EntityId;
 use sirpent::Net;
-use sirpent_bench::topo::{frame, packet};
-use sirpent_bench::{pct, write_json, Table};
 
 const FAST: u64 = 10_000_000;
 const SLOW: u64 = 1_000_000; // bottleneck
@@ -182,17 +182,124 @@ fn adaptive_source_flood(horizon_ms: u64) -> (u64, u64, u64, usize, f64) {
     )
 }
 
-#[derive(Serialize)]
-struct BufferRow {
-    queue_cap: usize,
-    control: bool,
-    utilization: f64,
-    max_queue: usize,
-    drops: u64,
-    backpressure_msgs: u64,
+/// What [`end_to_end_failover`] measured.
+pub(crate) struct EndToEndFailover {
+    /// Nanoseconds from the link failure to the client's route switch.
+    pub switch_ns: u64,
+    /// Transactions that completed.
+    pub completed: usize,
+    /// Transactions the client gave up on.
+    pub abandoned: usize,
 }
 
-fn main() {
+/// The E4c scenario: a client with two disjoint single-router routes
+/// and a one-loss failover policy issues `requests` transactions 5 ms
+/// apart; the primary route's last link dies at `fail_at` and the run
+/// ends at `horizon`.
+pub(crate) fn end_to_end_failover(
+    prop: SimDuration,
+    requests: u64,
+    fail_at: SimTime,
+    horizon: SimTime,
+) -> EndToEndFailover {
+    let mut net = Net::new(31);
+    let client = net.host(
+        0xC,
+        vec![
+            (0, HostPortKind::PointToPoint),
+            (1, HostPortKind::PointToPoint),
+        ],
+    );
+    let server = net.host(
+        0x5,
+        vec![
+            (0, HostPortKind::PointToPoint),
+            (1, HostPortKind::PointToPoint),
+        ],
+    );
+    let r1 = net.viper(ViperConfig::basic(1, &[1, 2]));
+    let r2 = net.viper(ViperConfig::basic(2, &[1, 2]));
+    net.p2p(client, 0, r1, 1, FAST, prop);
+    net.p2p(client, 1, r2, 1, FAST, prop);
+    let (dead1, dead2) = net.sim.p2p(r1, 2, server, 0, FAST, prop);
+    net.p2p(r2, 2, server, 1, FAST, prop);
+    let mut sim = net.into_sim();
+
+    let mk_route = |router: u32, host_port: u8| {
+        CompiledRoute::compile(
+            &RouteRecord {
+                access: AccessSpec {
+                    host_port,
+                    ethernet_next: None,
+                    bandwidth_bps: FAST,
+                    prop_delay: prop,
+                    mtu: 1550,
+                },
+                hops: vec![HopSpec {
+                    router_id: router,
+                    port: 2,
+                    ethernet_next: None,
+                    bandwidth_bps: FAST,
+                    prop_delay: prop,
+                    mtu: 1550,
+                    cost: 1,
+                    security: Security::Controlled,
+                }],
+                endpoint_selector: vec![],
+            },
+            &[],
+            Priority::NORMAL,
+        )
+    };
+    {
+        let c = sim.node_mut::<SirpentHost>(client);
+        c.set_failover(FailoverPolicy {
+            loss_threshold: 1,
+            ..Default::default()
+        });
+        c.install_routes(EntityId(0x5), vec![mk_route(1, 0), mk_route(2, 1)]);
+        for i in 0..requests {
+            c.queue_request(SimTime(i * 5_000_000), EntityId(0x5), vec![7; 64]);
+        }
+    }
+    sim.node_mut::<SirpentHost>(server).auto_respond = Some(vec![1; 32]);
+    SirpentHost::start(&mut sim, client);
+
+    sim.run_until(fail_at);
+    for ch in [dead1, dead2] {
+        sim.set_faults(
+            ch,
+            FaultConfig {
+                drop_prob: 1.0,
+                corrupt_prob: 0.0,
+            },
+        );
+    }
+    sim.run_until(horizon);
+
+    let c = sim.node::<SirpentHost>(client);
+    let switch = c
+        .events
+        .iter()
+        .find_map(|e| match e {
+            HostEvent::RouteSwitched { at, .. } => Some(*at),
+            _ => None,
+        })
+        .expect("the client must have switched routes");
+    EndToEndFailover {
+        switch_ns: switch.as_nanos() - fail_at.as_nanos(),
+        completed: c.rtt_samples.len(),
+        abandoned: c
+            .events
+            .iter()
+            .filter(|e| matches!(e, HostEvent::GaveUp { .. }))
+            .count(),
+    }
+}
+
+/// Run E4.
+pub fn run() -> Report {
+    let mut r = Report::default();
     // ---- 1+2: buffer sweep, control on/off -------------------------------
     let mut t = Table::new(
         "E4a — bottleneck under 5× overload, 400 ms: rate control on/off",
@@ -207,51 +314,38 @@ fn main() {
         ],
     );
     let mut rows = Vec::new();
-    // The eight configurations are independent simulations: run them on
-    // worker threads (each builds its own Simulator).
-    let configs: Vec<(usize, bool)> = [4usize, 8, 16, 32]
-        .iter()
-        .flat_map(|&cap| [(cap, false), (cap, true)])
-        .collect();
-    let results: Vec<(usize, bool, FloodResult)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = configs
-            .iter()
-            .map(|&(cap, control)| {
-                scope.spawn(move || (cap, control, flood(cap, control, false, 400)))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("no worker panicked"))
-            .collect()
-    });
-    for (cap, control, r) in results {
+    for (cap, control) in [4usize, 8, 16, 32]
+        .into_iter()
+        .flat_map(|cap| [(cap, false), (cap, true)])
+    {
+        let f = flood(cap, control, false, 400);
         t.row(&[
             &cap,
             &control,
-            &pct(r.util),
-            &r.max_queue,
-            &r.drops_bottleneck,
-            &r.drops_upstream,
-            &r.backpressure,
+            &pct(f.util),
+            &f.max_queue,
+            &f.drops_bottleneck,
+            &f.drops_upstream,
+            &f.backpressure,
         ]);
-        rows.push(BufferRow {
+        rows.push(obj! {
             queue_cap: cap,
-            control,
-            utilization: r.util,
-            max_queue: r.max_queue,
-            drops: r.drops_bottleneck + r.drops_upstream,
-            backpressure_msgs: r.backpressure,
+            control: control,
+            utilization: f.util,
+            max_queue: f.max_queue,
+            drops: f.drops_bottleneck + f.drops_upstream,
+            backpressure_msgs: f.backpressure,
         });
-        if control {
-            assert!(r.limits_seen, "upstream limit must be installed");
-        }
+        r.gate(
+            !control || f.limits_seen,
+            format!("queue cap {cap}: no upstream limit was installed"),
+        );
     }
-    t.print();
-    println!(
+    r.table(&t);
+    r.note(
         "with control the *bottleneck* queue stays at the high-water mark and\n\
          its losses move upstream toward the source, hop by hop; with a dumb\n\
-         unreactive source the upstream router inherits them (§2.2's cascade).\n"
+         unreactive source the upstream router inherits them (§2.2's cascade).\n",
     );
 
     // The full cascade: a rate-adaptive Sirpent host as the source.
@@ -267,10 +361,10 @@ fn main() {
         ],
     );
     ta.row(&[&b_drops, &u_drops, &bp_rx, &final_rate_kbps, &pct(util)]);
-    ta.print();
-    println!(
+    r.table(&ta);
+    r.note(
         "the source's pacer was squeezed to ≈ the bottleneck rate — \"the rate\n\
-         control mechanism prevents there being a sustained mismatch\" (§2.2).\n"
+         control mechanism prevents there being a sustained mismatch\" (§2.2).\n",
     );
 
     // ---- 3: feed-forward ablation -----------------------------------------
@@ -292,132 +386,26 @@ fn main() {
         &with_ff.max_queue,
         &(with_ff.drops_bottleneck + with_ff.drops_upstream),
     ]);
-    t3.print();
+    r.table(&t3);
 
     // ---- 4: failover time after link failure ------------------------------
-    let mut net = Net::new(31);
-    let client = net.host(
-        0xC,
-        vec![
-            (0, HostPortKind::PointToPoint),
-            (1, HostPortKind::PointToPoint),
-        ],
-    );
-    let server = net.host(
-        0x5,
-        vec![
-            (0, HostPortKind::PointToPoint),
-            (1, HostPortKind::PointToPoint),
-        ],
-    );
-    let r1 = net.viper(ViperConfig::basic(1, &[1, 2]));
-    let r2 = net.viper(ViperConfig::basic(2, &[1, 2]));
-    net.p2p(client, 0, r1, 1, FAST, PROP);
-    net.p2p(client, 1, r2, 1, FAST, PROP);
-    let (dead1, dead2) = net.sim.p2p(r1, 2, server, 0, FAST, PROP);
-    net.p2p(r2, 2, server, 1, FAST, PROP);
-    let mut sim = net.into_sim();
-
-    let mk_route = |router: u32, host_port: u8| {
-        CompiledRoute::compile(
-            &RouteRecord {
-                access: AccessSpec {
-                    host_port,
-                    ethernet_next: None,
-                    bandwidth_bps: FAST,
-                    prop_delay: PROP,
-                    mtu: 1550,
-                },
-                hops: vec![HopSpec {
-                    router_id: router,
-                    port: 2,
-                    ethernet_next: None,
-                    bandwidth_bps: FAST,
-                    prop_delay: PROP,
-                    mtu: 1550,
-                    cost: 1,
-                    security: Security::Controlled,
-                }],
-                endpoint_selector: vec![],
-            },
-            &[],
-            Priority::NORMAL,
-        )
-    };
-    {
-        let c = sim.node_mut::<SirpentHost>(client);
-        c.set_failover(FailoverPolicy {
-            loss_threshold: 1,
-            ..Default::default()
-        });
-        c.install_routes(EntityId(0x5), vec![mk_route(1, 0), mk_route(2, 1)]);
-        for i in 0..200u64 {
-            c.queue_request(SimTime(i * 5_000_000), EntityId(0x5), vec![7; 64]);
-        }
-    }
-    sim.node_mut::<SirpentHost>(server).auto_respond = Some(vec![1; 32]);
-    SirpentHost::start(&mut sim, client);
-
-    let fail_at = SimTime(500_000_000);
-    sim.run_until(fail_at);
-    sim.set_faults(
-        dead1,
-        FaultConfig {
-            drop_prob: 1.0,
-            corrupt_prob: 0.0,
-        },
-    );
-    sim.set_faults(
-        dead2,
-        FaultConfig {
-            drop_prob: 1.0,
-            corrupt_prob: 0.0,
-        },
-    );
-    sim.run_until(SimTime(2_000_000_000));
-
-    let c = sim.node::<SirpentHost>(client);
-    let switch = c.events.iter().find_map(|e| match e {
-        HostEvent::RouteSwitched { at, .. } => Some(*at),
-        _ => None,
-    });
-    let gave_up = c
-        .events
-        .iter()
-        .filter(|e| matches!(e, HostEvent::GaveUp { .. }))
-        .count();
+    let e2e = end_to_end_failover(PROP, 200, SimTime(500_000_000), SimTime(2_000_000_000));
     let mut t4 = Table::new(
         "E4c — end-to-end failover after link failure at t = 500 ms",
         &["quantity", "value"],
     );
-    let switch_ms = switch
-        .map(|s| (s.as_nanos() as f64 - fail_at.as_nanos() as f64) / 1e6)
-        .unwrap_or(f64::NAN);
+    let switch_ms = e2e.switch_ns as f64 / 1e6;
     t4.row(&[&"detection + switch time", &format!("{switch_ms:.2} ms")]);
-    t4.row(&[
-        &"transactions completed",
-        &format!("{}/200", c.rtt_samples.len()),
-    ]);
-    t4.row(&[&"transactions abandoned", &gave_up]);
-    t4.print();
-    println!(
+    t4.row(&[&"transactions completed", &format!("{}/200", e2e.completed)]);
+    t4.row(&[&"transactions abandoned", &e2e.abandoned]);
+    r.table(&t4);
+    r.note(format!(
         "the client needs only its own timeout (≈2× measured RTT) to detect the\n\
          failure and switch — no routing-protocol reconvergence is involved\n\
          (§6.3: link-state/distance-vector updates propagate in seconds-to-\n\
          minutes in this era; the end-to-end switch took {switch_ms:.2} ms)."
-    );
-    assert!(switch.is_some(), "failover must have happened");
+    ));
 
-    #[derive(Serialize)]
-    struct All {
-        buffer_sweep: Vec<BufferRow>,
-        failover_ms: f64,
-    }
-    write_json(
-        "e4_congestion",
-        &All {
-            buffer_sweep: rows,
-            failover_ms: switch_ms,
-        },
-    );
+    r.json = obj! { buffer_sweep: rows, failover_ms: switch_ms };
+    r
 }

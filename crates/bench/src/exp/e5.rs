@@ -10,7 +10,9 @@
 //! vs full decrypt+verify) is measured by the benchmark, not here:
 //! `token.check_hit_ns` / `token.check_miss_ns` on `mesh_tokens`.
 
-use serde::Serialize;
+use crate::json::obj;
+use crate::topo::frame;
+use crate::{dur_us, Report, Table};
 use sirpent::router::link::LinkFrame;
 use sirpent::router::scripted::ScriptedHost;
 use sirpent::router::viper::{AuthConfig, ViperConfig, ViperRouter};
@@ -18,7 +20,6 @@ use sirpent::sim::{SimDuration, SimTime, Simulator};
 use sirpent::token::{AttackResponse, AuthPolicy, Grant, TokenCache, TokenMinter};
 use sirpent::wire::packet::PacketBuilder;
 use sirpent::wire::viper::{Priority, SegmentRepr, PORT_LOCAL};
-use sirpent_bench::{dur_us, write_json, Table};
 
 const RATE: u64 = 10_000_000;
 const PROP: SimDuration = SimDuration(5_000);
@@ -72,24 +73,8 @@ fn first_second_latency(policy: AuthPolicy) -> (Option<f64>, Option<f64>) {
     let gap = SimTime(5_000_000);
     {
         let h = sim.node_mut::<ScriptedHost>(src);
-        h.plan(
-            SimTime::ZERO,
-            0,
-            LinkFrame::Sirpent {
-                ff_hint: 0,
-                packet: pkt(1).into(),
-            }
-            .into_p2p_frame(),
-        );
-        h.plan(
-            gap,
-            0,
-            LinkFrame::Sirpent {
-                ff_hint: 0,
-                packet: pkt(2).into(),
-            }
-            .into_p2p_frame(),
-        );
+        h.plan(SimTime::ZERO, 0, frame(pkt(1)));
+        h.plan(gap, 0, frame(pkt(2)));
     }
     ScriptedHost::start(&mut sim, src);
     sim.run_until(SimTime(50_000_000));
@@ -111,14 +96,9 @@ fn first_second_latency(policy: AuthPolicy) -> (Option<f64>, Option<f64>) {
     )
 }
 
-#[derive(Serialize)]
-struct PolicyRow {
-    policy: String,
-    first_packet_us: Option<f64>,
-    second_packet_us: Option<f64>,
-}
-
-fn main() {
+/// Run E5.
+pub fn run() -> Report {
+    let mut r = Report::default();
     let mut minter = TokenMinter::new(0xE5, 2);
 
     // ---- first-packet latency per policy ----------------------------------
@@ -138,18 +118,18 @@ fn main() {
             &p1.map(dur_us).unwrap_or_else(|| "dropped".into()),
             &p2.map(dur_us).unwrap_or_else(|| "dropped".into()),
         ]);
-        rows.push(PolicyRow {
-            policy: name.to_string(),
+        rows.push(obj! {
+            policy: name,
             first_packet_us: p1.map(|x| x * 1e6),
             second_packet_us: p2.map(|x| x * 1e6),
         });
     }
-    t2.print();
-    println!(
+    r.table(&t2);
+    r.note(
         "optimistic: both packets ride the fast path (§2.2: \"deferring\n\
          enforcement … to subsequent packets\"); blocking: packet 1 pays the\n\
          200 µs verification; drop: packet 1 is lost (retransmission would\n\
-         find the cache warm), packet 2 rides the cache."
+         find the cache warm), packet 2 rides the cache.",
     );
 
     // ---- invalid-token flood ----------------------------------------------
@@ -158,8 +138,8 @@ fn main() {
         threshold: 10,
         window_s: 5,
     });
-    let mut passed = 0;
-    let mut held = 0;
+    let mut passed = 0u32;
+    let mut held = 0u32;
     for i in 0..50u32 {
         let forged = vec![(i % 251) as u8; 32];
         let o = cache.check(&forged, 2, None, Priority::NORMAL, 100, 1);
@@ -175,12 +155,15 @@ fn main() {
     );
     t3.row(&[&"passed optimistically (before escalation)", &passed]);
     t3.row(&[&"held for blocking verification (after)", &held]);
-    t3.print();
-    println!(
+    r.table(&t3);
+    r.note(format!(
         "after {passed} forged tokens the router \"switch[ed] to blocking\n\
          authentication when excessive invalid tokens are received\" (§2.2 fn 7)."
+    ));
+    r.gate(
+        passed <= 10 && held >= 40,
+        format!("flood: {passed} forged tokens passed and only {held} were held"),
     );
-    assert!(passed <= 10 && held >= 40);
 
     // ---- accounting --------------------------------------------------------
     let mut cache = TokenCache::new(minter.router_key(1), 1, AuthPolicy::Optimistic);
@@ -210,20 +193,8 @@ fn main() {
         let u = cache.accounting().usage(acct);
         t4.row(&[&acct, &u.packets, &u.bytes]);
     }
-    t4.print();
+    r.table(&t4);
 
-    #[derive(Serialize)]
-    struct All {
-        policies: Vec<PolicyRow>,
-        flood_passed: u32,
-        flood_held: u32,
-    }
-    write_json(
-        "e5_tokens",
-        &All {
-            policies: rows,
-            flood_passed: passed,
-            flood_held: held,
-        },
-    );
+    r.json = obj! { policies: rows, flood_passed: passed, flood_held: held };
+    r
 }

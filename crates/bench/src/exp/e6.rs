@@ -12,15 +12,15 @@
 //!    explicit source route "need not cost more than the size in bits of
 //!    the route divided by the data rate".
 
-use serde::Serialize;
-use sirpent::router::link::LinkFrame;
+use crate::json::obj;
+use crate::topo::frame;
+use crate::{dur_us, pct, Report, Table};
 use sirpent::router::logical::{PortBinding, TrunkStrategy};
 use sirpent::router::scripted::ScriptedHost;
 use sirpent::router::viper::{ViperConfig, ViperRouter};
 use sirpent::sim::{transmission_time, SimDuration, SimTime, Simulator};
 use sirpent::wire::packet::PacketBuilder;
 use sirpent::wire::viper::{Priority, SegmentRepr, PORT_LOCAL};
-use sirpent_bench::{dur_us, pct, write_json, Table};
 
 const CH_RATE: u64 = 100_000_000; // "1 G" scaled to 100 Mb/s channels
 const N_CH: usize = 10;
@@ -67,15 +67,8 @@ fn trunk_run(n: usize, size: usize, logical: bool, gap_ns: u64) -> (f64, Vec<usi
             .payload(vec![0x6C; size])
             .build()
             .unwrap();
-        sim.node_mut::<ScriptedHost>(src).plan(
-            SimTime(i as u64 * gap_ns),
-            0,
-            LinkFrame::Sirpent {
-                ff_hint: 0,
-                packet: pkt.into(),
-            }
-            .into_p2p_frame(),
-        );
+        sim.node_mut::<ScriptedHost>(src)
+            .plan(SimTime(i as u64 * gap_ns), 0, frame(pkt));
     }
     ScriptedHost::start(&mut sim, src);
     sim.run_until(SimTime(4_000_000_000));
@@ -90,15 +83,9 @@ fn trunk_run(n: usize, size: usize, logical: bool, gap_ns: u64) -> (f64, Vec<usi
     (router.stats.forward_delay.mean(), per_ch)
 }
 
-#[derive(Serialize)]
-struct TrunkRow {
-    offered_fraction: f64,
-    logical_delay_us: f64,
-    static_delay_us: f64,
-    spread: String,
-}
-
-fn main() {
+/// Run E6.
+pub fn run() -> Report {
+    let mut r = Report::default();
     // ---- 1: trunk vs static pin ------------------------------------------
     let size = 1250usize; // 100 µs on one 100 Mb/s channel
     let mut t = Table::new(
@@ -129,20 +116,20 @@ fn main() {
                 per_ch.iter().max().unwrap()
             ),
         ]);
-        rows.push(TrunkRow {
+        rows.push(obj! {
             offered_fraction: frac,
             logical_delay_us: d_log * 1e6,
             static_delay_us: d_stat * 1e6,
             spread: format!("{per_ch:?}"),
         });
     }
-    t.print();
-    println!(
+    r.table(&t);
+    r.note(
         "the logical trunk spreads arrivals over idle members, keeping delay\n\
          near the unloaded decision time; the static binding queues as soon as\n\
          offered load exceeds one member's capacity (10% of the trunk) —\n\
          \"exploiting high capacity physical links without forcing the higher\n\
-         speeds on the rest of the internetwork\" (§2.2)."
+         speeds on the rest of the internetwork\" (§2.2).",
     );
 
     // ---- 2: logical-hop expansion cost -------------------------------------
@@ -170,9 +157,9 @@ fn main() {
                 ]),
             );
         }
-        let r = sim.add_node(Box::new(ViperRouter::new(cfg)));
-        sim.p2p(src, 0, r, 1, CH_RATE, PROP);
-        sim.p2p(r, 2, dst, 0, CH_RATE, PROP);
+        let router = sim.add_node(Box::new(ViperRouter::new(cfg)));
+        sim.p2p(src, 0, router, 1, CH_RATE, PROP);
+        sim.p2p(router, 2, dst, 0, CH_RATE, PROP);
         let port = if splice { 150 } else { 2 };
         let pkt = PacketBuilder::new()
             .segment(SegmentRepr::minimal(port))
@@ -180,15 +167,8 @@ fn main() {
             .payload(vec![9; 500])
             .build()
             .unwrap();
-        sim.node_mut::<ScriptedHost>(src).plan(
-            SimTime::ZERO,
-            0,
-            LinkFrame::Sirpent {
-                ff_hint: 0,
-                packet: pkt.into(),
-            }
-            .into_p2p_frame(),
-        );
+        sim.node_mut::<ScriptedHost>(src)
+            .plan(SimTime::ZERO, 0, frame(pkt));
         ScriptedHost::start(&mut sim, src);
         sim.run(10_000);
         let rx = &sim.node::<ScriptedHost>(dst).received;
@@ -203,12 +183,13 @@ fn main() {
         &dur_us(transmission_time(route_bytes, CH_RATE).as_secs_f64()),
         &dur_us(spliced - direct),
     ]);
-    t2.print();
-    println!(
+    r.table(&t2);
+    r.note(
         "the splice re-enters the switching pipeline once; the extra delay is\n\
          on the order of the spliced header's wire time plus one decision —\n\
-         consistent with the paper's bound."
+         consistent with the paper's bound.",
     );
 
-    write_json("e6_logical", &rows);
+    r.json = rows.into();
+    r
 }

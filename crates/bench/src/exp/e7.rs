@@ -12,15 +12,15 @@
 //!   demonstrated by routing through routers with colliding port
 //!   numbers and no global identifiers at all.
 
-use serde::Serialize;
+use crate::json::obj;
+use crate::topo::{chain, frame, packet};
+use crate::{Report, Table};
 use sirpent::router::ip::{IpConfig, IpPortConfig, IpRouter, RouteEntry};
 use sirpent::router::scripted::ScriptedHost;
 use sirpent::router::viper::{PortKind, SwitchMode, ViperRouter};
 use sirpent::sim::{SimDuration, SimTime};
 use sirpent::wire::ipish::Address;
 use sirpent::wire::viper::Priority;
-use sirpent_bench::topo::{chain, frame, packet};
-use sirpent_bench::{write_json, Table};
 
 /// Estimated state bytes for a Sirpent router with `ports` ports:
 /// per-port queue bookkeeping only (delay-bandwidth buffering is
@@ -30,15 +30,9 @@ fn sirpent_state_bytes(ports: usize) -> usize {
     ports * 44
 }
 
-#[derive(Serialize)]
-struct StateRow {
-    networks: usize,
-    sirpent_bytes: usize,
-    ip_bytes: usize,
-    ratio: f64,
-}
-
-fn main() {
+/// Run E7.
+pub fn run() -> Report {
+    let mut r = Report::default();
     // ---- state growth -------------------------------------------------------
     let mut t = Table::new(
         "E7a — per-router state vs internetwork size (router with 8 ports)",
@@ -61,7 +55,7 @@ fn main() {
                 next_hop_mac: None,
             })
             .collect();
-        let r = IpRouter::new(IpConfig {
+        let ip = IpRouter::new(IpConfig {
             process_delay: SimDuration::ZERO,
             ports: (1..=8)
                 .map(|p| IpPortConfig {
@@ -73,21 +67,21 @@ fn main() {
             routes,
             queue_capacity: 64,
         })
-        .expect("bench ip config");
-        let ip = r.state_bytes();
+        .expect("bench ip config")
+        .state_bytes();
         t.row(&[&n, &s, &ip, &format!("{:.0}×", ip as f64 / s as f64)]);
-        rows.push(StateRow {
+        rows.push(obj! {
             networks: n,
             sirpent_bytes: s,
             ip_bytes: ip,
             ratio: ip as f64 / s as f64,
         });
     }
-    t.print();
-    println!(
+    r.table(&t);
+    r.note(
         "Sirpent state is O(ports): the route lives in the packet. The IP\n\
          router's table grows with every reachable prefix — \"the cost of a\n\
-         Sirpent router need not increase as the internetwork scales\" (§2.3)."
+         Sirpent router need not increase as the internetwork scales\" (§2.3).",
     );
 
     // ---- addressing capacity -------------------------------------------------
@@ -104,12 +98,12 @@ fn main() {
         };
         t2.row(&[&k, &bytes, &endpoints]);
     }
-    t2.print();
-    println!(
+    r.table(&t2);
+    r.note(
         "\"using VIPER and a maximum of 48 header segments … one can address up\n\
          to 2^384 endpoints, far exceeding the total required for the future\n\
          global internetwork. Moreover, there is no need to coordinate the\n\
-         assignment of addresses\" (§2.3)."
+         assignment of addresses\" (§2.3).",
     );
 
     // ---- no global identifiers: a long chain with colliding port numbers ----
@@ -133,19 +127,23 @@ fn main() {
     let per_router_state: Vec<usize> = c
         .routers
         .iter()
-        .map(|&r| {
-            let router = c.sim.node::<ViperRouter>(r);
+        .map(|&id| {
+            let router = c.sim.node::<ViperRouter>(id);
             let _ = router; // routers hold no route state at all
             sirpent_state_bytes(2)
         })
         .collect();
-    println!(
+    r.note(format!(
         "\nE7c — {hops}-router chain, all routers use identical port numbers\n\
          (1=up, 2=down), zero routing tables: delivered = {delivered} packet(s);\n\
          per-router state {} B each, independent of chain length.",
         per_router_state[0]
+    ));
+    r.gate(
+        delivered == 1,
+        format!("E7c chain delivered {delivered} packets"),
     );
-    assert_eq!(delivered, 1);
 
-    write_json("e7_scale", &rows);
+    r.json = rows.into();
+    r
 }

@@ -10,22 +10,16 @@
 //!   receiver clocks disagree within the sync bound, across the 32-bit
 //!   millisecond wraparound.
 
-use serde::Serialize;
+use crate::json::obj;
+use crate::{Report, Table};
 use sirpent::transport::{HostClock, LifetimeFilter, LifetimeReject};
-use sirpent::wire::ipish;
-use sirpent_bench::{write_json, Table};
 
 const MPL_MS: u32 = 30_000; // 30 s maximum packet lifetime
 const SKEW_MS: u32 = 5_000;
 
-#[derive(Serialize)]
-struct DelayRow {
-    delay_ms: u64,
-    timestamp_verdict: String,
-    ttl_verdict: String,
-}
-
-fn main() {
+/// Run E8.
+pub fn run() -> Report {
+    let mut r = Report::default();
     // ---- delayed-delivery sweep --------------------------------------------
     let filter = LifetimeFilter::steady(MPL_MS, SKEW_MS);
     let sender = HostClock::perfect(1_000_000);
@@ -61,44 +55,18 @@ fn main() {
             "dropped".to_string()
         };
         t.row(&[&format!("{delay_ms} ms"), &verdict, &ttl_verdict]);
-        rows.push(DelayRow {
-            delay_ms,
+        rows.push(obj! {
+            delay_ms: delay_ms,
             timestamp_verdict: verdict,
-            ttl_verdict,
+            ttl_verdict: ttl_verdict,
         });
     }
-    t.print();
-    println!(
+    r.table(&t);
+    r.note(
         "TTL accepts a 10-minute-old packet as happily as a fresh one — it\n\
          bounds hops, not lifetime; \"correct implementation … requires that\n\
          the TTL is updated by every router\", making transport correctness\n\
-         depend on the network (§4.2). The timestamp needs no router work."
-    );
-
-    // Router-side cost: IP must rewrite the header checksum per hop.
-    let mut dg = ipish::Repr {
-        tos: 0,
-        total_len: 20,
-        ident: 1,
-        dont_frag: false,
-        more_frags: false,
-        frag_offset: 0,
-        ttl: 32,
-        protocol: 6,
-        src: ipish::Address::new(10, 0, 0, 1),
-        dst: ipish::Address::new(10, 0, 0, 2),
-    }
-    .to_bytes();
-    let iters = 1_000_000;
-    let t0 = std::time::Instant::now();
-    for _ in 0..iters {
-        ipish::decrement_ttl(&mut dg).unwrap();
-        dg[8] = 32; // reset
-    }
-    let ns = t0.elapsed().as_secs_f64() / iters as f64 * 1e9;
-    println!(
-        "\nper-hop TTL + checksum rewrite cost (IP, this machine): {ns:.0} ns —\n\
-         Sirpent routers spend exactly 0 on lifetime."
+         depend on the network (§4.2). The timestamp needs no router work.",
     );
 
     // ---- clock skew and wraparound -------------------------------------------
@@ -106,36 +74,28 @@ fn main() {
         "E8b — acceptance under clock skew (fresh packet, MPL 30 s, residual 5 s)",
         &["receiver offset", "verdict"],
     );
-    #[derive(Serialize)]
-    struct SkewRow {
-        offset_ms: i64,
-        accepted: bool,
-    }
     let mut skew_rows = Vec::new();
     for offset in [-30_000i64, -6_000, -4_000, 0, 4_000, 6_000, 30_000] {
-        let r = HostClock {
+        let skewed = HostClock {
             offset_ms: offset,
             ..HostClock::perfect(1_000_000)
         };
         let sent = sirpent::sim::SimTime(100_000_000_000);
         let stamp = sender.now_ms(sent);
-        let now = r.now_ms(sirpent::sim::SimTime(sent.as_nanos() + 1_000_000)); // 1 ms later
+        let now = skewed.now_ms(sirpent::sim::SimTime(sent.as_nanos() + 1_000_000)); // 1 ms later
         let ok = filter.accept(now, stamp).is_ok();
         t2.row(&[
             &format!("{offset} ms"),
             &(if ok { "accepted" } else { "discarded" }),
         ]);
-        skew_rows.push(SkewRow {
-            offset_ms: offset,
-            accepted: ok,
-        });
+        skew_rows.push(obj! { offset_ms: offset, accepted: ok });
     }
-    t2.print();
-    println!(
+    r.table(&t2);
+    r.note(
         "a receiver running fast treats fresh packets as old once its error\n\
          exceeds the MPL slack; running slow, the from-the-future guard\n\
          (bounded by the 5 s sync residual) rejects — \"clock synchronization\n\
-         need not be more accurate than multiple seconds\" (§4.2)."
+         need not be more accurate than multiple seconds\" (§4.2).",
     );
 
     // ---- wraparound ------------------------------------------------------------
@@ -148,29 +108,22 @@ fn main() {
     let arrival = sirpent::sim::SimTime(5_000 * 1_000_000); // 5 s later
     let now = wrap_receiver.now_ms(arrival);
     let ok = filter.accept(now, stamp).is_ok();
-    println!(
+    r.note(format!(
         "\nE8c — wraparound: stamp {stamp} (pre-wrap), receiver clock {now}\n\
          (post-wrap): {} — the modulo-2³² comparison of §4.2 handles the\n\
          ~49.7-day wrap (\"roughly one month\").",
         if ok { "accepted" } else { "DISCARDED (BUG)" }
-    );
-    assert!(ok);
+    ));
+    r.gate(ok, "a fresh stamp was discarded across the 2^32 ms wrap");
 
     // Maliciously old stamp across the wrap still rejected.
     let old_stamp = stamp.wrapping_sub(40_000);
-    assert!(filter.accept(now, old_stamp).is_err());
-    println!("a 45 s-old cross-wrap stamp is still rejected.");
-
-    #[derive(Serialize)]
-    struct All {
-        delays: Vec<DelayRow>,
-        skews: Vec<SkewRow>,
+    let rejected = filter.accept(now, old_stamp).is_err();
+    r.gate(rejected, "a 45 s-old cross-wrap stamp was accepted");
+    if rejected {
+        r.note("a 45 s-old cross-wrap stamp is still rejected.");
     }
-    write_json(
-        "e8_lifetime",
-        &All {
-            delays: rows,
-            skews: skew_rows,
-        },
-    );
+
+    r.json = obj! { delays: rows, skews: skew_rows };
+    r
 }

@@ -10,15 +10,15 @@
 //! as periodic bursts of packets on a gigabit channel, using less than
 //! 1 percent of the bandwidth."
 
-use serde::Serialize;
+use crate::json::obj;
+use crate::topo::{chain, frame, packet, Chain};
+use crate::{pct, Report, Table};
 use sirpent::router::link::LinkFrame;
 use sirpent::router::scripted::ScriptedHost;
 use sirpent::router::viper::SwitchMode;
 use sirpent::sim::stats::Summary;
 use sirpent::sim::{SimDuration, SimTime};
 use sirpent::wire::viper::Priority;
-use sirpent_bench::topo::{chain, frame, packet};
-use sirpent_bench::{pct, write_json, Table};
 
 const RATE: u64 = 100_000_000; // 100 Mb/s links
 const PROP: SimDuration = SimDuration(2_000);
@@ -49,7 +49,7 @@ fn gap_deviation(hops: usize, mode: SwitchMode) -> Summary {
     dev
 }
 
-fn sim_arrivals(c: &sirpent_bench::topo::Chain) -> Vec<SimTime> {
+fn sim_arrivals(c: &Chain) -> Vec<SimTime> {
     c.sim
         .node::<ScriptedHost>(c.dst)
         .received
@@ -59,15 +59,9 @@ fn sim_arrivals(c: &sirpent_bench::topo::Chain) -> Vec<SimTime> {
         .collect()
 }
 
-#[derive(Serialize)]
-struct GapRow {
-    hops: usize,
-    mode: String,
-    mean_dev_us: f64,
-    max_dev_us: f64,
-}
-
-fn main() {
+/// Run E9.
+pub fn run() -> Report {
+    let mut r = Report::default();
     let mut t = Table::new(
         "E9a — receiver gap deviation from the sender's 1 ms pace (idle links)",
         &["hops", "mode", "mean |Δgap|", "max |Δgap|"],
@@ -90,20 +84,20 @@ fn main() {
                 &format!("{:.3} µs", dev.mean()),
                 &format!("{:.3} µs", dev.max()),
             ]);
-            rows.push(GapRow {
-                hops,
-                mode: name.into(),
+            rows.push(obj! {
+                hops: hops,
+                mode: name,
                 mean_dev_us: dev.mean(),
                 max_dev_us: dev.max(),
             });
         }
     }
-    t.print();
-    println!(
+    r.table(&t);
+    r.note(
         "on idle links both disciplines preserve gaps (deterministic shifts\n\
          cancel in differences); the distinction §2.1 makes is that blocking\n\
          perturbs a gap only when contention occurs — see E2c for the loaded\n\
-         case, where the store-and-forward queue adds per-packet variance."
+         case, where the store-and-forward queue adds per-packet variance.",
     );
 
     // Contended variant: a cross-traffic packet collides with one stream
@@ -112,11 +106,6 @@ fn main() {
         "E9b — one 1500 B cross-packet injected mid-stream (per-mode disturbance)",
         &["mode", "gaps off by >10 µs"],
     );
-    #[derive(Serialize)]
-    struct DisturbRow {
-        mode: String,
-        disturbed: usize,
-    }
     let mut drows = Vec::new();
     for (name, mode) in [
         ("cut-through", SwitchMode::CutThrough),
@@ -167,40 +156,27 @@ fn main() {
             })
             .count();
         t2.row(&[&name, &disturbed]);
-        drows.push(DisturbRow {
-            mode: name.into(),
-            disturbed,
-        });
+        drows.push(obj! { mode: name, disturbed: disturbed });
     }
-    t2.print();
-    println!(
+    r.table(&t2);
+    r.note(
         "\"when a packet blocks, the gap is increased unless several packets\n\
          going to the same source are similarly delayed\" (§2.1) — a single\n\
          collision disturbs a bounded number of gaps, then the sender's pace\n\
-         reasserts itself."
+         reasserts itself.",
     );
 
     // §1's burstiness arithmetic.
     let stream_bps = 8_000_000f64;
     let channel = 1_000_000_000f64;
-    println!(
+    r.note(format!(
         "\nE9c — §1 arithmetic: an 8 Mb/s stream of 1 KB packets on a 1 Gb/s\n\
          channel occupies {} of the channel ({} packets/s, each 8.2 µs of\n\
          wire time every millisecond).",
         pct(stream_bps / channel),
         stream_bps as u64 / 8192
-    );
+    ));
 
-    #[derive(Serialize)]
-    struct All {
-        idle: Vec<GapRow>,
-        disturbed: Vec<DisturbRow>,
-    }
-    write_json(
-        "e9_gaps",
-        &All {
-            idle: rows,
-            disturbed: drows,
-        },
-    );
+    r.json = obj! { idle: rows, disturbed: drows };
+    r
 }

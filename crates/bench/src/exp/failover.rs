@@ -14,27 +14,20 @@
 //!    every packet routed while the link is down — the service
 //!    interruption is the full outage window.
 //! 3. **End-to-end baseline (E4c)**: the transport-layer failover from
-//!    exp_e4 — the client detects by timeout and switches to a disjoint
+//!    E4, run by the same function — the client detects by timeout and switches to a disjoint
 //!    route. Fast (~0.15 ms), but it costs a timeout round trip and the
 //!    in-flight transaction; the in-network divert costs neither.
 
-use serde::Serialize;
-use sirpent::compile::CompiledRoute;
-use sirpent::directory::{AccessSpec, HopSpec, RouteRecord, Security};
-use sirpent::host::{HostEvent, HostPortKind, SirpentHost};
+use super::e4::end_to_end_failover;
+use crate::json::obj;
+use crate::topo::frame;
+use crate::{Report, Table};
 use sirpent::router::link::LinkFrame;
 use sirpent::router::scripted::ScriptedHost;
-use sirpent::router::viper::{ViperConfig, ViperRouter};
-use sirpent::sim::{
-    ChaosAction, ChaosEvent, FaultConfig, FaultSchedule, SimDuration, SimTime, Simulator,
-};
-use sirpent::transport::FailoverPolicy;
+use sirpent::router::viper::{DropReason, ViperConfig, ViperRouter};
+use sirpent::sim::{ChaosAction, ChaosEvent, FaultSchedule, SimDuration, SimTime, Simulator};
 use sirpent::wire::packet::{PacketBuilder, PacketView};
-use sirpent::wire::viper::{AltBranch, Priority, SegmentRepr, PORT_LOCAL};
-use sirpent::wire::vmtp::EntityId;
-use sirpent::Net;
-use sirpent_bench::topo::frame;
-use sirpent_bench::{write_json, Table};
+use sirpent::wire::viper::{AltBranch, SegmentRepr, PORT_LOCAL};
 
 const RATE: u64 = 10_000_000;
 const PROP: SimDuration = SimDuration(2_000); // 2 µs
@@ -164,112 +157,8 @@ fn stream(armed: bool) -> StreamResult {
         delivered,
         max_gap_s,
         diversions: s1.failover.diversions,
-        next_hop_down_drops: s1
-            .drops
-            .get(sirpent::router::viper::DropReason::NextHopDown),
+        next_hop_down_drops: s1.drops.get(DropReason::NextHopDown),
     }
-}
-
-/// The E4c end-to-end baseline, reduced: a client with two disjoint
-/// single-router routes and a one-loss failover policy; the primary
-/// route's last link dies mid-run. Returns (detect+switch seconds,
-/// completed, abandoned).
-fn end_to_end_baseline() -> (f64, usize, usize) {
-    let mut net = Net::new(31);
-    let client = net.host(
-        0xC,
-        vec![
-            (0, HostPortKind::PointToPoint),
-            (1, HostPortKind::PointToPoint),
-        ],
-    );
-    let server = net.host(
-        0x5,
-        vec![
-            (0, HostPortKind::PointToPoint),
-            (1, HostPortKind::PointToPoint),
-        ],
-    );
-    let r1 = net.viper(ViperConfig::basic(1, &[1, 2]));
-    let r2 = net.viper(ViperConfig::basic(2, &[1, 2]));
-    net.p2p(client, 0, r1, 1, RATE, PROP);
-    net.p2p(client, 1, r2, 1, RATE, PROP);
-    let (dead1, dead2) = net.sim.p2p(r1, 2, server, 0, RATE, PROP);
-    net.p2p(r2, 2, server, 1, RATE, PROP);
-    let mut sim = net.into_sim();
-
-    let mk_route = |router: u32, host_port: u8| {
-        CompiledRoute::compile(
-            &RouteRecord {
-                access: AccessSpec {
-                    host_port,
-                    ethernet_next: None,
-                    bandwidth_bps: RATE,
-                    prop_delay: PROP,
-                    mtu: 1550,
-                },
-                hops: vec![HopSpec {
-                    router_id: router,
-                    port: 2,
-                    ethernet_next: None,
-                    bandwidth_bps: RATE,
-                    prop_delay: PROP,
-                    mtu: 1550,
-                    cost: 1,
-                    security: Security::Controlled,
-                }],
-                endpoint_selector: vec![],
-            },
-            &[],
-            Priority::NORMAL,
-        )
-    };
-    {
-        let c = sim.node_mut::<SirpentHost>(client);
-        c.set_failover(FailoverPolicy {
-            loss_threshold: 1,
-            ..Default::default()
-        });
-        c.install_routes(EntityId(0x5), vec![mk_route(1, 0), mk_route(2, 1)]);
-        for i in 0..100u64 {
-            c.queue_request(SimTime(i * 5_000_000), EntityId(0x5), vec![7; 64]);
-        }
-    }
-    sim.node_mut::<SirpentHost>(server).auto_respond = Some(vec![1; 32]);
-    SirpentHost::start(&mut sim, client);
-
-    let fail_at = SimTime(100_000_000);
-    sim.run_until(fail_at);
-    for ch in [dead1, dead2] {
-        sim.set_faults(
-            ch,
-            FaultConfig {
-                drop_prob: 1.0,
-                corrupt_prob: 0.0,
-            },
-        );
-    }
-    sim.run_until(SimTime(1_500_000_000));
-
-    let c = sim.node::<SirpentHost>(client);
-    let switch = c
-        .events
-        .iter()
-        .find_map(|e| match e {
-            HostEvent::RouteSwitched { at, .. } => Some(*at),
-            _ => None,
-        })
-        .expect("the client must have switched routes");
-    let abandoned = c
-        .events
-        .iter()
-        .filter(|e| matches!(e, HostEvent::GaveUp { .. }))
-        .count();
-    (
-        (switch.as_nanos() - fail_at.as_nanos()) as f64 / 1e9,
-        c.rtt_samples.len(),
-        abandoned,
-    )
 }
 
 fn mean(xs: impl Iterator<Item = f64>) -> f64 {
@@ -286,28 +175,9 @@ fn in_window(idx: u32) -> bool {
     at >= DOWN_AT.as_nanos() && at < UP_AT.as_nanos()
 }
 
-#[derive(Serialize)]
-struct StreamRow {
-    armed: bool,
-    delivered: usize,
-    lost: usize,
-    diversions: u64,
-    next_hop_down_drops: u64,
-    primary_latency_us: f64,
-    diverted_latency_us: f64,
-    max_delivery_gap_ms: f64,
-}
-
-#[derive(Serialize)]
-struct Out {
-    stream: Vec<StreamRow>,
-    diversion_extra_us: f64,
-    e2e_switch_ms: f64,
-    e2e_completed: usize,
-    e2e_abandoned: usize,
-}
-
-fn main() {
+/// Run FAILOVER.
+pub fn run() -> Report {
+    let mut r = Report::default();
     // ---- 1+2: the stream, armed vs stripped -------------------------------
     let mut t = Table::new(
         "FAILOVER-a — 200-packet stream, middle link down for 50 ms mid-stream",
@@ -325,76 +195,77 @@ fn main() {
     let mut rows = Vec::new();
     let mut diversion_extra_us = f64::NAN;
     for armed in [true, false] {
-        let r = stream(armed);
-        let lost = N_PACKETS as usize - r.delivered.len();
+        let s = stream(armed);
+        let lost = N_PACKETS as usize - s.delivered.len();
         // Arrival on port 4 means the packet crossed the detour.
         let primary_us = mean(
-            r.delivered
+            s.delivered
                 .iter()
                 .filter(|&&(_, port, _)| port != 4)
                 .map(|&(_, _, lat)| lat * 1e6),
         );
         let diverted_us = mean(
-            r.delivered
+            s.delivered
                 .iter()
                 .filter(|&&(_, port, _)| port == 4)
                 .map(|&(_, _, lat)| lat * 1e6),
         );
         t.row(&[
             &(if armed { "armed" } else { "stripped" }),
-            &r.delivered.len(),
+            &s.delivered.len(),
             &lost,
-            &r.diversions,
-            &r.next_hop_down_drops,
+            &s.diversions,
+            &s.next_hop_down_drops,
             &format!("{primary_us:.1} µs"),
             &(if diverted_us.is_nan() {
                 "—".to_string()
             } else {
                 format!("{diverted_us:.1} µs")
             }),
-            &format!("{:.2} ms", r.max_gap_s * 1e3),
+            &format!("{:.2} ms", s.max_gap_s * 1e3),
         ]);
         if armed {
             diversion_extra_us = diverted_us - primary_us;
             // At most the one frame already on the dead wire is lost;
             // every packet *routed* during the outage is diverted.
-            assert!(lost <= 1, "armed arm lost {lost} packets");
-            assert!(
-                r.diversions >= 90,
-                "only {} diversions across a 50 ms outage",
-                r.diversions
+            r.gate(lost <= 1, format!("armed arm lost {lost} packets"));
+            r.gate(
+                s.diversions >= 90,
+                format!("only {} diversions across a 50 ms outage", s.diversions),
             );
-            assert!(
-                r.max_gap_s < 0.005,
-                "armed stream stalled for {:.1} ms",
-                r.max_gap_s * 1e3
+            r.gate(
+                s.max_gap_s < 0.005,
+                format!("armed stream stalled for {:.1} ms", s.max_gap_s * 1e3),
             );
         } else {
-            assert_eq!(r.diversions, 0);
-            assert!(
-                r.max_gap_s > 0.040,
-                "stripped stream should stall for the outage window"
+            r.gate(
+                s.diversions == 0,
+                format!("stripped arm diverted {} packets", s.diversions),
+            );
+            r.gate(
+                s.max_gap_s > 0.040,
+                "stripped stream should stall for the outage window",
             );
             // Everything routed at R1 during the window dies there.
             let in_win = (0..N_PACKETS).filter(|&i| in_window(i)).count();
-            assert!(
+            r.gate(
                 lost >= in_win,
-                "stripped arm lost {lost}, expected at least {in_win}"
+                format!("stripped arm lost {lost}, expected at least {in_win}"),
             );
         }
-        rows.push(StreamRow {
-            armed,
-            delivered: r.delivered.len(),
-            lost,
-            diversions: r.diversions,
-            next_hop_down_drops: r.next_hop_down_drops,
+        rows.push(obj! {
+            armed: armed,
+            delivered: s.delivered.len(),
+            lost: lost,
+            diversions: s.diversions,
+            next_hop_down_drops: s.next_hop_down_drops,
             primary_latency_us: primary_us,
             diverted_latency_us: diverted_us,
-            max_delivery_gap_ms: r.max_gap_s * 1e3,
+            max_delivery_gap_ms: s.max_gap_s * 1e3,
         });
     }
-    t.print();
-    println!(
+    r.table(&t);
+    r.note(format!(
         "the divert is decided locally at route time, so the armed stream never\n\
          stalls: with an equal-length alternate the diverted packets arrive\n\
          {:.1} µs {} the primary-path packets (diverting sheds the recovery\n\
@@ -407,10 +278,12 @@ fn main() {
         } else {
             "behind"
         }
-    );
+    ));
 
     // ---- 3: the end-to-end baseline ---------------------------------------
-    let (switch_s, completed, abandoned) = end_to_end_baseline();
+    // E4c, reduced: 100 transactions, the link dying at t = 100 ms.
+    let e2e = end_to_end_failover(PROP, 100, SimTime(100_000_000), SimTime(1_500_000_000));
+    let switch_s = e2e.switch_ns as f64 / 1e9;
     let mut t3 = Table::new(
         "FAILOVER-b — end-to-end switch (E4c baseline) after the same failure",
         &["quantity", "value"],
@@ -419,25 +292,23 @@ fn main() {
         &"detection + switch time",
         &format!("{:.2} ms", switch_s * 1e3),
     ]);
-    t3.row(&[&"transactions completed", &format!("{completed}/100")]);
-    t3.row(&[&"transactions abandoned", &abandoned]);
-    t3.print();
-    println!(
+    t3.row(&[&"transactions completed", &format!("{}/100", e2e.completed)]);
+    t3.row(&[&"transactions abandoned", &e2e.abandoned]);
+    r.table(&t3);
+    r.note(format!(
         "the end-to-end switch needs a timeout round ({:.2} ms here) and gives\n\
          up on the in-flight transaction; the in-network divert needs neither —\n\
          but only the end-to-end mechanism survives the loss of *every* branch,\n\
          so the two compose rather than compete (§6.3).",
         switch_s * 1e3
-    );
+    ));
 
-    write_json(
-        "FAILOVER",
-        &Out {
-            stream: rows,
-            diversion_extra_us,
-            e2e_switch_ms: switch_s * 1e3,
-            e2e_completed: completed,
-            e2e_abandoned: abandoned,
-        },
-    );
+    r.json = obj! {
+        stream: rows,
+        diversion_extra_us: diversion_extra_us,
+        e2e_switch_ms: switch_s * 1e3,
+        e2e_completed: e2e.completed,
+        e2e_abandoned: e2e.abandoned,
+    };
+    r
 }

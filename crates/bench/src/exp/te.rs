@@ -13,9 +13,9 @@
 //! placement. Both configurations then execute their planned source
 //! routes on the real engine; per-channel busy time is ground truth.
 //!
-//! Run: `cargo run --release -p sirpent-bench --bin exp_te`.
-//! Writes `results/TE.json` (uploaded as a CI artifact by the te-soak
-//! job). `--check` fails the process unless:
+//! `exp te` (~70 s) writes `results/TE.json`; `exp te-small` runs the
+//! 256-node configuration in under a second and writes nothing. Both
+//! fail unless:
 //!
 //! * TE peak trunk utilization ≤ 80 % of the shortest-path-only peak
 //!   (the load actually spread);
@@ -23,13 +23,10 @@
 //! * zero starved flows and zero unroutable flows in both configs;
 //! * the sharded engine (2 and 4 shards) reproduces the serial digest
 //!   byte for byte.
-//!
-//! `--small` swaps in the 256-node configuration for quick local runs
-//! (same gates, seconds instead of minutes).
 
-use serde::Serialize;
-use sirpent_bench::{write_json, Table};
-use sirpent_simtest::te::{plan, run, TePlan, TeRunReport, TeWorkload};
+use crate::json::{obj, Json};
+use crate::{Report, Table};
+use sirpent_simtest::te::{plan, run, TeRunReport, TeWorkload};
 
 /// Bench seed — fixed so CI compares like with like across commits.
 const SEED: u64 = 42;
@@ -39,40 +36,9 @@ const SHARD_SWEEP: [usize; 2] = [2, 4];
 /// shortest-path-only peak.
 const PEAK_PCT_CEILING: u64 = 80;
 
-#[derive(Serialize)]
-struct ConfigOut {
-    label: String,
-    k: usize,
-    flows: usize,
-    unroutable: u64,
-    detours: u64,
-    injected_pkts: u64,
-    delivered_pkts: u64,
-    starved_flows: u64,
-    incomplete_flows: u64,
-    peak_util_milli: u64,
-    mean_util_milli: u64,
-    p50_completion_ns: u64,
-    p99_completion_ns: u64,
-    max_stretch_milli: u64,
-    mean_stretch_milli: u64,
-    events: u64,
-}
-
-#[derive(Serialize)]
-struct Report {
-    experiment: &'static str,
-    seed: u64,
-    nodes: usize,
-    peak_reduction_percent: i64,
-    stretch_bound_milli: u32,
-    sharded_digest_match: bool,
-    configs: Vec<ConfigOut>,
-}
-
-fn config_out(label: &str, spec: &TeWorkload, r: &TeRunReport) -> ConfigOut {
-    ConfigOut {
-        label: label.to_string(),
+fn config_out(label: &str, spec: &TeWorkload, r: &TeRunReport) -> Json {
+    obj! {
+        label: label,
         k: spec.k,
         flows: r.flows,
         unroutable: r.unroutable,
@@ -107,24 +73,27 @@ fn row(t: &mut Table, label: &str, r: &TeRunReport) {
     ]);
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let check = args.iter().any(|a| a == "--check");
-    let small = args.iter().any(|a| a == "--small");
+/// Run TE on the 10 000-node flash crowd.
+pub fn heavy() -> Report {
+    flash_crowd(TeWorkload::heavy(SEED))
+}
 
-    let te_spec = if small {
-        TeWorkload::small(SEED)
-    } else {
-        TeWorkload::heavy(SEED)
-    };
+/// Run TE on the 256-node flash crowd: the same gates in under a
+/// second.
+pub fn small() -> Report {
+    flash_crowd(TeWorkload::small(SEED))
+}
+
+fn flash_crowd(te_spec: TeWorkload) -> Report {
+    let mut r = Report::default();
     let sp_spec = te_spec.shortest_path_only();
 
-    println!(
-        "[planning {} flows over {} nodes, k={} vs shortest-path-only]",
+    r.note(format!(
+        "[{} flows over {} nodes, k={} vs shortest-path-only]",
         te_spec.flows, te_spec.nodes, te_spec.k
-    );
-    let te_plan: TePlan = plan(&te_spec);
-    let sp_plan: TePlan = plan(&sp_spec);
+    ));
+    let te_plan = plan(&te_spec);
+    let sp_plan = plan(&sp_spec);
 
     let te = run(&te_spec, &te_plan, 1, 1);
     let sp = run(&sp_spec, &sp_plan, 1, 1);
@@ -135,10 +104,9 @@ fn main() {
     let mut digests_match = true;
     for &shards in &SHARD_SWEEP {
         let sharded = run(&te_spec, &te_plan, shards, 1);
-        if sharded.digest != te.digest {
-            eprintln!("FAIL: {shards}-shard digest diverged from serial");
-            digests_match = false;
-        }
+        let same = sharded.digest == te.digest;
+        r.gate(same, format!("{shards}-shard digest diverged from serial"));
+        digests_match &= same;
     }
 
     let mut t = Table::new(
@@ -156,18 +124,43 @@ fn main() {
     );
     row(&mut t, "shortest-path", &sp);
     row(&mut t, "traffic-engineered", &te);
-    t.print();
+    r.table(&t);
 
     let reduction = 100i64 - (te.peak_util_milli as i64 * 100) / sp.peak_util_milli.max(1) as i64;
-    println!(
+    r.note(format!(
         "[peak trunk utilization: {:.1}% -> {:.1}% ({reduction}% reduction); \
          sharded digests: {}]",
         sp.peak_util_milli as f64 / 10.0,
         te.peak_util_milli as f64 / 10.0,
         if digests_match { "match" } else { "MISMATCH" }
-    );
+    ));
 
-    let report = Report {
+    r.gate(
+        te.peak_util_milli * 100 <= sp.peak_util_milli * PEAK_PCT_CEILING,
+        format!(
+            "TE peak {} milli exceeds {PEAK_PCT_CEILING}% of the shortest-path peak {} milli",
+            te.peak_util_milli, sp.peak_util_milli
+        ),
+    );
+    r.gate(
+        te.max_stretch_milli <= te_spec.max_stretch_milli as u64,
+        format!(
+            "max stretch {} milli exceeds the {} milli bound",
+            te.max_stretch_milli, te_spec.max_stretch_milli
+        ),
+    );
+    for (label, rep) in [("shortest-path", &sp), ("TE", &te)] {
+        r.gate(
+            rep.starved_flows == 0,
+            format!("{label} run starved {} flow(s)", rep.starved_flows),
+        );
+        r.gate(
+            rep.unroutable == 0,
+            format!("{label} plan left {} flow(s) unroutable", rep.unroutable),
+        );
+    }
+
+    r.json = obj! {
         experiment: "te",
         seed: SEED,
         nodes: te_spec.nodes,
@@ -179,41 +172,5 @@ fn main() {
             config_out("te", &te_spec, &te),
         ],
     };
-    write_json("TE", &report);
-
-    if check {
-        let mut failed = !digests_match;
-        if te.peak_util_milli * 100 > sp.peak_util_milli * PEAK_PCT_CEILING {
-            eprintln!(
-                "FAIL: TE peak {} milli exceeds {PEAK_PCT_CEILING}% of the \
-                 shortest-path peak {} milli",
-                te.peak_util_milli, sp.peak_util_milli
-            );
-            failed = true;
-        }
-        if te.max_stretch_milli > te_spec.max_stretch_milli as u64 {
-            eprintln!(
-                "FAIL: max stretch {} milli exceeds the {} milli bound",
-                te.max_stretch_milli, te_spec.max_stretch_milli
-            );
-            failed = true;
-        }
-        for (label, r) in [("shortest-path", &sp), ("TE", &te)] {
-            if r.starved_flows > 0 {
-                eprintln!("FAIL: {label} run starved {} flow(s)", r.starved_flows);
-                failed = true;
-            }
-            if r.unroutable > 0 {
-                eprintln!(
-                    "FAIL: {label} plan left {} flow(s) unroutable",
-                    r.unroutable
-                );
-                failed = true;
-            }
-        }
-        if failed {
-            std::process::exit(1);
-        }
-        println!("[te check passed]");
-    }
+    r
 }

@@ -1,16 +1,49 @@
-//! Shared harness utilities for the experiment binaries (`exp_*`).
+//! The experiment harness behind the `exp` binary.
 //!
-//! Each binary regenerates one table/figure of the paper's evaluation
-//! (see DESIGN.md §3 for the index), printing an aligned text table and
-//! dumping machine-readable JSON under `results/`.
+//! Each experiment in [`exp`] regenerates one table/figure of the
+//! paper's evaluation (see DESIGN.md §3 for the index) as a pure
+//! function returning a [`Report`]; `main.rs` alone reads argv, prints,
+//! writes `results/` and sets the exit code.
 
 #![forbid(unsafe_code)]
 
-use std::fmt::Display;
-use std::fs;
-use std::path::Path;
+use std::fmt::{self, Display};
 
-use serde::Serialize;
+pub mod exp;
+pub mod json;
+
+use json::Json;
+
+/// What one experiment run produced.
+#[derive(Default)]
+pub struct Report {
+    /// Tables and commentary, in the order they print.
+    pub text: String,
+    /// The contents of the experiment's results file.
+    pub json: Json,
+    /// Gates the run failed; empty means it passed.
+    pub failures: Vec<String>,
+}
+
+impl Report {
+    /// Append a rendered table.
+    pub fn table(&mut self, t: &Table) {
+        self.text.push_str(&t.to_string());
+    }
+
+    /// Append a line (or paragraph) of commentary.
+    pub fn note(&mut self, s: impl AsRef<str>) {
+        self.text.push_str(s.as_ref());
+        self.text.push('\n');
+    }
+
+    /// Record `what` as a failure unless `ok`.
+    pub fn gate(&mut self, ok: bool, what: impl Into<String>) {
+        if !ok {
+            self.failures.push(what.into());
+        }
+    }
+}
 
 /// A printable results table.
 pub struct Table {
@@ -35,51 +68,35 @@ impl Table {
         self.rows
             .push(cells.iter().map(|c| c.to_string()).collect());
     }
+}
 
-    /// Render with aligned columns.
-    pub fn print(&self) {
-        println!("\n== {} ==", self.title);
+/// Renders with aligned columns, one line per row.
+impl Display for Table {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(f, "\n== {} ==", self.title)?;
         let mut widths: Vec<usize> = self.headers.iter().map(|h| h.len()).collect();
         for row in &self.rows {
             for (i, c) in row.iter().enumerate() {
                 widths[i] = widths[i].max(c.len());
             }
         }
-        let line = |cells: &[String]| {
+        let line = |f: &mut fmt::Formatter<'_>, cells: &[String]| {
             let mut s = String::new();
             for (i, c) in cells.iter().enumerate() {
                 s.push_str(&format!("{:>w$}  ", c, w = widths[i]));
             }
-            println!("{}", s.trim_end());
+            writeln!(f, "{}", s.trim_end())
         };
-        line(&self.headers);
-        println!(
+        line(f, &self.headers)?;
+        writeln!(
+            f,
             "{}",
             widths
                 .iter()
                 .map(|w| "-".repeat(*w + 2))
                 .collect::<String>()
-        );
-        for row in &self.rows {
-            line(row);
-        }
-    }
-}
-
-/// Write experiment results as JSON under `results/<name>.json`.
-pub fn write_json<T: Serialize>(name: &str, value: &T) {
-    let dir = Path::new("results");
-    let _ = fs::create_dir_all(dir);
-    let path = dir.join(format!("{name}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(s) => {
-            if let Err(e) = fs::write(&path, s) {
-                eprintln!("warning: could not write {}: {e}", path.display());
-            } else {
-                println!("[results written to {}]", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: could not serialize results: {e}"),
+        )?;
+        self.rows.iter().try_for_each(|row| line(f, row))
     }
 }
 
@@ -107,7 +124,20 @@ mod tests {
         let mut t = Table::new("demo", &["a", "bb"]);
         t.row(&[&1, &"xyz"]);
         t.row(&[&22, &"q"]);
-        t.print();
+        assert_eq!(
+            t.to_string(),
+            "\n== demo ==\n a   bb\n---------\n 1  xyz\n22    q\n"
+        );
+    }
+
+    #[test]
+    fn report_collects_text_and_failed_gates() {
+        let mut r = Report::default();
+        r.note("one");
+        r.gate(true, "held");
+        r.gate(false, "broke");
+        assert_eq!(r.text, "one\n");
+        assert_eq!(r.failures, ["broke"]);
     }
 
     #[test]
@@ -119,13 +149,13 @@ mod tests {
 }
 
 pub mod topo {
-    //! Reusable topologies for the experiment binaries.
+    //! Reusable topologies for the experiments.
 
     use sirpent::router::link::LinkFrame;
     use sirpent::router::scripted::ScriptedHost;
     use sirpent::router::viper::{SwitchMode, ViperConfig, ViperRouter};
     use sirpent::sim::{NodeId, SimDuration, Simulator};
-    use sirpent::wire::buf::FrameBuf;
+    use sirpent::wire::buf::{FrameBuf, PacketBuf};
     use sirpent::wire::packet::PacketBuilder;
     use sirpent::wire::viper::{Priority, SegmentRepr, PORT_LOCAL};
 
@@ -193,7 +223,7 @@ pub mod topo {
     }
 
     /// Frame a Sirpent packet for a point-to-point link.
-    pub fn frame(packet: Vec<u8>) -> FrameBuf {
+    pub fn frame(packet: impl Into<PacketBuf>) -> FrameBuf {
         LinkFrame::Sirpent {
             ff_hint: 0,
             packet: packet.into(),

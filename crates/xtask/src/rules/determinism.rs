@@ -305,11 +305,11 @@ mod tests {
             "crates/transport/src/endpoint.rs",
             "crates/token/src/cache.rs",
             "crates/sim/src/engine.rs",
+            "crates/bench/src/exp/e4.rs",
         ] {
             assert!(cfg.is_sim_file(rel), "{rel}");
         }
         for rel in [
-            "crates/bench/src/lib.rs",
             "crates/xtask/src/main.rs",
             "shims/rand/src/lib.rs",
             "examples/quickstart.rs",

@@ -97,11 +97,11 @@ pub const DATAPLANE_FILES: &[&str] = &[
 ];
 
 /// Crates under `crates/` whose code never runs inside a simulation:
-/// the experiment drivers (which time themselves and read argv/env) and
 /// this linter. Every other crate does — the engine reaches hosts and
-/// routers through `Box<dyn Node>` — so `determinism` flags its taint
+/// routers through `Box<dyn Node>`, and `bench` drives the simulations
+/// whose output CI byte-compares — so `determinism` flags its taint
 /// sources there at their own site.
-pub const TOOL_CRATES: &[&str] = &["bench", "xtask"];
+pub const TOOL_CRATES: &[&str] = &["xtask"];
 
 /// The deterministic core: the subset of simulation crates that may not
 /// own a `HashMap`/`HashSet` at all (elsewhere — the token cache, the
@@ -111,7 +111,7 @@ pub const CORE_CRATES: &[&str] = &["sim", "router", "wire", "simtest", "telemetr
 /// Individual files outside [`CORE_CRATES`] held to the same
 /// no-hash-container contract: the TE route search must return byte-identical
 /// k-route sets for a given (topology, query) — client spreading and
-/// the `exp_te` digests replay it.
+/// the `exp te` digests replay it.
 pub const CORE_FILES: &[&str] = &["crates/directory/src/te.rs"];
 
 /// Crates holding node/router logic, where every random draw must go
