@@ -61,20 +61,22 @@ impl RouteCache {
     /// were fetched under the current topology `epoch`. An entry from
     /// an older epoch is dropped and counted, never served — weight and
     /// congestion updates invalidate routes that a TTL would still
-    /// consider live.
+    /// consider live. An entry past its TTL is dropped too: a service
+    /// that is never re-queried must not be held forever.
     pub fn get(&mut self, service: &Name, now: SimTime, epoch: u64) -> Option<&[Advisory]> {
-        match self.entries.get(service) {
-            Some(e) if e.epoch != epoch => {
-                self.entries.remove(service);
-                self.epoch_evictions += 1;
-                self.misses += 1;
-                None
-            }
-            Some(e) if now - e.fetched_at <= self.ttl => {
+        // Decide on copies: the borrow this returns has to be the map's
+        // last use, so the arm that removes an entry cannot hold one.
+        let held = self.entries.get(service).map(|e| (e.epoch, e.fetched_at));
+        match held {
+            Some((fetched_under, at)) if fetched_under == epoch && now - at <= self.ttl => {
                 self.hits += 1;
-                Some(&self.entries[service].advisories)
+                self.entries.get(service).map(|e| e.advisories.as_slice())
             }
             _ => {
+                if let Some((fetched_under, _)) = held {
+                    self.entries.remove(service);
+                    self.epoch_evictions += u64::from(fetched_under != epoch);
+                }
                 self.misses += 1;
                 None
             }
@@ -169,6 +171,28 @@ mod tests {
         assert!(c.get(&svc(), SimTime(11_000_000_000), 0).is_none());
         assert_eq!(c.hits, 1);
         assert_eq!(c.misses, 2);
+    }
+
+    /// Regression: a TTL-expired entry used to be counted as a miss and
+    /// left in place, so `len()` over-reported and a service nobody
+    /// asked for again was held forever.
+    #[test]
+    fn expired_entry_is_dropped_not_just_missed() {
+        let mut c = RouteCache::new(SimDuration::from_secs(10));
+        c.put(svc(), vec![adv(1)], SimTime::ZERO, 3);
+        assert_eq!(c.len(), 1);
+        assert!(c.get(&svc(), SimTime(11_000_000_000), 3).is_none());
+        assert_eq!(c.len(), 0, "expired entry still held");
+        assert_eq!(
+            (c.hits, c.misses, c.epoch_evictions, c.invalidations),
+            (0, 1, 0, 0),
+            "expiry is a plain miss, not an epoch eviction"
+        );
+        // Expired *and* from an older epoch: still one miss, and the
+        // epoch eviction is counted as before.
+        c.put(svc(), vec![adv(1)], SimTime::ZERO, 3);
+        assert!(c.get(&svc(), SimTime(11_000_000_000), 4).is_none());
+        assert_eq!((c.misses, c.epoch_evictions, c.len()), (2, 1, 0));
     }
 
     #[test]

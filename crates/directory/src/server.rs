@@ -111,6 +111,12 @@ pub struct Directory {
     pub te_detours: u64,
     /// TE queries with no feasible route under the client's bounds.
     pub te_infeasible: u64,
+    /// Goal-directed searches run across all TE queries (first path,
+    /// Yen spurs, detours) — with `te_nodes_settled`, what the queries
+    /// cost in units no clock or RNG touches.
+    pub te_searches: u64,
+    /// Nodes settled across all TE queries, reverse trees included.
+    pub te_nodes_settled: u64,
 }
 
 impl Directory {
@@ -131,6 +137,8 @@ impl Directory {
             te_routes_returned: 0,
             te_detours: 0,
             te_infeasible: 0,
+            te_searches: 0,
+            te_nodes_settled: 0,
         }
     }
 
@@ -331,11 +339,13 @@ impl Directory {
     /// no feasible route exists.
     pub fn te_query(&mut self, src_router: u32, dst: crate::Peer, q: &TeQuery) -> Vec<TeRoute> {
         self.te_queries += 1;
-        let routes = self
+        let (routes, work) = self
             .te
             .as_ref()
-            .map(|t| t.k_routes(src_router, dst, q))
+            .map(|t| t.k_routes_counted(src_router, dst, q))
             .unwrap_or_default();
+        self.te_searches += work.searches;
+        self.te_nodes_settled += work.nodes_settled;
         self.te_routes_returned += routes.len() as u64;
         self.te_detours += routes.iter().filter(|r| r.detour).count() as u64;
         if routes.is_empty() {
@@ -387,6 +397,8 @@ impl Directory {
         reg.publish_count(names::TE_DETOURS_TOTAL, self.te_detours)?;
         reg.publish_count(names::TE_INFEASIBLE_TOTAL, self.te_infeasible)?;
         reg.publish_count(names::TE_EPOCH_BUMPS_TOTAL, self.topology_epoch())?;
+        reg.publish_count(names::TE_SEARCHES_TOTAL, self.te_searches)?;
+        reg.publish_count(names::TE_NODES_SETTLED_TOTAL, self.te_nodes_settled)?;
         Ok(())
     }
 }
@@ -645,6 +657,10 @@ mod tests {
         d.publish_telemetry(&mut reg).unwrap();
         assert_eq!(reg.counter("te_queries_total"), 1);
         assert_eq!(reg.counter("te_routes_returned_total"), 1);
+        // One reverse tree (the host and all four routers) and one
+        // probe down the fast arm (three routers).
+        assert_eq!(reg.counter("te_searches_total"), 1);
+        assert_eq!(reg.counter("te_nodes_settled_total"), 5 + 3);
     }
 
     #[test]

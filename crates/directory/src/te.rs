@@ -24,6 +24,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::sync::OnceLock;
 
 use sirpent_sim::SimDuration;
 
@@ -142,6 +143,20 @@ pub struct TeRoute {
 }
 
 impl TeRoute {
+    /// The route that goes nowhere: no hops, no delay, no bottleneck.
+    fn empty() -> TeRoute {
+        TeRoute {
+            hops: Vec::new(),
+            delay: SimDuration::ZERO,
+            bandwidth_bps: u64::MAX,
+            mtu: usize::MAX,
+            cost: 0,
+            residual_bps: u64::MAX,
+            congested_hops: 0,
+            detour: false,
+        }
+    }
+
     /// Search weight: propagation plus per-hop decision delay. This is
     /// the quantity the stretch bound is measured against.
     pub fn weight_ns(&self) -> u64 {
@@ -154,45 +169,79 @@ impl TeRoute {
 /// Deterministic by construction: links live in a sorted map keyed by
 /// `(router, port)`, and every search derives its iteration order from
 /// that key, so route grants are reproducible run-to-run.
+///
+/// Searches do not walk the map. They run on a flat adjacency
+/// (`Compiled`) that the first query after a *structural* change
+/// (`add_link`, `set_metrics`, `set_congestion_threshold`) compiles
+/// from it and that load and up/down reports then patch in place: a
+/// topology that only sees reports is compiled once, and one nobody
+/// queries is never compiled.
 #[derive(Debug, Clone, Default)]
 pub struct TeTopology {
     links: BTreeMap<(u32, u8), TeLink>,
     epoch: u64,
     congestion_milli: u32,
+    compiled: OnceLock<Compiled>,
 }
 
-/// Compiled adjacency snapshot used for one query's searches.
-struct Graph {
-    ids: Vec<u32>,
-    /// Per router index: edges in (port) order.
-    adj: Vec<Vec<GEdge>>,
+/// The link map as the searches see it: nodes are indices (routers in
+/// id order, then hosts in number order), links are one flat array in
+/// `(router, port)` order — the map's own, so comparing two edge indices
+/// compares the `(router, port)` pairs they stand for — with offsets
+/// into it by the node a link leaves and, through `entering`, by the
+/// node it lands on.
+#[derive(Debug, Clone)]
+struct Compiled {
+    /// Every router id (link owners and router peers), ascending. Node
+    /// `n < routers.len()` is `routers[n]`.
+    routers: Vec<u32>,
+    /// Every host a link lands on, ascending. Node `routers.len() + i`
+    /// is `hosts[i]`; hosts terminate routes and never transit.
+    hosts: Vec<u32>,
+    edges: Vec<Edge>,
+    /// `edges[leaving_at[n]..leaving_at[n + 1]]` leave router node `n`.
+    leaving_at: Vec<u32>,
+    /// `entering[entering_at[n]..entering_at[n + 1]]` are the indices of
+    /// the edges that land on node `n`, ascending.
+    entering_at: Vec<u32>,
+    entering: Vec<u32>,
 }
 
-#[derive(Clone, Copy)]
-struct GEdge {
-    /// Router index of the next node, or `usize::MAX` for the target.
-    to: usize,
+/// One link. Everything a report can change (`down`, `congested`,
+/// `residual_bps`) is a field, so a report is one store and the
+/// per-query prunes are a predicate ([`Edge::admitted`]), not a rebuild.
+#[derive(Debug, Clone, Copy)]
+struct Edge {
+    /// The nodes the link leaves and lands on.
+    from: u32,
+    to: u32,
     port: u8,
-    weight_ns: u64,
+    down: bool,
+    congested: bool,
+    cost: u32,
     prop_ns: u64,
     bw: u64,
     mtu: usize,
-    cost: u32,
     residual_bps: u64,
-    congested: bool,
 }
 
-/// Virtual node index for the search target.
-const TARGET: usize = usize::MAX;
+/// What one query cost, in figures that repeat exactly: no clock, no
+/// RNG, the same on every machine.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct SearchWork {
+    /// Goal-directed searches run (first path, Yen spurs, detour).
+    pub(crate) searches: u64,
+    /// Nodes settled, reverse tree and goal-directed searches together.
+    pub(crate) nodes_settled: u64,
+}
 
 impl TeTopology {
     /// An empty topology with the default congestion threshold (80% of
     /// line rate).
     pub fn new() -> TeTopology {
         TeTopology {
-            links: BTreeMap::new(),
-            epoch: 0,
             congestion_milli: 800,
+            ..TeTopology::default()
         }
     }
 
@@ -206,7 +255,7 @@ impl TeTopology {
     pub fn set_congestion_threshold(&mut self, milli: u32) {
         if self.congestion_milli != milli {
             self.congestion_milli = milli;
-            self.epoch += 1;
+            self.restructured();
         }
     }
 
@@ -222,7 +271,7 @@ impl TeTopology {
                 down: false,
             },
         );
-        self.epoch += 1;
+        self.restructured();
     }
 
     /// Replace the static weights of an existing link.
@@ -230,19 +279,16 @@ impl TeTopology {
         if let Some(l) = self.links.get_mut(&(router, port)) {
             if l.metrics != metrics {
                 l.metrics = metrics;
-                self.epoch += 1;
+                self.restructured();
             }
         }
     }
 
     /// A load report for one link, in milli-units of the link rate.
     pub fn set_load_milli(&mut self, router: u32, port: u8, milli: u32) {
-        if let Some(l) = self.links.get_mut(&(router, port)) {
-            if l.load_milli != milli {
-                l.load_milli = milli;
-                self.epoch += 1;
-            }
-        }
+        self.report(router, port, |l| {
+            milli != std::mem::replace(&mut l.load_milli, milli)
+        });
     }
 
     /// Accumulate offered load onto a link (rate-control feedback while
@@ -251,29 +297,47 @@ impl TeTopology {
         if delta == 0 {
             return;
         }
-        if let Some(l) = self.links.get_mut(&(router, port)) {
+        self.report(router, port, |l| {
             l.load_milli = l.load_milli.saturating_add(delta);
-            self.epoch += 1;
-        }
+            true
+        });
     }
 
     /// A link-failure report.
     pub fn set_down(&mut self, router: u32, port: u8) {
-        if let Some(l) = self.links.get_mut(&(router, port)) {
-            if !l.down {
-                l.down = true;
-                self.epoch += 1;
-            }
-        }
+        self.report(router, port, |l| !std::mem::replace(&mut l.down, true));
     }
 
     /// A link-recovery report.
     pub fn set_up(&mut self, router: u32, port: u8) {
-        if let Some(l) = self.links.get_mut(&(router, port)) {
-            if l.down {
-                l.down = false;
-                self.epoch += 1;
-            }
+        self.report(router, port, |l| std::mem::replace(&mut l.down, false));
+    }
+
+    /// A structural change happened: move the epoch and drop the
+    /// compiled adjacency. The next query recompiles — not this call,
+    /// so building a topology link by link stays linear.
+    fn restructured(&mut self) {
+        self.epoch += 1;
+        self.compiled.take();
+    }
+
+    /// Apply a load or up/down report to one link. `change` says
+    /// whether it changed anything; if it did the epoch moves and the
+    /// link's compiled edge, when there is one, is patched in place.
+    fn report(&mut self, router: u32, port: u8, change: impl FnOnce(&mut TeLink) -> bool) {
+        let Some(l) = self.links.get_mut(&(router, port)) else {
+            return;
+        };
+        if !change(l) {
+            return;
+        }
+        self.epoch += 1;
+        let edge = self
+            .compiled
+            .get_mut()
+            .and_then(|g| g.edge_mut(router, port));
+        if let Some(e) = edge {
+            e.set_state(l, self.congestion_milli);
         }
     }
 
@@ -300,216 +364,32 @@ impl TeTopology {
             .unwrap_or(false)
     }
 
-    fn residual_of(l: &TeLink) -> u64 {
-        let free = LOAD_SCALE.saturating_sub(l.load_milli) as u64;
-        l.metrics.bandwidth_bps / LOAD_SCALE as u64 * free
-    }
-
-    /// Compile the adjacency snapshot for one query: up links passing
-    /// the per-link prunes (MTU, bandwidth), with edges into the target
-    /// redirected to the virtual target node.
-    fn graph(&self, dst: Peer, q: &TeQuery) -> Graph {
-        // Collect every router id (link owners and router peers), then
-        // sort + dedup once — sorted insertion would be quadratic on
-        // meshes where peers arrive in arbitrary order.
-        let mut ids: Vec<u32> = Vec::with_capacity(self.links.len() * 2);
-        for (&(router, _), l) in &self.links {
-            ids.push(router);
-            if let Peer::Router(r) = l.peer {
-                ids.push(r);
-            }
-        }
-        ids.sort_unstable();
-        ids.dedup();
-        let mut adj: Vec<Vec<GEdge>> = vec![Vec::new(); ids.len()];
-        for (&(router, port), l) in &self.links {
-            if l.down {
-                continue;
-            }
-            if q.min_mtu > 0 && l.metrics.mtu < q.min_mtu {
-                continue;
-            }
-            if q.min_bandwidth_bps > 0 && l.metrics.bandwidth_bps < q.min_bandwidth_bps {
-                continue;
-            }
-            let to = if l.peer == dst {
-                TARGET
-            } else {
-                match l.peer {
-                    Peer::Router(r) => match ids.binary_search(&r) {
-                        Ok(i) => i,
-                        Err(_) => continue,
-                    },
-                    Peer::Host(_) => continue, // hosts don't transit
-                }
-            };
-            let Ok(from) = ids.binary_search(&router) else {
-                continue;
-            };
-            let prop_ns = l.metrics.prop_delay.as_nanos();
-            let Some(row) = adj.get_mut(from) else {
-                continue;
-            };
-            row.push(GEdge {
-                to,
-                port,
-                weight_ns: prop_ns + HOP_NS,
-                prop_ns,
-                bw: l.metrics.bandwidth_bps,
-                mtu: l.metrics.mtu,
-                cost: l.metrics.cost,
-                residual_bps: Self::residual_of(l),
-                congested: l.load_milli >= self.congestion_milli,
-            });
-        }
-        Graph { ids, adj }
-    }
-
     /// Constrained k-shortest loopless routes from `src` (a router id)
     /// to `dst`, best first. Routes satisfy every bound in `q`; an empty
     /// result means no feasible route exists. `dst` may be a host or a
     /// router (the route then terminates on the link landing on it).
     pub fn k_routes(&self, src: u32, dst: Peer, q: &TeQuery) -> Vec<TeRoute> {
+        self.k_routes_counted(src, dst, q).0
+    }
+
+    /// [`TeTopology::k_routes`] plus what the search cost.
+    pub(crate) fn k_routes_counted(
+        &self,
+        src: u32,
+        dst: Peer,
+        q: &TeQuery,
+    ) -> (Vec<TeRoute>, SearchWork) {
         if dst == Peer::Router(src) {
-            return vec![TeRoute {
-                hops: Vec::new(),
-                delay: SimDuration::ZERO,
-                bandwidth_bps: u64::MAX,
-                mtu: usize::MAX,
-                cost: 0,
-                residual_bps: u64::MAX,
-                congested_hops: 0,
-                detour: false,
-            }];
+            return (vec![TeRoute::empty()], SearchWork::default());
         }
-        let g = self.graph(dst, q);
-        let Ok(src_idx) = g.ids.binary_search(&src) else {
-            return Vec::new();
+        let g = self
+            .compiled
+            .get_or_init(|| Compiled::build(&self.links, self.congestion_milli));
+        let (Some(src), Some(dst)) = (g.node(Peer::Router(src)), g.node(dst)) else {
+            return (Vec::new(), SearchWork::default());
         };
-        let k = q.k.max(1);
-
-        let no_edges: BTreeSet<(usize, u8)> = BTreeSet::new();
-        let no_nodes: BTreeSet<usize> = BTreeSet::new();
-        let Some(best) = g.shortest(src_idx, q, &no_edges, &no_nodes, false) else {
-            return Vec::new();
-        };
-        let best_weight = best.weight_ns();
-        let mut accepted: Vec<TeRoute> = vec![best];
-        // Candidate pool, ordered by (weight, hops) — a total order, so
-        // equal-weight spurs pop deterministically.
-        let mut pool: BTreeSet<(u64, Vec<(usize, u8)>)> = BTreeSet::new();
-        let mut seen: BTreeSet<Vec<(usize, u8)>> = BTreeSet::new();
-        let mut accepted_idx: Vec<Vec<(usize, u8)>> = Vec::new();
-        if let Some(r) = accepted.first() {
-            if let Some(ih) = g.index_hops(&r.hops) {
-                seen.insert(ih.clone());
-                accepted_idx.push(ih);
-            }
-        }
-
-        while accepted.len() < k {
-            let Some(prev) = accepted_idx.last().cloned() else {
-                break;
-            };
-            // Spur from every position of the previously accepted path.
-            for i in 0..prev.len() {
-                let Some(root) = prev.get(..i) else {
-                    continue;
-                };
-                let spur_node = if i == 0 {
-                    src_idx
-                } else {
-                    match g.node_after(src_idx, root) {
-                        Some(n) => n,
-                        None => continue,
-                    }
-                };
-                let mut banned_edges: BTreeSet<(usize, u8)> = BTreeSet::new();
-                for a in &accepted_idx {
-                    if a.get(..i) == Some(root) {
-                        if let Some(&(n, p)) = a.get(i) {
-                            banned_edges.insert((n, p));
-                        }
-                    }
-                }
-                let mut banned_nodes: BTreeSet<usize> = BTreeSet::new();
-                let mut walk = src_idx;
-                banned_nodes.insert(src_idx);
-                for &(n, p) in root {
-                    let _ = n;
-                    if let Some(next) = g.step(walk, p) {
-                        if next != TARGET {
-                            banned_nodes.insert(next);
-                        }
-                        walk = next;
-                    }
-                }
-                banned_nodes.remove(&spur_node);
-                let Some(spur) = g.shortest(spur_node, q, &banned_edges, &banned_nodes, false)
-                else {
-                    continue;
-                };
-                let Some(spur_idx) = g.index_hops(&spur.hops) else {
-                    continue;
-                };
-                let mut full: Vec<(usize, u8)> = root.to_vec();
-                full.extend_from_slice(&spur_idx);
-                if seen.contains(&full) {
-                    continue;
-                }
-                let Some(total) = g.rebuild(src_idx, &full) else {
-                    continue;
-                };
-                seen.insert(full.clone());
-                pool.insert((total.weight_ns(), full));
-            }
-            let Some(first) = pool.iter().next().cloned() else {
-                break;
-            };
-            pool.remove(&first);
-            let (_, hops_idx) = first;
-            let Some(route) = g.rebuild(src_idx, &hops_idx) else {
-                continue;
-            };
-            // Stretch bound, all-integer: weight × 1000 ≤ best × stretch.
-            if q.max_stretch_milli > 0
-                && route.weight_ns().saturating_mul(LOAD_SCALE as u64)
-                    > best_weight.saturating_mul(q.max_stretch_milli as u64)
-            {
-                continue;
-            }
-            accepted_idx.push(hops_idx);
-            accepted.push(route);
-        }
-
-        if q.avoid_congested {
-            let crosses = accepted.iter().any(|r| r.congested_hops > 0);
-            let have_clean = accepted.iter().any(|r| r.congested_hops == 0);
-            if crosses && !have_clean {
-                if let Some(mut det) = g.shortest(src_idx, q, &no_edges, &no_nodes, true) {
-                    let within_stretch = q.max_stretch_milli == 0
-                        || det.weight_ns().saturating_mul(LOAD_SCALE as u64)
-                            <= best_weight.saturating_mul(q.max_stretch_milli as u64);
-                    let duplicate = accepted.iter().any(|r| r.hops == det.hops);
-                    if within_stretch && !duplicate {
-                        det.detour = true;
-                        if accepted.len() >= k {
-                            accepted.pop();
-                        }
-                        accepted.push(det);
-                    }
-                }
-            }
-        }
-
-        // Final exact filters on reconstructed metrics.
-        accepted.retain(|r| {
-            let delay_ok = q.max_delay.map(|d| r.delay <= d).unwrap_or(true);
-            let cost_ok = q.max_cost.map(|c| r.cost <= c).unwrap_or(true);
-            delay_ok && cost_ok
-        });
-        accepted.sort_by(|a, b| (a.weight_ns(), &a.hops).cmp(&(b.weight_ns(), &b.hops)));
-        accepted
+        let mut search = Search::new(g, q, src, dst);
+        (search.k_routes(), search.work)
     }
 
     /// Materialize a computed route as a directory [`RouteRecord`],
@@ -543,179 +423,477 @@ impl TeTopology {
     }
 }
 
-impl Graph {
-    /// Where one edge leads (by output port) from `node`.
-    fn step(&self, node: usize, port: u8) -> Option<usize> {
-        self.adj
-            .get(node)?
-            .iter()
-            .find(|e| e.port == port)
-            .map(|e| e.to)
+impl Edge {
+    /// Refresh what a report can change.
+    fn set_state(&mut self, l: &TeLink, congestion_milli: u32) {
+        let free = LOAD_SCALE.saturating_sub(l.load_milli) as u64;
+        self.residual_bps = l.metrics.bandwidth_bps / LOAD_SCALE as u64 * free;
+        self.congested = l.load_milli >= congestion_milli;
+        self.down = l.down;
     }
 
-    /// The node reached from `src` after walking `hops` (indexed form).
-    fn node_after(&self, src: usize, hops: &[(usize, u8)]) -> Option<usize> {
-        let mut at = src;
-        for &(_, port) in hops {
-            at = self.step(at, port)?;
-            if at == TARGET {
-                return None; // root path already terminated
+    /// Search weight: propagation plus the per-hop decision delay.
+    fn weight_ns(&self) -> u64 {
+        self.prop_ns.saturating_add(HOP_NS)
+    }
+
+    /// A query's per-link prunes: the link is up, and at least as wide
+    /// and as fast as the query asks (a bound of 0 admits every link).
+    fn admitted(&self, q: &TeQuery) -> bool {
+        !self.down && self.mtu >= q.min_mtu && self.bw >= q.min_bandwidth_bps
+    }
+}
+
+/// Turn per-node counts (node `n` counted in slot `n + 1`) into offsets.
+fn offsets(mut counts: Vec<u32>) -> Vec<u32> {
+    let mut total = 0u32;
+    for c in &mut counts {
+        total += *c;
+        *c = total;
+    }
+    counts
+}
+
+/// The index range `offsets` gives `node`; empty for a node it lacks.
+fn span(offsets: &[u32], node: u32) -> std::ops::Range<usize> {
+    let at = |i: usize| offsets.get(i).map_or(0, |&o| o as usize);
+    at(node as usize)..at((node as usize).saturating_add(1))
+}
+
+impl Compiled {
+    fn build(links: &BTreeMap<(u32, u8), TeLink>, congestion_milli: u32) -> Compiled {
+        // Collect every id, then sort + dedup once — sorted insertion
+        // would be quadratic on meshes where peers arrive in arbitrary
+        // order.
+        let mut routers: Vec<u32> = Vec::with_capacity(links.len() * 2);
+        let mut hosts: Vec<u32> = Vec::new();
+        for (&(router, _), l) in links {
+            routers.push(router);
+            match l.peer {
+                Peer::Router(r) => routers.push(r),
+                Peer::Host(h) => hosts.push(h),
             }
         }
-        Some(at)
-    }
-
-    /// Convert (router-id, port) hops to (node-index, port) hops.
-    fn index_hops(&self, hops: &[(u32, u8)]) -> Option<Vec<(usize, u8)>> {
-        hops.iter()
-            .map(|&(r, p)| self.ids.binary_search(&r).ok().map(|i| (i, p)))
-            .collect()
-    }
-
-    /// Early-exit Dijkstra from `src` to the target, honoring banned
-    /// edges (Yen spur exclusions), banned nodes (root-path loop
-    /// prevention), and — when `skip_congested` — congested links.
-    /// Deterministic: the heap is keyed (dist, node), relaxations are
-    /// strict, and adjacency is in port order.
-    fn shortest(
-        &self,
-        src: usize,
-        q: &TeQuery,
-        banned_edges: &BTreeSet<(usize, u8)>,
-        banned_nodes: &BTreeSet<usize>,
-        skip_congested: bool,
-    ) -> Option<TeRoute> {
-        let n = self.ids.len();
-        let slack = q
-            .max_delay
-            .map(|d| d.as_nanos().saturating_add(64 * HOP_NS))
-            .unwrap_or(u64::MAX);
-        let mut dist: Vec<u64> = vec![u64::MAX; n];
-        let mut from: Vec<Option<(usize, u8)>> = vec![None; n];
-        let mut target_best: Option<(u64, usize, u8)> = None;
-        let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::new();
-        if let Some(d) = dist.get_mut(src) {
-            *d = 0;
+        for ids in [&mut routers, &mut hosts] {
+            ids.sort_unstable();
+            ids.dedup();
         }
-        heap.push(Reverse((0, src)));
-        while let Some(Reverse((d, u))) = heap.pop() {
-            if let Some((bd, _, _)) = target_best {
-                if d >= bd {
-                    break; // every remaining label is no better
-                }
-            }
-            if dist.get(u).map(|&x| d > x).unwrap_or(true) {
-                continue;
-            }
-            let Some(edges) = self.adj.get(u) else {
+        let mut g = Compiled {
+            edges: Vec::with_capacity(links.len()),
+            leaving_at: Vec::new(),
+            entering_at: Vec::new(),
+            entering: Vec::new(),
+            routers,
+            hosts,
+        };
+        let mut leaving = vec![0u32; g.routers.len() + 1];
+        let mut landing = vec![0u32; g.routers.len() + g.hosts.len() + 1];
+        for (&(router, port), l) in links {
+            let (Some(from), Some(to)) = (g.node(Peer::Router(router)), g.node(l.peer)) else {
                 continue;
             };
-            for e in edges {
-                if skip_congested && e.congested {
+            for (counts, node) in [(&mut leaving, from), (&mut landing, to)] {
+                if let Some(c) = counts.get_mut(node as usize + 1) {
+                    *c += 1;
+                }
+            }
+            let mut e = Edge {
+                from,
+                to,
+                port,
+                down: false,
+                congested: false,
+                cost: l.metrics.cost,
+                prop_ns: l.metrics.prop_delay.as_nanos(),
+                bw: l.metrics.bandwidth_bps,
+                mtu: l.metrics.mtu,
+                residual_bps: 0,
+            };
+            e.set_state(l, congestion_milli);
+            g.edges.push(e);
+        }
+        g.leaving_at = offsets(leaving);
+        g.entering_at = offsets(landing);
+        // Counting sort of edge indices by the node they land on.
+        g.entering = vec![0u32; g.edges.len()];
+        let mut next = g.entering_at.clone();
+        for (i, e) in g.edges.iter().enumerate() {
+            if let Some(at) = next.get_mut(e.to as usize) {
+                if let Some(slot) = g.entering.get_mut(*at as usize) {
+                    *slot = i as u32;
+                }
+                *at += 1;
+            }
+        }
+        g
+    }
+
+    /// The node index of a peer, if any link names it.
+    fn node(&self, peer: Peer) -> Option<u32> {
+        let at = match peer {
+            Peer::Router(r) => self.routers.binary_search(&r).ok()?,
+            Peer::Host(h) => self.routers.len() + self.hosts.binary_search(&h).ok()?,
+        };
+        Some(at as u32)
+    }
+
+    /// `(index, edge)` of every link leaving `node`, in port order.
+    fn leaving(&self, node: u32) -> impl Iterator<Item = (u32, &Edge)> {
+        let span = span(&self.leaving_at, node);
+        (span.start as u32..).zip(self.edges.get(span).unwrap_or_default())
+    }
+
+    /// Every link landing on `node`, in `(router, port)` order.
+    fn entering(&self, node: u32) -> impl Iterator<Item = &Edge> {
+        let into = self.entering.get(span(&self.entering_at, node));
+        into.unwrap_or_default()
+            .iter()
+            .filter_map(move |&i| self.edges.get(i as usize))
+    }
+
+    /// The compiled edge of link `(router, port)` — two short searches,
+    /// which is what keeps a report O(log n).
+    fn edge_mut(&mut self, router: u32, port: u8) -> Option<&mut Edge> {
+        let node = self.node(Peer::Router(router))?;
+        let out = self.edges.get_mut(span(&self.leaving_at, node))?;
+        out.iter_mut().find(|e| e.port == port)
+    }
+
+    /// Reconstruct a route and its metrics from a path of edge indices.
+    fn route(&self, path: &[u32]) -> TeRoute {
+        let mut route = TeRoute::empty();
+        let mut delay_ns = 0u64;
+        for e in path.iter().filter_map(|&i| self.edges.get(i as usize)) {
+            delay_ns += e.prop_ns;
+            route.bandwidth_bps = route.bandwidth_bps.min(e.bw);
+            route.mtu = route.mtu.min(e.mtu);
+            route.cost = route.cost.saturating_add(e.cost);
+            route.residual_bps = route.residual_bps.min(e.residual_bps);
+            route.congested_hops += usize::from(e.congested);
+            route
+                .hops
+                .extend(self.routers.get(e.from as usize).map(|&r| (r, e.port)));
+        }
+        route.delay = SimDuration::from_nanos(delay_ns);
+        route
+    }
+}
+
+/// The largest weight the stretch bound admits beside a best route of
+/// `best_ns` — all-integer: `w` passes iff `w × 1000 ≤ best × stretch`.
+/// A stretch of 0 is no bound.
+fn stretch_ceiling(best_ns: u64, stretch_milli: u32) -> u64 {
+    if stretch_milli == 0 {
+        return u64::MAX;
+    }
+    let ceiling = best_ns as u128 * stretch_milli as u128 / LOAD_SCALE as u128;
+    u64::try_from(ceiling).unwrap_or(u64::MAX)
+}
+
+/// One query's searches and the scratch they share.
+///
+/// A query is one Dijkstra *backwards* from the destination
+/// ([`Search::reverse_tree`]) and then a handful of goal-directed
+/// probes forwards ([`Search::shortest`]): the reverse tree gives every
+/// node its exact distance to the destination over the links the query
+/// admits, which is a consistent A* heuristic for the first path, for
+/// every Yen spur and for the congestion detour (their banned and
+/// congested links only lengthen the true distance), and lets the
+/// stretch ceiling prune a probe the moment `root + g + h` exceeds it.
+struct Search<'a> {
+    g: &'a Compiled,
+    q: &'a TeQuery,
+    src: u32,
+    dst: u32,
+    /// In-search delay prune: a probe never extends past `max_delay`
+    /// plus 64 hops' worth of decision delay, measured from the node it
+    /// starts at. The exact `max_delay` filter runs on the finished set.
+    slack: u64,
+    /// Per router node, the distance to `dst`: exact wherever it is
+    /// within the reverse tree's radius, above the radius (or
+    /// `u64::MAX`) everywhere else.
+    to_dst: Vec<u64>,
+    /// Per router node, a probe's distance from its start and the edge
+    /// it was reached over. Allocated once; `touched` lists the slots
+    /// the last probe wrote so the next resets only those.
+    dist: Vec<u64>,
+    via: Vec<u32>,
+    touched: Vec<u32>,
+    heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
+    work: SearchWork,
+}
+
+impl<'a> Search<'a> {
+    fn new(g: &'a Compiled, q: &'a TeQuery, src: u32, dst: u32) -> Search<'a> {
+        let n = g.routers.len();
+        Search {
+            g,
+            q,
+            src,
+            dst,
+            slack: q
+                .max_delay
+                .map(|d| d.as_nanos().saturating_add(64 * HOP_NS))
+                .unwrap_or(u64::MAX),
+            to_dst: vec![u64::MAX; n],
+            dist: vec![u64::MAX; n],
+            via: vec![0; n],
+            touched: Vec::new(),
+            heap: BinaryHeap::new(),
+            work: SearchWork::default(),
+        }
+    }
+
+    /// Yen's loopless k-shortest enumeration, then the congestion
+    /// detour and the exact filters.
+    fn k_routes(&mut self) -> Vec<TeRoute> {
+        let (g, q) = (self.g, self.q);
+        let k = q.k.max(1);
+        let Some(best_ns) = self.reverse_tree(k > 1 || q.avoid_congested) else {
+            return Vec::new();
+        };
+        let Some((_, best)) = self.shortest(self.src, 0, best_ns, &[], &[], false) else {
+            return Vec::new();
+        };
+        let ceiling = stretch_ceiling(best_ns, q.max_stretch_milli);
+        // Candidate pool, ordered by (weight, path) — a total order, so
+        // equal-weight spurs pop deterministically. No candidate over
+        // the stretch ceiling ever enters it (`shortest` refuses to
+        // find one), so running dry is the only way the loop gives up.
+        let mut pool: BTreeSet<(u64, Vec<u32>)> = BTreeSet::new();
+        let mut seen: BTreeSet<Vec<u32>> = BTreeSet::from([best.clone()]);
+        let mut accepted: Vec<Vec<u32>> = vec![best];
+        while accepted.len() < k {
+            let Some(prev) = accepted.last().cloned() else {
+                break;
+            };
+            // Spur from every position of the previously accepted path:
+            // keep its first `i` hops (the root), ban the root's nodes
+            // and every accepted continuation of the root, and search
+            // on from there.
+            let hops: Vec<&Edge> = prev
+                .iter()
+                .filter_map(|&e| g.edges.get(e as usize))
+                .collect();
+            let nodes: Vec<u32> = hops.iter().map(|e| e.from).collect();
+            let mut root_ns = 0u64;
+            for (i, hop) in hops.iter().enumerate() {
+                let (Some(root), Some(root_nodes)) = (prev.get(..i), nodes.get(..i)) else {
+                    break;
+                };
+                let taken: Vec<u32> = accepted
+                    .iter()
+                    .filter(|a| a.get(..i) == Some(root))
+                    .filter_map(|a| a.get(i).copied())
+                    .collect();
+                if let Some((spur_ns, spur)) =
+                    self.shortest(hop.from, root_ns, ceiling, &taken, root_nodes, false)
+                {
+                    let full = [root, spur.as_slice()].concat();
+                    if seen.insert(full.clone()) {
+                        pool.insert((root_ns + spur_ns, full));
+                    }
+                }
+                root_ns += hop.weight_ns();
+            }
+            let Some((_, next)) = pool.pop_first() else {
+                break;
+            };
+            accepted.push(next);
+        }
+
+        let mut routes: Vec<TeRoute> = accepted.iter().map(|path| g.route(path)).collect();
+        // Every route crosses a congested link: offer the shortest one
+        // that crosses none, in place of the worst alternate if the set
+        // is full.
+        if q.avoid_congested && routes.iter().all(|r| r.congested_hops > 0) {
+            if let Some((_, path)) = self.shortest(self.src, 0, ceiling, &[], &[], true) {
+                if routes.len() >= k {
+                    routes.pop();
+                }
+                routes.push(TeRoute {
+                    detour: true,
+                    ..g.route(&path)
+                });
+            }
+        }
+
+        // Final exact filters on reconstructed metrics.
+        routes.retain(|r| {
+            let delay_ok = q.max_delay.map(|d| r.delay <= d).unwrap_or(true);
+            let cost_ok = q.max_cost.map(|c| r.cost <= c).unwrap_or(true);
+            delay_ok && cost_ok
+        });
+        routes.sort_by(|a, b| (a.weight_ns(), &a.hops).cmp(&(b.weight_ns(), &b.hops)));
+        routes
+    }
+
+    /// Dijkstra backwards from `dst` over the links the query admits,
+    /// filling `to_dst`. Returns the distance from `src`, or `None` if
+    /// `dst` cannot be reached from it.
+    ///
+    /// The tree stops growing at a radius fixed the moment `src`
+    /// settles: the stretch ceiling when the query will look for
+    /// `alternates` (no node farther than that from `dst` can lie on a
+    /// route within the ceiling), the best distance itself when it will
+    /// not.
+    fn reverse_tree(&mut self, alternates: bool) -> Option<u64> {
+        let (g, q) = (self.g, self.q);
+        let mut heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
+        let mut best = None;
+        let mut radius = u64::MAX;
+        // A host destination has no slot (and no way back out of it); a
+        // router destination is pinned at 0, so no cycle relabels it.
+        if let Some(slot) = self.to_dst.get_mut(self.dst as usize) {
+            *slot = 0;
+        }
+        heap.push(Reverse((0, self.dst)));
+        while let Some(Reverse((d, v))) = heap.pop() {
+            if d > radius {
+                break;
+            }
+            if v != self.dst && self.to_dst.get(v as usize) != Some(&d) {
+                continue; // a shorter label settled this node already
+            }
+            self.work.nodes_settled += 1;
+            if v == self.src {
+                best = Some(d);
+                radius = if alternates {
+                    stretch_ceiling(d, q.max_stretch_milli).max(d)
+                } else {
+                    d
+                };
+            }
+            for e in g.entering(v).filter(|e| e.admitted(q)) {
+                let nd = d.saturating_add(e.weight_ns());
+                if let Some(slot) = self.to_dst.get_mut(e.from as usize) {
+                    if nd < *slot {
+                        *slot = nd;
+                        heap.push(Reverse((nd, e.from)));
+                    }
+                }
+            }
+        }
+        best
+    }
+
+    /// Goal-directed (A*) shortest path from `start` to `dst`, as
+    /// `(weight, edge indices)`, over admitted links that are not in
+    /// `banned_edges` (Yen spur exclusions), do not enter
+    /// `banned_nodes` (root-path loop prevention) and — when
+    /// `skip_congested` — are not congested. `start` sits `root_ns`
+    /// from the query's source, and nothing whose total would exceed
+    /// `bound` is explored or returned.
+    ///
+    /// Which of several equal-weight paths comes back is a rule, not an
+    /// accident of pop order — it is the path a plain Dijkstra keyed
+    /// `(dist, node)` with strict relaxations over port-ordered edges
+    /// finds, which is what this search replaced and what every digest
+    /// downstream was recorded against:
+    ///
+    /// * the heap is keyed `(g + h, g, node)` and pops while
+    ///   `g + h ≤ best`, so every node that could tie is expanded, each
+    ///   after all of its tight predecessors;
+    /// * the last hop is the least `(dist, node, port)`;
+    /// * a relaxation that ties a node's distance keeps the predecessor
+    ///   with the smaller `(dist[pred], pred, port)`.
+    ///
+    /// Edge indices order like `(node, port)`, so both rules compare
+    /// `(dist, edge index)`.
+    fn shortest(
+        &mut self,
+        start: u32,
+        root_ns: u64,
+        bound: u64,
+        banned_edges: &[u32],
+        banned_nodes: &[u32],
+        skip_congested: bool,
+    ) -> Option<(u64, Vec<u32>)> {
+        let (g, q) = (self.g, self.q);
+        self.work.searches += 1;
+        for n in self.touched.drain(..) {
+            if let Some(slot) = self.dist.get_mut(n as usize) {
+                *slot = u64::MAX;
+            }
+        }
+        self.heap.clear();
+        // `h`: distance to `dst`, if a path through a node that far out
+        // can still come in under `bound` after `so_far`.
+        let to_dst = &self.to_dst;
+        let h = |node: u32, so_far: u64| {
+            let h = *to_dst.get(node as usize)?;
+            (h != u64::MAX && so_far.saturating_add(h) <= bound).then_some(h)
+        };
+        let h_start = h(start, root_ns)?;
+        *self.dist.get_mut(start as usize)? = 0;
+        self.touched.push(start);
+        self.heap.push(Reverse((h_start, 0, start)));
+        let mut arrival: Option<(u64, u32)> = None;
+        while let Some(Reverse((f, d, u))) = self.heap.pop() {
+            if arrival.is_some_and(|(best, _)| f > best) {
+                break; // nothing left can tie the arrival in hand
+            }
+            if self.dist.get(u as usize) != Some(&d) {
+                continue; // a shorter label settled this node already
+            }
+            self.work.nodes_settled += 1;
+            for (ei, e) in g.leaving(u) {
+                if !e.admitted(q) || (skip_congested && e.congested) || banned_edges.contains(&ei) {
                     continue;
                 }
-                if banned_edges.contains(&(u, e.port)) {
+                let nd = d.saturating_add(e.weight_ns());
+                if nd > self.slack {
                     continue;
                 }
-                let nd = d.saturating_add(e.weight_ns);
-                if nd > slack {
-                    continue;
-                }
-                if e.to == TARGET {
-                    let better = match target_best {
-                        None => true,
-                        Some((bd, bu, bp)) => (nd, u, e.port) < (bd, bu, bp),
-                    };
-                    if better {
-                        target_best = Some((nd, u, e.port));
+                if e.to == self.dst {
+                    let within = root_ns.saturating_add(nd) <= bound;
+                    if within && arrival.is_none_or(|a| (nd, ei) < a) {
+                        arrival = Some((nd, ei));
                     }
                     continue;
                 }
                 if banned_nodes.contains(&e.to) {
                     continue;
                 }
-                let improves = dist.get(e.to).map(|&x| nd < x).unwrap_or(false);
-                if improves {
-                    if let Some(slot) = dist.get_mut(e.to) {
-                        *slot = nd;
+                let Some(hv) = h(e.to, root_ns.saturating_add(nd)) else {
+                    continue; // a host, or too far out
+                };
+                let (Some(dv), Some(via)) = (
+                    self.dist.get_mut(e.to as usize),
+                    self.via.get_mut(e.to as usize),
+                ) else {
+                    continue;
+                };
+                if nd < *dv {
+                    if *dv == u64::MAX {
+                        self.touched.push(e.to);
                     }
-                    if let Some(slot) = from.get_mut(e.to) {
-                        *slot = Some((u, e.port));
+                    *dv = nd;
+                    *via = ei;
+                    self.heap.push(Reverse((nd.saturating_add(hv), nd, e.to)));
+                } else if nd == *dv {
+                    // `*via` tied first; its tail settled at `nd` less
+                    // its own weight.
+                    let held = g
+                        .edges
+                        .get(*via as usize)
+                        .map(|e| nd.saturating_sub(e.weight_ns()));
+                    if Some((d, ei)) < held.map(|held| (held, *via)) {
+                        *via = ei;
                     }
-                    heap.push(Reverse((nd, e.to)));
                 }
             }
         }
-        let (_, last_node, last_port) = target_best?;
-        // Walk predecessors back to src.
-        let mut rev: Vec<(usize, u8)> = vec![(last_node, last_port)];
-        let mut at = last_node;
-        while at != src {
-            let Some(&Some((p, port))) = from.get(at) else {
-                return None;
-            };
-            rev.push((p, port));
-            at = p;
+        let (weight, last) = arrival?;
+        let mut path = vec![last];
+        let mut at = g.edges.get(last as usize)?.from;
+        while at != start {
+            let ei = *self.via.get(at as usize)?;
+            path.push(ei);
+            at = g.edges.get(ei as usize)?.from;
         }
-        rev.reverse();
-        self.rebuild_raw(&rev)
-    }
-
-    /// Reconstruct full route metrics from indexed hops.
-    fn rebuild_raw(&self, hops_idx: &[(usize, u8)]) -> Option<TeRoute> {
-        let mut delay_ns = 0u64;
-        let mut bw = u64::MAX;
-        let mut mtu = usize::MAX;
-        let mut cost = 0u32;
-        let mut residual = u64::MAX;
-        let mut congested = 0usize;
-        let mut hops: Vec<(u32, u8)> = Vec::with_capacity(hops_idx.len());
-        for &(node, port) in hops_idx {
-            let e = self.adj.get(node)?.iter().find(|e| e.port == port)?;
-            delay_ns += e.prop_ns;
-            bw = bw.min(e.bw);
-            mtu = mtu.min(e.mtu);
-            cost = cost.saturating_add(e.cost);
-            residual = residual.min(e.residual_bps);
-            congested += usize::from(e.congested);
-            hops.push((*self.ids.get(node)?, port));
-        }
-        Some(TeRoute {
-            hops,
-            delay: SimDuration::from_nanos(delay_ns),
-            bandwidth_bps: bw,
-            mtu,
-            cost,
-            residual_bps: residual,
-            congested_hops: congested,
-            detour: false,
-        })
-    }
-
-    /// Rebuild and validate a candidate path (loop check included).
-    fn rebuild(&self, src: usize, hops_idx: &[(usize, u8)]) -> Option<TeRoute> {
-        // Loopless check: src plus every intermediate node must be
-        // distinct (the target is virtual and cannot repeat).
-        let mut visited: BTreeSet<usize> = BTreeSet::new();
-        visited.insert(src);
-        let mut at = src;
-        for (pos, &(node, port)) in hops_idx.iter().enumerate() {
-            if node != at {
-                return None; // disconnected hop sequence
-            }
-            let next = self.step(node, port)?;
-            if next == TARGET {
-                if pos + 1 != hops_idx.len() {
-                    return None; // terminated early
-                }
-                break;
-            }
-            if !visited.insert(next) {
-                return None; // loop
-            }
-            at = next;
-        }
-        self.rebuild_raw(hops_idx)
+        path.reverse();
+        Some((weight, path))
     }
 }
 
@@ -855,6 +1033,31 @@ mod tests {
         };
         let routes = t.k_routes(0, Peer::Host(9), &q);
         assert_eq!(routes.len(), 1);
+    }
+
+    /// Regression: a pool candidate over the stretch ceiling used to be
+    /// popped, rejected and answered with a full re-spur of the same
+    /// accepted path — every result already seen — once per remaining
+    /// pool entry (7 searches here). The pool is weight-ordered, so the
+    /// first rejection is final: asking for more alternates than the
+    /// ceiling admits costs one probe for the best route and one per
+    /// hop of it, whatever `k` says.
+    #[test]
+    fn stretch_rejection_does_not_respur() {
+        let t = diamond();
+        let work = |k| {
+            let q = TeQuery {
+                k,
+                max_stretch_milli: 1200,
+                ..TeQuery::default()
+            };
+            let (routes, work) = t.k_routes_counted(0, Peer::Host(9), &q);
+            assert_eq!(routes.len(), 1);
+            assert_eq!(routes[0].hops.len(), 3);
+            work
+        };
+        assert_eq!(work(4), work(2));
+        assert!(work(4).searches <= 1 + 3, "{:?}", work(4));
     }
 
     #[test]

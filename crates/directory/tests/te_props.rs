@@ -1,8 +1,10 @@
 //! Property suite for the TE constrained route search.
 //!
-//! Random weighted topologies (ring for connectivity + random chords,
-//! random loads, random down links) and random attribute bounds; every
-//! route `k_routes` returns must:
+//! Random weighted topologies (see `common`: a ring for connectivity
+//! plus random chords and multi-homed hosts, gapped router ids, delay
+//! ranges narrow enough that equal-weight paths are common, random
+//! loads, random down links) and random attribute bounds; every route
+//! `k_routes` returns, to a router or to a host, must:
 //!
 //! * satisfy each bound in the query exactly (MTU, bandwidth, delay,
 //!   cost, stretch),
@@ -11,137 +13,26 @@
 //!
 //! Plus the 32-seed determinism contract: the same (topology, query)
 //! built twice yields byte-identical route sets — the client spreading
-//! logic and the `exp_te` digests replay this.
+//! logic and the `exp te` digests replay this.
+
+mod common;
 
 use proptest::prelude::*;
 
+use common::{build_topology, query_from};
 use sirpent_directory::te::LOAD_SCALE;
-use sirpent_directory::{LinkMetrics, Peer, TeQuery, TeTopology};
-use sirpent_sim::SimDuration;
-
-/// SplitMix64 step — the house seed-expansion primitive.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-/// Varied per-link metrics drawn from a seed stream.
-fn metrics_from(s: &mut u64) -> LinkMetrics {
-    let bw = [1_000_000u64, 10_000_000, 100_000_000][(splitmix(s) % 3) as usize];
-    let mtu = [576usize, 1500, 9000][(splitmix(s) % 3) as usize];
-    LinkMetrics {
-        bandwidth_bps: bw,
-        prop_delay: SimDuration::from_micros(1 + splitmix(s) % 50),
-        mtu,
-        cost: 1 + (splitmix(s) % 4) as u32,
-        ..LinkMetrics::basic()
-    }
-}
-
-/// A generated topology plus the bookkeeping the invariant checks need:
-/// which `(router, port)` links were marked down.
-struct GenTopo {
-    te: TeTopology,
-    down: Vec<(u32, u8)>,
-}
-
-/// Build a connected random topology: an n-ring (both directions, so
-/// src→dst is always feasible through up links) plus up to n random
-/// chords, random loads everywhere, and a few chords taken down.
-fn build_topology(seed: u64, n: u32) -> GenTopo {
-    let mut s = seed;
-    let mut te = TeTopology::new();
-    let mut next_port = vec![0u8; n as usize];
-    let mut chords: Vec<(u32, u8)> = Vec::new();
-    let link = |te: &mut TeTopology,
-                ports: &mut Vec<u8>,
-                s: &mut u64,
-                a: u32,
-                b: u32|
-     -> Option<(u32, u8)> {
-        let p = *ports.get(a as usize)?;
-        if p == u8::MAX {
-            return None;
-        }
-        if let Some(slot) = ports.get_mut(a as usize) {
-            *slot = p + 1;
-        }
-        te.add_link(a, p, Peer::Router(b), metrics_from(s));
-        Some((a, p))
-    };
-    for i in 0..n {
-        let j = (i + 1) % n;
-        link(&mut te, &mut next_port, &mut s, i, j);
-        link(&mut te, &mut next_port, &mut s, j, i);
-    }
-    for _ in 0..n {
-        let a = (splitmix(&mut s) % n as u64) as u32;
-        let b = (splitmix(&mut s) % n as u64) as u32;
-        if a != b {
-            if let Some(id) = link(&mut te, &mut next_port, &mut s, a, b) {
-                chords.push(id);
-            }
-        }
-    }
-    // Load every link somewhere in [0, 1.2×line-rate); drop ~1/4 of the
-    // chords (never ring links, preserving connectivity).
-    for i in 0..n {
-        for p in 0..*next_port.get(i as usize).unwrap_or(&0) {
-            te.set_load_milli(
-                i,
-                p,
-                (splitmix(&mut s) % (LOAD_SCALE as u64 * 6 / 5)) as u32,
-            );
-        }
-    }
-    let mut down = Vec::new();
-    for &(a, p) in &chords {
-        if splitmix(&mut s).is_multiple_of(4) {
-            te.set_down(a, p);
-            down.push((a, p));
-        }
-    }
-    GenTopo { te, down }
-}
-
-/// A query with bounds drawn from the seed stream — roughly half the
-/// draws leave each bound open so both pruned and unpruned searches are
-/// exercised.
-fn query_from(s: &mut u64) -> TeQuery {
-    TeQuery {
-        k: 1 + (splitmix(s) % 4) as usize,
-        min_mtu: [0usize, 576, 1500][(splitmix(s) % 3) as usize],
-        min_bandwidth_bps: [0u64, 5_000_000][(splitmix(s) % 2) as usize],
-        max_delay: match splitmix(s) % 3 {
-            0 => None,
-            1 => Some(SimDuration::from_micros(60 + splitmix(s) % 200)),
-            _ => Some(SimDuration::from_millis(10)),
-        },
-        max_cost: match splitmix(s) % 3 {
-            0 => None,
-            _ => Some(4 + (splitmix(s) % 40) as u32),
-        },
-        max_stretch_milli: [0u32, 1200, 1500, 2500][(splitmix(s) % 4) as usize],
-        avoid_congested: splitmix(s).is_multiple_of(2),
-    }
-}
+use sirpent_directory::{LinkMetrics, Peer};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
     #[test]
-    fn routes_satisfy_bounds_and_are_loop_free(seed in any::<u64>(), n in 4u32..24) {
+    fn routes_satisfy_bounds_and_are_loop_free(seed in any::<u64>(), n in 4u32..65) {
         let topo = build_topology(seed, n);
         let mut s = seed ^ 0xD1F7;
-        let src = (splitmix(&mut s) % n as u64) as u32;
-        let dst = {
-            let d = (splitmix(&mut s) % (n as u64 - 1)) as u32;
-            if d >= src { d + 1 } else { d }
-        };
+        let src = topo.any_src(&mut s);
+        let dst = topo.any_dst(&mut s, src);
         let q = query_from(&mut s);
-        let routes = topo.te.k_routes(src, Peer::Router(dst), &q);
+        let routes = topo.te.k_routes(src, dst, &q);
         prop_assert!(routes.len() <= q.k.max(1));
         let best_weight = routes.first().map(|r| r.weight_ns()).unwrap_or(0);
         for r in &routes {
@@ -165,7 +56,7 @@ proptest! {
                 );
                 let expect = match r.hops.get(i + 1) {
                     Some(&(next, _)) => Peer::Router(next),
-                    None => Peer::Router(dst),
+                    None => dst,
                 };
                 prop_assert_eq!(peer, Some(expect), "hop {} does not chain", i);
                 let m = topo.te.metrics(router, port).unwrap_or(LinkMetrics::basic());
@@ -216,21 +107,21 @@ proptest! {
 #[test]
 fn k_route_sets_are_byte_identical_across_rebuilds() {
     for seed in 0u64..32 {
-        let n = 6 + (seed % 12) as u32;
+        let n = 6 + (seed * 2 % 59) as u32;
         let a = build_topology(seed.wrapping_mul(0x9E37), n);
         let b = build_topology(seed.wrapping_mul(0x9E37), n);
         assert_eq!(a.te.epoch(), b.te.epoch(), "seed {seed}: epochs diverge");
         let mut s = seed ^ 0xBEEF;
         for _ in 0..8 {
-            let src = (splitmix(&mut s) % n as u64) as u32;
-            let dst = (splitmix(&mut s) % n as u64) as u32;
+            let src = a.any_src(&mut s);
+            let dst = a.any_dst(&mut s, src);
             let q = query_from(&mut s);
-            let ra = a.te.k_routes(src, Peer::Router(dst), &q);
-            let rb = b.te.k_routes(src, Peer::Router(dst), &q);
+            let ra = a.te.k_routes(src, dst, &q);
+            let rb = b.te.k_routes(src, dst, &q);
             assert_eq!(
                 format!("{ra:?}"),
                 format!("{rb:?}"),
-                "seed {seed}: route sets diverge for {src}->{dst} {q:?}"
+                "seed {seed}: route sets diverge for {src}->{dst:?} {q:?}"
             );
         }
     }

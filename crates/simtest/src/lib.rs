@@ -29,7 +29,7 @@
 //! Beside the chaos harness sits the one scale workload: [`te`] plans a
 //! flash crowd with the directory's TE search and runs it on cut-through
 //! `ViperRouter`s over a [`topo`] mesh of up to 10 000 nodes. The TE
-//! experiment (`exp_te`) and the sharded engine's digest-equality suite
+//! experiment (`exp te`) and the sharded engine's digest-equality suite
 //! (`tests/parallel_digest.rs`) are the same code at different sizes.
 
 #![forbid(unsafe_code)]

@@ -106,6 +106,11 @@ pub const TE_DETOURS_TOTAL: &str = "te_detours_total";
 pub const TE_INFEASIBLE_TOTAL: &str = "te_infeasible_total";
 /// Topology epoch bumps observed (weight / load / up-down mutations).
 pub const TE_EPOCH_BUMPS_TOTAL: &str = "te_epoch_bumps_total";
+/// Goal-directed searches run across all TE queries (first path, Yen
+/// spurs, detours). A count of work, not of time: it repeats exactly.
+pub const TE_SEARCHES_TOTAL: &str = "te_searches_total";
+/// Nodes settled across all TE queries, reverse trees included.
+pub const TE_NODES_SETTLED_TOTAL: &str = "te_nodes_settled_total";
 
 // ---- hosts --------------------------------------------------------------
 
@@ -156,6 +161,8 @@ mod tests {
             super::TE_DETOURS_TOTAL,
             super::TE_INFEASIBLE_TOTAL,
             super::TE_EPOCH_BUMPS_TOTAL,
+            super::TE_SEARCHES_TOTAL,
+            super::TE_NODES_SETTLED_TOTAL,
             super::FLIGHT_EVENTS_RECORDED_TOTAL,
             super::FLIGHT_EVENTS_EVICTED_TOTAL,
             super::HOST_INJECTED_TOTAL,
