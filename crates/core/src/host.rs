@@ -21,9 +21,8 @@ use sirpent_sim::{transmission_time, Context, Event, Node, SimDuration, SimTime}
 use sirpent_transport::{Action, Endpoint, EndpointConfig, FailoverPolicy, RouteSet, Verdict};
 use sirpent_wire::buf::{FrameBuf, PacketBuf};
 use sirpent_wire::ethernet;
-use sirpent_wire::packet::{PacketBuilder, PacketView};
-use sirpent_wire::viper::{SegmentRepr, PORT_LOCAL};
-use sirpent_wire::vmtp::{EntityId, Kind};
+use sirpent_wire::packet::{PacketBuilder, RouteHeader, Scan};
+use sirpent_wire::vmtp::{self, EntityId, Kind};
 
 use crate::compile::CompiledRoute;
 
@@ -107,22 +106,59 @@ pub struct HostStats {
     /// 1500-byte transmission unit, or a malformed route): nothing was
     /// sent.
     pub build_refused: u64,
+    /// Queued requests the transport refused (the message needs more
+    /// than 32 group members): the transaction id is spent, nothing was
+    /// sent.
+    pub message_refused: u64,
+    /// Packets with nowhere to go — no route installed toward the
+    /// destination, or no reply context for the peer: nothing was sent.
+    pub no_route: u64,
 }
 
-struct ReplyContext {
-    route: Vec<SegmentRepr>,
+/// One way out of the host: the link, and the route header every packet
+/// sent this way wears. The header is encoded once — at install for a
+/// directory route, per received packet for a reply — and `Err` keeps
+/// the builder's refusal, which each send over the path then counts.
+struct Path {
+    header: Result<RouteHeader, sirpent_wire::Error>,
     host_port: u8,
     eth: Option<ethernet::Repr>,
 }
 
+/// An installed route: its path, and the routers on it for matching
+/// backpressure feedback.
+struct InstalledRoute {
+    path: Path,
+    router_ids: Vec<u32>,
+}
+
+impl InstalledRoute {
+    /// Run the compiled route through the packet builder's validation
+    /// and encoding, once.
+    fn new(route: CompiledRoute) -> (InstalledRoute, SimDuration) {
+        let header = PacketBuilder::new()
+            .route(route.segments)
+            .recovery(route.recovery)
+            .build_header();
+        let installed = InstalledRoute {
+            path: Path {
+                header,
+                host_port: route.host_port,
+                eth: route.first_eth,
+            },
+            router_ids: route.router_ids,
+        };
+        (installed, route.base_rtt)
+    }
+}
+
+/// A request awaiting its response. Dropped when the response is
+/// delivered; a request the client gave up on keeps it, so a response
+/// that still arrives is timed.
 struct SendTracker {
     dst: EntityId,
     started: SimTime,
     attempts: u32,
-    /// The request group is fully acknowledged.
-    send_done: bool,
-    /// The response arrived (transaction complete).
-    responded: bool,
     payload_len: usize,
 }
 
@@ -148,11 +184,15 @@ const MAX_ATTEMPTS: u32 = 5;
 pub struct SirpentHost {
     endpoint: Endpoint,
     ports: BTreeMap<u8, HostPortKind>,
-    routes: BTreeMap<EntityId, RouteSet<CompiledRoute>>,
-    reply_ctx: HashMap<EntityId, ReplyContext>,
+    routes: BTreeMap<EntityId, RouteSet<InstalledRoute>>,
+    reply_ctx: HashMap<EntityId, Path>,
     /// Responses already sent, retained for re-send on replayed
-    /// requests (the VMTP server-side transaction record).
-    sent_responses: HashMap<(EntityId, u32), Vec<u8>>,
+    /// requests (the VMTP server-side transaction record). Auto-responses
+    /// all share `response`'s buffer.
+    sent_responses: HashMap<(EntityId, u32), PacketBuf>,
+    /// `auto_respond`'s bytes as the one buffer every auto-response is a
+    /// window of; rebuilt when the public field has been reassigned.
+    response: PacketBuf,
     inflight: HashMap<u32, SendTracker>,
     pending: HashMap<u64, Pending>,
     next_key: u64,
@@ -189,6 +229,7 @@ impl SirpentHost {
             routes: BTreeMap::new(),
             reply_ctx: HashMap::new(),
             sent_responses: HashMap::new(),
+            response: PacketBuf::new(),
             inflight: HashMap::new(),
             pending: HashMap::new(),
             next_key: 1,
@@ -230,10 +271,7 @@ impl SirpentHost {
     /// advisories, already compiled).
     pub fn install_routes(&mut self, dst: EntityId, routes: Vec<CompiledRoute>) {
         assert!(!routes.is_empty(), "need at least one route");
-        let pairs = routes.into_iter().map(|r| {
-            let rtt = r.base_rtt;
-            (r, rtt)
-        });
+        let pairs = routes.into_iter().map(InstalledRoute::new);
         self.routes
             .insert(dst, RouteSet::new(pairs.collect(), self.failover));
     }
@@ -246,7 +284,7 @@ impl SirpentHost {
     pub fn install_routes_weighted(&mut self, dst: EntityId, routes: Vec<(CompiledRoute, u64)>) {
         assert!(!routes.is_empty(), "need at least one route");
         let triples = routes.into_iter().map(|(r, w)| {
-            let rtt = r.base_rtt;
+            let (r, rtt) = InstalledRoute::new(r);
             (r, rtt, w)
         });
         self.routes.insert(
@@ -264,6 +302,15 @@ impl SirpentHost {
     /// toward `dst` (0 for unweighted sets).
     pub fn route_reselections(&self, dst: EntityId) -> u64 {
         self.routes.get(&dst).map(|r| r.reselections).unwrap_or(0)
+    }
+
+    /// Transaction state held and due to retire: requests awaiting a
+    /// response, packet groups sent and still needed (awaiting
+    /// acknowledgement, or a request's kept for probing), and incoming
+    /// groups with members missing. Returns to 0 when every transaction
+    /// has run its course.
+    pub fn open_transactions(&self) -> usize {
+        self.inflight.len() + self.endpoint.open_groups()
     }
 
     /// Queue a request for later sending; call [`SirpentHost::start`]
@@ -292,28 +339,16 @@ impl SirpentHost {
         ctx.schedule_at(at, key);
     }
 
-    /// Frame and schedule one Sirpent packet built from `vmtp` bytes
-    /// over an explicit (route, port, eth) path.
-    #[allow(clippy::too_many_arguments)]
+    /// Frame one built Sirpent packet for `host_port`'s link and schedule
+    /// its transmission.
     fn ship(
         &mut self,
         ctx: &mut Context<'_>,
         at: SimTime,
-        vmtp: Vec<u8>,
-        segments: &[SegmentRepr],
-        recovery: &[SegmentRepr],
+        packet: PacketBuf,
         host_port: u8,
         eth: Option<ethernet::Repr>,
     ) {
-        let Ok(packet) = PacketBuilder::new()
-            .route(segments.to_vec())
-            .recovery(recovery.to_vec())
-            .payload(vmtp)
-            .build_buf()
-        else {
-            self.stats.build_refused += 1;
-            return;
-        };
         let lf = LinkFrame::Sirpent { ff_hint: 0, packet };
         let frame = match (self.ports.get(&host_port), eth) {
             (Some(HostPortKind::Ethernet { mac }), Some(h)) => lf.into_ethernet_frame(*mac, h.dst),
@@ -344,29 +379,41 @@ impl SirpentHost {
     ) {
         for a in actions {
             match a {
-                Action::Transmit { at, bytes } => {
-                    if use_reply_ctx {
-                        let Some(rc) = self.reply_ctx.get(&dst) else {
-                            continue;
-                        };
-                        let (route, port, eth) = (rc.route.clone(), rc.host_port, rc.eth);
-                        // Replies ride the trailer-derived reverse route,
-                        // which carries no alternate protection.
-                        self.ship(ctx, at, bytes, &route, &[], port, eth);
+                Action::Transmit {
+                    at,
+                    header,
+                    payload,
+                    timestamp,
+                } => {
+                    // Replies ride the trailer-derived reverse route,
+                    // which carries no alternate protection.
+                    let path = if use_reply_ctx {
+                        self.reply_ctx.get(&dst)
                     } else {
-                        let Some(set) = self.routes.get(&dst) else {
-                            continue;
-                        };
-                        let r = set.current().clone();
-                        self.ship(
-                            ctx,
-                            at,
-                            bytes,
-                            &r.segments,
-                            &r.recovery,
-                            r.host_port,
-                            r.first_eth,
-                        );
+                        self.routes.get(&dst).map(|set| &set.current().path)
+                    };
+                    let Some(path) = path else {
+                        self.stats.no_route += 1;
+                        continue;
+                    };
+                    // One buffer, each byte written once: the stored route
+                    // header, then the transport packet serialized in
+                    // place behind it.
+                    let vmtp = vmtp::Packet {
+                        header,
+                        payload: &payload,
+                        timestamp,
+                    };
+                    let built = path.header.as_ref().map_err(|e| *e).and_then(|route| {
+                        route.packet(vmtp.wire_len(), |data| {
+                            vmtp.emit(data)
+                                .expect("the endpoint's headers are consistent");
+                        })
+                    });
+                    let (port, eth) = (path.host_port, path.eth);
+                    match built {
+                        Ok(packet) => self.ship(ctx, at, packet, port, eth),
+                        Err(_) => self.stats.build_refused += 1,
                     }
                 }
                 Action::Deliver {
@@ -378,11 +425,15 @@ impl SirpentHost {
                     self.deliver(ctx, peer, transaction, kind, message, false);
                 }
                 Action::SendComplete { peer, transaction } => {
-                    // `inflight` holds our own requests; a finished response
-                    // to `peer`'s same-numbered request is not one of them.
-                    let own = self.inflight.get_mut(&transaction);
-                    if let Some(t) = own.filter(|t| t.dst == peer) {
-                        t.send_done = true;
+                    // A response's group is finished once acknowledged.
+                    // While a request of ours to `peer` with this number
+                    // is open the group stays: `probe` re-sends from it,
+                    // and that request's timers read the pair's slot even
+                    // when a response to `peer`'s same-numbered request
+                    // has taken it over.
+                    let ours = self.inflight.get(&transaction);
+                    if ours.is_none_or(|t| t.dst != peer) {
+                        self.endpoint.retire(peer, transaction);
                     }
                 }
                 Action::ReplayedRequest { peer, transaction } => {
@@ -390,19 +441,26 @@ impl SirpentHost {
                     // over the (fresh) reply route.
                     if let Some(body) = self.sent_responses.get(&(peer, transaction)).cloned() {
                         let now = ctx.now();
-                        if let Some(actions) = self.endpoint.send_message(
-                            now,
-                            peer,
-                            transaction,
-                            Kind::Response,
-                            &body,
-                        ) {
+                        if let Some(actions) =
+                            self.endpoint
+                                .send_message(now, peer, transaction, Kind::Response, body)
+                        {
                             self.run_actions(ctx, actions, peer, true);
                         }
                     }
                 }
             }
         }
+    }
+
+    /// The auto-responder's body as a window of one shared buffer,
+    /// which follows reassignment of the public `auto_respond` field.
+    fn shared_response(&mut self) -> Option<PacketBuf> {
+        let body = self.auto_respond.as_deref()?;
+        if self.response.as_slice() != body {
+            self.response = PacketBuf::from(body);
+        }
+        Some(self.response.clone())
     }
 
     fn deliver(
@@ -415,51 +473,55 @@ impl SirpentHost {
         truncated: bool,
     ) {
         let now = ctx.now();
+        let response = match kind {
+            Kind::Request if self.echo => Some(PacketBuf::from(&message[..])),
+            Kind::Request => self.shared_response(),
+            _ => None,
+        };
         self.inbox.push(DeliveredMsg {
             at: now,
             peer,
             transaction,
             kind,
-            message: message.clone(),
+            message,
             truncated,
         });
         match kind {
             Kind::Response => {
-                // Request/response RTT sample for failover + stats.
-                if let Some(t) = self.inflight.get_mut(&transaction) {
-                    if t.responded {
-                        return; // duplicate response
-                    }
-                    t.responded = true;
-                    let rtt = now - t.started;
-                    let dst = t.dst;
-                    self.rtt_samples.push((now, rtt));
-                    if let Some(set) = self.routes.get_mut(&dst) {
-                        match set.on_rtt_sample(now, rtt) {
-                            Verdict::Switched(i) => self.events.push(HostEvent::RouteSwitched {
-                                dst,
-                                index: i,
-                                at: now,
-                            }),
-                            Verdict::Requery => {
-                                self.events.push(HostEvent::NeedsRequery { dst, at: now })
-                            }
-                            Verdict::Stay => {}
+                // Request/response RTT sample for failover + stats. The
+                // transaction is over: nothing reads its tracker or its
+                // request group again (a duplicate response finds neither
+                // and stops here, as does the request's pending timer).
+                let Some(t) = self.inflight.remove(&transaction) else {
+                    return;
+                };
+                self.endpoint.retire(t.dst, transaction);
+                let rtt = now - t.started;
+                let dst = t.dst;
+                self.rtt_samples.push((now, rtt));
+                if let Some(set) = self.routes.get_mut(&dst) {
+                    match set.on_rtt_sample(now, rtt) {
+                        Verdict::Switched(i) => self.events.push(HostEvent::RouteSwitched {
+                            dst,
+                            index: i,
+                            at: now,
+                        }),
+                        Verdict::Requery => {
+                            self.events.push(HostEvent::NeedsRequery { dst, at: now })
                         }
+                        Verdict::Stay => {}
                     }
                 }
             }
             Kind::Request => {
-                let body = if self.echo {
-                    Some(message)
-                } else {
-                    self.auto_respond.clone()
-                };
-                if let Some(body) = body {
-                    if let Some(actions) =
-                        self.endpoint
-                            .send_message(now, peer, transaction, Kind::Response, &body)
-                    {
+                if let Some(body) = response {
+                    if let Some(actions) = self.endpoint.send_message(
+                        now,
+                        peer,
+                        transaction,
+                        Kind::Response,
+                        body.clone(),
+                    ) {
                         self.stats.responses_sent += 1;
                         self.sent_responses.insert((peer, transaction), body);
                         self.run_actions(ctx, actions, peer, true);
@@ -474,16 +536,19 @@ impl SirpentHost {
         while self.queue_next < self.app_queue.len()
             && self.app_queue[self.queue_next].at <= ctx.now()
         {
-            let q = &self.app_queue[self.queue_next];
-            let (dst, payload) = (q.dst, q.payload.clone());
+            // The queue entry's `Vec` becomes the request group's buffer.
+            let q = &mut self.app_queue[self.queue_next];
+            let (dst, payload) = (q.dst, std::mem::take(&mut q.payload));
             self.queue_next += 1;
             let txn = self.next_txn;
             self.next_txn += 1;
             let now = ctx.now();
+            let payload_len = payload.len();
             let Some(actions) = self
                 .endpoint
-                .send_message(now, dst, txn, Kind::Request, &payload)
+                .send_message(now, dst, txn, Kind::Request, payload)
             else {
+                self.stats.message_refused += 1;
                 continue;
             };
             self.stats.requests_sent += 1;
@@ -492,15 +557,12 @@ impl SirpentHost {
             if let Some(set) = self.routes.get_mut(&dst) {
                 set.select_for_flow(txn as u64);
             }
-            let payload_len = payload.len();
             self.inflight.insert(
                 txn,
                 SendTracker {
                     dst,
                     started: now,
                     attempts: 1,
-                    send_done: false,
-                    responded: false,
                     payload_len,
                 },
             );
@@ -533,11 +595,8 @@ impl SirpentHost {
     fn on_retransmit(&mut self, ctx: &mut Context<'_>, txn: u32) {
         let now = ctx.now();
         let Some(t) = self.inflight.get_mut(&txn) else {
-            return;
-        };
-        if t.responded {
             return; // transaction finished
-        }
+        };
         let dst = t.dst;
         let payload_len = t.payload_len;
         if t.attempts >= MAX_ATTEMPTS {
@@ -545,6 +604,8 @@ impl SirpentHost {
                 transaction: txn,
                 at: now,
             });
+            // No timer follows, so nothing re-sends from the group again.
+            self.endpoint.retire(dst, txn);
             return;
         }
         t.attempts += 1;
@@ -586,11 +647,11 @@ impl SirpentHost {
         arrival_port: u8,
         arrival_eth: Option<ethernet::Repr>,
     ) {
-        let Ok(view) = PacketView::parse(&packet) else {
+        let Ok(scan) = Scan::parse(&packet) else {
             self.stats.unparseable += 1;
             return;
         };
-        if view.route.len() != 1 || view.route[0].port != PORT_LOCAL {
+        if scan.route_len != 1 {
             // Misrouted: a corrupted header sent it to the wrong place
             // (E12) — hosts are not routers, drop it.
             self.stats.misrouted += 1;
@@ -598,33 +659,32 @@ impl SirpentHost {
         }
         // Intra-host addressing (§2.2): the local segment's portInfo
         // selects the endpoint within this host.
+        let selector = &packet[scan.selector];
         if !self.endpoint_selector.is_empty()
-            && !view.route[0].port_info.is_empty()
-            && view.route[0].port_info != self.endpoint_selector
+            && !selector.is_empty()
+            && selector != self.endpoint_selector
         {
             self.stats.wrong_endpoint += 1;
             return;
         }
-        let truncated = view.trailer.truncated.is_some();
-        if truncated {
+        if scan.truncated.is_some() {
             self.stats.truncated_seen += 1;
         }
         // Carve the user-data window out of the shared buffer: truncate
         // the trailer off, advance past the route header. Both are O(1)
         // offset moves on the same store — no copy on the delivery path.
-        let mut data = packet.clone();
-        data.truncate(view.data_end);
-        data.advance(view.data_start);
+        let mut data = packet;
+        data.truncate(scan.data.end);
+        data.advance(scan.data.start);
         let now = ctx.now();
 
         // Peek the transport source so reply context can be stored
         // before actions run.
-        if let Ok(hdr) = sirpent_wire::vmtp::Header::parse(&data) {
-            let reply_route = sirpent_wire::packet::reply_route(&view);
+        if let Ok(hdr) = vmtp::Header::parse(&data) {
             self.reply_ctx.insert(
                 hdr.src,
-                ReplyContext {
-                    route: reply_route,
+                Path {
+                    header: scan.reply,
                     host_port: arrival_port,
                     eth: arrival_eth.map(|h| h.reversed()),
                 },
@@ -693,7 +753,17 @@ impl Node for SirpentHost {
         &self,
         reg: &mut sirpent_telemetry::Registry,
     ) -> Result<(), sirpent_telemetry::RegistryError> {
-        self.endpoint.pacer.publish_telemetry(reg)
+        use sirpent_telemetry::names;
+        self.endpoint.pacer.publish_telemetry(reg)?;
+        reg.publish_count(names::HOST_BUILD_REFUSED_TOTAL, self.stats.build_refused)?;
+        reg.publish_count(
+            names::HOST_MESSAGE_REFUSED_TOTAL,
+            self.stats.message_refused,
+        )?;
+        reg.publish_count(names::HOST_NO_ROUTE_TOTAL, self.stats.no_route)?;
+        let mut open = sirpent_telemetry::Gauge::new();
+        open.set(self.open_transactions() as i64);
+        reg.publish_gauge(names::HOST_OPEN_TRANSACTIONS, &open)
     }
 
     fn as_any(&self) -> &dyn Any {

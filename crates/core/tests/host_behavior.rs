@@ -6,7 +6,8 @@ use sirpent::host::{HostEvent, HostPortKind, SirpentHost};
 use sirpent::router::link::{LinkFrame, RateControlMsg};
 use sirpent::router::scripted::ScriptedHost;
 use sirpent::router::viper::{PortConfig, PortKind, ViperConfig, ViperRouter};
-use sirpent::sim::{SimDuration, SimTime};
+use sirpent::sim::{ChannelId, FaultConfig, NodeId, SimDuration, SimTime, Simulator};
+use sirpent::telemetry;
 use sirpent::transport::FailoverPolicy;
 use sirpent::wire::ethernet;
 use sirpent::wire::packet::{PacketBuilder, PacketView};
@@ -526,6 +527,148 @@ fn oversize_route_is_refused_and_counted_not_silently_dropped() {
     let (sent, refused) = attempt(longest + 1);
     assert!(sent.is_empty(), "one more hop: nothing reaches the wire");
     assert!(refused > 0, "and the refusal is counted");
+}
+
+#[test]
+fn message_over_32_members_is_refused_and_counted() {
+    // 33 segments of the default 1000 bytes: the transport cannot carry
+    // it as one packet group. The request is not sent — and the host
+    // says so instead of just spending the transaction id.
+    let mut net = Net::new(12);
+    let a = net.host(0xA, vec![(0, HostPortKind::PointToPoint)]);
+    let tap = net.sim.add_node(Box::new(ScriptedHost::new()));
+    net.p2p(a, 0, tap, 0, RATE, PROP);
+    let mut sim = net.into_sim();
+    let host = sim.node_mut::<SirpentHost>(a);
+    host.install_routes(EntityId(0xB), vec![p2p_route(0, 9, 2)]);
+    host.queue_request(SimTime::ZERO, EntityId(0xB), vec![1u8; 32_001]);
+    host.queue_request(SimTime::ZERO, EntityId(0xB), vec![2u8; 10]);
+    SirpentHost::start(&mut sim, a);
+    sim.run_until(SimTime(1_000_000));
+
+    let host = sim.node::<SirpentHost>(a);
+    assert_eq!(host.stats.message_refused, 1);
+    assert_eq!(host.stats.requests_sent, 1, "the sendable one went out");
+    assert_eq!(sim.node::<ScriptedHost>(tap).received.len(), 1);
+}
+
+#[test]
+fn packet_without_a_route_is_counted_not_silently_dropped() {
+    // A request toward a destination nobody installed a route for: the
+    // transport accepts it, every attempt finds no path, and each one is
+    // counted until the client gives up.
+    let mut net = Net::new(13);
+    let a = net.host(0xA, vec![(0, HostPortKind::PointToPoint)]);
+    let tap = net.sim.add_node(Box::new(ScriptedHost::new()));
+    net.p2p(a, 0, tap, 0, RATE, PROP);
+    let mut sim = net.into_sim();
+    sim.node_mut::<SirpentHost>(a).queue_request(
+        SimTime::ZERO,
+        EntityId(0xB),
+        b"to nowhere".to_vec(),
+    );
+    SirpentHost::start(&mut sim, a);
+    sim.run_until(SimTime(2_000_000_000));
+
+    let host = sim.node::<SirpentHost>(a);
+    assert_eq!(host.stats.requests_sent, 1);
+    assert_eq!(host.stats.no_route, 5, "the send and four retransmissions");
+    assert!(matches!(host.events[..], [HostEvent::GaveUp { .. }]));
+    assert!(sim.node::<ScriptedHost>(tap).received.is_empty());
+}
+
+/// Two hosts either side of one router, and the channel on which the
+/// router forwards the server's frames to the client.
+fn client_router_server(seed: u64) -> (Simulator, NodeId, NodeId, ChannelId) {
+    let mut net = Net::new(seed);
+    let a = net.host(0xA, vec![(0, HostPortKind::PointToPoint)]);
+    let b = net.host(0xB, vec![(0, HostPortKind::PointToPoint)]);
+    let r = net.viper(ViperConfig::basic(1, &[1, 2]));
+    let (_, to_client) = net.sim.p2p(a, 0, r, 1, RATE, PROP);
+    net.p2p(r, 2, b, 0, RATE, PROP);
+    let mut sim = net.into_sim();
+    sim.node_mut::<SirpentHost>(a)
+        .install_routes(EntityId(0xB), vec![p2p_route(0, 1, 2)]);
+    (sim, a, b, to_client)
+}
+
+#[test]
+fn completed_transactions_leave_no_open_state() {
+    // Lossless path, single- and multi-packet messages both ways: when
+    // the last response is in, neither host holds a request tracker, a
+    // sent group or a partial reassembly, and telemetry says the same.
+    let (mut sim, a, b, _) = client_router_server(14);
+    sim.node_mut::<SirpentHost>(b).auto_respond = Some(vec![0xA5; 2_500]);
+    for i in 0..20u64 {
+        let len = if i % 2 == 0 { 64 } else { 3_000 };
+        sim.node_mut::<SirpentHost>(a).queue_request(
+            SimTime(i * 20_000_000),
+            EntityId(0xB),
+            vec![0x5A; len],
+        );
+    }
+    SirpentHost::start(&mut sim, a);
+    sim.run_until(SimTime(200_000_000));
+    assert!(
+        sim.node::<SirpentHost>(a).open_transactions() > 0,
+        "mid-run there is state to hold"
+    );
+    sim.run_until(SimTime(1_000_000_000));
+
+    let (client, server) = (sim.node::<SirpentHost>(a), sim.node::<SirpentHost>(b));
+    assert_eq!(client.rtt_samples.len(), 20);
+    assert_eq!(server.stats.responses_sent, 20);
+    assert_eq!(client.open_transactions(), 0);
+    assert_eq!(server.open_transactions(), 0);
+    let fleet = sim.scrape_telemetry().unwrap();
+    let open = fleet.get(telemetry::names::HOST_OPEN_TRANSACTIONS);
+    assert_eq!(open, Some(&telemetry::registry::Metric::Gauge(0)));
+}
+
+#[test]
+fn probe_recovers_a_response_lost_after_the_request_was_acked() {
+    // The server's ack gets through and its response does not. The
+    // client's request group is then fully acknowledged, and must stay
+    // until the response arrives: the retransmission timer has nothing
+    // to resend and probes from it, the server answers the replay from
+    // its transaction record, and only then is everything retired.
+    let (mut sim, a, b, to_client) = client_router_server(15);
+    sim.node_mut::<SirpentHost>(b).auto_respond = Some(vec![0xA5; 200]);
+    sim.node_mut::<SirpentHost>(a)
+        .queue_request(SimTime::ZERO, EntityId(0xB), vec![0x5A; 300]);
+    SirpentHost::start(&mut sim, a);
+
+    // The server sends the ack, then the response: lose exactly the
+    // second frame the router forwards to the client.
+    let forwarded = |sim: &Simulator| sim.channel_stats(to_client).frames;
+    while forwarded(&sim) < 1 {
+        assert!(sim.step(), "the ack comes through");
+    }
+    let lossy = FaultConfig {
+        drop_prob: 1.0,
+        corrupt_prob: 0.0,
+    };
+    sim.set_faults(to_client, lossy);
+    while forwarded(&sim) < 2 {
+        assert!(sim.step(), "the response follows");
+    }
+    sim.set_faults(to_client, FaultConfig::default());
+    assert_eq!(sim.channel_stats(to_client).drops, 1);
+
+    sim.run_until(SimTime(2_000_000_000));
+    let (client, server) = (sim.node::<SirpentHost>(a), sim.node::<SirpentHost>(b));
+    assert_eq!(
+        client.rtt_samples.len(),
+        1,
+        "the probe brought the response"
+    );
+    assert_eq!(client.inbox[0].message, vec![0xA5; 200]);
+    assert_eq!(client.endpoint().stats.retransmissions, 1, "one probe");
+    assert_eq!(server.endpoint().stats.duplicates, 1, "seen as a replay");
+    assert_eq!(server.stats.responses_sent, 1, "re-sent, not re-answered");
+    assert!(client.events.is_empty(), "nobody gave up");
+    assert_eq!(client.open_transactions(), 0);
+    assert_eq!(server.open_transactions(), 0);
 }
 
 #[test]

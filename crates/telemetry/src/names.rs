@@ -118,6 +118,17 @@ pub const TE_NODES_SETTLED_TOTAL: &str = "te_nodes_settled_total";
 pub const HOST_INJECTED_TOTAL: &str = "host_injected_total";
 /// Frames delivered to scripted hosts.
 pub const HOST_DELIVERED_TOTAL: &str = "host_delivered_total";
+/// Packets a `SirpentHost` could not build (route plus payload over the
+/// transmission unit, or a malformed route) and so never sent.
+pub const HOST_BUILD_REFUSED_TOTAL: &str = "host_build_refused_total";
+/// Queued requests the transport refused (over 32 group members).
+pub const HOST_MESSAGE_REFUSED_TOTAL: &str = "host_message_refused_total";
+/// Packets dropped at the host for want of a route or reply context.
+pub const HOST_NO_ROUTE_TOTAL: &str = "host_no_route_total";
+/// Transaction state a `SirpentHost` holds that is due to retire:
+/// requests awaiting a response, groups sent and still needed, partial
+/// reassemblies (gauge, unscaled).
+pub const HOST_OPEN_TRANSACTIONS: &str = "host_open_transactions";
 
 #[cfg(test)]
 mod tests {
@@ -167,6 +178,10 @@ mod tests {
             super::FLIGHT_EVENTS_EVICTED_TOTAL,
             super::HOST_INJECTED_TOTAL,
             super::HOST_DELIVERED_TOTAL,
+            super::HOST_BUILD_REFUSED_TOTAL,
+            super::HOST_MESSAGE_REFUSED_TOTAL,
+            super::HOST_NO_ROUTE_TOTAL,
+            super::HOST_OPEN_TRANSACTIONS,
         ];
         let mut seen = std::collections::HashSet::new();
         for n in all {

@@ -12,10 +12,12 @@
 //! packets and timer ticks and executes the [`Action`]s it returns
 //! (transmissions carry explicit due times for the host to schedule).
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 
 use sirpent_sim::SimTime;
-use sirpent_wire::vmtp::{EntityId, Header, Kind, Packet};
+use sirpent_wire::buf::PacketBuf;
+use sirpent_wire::vmtp::{EntityId, Header, Kind, Packet, HEADER_LEN};
 
 use crate::clock::HostClock;
 use crate::group::{GroupReceiver, GroupSender};
@@ -26,12 +28,19 @@ use crate::rate::RatePacer;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Action {
     /// Put this VMTP packet on the wire (inside a routed Sirpent packet)
-    /// at `at`.
+    /// at `at`. It is handed over in parts — the payload still a window
+    /// of the sender's message buffer — so the host serializes it
+    /// straight into the routed packet ([`Packet::emit`]) and the
+    /// payload is copied once.
     Transmit {
         /// Pacer-assigned departure time.
         at: SimTime,
-        /// Serialized VMTP packet.
-        bytes: Vec<u8>,
+        /// The transport header.
+        header: Header,
+        /// This group member's share of the message.
+        payload: PacketBuf,
+        /// Creation timestamp for the packet's trailer.
+        timestamp: u32,
     },
     /// A complete message arrived.
     Deliver {
@@ -120,6 +129,8 @@ pub struct Endpoint {
     outgoing: HashMap<(EntityId, u32), Outgoing>,
     incoming: HashMap<(EntityId, u32, u8), GroupReceiver>,
     completed: HashSet<(EntityId, u32, u8)>,
+    /// The empty payload every ack shares (a fresh `PacketBuf` allocates).
+    no_payload: PacketBuf,
     /// Counters.
     pub stats: TransportStats,
 }
@@ -145,6 +156,7 @@ impl Endpoint {
             outgoing: HashMap::new(),
             incoming: HashMap::new(),
             completed: HashSet::new(),
+            no_payload: PacketBuf::new(),
             stats: TransportStats::default(),
         }
     }
@@ -159,61 +171,54 @@ impl Endpoint {
         &mut self.clock
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn packet_bytes(
+    /// A `Transmit` for member `index` of `group`, paced from `now`.
+    fn member(
         &mut self,
+        now: SimTime,
         dst: EntityId,
         transaction: u32,
         kind: Kind,
-        group_size: u8,
-        group_index: u8,
-        delivery_mask: u32,
-        message_len: u32,
-        payload: &[u8],
-        now: SimTime,
-    ) -> Vec<u8> {
-        let header = Header {
-            src: self.entity,
-            dst,
-            transaction,
-            kind,
-            group_size,
-            group_index,
-            delivery_mask,
-            message_len,
-            payload_len: payload.len() as u16,
-        };
-        Packet {
-            header,
-            payload: payload.to_vec(),
-            timestamp: self.clock.now_ms(now),
+        group: &GroupSender,
+        index: usize,
+    ) -> Action {
+        let payload = group.window(index);
+        let at = self.pacer.schedule(now, payload.len() + 50);
+        Action::Transmit {
+            at,
+            header: Header {
+                src: self.entity,
+                dst,
+                transaction,
+                kind,
+                group_size: group.group_size() as u8,
+                group_index: index as u8,
+                delivery_mask: 0,
+                message_len: group.message_len() as u32,
+                payload_len: payload.len() as u16,
+            },
+            payload,
+            timestamp: self.clock.now_ms(at),
         }
-        .to_bytes()
-        .expect("consistent header")
     }
 
-    /// Send a message as one packet group. Returns paced `Transmit`
-    /// actions for every member. Fails (None) when the message exceeds
-    /// 32 segments — split across transactions above.
+    /// Send a message as one packet group. `data` becomes the group's
+    /// buffer — a `Vec` or [`PacketBuf`] is adopted, not copied — and
+    /// every member, first send or retransmission, is a window of it.
+    /// Returns paced `Transmit` actions for every member.
+    /// Fails (None) when the message exceeds 32 segments — split across
+    /// transactions above.
     pub fn send_message(
         &mut self,
         now: SimTime,
         dst: EntityId,
         transaction: u32,
         kind: Kind,
-        data: &[u8],
+        data: impl Into<PacketBuf>,
     ) -> Option<Vec<Action>> {
-        let group = GroupSender::split(data, self.seg_size)?;
-        let n = group.group_size();
-        let mlen = group.message_len() as u32;
-        let mut actions = Vec::with_capacity(n);
-        for i in 0..n {
-            let seg = group.segment(i).to_vec();
-            let at = self.pacer.schedule(now, seg.len() + 50);
-            let bytes =
-                self.packet_bytes(dst, transaction, kind, n as u8, i as u8, 0, mlen, &seg, at);
-            actions.push(Action::Transmit { at, bytes });
-        }
+        let group = GroupSender::split(data.into(), self.seg_size)?;
+        let actions = (0..group.group_size())
+            .map(|i| self.member(now, dst, transaction, kind, &group, i))
+            .collect();
         self.outgoing.insert(
             (dst, transaction),
             Outgoing {
@@ -225,31 +230,40 @@ impl Endpoint {
         Some(actions)
     }
 
+    /// Re-send the members of the group to `(dst, transaction)` that
+    /// `which` picks, counting each as a retransmission.
+    fn resend(
+        &mut self,
+        now: SimTime,
+        dst: EntityId,
+        transaction: u32,
+        which: impl FnOnce(&Outgoing) -> Vec<usize>,
+    ) -> Vec<Action> {
+        let Some(o) = self.outgoing.get(&(dst, transaction)) else {
+            return Vec::new();
+        };
+        // A handle on the shared message, so `member` can borrow the
+        // pacer and clock.
+        let (kind, group, members) = (o.kind, o.group.clone(), which(o));
+        self.stats.retransmissions += members.len() as u64;
+        members
+            .into_iter()
+            .map(|i| self.member(now, dst, transaction, kind, &group, i))
+            .collect()
+    }
+
     /// Re-send the final member of a (possibly fully acknowledged)
     /// group as a **probe**: the receiver deduplicates it, re-acks, and
     /// — for requests — reports the replay so the response can be
     /// re-sent. This is how a client recovers when its request got
     /// through but the response was lost.
     pub fn probe(&mut self, now: SimTime, dst: EntityId, transaction: u32) -> Vec<Action> {
-        let Some(o) = self.outgoing.get(&(dst, transaction)) else {
-            return Vec::new();
-        };
-        let i = o.group.group_size() - 1;
-        let kind = o.kind;
-        let n = o.group.group_size() as u8;
-        let mlen = o.group.message_len() as u32;
-        let seg = o.group.segment(i).to_vec();
-        let at = self.pacer.schedule(now, seg.len() + 50);
-        let bytes = self.packet_bytes(dst, transaction, kind, n, i as u8, 0, mlen, &seg, at);
-        self.stats.retransmissions += 1;
-        vec![Action::Transmit { at, bytes }]
+        self.resend(now, dst, transaction, |o| vec![o.group.group_size() - 1])
     }
 
     /// Which members of `transaction` to `dst` remain unacknowledged.
     pub fn unacked(&self, dst: EntityId, transaction: u32) -> Option<Vec<usize>> {
-        let o = self.outgoing.get(&(dst, transaction))?;
-        let mut g = o.group.clone();
-        Some(g.on_ack(0))
+        Some(self.outgoing.get(&(dst, transaction))?.group.missing())
     }
 
     /// A retransmission timer fired for `transaction` to `dst`: resend
@@ -260,29 +274,28 @@ impl Endpoint {
         dst: EntityId,
         transaction: u32,
     ) -> Vec<Action> {
-        let key = (dst, transaction);
-        let Some(o) = self.outgoing.get(&key) else {
-            return Vec::new();
-        };
-        if o.done {
-            return Vec::new();
-        }
-        let missing = {
-            let mut g = o.group.clone();
-            g.on_ack(0)
-        };
-        let kind = o.kind;
-        let n = o.group.group_size() as u8;
-        let mlen = o.group.message_len() as u32;
-        let mut actions = Vec::new();
-        for i in missing {
-            let seg = self.outgoing[&key].group.segment(i).to_vec();
-            let at = self.pacer.schedule(now, seg.len() + 50);
-            let bytes = self.packet_bytes(dst, transaction, kind, n, i as u8, 0, mlen, &seg, at);
-            self.stats.retransmissions += 1;
-            actions.push(Action::Transmit { at, bytes });
-        }
-        actions
+        self.resend(now, dst, transaction, |o| {
+            if o.done {
+                Vec::new()
+            } else {
+                o.group.missing()
+            }
+        })
+    }
+
+    /// Forget the group sent to `(dst, transaction)`. The owner calls
+    /// this once no later protocol step needs the group: with it gone,
+    /// an ack, a retransmission timer or a probe for the pair yields no
+    /// action — which is what a fully acknowledged group already yields
+    /// to all of them but the probe.
+    pub fn retire(&mut self, dst: EntityId, transaction: u32) {
+        self.outgoing.remove(&(dst, transaction));
+    }
+
+    /// Packet groups in progress: sent and not yet retired, or arriving
+    /// with members still missing.
+    pub fn open_groups(&self) -> usize {
+        self.outgoing.len() + self.incoming.len()
     }
 
     fn make_ack(
@@ -293,26 +306,31 @@ impl Endpoint {
         group_size: u8,
         mask: u32,
     ) -> Action {
-        let at = now; // acks are not paced: they are small and urgent
-        let bytes = self.packet_bytes(
-            peer,
-            transaction,
-            Kind::Ack,
-            group_size,
-            0,
-            mask,
-            0,
-            &[],
-            now,
-        );
         self.stats.acks_sent += 1;
-        Action::Transmit { at, bytes }
+        Action::Transmit {
+            at: now, // acks are not paced: they are small and urgent
+            header: Header {
+                src: self.entity,
+                dst: peer,
+                transaction,
+                kind: Kind::Ack,
+                group_size,
+                group_index: 0,
+                delivery_mask: mask,
+                message_len: 0,
+                payload_len: 0,
+            },
+            payload: self.no_payload.clone(),
+            timestamp: self.clock.now_ms(now),
+        }
     }
 
     /// Process one arriving VMTP packet (already unwrapped from its
-    /// Sirpent packet by the host). The parse borrows `bytes`, so a
-    /// window of a shared `PacketBuf` is processed without a copy.
-    pub fn on_packet(&mut self, now: SimTime, bytes: &[u8]) -> Vec<Action> {
+    /// Sirpent packet by the host: `bytes` is the user-data window of
+    /// the received buffer). The parse borrows it, and a group member
+    /// waiting for the rest of its group is kept as a sub-window, so the
+    /// payload is copied once — into the delivered message.
+    pub fn on_packet(&mut self, now: SimTime, bytes: &PacketBuf) -> Vec<Action> {
         let pkt = match Packet::parse(bytes) {
             Ok(p) => p,
             Err(sirpent_wire::Error::Checksum) => {
@@ -364,7 +382,8 @@ impl Endpoint {
                     // application can re-send its response.
                     self.stats.duplicates += 1;
                     let full = GroupSender::full_mask(pkt.header.group_size as usize);
-                    let mut acts = vec![self.make_ack(now, peer, txn, pkt.header.group_size, full)];
+                    let mut acts = Vec::with_capacity(2);
+                    acts.push(self.make_ack(now, peer, txn, pkt.header.group_size, full));
                     if kind == Kind::Request {
                         acts.push(Action::ReplayedRequest {
                             peer,
@@ -373,18 +392,32 @@ impl Endpoint {
                     }
                     return acts;
                 }
-                let recv = self.incoming.entry(key).or_insert_with(|| {
-                    GroupReceiver::new(
-                        pkt.header.group_size as usize,
-                        pkt.header.message_len as usize,
-                    )
-                });
-                let before = recv.duplicates;
-                let completed = recv.push(pkt.header.group_index as usize, &pkt.payload);
-                let mask = recv.delivery_mask();
-                self.stats.duplicates += (recv.duplicates - before) as u64;
+                let (completed, mask) = match self.incoming.entry(key) {
+                    // A single-member group with nothing assembling *is*
+                    // its payload.
+                    Entry::Vacant(_) if pkt.header.group_size == 1 => {
+                        let len = pkt.payload.len().min(pkt.header.message_len as usize);
+                        (Some(pkt.payload[..len].to_vec()), 1)
+                    }
+                    entry => {
+                        let recv = entry.or_insert_with(|| {
+                            GroupReceiver::new(
+                                pkt.header.group_size as usize,
+                                pkt.header.message_len as usize,
+                            )
+                        });
+                        let mut member = bytes.clone();
+                        member.truncate(HEADER_LEN + pkt.payload.len());
+                        member.advance(HEADER_LEN);
+                        let before = recv.duplicates;
+                        let completed = recv.push(pkt.header.group_index as usize, member);
+                        self.stats.duplicates += (recv.duplicates - before) as u64;
+                        (completed, recv.delivery_mask())
+                    }
+                };
 
-                let mut actions = Vec::new();
+                // At most an ack and a delivery.
+                let mut actions = Vec::with_capacity(2);
                 match completed {
                     Some(message) => {
                         self.incoming.remove(&key);
@@ -433,6 +466,25 @@ mod tests {
         })
     }
 
+    /// What the host puts inside the routed packet for a `Transmit`.
+    fn wire(a: &Action) -> PacketBuf {
+        let Action::Transmit {
+            header,
+            payload,
+            timestamp,
+            ..
+        } = a
+        else {
+            panic!("not a Transmit: {a:?}")
+        };
+        let packet = Packet {
+            header: *header,
+            payload,
+            timestamp: *timestamp,
+        };
+        packet.to_bytes().unwrap().into()
+    }
+
     /// Carry every Transmit action from one endpoint into the other,
     /// returning non-transmit actions produced on both sides.
     fn exchange(
@@ -446,14 +498,14 @@ mod tests {
         let mut back_side = Vec::new();
         let mut replies = Vec::new();
         for (i, a) in actions.into_iter().enumerate() {
-            if let Action::Transmit { bytes, .. } = a {
+            if matches!(a, Action::Transmit { .. }) {
                 if drop(i) {
                     continue;
                 }
-                let out = to.on_packet(now, &bytes);
+                let out = to.on_packet(now, &wire(&a));
                 for r in out {
                     match r {
-                        Action::Transmit { bytes, .. } => replies.push(bytes),
+                        Action::Transmit { .. } => replies.push(wire(&r)),
                         other => to_side.push(other),
                     }
                 }
@@ -525,7 +577,7 @@ mod tests {
         let mut b = endpoint(2);
         let msg: Vec<u8> = (0..1500u32).map(|i| i as u8).collect();
         let acts = a
-            .send_message(SimTime::ZERO, EntityId(2), 9, Kind::Request, &msg)
+            .send_message(SimTime::ZERO, EntityId(2), 9, Kind::Request, &msg[..])
             .unwrap();
         assert_eq!(acts.len(), 3);
         // Drop the middle member.
@@ -599,9 +651,7 @@ mod tests {
         let acts = a
             .send_message(SimTime::ZERO, EntityId(2), 1, Kind::Request, b"x")
             .unwrap();
-        let Action::Transmit { bytes, .. } = &acts[0] else {
-            panic!()
-        };
+        let bytes = &wire(&acts[0]);
         assert!(c.on_packet(SimTime(1), bytes).is_empty());
         assert_eq!(c.stats.misdelivered, 1, "§4.1 misdelivery detection");
     }
@@ -613,13 +663,11 @@ mod tests {
         let acts = a
             .send_message(SimTime::ZERO, EntityId(2), 1, Kind::Request, b"data!")
             .unwrap();
-        let Action::Transmit { bytes, .. } = &acts[0] else {
-            panic!()
-        };
-        let mut corrupt = bytes.clone();
+        let bytes = &wire(&acts[0]);
+        let mut corrupt = bytes.to_vec();
         let n = corrupt.len();
         corrupt[n / 2] ^= 0xFF;
-        assert!(b.on_packet(SimTime(1), &corrupt).is_empty());
+        assert!(b.on_packet(SimTime(1), &corrupt.into()).is_empty());
         assert!(b.stats.checksum_rejected + b.stats.malformed >= 1);
     }
 
@@ -630,9 +678,7 @@ mod tests {
         let acts = a
             .send_message(SimTime::ZERO, EntityId(2), 1, Kind::Request, b"old")
             .unwrap();
-        let Action::Transmit { bytes, .. } = &acts[0] else {
-            panic!()
-        };
+        let bytes = &wire(&acts[0]);
         // Deliver 10 minutes later (MPL is 60 s).
         let late = SimTime::ZERO + SimDuration::from_secs(600);
         assert!(b.on_packet(late, bytes).is_empty());
@@ -646,9 +692,7 @@ mod tests {
         let acts = a
             .send_message(SimTime::ZERO, EntityId(2), 4, Kind::Request, b"once")
             .unwrap();
-        let Action::Transmit { bytes, .. } = &acts[0] else {
-            panic!()
-        };
+        let bytes = &wire(&acts[0]);
         let first = b.on_packet(SimTime(1), bytes);
         assert!(first.iter().any(|x| matches!(x, Action::Deliver { .. })));
         // Replay (e.g. a duplicate in the network).
@@ -675,7 +719,7 @@ mod tests {
                 EntityId(2),
                 1,
                 Kind::Request,
-                &vec![0u8; 512 * 33],
+                vec![0u8; 512 * 33],
             )
             .is_none());
     }

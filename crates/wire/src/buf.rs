@@ -188,6 +188,12 @@ impl From<&[u8]> for PacketBuf {
     }
 }
 
+impl<const N: usize> From<&[u8; N]> for PacketBuf {
+    fn from(bytes: &[u8; N]) -> PacketBuf {
+        PacketBuf::from_vec(bytes.to_vec())
+    }
+}
+
 impl core::fmt::Debug for PacketBuf {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("PacketBuf")

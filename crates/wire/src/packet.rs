@@ -19,7 +19,7 @@
 //! header-overhead measurements are honest.
 
 use crate::buf::{PacketBuf, SegmentView};
-use crate::trailer::{Entry, Trailer, ENTRY_OVERHEAD};
+use crate::trailer::{walk_backwards, Entry, Trailer, ENTRY_OVERHEAD};
 use crate::viper::{AltBranch, Segment, SegmentRepr, PORT_LOCAL};
 use crate::{Error, Result, VIPER_MAX_SEGMENTS, VIPER_TRANSMISSION_UNIT};
 
@@ -78,6 +78,40 @@ impl PacketBuilder {
     /// Assemble the packet bytes: route segments, the recovery list (if
     /// any), payload, and the trailer base marker.
     pub fn build(mut self) -> Result<Vec<u8>> {
+        self.validate()?;
+        // Reserve room for the return-hop trailer the route will grow in
+        // flight (see [`PacketBuilder::trailer_room`]).
+        let mut buf =
+            Vec::with_capacity(self.header_len() + self.payload.len() + self.trailer_room() + 8);
+        self.emit_header(&mut buf)?;
+        buf.extend_from_slice(&self.payload);
+        Entry::Base.append_to(&mut buf)?;
+        if self.enforce_mtu && buf.len() > VIPER_TRANSMISSION_UNIT {
+            return Err(Error::ExceedsTransmissionUnit);
+        }
+        Ok(buf)
+    }
+
+    /// Validate and encode the route once, for stamping on every packet
+    /// a host sends over it: the same checks and the same header bytes as
+    /// [`PacketBuilder::build`]. What is left per packet is the
+    /// transmission-unit check, which [`RouteHeader::packet`] always
+    /// makes; the payload and [`PacketBuilder::without_mtu_check`] play
+    /// no part here.
+    pub fn build_header(mut self) -> Result<RouteHeader> {
+        self.validate()?;
+        let mut bytes = Vec::with_capacity(self.header_len());
+        self.emit_header(&mut bytes)?;
+        Ok(RouteHeader {
+            bytes,
+            trailer_room: self.trailer_room(),
+        })
+    }
+
+    /// The checks that need no encoding, then the recovery-list
+    /// descriptor stamped onto the terminating local segment (count in
+    /// the `port` slot, splice 0).
+    fn validate(&mut self) -> Result<()> {
         if self.route.len() > VIPER_MAX_SEGMENTS || self.recovery.len() > VIPER_MAX_SEGMENTS {
             return Err(Error::TooManySegments);
         }
@@ -87,8 +121,6 @@ impl PacketBuilder {
         }
         self.validate_alternates()?;
         if !self.recovery.is_empty() {
-            // Stamp the recovery-list descriptor onto the terminating
-            // local segment (count in the `port` slot, splice 0).
             if let Some(last) = self.route.last_mut() {
                 last.alt = Some(AltBranch {
                     port: self.recovery.len() as u8,
@@ -96,35 +128,37 @@ impl PacketBuilder {
                 });
             }
         }
-        let header: usize = self
-            .route
+        Ok(())
+    }
+
+    fn header_len(&self) -> usize {
+        self.route
             .iter()
             .chain(&self.recovery)
             .map(|s| s.buffer_len())
-            .sum();
-        // Reserve room for the return-hop trailer the route will grow in
-        // flight: each transit hop appends roughly its own segment again
-        // (token reused, portInfo swapped for the return network header)
-        // plus the entry framing. Pre-reserving keeps every per-hop
-        // append in-place on the zero-copy path — no reallocation, no
-        // memmove, flat per-hop cost.
-        let trailer_room: usize = self
-            .route
+            .sum()
+    }
+
+    /// Room for the return-hop trailer the route will grow in flight:
+    /// each transit hop appends roughly its own segment again (token
+    /// reused, portInfo swapped for the return network header) plus the
+    /// entry framing. Pre-reserving keeps every per-hop append in-place
+    /// on the zero-copy path — no reallocation, no memmove, flat per-hop
+    /// cost.
+    fn trailer_room(&self) -> usize {
+        self.route
             .iter()
             .map(|s| s.buffer_len() + RETURN_INFO_SLACK + ENTRY_OVERHEAD)
-            .sum();
-        let mut buf = Vec::with_capacity(header + self.payload.len() + trailer_room + 8);
+            .sum()
+    }
+
+    fn emit_header(&self, buf: &mut Vec<u8>) -> Result<()> {
         for seg in self.route.iter().chain(&self.recovery) {
             let at = buf.len();
             buf.resize(at + seg.buffer_len(), 0);
             seg.emit(&mut buf[at..])?;
         }
-        buf.extend_from_slice(&self.payload);
-        Entry::Base.append_to(&mut buf)?;
-        if self.enforce_mtu && buf.len() > VIPER_TRANSMISSION_UNIT {
-            return Err(Error::ExceedsTransmissionUnit);
-        }
-        Ok(buf)
+        Ok(())
     }
 
     /// Check the route/recovery cross-references before encoding: a
@@ -167,6 +201,43 @@ impl PacketBuilder {
 /// reversed onto an Ethernet arrival network: 14-byte header + lengths).
 const RETURN_INFO_SLACK: usize = 20;
 
+/// `SegmentRepr::minimal(PORT_LOCAL)`, encoded: the segment that ends a
+/// reply route.
+const MINIMAL_LOCAL: [u8; 4] = [0, 0, PORT_LOCAL, 0];
+
+/// A route's wire header — header segments, recovery list, descriptor —
+/// encoded once and stamped on every packet sent over the route. A host
+/// gets one from [`PacketBuilder::build_header`] when a route is
+/// installed, and one per received packet from [`Scan::parse`] (the §2
+/// reply route, copied out of the trailer).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RouteHeader {
+    bytes: Vec<u8>,
+    /// What [`PacketBuilder::build`] would reserve for the trailer.
+    trailer_room: usize,
+}
+
+impl RouteHeader {
+    /// Assemble one packet: this header, `data_len` bytes of user data
+    /// written by `fill` (called on a zeroed window of exactly that
+    /// length), the trailer base marker, and spare capacity for the
+    /// trailer to grow into. Byte for byte what [`PacketBuilder::build`]
+    /// returns for the same route and data, including the refusal of a
+    /// packet over the 1500-byte transmission unit.
+    pub fn packet(&self, data_len: usize, fill: impl FnOnce(&mut [u8])) -> Result<PacketBuf> {
+        let data_end = self.bytes.len() + data_len;
+        if data_end + ENTRY_OVERHEAD > VIPER_TRANSMISSION_UNIT {
+            return Err(Error::ExceedsTransmissionUnit);
+        }
+        let mut buf = Vec::with_capacity(data_end + self.trailer_room + 8);
+        buf.extend_from_slice(&self.bytes);
+        buf.resize(data_end, 0);
+        fill(&mut buf[self.bytes.len()..]);
+        Entry::Base.append_to(&mut buf)?;
+        Ok(PacketBuf::from_vec(buf))
+    }
+}
+
 /// A fully parsed view of a Sirpent packet (owned representation).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PacketView {
@@ -207,6 +278,100 @@ impl PacketView {
     /// passed to [`PacketView::parse`]).
     pub fn data<'a>(&self, buffer: &'a [u8]) -> &'a [u8] {
         &buffer[self.data_start..self.data_end]
+    }
+}
+
+/// What a receiving host needs from a packet, found in one borrowed
+/// pass: no segment is decoded into a [`SegmentRepr`] and nothing is
+/// allocated but the reply header. Accepts and rejects exactly the
+/// inputs [`PacketView::parse`] does, with the same [`Error`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Scan {
+    /// Header segments at the front, up to and including the first
+    /// local-delivery one. 1 means the packet is addressed to this host;
+    /// more means a router should have seen it first.
+    pub route_len: usize,
+    /// Where the local-delivery segment's `portInfo` — the intra-host
+    /// endpoint selector — lies in the buffer.
+    pub selector: core::ops::Range<usize>,
+    /// Where the user data lies in the buffer (it may include null
+    /// padding the transport trims via its own length field).
+    pub data: core::ops::Range<usize>,
+    /// The truncation marker's loss count, if one is present.
+    pub truncated: Option<u32>,
+    /// The header of a reply to the source, per §2: "the receiver
+    /// locates the beginning of the trailer of (former) header segments
+    /// and copies each segment into a separate return address area in
+    /// reverse order" — each return hop's trailer payload is already an
+    /// encoded segment, so the copy is of bytes — then a minimal local
+    /// segment for the peer. `Err` is the refusal
+    /// [`PacketBuilder::build`] would give [`reply_route`]'s segments.
+    pub reply: Result<RouteHeader>,
+}
+
+impl Scan {
+    /// Scan a complete Sirpent packet.
+    pub fn parse(buffer: &[u8]) -> Result<Scan> {
+        let mut at = 0usize;
+        let mut route_len = 0usize;
+        let (selector, descriptor) = loop {
+            let seg = Segment::new_checked(buffer.get(at..).ok_or(Error::Truncated)?)?;
+            route_len += 1;
+            if route_len > VIPER_MAX_SEGMENTS {
+                return Err(Error::TooManySegments);
+            }
+            let start = at;
+            at += seg.total_len();
+            if seg.port() == PORT_LOCAL {
+                let (_, _, info_start, info_end) = seg.field_offsets()?;
+                break (start + info_start..start + info_end, seg.alt());
+            }
+        };
+        if let Some(descriptor) = descriptor {
+            let count = descriptor.port as usize;
+            if count > VIPER_MAX_SEGMENTS {
+                return Err(Error::TooManySegments);
+            }
+            for _ in 0..count {
+                at += Segment::new_checked(buffer.get(at..).ok_or(Error::Truncated)?)?.total_len();
+            }
+        }
+
+        let (mut hops, mut hop_bytes, mut branches) = (0usize, 0usize, false);
+        let (truncated, trailer_start) = walk_backwards(buffer, |seg| {
+            hops += 1;
+            branches |= seg.has_alt();
+            hop_bytes += seg.into_inner().len();
+            Ok(())
+        })?;
+        if trailer_start < at {
+            return Err(Error::Malformed);
+        }
+        let reply = if hops + 1 > VIPER_MAX_SEGMENTS {
+            Err(Error::TooManySegments)
+        } else if branches {
+            // A branch needs a recovery list, and a reply has none.
+            Err(Error::Malformed)
+        } else {
+            // The walk meets the last router first: return-route order.
+            let mut bytes = Vec::with_capacity(hop_bytes + MINIMAL_LOCAL.len());
+            walk_backwards(buffer, |seg| {
+                bytes.extend_from_slice(seg.into_inner());
+                Ok(())
+            })?;
+            bytes.extend_from_slice(&MINIMAL_LOCAL);
+            Ok(RouteHeader {
+                trailer_room: bytes.len() + (hops + 1) * (RETURN_INFO_SLACK + ENTRY_OVERHEAD),
+                bytes,
+            })
+        };
+        Ok(Scan {
+            route_len,
+            selector,
+            data: at..trailer_start,
+            truncated,
+            reply,
+        })
     }
 }
 
@@ -752,6 +917,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::host_path_proptests::scan_agrees_with_view;
     use super::oracle::*;
     use super::*;
     use proptest::prelude::*;
@@ -794,6 +960,7 @@ mod proptests {
         fn parse_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
             let _ = PacketView::parse(&bytes);
             let _ = parse_route(&bytes);
+            scan_agrees_with_view(&bytes);
         }
 
         /// The zero-copy forwarding path (PacketBuf offset moves +
@@ -852,6 +1019,232 @@ mod proptests {
                 if seg.encoded_len() == 0 || pkt.is_empty() {
                     break;
                 }
+            }
+        }
+    }
+}
+
+/// The host's byte-level path held to the struct-level one: a header
+/// encoded once against [`PacketBuilder::build`], and [`Scan`] against
+/// [`PacketView::parse`] + [`reply_route`].
+#[cfg(test)]
+mod host_path_proptests {
+    use super::*;
+    use crate::ethernet;
+    use crate::viper::Flags;
+    use proptest::prelude::*;
+
+    /// Assert [`Scan`] and [`PacketView`] tell the same story about
+    /// `bytes`: the same refusal, or the same route length, selector,
+    /// data window, truncation and reply header.
+    pub(super) fn scan_agrees_with_view(bytes: &[u8]) {
+        match (Scan::parse(bytes), PacketView::parse(bytes)) {
+            (Err(scan), Err(view)) => assert_eq!(scan, view),
+            (Ok(scan), Ok(view)) => {
+                assert_eq!(scan.route_len, view.route.len());
+                let local = view.route.last().expect("a parsed route ends local");
+                assert_eq!(&bytes[scan.selector.clone()], &local.port_info[..]);
+                assert_eq!(scan.data, view.data_start..view.data_end);
+                assert_eq!(scan.truncated, view.trailer.truncated);
+                let rebuilt = PacketBuilder::new()
+                    .route(reply_route(&view))
+                    .build_header();
+                assert_eq!(scan.reply, rebuilt);
+            }
+            (scan, view) => panic!("scan {scan:?} but view {view:?}"),
+        }
+    }
+
+    /// (port, token kind, portInfo kind, branch): one header segment.
+    type SegSpec = (u8, u8, u8, (u8, u8, u8));
+
+    fn seg_spec() -> impl Strategy<Value = SegSpec> {
+        (any::<u8>(), 0u8..6, 0u8..6, (0u8..4, any::<u8>(), 0u8..52))
+    }
+
+    /// Tokens of 0/16/32 bytes; empty, compressed-Ethernet or Ethernet
+    /// `portInfo` (empty more often than not, so that long routes still
+    /// fit a packet); a branch on one segment in four.
+    fn segment((port, token, info, (branch, alt_port, splice)): SegSpec) -> SegmentRepr {
+        let port_info = match info {
+            0..=3 => Vec::new(),
+            4 => vec![port ^ 0x5A; ethernet::COMPRESSED_LEN],
+            _ => vec![port ^ 0xA5; ethernet::HEADER_LEN],
+        };
+        let alt = (branch == 0).then_some(AltBranch {
+            port: alt_port,
+            splice,
+        });
+        SegmentRepr {
+            port,
+            flags: Flags {
+                vnt: port_info.is_empty() && alt.is_none(),
+                rpf: port & 1 == 1,
+                ..Default::default()
+            },
+            priority: crate::viper::Priority::new(port >> 4),
+            port_token: vec![port; token.saturating_sub(3) as usize * 16],
+            port_info,
+            alt,
+        }
+    }
+
+    /// A list of segments ending with a local-delivery one (unless
+    /// `unterminated`), its branches kept as drawn, dropped, or pointed
+    /// into a recovery list of `splice_into` entries.
+    fn segments(
+        specs: Vec<SegSpec>,
+        unterminated: bool,
+        splice_into: Option<usize>,
+    ) -> Vec<SegmentRepr> {
+        let mut segs: Vec<SegmentRepr> = specs.into_iter().map(segment).collect();
+        if let Some(last) = segs.last_mut().filter(|_| !unterminated) {
+            last.port = PORT_LOCAL;
+            last.alt = None;
+        }
+        for alt in segs.iter_mut().filter_map(|s| s.alt.as_mut()) {
+            if let Some(n) = splice_into.filter(|&n| n > 0) {
+                alt.splice %= n as u8;
+            }
+        }
+        if splice_into == Some(0) {
+            segs.iter_mut().for_each(|s| s.alt = None);
+        }
+        segs
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// (a) Encode the header once, stamp it on payloads of many
+        /// sizes: each packet is byte for byte what the builder makes of
+        /// the same route and payload, and what the builder refuses —
+        /// over-long or unterminated routes, bad alternates, packets
+        /// over the transmission unit — is refused with the same error.
+        #[test]
+        fn header_encoded_once_matches_the_builder(
+            route in proptest::collection::vec(seg_spec(), 1..50),
+            recovery in proptest::collection::vec(seg_spec(), 1..50),
+            (shape, unterminated) in (0u8..8, 0u8..16),
+            payloads in proptest::collection::vec(0usize..1600, 1..4),
+        ) {
+            let unterminated = unterminated == 0;
+            let (route, recovery) = match shape {
+                // Unprotected routes.
+                0..=2 => (segments(route, unterminated, Some(0)), Vec::new()),
+                // Protected ones, every splice inside the list.
+                3 | 4 => {
+                    let n = recovery.len();
+                    (segments(route, unterminated, Some(n)), segments(recovery, false, Some(0)))
+                }
+                // Branches as drawn: with no list to point into, past
+                // its end, from inside it, or into one left unterminated.
+                5 => (segments(route, unterminated, None), Vec::new()),
+                6 => (segments(route, unterminated, None), segments(recovery, false, Some(0))),
+                _ => (segments(route, false, Some(0)), segments(recovery, unterminated, None)),
+            };
+            let header = PacketBuilder::new()
+                .route(route.clone())
+                .recovery(recovery.clone())
+                .build_header();
+            for len in payloads {
+                let payload: Vec<u8> = (0..len).map(|i| i as u8).collect();
+                let built = PacketBuilder::new()
+                    .route(route.clone())
+                    .recovery(recovery.clone())
+                    .payload(payload.clone())
+                    .build();
+                let stamped = header
+                    .clone()
+                    .and_then(|h| h.packet(len, |data| data.copy_from_slice(&payload)))
+                    .map(|p| p.to_vec());
+                prop_assert_eq!(stamped, built);
+            }
+        }
+
+        /// (b) Walk a packet through simulated routers — strip, append
+        /// the return hop, sometimes truncate, sometimes a hostile hop
+        /// that carries a branch or a trailer grown past 48 hops — and at
+        /// every stage the receiver's borrowed scan equals the owned
+        /// parse, reply header included. While the trailer grows only by
+        /// what the route shed, the store the header stamped never moves.
+        #[test]
+        fn scan_matches_view_after_simulated_hops(
+            hops in proptest::collection::vec((seg_spec(), 1u8..=255, any::<bool>()), 0..25),
+            (selector, protect) in (0u8..3, any::<bool>()),
+            (truncate_at, hostile_at, extra) in (0usize..50, 0usize..50, 0usize..80),
+            data in proptest::collection::vec(any::<u8>(), 0..300),
+        ) {
+            let mut route: Vec<SegmentRepr> = hops
+                .iter()
+                .map(|&(spec, _, _)| SegmentRepr { alt: None, ..segment(spec) })
+                .collect();
+            route.push(SegmentRepr {
+                port_info: vec![0xE0; selector as usize],
+                ..SegmentRepr::minimal(PORT_LOCAL)
+            });
+            let mut recovery = Vec::new();
+            if protect && route.len() > 1 {
+                recovery = route[1..].to_vec();
+                route[0].alt = Some(AltBranch { port: 9, splice: 0 });
+                route[0].flags.vnt = false;
+            }
+            // Stamped from the encoded header when it fits the
+            // transmission unit, built unchecked when it does not.
+            let builder = PacketBuilder::new().route(route).recovery(recovery);
+            let stamped = builder
+                .clone()
+                .build_header()
+                .unwrap()
+                .packet(data.len(), |d| d.copy_from_slice(&data));
+            let mut pkt = stamped.unwrap_or_else(|_| {
+                let unchecked = builder.without_mtu_check().payload(data.clone());
+                unchecked.build_buf().unwrap()
+            });
+            scan_agrees_with_view(&pkt);
+
+            let base = pkt.as_slice().as_ptr() as usize - pkt.head_offset();
+            let mut in_budget = true;
+            for (i, &(_, arrival, ethernet_arrival)) in hops.iter().enumerate() {
+                let front = strip_front_segment_buf(&mut pkt).unwrap().to_repr();
+                let return_hop = SegmentRepr {
+                    port: arrival,
+                    flags: Flags { rpf: true, ..Default::default() },
+                    port_info: if ethernet_arrival {
+                        vec![arrival; ethernet::HEADER_LEN]
+                    } else {
+                        Vec::new()
+                    },
+                    alt: (hostile_at == i).then_some(AltBranch { port: 1, splice: 0 }),
+                    ..front
+                };
+                append_return_hop_buf(&mut pkt, return_hop).unwrap();
+                if truncate_at == i {
+                    let keep = pkt.len() - pkt.len().min(7);
+                    truncate_packet_buf(&mut pkt, keep);
+                    in_budget = false;
+                }
+                in_budget &= hostile_at != i;
+                if in_budget {
+                    prop_assert_eq!(pkt.as_slice().as_ptr() as usize - pkt.head_offset(), base);
+                }
+                scan_agrees_with_view(&pkt);
+            }
+            // A trailer longer than any route: the reply must be refused
+            // alike once it passes 47 hops.
+            for _ in 0..extra.saturating_sub(40) {
+                append_return_hop_buf(&mut pkt, SegmentRepr::minimal(3)).unwrap();
+            }
+            scan_agrees_with_view(&pkt);
+
+            // And a damaged copy is still classified alike.
+            let mut damaged = pkt.to_vec();
+            if !damaged.is_empty() {
+                let at = (extra * 31 + truncate_at) % damaged.len();
+                damaged[at] ^= 1 << (hostile_at % 8);
+                scan_agrees_with_view(&damaged);
+                damaged.truncate(at);
+                scan_agrees_with_view(&damaged);
             }
         }
     }

@@ -35,7 +35,7 @@
 //!   appended when a cut-through router discovers mid-flight that the
 //!   packet exceeds the next hop's MTU.
 
-use crate::viper::SegmentRepr;
+use crate::viper::{Segment, SegmentRepr};
 use crate::{Error, Result};
 
 /// Bytes of fixed framing per entry (u16 length + u8 kind).
@@ -150,6 +150,30 @@ impl Entry {
     /// `buffer`. Returns the entry and the offset at which it *begins*
     /// (i.e. where the previous entry's framing ends).
     pub fn parse_backwards(buffer: &[u8], end: usize) -> Result<(Entry, usize)> {
+        let (raw, start) = RawEntry::parse_backwards(buffer, end)?;
+        let entry = match raw {
+            RawEntry::Base => Entry::Base,
+            RawEntry::ReturnHop(seg) => Entry::ReturnHop(SegmentRepr::parse(&seg)?),
+            RawEntry::Truncated { lost_bytes } => Entry::Truncated { lost_bytes },
+        };
+        Ok((entry, start))
+    }
+}
+
+/// One trailer entry with its payload still in the packet: what the
+/// backwards walk needs, and all a receiving host needs — a return
+/// hop's payload *is* the encoded segment its reply will carry.
+enum RawEntry<'a> {
+    Base,
+    /// The hop's encoded segment, checked to fill the payload exactly.
+    ReturnHop(Segment<&'a [u8]>),
+    Truncated {
+        lost_bytes: u32,
+    },
+}
+
+impl<'a> RawEntry<'a> {
+    fn parse_backwards(buffer: &'a [u8], end: usize) -> Result<(RawEntry<'a>, usize)> {
         if end < ENTRY_OVERHEAD || end > buffer.len() {
             return Err(Error::Truncated);
         }
@@ -166,20 +190,20 @@ impl Entry {
                 if plen != 0 {
                     return Err(Error::Malformed);
                 }
-                Entry::Base
+                RawEntry::Base
             }
             kind::RETURN_HOP => {
-                let (seg, used) = SegmentRepr::parse_prefix(payload)?;
-                if used != plen {
+                let seg = Segment::new_checked(payload)?;
+                if seg.total_len() != plen {
                     return Err(Error::Malformed);
                 }
-                Entry::ReturnHop(seg)
+                RawEntry::ReturnHop(seg)
             }
             kind::TRUNCATED => {
                 if plen != 4 {
                     return Err(Error::Malformed);
                 }
-                Entry::Truncated {
+                RawEntry::Truncated {
                     lost_bytes: u32::from_be_bytes([
                         payload[0], payload[1], payload[2], payload[3],
                     ]),
@@ -188,6 +212,30 @@ impl Entry {
             other => return Err(Error::UnknownTrailerKind(other)),
         };
         Ok((entry, start))
+    }
+}
+
+/// Walk the trailer backwards from the end of `buffer` until the base
+/// marker or a truncation marker, handing each return hop's encoded
+/// segment to `hop` as it is met — last router first, which is already
+/// return-route order. Returns the truncation marker's loss count, if
+/// one ended the walk, and the offset where the trailer begins.
+pub(crate) fn walk_backwards(
+    buffer: &[u8],
+    mut hop: impl FnMut(Segment<&[u8]>) -> Result<()>,
+) -> Result<(Option<u32>, usize)> {
+    let mut end = buffer.len();
+    loop {
+        let (entry, start) = RawEntry::parse_backwards(buffer, end).map_err(|e| match e {
+            Error::Truncated => Error::MissingTrailerBase,
+            other => other,
+        })?;
+        match entry {
+            RawEntry::Base => return Ok((None, start)),
+            RawEntry::ReturnHop(seg) => hop(seg)?,
+            RawEntry::Truncated { lost_bytes } => return Ok((Some(lost_bytes), start)),
+        }
+        end = start;
     }
 }
 
@@ -216,34 +264,17 @@ impl Trailer {
     /// with only the return hops appended by routers *after* the
     /// truncating one.
     pub fn parse(buffer: &[u8]) -> Result<Trailer> {
-        let mut end = buffer.len();
-        let mut hops_rev: Vec<SegmentRepr> = Vec::new();
-        loop {
-            let (entry, start) = Entry::parse_backwards(buffer, end).map_err(|e| match e {
-                Error::Truncated => Error::MissingTrailerBase,
-                other => other,
-            })?;
-            match entry {
-                Entry::Base => {
-                    hops_rev.reverse();
-                    return Ok(Trailer {
-                        return_hops: hops_rev,
-                        truncated: None,
-                        start_offset: start,
-                    });
-                }
-                Entry::ReturnHop(seg) => hops_rev.push(seg),
-                Entry::Truncated { lost_bytes } => {
-                    hops_rev.reverse();
-                    return Ok(Trailer {
-                        return_hops: hops_rev,
-                        truncated: Some(lost_bytes),
-                        start_offset: start,
-                    });
-                }
-            }
-            end = start;
-        }
+        let mut return_hops: Vec<SegmentRepr> = Vec::new();
+        let (truncated, start_offset) = walk_backwards(buffer, |seg| {
+            return_hops.push(SegmentRepr::parse(&seg)?);
+            Ok(())
+        })?;
+        return_hops.reverse();
+        Ok(Trailer {
+            return_hops,
+            truncated,
+            start_offset,
+        })
     }
 
     /// Construct the **return route** per §2: "the receiver locates the

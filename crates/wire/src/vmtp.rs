@@ -155,53 +155,86 @@ impl Header {
     }
 }
 
+/// The checksum's modulus (the largest prime below 2¹⁶).
+const CHECKSUM_BASE: u32 = 65521;
+
+/// The most bytes both running sums can absorb, starting below
+/// [`CHECKSUM_BASE`], before either can overflow a `u32`:
+/// `(n + 1)(BASE − 1) + 255 n(n + 1)/2 ≤ 2³² − 1` (Adler-32's bound).
+const CHECKSUM_RUN: usize = 5552;
+
 /// Fletcher-style 32-bit checksum over transport header + payload +
 /// timestamp. (The transport owns end-to-end integrity; the network
 /// carries no checksum at all.)
+///
+/// Defined byte by byte as `a = (a + byte) mod 65521; b = (b + a) mod
+/// 65521`. The sums are reduced only once per run of 5552 bytes — the
+/// longest that cannot overflow them — which yields the same residues
+/// an order of magnitude faster.
 pub fn transport_checksum(data: &[u8]) -> u32 {
     let mut a: u32 = 0xF00D;
     let mut b: u32 = 0xBEEF;
-    for &byte in data {
-        a = (a.wrapping_add(byte as u32)) % 65521;
-        b = (b.wrapping_add(a)) % 65521;
+    for run in data.chunks(CHECKSUM_RUN) {
+        for &byte in run {
+            a += byte as u32;
+            b += a;
+        }
+        a %= CHECKSUM_BASE;
+        b %= CHECKSUM_BASE;
     }
     (b << 16) | a
 }
 
-/// A complete VMTP packet: header, payload, trailer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Packet {
+/// A complete VMTP packet: header, payload, trailer. The payload is
+/// borrowed — from the received bytes on the way in, from the sender's
+/// message buffer on the way out — so neither direction copies it to
+/// get at the header.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Packet<'a> {
     /// The transport header.
     pub header: Header,
     /// User bytes.
-    pub payload: Vec<u8>,
+    pub payload: &'a [u8],
     /// Creation timestamp, milliseconds since the epoch mod 2³²;
     /// [`TIMESTAMP_INVALID`] means "ignore".
     pub timestamp: u32,
 }
 
-impl Packet {
-    /// Serialize: header, payload, then the timestamp+checksum trailer.
-    pub fn to_bytes(&self) -> Result<Vec<u8>> {
+impl<'a> Packet<'a> {
+    /// Serialize into the front of `buffer` (at least
+    /// [`Packet::wire_len`] bytes): header, payload, then the
+    /// timestamp+checksum trailer. Returns the bytes written.
+    pub fn emit(&self, buffer: &mut [u8]) -> Result<usize> {
         if self.payload.len() != self.header.payload_len as usize {
             return Err(Error::Malformed);
         }
-        let mut v = vec![0u8; HEADER_LEN];
-        self.header.emit(&mut v)?;
-        v.extend_from_slice(&self.payload);
-        v.extend_from_slice(&self.timestamp.to_be_bytes());
-        let csum = transport_checksum(&v);
-        v.extend_from_slice(&csum.to_be_bytes());
+        let len = self.wire_len();
+        let buffer = buffer.get_mut(..len).ok_or(Error::Truncated)?;
+        let (summed, csum) = buffer.split_at_mut(len - 4);
+        let (head, rest) = summed.split_at_mut(HEADER_LEN);
+        self.header.emit(head)?;
+        let (payload, timestamp) = rest.split_at_mut(self.payload.len());
+        payload.copy_from_slice(self.payload);
+        timestamp.copy_from_slice(&self.timestamp.to_be_bytes());
+        csum.copy_from_slice(&transport_checksum(summed).to_be_bytes());
+        Ok(len)
+    }
+
+    /// Serialize into a fresh vector.
+    pub fn to_bytes(&self) -> Result<Vec<u8>> {
+        let mut v = vec![0u8; self.wire_len()];
+        self.emit(&mut v)?;
         Ok(v)
     }
 
-    /// Parse and verify the end-to-end checksum.
+    /// Parse and verify the end-to-end checksum. The returned packet
+    /// borrows its payload from `buffer`.
     ///
     /// `buffer` may carry trailing null padding (Sirpent permits padding
     /// between data and its own trailer); the transport's `payload_len`
     /// field delimits the real content, so extra bytes after the trailer
     /// are ignored.
-    pub fn parse(buffer: &[u8]) -> Result<Packet> {
+    pub fn parse(buffer: &'a [u8]) -> Result<Packet<'a>> {
         let header = Header::parse(buffer)?;
         let need = HEADER_LEN + header.payload_len as usize + TRAILER_LEN;
         if buffer.len() < need {
@@ -217,7 +250,7 @@ impl Packet {
         }
         Ok(Packet {
             header,
-            payload: buffer[HEADER_LEN..payload_end].to_vec(),
+            payload: &buffer[HEADER_LEN..payload_end],
             timestamp,
         })
     }
@@ -250,7 +283,7 @@ mod tests {
     fn packet_roundtrip() {
         let p = Packet {
             header: header(13),
-            payload: b"thirteen byte".to_vec(),
+            payload: b"thirteen byte",
             timestamp: 123_456_789,
         };
         let bytes = p.to_bytes().unwrap();
@@ -262,7 +295,7 @@ mod tests {
     fn corruption_detected_anywhere() {
         let p = Packet {
             header: header(32),
-            payload: vec![0xA5; 32],
+            payload: &[0xA5; 32],
             timestamp: 42,
         };
         let bytes = p.to_bytes().unwrap();
@@ -285,7 +318,7 @@ mod tests {
     fn trailing_padding_ignored() {
         let p = Packet {
             header: header(5),
-            payload: b"hello".to_vec(),
+            payload: b"hello",
             timestamp: 1,
         };
         let mut bytes = p.to_bytes().unwrap();
@@ -297,7 +330,7 @@ mod tests {
     fn payload_len_mismatch_rejected() {
         let p = Packet {
             header: header(10),
-            payload: vec![0; 5],
+            payload: &[0; 5],
             timestamp: 1,
         };
         assert_eq!(p.to_bytes().unwrap_err(), Error::Malformed);
@@ -346,7 +379,7 @@ mod proptests {
                 message_len: payload.len() as u32,
                 payload_len: payload.len() as u16,
             };
-            let p = Packet { header: h, payload, timestamp: ts };
+            let p = Packet { header: h, payload: &payload, timestamp: ts };
             let bytes = p.to_bytes().unwrap();
             prop_assert_eq!(Packet::parse(&bytes).unwrap(), p);
         }
@@ -355,6 +388,27 @@ mod proptests {
         fn parse_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..128)) {
             let _ = Packet::parse(&bytes);
             let _ = Header::parse(&bytes);
+        }
+
+        /// The deferred modulo is the per-byte definition, also across
+        /// run boundaries and on the all-ones worst case for overflow.
+        #[test]
+        fn checksum_matches_its_per_byte_definition(
+            bytes in proptest::collection::vec(any::<u8>(), 0..1600),
+            ones in 0usize..3 * CHECKSUM_RUN,
+        ) {
+            fn per_byte(data: &[u8]) -> u32 {
+                let (mut a, mut b) = (0xF00D_u32, 0xBEEF_u32);
+                for &byte in data {
+                    a = (a + byte as u32) % CHECKSUM_BASE;
+                    b = (b + a) % CHECKSUM_BASE;
+                }
+                (b << 16) | a
+            }
+            prop_assert_eq!(transport_checksum(&bytes), per_byte(&bytes));
+            let mut long = vec![0xFF; ones];
+            long.extend_from_slice(&bytes);
+            prop_assert_eq!(transport_checksum(&long), per_byte(&long));
         }
     }
 }

@@ -1,0 +1,228 @@
+//! An allocation budget for the host data path.
+//!
+//! Wall-clock figures drift with the VM; heap traffic does not. This
+//! test counts every allocation a whole simulation makes while two
+//! `SirpentHost`s run request→response transactions through four
+//! `ViperRouter`s, divides by the number of transactions, and holds the
+//! result under a ceiling pinned against what the commit before the
+//! host-path rewrite (PR 19) measured in this same test. The routers'
+//! own two or three small allocations per forward are in the count and
+//! were not touched by that rewrite.
+//!
+//! This file is the one place in the repository with `unsafe`: a
+//! counting `#[global_allocator]` that forwards to `System`. The counter
+//! is a `const`-initialised thread-local, so the test harness's other
+//! threads do not count and reading it never allocates.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use sirpent::compile::CompiledRoute;
+use sirpent::directory::{AccessSpec, HopSpec, RouteRecord, Security};
+use sirpent::host::{HostPortKind, SirpentHost};
+use sirpent::router::viper::{AuthConfig, ViperConfig};
+use sirpent::sim::{SimDuration, SimTime};
+use sirpent::token::{AuthPolicy, Grant, TokenMinter};
+use sirpent::wire::viper::Priority;
+use sirpent::wire::vmtp::EntityId;
+use sirpent::Net;
+
+thread_local! {
+    /// (allocations, bytes requested) on this thread.
+    static HEAP: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+fn note(bytes: usize) {
+    // `try_with`: a thread being torn down may free and allocate after
+    // its thread-locals are gone.
+    let _ = HEAP.try_with(|h| {
+        let (n, b) = h.get();
+        h.set((n + 1, b + bytes as u64));
+    });
+}
+
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counting touches only a
+// `Cell` in a thread-local with no destructor and no lazy initialiser,
+// so it neither allocates nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: the caller's `layout` obligations pass through to `System`.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        // SAFETY: as for `alloc`.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        // SAFETY: the caller guarantees `ptr` came from this allocator —
+        // that is, from `System` — with `layout`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as for `realloc`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+const RATE: u64 = 100_000_000;
+const PROP: SimDuration = SimDuration(5_000);
+const ROUTERS: u32 = 4;
+const TRANSACTIONS: u64 = 200;
+/// Transactions run before counting starts, so the engine's event wheel
+/// and every table's first growth steps are behind us and the figure is
+/// the steady state's.
+const WARM_UP: u64 = 56;
+/// One transaction every 2 ms: each finishes long before the next.
+const SPACING_NS: u64 = 2_000_000;
+
+/// Run request→response exchanges of `payload` bytes each way over a
+/// 2-host / 4-router chain, with 32-byte tokens checked at every hop
+/// when `tokens`. Returns (allocations, bytes allocated) per transaction
+/// over the [`TRANSACTIONS`] that follow the warm-up.
+fn heap_per_transaction(payload: usize, tokens: bool) -> (u64, u64) {
+    let mut minter = TokenMinter::new(0x0A11_0C8E, 19);
+    let mut net = Net::new(19);
+    let a = net.host(0xA, vec![(0, HostPortKind::PointToPoint)]);
+    let b = net.host(0xB, vec![(0, HostPortKind::PointToPoint)]);
+    let mut prev = (a, 0);
+    for id in 1..=ROUTERS {
+        let mut cfg = ViperConfig::basic(id, &[1, 2]);
+        if tokens {
+            cfg.auth = Some(AuthConfig {
+                key: minter.router_key(id),
+                policy: AuthPolicy::Optimistic,
+                verify_delay: SimDuration::from_micros(100),
+                require_token: true,
+            });
+        }
+        let r = net.viper(cfg);
+        net.p2p(prev.0, prev.1, r, 1, RATE, PROP);
+        prev = (r, 2);
+    }
+    net.p2p(prev.0, prev.1, b, 0, RATE, PROP);
+    let mut sim = net.into_sim();
+
+    let hop = |router_id| HopSpec {
+        router_id,
+        port: 2,
+        ethernet_next: None,
+        bandwidth_bps: RATE,
+        prop_delay: PROP,
+        mtu: 1550,
+        cost: 1,
+        security: Security::Controlled,
+    };
+    let record = RouteRecord {
+        access: AccessSpec {
+            host_port: 0,
+            ethernet_next: None,
+            bandwidth_bps: RATE,
+            prop_delay: PROP,
+            mtu: 1550,
+        },
+        hops: (1..=ROUTERS).map(hop).collect(),
+        endpoint_selector: vec![],
+    };
+    let hop_tokens: Vec<Vec<u8>> = (1..=ROUTERS)
+        .filter(|_| tokens)
+        .map(|router_id| {
+            let grant = Grant {
+                router_id,
+                port: 2,
+                max_priority: Priority::new(5),
+                reverse_ok: true,
+                account: 7,
+                byte_limit: 0,
+                expiry_s: 0,
+            };
+            minter.mint(grant).to_vec()
+        })
+        .collect();
+    let route = CompiledRoute::compile(&record, &hop_tokens, Priority::NORMAL);
+    assert!(!tokens || route.segments[0].port_token.len() == 32);
+
+    sim.node_mut::<SirpentHost>(a)
+        .install_routes(EntityId(0xB), vec![route]);
+    sim.node_mut::<SirpentHost>(b).auto_respond = Some(vec![0xA5; payload]);
+    for i in 0..WARM_UP + TRANSACTIONS {
+        sim.node_mut::<SirpentHost>(a).queue_request(
+            SimTime(i * SPACING_NS),
+            EntityId(0xB),
+            vec![0x5A; payload],
+        );
+    }
+
+    SirpentHost::start(&mut sim, a);
+    sim.run_until(SimTime(WARM_UP * SPACING_NS - 1));
+    assert_eq!(sim.node::<SirpentHost>(a).rtt_samples.len() as u64, WARM_UP);
+    let before = HEAP.with(Cell::get);
+    sim.run_until(SimTime((WARM_UP + TRANSACTIONS) * SPACING_NS));
+    let after = HEAP.with(Cell::get);
+
+    let client = sim.node::<SirpentHost>(a);
+    assert_eq!(client.rtt_samples.len() as u64, WARM_UP + TRANSACTIONS);
+    assert_eq!(client.endpoint().stats.retransmissions, 0);
+    (
+        (after.0 - before.0) / TRANSACTIONS,
+        (after.1 - before.1) / TRANSACTIONS,
+    )
+}
+
+/// What the parent of PR 19 measured in this test, per transaction, and
+/// the share of it the rewritten host path may use.
+struct Budget {
+    parent_allocations: u64,
+    parent_bytes: u64,
+}
+
+impl Budget {
+    fn hold(&self, what: &str, (allocations, bytes): (u64, u64)) {
+        println!(
+            "{what}: {allocations} allocations, {bytes} B per transaction \
+             (parent {}, {} B)",
+            self.parent_allocations, self.parent_bytes
+        );
+        let (max_allocations, max_bytes) = (
+            self.parent_allocations * 60 / 100,
+            self.parent_bytes * 30 / 100,
+        );
+        assert!(
+            allocations <= max_allocations,
+            "{what}: {allocations} allocations per transaction, ceiling {max_allocations}"
+        );
+        assert!(
+            bytes <= max_bytes,
+            "{what}: {bytes} B allocated per transaction, ceiling {max_bytes}"
+        );
+    }
+}
+
+#[test]
+fn small_transactions_without_tokens_stay_in_budget() {
+    let budget = Budget {
+        parent_allocations: 125,
+        parent_bytes: 15_298,
+    };
+    budget.hold("64 B, no tokens", heap_per_transaction(64, false));
+}
+
+#[test]
+fn full_size_transactions_with_tokens_stay_in_budget() {
+    let budget = Budget {
+        parent_allocations: 205,
+        parent_bytes: 38_254,
+    };
+    budget.hold("900 B, 32 B tokens", heap_per_transaction(900, true));
+}
