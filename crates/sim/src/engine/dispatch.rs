@@ -1,0 +1,544 @@
+//! Dispatch: the event queue, the [`Core`] that owns it, the chaos
+//! schedule's application, and the run loops.
+
+use std::collections::VecDeque;
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use sirpent_telemetry::FlightRecorder;
+
+use super::channel::Channel;
+use super::ledger::FrameLedger;
+use super::{ChannelId, Context, Event, FrameId, NodeId, Simulator};
+use crate::chaos::{ChaosAction, ChaosEvent};
+use crate::queue::{CalendarQueue, EventQueue, HeapQueue, Keyed, QueueKind};
+use crate::stats::DropReason;
+use crate::time::{SimDuration, SimTime};
+
+pub(crate) struct Scheduled {
+    pub(crate) time: SimTime,
+    pub(crate) seq: u64,
+    pub(crate) target: NodeId,
+    pub(crate) event: Event,
+}
+
+impl Keyed for Scheduled {
+    fn key(&self) -> (u64, u64) {
+        (self.time.as_nanos(), self.seq)
+    }
+}
+
+/// The engine's event queue: either implementation behind static
+/// dispatch (an enum, not a trait object, keeps the per-event hot path
+/// free of virtual calls). Both drain in identical `(time, seq)` order;
+/// the differential suite in `tests/queue_differential.rs` holds them to
+/// it.
+pub(crate) enum EngineQueue {
+    Heap(HeapQueue<Scheduled>),
+    Wheel(CalendarQueue<Scheduled>),
+}
+
+impl EngineQueue {
+    fn new(kind: QueueKind) -> EngineQueue {
+        match kind {
+            QueueKind::Heap => EngineQueue::Heap(HeapQueue::new()),
+            QueueKind::Calendar => EngineQueue::Wheel(CalendarQueue::new()),
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, item: Scheduled) {
+        match self {
+            EngineQueue::Heap(q) => q.push(item),
+            EngineQueue::Wheel(q) => q.push(item),
+        }
+    }
+
+    #[inline]
+    fn min_key(&mut self) -> Option<(u64, u64)> {
+        match self {
+            EngineQueue::Heap(q) => q.min_key(),
+            EngineQueue::Wheel(q) => q.min_key(),
+        }
+    }
+
+    #[inline]
+    fn peek(&mut self) -> Option<&Scheduled> {
+        match self {
+            EngineQueue::Heap(q) => q.peek(),
+            EngineQueue::Wheel(q) => q.peek(),
+        }
+    }
+
+    #[inline]
+    fn pop(&mut self) -> Option<Scheduled> {
+        match self {
+            EngineQueue::Heap(q) => q.pop(),
+            EngineQueue::Wheel(q) => q.pop(),
+        }
+    }
+}
+
+/// A scheduling request that crossed a shard boundary. Produced by
+/// [`Core::push`] when the target node lives on another shard (and by
+/// [`Core::chaos_kill`] for tombstones of frames already exported); the
+/// window runner in [`crate::sync`] exchanges these between shards at
+/// window barriers. Conservative-lookahead windows guarantee every
+/// `Deliver` lands at or after the next window's start, so the receiving
+/// shard's clock has never passed it.
+#[derive(Debug, Clone)]
+pub(crate) enum OutMsg {
+    /// Schedule `event` for `target` at `time` on the target's shard.
+    Deliver {
+        /// Absolute delivery instant (≥ the end of the window that
+        /// produced it).
+        time: SimTime,
+        /// The remote node the event is addressed to.
+        target: NodeId,
+        /// The event itself.
+        event: Event,
+    },
+    /// Tombstone a frame id on every other shard: its queued transmission
+    /// was chaos-killed before the first bit, after delivery events may
+    /// already have been exported. Exchanged at the window barrier, which
+    /// always precedes the delivery's dispatch window.
+    Cancel {
+        /// The cancelled frame.
+        frame: FrameId,
+    },
+}
+
+/// Everything in the simulator except the node objects themselves — this
+/// split lets a node borrow the core mutably (through [`Context`]) while
+/// it is itself borrowed for dispatch.
+pub(crate) struct Core {
+    pub(crate) now: SimTime,
+    /// Scheduling sequence: strictly monotone for the whole run. Chaos
+    /// restarts and purges never rewind it — `node_epoch` fences stale
+    /// timers by remembering the sequence watermark instead — so a
+    /// `(time, seq)` key is never reused and tie-breaks stay
+    /// deterministic across crash/restart cycles.
+    seq: u64,
+    pub(crate) frame_seq: u64,
+    queue: EngineQueue,
+    pub(crate) channels: Vec<Channel>,
+    /// Transmit attachment per node: `(port, channel)` pairs, linear
+    /// scanned (nodes have a handful of ports; beats hashing on the
+    /// per-event path).
+    pub(crate) tx_map: Vec<Vec<(u8, ChannelId)>>,
+    /// Reusable receiver scratch for `transmit_from`/`abort_from` — the
+    /// per-transmission fan-out list without a per-call allocation.
+    pub(super) rx_scratch: Vec<(NodeId, u8)>,
+    pub(crate) rng: StdRng,
+    pub(crate) events_dispatched: u64,
+    /// Remaining chaos events, time-sorted (front = next).
+    pub(crate) chaos: VecDeque<ChaosEvent>,
+    /// Which chaos-lost frames are charged, and the chaos counters.
+    pub(crate) ledger: FrameLedger,
+    /// Per-node crashed flag (indexed by `NodeId`).
+    pub(crate) down: Vec<bool>,
+    /// Per-node restart epoch: timers scheduled before this sequence
+    /// number are stale soft state from before the last crash and are
+    /// swallowed.
+    node_epoch: Vec<u64>,
+    /// Active partition window: per-node side flag (`true` = side A).
+    pub(super) partition: Option<Vec<bool>>,
+    /// The per-packet flight recorder; `None` (the default) records
+    /// nothing and leaves every instrumented path byte-identical.
+    pub(crate) flight: Option<FlightRecorder>,
+    /// The RNG seed this core was created with (recorded so the shard
+    /// splitter can derive per-shard streams from the master seed).
+    pub(crate) seed: u64,
+    /// Which [`EngineQueue`] implementation this core runs on (recorded
+    /// so shard replicas inherit it).
+    pub(crate) queue_kind: QueueKind,
+    /// Sharding: `remote[n]` marks nodes owned by another shard. Empty
+    /// (or all-false) in a serial simulator, so the single branch it adds
+    /// to [`Core::push`] never fires and serial behavior — including seq
+    /// allocation — is byte-identical.
+    pub(crate) remote: Vec<bool>,
+    /// Sharding: events addressed to remote nodes, awaiting the next
+    /// window-barrier exchange. Always empty in a serial simulator.
+    pub(super) outbox: Vec<OutMsg>,
+}
+
+impl Core {
+    /// An empty core at time zero: no nodes, no channels, nothing queued.
+    pub(crate) fn new(seed: u64, kind: QueueKind) -> Core {
+        Core {
+            now: SimTime::ZERO,
+            seq: 0,
+            frame_seq: 0,
+            queue: EngineQueue::new(kind),
+            channels: Vec::new(),
+            tx_map: Vec::new(),
+            rx_scratch: Vec::new(),
+            rng: StdRng::seed_from_u64(seed),
+            events_dispatched: 0,
+            chaos: VecDeque::new(),
+            ledger: FrameLedger::default(),
+            down: Vec::new(),
+            node_epoch: Vec::new(),
+            partition: None,
+            flight: None,
+            seed,
+            queue_kind: kind,
+            remote: Vec::new(),
+            outbox: Vec::new(),
+        }
+    }
+
+    /// A core that sees the same world as `self` and has run nothing. The
+    /// clock, crash flags, partition sides, port map and channel geometry
+    /// are copied — channels as tap-less shells, so ids stay aligned but
+    /// nothing can transmit into them. Queue, sequence and epoch space,
+    /// RNG stream (on `seed`), ledger and counters start fresh. A shard
+    /// is a replica plus what it owns; a merged simulator is a replica of
+    /// shard 0 plus what every shard hands back.
+    pub(crate) fn replica(&self, seed: u64) -> Core {
+        let mut c = Core::new(seed, self.queue_kind);
+        c.now = self.now;
+        c.down = self.down.clone();
+        c.node_epoch = vec![0; self.node_epoch.len()];
+        c.partition = self.partition.clone();
+        c.tx_map = self.tx_map.clone();
+        c.channels = self
+            .channels
+            .iter()
+            .map(|ch| Channel::new(ch.rate_bps, ch.prop))
+            .collect();
+        c
+    }
+
+    /// Register a node slot.
+    pub(super) fn add_node(&mut self) {
+        self.down.push(false);
+        self.node_epoch.push(0);
+        if !self.remote.is_empty() {
+            self.remote.push(false);
+        }
+    }
+
+    /// Whether `node` is owned by another shard.
+    #[inline]
+    pub(super) fn is_remote(&self, node: NodeId) -> bool {
+        self.remote.get(node.0).copied().unwrap_or(false)
+    }
+
+    pub(crate) fn push(&mut self, time: SimTime, target: NodeId, event: Event) {
+        debug_assert!(time >= self.now, "cannot schedule into the past");
+        if self.is_remote(target) {
+            self.outbox.push(OutMsg::Deliver {
+                time,
+                target,
+                event,
+            });
+            return;
+        }
+        let seq = self.seq;
+        self.seq += 1;
+        // Sequence-reuse audit: the counter must never wrap within a run
+        // (a reused `(time, seq)` key would silently break tie-break
+        // determinism — and the calendar queue's drain contract).
+        debug_assert!(self.seq != 0, "scheduling sequence wrapped");
+        self.queue.push(Scheduled {
+            time,
+            seq,
+            target,
+            event,
+        });
+    }
+
+    /// The channel `(node, port)` transmits into, if attached.
+    #[inline]
+    pub(super) fn tx_lookup(&self, node: NodeId, port: u8) -> Option<ChannelId> {
+        self.tx_map
+            .get(node.0)?
+            .iter()
+            .find(|&&(p, _)| p == port)
+            .map(|&(_, ch)| ch)
+    }
+
+    /// Record a transmit attachment. Returns `false` when the pair is
+    /// already attached elsewhere.
+    pub(super) fn tx_insert(&mut self, node: NodeId, port: u8, ch: ChannelId) -> bool {
+        if self.tx_lookup(node, port).is_some() {
+            return false;
+        }
+        if self.tx_map.len() <= node.0 {
+            self.tx_map.resize_with(node.0 + 1, Vec::new);
+        }
+        self.tx_map[node.0].push((port, ch));
+        true
+    }
+
+    /// A timer set before its node's last restart: soft state the crash
+    /// destroyed.
+    #[inline]
+    fn stale_timer(&self, sched: &Scheduled) -> bool {
+        matches!(sched.event, Event::Timer { .. })
+            && sched.seq < self.node_epoch.get(sched.target.0).copied().unwrap_or(0)
+    }
+
+    /// Pop every pending event in `(time, seq)` order, dropping stale
+    /// timers now: whoever drains a queue re-pushes into a fresh sequence
+    /// space, where this core's restart epochs mean nothing.
+    pub(crate) fn drain_pending(&mut self) -> impl Iterator<Item = Scheduled> + '_ {
+        std::iter::from_fn(move || loop {
+            let sched = self.queue.pop()?;
+            if !self.stale_timer(&sched) {
+                return Some(sched);
+            }
+        })
+    }
+}
+
+impl Simulator {
+    /// Apply the front chaos event if it is due before (or at the same
+    /// instant as) the next node event. Returns whether one was applied.
+    fn step_chaos(&mut self) -> bool {
+        let Some(at) = self.core.chaos.front().map(|ce| ce.at.as_nanos()) else {
+            return false;
+        };
+        if self.core.queue.min_key().is_some_and(|k| k.0 < at) {
+            return false;
+        }
+        let Some(ce) = self.core.chaos.pop_front() else {
+            return false;
+        };
+        self.core.now = self.core.now.max(ce.at);
+        self.apply_chaos(ce.action);
+        true
+    }
+
+    /// Apply one chaos action at the current instant.
+    fn apply_chaos(&mut self, action: ChaosAction) {
+        let nodes = &self.nodes;
+        self.core
+            .ledger
+            .count(&action, |n| nodes.get(n.0).is_some_and(Option::is_some));
+        match action {
+            ChaosAction::LinkDown { ch } => {
+                self.core.channels[ch.0].up = false;
+                self.core.chaos_kill(ch, DropReason::LinkDown, None);
+            }
+            ChaosAction::LinkUp { ch } => {
+                let now = self.core.now;
+                let c = &mut self.core.channels[ch.0];
+                c.up = true;
+                c.free_at = c.free_at.max(now);
+            }
+            ChaosAction::RouterCrash { node } => {
+                if let Some(d) = self.core.down.get_mut(node.0) {
+                    *d = true;
+                }
+                // The node's own transmissions die with it, wherever
+                // they are on the wire — which can only be a channel it
+                // transmits into. Ascending channel order is the order a
+                // sweep of every channel kills in.
+                let mut own: Vec<ChannelId> = self
+                    .core
+                    .tx_map
+                    .get(node.0)
+                    .map(|ports| ports.iter().map(|&(_, ch)| ch).collect())
+                    .unwrap_or_default();
+                own.sort_unstable_by_key(|ch| ch.0);
+                own.dedup();
+                for ch in own {
+                    self.core.chaos_kill(ch, DropReason::RouterDown, Some(node));
+                }
+            }
+            ChaosAction::RouterRestart { node } => {
+                if let Some(d) = self.core.down.get_mut(node.0) {
+                    *d = false;
+                }
+                // Timers set before the crash are stale soft state.
+                if let Some(e) = self.core.node_epoch.get_mut(node.0) {
+                    *e = self.core.seq;
+                }
+                if let Some(n) = self.nodes.get_mut(node.0).and_then(|n| n.as_mut()) {
+                    n.on_restart();
+                }
+            }
+            ChaosAction::PartitionStart { side_a } => {
+                let mut sides = vec![false; self.nodes.len()];
+                for n in side_a {
+                    if let Some(s) = sides.get_mut(n.0) {
+                        *s = true;
+                    }
+                }
+                self.core.partition = Some(sides);
+            }
+            ChaosAction::PartitionEnd => self.core.partition = None,
+            ChaosAction::DuplicateStart { ch, prob } => self.core.channels[ch.0].dup_prob = prob,
+            ChaosAction::DuplicateEnd { ch } => self.core.channels[ch.0].dup_prob = 0.0,
+            ChaosAction::JitterStart { ch, max_extra } => {
+                self.core.channels[ch.0].jitter_max = max_extra;
+            }
+            ChaosAction::JitterEnd { ch } => {
+                self.core.channels[ch.0].jitter_max = SimDuration::ZERO;
+            }
+            ChaosAction::ErrorBurstStart { ch, prob, max_run } => {
+                let c = &mut self.core.channels[ch.0];
+                c.burst_prob = prob;
+                c.burst_run = max_run;
+            }
+            ChaosAction::ErrorBurstEnd { ch } => self.core.channels[ch.0].burst_prob = 0.0,
+        }
+    }
+
+    /// Filter one popped event against the chaos bookkeeping. A crashed
+    /// node receives nothing; beyond that a `TxDone` must still have its
+    /// transmission on the wire (and retires it), a frame delivery must
+    /// pass the ledger, and a timer must postdate its node's last
+    /// restart. Returns `false` when the event is swallowed.
+    fn admit(core: &mut Core, sched: &Scheduled) -> bool {
+        let down = core.down.get(sched.target.0).copied().unwrap_or(false);
+        match &sched.event {
+            Event::TxDone { port, .. } => core.retire_tx(sched.target, *port, sched.time) && !down,
+            Event::Frame(fe) => core.ledger.admit(fe.frame.id, down),
+            Event::Timer { .. } => !down && !core.stale_timer(sched),
+            Event::FrameAborted { .. } | Event::TxAborted { .. } => !down,
+        }
+    }
+
+    /// Dispatch the next event — along with any same-instant events for
+    /// the same node, batched through [`Node::on_events`](super::Node::on_events)
+    /// — or apply the next due chaos action. Returns `false` when both
+    /// queues are empty.
+    ///
+    /// Batching is dispatch-order preserving: the gathered run is
+    /// exactly the consecutive `(time, seq)` prefix addressed to one
+    /// node, every chaos filter is applied per event, and
+    /// `events_dispatched` counts each event individually — so digests
+    /// and traces are byte-identical to one-at-a-time dispatch. `TxDone`
+    /// never joins or extends a batch: its in-flight retirement (done
+    /// here, engine-side) must stay exactly interleaved with any abort
+    /// decisions the node makes in between.
+    pub fn step(&mut self) -> bool {
+        if self.step_chaos() {
+            return true;
+        }
+        let Some(sched) = self.core.queue.pop() else {
+            return false;
+        };
+        self.core.now = sched.time;
+        if !Self::admit(&mut self.core, &sched) {
+            return true;
+        }
+        self.core.events_dispatched += 1;
+        let target = sched.target;
+        let now = sched.time;
+        let solo = matches!(sched.event, Event::TxDone { .. });
+        let mut batch = std::mem::take(&mut self.batch);
+        batch.clear();
+        batch.push(sched.event);
+        if !solo {
+            // Gather the same-instant run for this node. Chaos cannot
+            // fire mid-run (every action due at `now` was applied before
+            // the first pop), so the filters in `admit` see the same
+            // state each event would have seen dispatched one at a time.
+            while let Some(next) = self.core.queue.peek() {
+                if next.time != now
+                    || next.target != target
+                    || matches!(next.event, Event::TxDone { .. })
+                {
+                    break;
+                }
+                let Some(next) = self.core.queue.pop() else {
+                    break;
+                };
+                if Self::admit(&mut self.core, &next) {
+                    self.core.events_dispatched += 1;
+                    batch.push(next.event);
+                }
+            }
+        }
+        let mut node = self.nodes[target.0]
+            .take()
+            .expect("node re-entrancy is impossible in a sequential engine");
+        {
+            let mut ctx = Context {
+                core: &mut self.core,
+                me: target,
+            };
+            if batch.len() == 1 {
+                if let Some(ev) = batch.pop() {
+                    node.on_event(&mut ctx, ev);
+                }
+            } else {
+                node.on_events(&mut ctx, &mut batch);
+            }
+        }
+        self.nodes[target.0] = Some(node);
+        batch.clear();
+        self.batch = batch;
+        true
+    }
+
+    /// Run until the queue drains or `max_events` have been dispatched.
+    pub fn run(&mut self, max_events: u64) {
+        let limit = self.core.events_dispatched + max_events;
+        while self.core.events_dispatched < limit && self.step() {}
+    }
+
+    /// Run until simulated `deadline` (events at exactly `deadline` are
+    /// processed; later ones stay queued).
+    pub fn run_until(&mut self, deadline: SimTime) {
+        while self.next_event_ns().is_some_and(|t| t <= deadline.0) {
+            self.step();
+        }
+        self.core.now = self.core.now.max(deadline);
+    }
+
+    /// Run strictly *before* `end`: process every event and chaos action
+    /// with `time < end`, then advance the clock to `end`. This is the
+    /// window primitive of the parallel runner — events at exactly `end`
+    /// belong to the next window (they may be preceded by cross-shard
+    /// arrivals landing at `end`, which the barrier exchange has not yet
+    /// delivered).
+    pub(crate) fn run_before(&mut self, end: SimTime) {
+        while self.next_event_ns().is_some_and(|t| t < end.0) {
+            self.step();
+        }
+        self.core.now = self.core.now.max(end);
+    }
+
+    /// The instant of the next pending work item — node event or chaos
+    /// action — in nanoseconds, if any: the one statement of "what is
+    /// due next" behind both run loops and the parallel runner's window
+    /// placement (each window starts at the global minimum of these).
+    #[inline]
+    pub(crate) fn next_event_ns(&mut self) -> Option<u64> {
+        let next_queue = self.core.queue.min_key().map(|k| k.0);
+        let next_chaos = self.core.chaos.front().map(|c| c.at.as_nanos());
+        [next_queue, next_chaos].into_iter().flatten().min()
+    }
+
+    /// Take this shard's accumulated cross-shard messages (empty for a
+    /// serial simulator).
+    pub(crate) fn take_outbox(&mut self) -> Vec<OutMsg> {
+        std::mem::take(&mut self.core.outbox)
+    }
+
+    /// Apply one message from another shard. A `Deliver` is scheduled
+    /// here, on the shard owning its target — the window algebra
+    /// guarantees `time >= now`. A `Cancel` tombstones the frame, so any
+    /// delivery of it still queued here is swallowed on surfacing.
+    pub(crate) fn inject(&mut self, msg: OutMsg) {
+        match msg {
+            OutMsg::Deliver {
+                time,
+                target,
+                event,
+            } => {
+                debug_assert!(
+                    !self.core.is_remote(target),
+                    "cross-shard injection must target the owning shard"
+                );
+                self.core.push(time, target, event);
+            }
+            OutMsg::Cancel { frame } => self.core.ledger.cancel(frame),
+        }
+    }
+}

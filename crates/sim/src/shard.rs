@@ -15,15 +15,10 @@
 //! so downstream code (scrapes, phase-two workloads, invariants) needs
 //! no knowledge of the sharding.
 
-use std::collections::VecDeque;
-
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use sirpent_telemetry::{FlightRecorder, HopEvent, Registry, RegistryError};
 
-use crate::chaos::{ChaosAction, ChaosEvent};
-use crate::engine::{Channel, Event, Simulator};
-use crate::queue::QueueKind;
+use crate::chaos::{ChaosEvent, ChaosScope};
+use crate::engine::{Core, Simulator};
 use crate::splitmix64;
 use crate::time::{SimDuration, SimTime};
 
@@ -120,12 +115,13 @@ pub struct Partition {
 /// * components are assigned greedily, largest-root-last, to the least
 ///   loaded shard (ties to the lowest shard index).
 pub fn partition_topology(sim: &Simulator, shards: usize) -> Partition {
-    let n = sim.core.tx_map.len().max(sim.core.down.len());
-    let n_ch = sim.core.channels.len();
+    let core = &sim.core;
+    let n = core.tx_map.len().max(core.down.len());
+    let n_ch = core.channels.len();
 
     // Transmitters per channel, from the attach-time port map.
     let mut senders: Vec<Vec<usize>> = vec![Vec::new(); n_ch];
-    for (node, ports) in sim.core.tx_map.iter().enumerate() {
+    for (node, ports) in core.tx_map.iter().enumerate() {
         for &(_, ch) in ports {
             if let Some(v) = senders.get_mut(ch.0) {
                 v.push(node);
@@ -133,30 +129,22 @@ pub fn partition_topology(sim: &Simulator, shards: usize) -> Partition {
         }
     }
 
+    // One component per set of nodes that must share a shard: a channel's
+    // transmitters and — over a zero-prop channel, which must never cross
+    // a boundary — every one of its taps.
     let mut dsu = Dsu::new(n);
-    for (ci, ch) in sim.core.channels.iter().enumerate() {
-        if let Some(list) = senders.get(ci) {
-            let mut it = list.iter();
-            if let Some(&first) = it.next() {
-                for &other in it {
-                    dsu.union(first, other);
-                }
-            }
-        }
-        if ch.prop.as_nanos() == 0 {
-            // Zero-prop channels must never cross a boundary: merge all
-            // taps with the transmitters (or with each other).
-            let mut anchor: Option<usize> = senders.get(ci).and_then(|l| l.first().copied());
-            for &(nid, _) in ch.taps.iter() {
-                match anchor {
-                    None => anchor = Some(nid.0),
-                    Some(a) => dsu.union(a, nid.0),
-                }
+    for (ch, list) in core.channels.iter().zip(&senders) {
+        let taps = ch.taps.iter().map(|&(nid, _)| nid.0);
+        let zero_prop = ch.prop.as_nanos() == 0;
+        let mut members = list.iter().copied().chain(taps.filter(|_| zero_prop));
+        if let Some(anchor) = members.next() {
+            for m in members {
+                dsu.union(anchor, m);
             }
         }
     }
 
-    // Component roots in ascending order (root == smallest member id).
+    // Component sizes, indexed by root (root == smallest member id).
     let roots: Vec<usize> = (0..n).map(|i| dsu.find(i)).collect();
     let mut size = vec![0usize; n];
     for &r in &roots {
@@ -164,52 +152,37 @@ pub fn partition_topology(sim: &Simulator, shards: usize) -> Partition {
             *s += 1;
         }
     }
-    let order: Vec<usize> = (0..n)
-        .filter(|&i| size.get(i).copied().unwrap_or(0) > 0)
-        .collect();
 
-    // Greedy balance: each component goes to the currently lightest
-    // shard; ties break to the lowest shard index.
-    let s_eff = shards.max(1).min(order.len().max(1));
+    // Greedy balance: each component, in ascending root order, goes to
+    // the currently lightest shard; ties break to the lowest shard index.
+    let components = size.iter().filter(|&&s| s > 0).count();
+    let s_eff = shards.max(1).min(components.max(1));
     let mut load = vec![0usize; s_eff];
     let mut comp_shard = vec![0usize; n];
-    for &r in &order {
-        let mut best = 0usize;
-        let mut best_load = usize::MAX;
-        for (k, &l) in load.iter().enumerate() {
-            if l < best_load {
-                best = k;
-                best_load = l;
-            }
+    for (slot, &members) in comp_shard.iter_mut().zip(&size) {
+        if members == 0 {
+            continue;
         }
-        if let Some(slot) = comp_shard.get_mut(r) {
-            *slot = best;
-        }
-        if let Some(l) = load.get_mut(best) {
-            *l += size.get(r).copied().unwrap_or(0);
+        let lightest = load.iter().enumerate().min_by_key(|&(k, &l)| (l, k));
+        *slot = lightest.map_or(0, |(k, _)| k);
+        if let Some(l) = load.get_mut(*slot) {
+            *l += members;
         }
     }
-    let owner: Vec<usize> = roots
-        .iter()
-        .map(|&r| comp_shard.get(r).copied().unwrap_or(0))
-        .collect();
+    let owner_of = |node: usize| {
+        let root = roots.get(node).copied().unwrap_or(node);
+        comp_shard.get(root).copied().unwrap_or(0)
+    };
+    let owner: Vec<usize> = (0..n).map(owner_of).collect();
 
     // Channel owners and the cross-shard lookahead.
     let mut lookahead: Option<u64> = None;
     let mut ch_owner = Vec::with_capacity(n_ch);
-    for (ci, ch) in sim.core.channels.iter().enumerate() {
-        let own = senders
-            .get(ci)
-            .and_then(|l| l.first())
-            .or_else(|| ch.taps.first().map(|(nid, _)| &nid.0))
-            .map(|&x| owner.get(x).copied().unwrap_or(0))
-            .unwrap_or(0);
+    for (ch, list) in core.channels.iter().zip(&senders) {
+        let taps = ch.taps.iter().map(|&(nid, _)| nid.0);
+        let own = list.iter().copied().chain(taps).next().map_or(0, owner_of);
         ch_owner.push(own);
-        let crosses = ch
-            .taps
-            .iter()
-            .any(|&(nid, _)| owner.get(nid.0).copied().unwrap_or(0) != own);
-        if crosses {
+        if ch.taps.iter().any(|&(nid, _)| owner_of(nid.0) != own) {
             let p = ch.prop.as_nanos();
             lookahead = Some(lookahead.map_or(p, |l| l.min(p)));
         }
@@ -250,7 +223,6 @@ enum Inner {
         ch_owner: Vec<usize>,
         lookahead_ns: Option<u64>,
         master_seed: u64,
-        kind: QueueKind,
         orig_chaos: Vec<ChaosEvent>,
     },
 }
@@ -272,21 +244,15 @@ impl ShardedSimulator {
     /// With `shards <= 1`, or when the topology collapses to one shard
     /// (fewer components than shards, or a zero-prop cross link), the
     /// original simulator is wrapped untouched and every subsequent call
-    /// is exactly the serial engine. Splitting is intended for a
-    /// freshly built simulator (before any events ran); splitting after
-    /// a crash/restart cycle is rejected in debug builds.
+    /// is exactly the serial engine. A simulator that has already run
+    /// splits too: its ledger, pending events and schedule carry over.
     pub fn split(sim: Simulator, shards: usize) -> ShardedSimulator {
-        if shards <= 1 {
+        let part = (shards > 1).then(|| partition_topology(&sim, shards));
+        let Some(part) = part.filter(|p| p.shards > 1) else {
             return ShardedSimulator {
                 inner: Inner::Single(Box::new(sim)),
             };
-        }
-        let part = partition_topology(&sim, shards);
-        if part.shards <= 1 {
-            return ShardedSimulator {
-                inner: Inner::Single(Box::new(sim)),
-            };
-        }
+        };
 
         let Simulator {
             mut core,
@@ -296,63 +262,43 @@ impl ShardedSimulator {
         let n = nodes.len();
         let s = part.shards;
         debug_assert!(
-            core.node_epoch.iter().all(|&e| e == 0),
-            "split expects a simulator that has not crash-cycled nodes"
-        );
-        debug_assert!(
             core.frame_seq < (1u64 << FRAME_SHARD_SHIFT),
             "frame-id namespace exhausted before split"
         );
-
         let seed = core.seed;
-        let kind = core.queue_kind;
-        let flight_cap = core.flight.as_ref().map(|f| f.capacity());
         let orig_chaos: Vec<ChaosEvent> = core.chaos.iter().cloned().collect();
+        let flight_cap = core.flight.as_ref().map(|f| f.capacity());
 
-        let mut sims: Vec<Simulator> = (0..s)
-            .map(|k| Simulator::with_queue(shard_seed(seed, k, s), kind))
-            .collect();
-
-        for (k, sx) in sims.iter_mut().enumerate() {
-            sx.core.now = core.now;
-            sx.core.down = core.down.clone();
-            sx.core.node_epoch = vec![0; n];
-            sx.core.remote = part.owner.iter().map(|&o| o != k).collect();
-            // Shard 0 continues the original id stream; others get a
-            // disjoint namespace so ids never collide at merge.
-            sx.core.frame_seq = if k == 0 {
-                core.frame_seq
-            } else {
-                (k as u64) << FRAME_SHARD_SHIFT
-            };
-            // Partition flips are broadcast to every shard so reachability
-            // checks agree; mirrors suppress the chaos counters so merged
-            // scrapes count each global event exactly once.
-            sx.core.chaos_mirror = k != 0;
-            sx.core.partition = core.partition.clone();
-            sx.core.cancelled = core.cancelled.clone();
-            sx.core.charged = core.charged.clone();
-            if let Some(cap) = flight_cap {
-                if let Ok(fr) = FlightRecorder::new(cap) {
-                    sx.core.flight = Some(fr);
-                }
-            }
-            sx.core.chaos = core
+        let mut sims: Vec<Simulator> = Vec::with_capacity(s);
+        for (k, ledger) in std::mem::take(&mut core.ledger)
+            .fork(s)
+            .into_iter()
+            .enumerate()
+        {
+            let mut c = core.replica(shard_seed(seed, k, s));
+            c.ledger = ledger;
+            c.remote = part.owner.iter().map(|&o| o != k).collect();
+            c.chaos = core
                 .chaos
                 .iter()
-                .filter(|ev| chaos_goes_to(&ev.action, k, &part))
-                .cloned()
-                .collect::<VecDeque<ChaosEvent>>();
-            sx.core.tx_map = (0..n)
-                .map(|i| {
-                    if part.owner.get(i).copied() == Some(k) {
-                        core.tx_map.get(i).cloned().unwrap_or_default()
-                    } else {
-                        Vec::new()
-                    }
+                .filter(|ev| match ev.action.scope() {
+                    ChaosScope::Channel(ch) => part.ch_owner.get(ch.0).copied().unwrap_or(0) == k,
+                    ChaosScope::Node(_) | ChaosScope::Global => true,
                 })
+                .cloned()
                 .collect();
-            sx.nodes = (0..n).map(|_| None).collect();
+            // Shard 0 continues the original's dispatch count, frame-id
+            // stream and flight ring; the others start empty, on a
+            // disjoint id namespace so ids never collide at merge.
+            if k == 0 {
+                c.events_dispatched = core.events_dispatched;
+                c.frame_seq = core.frame_seq;
+                c.flight = core.flight.take();
+            } else {
+                c.frame_seq = (k as u64) << FRAME_SHARD_SHIFT;
+                c.flight = flight_cap.and_then(|cap| FlightRecorder::new(cap).ok());
+            }
+            sims.push(Simulator::from_parts(c, (0..n).map(|_| None).collect()));
         }
 
         // Hand each node object to its owning shard.
@@ -363,37 +309,24 @@ impl ShardedSimulator {
             }
         }
 
-        // Channels: the owner gets the live channel; every other shard
-        // gets a shell with the same geometry so ids and per-port rate
-        // and propagation queries stay valid everywhere.
-        for ch in std::mem::take(&mut core.channels) {
-            let rate = ch.rate_bps;
-            let prop = ch.prop;
-            let ci = sims.first().map(|sx| sx.core.channels.len()).unwrap_or(0);
+        // The live channel replaces its owner's shell; every other shard
+        // keeps the shell, so ids and per-port rate and propagation
+        // queries stay valid everywhere.
+        for (ci, ch) in std::mem::take(&mut core.channels).into_iter().enumerate() {
             let own = part.ch_owner.get(ci).copied().unwrap_or(0);
-            let mut real = Some(ch);
-            for (k, sx) in sims.iter_mut().enumerate() {
-                if k == own {
-                    match real.take() {
-                        Some(c) => sx.core.channels.push(c),
-                        None => sx.core.channels.push(Channel::shell(rate, prop)),
-                    }
-                } else {
-                    sx.core.channels.push(Channel::shell(rate, prop));
-                }
+            let slot = sims
+                .get_mut(own)
+                .and_then(|sx| sx.core.channels.get_mut(ci));
+            if let Some(slot) = slot {
+                *slot = ch;
             }
         }
 
-        // The dispatch ledger lives in shard 0.
-        if let Some(s0) = sims.get_mut(0) {
-            s0.core.events_dispatched = core.events_dispatched;
-        }
-
-        // Route pre-scheduled events (kicks, planned workload timers) to
-        // the shard owning their target, preserving (time, seq) order —
-        // pops come out sorted, so per-shard sequence numbers preserve
-        // the serial tie-break order within each shard.
-        while let Some(sch) = core.queue.pop() {
+        // Route pending events (kicks, planned workload timers) to the
+        // shard owning their target. The drain is (time, seq)-sorted, so
+        // per-shard sequence numbers preserve the serial tie-break order
+        // within each shard.
+        for sch in core.drain_pending() {
             let own = part.owner.get(sch.target.0).copied().unwrap_or(0);
             if let Some(sx) = sims.get_mut(own) {
                 sx.core.push(sch.time, sch.target, sch.event);
@@ -407,18 +340,23 @@ impl ShardedSimulator {
                 ch_owner: part.ch_owner,
                 lookahead_ns: part.lookahead_ns,
                 master_seed: seed,
-                kind,
                 orig_chaos,
             },
         }
     }
 
+    /// The shard simulators (the one serial simulator when the split
+    /// collapsed).
+    fn sims(&self) -> &[Simulator] {
+        match &self.inner {
+            Inner::Single(sim) => std::slice::from_ref(&**sim),
+            Inner::Many { shards, .. } => shards,
+        }
+    }
+
     /// Effective shard count (1 when the split collapsed to serial).
     pub fn shards(&self) -> usize {
-        match &self.inner {
-            Inner::Single(_) => 1,
-            Inner::Many { shards, .. } => shards.len(),
-        }
+        self.sims().len()
     }
 
     /// Conservative window width, if any channel crosses shards.
@@ -431,22 +369,13 @@ impl ShardedSimulator {
 
     /// Total events dispatched across all shards so far.
     pub fn events_dispatched(&self) -> u64 {
-        match &self.inner {
-            Inner::Single(sim) => sim.events_dispatched(),
-            Inner::Many { shards, .. } => shards.iter().map(|s| s.events_dispatched()).sum(),
-        }
+        self.sims().iter().map(|s| s.events_dispatched()).sum()
     }
 
     /// The global clock: the furthest point every shard has reached.
     pub fn now(&self) -> SimTime {
-        match &self.inner {
-            Inner::Single(sim) => sim.now(),
-            Inner::Many { shards, .. } => shards
-                .iter()
-                .map(|s| s.now())
-                .min()
-                .unwrap_or(SimTime::ZERO),
-        }
+        let clocks = self.sims().iter().map(|s| s.now());
+        clocks.min().unwrap_or(SimTime::ZERO)
     }
 
     /// Run all shards forward to `deadline` on up to `threads` worker
@@ -475,16 +404,11 @@ impl ShardedSimulator {
     /// duplicate partition counts at apply time), so the merged totals
     /// equal what a serial run over the same events would publish.
     pub fn scrape_telemetry(&self) -> Result<Registry, RegistryError> {
-        match &self.inner {
-            Inner::Single(sim) => sim.scrape_telemetry(),
-            Inner::Many { shards, .. } => {
-                let mut merged = Registry::new();
-                for sim in shards {
-                    merged.absorb(sim.scrape_telemetry()?)?;
-                }
-                Ok(merged)
-            }
+        let mut merged = Registry::new();
+        for sim in self.sims() {
+            merged.absorb(sim.scrape_telemetry()?)?;
         }
+        Ok(merged)
     }
 
     /// Collapse back into one serial [`Simulator`].
@@ -499,199 +423,80 @@ impl ShardedSimulator {
             Inner::Single(sim) => *sim,
             Inner::Many {
                 shards,
-                owner,
                 ch_owner,
                 master_seed,
-                kind,
                 orig_chaos,
                 ..
-            } => merge_shards(shards, &owner, &ch_owner, master_seed, kind, orig_chaos),
+            } => merge_shards(shards, &ch_owner, master_seed, orig_chaos),
         }
-    }
-}
-
-/// Which shard(s) a chaos event belongs to: channel-scoped events go to
-/// the channel's owner; router crash/restart and global partition flips
-/// go to every shard (mirrors apply the state change but suppress the
-/// counters). Broadcasting crashes keeps the per-node `down` flags —
-/// which adjacent routers on *other* shards read through
-/// `Context::peer_up` at route-decision time — coherent across the
-/// fleet: chaos applies at window barriers, so every shard sees the
-/// flip before any event in the affected window dispatches.
-fn chaos_goes_to(action: &ChaosAction, shard: usize, part: &Partition) -> bool {
-    match action {
-        ChaosAction::LinkDown { ch }
-        | ChaosAction::LinkUp { ch }
-        | ChaosAction::DuplicateStart { ch, .. }
-        | ChaosAction::DuplicateEnd { ch }
-        | ChaosAction::JitterStart { ch, .. }
-        | ChaosAction::JitterEnd { ch }
-        | ChaosAction::ErrorBurstStart { ch, .. }
-        | ChaosAction::ErrorBurstEnd { ch } => {
-            part.ch_owner.get(ch.0).copied().unwrap_or(0) == shard
-        }
-        ChaosAction::RouterCrash { .. }
-        | ChaosAction::RouterRestart { .. }
-        | ChaosAction::PartitionStart { .. }
-        | ChaosAction::PartitionEnd => true,
     }
 }
 
 fn merge_shards(
     shard_sims: Vec<Simulator>,
-    owner: &[usize],
     ch_owner: &[usize],
     master_seed: u64,
-    kind: QueueKind,
     orig_chaos: Vec<ChaosEvent>,
 ) -> Simulator {
-    let n = owner.len();
-    let mut cores = Vec::with_capacity(shard_sims.len());
-    let mut shard_nodes = Vec::with_capacity(shard_sims.len());
-    for sim in shard_sims {
-        let Simulator {
-            core,
-            nodes,
-            batch: _,
-        } = sim;
-        cores.push(core);
-        shard_nodes.push(nodes);
-    }
+    let (cores, shard_nodes): (Vec<Core>, Vec<_>) =
+        shard_sims.into_iter().map(|s| (s.core, s.nodes)).unzip();
+    let Some(first) = cores.first() else {
+        return Simulator::new(master_seed);
+    };
+    // World state is replicated, so shard 0's copy speaks for all.
+    let mut merged = first.replica(master_seed);
+    merged.now = cores.iter().map(|c| c.now).max().unwrap_or(merged.now);
+    // Not-yet-applied chaos, from the original schedule (shards hold
+    // disjoint channel events plus broadcast copies that must land
+    // once). Every shard has applied exactly the actions before the same
+    // window edge, so the earliest action still pending anywhere is where
+    // the remainder starts.
+    let next = cores.iter().filter_map(|c| c.chaos.front()).map(|ev| ev.at);
+    merged.chaos = match next.min() {
+        Some(t) => orig_chaos.into_iter().filter(|ev| ev.at >= t).collect(),
+        None => Default::default(),
+    };
 
-    let mut merged = Simulator::with_queue(master_seed, kind);
-    let now = cores.iter().map(|c| c.now).max().unwrap_or(SimTime::ZERO);
-    merged.core.now = now;
-
-    // Channels come back from their owners (shells elsewhere carry no
-    // state). A missing slot is unreachable; a default shell keeps the
-    // id space aligned rather than shifting every later channel.
-    let n_ch = cores.first().map(|c| c.channels.len()).unwrap_or(0);
-    let mut ch_pools: Vec<Vec<Option<Channel>>> = cores
-        .iter_mut()
-        .map(|c| {
-            std::mem::take(&mut c.channels)
-                .into_iter()
-                .map(Some)
-                .collect()
-        })
-        .collect();
-    let mut channels = Vec::with_capacity(n_ch);
-    for ci in 0..n_ch {
-        let own = ch_owner.get(ci).copied().unwrap_or(0);
-        let ch = ch_pools
-            .get_mut(own)
-            .and_then(|p| p.get_mut(ci))
-            .and_then(|o| o.take());
-        match ch {
-            Some(c) => channels.push(c),
-            None => channels.push(Channel::shell(0, SimDuration::ZERO)),
-        }
-    }
-    merged.core.channels = channels;
-
-    // Per-node state from each node's owner.
-    let mut nodes: Vec<Option<Box<dyn crate::engine::Node>>> = (0..n).map(|_| None).collect();
-    let mut tx_map = vec![Vec::new(); n];
-    let mut down = vec![false; n];
-    for (i, slot) in nodes.iter_mut().enumerate() {
-        let own = owner.get(i).copied().unwrap_or(0);
-        if let Some(sn) = shard_nodes.get_mut(own).and_then(|v| v.get_mut(i)) {
-            *slot = sn.take();
-        }
-        if let Some(c) = cores.get(own) {
-            if let (Some(src), Some(dst)) = (c.tx_map.get(i), tx_map.get_mut(i)) {
-                *dst = src.clone();
-            }
-            if let (Some(&src), Some(dst)) = (c.down.get(i), down.get_mut(i)) {
-                *dst = src;
+    let mut flights = Vec::new();
+    for (k, mut c) in cores.into_iter().enumerate() {
+        // Channels come back from their owners (shells elsewhere carry
+        // no state).
+        let channels = merged.channels.iter_mut().zip(&mut c.channels);
+        for ((slot, real), &own) in channels.zip(ch_owner) {
+            if own == k {
+                std::mem::swap(slot, real);
             }
         }
-    }
-    merged.core.tx_map = tx_map;
-    merged.core.down = down;
-    // Crash/restart epochs guarded stale timers inside each shard; the
-    // drain below filters against them, so the merged engine restarts
-    // from a clean epoch space.
-    merged.core.node_epoch = vec![0; n];
-
-    // Summable ledgers.
-    merged.core.events_dispatched = cores.iter().map(|c| c.events_dispatched).sum();
-    merged.core.frame_seq = cores.iter().map(|c| c.frame_seq).max().unwrap_or(0);
-    for c in &cores {
-        merged.core.chaos_stats.absorb(&c.chaos_stats);
-        merged
-            .core
-            .chaos_counters
-            .events
-            .add(c.chaos_counters.events.get());
-        merged
-            .core
-            .chaos_counters
-            .link
-            .add(c.chaos_counters.link.get());
-        merged
-            .core
-            .chaos_counters
-            .router
-            .add(c.chaos_counters.router.get());
-        merged
-            .core
-            .chaos_counters
-            .partition
-            .add(c.chaos_counters.partition.get());
-        merged
-            .core
-            .chaos_counters
-            .windows
-            .add(c.chaos_counters.windows.get());
-        for f in &c.cancelled {
-            merged.core.cancelled.insert(*f);
+        merged.events_dispatched += c.events_dispatched;
+        // Namespacing makes the maximum the global high-water mark.
+        merged.frame_seq = merged.frame_seq.max(c.frame_seq);
+        merged.ledger.absorb(std::mem::take(&mut c.ledger));
+        if k == 0 {
+            // Continue the stream that carried the master seed.
+            merged.rng = c.rng.clone();
         }
-        for f in &c.charged {
-            merged.core.charged.insert(*f);
+        // Pending events: each drain is (time, seq)-sorted, and fresh
+        // sequence numbers give a deterministic (time, shard) order.
+        for sch in c.drain_pending() {
+            merged.push(sch.time, sch.target, sch.event);
         }
+        flights.extend(c.flight.take());
     }
-    merged.core.partition = cores.first().and_then(|c| c.partition.clone());
-    // Not-yet-applied chaos: re-filter the original schedule so channel
-    // and router events land once (shards held disjoint copies, plus
-    // broadcast partition mirrors we must not double-apply).
-    merged.core.chaos = orig_chaos
-        .into_iter()
-        .filter(|ev| ev.at > now)
-        .collect::<VecDeque<ChaosEvent>>();
-
-    // The merged engine continues shard 0's RNG stream (the stream that
-    // carried the master seed), keeping `split(sim, 1)`-equivalent runs
-    // on the serial draw sequence.
-    if let Some(c0) = cores.get_mut(0) {
-        merged.core.rng = std::mem::replace(&mut c0.rng, StdRng::seed_from_u64(0));
-    }
-
-    // Pending events: drain shard queues in shard order; pops are
-    // already (time, seq)-sorted within a shard, and fresh sequence
-    // numbers give a deterministic (time, shard) global order. Stale
-    // timers (pre-crash epochs) are dropped here because the merged
-    // epoch space restarts at zero.
-    for c in cores.iter_mut() {
-        while let Some(sch) = c.queue.pop() {
-            if matches!(sch.event, Event::Timer { .. })
-                && sch.seq < c.node_epoch.get(sch.target.0).copied().unwrap_or(0)
-            {
-                continue;
-            }
-            merged.core.push(sch.time, sch.target, sch.event);
-        }
-    }
-
-    // Flight recorders merge: capacity sums, events re-sort by
-    // (timestamp, shard), eviction counters add.
-    let flights: Vec<FlightRecorder> = cores.iter_mut().filter_map(|c| c.flight.take()).collect();
     if !flights.is_empty() {
-        merged.core.flight = merge_flights(flights);
+        merged.flight = merge_flights(flights);
     }
 
-    merged.nodes = nodes;
-    merged
+    // Each node object comes back from the one shard that held it.
+    let mut held = shard_nodes.into_iter();
+    let mut nodes = held.next().unwrap_or_default();
+    for shard in held {
+        for (slot, nd) in nodes.iter_mut().zip(shard) {
+            if nd.is_some() {
+                *slot = nd;
+            }
+        }
+    }
+    Simulator::from_parts(merged, nodes)
 }
 
 /// Merge per-shard flight recorders into one ring whose capacity is the
@@ -722,7 +527,8 @@ fn merge_flights(parts: Vec<FlightRecorder>) -> Option<FlightRecorder> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Context, NodeId};
+    use crate::engine::{Context, Event, NodeId};
+    use crate::stats::DropReason;
 
     /// Minimal relay: a timer seeds a frame; received frames are logged
     /// and forwarded out port 0 with the lead byte (a TTL) decremented.
@@ -863,5 +669,142 @@ mod tests {
         assert_eq!(base, run(2));
         assert_eq!(base, run(4));
         assert_eq!(base, run(8));
+    }
+
+    fn chaos(events: Vec<(u64, crate::chaos::ChaosAction)>) -> crate::chaos::FaultSchedule {
+        let events = events.into_iter().map(|(at, action)| ChaosEvent {
+            at: SimTime(at),
+            action,
+        });
+        crate::chaos::FaultSchedule::new(events.collect()).unwrap()
+    }
+
+    #[test]
+    fn split_after_a_crash_cycle_keeps_stale_timers_dead() {
+        use crate::chaos::ChaosAction::{RouterCrash, RouterRestart};
+        // Node 1 is crashed and restarted with a timer armed before the
+        // crash still pending; fired, it would send a TTL-3 frame.
+        let build = || {
+            let (mut sim, ids) = chain(4, 2_000);
+            sim.kick(SimTime(500_000), ids[1], 3);
+            sim.install_schedule(chaos(vec![
+                (100_000, RouterCrash { node: ids[1] }),
+                (200_000, RouterRestart { node: ids[1] }),
+            ]));
+            sim.run_until(SimTime(300_000));
+            sim.kick(SimTime(600_000), ids[0], 2);
+            (sim, ids)
+        };
+        let (mut serial, ids) = build();
+        serial.run_until(SimTime(2_000_000));
+
+        let mut sharded = ShardedSimulator::split(build().0, 2);
+        assert_eq!(sharded.shards(), 2);
+        sharded.run_until(SimTime(2_000_000), 2);
+        let merged = sharded.into_serial();
+
+        assert_eq!(serial.events_dispatched(), merged.events_dispatched());
+        for &id in &ids {
+            let rx = &merged.node::<Relay>(id).rx;
+            assert_eq!(&serial.node::<Relay>(id).rx, rx, "node {id:?}");
+            assert!(
+                rx.iter().all(|(_, bytes)| bytes[0] != 3),
+                "stale timer fired"
+            );
+        }
+        assert_eq!(
+            merged.node::<Relay>(ids[1]).rx.len(),
+            1,
+            "live traffic flows"
+        );
+    }
+
+    #[test]
+    fn split_then_merge_without_running_changes_nothing() {
+        use crate::chaos::ChaosAction::*;
+        // A simulator with history: chaos already charged and counted,
+        // a crash epoch, an open partition, a frame on the wire, and
+        // timers, a delivery, a `TxDone` and chaos actions still pending
+        // (at distinct instants — merged same-instant ties order by
+        // shard, DESIGN §11.5).
+        let build = || {
+            let (mut sim, ids) = chain(8, 1_500);
+            let ch = crate::engine::ChannelId;
+            sim.enable_flight(64);
+            sim.install_schedule(chaos(vec![
+                (
+                    0,
+                    DuplicateStart {
+                        ch: ch(4),
+                        prob: 1.0,
+                    },
+                ),
+                (10_001, LinkDown { ch: ch(0) }),
+                (12_000, LinkUp { ch: ch(0) }),
+                (39_000, RouterCrash { node: ids[5] }),
+                (45_000, RouterRestart { node: ids[5] }),
+                (
+                    150_000,
+                    PartitionStart {
+                        side_a: ids[..6].to_vec(),
+                    },
+                ),
+                (300_000, LinkDown { ch: ch(12) }),
+                (300_500, LinkUp { ch: ch(12) }),
+                (400_000, PartitionEnd),
+            ]));
+            for (i, &id) in ids.iter().enumerate() {
+                sim.kick(SimTime(10_000 + 7_001 * i as u64), id, 6);
+                sim.kick(SimTime(200_000 + 9_001 * i as u64), id, 2);
+            }
+            sim.run_until(SimTime(202_000));
+            (sim, ids)
+        };
+        let pending = |mut sim: Simulator| -> Vec<String> {
+            let queued: Vec<_> = sim.core.drain_pending().collect();
+            let queued = queued
+                .iter()
+                .map(|s| format!("{:?} {:?} {:?}", s.time, s.target, s.event));
+            queued
+                .chain(sim.core.chaos.iter().map(|ev| format!("{ev:?}")))
+                .collect()
+        };
+        let state = |sim: &Simulator| {
+            (
+                sim.scrape_telemetry().unwrap().to_json(),
+                sim.chaos_stats().total_drops(),
+                sim.now(),
+                sim.events_dispatched(),
+            )
+        };
+        let finish = |mut sim: Simulator, ids: &[NodeId]| {
+            sim.run_until(SimTime(2_000_000));
+            let rx = ids.iter().map(|&id| sim.node::<Relay>(id).rx.clone());
+            (sim.events_dispatched(), rx.collect::<Vec<_>>())
+        };
+        let (want, ids) = build();
+        let drops = &want.chaos_stats().drops;
+        assert!(
+            drops[DropReason::LinkDown] > 0 && drops[DropReason::RouterDown] > 0,
+            "history was charged"
+        );
+        let (want_state, want_pending) = (state(&want), pending(want));
+        assert!(want_pending.len() > 7 + 3, "events and chaos are pending");
+        let want_finish = finish(build().0, &ids);
+        for k in [1, 2, 4] {
+            let round_trip = || {
+                let sharded = ShardedSimulator::split(build().0, k);
+                assert_eq!(sharded.shards(), k);
+                sharded.into_serial()
+            };
+            let got = round_trip();
+            assert_eq!(state(&got), want_state, "{k} shards: state");
+            assert_eq!(pending(got), want_pending, "{k} shards: pending order");
+            assert_eq!(
+                finish(round_trip(), &ids),
+                want_finish,
+                "{k} shards: rest of run"
+            );
+        }
     }
 }

@@ -20,8 +20,7 @@
 //!   call sites never pass raw string literals.
 //! * `determinism` — no hash-ordered iteration, wall clock, env, thread
 //!   or ambient-RNG source in any crate a simulation runs.
-//! * `sync-discipline` — `std::sync` construction only in `sim/sync.rs`;
-//!   no guard across a barrier wait; ascending mailbox lock order.
+//! * `sync-discipline` — `std::sync` construction only in `sim/sync.rs`.
 //! * `rng-draw-order` — node/router code draws only from
 //!   `Context::rng()`.
 //!
@@ -31,6 +30,7 @@
 
 #![forbid(unsafe_code)]
 
+use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 
@@ -183,6 +183,39 @@ pub fn lint_files(
 pub fn lint_workspace(root: &Path) -> Vec<Diagnostic> {
     let rels = walk_rs_files(root);
     lint_files(root, &rels, &Config::default(), None)
+}
+
+/// Non-test, non-comment Rust lines per package, sorted by package: the
+/// distinct lines carrying at least one code token outside `#[cfg(test)]`
+/// items, over every file that is not a test location — the lexer's own
+/// classification, so the count moves only when product code does. A
+/// token spanning lines (a multi-line string) counts as its first line.
+/// A package is `crates/<name>`, `shims/<name>`, or a top-level directory
+/// (`perf`, `examples`).
+pub fn count_loc(root: &Path, rels: &[String]) -> Vec<(String, usize)> {
+    let mut per: BTreeMap<String, usize> = BTreeMap::new();
+    for rel in rels {
+        if source::is_test_location(rel) {
+            continue;
+        }
+        let Ok(src) = fs::read_to_string(root.join(rel)) else {
+            continue;
+        };
+        let f = SourceFile::analyze(rel.clone(), &src);
+        let mut lines: Vec<u32> = (0..f.code.len())
+            .map(|i| f.tok(i).line)
+            .filter(|&l| !f.is_test_line(l))
+            .collect();
+        lines.dedup();
+        let depth = if rel.starts_with("crates/") || rel.starts_with("shims/") {
+            2
+        } else {
+            1
+        };
+        let package = rel.split('/').take(depth).collect::<Vec<_>>().join("/");
+        *per.entry(package).or_default() += lines.len();
+    }
+    per.into_iter().collect()
 }
 
 /// Locate the workspace root: `$CARGO_MANIFEST_DIR/../..` when invoked

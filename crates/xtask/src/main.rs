@@ -3,10 +3,12 @@
 //! ```text
 //! cargo run -p xtask -- lint [--rule <name>]... [--root <path>]
 //! cargo run -p xtask -- lint --list
+//! cargo run -p xtask -- loc [--root <path>]
 //! ```
 //!
 //! `lint` exits 0 when the workspace holds its invariants, 1 with
 //! `file:line: [rule] message` diagnostics otherwise, 2 on usage errors.
+//! `loc` prints non-test, non-comment Rust lines per package and in total.
 
 #![forbid(unsafe_code)]
 
@@ -19,9 +21,11 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => lint(&args[1..]),
+        Some("loc") => loc(&args[1..]),
         _ => {
             eprintln!(
-                "usage: cargo run -p xtask -- lint [--rule <name>]... [--root <path>] [--list]"
+                "usage: cargo run -p xtask -- lint [--rule <name>]... [--root <path>] [--list]\n\
+                 \x20      cargo run -p xtask -- loc [--root <path>]"
             );
             ExitCode::from(2)
         }
@@ -76,4 +80,22 @@ fn lint(args: &[String]) -> ExitCode {
         eprintln!("xtask lint: {} violation(s)", diags.len());
         ExitCode::FAILURE
     }
+}
+
+fn loc(args: &[String]) -> ExitCode {
+    let root = match args {
+        [] => xtask::workspace_root(),
+        [flag, path] if flag == "--root" => PathBuf::from(path),
+        _ => {
+            eprintln!("usage: cargo run -p xtask -- loc [--root <path>]");
+            return ExitCode::from(2);
+        }
+    };
+    let per = xtask::count_loc(&root, &xtask::walk_rs_files(&root));
+    for (package, lines) in &per {
+        println!("{package:24} {lines:>7}");
+    }
+    let total: usize = per.iter().map(|(_, n)| n).sum();
+    println!("{:24} {total:>7}", "total");
+    ExitCode::SUCCESS
 }

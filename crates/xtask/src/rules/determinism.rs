@@ -304,7 +304,7 @@ mod tests {
             "crates/core/src/host.rs",
             "crates/transport/src/endpoint.rs",
             "crates/token/src/cache.rs",
-            "crates/sim/src/engine.rs",
+            "crates/sim/src/engine/dispatch.rs",
             "crates/bench/src/exp/e4.rs",
         ] {
             assert!(cfg.is_sim_file(rel), "{rel}");

@@ -69,9 +69,9 @@ pub struct Config {
     /// snippets).
     pub all_dataplane: bool,
     /// Fixture mode for the scope-sensitive rules: derive a file's scope
-    /// from its stem (`*core*` → deterministic core, `*sync*` → the sync
-    /// module, `*node*` → node/router code; every file is simulation
-    /// code) instead of its workspace path, so standalone golden
+    /// from its stem (`*core*` → deterministic core, `*node*` →
+    /// node/router code; every file is simulation code, none is the sync
+    /// module) instead of its workspace path, so standalone golden
     /// snippets can exercise scope-sensitive rules.
     pub fixture_scopes: bool,
 }
@@ -165,9 +165,6 @@ impl Config {
 
     /// Whether `rel` is the sync nucleus ([`SYNC_MODULE`]).
     pub fn is_sync_module(&self, rel: &str) -> bool {
-        if self.fixture_scopes {
-            return stem_has(rel, "sync");
-        }
         rel == SYNC_MODULE
     }
 

@@ -123,7 +123,7 @@ mod tests {
     #[test]
     fn non_node_files_out_of_scope() {
         let d = run_on(
-            "engine_core.rs",
+            "crates/sim/src/engine/dispatch.rs",
             "fn f() { let r = StdRng::seed_from_u64(7); }\n",
         );
         assert!(d.is_empty());

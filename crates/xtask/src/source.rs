@@ -19,14 +19,19 @@ pub struct Allow {
 }
 
 /// Whether `rel` is test-only source by location: integration tests,
-/// benches, or examples (their fns never run on the product path).
+/// benches, examples (their fns never run on the product path), or a
+/// module's out-of-line unit tests (`<module>/tests.rs`, declared
+/// `#[cfg(test)] mod tests;` by its parent).
 /// The linter's own golden fixtures are exempt — they are
 /// product-shaped snippets that exist to be analyzed.
 pub fn is_test_location(rel: &str) -> bool {
     if rel.contains("tests/fixtures/") {
         return false;
     }
-    rel.contains("/tests/") || rel.contains("/benches/") || rel.starts_with("tests/")
+    rel.contains("/tests/")
+        || rel.contains("/benches/")
+        || rel.starts_with("tests/")
+        || rel.ends_with("/tests.rs")
 }
 
 /// One analyzed source file.
