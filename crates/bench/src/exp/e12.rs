@@ -14,8 +14,7 @@
 
 use crate::json::obj;
 use crate::{pct, Report, Table};
-use sirpent::compile::CompiledRoute;
-use sirpent::directory::{AccessSpec, HopSpec, RouteRecord, Security};
+use sirpent::directory::TeQuery;
 use sirpent::host::{HostPortKind, SirpentHost};
 use sirpent::router::ip::{IpConfig, IpPortConfig, IpRouter, RouteEntry};
 use sirpent::router::link::LinkFrame;
@@ -25,7 +24,6 @@ use sirpent::sim::stats::DropReason;
 use sirpent::sim::{FaultConfig, SimDuration, SimTime};
 use sirpent::transport::RatePacer;
 use sirpent::wire::ipish;
-use sirpent::wire::viper::Priority;
 use sirpent::wire::vmtp::EntityId;
 use sirpent::Net;
 
@@ -59,9 +57,10 @@ fn sirpent_run(corrupt: f64) -> Row {
     let r1 = net.viper(ViperConfig::basic(1, &[1, 2]));
     let r2 = net.viper(ViperConfig::basic(2, &[1, 2, 3]));
     net.p2p(src, 0, r1, 1, RATE, PROP);
-    let (mid, _) = net.sim.p2p(r1, 2, r2, 1, RATE, PROP);
+    let (mid, _) = net.p2p(r1, 2, r2, 1, RATE, PROP);
     net.p2p(r2, 2, dst, 0, RATE, PROP);
     net.p2p(r2, 3, bystander, 0, RATE, PROP);
+    let routes = net.routes(&mut net.directory(), src, dst, &TeQuery::default(), 1);
     let mut sim = net.into_sim();
     sim.set_faults(
         mid,
@@ -71,45 +70,9 @@ fn sirpent_run(corrupt: f64) -> Row {
         },
     );
 
-    let route = CompiledRoute::compile(
-        &RouteRecord {
-            access: AccessSpec {
-                host_port: 0,
-                ethernet_next: None,
-                bandwidth_bps: RATE,
-                prop_delay: PROP,
-                mtu: 1550,
-            },
-            hops: vec![
-                HopSpec {
-                    router_id: 1,
-                    port: 2,
-                    ethernet_next: None,
-                    bandwidth_bps: RATE,
-                    prop_delay: PROP,
-                    mtu: 1550,
-                    cost: 1,
-                    security: Security::Open,
-                },
-                HopSpec {
-                    router_id: 2,
-                    port: 2,
-                    ethernet_next: None,
-                    bandwidth_bps: RATE,
-                    prop_delay: PROP,
-                    mtu: 1550,
-                    cost: 1,
-                    security: Security::Open,
-                },
-            ],
-            endpoint_selector: vec![],
-        },
-        &[],
-        Priority::NORMAL,
-    );
     {
         let h = sim.node_mut::<SirpentHost>(src);
-        h.install_routes(EntityId(0xB), vec![route]);
+        h.install_routes(EntityId(0xB), routes.into_iter().map(|(r, _)| r).collect());
         for i in 0..N {
             h.queue_request(
                 SimTime(i as u64 * 2_000_000),

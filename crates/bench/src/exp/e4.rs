@@ -17,8 +17,7 @@
 use crate::json::obj;
 use crate::topo::{frame, packet};
 use crate::{pct, Report, Table};
-use sirpent::compile::CompiledRoute;
-use sirpent::directory::{AccessSpec, HopSpec, RouteRecord, Security};
+use sirpent::directory::TeQuery;
 use sirpent::host::{HostEvent, HostPortKind, SirpentHost};
 use sirpent::router::scripted::ScriptedHost;
 use sirpent::router::viper::{CongestionConfig, ViperConfig, ViperRouter};
@@ -116,48 +115,13 @@ fn adaptive_source_flood(horizon_ms: u64) -> (u64, u64, u64, usize, f64) {
     let r2 = net.viper(cfg2);
     net.p2p(src, 0, r1, 1, FAST, PROP);
     net.p2p(r1, 2, r2, 1, FAST, PROP);
-    let (bneck, _) = net.sim.p2p(r2, 2, sink, 0, SLOW, PROP);
+    let (bneck, _) = net.p2p(r2, 2, sink, 0, SLOW, PROP);
+    let routes = net.routes(&mut net.directory(), src, sink, &TeQuery::default(), 1);
     let mut sim = net.into_sim();
 
-    let route = CompiledRoute::compile(
-        &RouteRecord {
-            access: AccessSpec {
-                host_port: 0,
-                ethernet_next: None,
-                bandwidth_bps: FAST,
-                prop_delay: PROP,
-                mtu: 1550,
-            },
-            hops: vec![
-                HopSpec {
-                    router_id: 1,
-                    port: 2,
-                    ethernet_next: None,
-                    bandwidth_bps: FAST,
-                    prop_delay: PROP,
-                    mtu: 1550,
-                    cost: 1,
-                    security: Security::Controlled,
-                },
-                HopSpec {
-                    router_id: 2,
-                    port: 2,
-                    ethernet_next: None,
-                    bandwidth_bps: SLOW,
-                    prop_delay: PROP,
-                    mtu: 1550,
-                    cost: 1,
-                    security: Security::Controlled,
-                },
-            ],
-            endpoint_selector: vec![],
-        },
-        &[],
-        Priority::NORMAL,
-    );
     {
         let h = sim.node_mut::<SirpentHost>(src);
-        h.install_routes(EntityId(0xB), vec![route]);
+        h.install_routes(EntityId(0xB), routes.into_iter().map(|(r, _)| r).collect());
         // 5 Mb/s offered: 500-byte requests every 0.8 ms.
         let n = horizon_ms * 1_000_000 / 800_000;
         for i in 0..n {
@@ -221,43 +185,19 @@ pub(crate) fn end_to_end_failover(
     let r2 = net.viper(ViperConfig::basic(2, &[1, 2]));
     net.p2p(client, 0, r1, 1, FAST, prop);
     net.p2p(client, 1, r2, 1, FAST, prop);
-    let (dead1, dead2) = net.sim.p2p(r1, 2, server, 0, FAST, prop);
+    let (dead1, dead2) = net.p2p(r1, 2, server, 0, FAST, prop);
     net.p2p(r2, 2, server, 1, FAST, prop);
+    // One route per access link, in host-port order: via R1, then via R2.
+    let routes = net.routes(&mut net.directory(), client, server, &TeQuery::default(), 1);
     let mut sim = net.into_sim();
 
-    let mk_route = |router: u32, host_port: u8| {
-        CompiledRoute::compile(
-            &RouteRecord {
-                access: AccessSpec {
-                    host_port,
-                    ethernet_next: None,
-                    bandwidth_bps: FAST,
-                    prop_delay: prop,
-                    mtu: 1550,
-                },
-                hops: vec![HopSpec {
-                    router_id: router,
-                    port: 2,
-                    ethernet_next: None,
-                    bandwidth_bps: FAST,
-                    prop_delay: prop,
-                    mtu: 1550,
-                    cost: 1,
-                    security: Security::Controlled,
-                }],
-                endpoint_selector: vec![],
-            },
-            &[],
-            Priority::NORMAL,
-        )
-    };
     {
         let c = sim.node_mut::<SirpentHost>(client);
         c.set_failover(FailoverPolicy {
             loss_threshold: 1,
             ..Default::default()
         });
-        c.install_routes(EntityId(0x5), vec![mk_route(1, 0), mk_route(2, 1)]);
+        c.install_routes(EntityId(0x5), routes.into_iter().map(|(r, _)| r).collect());
         for i in 0..requests {
             c.queue_request(SimTime(i * 5_000_000), EntityId(0x5), vec![7; 64]);
         }

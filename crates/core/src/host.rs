@@ -16,7 +16,7 @@
 use std::any::Any;
 use std::collections::{BTreeMap, HashMap};
 
-use sirpent_router::link::LinkFrame;
+use sirpent_router::link::{decode_port_frame, LinkFrame, PortDecode};
 use sirpent_sim::{transmission_time, Context, Event, Node, SimDuration, SimTime};
 use sirpent_transport::{Action, Endpoint, EndpointConfig, FailoverPolicy, RouteSet, Verdict};
 use sirpent_wire::buf::{FrameBuf, PacketBuf};
@@ -26,17 +26,8 @@ use sirpent_wire::vmtp::{self, EntityId, Kind};
 
 use crate::compile::CompiledRoute;
 
-/// A host port's link type.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum HostPortKind {
-    /// Point-to-point link (to a router, typically).
-    PointToPoint,
-    /// Shared Ethernet; our station address.
-    Ethernet {
-        /// Our MAC.
-        mac: ethernet::Address,
-    },
-}
+/// A host port's link type: the same two link kinds a router port has.
+pub use sirpent_router::viper::PortKind as HostPortKind;
 
 /// A message delivered to the application.
 #[derive(Debug, Clone)]
@@ -645,7 +636,7 @@ impl SirpentHost {
         ctx: &mut Context<'_>,
         packet: PacketBuf,
         arrival_port: u8,
-        arrival_eth: Option<ethernet::Repr>,
+        reply_eth: Option<ethernet::Repr>,
     ) {
         let Ok(scan) = Scan::parse(&packet) else {
             self.stats.unparseable += 1;
@@ -686,7 +677,7 @@ impl SirpentHost {
                 Path {
                     header: scan.reply,
                     host_port: arrival_port,
-                    eth: arrival_eth.map(|h| h.reversed()),
+                    eth: reply_eth,
                 },
             );
             let actions = self.endpoint.on_packet(now, &data);
@@ -702,39 +693,18 @@ impl Node for SirpentHost {
         match ev {
             Event::Frame(fe) => {
                 let port = fe.port;
-                let Some(kind) = self.ports.get(&port).cloned() else {
+                let Some(kind) = self.ports.get(&port) else {
                     return;
                 };
-                match kind {
-                    HostPortKind::PointToPoint => {
-                        match LinkFrame::from_p2p_frame(&fe.frame.payload) {
-                            Ok(LinkFrame::Sirpent { packet, .. }) => {
-                                self.on_sirpent_packet(ctx, packet, port, None)
-                            }
-                            Ok(LinkFrame::RateControl(msg)) => {
-                                self.on_rate_control(ctx, msg);
-                            }
-                            Ok(_) => {}
-                            Err(_) => self.stats.unparseable += 1,
-                        }
+                match decode_port_frame(kind, &fe.frame.payload) {
+                    Ok(PortDecode::Frame(LinkFrame::Sirpent { packet, .. }, reply_eth)) => {
+                        self.on_sirpent_packet(ctx, packet, port, reply_eth)
                     }
-                    HostPortKind::Ethernet { mac } => {
-                        match LinkFrame::from_ethernet_frame(&fe.frame.payload) {
-                            Ok((hdr, inner)) => {
-                                if hdr.dst != mac && !hdr.dst.is_broadcast() {
-                                    return;
-                                }
-                                match inner {
-                                    LinkFrame::Sirpent { packet, .. } => {
-                                        self.on_sirpent_packet(ctx, packet, port, Some(hdr))
-                                    }
-                                    LinkFrame::RateControl(msg) => self.on_rate_control(ctx, msg),
-                                    _ => {}
-                                }
-                            }
-                            Err(_) => self.stats.unparseable += 1,
-                        }
+                    Ok(PortDecode::Frame(LinkFrame::RateControl(msg), _)) => {
+                        self.on_rate_control(ctx, msg)
                     }
+                    Ok(_) => {}
+                    Err(_) => self.stats.unparseable += 1,
                 }
             }
             Event::Timer { key: KEY_KICK } => self.send_queued(ctx),

@@ -19,9 +19,11 @@
 //! trailer-built reply route transparently re-crosses the cloud.
 
 use std::any::Any;
-use std::collections::HashMap;
+use std::collections::VecDeque;
 
+use sirpent_router::dataplane::{Discipline, OutputPort, Queued};
 use sirpent_router::link::LinkFrame;
+use sirpent_sim::stats::{DropReason, NodeStats, PipelineStats};
 use sirpent_sim::{Context, Event, Node, SimDuration, SimTime};
 use sirpent_wire::buf::{FrameBuf, PacketBuf};
 use sirpent_wire::ipish;
@@ -32,6 +34,10 @@ use sirpent_wire::viper::{Flags, SegmentRepr, PORT_LOCAL};
 /// concretization of "an IP protocol number is assigned to the Sirpent
 /// protocol").
 pub const IPPROTO_SIRPENT: u8 = 0x5E;
+
+/// Frames an output port holds behind the one in transmission; the
+/// depth [`sirpent_router::viper::ViperConfig::basic`] gives a router.
+const QUEUE_CAPACITY: usize = 64;
 
 /// Gateway configuration.
 pub struct GatewayConfig {
@@ -60,8 +66,12 @@ pub struct GatewayStats {
     pub decapsulated: u64,
     /// Plain Sirpent forwards between local ports.
     pub forwarded_local: u64,
-    /// Packets dropped (no binding / parse failure / wrong protocol).
+    /// Packets the gateway refused (no binding / parse failure / wrong
+    /// protocol); each is also in `pipeline` under its reason.
     pub dropped: u64,
+    /// The shared per-drop-reason and queue counters, which also hold
+    /// what the output ports and a crash lose.
+    pub pipeline: PipelineStats,
 }
 
 enum Pending {
@@ -72,11 +82,12 @@ enum Pending {
 /// The Sirpent↔IP gateway node.
 pub struct IpGateway {
     cfg: GatewayConfig,
-    rev_map: HashMap<u32, u8>, // remote gw ip → encap port value
-    pending: HashMap<u64, Pending>,
+    /// Arrivals held for the processing delay, by timer key, oldest
+    /// first.
+    pending: VecDeque<(u64, Pending)>,
     next_key: u64,
-    busy: HashMap<u8, bool>,
-    queues: HashMap<u8, Vec<FrameBuf>>,
+    /// The cloud-facing port and the local ports.
+    ports: Vec<OutputPort>,
     ident: u16,
     /// Counters.
     pub stats: GatewayStats,
@@ -87,30 +98,33 @@ pub struct IpGateway {
 impl IpGateway {
     /// Build a gateway.
     pub fn new(cfg: GatewayConfig) -> IpGateway {
-        let rev_map = cfg
-            .encap_map
-            .iter()
-            .map(|&(port, ip)| (ip.0, port))
+        let ports = std::iter::once(&cfg.ip_port)
+            .chain(&cfg.local_ports)
+            .map(|&p| OutputPort::new(p, Discipline::Fifo, QUEUE_CAPACITY))
             .collect();
         IpGateway {
             cfg,
-            rev_map,
-            pending: HashMap::new(),
+            pending: VecDeque::new(),
             next_key: 1,
-            busy: HashMap::new(),
-            queues: HashMap::new(),
+            ports,
             ident: 1,
             stats: GatewayStats::default(),
             local_delivered: Vec::new(),
         }
     }
 
+    fn refuse(&mut self, why: DropReason) {
+        self.stats.dropped += 1;
+        self.stats.pipeline.drop(why);
+    }
+
+    /// Queue `frame` on `port` (drop-tail, counted inside `push`) and
+    /// start it if the port is idle.
     fn send(&mut self, ctx: &mut Context<'_>, port: u8, frame: FrameBuf) {
-        if *self.busy.get(&port).unwrap_or(&false) {
-            self.queues.entry(port).or_default().push(frame);
-        } else {
-            self.busy.insert(port, true);
-            let _ = ctx.transmit(port, frame);
+        let stats = &mut self.stats.pipeline;
+        if let Some(op) = self.ports.iter_mut().find(|p| p.port() == port) {
+            op.push(ctx, Queued::fifo(frame, ctx.now(), None), stats);
+            let _ = op.try_service(ctx, &mut (), stats);
         }
     }
 
@@ -120,7 +134,7 @@ impl IpGateway {
     /// return hop.
     fn route(&mut self, ctx: &mut Context<'_>, mut packet: PacketBuf, arrival_id: u8) {
         let Ok(seg) = strip_front_segment_buf(&mut packet) else {
-            self.stats.dropped += 1;
+            self.refuse(DropReason::ParseError);
             return;
         };
         if seg.port() == PORT_LOCAL {
@@ -144,7 +158,7 @@ impl IpGateway {
         };
         drop(seg);
         if append_return_hop_buf(&mut packet, return_hop).is_err() {
-            self.stats.dropped += 1;
+            self.refuse(DropReason::BadStructure);
             return;
         }
 
@@ -173,30 +187,38 @@ impl IpGateway {
             let frame = LinkFrame::Sirpent { ff_hint: 0, packet }.into_p2p_frame();
             self.send(ctx, out_port, frame);
         } else {
-            self.stats.dropped += 1;
+            self.refuse(DropReason::NoSuchPort);
         }
     }
 
     fn on_cloud_datagram(&mut self, ctx: &mut Context<'_>, datagram: Vec<u8>) {
         let Ok(hdr) = ipish::Repr::parse(&datagram) else {
-            self.stats.dropped += 1;
+            self.refuse(DropReason::BadFrame);
             return;
         };
-        if hdr.dst != self.cfg.my_ip || hdr.protocol != IPPROTO_SIRPENT {
-            self.stats.dropped += 1;
+        if hdr.dst != self.cfg.my_ip {
+            self.refuse(DropReason::NoRoute);
+            return;
+        }
+        if hdr.protocol != IPPROTO_SIRPENT {
+            self.refuse(DropReason::BadFrame);
             return;
         }
         // Demultiplex to the Sirpent module (§2.3): the datagram payload
         // resumes the source route. The virtual arrival "port" is the
         // encap value bound to the *sending* gateway, so replies
         // re-cross the cloud.
-        let Some(&arrival) = self.rev_map.get(&hdr.src.0) else {
-            self.stats.dropped += 1;
+        let bound = self.cfg.encap_map.iter().find(|&&(_, ip)| ip == hdr.src);
+        let Some(&(arrival, _)) = bound else {
+            self.refuse(DropReason::NoRoute);
             return;
         };
-        let packet = PacketBuf::from(&datagram[ipish::HEADER_LEN..hdr.total_len as usize]);
+        let Some(body) = datagram.get(ipish::HEADER_LEN..hdr.total_len as usize) else {
+            self.refuse(DropReason::BadLength);
+            return;
+        };
         self.stats.decapsulated += 1;
-        self.route(ctx, packet, arrival);
+        self.route(ctx, PacketBuf::from(body), arrival);
     }
 }
 
@@ -204,59 +226,64 @@ impl Node for IpGateway {
     fn on_event(&mut self, ctx: &mut Context<'_>, ev: Event) {
         match ev {
             Event::Frame(fe) => {
-                let key = self.next_key;
-                self.next_key += 1;
-                let pend = if fe.port == self.cfg.ip_port {
-                    match LinkFrame::from_p2p_frame(&fe.frame.payload) {
-                        Ok(LinkFrame::Ipish(d)) => Pending::FromCloud { datagram: d },
-                        _ => {
-                            self.stats.dropped += 1;
-                            return;
-                        }
-                    }
-                } else {
-                    match LinkFrame::from_p2p_frame(&fe.frame.payload) {
-                        Ok(LinkFrame::Sirpent { packet, .. }) => Pending::FromSirpent {
-                            packet,
-                            arrival_port: fe.port,
-                        },
-                        _ => {
-                            self.stats.dropped += 1;
-                            return;
-                        }
+                let from_cloud = fe.port == self.cfg.ip_port;
+                let pend = match LinkFrame::from_p2p_frame(&fe.frame.payload) {
+                    Ok(LinkFrame::Ipish(datagram)) if from_cloud => Pending::FromCloud { datagram },
+                    Ok(LinkFrame::Sirpent { packet, .. }) if !from_cloud => Pending::FromSirpent {
+                        packet,
+                        arrival_port: fe.port,
+                    },
+                    _ => {
+                        self.refuse(DropReason::BadFrame);
+                        return;
                     }
                 };
-                self.pending.insert(key, pend);
+                let key = self.next_key;
+                self.next_key += 1;
+                self.pending.push_back((key, pend));
                 ctx.schedule_at(fe.last_bit + self.cfg.process_delay, key);
             }
-            Event::Timer { key } => match self.pending.remove(&key) {
-                Some(Pending::FromSirpent {
-                    packet,
-                    arrival_port,
-                }) => self.route(ctx, packet, arrival_port),
-                Some(Pending::FromCloud { datagram }) => self.on_cloud_datagram(ctx, datagram),
-                None => {}
-            },
+            Event::Timer { key } => {
+                // Timers fire in key order, so the match is nearly
+                // always at the front.
+                let held = self.pending.iter().position(|(k, _)| *k == key);
+                match held.and_then(|i| self.pending.remove(i)).map(|(_, p)| p) {
+                    Some(Pending::FromSirpent {
+                        packet,
+                        arrival_port,
+                    }) => self.route(ctx, packet, arrival_port),
+                    Some(Pending::FromCloud { datagram }) => self.on_cloud_datagram(ctx, datagram),
+                    None => {}
+                }
+            }
             // A chaos-killed transmission frees the port just like a
             // completed one; the engine already accounted the loss.
-            Event::TxDone { port, .. } | Event::TxAborted { port, .. } => {
-                let next = self.queues.get_mut(&port).and_then(|q| {
-                    if q.is_empty() {
-                        None
-                    } else {
-                        Some(q.remove(0))
-                    }
-                });
-                match next {
-                    Some(f) => {
-                        let _ = ctx.transmit(port, f);
-                    }
-                    None => {
-                        self.busy.insert(port, false);
+            Event::TxDone { port, frame } | Event::TxAborted { port, frame } => {
+                let stats = &mut self.stats.pipeline;
+                if let Some(op) = self.ports.iter_mut().find(|p| p.port() == port) {
+                    if op.on_tx_done(frame).is_some() {
+                        let _ = op.try_service(ctx, &mut (), stats);
                     }
                 }
             }
             Event::FrameAborted { .. } => {}
+        }
+    }
+
+    fn node_stats(&self) -> Option<&dyn NodeStats> {
+        Some(&self.stats.pipeline)
+    }
+
+    /// Crash/restart state-loss contract (chaos layer), as for
+    /// `IpRouter`: the bindings are configuration and survive; held
+    /// arrivals and output queues are lost, each a `RouterDown` drop.
+    fn on_restart(&mut self) {
+        for _ in 0..self.pending.len() {
+            self.stats.pipeline.drop(DropReason::RouterDown);
+        }
+        self.pending.clear();
+        for op in self.ports.iter_mut() {
+            op.crash_purge(&mut self.stats.pipeline);
         }
     }
 

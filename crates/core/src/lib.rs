@@ -15,7 +15,8 @@
 //! * [`host`] — the full Sirpent host stack (transport endpoint, route
 //!   failover, reply-route handling, backpressure reaction) as a
 //!   simulator node;
-//! * [`build`] — a small builder for assembling internetworks.
+//! * [`build`] — a builder for assembling internetworks that keeps what
+//!   it wires and hands out the directory whose map that is.
 //!
 //! The sub-crates are re-exported under their natural names:
 //! [`wire`], [`sim`], [`token`], [`router`], [`directory`],
@@ -25,13 +26,11 @@
 //!
 //! ```
 //! use sirpent::build::Net;
+//! use sirpent::directory::TeQuery;
 //! use sirpent::host::{HostPortKind, SirpentHost};
-//! use sirpent::compile::CompiledRoute;
 //! use sirpent::router::viper::ViperConfig;
-//! use sirpent::directory::{AccessSpec, HopSpec, RouteRecord, Security};
 //! use sirpent::sim::{SimDuration, SimTime};
 //! use sirpent::wire::vmtp::EntityId;
-//! use sirpent::wire::viper::Priority;
 //!
 //! // host A — router — host B over 10 Mb/s point-to-point links.
 //! let mut net = Net::new(42);
@@ -40,33 +39,14 @@
 //! let r = net.viper(ViperConfig::basic(1, &[1, 2]));
 //! net.p2p(a, 0, r, 1, 10_000_000, SimDuration::from_micros(5));
 //! net.p2p(r, 2, b, 0, 10_000_000, SimDuration::from_micros(5));
+//!
+//! // The directory's map is the network as wired; A asks it the way to B.
+//! let mut dir = net.directory();
+//! let routes = net.routes(&mut dir, a, b, &TeQuery::default(), 1);
 //! let mut sim = net.into_sim();
 //!
-//! // One-hop route from A to B, compiled by hand (normally the
-//! // directory provides the record and tokens).
-//! let record = RouteRecord {
-//!     access: AccessSpec {
-//!         host_port: 0,
-//!         ethernet_next: None,
-//!         bandwidth_bps: 10_000_000,
-//!         prop_delay: SimDuration::from_micros(5),
-//!         mtu: 1500,
-//!     },
-//!     hops: vec![HopSpec {
-//!         router_id: 1,
-//!         port: 2,
-//!         ethernet_next: None,
-//!         bandwidth_bps: 10_000_000,
-//!         prop_delay: SimDuration::from_micros(5),
-//!         mtu: 1500,
-//!         cost: 1,
-//!         security: Security::Controlled,
-//!     }],
-//!     endpoint_selector: vec![],
-//! };
-//! let route = CompiledRoute::compile(&record, &[], Priority::NORMAL);
-//!
-//! sim.node_mut::<SirpentHost>(a).install_routes(EntityId(2), vec![route]);
+//! let routes = routes.into_iter().map(|(route, _residual_bps)| route).collect();
+//! sim.node_mut::<SirpentHost>(a).install_routes(EntityId(2), routes);
 //! sim.node_mut::<SirpentHost>(b).echo = true;
 //! sim.node_mut::<SirpentHost>(a)
 //!     .queue_request(SimTime::ZERO, EntityId(2), b"ping".to_vec());

@@ -1,13 +1,16 @@
 //! Behavioural tests for the Sirpent host stack.
 
 use sirpent::compile::CompiledRoute;
-use sirpent::directory::{AccessSpec, EthernetHop, HopSpec, RouteRecord, Security};
+use sirpent::directory::{
+    AccessSpec, EthernetHop, HopSpec, RouteRecord, Security, TeQuery, TokenIssue,
+};
 use sirpent::host::{HostEvent, HostPortKind, SirpentHost};
 use sirpent::router::link::{LinkFrame, RateControlMsg};
 use sirpent::router::scripted::ScriptedHost;
 use sirpent::router::viper::{PortConfig, PortKind, ViperConfig, ViperRouter};
 use sirpent::sim::{ChannelId, FaultConfig, NodeId, SimDuration, SimTime, Simulator};
 use sirpent::telemetry;
+use sirpent::token::TokenMinter;
 use sirpent::transport::FailoverPolicy;
 use sirpent::wire::ethernet;
 use sirpent::wire::packet::{PacketBuilder, PacketView};
@@ -18,31 +21,34 @@ use sirpent::Net;
 const RATE: u64 = 10_000_000;
 const PROP: SimDuration = SimDuration(5_000);
 
-fn p2p_route(host_port: u8, router_id: u32, out_port: u8) -> CompiledRoute {
-    CompiledRoute::compile(
-        &RouteRecord {
-            access: AccessSpec {
-                host_port,
-                ethernet_next: None,
-                bandwidth_bps: RATE,
-                prop_delay: PROP,
-                mtu: 1550,
-            },
-            hops: vec![HopSpec {
-                router_id,
-                port: out_port,
-                ethernet_next: None,
-                bandwidth_bps: RATE,
-                prop_delay: PROP,
-                mtu: 1550,
-                cost: 1,
-                security: Security::Controlled,
-            }],
-            endpoint_selector: vec![],
-        },
-        &[],
-        Priority::NORMAL,
-    )
+fn p2p_ports(n: usize) -> Vec<(u8, HostPortKind)> {
+    (0..n as u8)
+        .map(|p| (p, HostPortKind::PointToPoint))
+        .collect()
+}
+
+/// The routes `net`'s directory issues from `from` to `to`.
+fn routes(net: &Net, from: NodeId, to: NodeId) -> Vec<CompiledRoute> {
+    net.routes(&mut net.directory(), from, to, &TeQuery::default(), 1)
+        .into_iter()
+        .map(|(route, _)| route)
+        .collect()
+}
+
+/// What the directory issues a client with one access link per listed
+/// router, each router one hop from the server: one route per link, in
+/// host-port order. Tests of the client's side alone install these on a
+/// host whose links end at scripted peers.
+fn routes_via(routers: &[u32]) -> Vec<CompiledRoute> {
+    let mut net = Net::new(0);
+    let a = net.host(0xA, p2p_ports(routers.len()));
+    let b = net.host(0xB, p2p_ports(routers.len()));
+    for (port, &id) in (0..).zip(routers) {
+        let r = net.viper(ViperConfig::basic(id, &[1, 2]));
+        net.p2p(a, port, r, 1, RATE, PROP);
+        net.p2p(r, 2, b, port, RATE, PROP);
+    }
+    routes(&net, a, b)
 }
 
 #[test]
@@ -175,7 +181,7 @@ fn backpressure_slows_pacer_and_switches_routes() {
     {
         let h = sim.node_mut::<SirpentHost>(a);
         h.set_failover(FailoverPolicy::default());
-        h.install_routes(EntityId(0xB), vec![p2p_route(0, 9, 2), p2p_route(1, 8, 2)]);
+        h.install_routes(EntityId(0xB), routes_via(&[9, 8]));
         assert_eq!(h.current_route_index(EntityId(0xB)), Some(0));
     }
 
@@ -228,7 +234,7 @@ fn backpressure_for_foreign_router_does_not_switch() {
     net.p2p(dummy, 0, a, 1, RATE, PROP);
     let mut sim = net.into_sim();
     sim.node_mut::<SirpentHost>(a)
-        .install_routes(EntityId(0xB), vec![p2p_route(0, 9, 2), p2p_route(1, 8, 2)]);
+        .install_routes(EntityId(0xB), routes_via(&[9, 8]));
 
     let rc = RateControlMsg {
         congested_router: 777, // not on any installed route
@@ -262,9 +268,10 @@ fn truncated_packets_are_flagged_not_accepted() {
     let r = net.viper(cfg);
     net.p2p(a, 0, r, 1, RATE, PROP);
     net.p2p(r, 2, b, 0, RATE, PROP);
+    let routes = routes(&net, a, b);
     let mut sim = net.into_sim();
     sim.node_mut::<SirpentHost>(a)
-        .install_routes(EntityId(0xB), vec![p2p_route(0, 1, 2)]);
+        .install_routes(EntityId(0xB), routes);
     sim.node_mut::<SirpentHost>(a)
         .queue_request(SimTime::ZERO, EntityId(0xB), vec![9u8; 900]);
     SirpentHost::start(&mut sim, a);
@@ -286,18 +293,12 @@ fn intra_host_selector_is_carried_in_local_segment() {
     // §2.2: Sirpent unifies inter- and intra-host addressing — the
     // final local segment's portInfo selects the endpoint within the
     // host. Verify the compiled route carries it onto the wire.
-    let rec = RouteRecord {
-        access: AccessSpec {
-            host_port: 0,
-            ethernet_next: None,
-            bandwidth_bps: RATE,
-            prop_delay: PROP,
-            mtu: 1550,
-        },
-        hops: vec![],
-        endpoint_selector: vec![0xE0, 0x01],
-    };
-    let route = CompiledRoute::compile(&rec, &[], Priority::NORMAL);
+    let mut net = Net::new(8);
+    let a = net.host(0xA, p2p_ports(1));
+    let b = net.host(0xB, p2p_ports(1));
+    net.p2p(a, 0, b, 0, RATE, PROP);
+    let mut route = routes(&net, a, b).remove(0);
+    route.segments.last_mut().unwrap().port_info = vec![0xE0, 0x01];
     let pkt = PacketBuilder::new()
         .route(route.segments.clone())
         .payload(b"x".to_vec())
@@ -319,34 +320,16 @@ fn endpoint_selector_demultiplexes_within_a_host() {
     let r = net.viper(ViperConfig::basic(1, &[1, 2]));
     net.p2p(a, 0, r, 1, RATE, PROP);
     net.p2p(r, 2, b, 0, RATE, PROP);
+    let route = routes(&net, a, b).remove(0);
     let mut sim = net.into_sim();
     sim.node_mut::<SirpentHost>(b).endpoint_selector = vec![0x51];
 
+    // The client names the endpoint within the server in the route's
+    // final, local segment.
     let route_with = |sel: Vec<u8>| {
-        CompiledRoute::compile(
-            &RouteRecord {
-                access: AccessSpec {
-                    host_port: 0,
-                    ethernet_next: None,
-                    bandwidth_bps: RATE,
-                    prop_delay: PROP,
-                    mtu: 1550,
-                },
-                hops: vec![HopSpec {
-                    router_id: 1,
-                    port: 2,
-                    ethernet_next: None,
-                    bandwidth_bps: RATE,
-                    prop_delay: PROP,
-                    mtu: 1550,
-                    cost: 1,
-                    security: Security::Controlled,
-                }],
-                endpoint_selector: sel,
-            },
-            &[],
-            Priority::NORMAL,
-        )
+        let mut route = route.clone();
+        route.segments.last_mut().unwrap().port_info = sel;
+        route
     };
 
     // Wrong selector first.
@@ -464,35 +447,33 @@ fn oversize_route_is_refused_and_counted_not_silently_dropped() {
     // 32-byte-token segment, so past some n the packet no longer fits
     // the 1500-byte transmission unit. Up to that boundary the host
     // sends; one hop more it must refuse *and say so* in its stats.
-    let token_route = |n: usize| {
-        let hop = |i: usize| HopSpec {
-            router_id: i as u32 + 1,
-            port: 2,
-            ethernet_next: None,
-            bandwidth_bps: RATE,
-            prop_delay: PROP,
-            mtu: 1550,
-            cost: 1,
-            security: Security::Controlled,
-        };
-        CompiledRoute::compile(
-            &RouteRecord {
-                access: AccessSpec {
-                    host_port: 0,
-                    ethernet_next: None,
-                    bandwidth_bps: RATE,
-                    prop_delay: PROP,
-                    mtu: 1550,
-                },
-                hops: (0..n).map(hop).collect(),
-                endpoint_selector: vec![],
-            },
-            &vec![vec![0xA5; 32]; n],
-            Priority::NORMAL,
-        )
+    let token_route = |n: u32| {
+        let mut net = Net::new(0);
+        let a = net.host(0xA, p2p_ports(1));
+        let b = net.host(0xB, p2p_ports(1));
+        let mut prev = (a, 0);
+        for id in 1..=n {
+            let r = net.viper(ViperConfig::basic(id, &[1, 2]));
+            net.p2p(prev.0, prev.1, r, 1, RATE, PROP);
+            prev = (r, 2);
+        }
+        net.p2p(prev.0, prev.1, b, 0, RATE, PROP);
+        let mut dir = net.directory().with_tokens(TokenIssue {
+            minter: TokenMinter::new(0xA5, 9),
+            max_priority: Priority::NORMAL,
+            reverse_ok: true,
+            byte_limit: 0,
+            expiry_s: 0,
+        });
+        let route = net
+            .routes(&mut dir, a, b, &TeQuery::default(), 1)
+            .remove(0)
+            .0;
+        assert_eq!(route.segments[0].port_token.len(), 32);
+        route
     };
     // (packets that reached the wire, builds refused) for an n-hop route.
-    let attempt = |n: usize| {
+    let attempt = |n: u32| {
         let mut net = Net::new(9);
         let a = net.host(0xA, vec![(0, HostPortKind::PointToPoint)]);
         let tap = net.sim.add_node(Box::new(ScriptedHost::new()));
@@ -540,7 +521,7 @@ fn message_over_32_members_is_refused_and_counted() {
     net.p2p(a, 0, tap, 0, RATE, PROP);
     let mut sim = net.into_sim();
     let host = sim.node_mut::<SirpentHost>(a);
-    host.install_routes(EntityId(0xB), vec![p2p_route(0, 9, 2)]);
+    host.install_routes(EntityId(0xB), routes_via(&[9]));
     host.queue_request(SimTime::ZERO, EntityId(0xB), vec![1u8; 32_001]);
     host.queue_request(SimTime::ZERO, EntityId(0xB), vec![2u8; 10]);
     SirpentHost::start(&mut sim, a);
@@ -584,11 +565,12 @@ fn client_router_server(seed: u64) -> (Simulator, NodeId, NodeId, ChannelId) {
     let a = net.host(0xA, vec![(0, HostPortKind::PointToPoint)]);
     let b = net.host(0xB, vec![(0, HostPortKind::PointToPoint)]);
     let r = net.viper(ViperConfig::basic(1, &[1, 2]));
-    let (_, to_client) = net.sim.p2p(a, 0, r, 1, RATE, PROP);
+    let (_, to_client) = net.p2p(a, 0, r, 1, RATE, PROP);
     net.p2p(r, 2, b, 0, RATE, PROP);
+    let routes = routes(&net, a, b);
     let mut sim = net.into_sim();
     sim.node_mut::<SirpentHost>(a)
-        .install_routes(EntityId(0xB), vec![p2p_route(0, 1, 2)]);
+        .install_routes(EntityId(0xB), routes);
     (sim, a, b, to_client)
 }
 
@@ -692,9 +674,10 @@ fn rate_control_events_come_out_in_destination_order() {
     let mut sim = net.into_sim();
 
     let dsts: Vec<EntityId> = (0..12u64).map(|i| EntityId(0xB00 + i * 5 % 12)).collect();
+    let routes = routes_via(&[9, 8]);
     for &dst in &dsts {
         sim.node_mut::<SirpentHost>(a)
-            .install_routes(dst, vec![p2p_route(0, 9, 2), p2p_route(1, 8, 2)]);
+            .install_routes(dst, routes.clone());
     }
     let rc = RateControlMsg {
         congested_router: 9,
@@ -756,7 +739,11 @@ fn first_frame_on_the_wire_is_link_header_then_built_packet() {
     }
     .to_bytes();
     let cases = [
-        (HostPortKind::PointToPoint, p2p_route(0, 9, 2), vec![]),
+        (
+            HostPortKind::PointToPoint,
+            routes_via(&[9]).remove(0),
+            vec![],
+        ),
         (HostPortKind::Ethernet { mac: mac_a }, eth_route, eth_header),
     ];
     for (kind, route, mut link_header) in cases {

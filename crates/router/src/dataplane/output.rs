@@ -248,29 +248,13 @@ impl OutputPort {
         if let Some(key) = q.flight_key {
             ctx.flight_record(key, HopKind::QueueEnter);
         }
-        self.admit(q, stats);
-        true
-    }
-
-    /// [`OutputPort::push`] without an engine context — for harnesses
-    /// (the switching bench) that drive the queue directly. No flight
-    /// events are recorded; `q.enqueued_at` is taken as given.
-    pub fn push_untimed(&mut self, q: Queued, stats: &mut PipelineStats) -> bool {
-        if self.queue.len() >= self.capacity {
-            stats.drop(DropReason::QueueFull);
-            return false;
-        }
-        self.admit(q, stats);
-        true
-    }
-
-    fn admit(&mut self, mut q: Queued, stats: &mut PipelineStats) {
         q.seq = self.next_seq;
         self.next_seq += 1;
         self.queue.push_back(q);
         stats.enter(Stage::Enqueue);
         stats.queue_depth.record(self.queue.len() as f64);
         stats.max_queue = stats.max_queue.max(self.queue.len());
+        true
     }
 
     /// Run the service decision: pick the best eligible frame per the
@@ -509,33 +493,5 @@ impl OutputPort {
     /// eligibility scan.
     pub fn clear_service_timer(&mut self) {
         self.service_timer_at = None;
-    }
-
-    /// Pop the head frame if it is eligible now, without an engine
-    /// context — the bench harness for queue-service cost. Returns the
-    /// frame so the caller can account it.
-    pub fn pop_eligible(&mut self, now: SimTime) -> Option<Queued> {
-        match self.discipline {
-            Discipline::Fifo => {
-                if self.queue.front().is_some_and(|q| q.earliest <= now) {
-                    self.queue.pop_front()
-                } else {
-                    None
-                }
-            }
-            Discipline::Priority => {
-                let mut best: Option<(usize, i8, u64)> = None;
-                for (i, q) in self.queue.iter().enumerate() {
-                    if q.earliest <= now {
-                        let key = (q.priority.rank(), q.seq);
-                        match best {
-                            Some((_, r, s)) if (r, u64::MAX - s) >= (key.0, u64::MAX - key.1) => {}
-                            _ => best = Some((i, key.0, key.1)),
-                        }
-                    }
-                }
-                best.and_then(|(idx, _, _)| self.queue.remove(idx))
-            }
-        }
     }
 }

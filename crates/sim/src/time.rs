@@ -33,11 +33,6 @@ impl SimTime {
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
     }
-
-    /// Span from `earlier` to `self`; saturates at zero.
-    pub fn duration_since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
-    }
 }
 
 impl SimDuration {

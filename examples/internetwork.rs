@@ -9,31 +9,16 @@
 //!
 //! Run with: `cargo run --example internetwork`
 
-use sirpent::compile::CompiledRoute;
-use sirpent::directory::{AccessSpec, Directory, HopSpec, Name, Preference, RouteRecord, Security};
+use sirpent::directory::TeQuery;
 use sirpent::host::{HostEvent, HostPortKind, SirpentHost};
 use sirpent::router::viper::ViperConfig;
 use sirpent::sim::{FaultConfig, SimDuration, SimTime};
 use sirpent::transport::FailoverPolicy;
-use sirpent::wire::viper::Priority;
 use sirpent::wire::vmtp::EntityId;
 use sirpent::Net;
 
 const RATE: u64 = 10_000_000;
 const PROP: SimDuration = SimDuration(10_000);
-
-fn hop(router_id: u32, port: u8, prop: SimDuration) -> HopSpec {
-    HopSpec {
-        router_id,
-        port,
-        ethernet_next: None,
-        bandwidth_bps: RATE,
-        prop_delay: prop,
-        mtu: 1550,
-        cost: 1,
-        security: Security::Controlled,
-    }
-}
 
 fn main() {
     // client — R1 —(primary)— server
@@ -57,70 +42,21 @@ fn main() {
     let r2 = net.viper(ViperConfig::basic(2, &[1, 2]));
     net.p2p(client, 0, r1, 1, RATE, PROP);
     net.p2p(client, 1, r2, 1, RATE, PROP.times(5)); // backup is farther
-                                                    // Primary path link r1→server; we'll fail it mid-run.
-    let (r1_to_srv, srv_to_r1) = net.sim.p2p(r1, 2, server, 0, RATE, PROP);
+    let (r1_to_srv, srv_to_r1) = net.p2p(r1, 2, server, 0, RATE, PROP); // fails mid-run
     net.p2p(r2, 2, server, 1, RATE, PROP.times(5));
+
+    // The directory's map is the network as wired; it serves one route
+    // per access link of the client, in host-port order.
+    let mut dir = net.directory();
+    let routes = net.routes(&mut dir, client, server, &TeQuery::default(), 1);
     let mut sim = net.into_sim();
-
-    // The directory serves both routes.
-    let mut dir = Directory::new();
-    let service = Name::parse("db.hq.example");
-    let client_name = Name::parse("c1.branch.example");
-    dir.register_route(
-        &service,
-        Name::root(),
-        RouteRecord {
-            access: AccessSpec {
-                host_port: 0,
-                ethernet_next: None,
-                bandwidth_bps: RATE,
-                prop_delay: PROP,
-                mtu: 1550,
-            },
-            hops: vec![hop(1, 2, PROP)],
-            endpoint_selector: vec![],
-        },
-    );
-    dir.register_route(
-        &service,
-        Name::root(),
-        RouteRecord {
-            access: AccessSpec {
-                host_port: 1,
-                ethernet_next: None,
-                bandwidth_bps: RATE,
-                prop_delay: PROP.times(5),
-                mtu: 1550,
-            },
-            hops: vec![hop(2, 2, PROP.times(5))],
-            endpoint_selector: vec![],
-        },
-    );
-
-    let q = dir.query(&client_name, &service, Preference::LowDelay, 4, 1);
-    println!(
-        "directory returned {} routes (query levels: {}, modeled latency {})",
-        q.advisories.len(),
-        q.region_levels,
-        q.latency
-    );
-    for (i, adv) in q.advisories.iter().enumerate() {
+    println!("directory returned {} routes", routes.len());
+    for (i, (route, _)) in routes.iter().enumerate() {
         println!(
-            "  route {}: via router {:?}, prop {}, base rtt known in advance",
-            i,
-            adv.route
-                .hops
-                .iter()
-                .map(|h| h.router_id)
-                .collect::<Vec<_>>(),
-            adv.props.prop_delay
+            "  route {}: via router {:?}, base rtt {} known in advance",
+            i, route.router_ids, route.base_rtt
         );
     }
-    let routes: Vec<CompiledRoute> = q
-        .advisories
-        .iter()
-        .map(|a| CompiledRoute::compile(&a.route, &a.tokens, Priority::NORMAL))
-        .collect();
 
     // Client: 100 transactions over 2 s; primary link dies at t = 0.8 s.
     {
@@ -129,7 +65,7 @@ fn main() {
             loss_threshold: 1,
             ..Default::default()
         });
-        c.install_routes(EntityId(0x5), routes);
+        c.install_routes(EntityId(0x5), routes.into_iter().map(|(r, _)| r).collect());
         for i in 0..100u64 {
             c.queue_request(
                 SimTime(i * 20_000_000),

@@ -9,10 +9,7 @@
 //!
 //! Run with: `cargo run --example transactional`
 
-use sirpent::compile::CompiledRoute;
-use sirpent::directory::{
-    AccessSpec, Directory, HopSpec, Name, Preference, RouteRecord, Security, TokenIssue,
-};
+use sirpent::directory::{TeQuery, TokenIssue};
 use sirpent::host::{HostPortKind, SirpentHost};
 use sirpent::router::viper::{AuthConfig, ViperConfig, ViperRouter};
 use sirpent::sim::stats::Summary;
@@ -49,72 +46,28 @@ fn main() {
     net.p2p(merchant, 0, r1, 1, RATE, PROP);
     net.p2p(r1, 2, r2, 1, RATE, PROP);
     net.p2p(r2, 2, bank, 0, RATE, PROP);
-    let mut sim = net.into_sim();
 
-    // Directory with token issue for account 9001 (the merchant).
-    let mut dir = Directory::new().with_tokens(TokenIssue {
+    // The directory's map is the network as wired; it issues the route
+    // with one token per hop, charged to account 9001 (the merchant).
+    let mut dir = net.directory().with_tokens(TokenIssue {
         minter,
         max_priority: Priority::new(5),
         reverse_ok: true,
         byte_limit: 0,
         expiry_s: 0,
     });
-    let bank_name = Name::parse("auth.bank.example");
-    dir.register_route(
-        &bank_name,
-        Name::root(),
-        RouteRecord {
-            access: AccessSpec {
-                host_port: 0,
-                ethernet_next: None,
-                bandwidth_bps: RATE,
-                prop_delay: PROP,
-                mtu: 1550,
-            },
-            hops: vec![
-                HopSpec {
-                    router_id: 1,
-                    port: 2,
-                    ethernet_next: None,
-                    bandwidth_bps: RATE,
-                    prop_delay: PROP,
-                    mtu: 1550,
-                    cost: 1,
-                    security: Security::Controlled,
-                },
-                HopSpec {
-                    router_id: 2,
-                    port: 2,
-                    ethernet_next: None,
-                    bandwidth_bps: RATE,
-                    prop_delay: PROP,
-                    mtu: 1550,
-                    cost: 1,
-                    security: Security::Controlled,
-                },
-            ],
-            endpoint_selector: vec![],
-        },
-    );
-
-    let q = dir.query(
-        &Name::parse("till3.shop.example"),
-        &bank_name,
-        Preference::LowDelay,
-        2,
-        9001,
-    );
-    let adv = &q.advisories[0];
+    let (route, residual_bps) = net
+        .routes(&mut dir, merchant, bank, &TeQuery::default(), 9001)
+        .remove(0);
+    let mut sim = net.into_sim();
     println!(
-        "directory advisory: {} hops, base props: bw {} Mb/s, prop {}, MTU {}, {} tokens (query latency model: {})",
-        adv.props.hops,
-        adv.props.bandwidth_bps / 1_000_000,
-        adv.props.prop_delay,
-        adv.props.mtu,
-        adv.tokens.len(),
-        q.latency,
+        "directory route: {} hops, {} Mb/s free at the bottleneck, MTU {}, base RTT {}, {}-byte tokens",
+        route.router_ids.len(),
+        residual_bps / 1_000_000,
+        route.path_mtu,
+        route.base_rtt,
+        route.segments[0].port_token.len(),
     );
-    let route = CompiledRoute::compile(&adv.route, &adv.tokens, Priority::NORMAL);
 
     // 200 card authorizations, Poisson-ish spaced 2 ms apart.
     const N: usize = 200;

@@ -17,12 +17,11 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use sirpent::compile::CompiledRoute;
-use sirpent::directory::{AccessSpec, HopSpec, RouteRecord, Security};
+use sirpent::directory::{TeQuery, TokenIssue};
 use sirpent::host::{HostPortKind, SirpentHost};
 use sirpent::router::viper::{AuthConfig, ViperConfig};
 use sirpent::sim::{SimDuration, SimTime};
-use sirpent::token::{AuthPolicy, Grant, TokenMinter};
+use sirpent::token::{AuthPolicy, TokenMinter};
 use sirpent::wire::viper::Priority;
 use sirpent::wire::vmtp::EntityId;
 use sirpent::Net;
@@ -92,7 +91,7 @@ const SPACING_NS: u64 = 2_000_000;
 /// when `tokens`. Returns (allocations, bytes allocated) per transaction
 /// over the [`TRANSACTIONS`] that follow the warm-up.
 fn heap_per_transaction(payload: usize, tokens: bool) -> (u64, u64) {
-    let mut minter = TokenMinter::new(0x0A11_0C8E, 19);
+    let minter = TokenMinter::new(0x0A11_0C8E, 19);
     let mut net = Net::new(19);
     let a = net.host(0xA, vec![(0, HostPortKind::PointToPoint)]);
     let b = net.host(0xB, vec![(0, HostPortKind::PointToPoint)]);
@@ -112,45 +111,21 @@ fn heap_per_transaction(payload: usize, tokens: bool) -> (u64, u64) {
         prev = (r, 2);
     }
     net.p2p(prev.0, prev.1, b, 0, RATE, PROP);
+    let mut dir = net.directory();
+    if tokens {
+        dir = dir.with_tokens(TokenIssue {
+            minter,
+            max_priority: Priority::new(5),
+            reverse_ok: true,
+            byte_limit: 0,
+            expiry_s: 0,
+        });
+    }
+    let route = net
+        .routes(&mut dir, a, b, &TeQuery::default(), 7)
+        .remove(0)
+        .0;
     let mut sim = net.into_sim();
-
-    let hop = |router_id| HopSpec {
-        router_id,
-        port: 2,
-        ethernet_next: None,
-        bandwidth_bps: RATE,
-        prop_delay: PROP,
-        mtu: 1550,
-        cost: 1,
-        security: Security::Controlled,
-    };
-    let record = RouteRecord {
-        access: AccessSpec {
-            host_port: 0,
-            ethernet_next: None,
-            bandwidth_bps: RATE,
-            prop_delay: PROP,
-            mtu: 1550,
-        },
-        hops: (1..=ROUTERS).map(hop).collect(),
-        endpoint_selector: vec![],
-    };
-    let hop_tokens: Vec<Vec<u8>> = (1..=ROUTERS)
-        .filter(|_| tokens)
-        .map(|router_id| {
-            let grant = Grant {
-                router_id,
-                port: 2,
-                max_priority: Priority::new(5),
-                reverse_ok: true,
-                account: 7,
-                byte_limit: 0,
-                expiry_s: 0,
-            };
-            minter.mint(grant).to_vec()
-        })
-        .collect();
-    let route = CompiledRoute::compile(&record, &hop_tokens, Priority::NORMAL);
     assert!(!tokens || route.segments[0].port_token.len() == 32);
 
     sim.node_mut::<SirpentHost>(a)

@@ -3,44 +3,16 @@
 //! badly skewed clocks break communication, and the modelled
 //! synchronization service (the WWV/NTP substitute) restores it.
 
-use sirpent::directory::{AccessSpec, HopSpec, RouteRecord, Security};
+use sirpent::directory::TeQuery;
 use sirpent::host::{HostPortKind, SirpentHost};
 use sirpent::router::viper::ViperConfig;
 use sirpent::sim::{SimDuration, SimTime};
 use sirpent::transport::{HostClock, LifetimeFilter, SyncService};
-use sirpent::wire::viper::Priority;
 use sirpent::wire::vmtp::EntityId;
-use sirpent::{CompiledRoute, Net};
+use sirpent::Net;
 
 const RATE: u64 = 10_000_000;
 const PROP: SimDuration = SimDuration(5_000);
-
-fn route() -> CompiledRoute {
-    CompiledRoute::compile(
-        &RouteRecord {
-            access: AccessSpec {
-                host_port: 0,
-                ethernet_next: None,
-                bandwidth_bps: RATE,
-                prop_delay: PROP,
-                mtu: 1550,
-            },
-            hops: vec![HopSpec {
-                router_id: 1,
-                port: 2,
-                ethernet_next: None,
-                bandwidth_bps: RATE,
-                prop_delay: PROP,
-                mtu: 1550,
-                cost: 1,
-                security: Security::Controlled,
-            }],
-            endpoint_selector: vec![],
-        },
-        &[],
-        Priority::NORMAL,
-    )
-}
 
 /// Build the pair with a receiver clock offset of `recv_offset_ms` and a
 /// tight 10 s MPL; return deliveries and lifetime rejects.
@@ -60,6 +32,7 @@ fn run(recv_offset_ms: i64, sync: bool) -> (usize, u64) {
     let r = net.viper(ViperConfig::basic(1, &[1, 2]));
     net.p2p(a, 0, r, 1, RATE, PROP);
     net.p2p(r, 2, b, 0, RATE, PROP);
+    let routes = net.routes(&mut net.directory(), a, b, &TeQuery::default(), 1);
     let mut sim = net.into_sim();
 
     if sync {
@@ -74,7 +47,7 @@ fn run(recv_offset_ms: i64, sync: bool) -> (usize, u64) {
     }
 
     sim.node_mut::<SirpentHost>(a)
-        .install_routes(EntityId(0xB), vec![route()]);
+        .install_routes(EntityId(0xB), routes.into_iter().map(|(r, _)| r).collect());
     sim.node_mut::<SirpentHost>(b).echo = true;
     for i in 0..5u64 {
         sim.node_mut::<SirpentHost>(a).queue_request(

@@ -3,9 +3,7 @@
 //! absorbing repeat lookups.
 
 use sirpent::compile::CompiledRoute;
-use sirpent::directory::{
-    AccessSpec, Directory, HopSpec, Name, Preference, RouteCache, RouteRecord, Security,
-};
+use sirpent::directory::{AccessSpec, Name, Peer, Preference, RouteCache, TeQuery};
 use sirpent::host::{HostEvent, HostPortKind, SirpentHost};
 use sirpent::router::viper::ViperConfig;
 use sirpent::sim::{FaultConfig, SimDuration, SimTime};
@@ -17,19 +15,9 @@ use sirpent::Net;
 const RATE: u64 = 10_000_000;
 const PROP: SimDuration = SimDuration(5_000);
 
-fn hop(router_id: u32) -> HopSpec {
-    HopSpec {
-        router_id,
-        port: 2,
-        ethernet_next: None,
-        bandwidth_bps: RATE,
-        prop_delay: PROP,
-        mtu: 1550,
-        cost: 1,
-        security: Security::Controlled,
-    }
-}
-
+/// One of the client's access links, which registering a named route
+/// states: the map computes a record's hops, its caller supplies the
+/// way in.
 fn access(host_port: u8) -> AccessSpec {
     AccessSpec {
         host_port,
@@ -65,32 +53,22 @@ fn requery_after_total_route_failure_recovers_service() {
     let r2 = net.viper(ViperConfig::basic(2, &[1, 2]));
     net.p2p(client, 0, r1, 1, RATE, PROP);
     net.p2p(client, 1, r2, 1, RATE, PROP);
-    let (l1a, l1b) = net.sim.p2p(r1, 2, server, 0, RATE, PROP);
-    let (l2a, l2b) = net.sim.p2p(r2, 2, server, 1, RATE, PROP);
-    let mut sim = net.into_sim();
+    let (l1a, l1b) = net.p2p(r1, 2, server, 0, RATE, PROP);
+    let (l2a, l2b) = net.p2p(r2, 2, server, 1, RATE, PROP);
 
-    // Directory with both routes; client-side cache.
-    let mut dir = Directory::new();
+    // Directory with both routes — what the map computes from the router
+    // each access link lands on, registered under the service's name;
+    // client-side cache.
+    let mut dir = net.directory();
     let svc = Name::parse("db.hq.example");
     let me = Name::parse("c.branch.example");
-    dir.register_route(
-        &svc,
-        Name::root(),
-        RouteRecord {
-            access: access(0),
-            hops: vec![hop(1)],
-            endpoint_selector: vec![],
-        },
-    );
-    dir.register_route(
-        &svc,
-        Name::root(),
-        RouteRecord {
-            access: access(1),
-            hops: vec![hop(2)],
-            endpoint_selector: vec![],
-        },
-    );
+    for (host_port, router) in [(0, 1), (1, 2)] {
+        let (to, one) = (Peer::Host(0x5), TeQuery::default());
+        for adv in dir.te_advisories(router, to, &one, &access(host_port), &[], 0) {
+            dir.register_route(&svc, Name::root(), adv.route);
+        }
+    }
+    let mut sim = net.into_sim();
     let mut cache = RouteCache::new(SimDuration::from_secs(60));
 
     // Initial query (miss → directory), then a cache hit.

@@ -2,9 +2,7 @@
 //! multi-hop topology, through the full host transport stack.
 
 use sirpent::compile::CompiledRoute;
-use sirpent::directory::{
-    AccessSpec, Directory, HopSpec, Name, Preference, RouteRecord, Security, TokenIssue,
-};
+use sirpent::directory::{AccessSpec, Name, Peer, Preference, TeQuery, TokenIssue};
 use sirpent::host::{HostPortKind, SirpentHost};
 use sirpent::router::viper::{AuthConfig, ViperConfig, ViperRouter};
 use sirpent::sim::{SimDuration, SimTime};
@@ -16,19 +14,8 @@ use sirpent::Net;
 const MBPS_10: u64 = 10_000_000;
 const PROP: SimDuration = SimDuration(5_000);
 
-fn hop(router_id: u32, port: u8) -> HopSpec {
-    HopSpec {
-        router_id,
-        port,
-        ethernet_next: None,
-        bandwidth_bps: MBPS_10,
-        prop_delay: PROP,
-        mtu: 1550,
-        cost: 1,
-        security: Security::Controlled,
-    }
-}
-
+/// The client's access link, which registering a named route states:
+/// the map computes a record's hops, its caller supplies the way in.
 fn access() -> AccessSpec {
     AccessSpec {
         host_port: 0,
@@ -70,10 +57,10 @@ fn directory_tokens_and_transport_compose() {
     net.p2p(a, 0, r1, 1, MBPS_10, PROP);
     net.p2p(r1, 2, r2, 1, MBPS_10, PROP);
     net.p2p(r2, 2, b, 0, MBPS_10, PROP);
-    let mut sim = net.into_sim();
 
-    // Directory: register the service and its route, with token issue.
-    let mut dir = Directory::new().with_tokens(TokenIssue {
+    // Directory: register the service under its name, with the route the
+    // map computes to it, and token issue.
+    let mut dir = net.directory().with_tokens(TokenIssue {
         minter,
         max_priority: Priority::new(5),
         reverse_ok: true,
@@ -82,15 +69,11 @@ fn directory_tokens_and_transport_compose() {
     });
     let client_name = Name::parse("client.cs.stanford.edu");
     let service = Name::parse("fileserver.cs.stanford.edu");
-    dir.register_route(
-        &service,
-        Name::parse("stanford.edu"),
-        RouteRecord {
-            access: access(),
-            hops: vec![hop(1, 2), hop(2, 2)],
-            endpoint_selector: vec![],
-        },
-    );
+    let computed = dir.te_advisories(1, Peer::Host(0xB), &TeQuery::default(), &access(), &[], 0);
+    for adv in computed {
+        dir.register_route(&service, Name::parse("stanford.edu"), adv.route);
+    }
+    let mut sim = net.into_sim();
 
     let result = dir.query(&client_name, &service, Preference::LowDelay, 2, 1001);
     assert_eq!(result.advisories.len(), 1);
@@ -178,32 +161,19 @@ fn reverse_route_requires_reverse_authorization() {
         let r1 = net.viper(cfg);
         net.p2p(a, 0, r1, 1, MBPS_10, PROP);
         net.p2p(r1, 2, b, 0, MBPS_10, PROP);
-        let mut sim = net.into_sim();
 
-        let mut dir = Directory::new().with_tokens(TokenIssue {
+        let mut dir = net.directory().with_tokens(TokenIssue {
             minter,
             max_priority: Priority::new(5),
             reverse_ok,
             byte_limit: 0,
             expiry_s: 0,
         });
-        let service = Name::parse("srv.x");
-        dir.register_route(
-            &service,
-            Name::root(),
-            RouteRecord {
-                access: access(),
-                hops: vec![hop(1, 2)],
-                endpoint_selector: vec![],
-            },
-        );
-        let adv = &dir
-            .query(&Name::parse("cli.x"), &service, Preference::LowDelay, 1, 7)
-            .advisories[0];
-        let route = CompiledRoute::compile(&adv.route, &adv.tokens, Priority::NORMAL);
+        let routes = net.routes(&mut dir, a, b, &TeQuery::default(), 7);
+        let mut sim = net.into_sim();
 
         sim.node_mut::<SirpentHost>(a)
-            .install_routes(EntityId(0xB), vec![route]);
+            .install_routes(EntityId(0xB), routes.into_iter().map(|(r, _)| r).collect());
         sim.node_mut::<SirpentHost>(b).echo = true;
         sim.node_mut::<SirpentHost>(a)
             .queue_request(SimTime::ZERO, EntityId(0xB), b"hi".to_vec());
@@ -242,32 +212,19 @@ fn reverse_rejections_counted_at_router() {
     let r1 = net.viper(cfg);
     net.p2p(a, 0, r1, 1, MBPS_10, PROP);
     net.p2p(r1, 2, b, 0, MBPS_10, PROP);
-    let mut sim = net.into_sim();
 
-    let mut dir = Directory::new().with_tokens(TokenIssue {
+    let mut dir = net.directory().with_tokens(TokenIssue {
         minter,
         max_priority: Priority::new(5),
         reverse_ok: false, // forward only
         byte_limit: 0,
         expiry_s: 0,
     });
-    let service = Name::parse("srv.x");
-    dir.register_route(
-        &service,
-        Name::root(),
-        RouteRecord {
-            access: access(),
-            hops: vec![hop(1, 2)],
-            endpoint_selector: vec![],
-        },
-    );
-    let adv = &dir
-        .query(&Name::parse("cli.x"), &service, Preference::LowDelay, 1, 7)
-        .advisories[0];
-    let route = CompiledRoute::compile(&adv.route, &adv.tokens, Priority::NORMAL);
+    let routes = net.routes(&mut dir, a, b, &TeQuery::default(), 7);
+    let mut sim = net.into_sim();
 
     sim.node_mut::<SirpentHost>(a)
-        .install_routes(EntityId(0xB), vec![route]);
+        .install_routes(EntityId(0xB), routes.into_iter().map(|(r, _)| r).collect());
     sim.node_mut::<SirpentHost>(b).echo = true;
     sim.node_mut::<SirpentHost>(a)
         .queue_request(SimTime::ZERO, EntityId(0xB), b"hi".to_vec());

@@ -6,7 +6,10 @@ use sirpent::host::{HostPortKind, SirpentHost};
 use sirpent::interop::{GatewayConfig, IpGateway, IPPROTO_SIRPENT};
 use sirpent::router::ip::{IpConfig, IpPortConfig, IpRouter, RouteEntry};
 use sirpent::router::viper::PortKind;
-use sirpent::sim::{SimDuration, SimTime};
+use sirpent::sim::stats::DropReason;
+use sirpent::sim::{
+    ChaosAction, ChaosEvent, FaultSchedule, NodeId, SimDuration, SimTime, Simulator,
+};
 use sirpent::wire::ipish::Address;
 use sirpent::wire::viper::{Flags, Priority, SegmentRepr, PORT_LOCAL};
 use sirpent::wire::vmtp::EntityId;
@@ -20,10 +23,11 @@ const GW2_IP: Address = Address(0x0A000201); // 10.0.2.1
 const ENCAP_TO_GW2: u8 = 100; // GW1's logical port across the cloud
 const ENCAP_TO_GW1: u8 = 100; // GW2's logical port back
 
-/// host A — GW1 — [IP router] — GW2 — host B.
-#[test]
-fn sirpent_crosses_ip_cloud_and_reply_returns() {
-    let mut net = Net::new(55);
+/// host A — GW1 — [IP router] — GW2 — host B, with A's route to B
+/// installed and B echoing. Returns the simulator and
+/// `[a, b, gw1, gw2, cloud]`.
+fn across_the_cloud(seed: u64) -> (Simulator, [NodeId; 5]) {
+    let mut net = Net::new(seed);
     let a = net.host(0xA, vec![(0, HostPortKind::PointToPoint)]);
     let b = net.host(0xB, vec![(0, HostPortKind::PointToPoint)]);
     let gw1 = net.sim.add_node(Box::new(IpGateway::new(GatewayConfig {
@@ -117,6 +121,12 @@ fn sirpent_crosses_ip_cloud_and_reply_returns() {
     sim.node_mut::<SirpentHost>(a)
         .install_routes(EntityId(0xB), vec![route]);
     sim.node_mut::<SirpentHost>(b).echo = true;
+    (sim, [a, b, gw1, gw2, cloud])
+}
+
+#[test]
+fn sirpent_crosses_ip_cloud_and_reply_returns() {
+    let (mut sim, [a, b, gw1, gw2, cloud]) = across_the_cloud(55);
     sim.node_mut::<SirpentHost>(a).queue_request(
         SimTime::ZERO,
         EntityId(0xB),
@@ -148,6 +158,46 @@ fn sirpent_crosses_ip_cloud_and_reply_returns() {
     let c = sim.node::<IpRouter>(cloud);
     assert!(c.stats.forwarded >= 4);
     assert_eq!(c.stats.total_drops(), 0);
+}
+
+/// A gateway that crashes while transmitting comes back with its ports
+/// free: the crash loses what it held and what it was sending, and
+/// nothing sent afterwards waits behind a transmission that will never
+/// complete.
+#[test]
+fn gateway_forwards_again_after_a_crash_mid_transmission() {
+    let (mut sim, [a, _, gw1, ..]) = across_the_cloud(57);
+    // The request reaches GW1 at ≈ 80 µs and, after the 30 µs processing
+    // delay, takes ≈ 80 µs more to clock out toward the cloud.
+    let crash = |at, action| ChaosEvent {
+        at: SimTime(at),
+        action,
+    };
+    sim.install_schedule(
+        FaultSchedule::new(vec![
+            crash(150_000, ChaosAction::RouterCrash { node: gw1 }),
+            crash(1_000_000, ChaosAction::RouterRestart { node: gw1 }),
+        ])
+        .expect("no probabilities to reject"),
+    );
+    for (at, msg) in [
+        (0, b"lost with the crash"),
+        (50_000_000, b"after the restart!!"),
+    ] {
+        sim.node_mut::<SirpentHost>(a)
+            .queue_request(SimTime(at), EntityId(0xB), msg.to_vec());
+    }
+    SirpentHost::start(&mut sim, a);
+    sim.run_until(SimTime(200_000_000));
+
+    assert_eq!(
+        sim.chaos_stats().drops[DropReason::RouterDown],
+        1,
+        "the crash caught GW1 mid-transmission"
+    );
+    let answers = &sim.node::<SirpentHost>(a).inbox;
+    assert_eq!(answers.len(), 2, "the first by retransmission");
+    assert_eq!(answers[1].message, b"after the restart!!");
 }
 
 /// Wrong-protocol and wrong-address datagrams are dropped at the

@@ -3,43 +3,15 @@
 //! Sirpent accepts (truncation, corruption) surface at the transport,
 //! never as silent data corruption.
 
-use sirpent::directory::{AccessSpec, HopSpec, RouteRecord, Security};
+use sirpent::directory::TeQuery;
 use sirpent::host::{HostPortKind, SirpentHost};
 use sirpent::router::viper::ViperConfig;
 use sirpent::sim::{FaultConfig, SimDuration, SimTime};
-use sirpent::wire::viper::Priority;
 use sirpent::wire::vmtp::EntityId;
-use sirpent::{CompiledRoute, Net};
+use sirpent::Net;
 
 const RATE: u64 = 10_000_000;
 const PROP: SimDuration = SimDuration(5_000);
-
-fn one_hop_route() -> CompiledRoute {
-    CompiledRoute::compile(
-        &RouteRecord {
-            access: AccessSpec {
-                host_port: 0,
-                ethernet_next: None,
-                bandwidth_bps: RATE,
-                prop_delay: PROP,
-                mtu: 1550,
-            },
-            hops: vec![HopSpec {
-                router_id: 1,
-                port: 2,
-                ethernet_next: None,
-                bandwidth_bps: RATE,
-                prop_delay: PROP,
-                mtu: 1550,
-                cost: 1,
-                security: Security::Controlled,
-            }],
-            endpoint_selector: vec![],
-        },
-        &[],
-        Priority::NORMAL,
-    )
-}
 
 fn build(
     seed: u64,
@@ -55,10 +27,11 @@ fn build(
     let b = net.host(0xB, vec![(0, HostPortKind::PointToPoint)]);
     let r = net.viper(ViperConfig::basic(1, &[1, 2]));
     net.p2p(a, 0, r, 1, RATE, PROP);
-    let (fwd, rev) = net.sim.p2p(r, 2, b, 0, RATE, PROP);
+    let (fwd, rev) = net.p2p(r, 2, b, 0, RATE, PROP);
+    let routes = net.routes(&mut net.directory(), a, b, &TeQuery::default(), 1);
     let mut sim = net.into_sim();
     sim.node_mut::<SirpentHost>(a)
-        .install_routes(EntityId(0xB), vec![one_hop_route()]);
+        .install_routes(EntityId(0xB), routes.into_iter().map(|(r, _)| r).collect());
     (sim, a, b, fwd, rev)
 }
 

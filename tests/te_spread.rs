@@ -3,13 +3,10 @@
 //! advertised residual capacity*, and per-transaction re-selection
 //! spreads flows across both physical paths instead of piling onto one.
 
-use sirpent::compile::CompiledRoute;
-use sirpent::directory::te::{LinkMetrics, TeQuery};
-use sirpent::directory::{AccessSpec, Directory, Peer, TeTopology};
+use sirpent::directory::te::TeQuery;
 use sirpent::host::{HostPortKind, SirpentHost};
 use sirpent::router::viper::ViperConfig;
 use sirpent::sim::{SimDuration, SimTime};
-use sirpent::wire::viper::Priority;
 use sirpent::wire::vmtp::EntityId;
 use sirpent::Net;
 
@@ -31,53 +28,20 @@ fn weighted_routes_spread_transactions_across_parallel_links() {
     );
     let r1 = net.viper(ViperConfig::basic(1, &[1, 2, 3]));
     net.p2p(a, 0, r1, 1, MBPS_10, PROP);
-    let (up_a, _) = net.sim.p2p(r1, 2, b, 0, MBPS_10, PROP);
-    let (up_b, _) = net.sim.p2p(r1, 3, b, 1, MBPS_10, PROP);
-    let mut sim = net.into_sim();
+    let (up_a, _) = net.p2p(r1, 2, b, 0, MBPS_10, PROP);
+    let (up_b, _) = net.p2p(r1, 3, b, 1, MBPS_10, PROP);
 
-    let mut te = TeTopology::new();
-    let m = LinkMetrics {
-        bandwidth_bps: MBPS_10,
-        prop_delay: PROP,
-        mtu: 1550,
-        cost: 1,
-        ..LinkMetrics::basic()
-    };
-    te.add_link(1, 2, Peer::Host(0xB), m);
-    te.add_link(1, 3, Peer::Host(0xB), m);
-    let mut dir = Directory::new().with_te(te);
+    let mut dir = net.directory();
     // Port 2 already carries some background load: its residual — and
     // hence its share of new flows — is smaller.
     dir.report_load(1, 2, 0.5);
-
-    let access = AccessSpec {
-        host_port: 0,
-        ethernet_next: None,
-        bandwidth_bps: MBPS_10,
-        prop_delay: PROP,
-        mtu: 1550,
+    let both = TeQuery {
+        k: 2,
+        ..TeQuery::default()
     };
-    let advs = dir.te_advisories(
-        1,
-        Peer::Host(0xB),
-        &TeQuery {
-            k: 2,
-            ..TeQuery::default()
-        },
-        &access,
-        &[],
-        1,
-    );
-    assert_eq!(advs.len(), 2, "both parallel links granted");
-    let weighted: Vec<(CompiledRoute, u64)> = advs
-        .iter()
-        .map(|adv| {
-            (
-                CompiledRoute::compile(&adv.route, &adv.tokens, Priority::NORMAL),
-                adv.residual_bps,
-            )
-        })
-        .collect();
+    let weighted = net.routes(&mut dir, a, b, &both, 1);
+    let mut sim = net.into_sim();
+    assert_eq!(weighted.len(), 2, "both parallel links granted");
     assert_ne!(weighted[0].1, weighted[1].1, "residuals differ under load");
 
     const N: u64 = 40;
