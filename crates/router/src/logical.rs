@@ -76,35 +76,35 @@ impl LogicalTable {
 
     /// Pick a trunk member given each member's next-free time (as
     /// reported by the simulator): first idle member, else the one that
-    /// frees soonest. Round-robin ignores the times.
+    /// frees soonest. Round-robin ignores the times. `None` when the
+    /// trunk has no members.
     pub fn pick_trunk_member(
         &self,
         members: &[u8],
         strategy: TrunkStrategy,
         free_at_ns: impl Fn(u8) -> u64,
         now_ns: u64,
-    ) -> u8 {
-        debug_assert!(!members.is_empty(), "trunk must have members");
+    ) -> Option<u8> {
         match strategy {
             TrunkStrategy::RoundRobin => {
                 let i = self.rr_state.get();
                 self.rr_state.set(i.wrapping_add(1));
-                members[i % members.len()]
+                members.get(i.checked_rem(members.len())?).copied()
             }
             TrunkStrategy::FirstFree => {
-                let mut best = members[0];
+                let mut best = *members.first()?;
                 let mut best_free = u64::MAX;
                 for &m in members {
                     let f = free_at_ns(m);
                     if f <= now_ns {
-                        return m; // idle right now
+                        return Some(m); // idle right now
                     }
                     if f < best_free {
                         best_free = f;
                         best = m;
                     }
                 }
-                best
+                Some(best)
             }
         }
     }
@@ -142,7 +142,7 @@ mod tests {
         };
         assert_eq!(
             t.pick_trunk_member(&members, TrunkStrategy::FirstFree, free, 100),
-            2
+            Some(2)
         );
         // All busy: the soonest-free wins.
         let free = |p: u8| match p {
@@ -152,7 +152,7 @@ mod tests {
         };
         assert_eq!(
             t.pick_trunk_member(&members, TrunkStrategy::FirstFree, free, 100),
-            2
+            Some(2)
         );
     }
 
@@ -161,7 +161,7 @@ mod tests {
         let t = LogicalTable::new();
         let members = [5u8, 6];
         let picks: Vec<u8> = (0..4)
-            .map(|_| t.pick_trunk_member(&members, TrunkStrategy::RoundRobin, |_| 0, 0))
+            .filter_map(|_| t.pick_trunk_member(&members, TrunkStrategy::RoundRobin, |_| 0, 0))
             .collect();
         assert_eq!(picks, vec![5, 6, 5, 6]);
     }

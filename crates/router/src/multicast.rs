@@ -42,28 +42,20 @@ pub fn encode_tree(branches: &[Vec<SegmentRepr>]) -> Result<Vec<u8>> {
 /// encoded segments, validated for parseability by the caller as it
 /// routes them).
 pub fn decode_tree(port_info: &[u8]) -> Result<Vec<Vec<u8>>> {
-    if port_info.is_empty() {
-        return Err(Error::Truncated);
-    }
-    let count = port_info[0] as usize;
+    let (&count, mut rest) = port_info.split_first().ok_or(Error::Truncated)?;
     if count == 0 {
         return Err(Error::Malformed);
     }
-    let mut at = 1usize;
-    let mut branches = Vec::with_capacity(count);
+    let mut branches = Vec::with_capacity(count as usize);
     for _ in 0..count {
-        if port_info.len() < at + 2 {
-            return Err(Error::Truncated);
-        }
-        let len = u16::from_be_bytes([port_info[at], port_info[at + 1]]) as usize;
-        at += 2;
-        if port_info.len() < at + len {
-            return Err(Error::Truncated);
-        }
-        branches.push(port_info[at..at + len].to_vec());
-        at += len;
+        let (len, after) = rest.split_first_chunk::<2>().ok_or(Error::Truncated)?;
+        let (branch, after) = after
+            .split_at_checked(u16::from_be_bytes(*len) as usize)
+            .ok_or(Error::Truncated)?;
+        branches.push(branch.to_vec());
+        rest = after;
     }
-    if at != port_info.len() {
+    if !rest.is_empty() {
         return Err(Error::Malformed);
     }
     Ok(branches)

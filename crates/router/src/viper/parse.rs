@@ -5,7 +5,7 @@ use sirpent_sim::stats::Stage;
 use sirpent_sim::Context;
 use sirpent_telemetry::HopKind;
 use sirpent_wire::ethernet;
-use sirpent_wire::viper::Segment;
+use sirpent_wire::viper::decode;
 
 use crate::link::{decode_port_frame, LinkFrame, PortDecode};
 use crate::logical::PortBinding;
@@ -32,6 +32,8 @@ impl ViperRouter {
         match link {
             LinkFrame::Sirpent { ff_hint, packet } => {
                 self.stats.enter(Stage::Parse);
+                // The leading segment's output port and length, read once.
+                let front = decode(packet.as_slice()).ok();
                 // Feed-forward: a large hint warns that a burst is
                 // heading for whatever queue these packets use; treat it
                 // as an early congestion signal on this feeder.
@@ -39,8 +41,8 @@ impl ViperRouter {
                     && self.cfg.congestion.use_feedforward
                     && ff_hint as usize >= self.cfg.congestion.queue_high
                 {
-                    if let Ok(seg) = Segment::new_checked(packet.as_slice()) {
-                        if let PortBinding::Physical(p) = self.cfg.logical.resolve(seg.port()) {
+                    if let Some(seg) = &front {
+                        if let PortBinding::Physical(p) = self.cfg.logical.resolve(seg.port) {
                             self.maybe_signal_feeder(ctx, p, port, ff_hint as usize);
                         }
                     }
@@ -55,9 +57,7 @@ impl ViperRouter {
                             PortKind::PointToPoint => 2,
                             PortKind::Ethernet { .. } => ethernet::HEADER_LEN + 2,
                         };
-                        let seg_len = Segment::new_checked(packet.as_slice())
-                            .map(|s| s.total_len())
-                            .unwrap_or(4);
+                        let seg_len = front.map_or(4, |s| s.len);
                         fe.byte_arrival(link_hdr + seg_len) + self.cfg.decision_delay
                     }
                     SwitchMode::StoreAndForward { process_delay } => fe.last_bit + process_delay,

@@ -171,10 +171,13 @@ impl ViperRouter {
                             .unwrap_or(u64::MAX)
                     }
                 };
-                vec![self
-                    .cfg
+                // An empty trunk picks nothing: dropped as `NoSuchPort`
+                // below, like an empty multicast set.
+                self.cfg
                     .logical
-                    .pick_trunk_member(&members, strategy, free_at, now_ns)]
+                    .pick_trunk_member(&members, strategy, free_at, now_ns)
+                    .into_iter()
+                    .collect()
             }
             PortBinding::Splice(route) => {
                 // Logical hop: replace the segment with the explicit

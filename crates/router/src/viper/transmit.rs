@@ -10,7 +10,7 @@ use sirpent_wire::buf::{FrameBuf, PacketBuf};
 use sirpent_wire::ethernet;
 use sirpent_wire::packet::truncate_packet_buf;
 use sirpent_wire::trailer::Entry as TrailerEntry;
-use sirpent_wire::viper::{Flags, Priority, Segment, SegmentRepr};
+use sirpent_wire::viper::{decode, Flags, Priority, SegmentRepr};
 
 use crate::dataplane::{Queued, ServiceHooks, StartedTx, Work};
 use crate::link::LinkFrame;
@@ -179,9 +179,7 @@ impl ViperRouter {
             self.stats.drop(DropReason::NoSuchPort);
             return;
         };
-        let next_seg_port = Segment::new_checked(packet.as_slice())
-            .ok()
-            .map(|s| s.port());
+        let next_seg_port = decode(packet.as_slice()).ok().map(|s| s.port);
         let (mtu, kind, qlen) = {
             let Some(op) = self.ports.get(&out) else {
                 self.stats.drop(DropReason::NoSuchPort);

@@ -5,7 +5,7 @@
 //! the VIPER pipeline (token rejection, splice recursion).
 
 use sirpent_router::link::LinkFrame;
-use sirpent_router::logical::PortBinding;
+use sirpent_router::logical::{PortBinding, TrunkStrategy};
 use sirpent_router::scripted::ScriptedHost;
 use sirpent_router::viper::{AuthConfig, DropReason, ViperConfig, ViperRouter};
 use sirpent_sim::stats::{PipelineStats, Stage};
@@ -157,4 +157,34 @@ fn too_deep_counts_once_through_shared_accounting() {
     assert_eq!(stats.drops[DropReason::TooDeep], 1);
     assert_eq!(stats.total_drops(), 1, "the recursion cut exactly once");
     assert_eq!(stats.forwarded, 0);
+}
+
+#[test]
+fn empty_trunk_drops_no_such_port_under_either_strategy() {
+    for strategy in [TrunkStrategy::FirstFree, TrunkStrategy::RoundRobin] {
+        let mut cfg = ViperConfig::basic(1, &[1, 2]);
+        cfg.logical.bind(
+            150,
+            PortBinding::Trunk {
+                members: vec![],
+                strategy,
+            },
+        );
+        let (mut sim, a, r) = one_router(cfg);
+        let pkt = PacketBuilder::new()
+            .segment(SegmentRepr::minimal(150))
+            .segment(SegmentRepr::minimal(PORT_LOCAL))
+            .payload(vec![3; 16])
+            .build()
+            .unwrap();
+        sim.node_mut::<ScriptedHost>(a)
+            .plan(SimTime::ZERO, 0, frame(pkt));
+        ScriptedHost::start(&mut sim, a);
+        sim.run(100_000);
+
+        let stats = &sim.node::<ViperRouter>(r).stats;
+        assert_eq!(stats.drops[DropReason::NoSuchPort], 1, "{strategy:?}");
+        assert_eq!(stats.total_drops(), 1, "{strategy:?}");
+        assert_eq!(stats.forwarded, 0, "{strategy:?}");
+    }
 }

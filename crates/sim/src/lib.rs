@@ -8,14 +8,19 @@
 //! cut-through and store-and-forward switches be expressed faithfully and
 //! compared on identical topologies.
 //!
-//! * [`engine`] — event queue, nodes, channels (point-to-point links and
-//!   shared broadcast segments), preemptive aborts, fault injection.
+//! * [`engine`] — nodes, channels (point-to-point links and shared
+//!   broadcast segments), preemptive aborts, fault injection, and the
+//!   frame-fate ledger.
+//! * [`queue`] — the event queues the engine can run on: the calendar
+//!   (timing-wheel) queue it uses by default and the binary heap it is
+//!   held to.
 //! * [`chaos`] — scheduled fault events (link flaps, router crash and
 //!   restart, partitions, duplication/jitter/error-burst windows)
 //!   applied deterministically by the engine.
 //! * [`time`] — nanosecond clock and rate arithmetic.
 //! * [`workload`] — the paper's §6.2 packet-size mix and hop-count
-//!   locality model, plus Poisson/CBR/bursty-on-off arrival processes.
+//!   locality model; arrival timing is left to each experiment's own
+//!   schedule.
 //! * [`stats`] — summaries, histograms, time-weighted averages, and the
 //!   analytic M/D/1 results §6.1 quotes.
 //! * [`shard`] — deterministic topology partitioner and the sharded

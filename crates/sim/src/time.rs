@@ -24,11 +24,6 @@ impl SimTime {
         self.0
     }
 
-    /// Milliseconds since the epoch (rounded down).
-    pub fn as_millis(self) -> u64 {
-        self.0 / 1_000_000
-    }
-
     /// Whole + fractional seconds since the epoch.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
@@ -166,7 +161,6 @@ mod tests {
     fn conversions() {
         assert_eq!(SimDuration::from_millis(2).as_nanos(), 2_000_000);
         assert_eq!(SimDuration::from_secs(1).as_secs_f64(), 1.0);
-        assert_eq!(SimTime(1_500_000_000).as_millis(), 1500);
         assert_eq!(SimDuration::from_secs_f64(0.25).as_nanos(), 250_000_000);
     }
 

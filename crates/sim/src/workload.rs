@@ -1,4 +1,4 @@
-//! Traffic workload generators.
+//! The paper's §6.2 workload models.
 //!
 //! §6.2 of the paper builds its header-overhead arithmetic on a measured
 //! packet-size mix: "half the packets are close to minimum size (for the
@@ -9,12 +9,10 @@
 //! locality argument ("the expected number of hops per packet for many
 //! applications \[is\] significantly less than one").
 //!
-//! All generators draw from a caller-supplied RNG so simulations stay
+//! Both models draw from a caller-supplied RNG so simulations stay
 //! deterministic.
 
 use rand::Rng;
-
-use crate::time::SimDuration;
 
 /// The paper's empirical packet-size mix (§6.2).
 #[derive(Debug, Clone, Copy)]
@@ -117,97 +115,6 @@ impl HopModel {
     }
 }
 
-/// Inter-arrival process for packet generation.
-#[derive(Debug, Clone, Copy)]
-pub enum Arrivals {
-    /// Constant bit rate: fixed gap.
-    Cbr {
-        /// The fixed inter-packet gap.
-        gap: SimDuration,
-    },
-    /// Poisson arrivals with the given mean rate (packets/sec).
-    Poisson {
-        /// Mean arrival rate in packets per second.
-        rate_pps: f64,
-    },
-    /// Bursty on/off (the "periodic bursts of packets on a gigabit
-    /// channel" of §1): `burst` back-to-back packets, then silence such
-    /// that the long-run average rate is `rate_pps`.
-    OnOff {
-        /// Packets per burst.
-        burst: u32,
-        /// Long-run average packet rate.
-        rate_pps: f64,
-        /// Gap between packets inside a burst.
-        intra_gap: SimDuration,
-    },
-}
-
-/// Stateful sampler for an [`Arrivals`] process.
-#[derive(Debug, Clone)]
-pub struct ArrivalSampler {
-    spec: Arrivals,
-    in_burst: u32,
-}
-
-impl ArrivalSampler {
-    /// Create a sampler.
-    pub fn new(spec: Arrivals) -> ArrivalSampler {
-        ArrivalSampler { spec, in_burst: 0 }
-    }
-
-    /// Time from the previous packet to the next one.
-    pub fn next_gap<R: Rng>(&mut self, rng: &mut R) -> SimDuration {
-        match self.spec {
-            Arrivals::Cbr { gap } => gap,
-            Arrivals::Poisson { rate_pps } => {
-                // Inverse-CDF exponential.
-                let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-                SimDuration::from_secs_f64(-u.ln() / rate_pps)
-            }
-            Arrivals::OnOff {
-                burst,
-                rate_pps,
-                intra_gap,
-            } => {
-                self.in_burst += 1;
-                if self.in_burst < burst {
-                    intra_gap
-                } else {
-                    self.in_burst = 0;
-                    // Off period sized so the average rate holds:
-                    // burst packets per (burst·intra + off).
-                    let period = burst as f64 / rate_pps;
-                    let on = intra_gap.as_secs_f64() * burst as f64;
-                    SimDuration::from_secs_f64((period - on).max(0.0))
-                }
-            }
-        }
-    }
-}
-
-/// A transactional (request/response) workload: short logical connections
-/// like "credit card transactions" (§1). Each transaction is a request of
-/// `req_bytes` and a response of `resp_bytes`; transactions arrive
-/// Poisson.
-#[derive(Debug, Clone, Copy)]
-pub struct Transactional {
-    /// Request payload size.
-    pub req_bytes: usize,
-    /// Response payload size.
-    pub resp_bytes: usize,
-    /// Mean transactions per second.
-    pub rate_tps: f64,
-}
-
-impl Transactional {
-    /// Gap to the next transaction start.
-    pub fn next_gap<R: Rng>(&self, rng: &mut R) -> SimDuration {
-        let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        SimDuration::from_secs_f64(-u.ln() / self.rate_tps)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,61 +183,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..1000 {
             assert_eq!(hm.sample(&mut rng), 6);
-        }
-    }
-
-    #[test]
-    fn poisson_mean_rate() {
-        let mut s = ArrivalSampler::new(Arrivals::Poisson { rate_pps: 1000.0 });
-        let mut rng = StdRng::seed_from_u64(4);
-        let n = 100_000;
-        let total: f64 = (0..n).map(|_| s.next_gap(&mut rng).as_secs_f64()).sum();
-        let mean_gap = total / n as f64;
-        assert!((mean_gap - 0.001).abs() < 0.0001, "mean gap {mean_gap}");
-    }
-
-    #[test]
-    fn cbr_is_constant() {
-        let mut s = ArrivalSampler::new(Arrivals::Cbr {
-            gap: SimDuration::from_micros(125),
-        });
-        let mut rng = StdRng::seed_from_u64(5);
-        for _ in 0..100 {
-            assert_eq!(s.next_gap(&mut rng), SimDuration::from_micros(125));
-        }
-    }
-
-    #[test]
-    fn onoff_long_run_rate() {
-        // 8 Mb/s of 1000-byte packets = 1000 pps, in bursts of 10.
-        let mut s = ArrivalSampler::new(Arrivals::OnOff {
-            burst: 10,
-            rate_pps: 1000.0,
-            intra_gap: SimDuration::from_micros(8), // back-to-back at 1 Gb/s
-        });
-        let mut rng = StdRng::seed_from_u64(6);
-        let n = 10_000;
-        let total: f64 = (0..n).map(|_| s.next_gap(&mut rng).as_secs_f64()).sum();
-        let rate = n as f64 / total;
-        assert!((rate - 1000.0).abs() < 20.0, "rate {rate}");
-    }
-
-    #[test]
-    fn bursts_have_small_intra_gaps() {
-        let mut s = ArrivalSampler::new(Arrivals::OnOff {
-            burst: 5,
-            rate_pps: 100.0,
-            intra_gap: SimDuration::from_micros(1),
-        });
-        let mut rng = StdRng::seed_from_u64(7);
-        let gaps: Vec<SimDuration> = (0..10).map(|_| s.next_gap(&mut rng)).collect();
-        // Pattern: 4 small gaps then one large off-gap, repeating.
-        for (i, g) in gaps.iter().enumerate() {
-            if (i + 1) % 5 == 0 {
-                assert!(g.as_nanos() > 1_000_000, "off gap at {i}");
-            } else {
-                assert_eq!(g.as_nanos(), 1_000, "intra gap at {i}");
-            }
         }
     }
 }

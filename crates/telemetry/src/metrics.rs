@@ -58,21 +58,6 @@ impl Gauge {
         self.v = v;
     }
 
-    /// Set the level to `num / den` in [`FIXED_SCALE`] fixed point
-    /// (zero when `den` is zero).
-    pub fn set_ratio(&mut self, num: u64, den: u64) {
-        self.v = if den == 0 {
-            0
-        } else {
-            ((num as u128 * FIXED_SCALE as u128) / den as u128).min(i64::MAX as u128) as i64
-        };
-    }
-
-    /// Raise the level to at least `v` (peak tracking).
-    pub fn set_max(&mut self, v: i64) {
-        self.v = self.v.max(v);
-    }
-
     /// Current level.
     pub fn get(&self) -> i64 {
         self.v
@@ -231,13 +216,6 @@ mod tests {
         let mut g = Gauge::new();
         g.set(-3);
         assert_eq!(g.get(), -3);
-        g.set_max(7);
-        g.set_max(2);
-        assert_eq!(g.get(), 7);
-        g.set_ratio(1, 2);
-        assert_eq!(g.get(), FIXED_SCALE / 2);
-        g.set_ratio(1, 0);
-        assert_eq!(g.get(), 0);
     }
 
     #[test]

@@ -1,14 +1,20 @@
-//! Recovery-segment-list operations for Slick-Packets-style failover.
+//! The header walk, and the recovery-segment-list operations for
+//! Slick-Packets-style failover.
 //!
-//! A packet built with alternates carries, between the terminating
-//! local-delivery segment of its primary route and the user data, a
-//! **recovery segment list**:
+//! A packet's header is its route — segments up to and including the
+//! first local-delivery one, at most 48 — and, when the local segment
+//! carries a descriptor, the **recovery segment list** it counts, which
+//! rides between the route and the user data:
 //!
 //! ```text
 //! [ seg 1 ][ … ][ seg N (local, ALT marker: count) ][ rec 1 ][ … ][ rec C ][ data ][ trailer ]
 //! ```
 //!
-//! Each primary segment's [`AltBranch`] names an alternate output port
+//! One walk reads that layout, and it is the only code that does: the
+//! host's scan, the owned packet parse and the two failover operations
+//! here all go through it.
+//!
+//! Each primary segment's [`AltBranch`](crate::viper::AltBranch) names an alternate output port
 //! and a splice index into that list. When the router owning a primary
 //! segment finds its next hop unreachable, it rebuilds the packet as
 //!
@@ -23,47 +29,83 @@
 //! alternates of their own (the DAG is depth-1), so a diverted packet is
 //! a plain legacy packet from the landing router onward.
 //!
-//! These walks run only on the failure path (and once on local
-//! delivery, to skip the block), so their O(route-length) cost never
-//! taxes the per-hop forwarding argument of §2.
+//! A router walks only on the failure path (and once on local delivery,
+//! to skip the block), so the O(route-length) cost never taxes the
+//! per-hop forwarding argument of §2.
 
-use crate::viper::{Segment, PORT_LOCAL};
+use crate::viper::{decode, Decoded, PORT_LOCAL};
 use crate::{Error, Result, VIPER_MAX_SEGMENTS};
 
-/// Byte span and output port of one walked segment.
-struct Span {
-    start: usize,
-    end: usize,
-    port: u8,
+/// The layout of a packet's header, as found by [`walk`].
+pub(crate) struct Layout {
+    /// Route segments, the local-delivery one included.
+    pub(crate) route_len: usize,
+    /// Where the local-delivery segment starts.
+    pub(crate) local_start: usize,
+    /// The local-delivery segment, whose branch, if any, is the
+    /// recovery-list descriptor.
+    pub(crate) local: Decoded,
+    /// Where the user data begins, past the recovery block.
+    pub(crate) data_start: usize,
 }
 
-/// Walk `count` consecutive segments starting at offset `at`, returning
-/// their spans and the offset of the first byte after the last one.
-fn walk_segments(packet: &[u8], mut at: usize, count: usize) -> Result<(Vec<Span>, usize)> {
-    if count > VIPER_MAX_SEGMENTS {
+/// Walk the header at the front of `buf`: route segments up to and
+/// including the first local-delivery one (at most
+/// [`VIPER_MAX_SEGMENTS`]), then the recovery block its descriptor
+/// counts. `visit` sees each segment in order with its start offset and
+/// whether it belongs to the recovery block. Allocates nothing.
+pub(crate) fn walk(buf: &[u8], mut visit: impl FnMut(usize, &Decoded, bool)) -> Result<Layout> {
+    let mut at = 0usize;
+    let mut route_len = 0usize;
+    let (local_start, local) = loop {
+        let seg = decode(buf.get(at..).unwrap_or_default())?;
+        // Counted after the decode so a route of exactly 48 segments
+        // passes and 49 is refused even when the 49th is the local one.
+        route_len += 1;
+        if route_len > VIPER_MAX_SEGMENTS {
+            return Err(Error::TooManySegments);
+        }
+        visit(at, &seg, false);
+        let start = at;
+        at += seg.len;
+        if seg.port == PORT_LOCAL {
+            break (start, seg);
+        }
+    };
+    let count = local.alt.map_or(0, |d| d.port);
+    let data_start = walk_block(buf, at, count, |start, seg| visit(start, seg, true))?;
+    Ok(Layout {
+        route_len,
+        local_start,
+        local,
+        data_start,
+    })
+}
+
+/// Walk the `count` segments starting at offset `at` (at most
+/// [`VIPER_MAX_SEGMENTS`]), returning the offset after the last one.
+fn walk_block(
+    buf: &[u8],
+    mut at: usize,
+    count: u8,
+    mut visit: impl FnMut(usize, &Decoded),
+) -> Result<usize> {
+    if count as usize > VIPER_MAX_SEGMENTS {
         return Err(Error::TooManySegments);
     }
-    let mut spans = Vec::with_capacity(count);
     for _ in 0..count {
-        let rest = packet.get(at..).ok_or(Error::Truncated)?;
-        let seg = Segment::new_checked(rest)?;
-        let len = seg.total_len();
-        spans.push(Span {
-            start: at,
-            end: at + len,
-            port: seg.port(),
-        });
-        at += len;
+        let seg = decode(buf.get(at..).unwrap_or_default())?;
+        visit(at, &seg);
+        at += seg.len;
     }
-    Ok((spans, at))
+    Ok(at)
 }
 
 /// Total encoded length of the `count`-segment recovery block at the
 /// front of `packet`. Used to skip the block on local delivery, so the
 /// delivered bytes start at the user data.
 pub fn recovery_block_len(packet: &[u8], count: u8) -> Result<usize> {
-    let (_, end) = walk_segments(packet, 0, count as usize)?;
-    Ok(end)
+    walk_block(packet, 0, count, |_, _| {})
 }
 
 /// Rebuild a packet onto its recovery detour.
@@ -80,40 +122,30 @@ pub fn recovery_block_len(packet: &[u8], count: u8) -> Result<usize> {
 /// list, and [`Error::BadSpliceIndex`] when `splice` points outside the
 /// list or past its last local-delivery terminator.
 pub fn divert_onto_recovery(packet: &[u8], splice: u8) -> Result<Vec<u8>> {
-    // Walk the remaining primary route to its terminator to find the
-    // recovery descriptor.
-    let mut at = 0usize;
-    let mut hops = 0usize;
-    let descriptor = loop {
-        let rest = packet.get(at..).ok_or(Error::Truncated)?;
-        let seg = Segment::new_checked(rest)?;
-        at += seg.total_len();
-        hops += 1;
-        if hops > VIPER_MAX_SEGMENTS {
-            return Err(Error::TooManySegments);
+    // The detour segments are contiguous in the packet: from the start
+    // of entry `splice` to the end of the first local one at or after it.
+    let (mut index, mut first, mut last) = (0u8, None, None);
+    let layout = walk(packet, |start, seg, recovery| {
+        if !recovery {
+            return;
         }
-        if seg.port() == PORT_LOCAL {
-            break seg.alt();
+        if index == splice {
+            first = Some(start);
         }
+        if index >= splice && last.is_none() && seg.port == PORT_LOCAL {
+            last = Some(start + seg.len);
+        }
+        index += 1;
+    })?;
+    if layout.local.alt.is_none() {
+        return Err(Error::Malformed);
+    }
+    let (Some(first), Some(last)) = (first, last) else {
+        return Err(Error::BadSpliceIndex);
     };
-    let count = match descriptor {
-        Some(d) => d.port as usize,
-        None => return Err(Error::Malformed),
-    };
-    let (spans, rec_end) = walk_segments(packet, at, count)?;
-    let j = splice as usize;
-    let first = spans.get(j).ok_or(Error::BadSpliceIndex)?;
-    let z = spans
-        .iter()
-        .skip(j)
-        .position(|s| s.port == PORT_LOCAL)
-        .map(|off| j + off)
-        .ok_or(Error::BadSpliceIndex)?;
-    let last = spans.get(z).ok_or(Error::BadSpliceIndex)?;
-    // The detour segments are contiguous in the original buffer; the
-    // diverted packet is that window plus everything after the block.
-    let head = packet.get(first.start..last.end).ok_or(Error::Truncated)?;
-    let rest = packet.get(rec_end..).ok_or(Error::Truncated)?;
+    // The diverted packet is the detour plus everything after the block.
+    let head = packet.get(first..last).ok_or(Error::Truncated)?;
+    let rest = packet.get(layout.data_start..).ok_or(Error::Truncated)?;
     let mut out = Vec::with_capacity(head.len() + rest.len());
     out.extend_from_slice(head);
     out.extend_from_slice(rest);
@@ -123,7 +155,7 @@ pub fn divert_onto_recovery(packet: &[u8], splice: u8) -> Result<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::PacketBuilder;
+    use crate::packet::{PacketBuilder, PacketView};
     use crate::viper::{AltBranch, SegmentRepr};
 
     fn seg(port: u8) -> SegmentRepr {
@@ -160,13 +192,16 @@ mod tests {
         let stripped = crate::packet::oracle::strip_front_segment(&mut pkt).unwrap();
         assert_eq!(stripped.alt, Some(AltBranch { port: 3, splice: 0 }));
         let diverted = divert_onto_recovery(&pkt, 0).unwrap();
-        let (route, recovery, data_at) = crate::packet::parse_route_full(&diverted).unwrap();
+        let view = PacketView::parse(&diverted).unwrap();
         assert_eq!(
-            route.iter().map(|s| s.port).collect::<Vec<_>>(),
+            view.route.iter().map(|s| s.port).collect::<Vec<_>>(),
             vec![2, PORT_LOCAL]
         );
-        assert!(recovery.is_empty(), "detour carries no recovery of its own");
-        assert_eq!(&diverted[data_at..data_at + 4], b"data");
+        assert!(
+            view.recovery.is_empty(),
+            "detour carries no recovery of its own"
+        );
+        assert_eq!(view.data(&diverted), b"data");
     }
 
     #[test]
@@ -175,12 +210,12 @@ mod tests {
         crate::packet::oracle::strip_front_segment(&mut pkt).unwrap();
         crate::packet::oracle::strip_front_segment(&mut pkt).unwrap();
         let diverted = divert_onto_recovery(&pkt, 1).unwrap();
-        let (route, _, data_at) = crate::packet::parse_route_full(&diverted).unwrap();
+        let view = PacketView::parse(&diverted).unwrap();
         assert_eq!(
-            route.iter().map(|s| s.port).collect::<Vec<_>>(),
+            view.route.iter().map(|s| s.port).collect::<Vec<_>>(),
             vec![PORT_LOCAL]
         );
-        assert_eq!(&diverted[data_at..data_at + 4], b"data");
+        assert_eq!(view.data(&diverted), b"data");
     }
 
     #[test]
@@ -209,7 +244,12 @@ mod tests {
     #[test]
     fn recovery_block_len_spans_the_block() {
         let pkt = protected_packet();
-        let (route, recovery, data_at) = crate::packet::parse_route_full(&pkt).unwrap();
+        let PacketView {
+            route,
+            recovery,
+            data_start,
+            ..
+        } = PacketView::parse(&pkt).unwrap();
         assert_eq!(route.len(), 3);
         assert_eq!(recovery.len(), 2);
         // The block starts right after the (alt-marked) local segment.
@@ -227,7 +267,7 @@ mod tests {
             })
             .sum();
         let len = recovery_block_len(&pkt[route_len..], 2).unwrap();
-        assert_eq!(route_len + len, data_at);
+        assert_eq!(route_len + len, data_start);
     }
 
     #[test]

@@ -14,11 +14,11 @@
 //!   (the steady state between hops) and copy-on-write otherwise.
 //!   Cloning is an `Arc` bump — multicast fan-out, retry queues and
 //!   transmit all share one allocation.
-//! * [`SegmentView`] — a parsed leading VIPER segment whose variable
-//!   fields (`portToken`, `portInfo`) are **borrowed** ranges into the
-//!   shared store, not per-hop `Vec` copies. The view holds its own
-//!   `Arc` so it stays valid even after the packet is advanced past it
-//!   or cow-copied elsewhere.
+//! * [`SegmentView`] — the leading VIPER segment, decoded once, whose
+//!   variable fields (`portToken`, `portInfo`) are **borrowed** ranges
+//!   into the shared store, not per-hop `Vec` copies. The view holds its
+//!   own `Arc` so it stays valid even after the packet is advanced past
+//!   it or cow-copied elsewhere.
 //! * [`FrameBuf`] — a link frame as a small owned header plus a shared
 //!   [`PacketBuf`] body, so prepending the link header on transmit does
 //!   not copy the packet, and the receiver can take the body back out
@@ -48,7 +48,7 @@
 
 use std::sync::Arc;
 
-use crate::viper::{AltBranch, Flags, Priority, Segment, SegmentRepr};
+use crate::viper::{decode, AltBranch, Decoded, Flags, Priority, SegmentRepr};
 use crate::Result;
 
 /// Headroom added when a copy-on-write happens, so the fresh store can
@@ -234,95 +234,80 @@ impl AsRef<[u8]> for PacketBuf {
 #[derive(Clone)]
 pub struct SegmentView {
     store: Arc<Vec<u8>>,
-    token: (usize, usize),
-    info: (usize, usize),
-    total: usize,
-    port: u8,
-    flags: Flags,
-    priority: Priority,
-    alt: Option<AltBranch>,
+    /// Where the segment starts in `store`.
+    start: usize,
+    seg: Decoded,
 }
 
 impl SegmentView {
     /// Parse the segment at the front of `buf`'s live window.
     pub fn parse(buf: &PacketBuf) -> Result<SegmentView> {
-        let seg = Segment::new_checked(buf.as_slice())?;
-        let (ts, te, is_, ie) = seg.field_offsets()?;
-        let base = buf.head;
+        let seg = decode(buf.as_slice())?;
         Ok(SegmentView {
             store: Arc::clone(&buf.store),
-            token: (base + ts, base + te),
-            info: (base + is_, base + ie),
-            total: seg.total_len(),
-            port: seg.port(),
-            flags: seg.flags(),
-            priority: seg.priority(),
-            alt: seg.alt(),
+            start: buf.head,
+            seg,
         })
     }
 
     /// The output-port identifier.
     pub fn port(&self) -> u8 {
-        self.port
+        self.seg.port
     }
 
     /// The segment flags.
     pub fn flags(&self) -> Flags {
-        self.flags
+        self.seg.flags
     }
 
     /// The segment priority.
     pub fn priority(&self) -> Priority {
-        self.priority
+        self.seg.priority
     }
 
     /// The alternate (failover) branch, when the segment carries one.
     pub fn alt(&self) -> Option<AltBranch> {
-        self.alt
+        self.seg.alt
     }
 
     /// Encoded length of the segment (what [`PacketBuf::advance`] should
     /// strip). Includes the alternate-branch suffix when present.
     pub fn encoded_len(&self) -> usize {
-        self.total
+        self.seg.len
+    }
+
+    /// The segment's bytes onward in the shared store.
+    fn bytes(&self) -> &[u8] {
+        self.store.get(self.start..).unwrap_or_default()
     }
 
     /// The `portToken` bytes, borrowed from the shared store.
     pub fn port_token(&self) -> &[u8] {
-        // lint: allow(panic-free-dataplane) -- offsets came from a checked parse of this store, which is immutable while shared
-        &self.store[self.token.0..self.token.1]
+        self.seg.port_token(self.bytes())
     }
 
     /// The network-specific `portInfo` bytes, borrowed from the shared
     /// store.
     pub fn port_info(&self) -> &[u8] {
-        // lint: allow(panic-free-dataplane) -- offsets came from a checked parse of this store, which is immutable while shared
-        &self.store[self.info.0..self.info.1]
+        self.seg.port_info(self.bytes())
     }
 
     /// Materialize an owned [`SegmentRepr`] (edge paths that need
     /// ownership: building return hops with substituted fields, splice
     /// re-encoding, logging).
     pub fn to_repr(&self) -> SegmentRepr {
-        SegmentRepr {
-            port: self.port,
-            flags: self.flags,
-            priority: self.priority,
-            port_token: self.port_token().to_vec(),
-            port_info: self.port_info().to_vec(),
-            alt: self.alt,
-        }
+        self.seg.to_repr(self.bytes())
     }
 }
 
 impl core::fmt::Debug for SegmentView {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("SegmentView")
-            .field("port", &self.port)
-            .field("flags", &self.flags)
-            .field("priority", &self.priority)
-            .field("token_len", &(self.token.1 - self.token.0))
-            .field("info_len", &(self.info.1 - self.info.0))
+            .field("port", &self.seg.port)
+            .field("flags", &self.seg.flags)
+            .field("priority", &self.seg.priority)
+            .field("token_len", &self.seg.token.len())
+            .field("info_len", &self.seg.info.len())
             .finish()
     }
 }

@@ -5,10 +5,17 @@
 //!
 //! * [`viper`] — the VIPER header segment of Figure 1 of the paper
 //!   (Cheriton, *Sirpent: A High-Performance Internetworking Approach*,
-//!   SIGCOMM 1989), including the 255-escape for long variable fields.
-//! * [`packet`] — the full Sirpent packet walker: a chain of header
-//!   segments, user data, and the return-route **trailer** that routers
-//!   grow as the packet snakes through the internetwork.
+//!   SIGCOMM 1989), including the 255-escape for long variable fields,
+//!   and [`viper::decode`], the one place a segment's bytes are read.
+//! * [`alt`] — the header walk (route segments to the first local one,
+//!   then the recovery list its descriptor counts) and the
+//!   Slick-Packets-style failover built on it.
+//! * [`packet`] — the full Sirpent packet: a chain of header segments,
+//!   user data, and the return-route **trailer** that routers grow as the
+//!   packet snakes through the internetwork — built, scanned, parsed, and
+//!   stripped and grown per hop.
+//! * [`buf`] — the shared packet buffer and borrowed segment view that
+//!   make each hop's strip and append O(1).
 //! * [`trailer`] — trailer entry encoding (reversed header segments,
 //!   the truncation marker, and the base marker laid down by the source).
 //! * [`ethernet`] — Ethernet II framing used as the canonical
@@ -27,12 +34,16 @@
 //!
 //! ## Design idiom
 //!
-//! Following smoltcp, each format has a thin `Packet<T: AsRef<[u8]>>`-style
-//! wrapper giving checked field access over a borrowed buffer, plus an
-//! owned `Repr` struct with `parse` / `emit` / `buffer_len`. Parsing never
-//! panics on hostile input: every accessor that could run off the end of
-//! the buffer is fronted by `check_len`-style validation returning
-//! [`Error`].
+//! Each format is a plain value with `parse` from a byte slice and `emit`
+//! into a caller-sized buffer (`viper::SegmentRepr`, `ethernet::Repr`,
+//! `ipish::Repr`, `cvc::Message`, `vmtp::Header`, `token::Body`). Where
+//! the per-hop path must not copy, parsing borrows instead: a VIPER
+//! segment is read by one function, [`viper::decode`], into plain data —
+//! port, flags, priority, branch, and the byte ranges of its variable
+//! fields — which [`buf::SegmentView`] keeps against the shared packet
+//! store, and [`vmtp::Packet`] borrows its payload. Parsing never panics
+//! on hostile input: every read that could run off the end of the buffer
+//! is a checked one returning [`Error`].
 //!
 //! No `unsafe`, no allocation on the parse path for the borrowed views.
 //!

@@ -18,9 +18,10 @@
 //! operations live here so the router crate manipulates real buffers, and
 //! header-overhead measurements are honest.
 
+use crate::alt::walk;
 use crate::buf::{PacketBuf, SegmentView};
 use crate::trailer::{walk_backwards, Entry, Trailer, ENTRY_OVERHEAD};
-use crate::viper::{AltBranch, Segment, SegmentRepr, PORT_LOCAL};
+use crate::viper::{AltBranch, SegmentRepr, PORT_LOCAL};
 use crate::{Error, Result, VIPER_MAX_SEGMENTS, VIPER_TRANSMISSION_UNIT};
 
 /// Builder for a fresh Sirpent packet at the sending host.
@@ -260,7 +261,21 @@ pub struct PacketView {
 impl PacketView {
     /// Parse a complete Sirpent packet.
     pub fn parse(buffer: &[u8]) -> Result<PacketView> {
-        let (route, recovery, data_start) = parse_route_full(buffer)?;
+        let (mut route, mut recovery) = (Vec::new(), Vec::new());
+        let data_start = walk(buffer, |start, seg, in_recovery| {
+            let repr = seg.to_repr(buffer.get(start..).unwrap_or_default());
+            if in_recovery {
+                recovery.push(repr);
+            } else {
+                route.push(repr);
+            }
+        })?
+        .data_start;
+        // The descriptor is builder-owned: a route parsed back equals the
+        // one handed to [`PacketBuilder`].
+        if let Some(local) = route.last_mut() {
+            local.alt = None;
+        }
         let trailer = Trailer::parse(buffer)?;
         if trailer.start_offset < data_start {
             return Err(Error::Malformed);
@@ -312,39 +327,17 @@ pub struct Scan {
 impl Scan {
     /// Scan a complete Sirpent packet.
     pub fn parse(buffer: &[u8]) -> Result<Scan> {
-        let mut at = 0usize;
-        let mut route_len = 0usize;
-        let (selector, descriptor) = loop {
-            let seg = Segment::new_checked(buffer.get(at..).ok_or(Error::Truncated)?)?;
-            route_len += 1;
-            if route_len > VIPER_MAX_SEGMENTS {
-                return Err(Error::TooManySegments);
-            }
-            let start = at;
-            at += seg.total_len();
-            if seg.port() == PORT_LOCAL {
-                let (_, _, info_start, info_end) = seg.field_offsets()?;
-                break (start + info_start..start + info_end, seg.alt());
-            }
-        };
-        if let Some(descriptor) = descriptor {
-            let count = descriptor.port as usize;
-            if count > VIPER_MAX_SEGMENTS {
-                return Err(Error::TooManySegments);
-            }
-            for _ in 0..count {
-                at += Segment::new_checked(buffer.get(at..).ok_or(Error::Truncated)?)?.total_len();
-            }
-        }
+        let layout = walk(buffer, |_, _, _| {})?;
+        let info = &layout.local.info;
+        let selector = layout.local_start + info.start..layout.local_start + info.end;
 
         let (mut hops, mut hop_bytes, mut branches) = (0usize, 0usize, false);
-        let (truncated, trailer_start) = walk_backwards(buffer, |seg| {
+        let (truncated, trailer_start) = walk_backwards(buffer, |bytes, seg| {
             hops += 1;
-            branches |= seg.has_alt();
-            hop_bytes += seg.into_inner().len();
-            Ok(())
+            branches |= seg.alt.is_some();
+            hop_bytes += bytes.len();
         })?;
-        if trailer_start < at {
+        if trailer_start < layout.data_start {
             return Err(Error::Malformed);
         }
         let reply = if hops + 1 > VIPER_MAX_SEGMENTS {
@@ -355,10 +348,7 @@ impl Scan {
         } else {
             // The walk meets the last router first: return-route order.
             let mut bytes = Vec::with_capacity(hop_bytes + MINIMAL_LOCAL.len());
-            walk_backwards(buffer, |seg| {
-                bytes.extend_from_slice(seg.into_inner());
-                Ok(())
-            })?;
+            walk_backwards(buffer, |hop, _| bytes.extend_from_slice(hop))?;
             bytes.extend_from_slice(&MINIMAL_LOCAL);
             Ok(RouteHeader {
                 trailer_room: bytes.len() + (hops + 1) * (RETURN_INFO_SLACK + ENTRY_OVERHEAD),
@@ -366,62 +356,13 @@ impl Scan {
             })
         };
         Ok(Scan {
-            route_len,
+            route_len: layout.route_len,
             selector,
-            data: at..trailer_start,
+            data: layout.data_start..trailer_start,
             truncated,
             reply,
         })
     }
-}
-
-/// Walk the leading header segments of a packet. Segments are read until
-/// (and including) the local-delivery segment (`port == 0`), then any
-/// recovery list the local segment's descriptor announces. Returns the
-/// route and the offset of the first byte after route **and** recovery
-/// (i.e. where user data begins). See [`parse_route_full`] to also get
-/// the recovery segments.
-pub fn parse_route(buffer: &[u8]) -> Result<(Vec<SegmentRepr>, usize)> {
-    let (route, _, at) = parse_route_full(buffer)?;
-    Ok((route, at))
-}
-
-/// [`parse_route`] plus the decoded recovery segment list. The
-/// terminating local segment's repr is normalized (its descriptor
-/// branch is removed) so a route parsed back equals the one handed to
-/// [`PacketBuilder`].
-pub fn parse_route_full(buffer: &[u8]) -> Result<(Vec<SegmentRepr>, Vec<SegmentRepr>, usize)> {
-    let mut at = 0usize;
-    let mut route = Vec::new();
-    loop {
-        let seg = Segment::new_checked(buffer.get(at..).ok_or(Error::Truncated)?)?;
-        let repr = SegmentRepr::parse(&seg)?;
-        at += seg.total_len();
-        let local = repr.port == PORT_LOCAL;
-        route.push(repr);
-        // Enforce the ≤48-segment budget *after* the push so a route of
-        // exactly 48 segments passes and 49 is rejected even when the
-        // 49th is the terminating local segment.
-        if route.len() > VIPER_MAX_SEGMENTS {
-            return Err(Error::TooManySegments);
-        }
-        if local {
-            break;
-        }
-    }
-    let mut recovery = Vec::new();
-    if let Some(descriptor) = route.last_mut().and_then(|s| s.alt.take()) {
-        let count = descriptor.port as usize;
-        if count > VIPER_MAX_SEGMENTS {
-            return Err(Error::TooManySegments);
-        }
-        for _ in 0..count {
-            let seg = Segment::new_checked(buffer.get(at..).ok_or(Error::Truncated)?)?;
-            recovery.push(SegmentRepr::parse(&seg)?);
-            at += seg.total_len();
-        }
-    }
-    Ok((route, recovery, at))
 }
 
 /// Router operation: strip the leading header segment off a packet,
@@ -435,14 +376,6 @@ pub fn strip_front_segment_buf(packet: &mut PacketBuf) -> Result<SegmentView> {
     let view = SegmentView::parse(packet)?;
     packet.advance(view.encoded_len());
     Ok(view)
-}
-
-/// Peek at the leading header segment without consuming it. This is what
-/// a cut-through switch does: the decision fields arrive first and the
-/// switch acts while the rest of the packet is still in flight.
-pub fn peek_front_segment(packet: &[u8]) -> Result<SegmentRepr> {
-    let seg = Segment::new_checked(packet)?;
-    SegmentRepr::parse(&seg)
 }
 
 /// Router operation: append a reversed return-hop segment to the trailer
@@ -475,9 +408,7 @@ pub(crate) mod oracle {
 
     /// Reference for [`strip_front_segment_buf`].
     pub(crate) fn strip_front_segment(packet: &mut Vec<u8>) -> Result<SegmentRepr> {
-        let seg = Segment::new_checked(&packet[..])?;
-        let len = seg.total_len();
-        let repr = SegmentRepr::parse(&seg)?;
+        let (repr, len) = SegmentRepr::parse_prefix(packet)?;
         packet.drain(..len);
         Ok(repr)
     }
@@ -580,7 +511,8 @@ mod tests {
 
     /// Emit a route of `transit` forwarding segments plus the
     /// terminating local segment as raw bytes, bypassing the builder, so
-    /// `parse_route`'s own bound is what gets exercised.
+    /// the parse side's own bound is what gets exercised; then the
+    /// trailer base, making it a whole packet with no data.
     fn raw_route(transit: usize) -> Vec<u8> {
         let mut buf = Vec::new();
         let mut emit = |s: SegmentRepr| {
@@ -592,6 +524,7 @@ mod tests {
             emit(seg(1));
         }
         emit(local());
+        Entry::Base.append_to(&mut buf).unwrap();
         buf
     }
 
@@ -630,7 +563,7 @@ mod tests {
     #[test]
     fn parse_route_accepts_exactly_48_segments() {
         let buf = raw_route(VIPER_MAX_SEGMENTS - 1);
-        let (route, _) = parse_route(&buf).unwrap();
+        let route = PacketView::parse(&buf).unwrap().route;
         assert_eq!(route.len(), VIPER_MAX_SEGMENTS);
     }
 
@@ -640,7 +573,7 @@ mod tests {
         // 48-transit route whose 49th segment was the terminating local
         // one slipped through one over the §2.3 budget.
         let buf = raw_route(VIPER_MAX_SEGMENTS);
-        assert_eq!(parse_route(&buf).unwrap_err(), Error::TooManySegments);
+        assert_eq!(PacketView::parse(&buf).unwrap_err(), Error::TooManySegments);
     }
 
     #[test]
@@ -899,20 +832,6 @@ mod tests {
             .iter()
             .all(|s| s.alt.is_some()));
     }
-
-    #[test]
-    fn peek_does_not_consume() {
-        let pkt = PacketBuilder::new()
-            .segment(seg(5))
-            .segment(local())
-            .payload(b"z".to_vec())
-            .build()
-            .unwrap();
-        let before = pkt.clone();
-        let front = peek_front_segment(&pkt).unwrap();
-        assert_eq!(front.port, 5);
-        assert_eq!(pkt, before);
-    }
 }
 
 #[cfg(test)]
@@ -958,8 +877,6 @@ mod proptests {
 
         #[test]
         fn parse_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
-            let _ = PacketView::parse(&bytes);
-            let _ = parse_route(&bytes);
             scan_agrees_with_view(&bytes);
         }
 

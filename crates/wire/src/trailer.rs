@@ -35,7 +35,7 @@
 //!   appended when a cut-through router discovers mid-flight that the
 //!   packet exceeds the next hop's MTU.
 
-use crate::viper::{Segment, SegmentRepr};
+use crate::viper::{decode, Decoded, SegmentRepr};
 use crate::{Error, Result};
 
 /// Bytes of fixed framing per entry (u16 length + u8 kind).
@@ -145,19 +145,6 @@ impl Entry {
         });
         Ok(())
     }
-
-    /// Decode the entry whose framing ends at `end` (exclusive) within
-    /// `buffer`. Returns the entry and the offset at which it *begins*
-    /// (i.e. where the previous entry's framing ends).
-    pub fn parse_backwards(buffer: &[u8], end: usize) -> Result<(Entry, usize)> {
-        let (raw, start) = RawEntry::parse_backwards(buffer, end)?;
-        let entry = match raw {
-            RawEntry::Base => Entry::Base,
-            RawEntry::ReturnHop(seg) => Entry::ReturnHop(SegmentRepr::parse(&seg)?),
-            RawEntry::Truncated { lost_bytes } => Entry::Truncated { lost_bytes },
-        };
-        Ok((entry, start))
-    }
 }
 
 /// One trailer entry with its payload still in the packet: what the
@@ -165,8 +152,9 @@ impl Entry {
 /// hop's payload *is* the encoded segment its reply will carry.
 enum RawEntry<'a> {
     Base,
-    /// The hop's encoded segment, checked to fill the payload exactly.
-    ReturnHop(Segment<&'a [u8]>),
+    /// The hop's encoded segment and its decode, checked to fill the
+    /// payload exactly.
+    ReturnHop(&'a [u8], Decoded),
     Truncated {
         lost_bytes: u32,
     },
@@ -193,11 +181,11 @@ impl<'a> RawEntry<'a> {
                 RawEntry::Base
             }
             kind::RETURN_HOP => {
-                let seg = Segment::new_checked(payload)?;
-                if seg.total_len() != plen {
+                let seg = decode(payload)?;
+                if seg.len != plen {
                     return Err(Error::Malformed);
                 }
-                RawEntry::ReturnHop(seg)
+                RawEntry::ReturnHop(payload, seg)
             }
             kind::TRUNCATED => {
                 if plen != 4 {
@@ -217,12 +205,12 @@ impl<'a> RawEntry<'a> {
 
 /// Walk the trailer backwards from the end of `buffer` until the base
 /// marker or a truncation marker, handing each return hop's encoded
-/// segment to `hop` as it is met — last router first, which is already
+/// segment and its decode to `hop` as it is met — last router first, which is already
 /// return-route order. Returns the truncation marker's loss count, if
 /// one ended the walk, and the offset where the trailer begins.
 pub(crate) fn walk_backwards(
     buffer: &[u8],
-    mut hop: impl FnMut(Segment<&[u8]>) -> Result<()>,
+    mut hop: impl FnMut(&[u8], &Decoded),
 ) -> Result<(Option<u32>, usize)> {
     let mut end = buffer.len();
     loop {
@@ -232,7 +220,7 @@ pub(crate) fn walk_backwards(
         })?;
         match entry {
             RawEntry::Base => return Ok((None, start)),
-            RawEntry::ReturnHop(seg) => hop(seg)?,
+            RawEntry::ReturnHop(bytes, seg) => hop(bytes, &seg),
             RawEntry::Truncated { lost_bytes } => return Ok((Some(lost_bytes), start)),
         }
         end = start;
@@ -265,10 +253,8 @@ impl Trailer {
     /// truncating one.
     pub fn parse(buffer: &[u8]) -> Result<Trailer> {
         let mut return_hops: Vec<SegmentRepr> = Vec::new();
-        let (truncated, start_offset) = walk_backwards(buffer, |seg| {
-            return_hops.push(SegmentRepr::parse(&seg)?);
-            Ok(())
-        })?;
+        let (truncated, start_offset) =
+            walk_backwards(buffer, |bytes, seg| return_hops.push(seg.to_repr(bytes)))?;
         return_hops.reverse();
         Ok(Trailer {
             return_hops,

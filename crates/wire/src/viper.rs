@@ -41,6 +41,8 @@
 //! identical to the pre-failover format. Parsing a marked segment
 //! reports `vnt = tree = false` plus the decoded [`AltBranch`].
 
+use core::ops::Range;
+
 use crate::{Error, Result};
 
 /// Size of the fixed-length prologue of every segment.
@@ -203,214 +205,109 @@ pub struct AltBranch {
     pub splice: u8,
 }
 
-/// A zero-copy view of a VIPER header segment at the *front* of a buffer.
-///
-/// The buffer may extend beyond the segment (and normally does — the rest
-/// of the packet follows); [`Segment::total_len`] reports where the
-/// segment ends.
-#[derive(Debug, Clone)]
-pub struct Segment<T: AsRef<[u8]>> {
-    buffer: T,
-}
-
-impl<T: AsRef<[u8]>> Segment<T> {
-    /// Wrap a buffer without validating it.
-    pub fn new_unchecked(buffer: T) -> Segment<T> {
-        Segment { buffer }
-    }
-
-    /// Wrap a buffer, validating that a complete segment is present.
-    pub fn new_checked(buffer: T) -> Result<Segment<T>> {
-        let seg = Segment::new_unchecked(buffer);
-        seg.check_len()?;
-        Ok(seg)
-    }
-
-    /// Validate that the buffer holds a complete segment: the fixed
-    /// prologue plus both variable fields (resolving 255-escapes).
-    pub fn check_len(&self) -> Result<()> {
-        let data = self.buffer.as_ref();
-        if data.len() < FIXED_LEN {
-            return Err(Error::Truncated);
-        }
-        let (_, end) = self.token_bounds()?;
-        let (_, info_end) = self.info_bounds(end)?;
-        let total = if self.has_alt() {
-            info_end + ALT_SUFFIX_LEN
-        } else {
-            info_end
-        };
-        if total > data.len() {
-            return Err(Error::Truncated);
-        }
-        Ok(())
-    }
-
-    /// Consume the view, returning the underlying buffer.
-    pub fn into_inner(self) -> T {
-        self.buffer
-    }
-
+/// One header segment as decoded from the front of a buffer: the fixed
+/// prologue, where both variable fields lie (255-escapes resolved), and
+/// the alternate-branch suffix. Offsets are relative to the segment
+/// start. [`decode`] is the one place a segment's bytes are read.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Decoded {
     /// The output-port identifier.
-    pub fn port(&self) -> u8 {
-        self.buffer.as_ref()[field::PORT]
-    }
-
-    /// The raw flags nibble, before ALT-marker normalization.
-    fn flags_nibble(&self) -> u8 {
-        self.buffer.as_ref()[field::FLAGS_PRIORITY] >> 4
-    }
-
-    /// Whether the flags nibble carries the ALT marker (an alternate-
-    /// branch suffix follows the `portInfo` field).
-    pub fn has_alt(&self) -> bool {
-        self.flags_nibble() & Flags::ALT_MARKER == Flags::ALT_MARKER
-    }
-
-    /// The segment flags. For a marked segment the recycled VNT/TRB bits
-    /// are reported as `false` — the marker is surfaced via
-    /// [`Segment::alt`], never as literal flags, so flag-driven paths
-    /// (tree decode, next-type chaining) cannot misfire on it.
-    pub fn flags(&self) -> Flags {
-        let mut f = Flags::from_nibble(self.flags_nibble());
-        if self.has_alt() {
-            f.vnt = false;
-            f.tree = false;
-        }
-        f
-    }
-
-    /// The alternate branch, when the ALT marker is present. Call only
-    /// on a validated segment.
-    pub fn alt(&self) -> Option<AltBranch> {
-        if !self.has_alt() {
-            return None;
-        }
-        let (_, te) = self.token_bounds().expect("validated by check_len");
-        let (_, ie) = self.info_bounds(te).expect("validated by check_len");
-        let data = self.buffer.as_ref();
-        Some(AltBranch {
-            port: data[ie],
-            splice: data[ie + 1],
-        })
-    }
-
+    pub port: u8,
+    /// The segment flags. On a marked segment the recycled VNT/TRB bits
+    /// read `false` — the marker surfaces as [`Decoded::alt`], never as
+    /// literal flags, so flag-driven paths (tree decode, next-type
+    /// chaining) cannot misfire on it.
+    pub flags: Flags,
     /// The segment priority.
-    pub fn priority(&self) -> Priority {
-        Priority::new(self.buffer.as_ref()[field::FLAGS_PRIORITY] & 0x0F)
+    pub priority: Priority,
+    /// The alternate branch, when the ALT marker is present.
+    pub alt: Option<AltBranch>,
+    /// Where the `portToken` bytes lie (past any extended-length word).
+    pub token: Range<usize>,
+    /// Where the `portInfo` bytes lie (past any extended-length word).
+    pub info: Range<usize>,
+    /// Total encoded length, the alternate-branch suffix included.
+    pub len: usize,
+}
+
+impl Decoded {
+    /// The `portToken` bytes of `seg`, the buffer this was decoded from
+    /// (empty when absent: a zero `portTokenLength` means "no token", §5).
+    pub fn port_token<'a>(&self, seg: &'a [u8]) -> &'a [u8] {
+        seg.get(self.token.clone()).unwrap_or_default()
     }
 
-    /// Byte range of the port-token payload (start, end), resolving the
-    /// 255-escape. `start` skips the extended-length word if present.
-    fn token_bounds(&self) -> Result<(usize, usize)> {
-        let data = self.buffer.as_ref();
-        let lf = data[field::PORT_TOKEN_LEN];
-        if lf == LEN_ESCAPE {
-            if data.len() < FIXED_LEN + 4 {
-                return Err(Error::BadExtendedLength);
-            }
-            let n = u32::from_be_bytes([
-                data[FIXED_LEN],
-                data[FIXED_LEN + 1],
-                data[FIXED_LEN + 2],
-                data[FIXED_LEN + 3],
-            ]) as usize;
-            if n < 255 {
-                // The escape must only be used for lengths > 254.
-                return Err(Error::BadExtendedLength);
-            }
-            Ok((FIXED_LEN + 4, FIXED_LEN + 4 + n))
-        } else {
-            Ok((FIXED_LEN, FIXED_LEN + lf as usize))
+    /// The network-specific `portInfo` bytes of `seg`.
+    pub fn port_info<'a>(&self, seg: &'a [u8]) -> &'a [u8] {
+        seg.get(self.info.clone()).unwrap_or_default()
+    }
+
+    /// Copy the segment out of `seg`, the buffer this was decoded from.
+    pub fn to_repr(&self, seg: &[u8]) -> SegmentRepr {
+        SegmentRepr {
+            port: self.port,
+            flags: self.flags,
+            priority: self.priority,
+            port_token: self.port_token(seg).to_vec(),
+            port_info: self.port_info(seg).to_vec(),
+            alt: self.alt,
         }
-    }
-
-    /// Byte range of the port-info payload given the end of the token
-    /// region.
-    fn info_bounds(&self, after_token: usize) -> Result<(usize, usize)> {
-        let data = self.buffer.as_ref();
-        let lf = data[field::PORT_INFO_LEN];
-        if lf == LEN_ESCAPE {
-            if data.len() < after_token + 4 {
-                return Err(Error::BadExtendedLength);
-            }
-            let n = u32::from_be_bytes([
-                data[after_token],
-                data[after_token + 1],
-                data[after_token + 2],
-                data[after_token + 3],
-            ]) as usize;
-            if n < 255 {
-                return Err(Error::BadExtendedLength);
-            }
-            Ok((after_token + 4, after_token + 4 + n))
-        } else {
-            Ok((after_token, after_token + lf as usize))
-        }
-    }
-
-    /// The port-token bytes (empty slice when absent; a zero
-    /// `portTokenLength` means "no token", §5).
-    pub fn port_token(&self) -> &[u8] {
-        let (s, e) = self.token_bounds().expect("validated by check_len");
-        &self.buffer.as_ref()[s..e]
-    }
-
-    /// The network-specific port-info bytes.
-    pub fn port_info(&self) -> &[u8] {
-        let (_, te) = self.token_bounds().expect("validated by check_len");
-        let (s, e) = self.info_bounds(te).expect("validated by check_len");
-        &self.buffer.as_ref()[s..e]
-    }
-
-    /// All field offsets of a validated segment in one pass, relative to
-    /// the segment start: `(token_start, token_end, info_start, info_end)`.
-    /// `info_end` is also the total encoded length. Used by the zero-copy
-    /// [`crate::buf::SegmentView`] to record absolute offsets instead of
-    /// copying the variable fields out.
-    pub(crate) fn field_offsets(&self) -> Result<(usize, usize, usize, usize)> {
-        let (ts, te) = self.token_bounds()?;
-        let (is_, ie) = self.info_bounds(te)?;
-        Ok((ts, te, is_, ie))
-    }
-
-    /// Total encoded length of this segment, including the fixed prologue,
-    /// any extended-length words, and the alternate-branch suffix when the
-    /// ALT marker is present.
-    pub fn total_len(&self) -> usize {
-        let (_, te) = self.token_bounds().expect("validated by check_len");
-        let (_, ie) = self.info_bounds(te).expect("validated by check_len");
-        if self.has_alt() {
-            ie + ALT_SUFFIX_LEN
-        } else {
-            ie
-        }
-    }
-
-    /// The bytes of the buffer following this segment (the rest of the
-    /// packet).
-    pub fn rest(&self) -> &[u8] {
-        &self.buffer.as_ref()[self.total_len()..]
     }
 }
 
-impl<T: AsRef<[u8]> + AsMut<[u8]>> Segment<T> {
-    /// Set the output-port identifier.
-    pub fn set_port(&mut self, port: u8) {
-        self.buffer.as_mut()[field::PORT] = port;
+/// Decode the segment at the front of `buf` (which may run on past it)
+/// in one pass. Fails with [`Error::Truncated`] when the segment does
+/// not fit, and [`Error::BadExtendedLength`] when an escaped length's
+/// 32-bit word is cut off or holds a length the escape may not carry.
+// Inlined: it runs once per hop and per trailer entry, and a call would
+// return the decode through memory.
+#[inline]
+pub fn decode(buf: &[u8]) -> Result<Decoded> {
+    let &[info_len, token_len, port, flags_priority] =
+        buf.first_chunk::<FIXED_LEN>().ok_or(Error::Truncated)?;
+    // Where a variable field lies when it begins at `at`: a 255 escape
+    // reads the real length (at least 255, §5) from the 32-bit word at
+    // `at`, and the field follows the word.
+    let field = |len_byte: u8, at: usize| -> Result<Range<usize>> {
+        if len_byte != LEN_ESCAPE {
+            return Ok(at..at.saturating_add(len_byte as usize));
+        }
+        let word = buf.get(at..).and_then(<[u8]>::first_chunk::<4>);
+        let n = u32::from_be_bytes(*word.ok_or(Error::BadExtendedLength)?) as usize;
+        if n < 255 {
+            return Err(Error::BadExtendedLength);
+        }
+        let start = at.saturating_add(4);
+        Ok(start..start.saturating_add(n))
+    };
+    let token = field(token_len, FIXED_LEN)?;
+    let info = field(info_len, token.end)?;
+    let nibble = flags_priority >> 4;
+    let marked = nibble & Flags::ALT_MARKER == Flags::ALT_MARKER;
+    let len = info
+        .end
+        .saturating_add(if marked { ALT_SUFFIX_LEN } else { 0 });
+    let alt = match buf.get(info.end..len).ok_or(Error::Truncated)? {
+        &[alt_port, splice] => Some(AltBranch {
+            port: alt_port,
+            splice,
+        }),
+        _ => None,
+    };
+    let mut flags = Flags::from_nibble(nibble);
+    if marked {
+        flags.vnt = false;
+        flags.tree = false;
     }
-
-    /// Set the flags nibble.
-    pub fn set_flags(&mut self, flags: Flags) {
-        let b = &mut self.buffer.as_mut()[field::FLAGS_PRIORITY];
-        *b = (flags.to_nibble() << 4) | (*b & 0x0F);
-    }
-
-    /// Set the priority nibble.
-    pub fn set_priority(&mut self, prio: Priority) {
-        let b = &mut self.buffer.as_mut()[field::FLAGS_PRIORITY];
-        *b = (*b & 0xF0) | prio.raw();
-    }
+    Ok(Decoded {
+        port,
+        flags,
+        priority: Priority::new(flags_priority),
+        alt,
+        token,
+        info,
+        len,
+    })
 }
 
 /// An owned, high-level representation of a VIPER header segment.
@@ -445,25 +342,11 @@ impl SegmentRepr {
         }
     }
 
-    /// Parse a segment from the front of `buffer`.
-    pub fn parse<T: AsRef<[u8]>>(seg: &Segment<T>) -> Result<SegmentRepr> {
-        seg.check_len()?;
-        Ok(SegmentRepr {
-            port: seg.port(),
-            flags: seg.flags(),
-            priority: seg.priority(),
-            port_token: seg.port_token().to_vec(),
-            port_info: seg.port_info().to_vec(),
-            alt: seg.alt(),
-        })
-    }
-
     /// Parse a segment directly from a byte slice, returning the repr and
     /// the number of bytes consumed.
     pub fn parse_prefix(buffer: &[u8]) -> Result<(SegmentRepr, usize)> {
-        let seg = Segment::new_checked(buffer)?;
-        let len = seg.total_len();
-        Ok((SegmentRepr::parse(&seg)?, len))
+        let seg = decode(buffer)?;
+        Ok((seg.to_repr(buffer), seg.len))
     }
 
     /// Encoded length of one variable field, including a possible
@@ -647,11 +530,11 @@ mod tests {
         let bytes = r.to_bytes();
         for cut in 0..bytes.len() {
             assert!(
-                Segment::new_checked(&bytes[..cut]).is_err(),
+                decode(&bytes[..cut]).is_err(),
                 "cut at {cut} must be rejected"
             );
         }
-        assert!(Segment::new_checked(&bytes[..]).is_ok());
+        assert!(decode(&bytes).is_ok());
     }
 
     #[test]
@@ -660,10 +543,7 @@ mod tests {
         let mut bytes = vec![0u8, LEN_ESCAPE, 5, 0];
         bytes.extend_from_slice(&10u32.to_be_bytes());
         bytes.extend_from_slice(&[0; 10]);
-        assert_eq!(
-            Segment::new_checked(&bytes[..]).unwrap_err(),
-            Error::BadExtendedLength
-        );
+        assert_eq!(decode(&bytes).unwrap_err(), Error::BadExtendedLength);
     }
 
     #[test]
@@ -699,38 +579,6 @@ mod tests {
     }
 
     #[test]
-    fn setters_update_in_place() {
-        let r = SegmentRepr {
-            port: 5,
-            port_token: vec![1, 2, 3],
-            port_info: vec![4, 5],
-            ..Default::default()
-        };
-        let mut bytes = r.to_bytes();
-        let mut seg = Segment::new_checked(&mut bytes[..]).unwrap();
-        seg.set_port(42);
-        seg.set_priority(Priority::new(7));
-        seg.set_flags(Flags {
-            dib: true,
-            ..Default::default()
-        });
-        let seg = Segment::new_checked(&bytes[..]).unwrap();
-        assert_eq!(seg.port(), 42);
-        assert_eq!(seg.priority(), Priority::new(7));
-        assert!(seg.flags().dib);
-        assert_eq!(seg.port_token(), &[1, 2, 3]);
-    }
-
-    #[test]
-    fn rest_points_past_segment() {
-        let r = SegmentRepr::minimal(1);
-        let mut bytes = r.to_bytes();
-        bytes.extend_from_slice(b"payload");
-        let seg = Segment::new_checked(&bytes[..]).unwrap();
-        assert_eq!(seg.rest(), b"payload");
-    }
-
-    #[test]
     fn alt_branch_roundtrips_as_two_byte_suffix() {
         let plain = SegmentRepr {
             port: 7,
@@ -749,12 +597,12 @@ mod tests {
         // the flags nibble.
         assert_eq!(&bytes[bytes.len() - 2..], &[3, 5]);
         assert_eq!(roundtrip(&marked), marked);
-        // rest() must skip the suffix too.
+        // The decoded length must count the suffix too.
         let mut framed = bytes.clone();
         framed.extend_from_slice(b"data");
-        let seg = Segment::new_checked(&framed[..]).unwrap();
-        assert_eq!(seg.rest(), b"data");
-        assert_eq!(seg.alt(), Some(AltBranch { port: 3, splice: 5 }));
+        let seg = decode(&framed).unwrap();
+        assert_eq!(&framed[seg.len..], b"data");
+        assert_eq!(seg.alt, Some(AltBranch { port: 3, splice: 5 }));
     }
 
     #[test]
@@ -793,11 +641,11 @@ mod tests {
             ..Default::default()
         };
         let bytes = r.to_bytes();
-        let seg = Segment::new_checked(&bytes[..]).unwrap();
+        let seg = decode(&bytes).unwrap();
         // The recycled VNT/TRB bits never surface as literal flags.
-        let f = seg.flags();
+        let f = seg.flags;
         assert!(!f.vnt && !f.tree && f.dib && f.rpf);
-        assert!(seg.has_alt());
+        assert!(seg.alt.is_some());
         assert_eq!(roundtrip(&r), r);
     }
 
@@ -812,11 +660,11 @@ mod tests {
         let bytes = r.to_bytes();
         for cut in 0..bytes.len() {
             assert!(
-                Segment::new_checked(&bytes[..cut]).is_err(),
+                decode(&bytes[..cut]).is_err(),
                 "cut at {cut} must be rejected"
             );
         }
-        assert!(Segment::new_checked(&bytes[..]).is_ok());
+        assert!(decode(&bytes).is_ok());
     }
 
     #[test]

@@ -99,11 +99,7 @@ pub fn lint_files(
     let ctx = LintCtx { files: &files, cfg };
     let rules: Vec<Box<dyn Rule>> = rules::all_rules()
         .into_iter()
-        .filter(|r| {
-            rule_filter
-                .map(|names| names.iter().any(|n| n == r.name()))
-                .unwrap_or(true)
-        })
+        .filter(|r| rule_filter.is_none_or(|names| names.iter().any(|n| n == r.name())))
         .collect();
     let mut diags = Vec::new();
     for rule in &rules {
@@ -116,8 +112,7 @@ pub fn lint_files(
         let covered = files
             .iter()
             .find(|f| f.rel == d.file)
-            .map(|f| f.is_allowed(&d.rule, d.line))
-            .unwrap_or(false);
+            .is_some_and(|f| f.is_allowed(&d.rule, d.line));
         if covered {
             suppressed.push(d.clone());
         }

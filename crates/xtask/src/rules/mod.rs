@@ -87,6 +87,8 @@ pub const DATAPLANE_FILES: &[&str] = &[
     "crates/router/src/ip.rs",
     "crates/router/src/cvc.rs",
     "crates/router/src/link.rs",
+    "crates/router/src/logical.rs",
+    "crates/router/src/multicast.rs",
     "crates/wire/src/buf.rs",
     "crates/wire/src/alt.rs",
     "crates/sim/src/queue.rs",
