@@ -14,7 +14,7 @@
 //!   corruption) is counted for the experiments.
 
 use std::any::Any;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use sirpent_router::link::{decode_port_frame, LinkFrame, PortDecode};
 use sirpent_sim::{transmission_time, Context, Event, Node, SimDuration, SimTime};
@@ -176,16 +176,16 @@ pub struct SirpentHost {
     endpoint: Endpoint,
     ports: BTreeMap<u8, HostPortKind>,
     routes: BTreeMap<EntityId, RouteSet<InstalledRoute>>,
-    reply_ctx: HashMap<EntityId, Path>,
+    reply_ctx: BTreeMap<EntityId, Path>,
     /// Responses already sent, retained for re-send on replayed
     /// requests (the VMTP server-side transaction record). Auto-responses
     /// all share `response`'s buffer.
-    sent_responses: HashMap<(EntityId, u32), PacketBuf>,
+    sent_responses: BTreeMap<(EntityId, u32), PacketBuf>,
     /// `auto_respond`'s bytes as the one buffer every auto-response is a
     /// window of; rebuilt when the public field has been reassigned.
     response: PacketBuf,
-    inflight: HashMap<u32, SendTracker>,
-    pending: HashMap<u64, Pending>,
+    inflight: BTreeMap<u32, SendTracker>,
+    pending: BTreeMap<u64, Pending>,
     next_key: u64,
     next_txn: u32,
     app_queue: Vec<QueuedRequest>,
@@ -218,11 +218,11 @@ impl SirpentHost {
             endpoint: Endpoint::new(endpoint),
             ports: ports.into_iter().collect(),
             routes: BTreeMap::new(),
-            reply_ctx: HashMap::new(),
-            sent_responses: HashMap::new(),
+            reply_ctx: BTreeMap::new(),
+            sent_responses: BTreeMap::new(),
             response: PacketBuf::new(),
-            inflight: HashMap::new(),
-            pending: HashMap::new(),
+            inflight: BTreeMap::new(),
+            pending: BTreeMap::new(),
             next_key: 1,
             next_txn: 1,
             app_queue: Vec::new(),

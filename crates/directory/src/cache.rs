@@ -14,7 +14,7 @@
 //! current epoch and any entry fetched under an older epoch is treated
 //! as stale and dropped, never served.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use sirpent_sim::{SimDuration, SimTime};
 
@@ -33,7 +33,7 @@ struct CacheEntry {
 /// Client-side cache of route advisories.
 pub struct RouteCache {
     ttl: SimDuration,
-    entries: HashMap<Name, CacheEntry>,
+    entries: BTreeMap<Name, CacheEntry>,
     /// Cache hits served.
     pub hits: u64,
     /// Misses (expired or absent).
@@ -49,7 +49,7 @@ impl RouteCache {
     pub fn new(ttl: SimDuration) -> RouteCache {
         RouteCache {
             ttl,
-            entries: HashMap::new(),
+            entries: BTreeMap::new(),
             hits: 0,
             misses: 0,
             invalidations: 0,
@@ -102,21 +102,6 @@ impl RouteCache {
     pub fn invalidate(&mut self, service: &Name) {
         if self.entries.remove(service).is_some() {
             self.invalidations += 1;
-        }
-    }
-
-    /// Drop one advisory (by index) from a cached entry, keeping the
-    /// alternates — the client "switches between these routes" (§6.3)
-    /// without a re-query while alternates remain.
-    pub fn drop_route(&mut self, service: &Name, index: usize) {
-        if let Some(e) = self.entries.get_mut(service) {
-            if index < e.advisories.len() {
-                e.advisories.remove(index);
-            }
-            if e.advisories.is_empty() {
-                self.entries.remove(service);
-                self.invalidations += 1;
-            }
         }
     }
 
@@ -204,20 +189,6 @@ mod tests {
         assert_eq!(c.invalidations, 1);
         // Invalidating a missing entry is a no-op.
         c.invalidate(&svc());
-        assert_eq!(c.invalidations, 1);
-    }
-
-    #[test]
-    fn drop_route_keeps_alternates() {
-        let mut c = RouteCache::new(SimDuration::from_secs(10));
-        c.put(svc(), vec![adv(1), adv(2)], SimTime::ZERO, 0);
-        c.drop_route(&svc(), 0);
-        let got = c.get(&svc(), SimTime(1), 0).unwrap();
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].route.access.host_port, 2);
-        // Dropping the last one removes the entry.
-        c.drop_route(&svc(), 0);
-        assert!(c.is_empty());
         assert_eq!(c.invalidations, 1);
     }
 

@@ -38,5 +38,5 @@ pub use name::Name;
 pub use route::{
     AccessSpec, EthernetHop, HopSpec, Preference, RouteProperties, RouteRecord, Security,
 };
-pub use server::{Advisory, Directory, QueryResult, ServiceRecord, TokenIssue};
+pub use server::{Advisory, Directory, QueryResult, TokenIssue};
 pub use te::{LinkMetrics, TeQuery, TeRoute, TeTopology};

@@ -14,7 +14,7 @@
 //! region distance between client and service, and the per-region
 //! delegation counters record how many levels were traversed.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use sirpent_sim::SimDuration;
 use sirpent_telemetry::names;
@@ -37,21 +37,13 @@ pub struct Advisory {
     /// Sealed port tokens, one per hop (empty when the directory has no
     /// minting authority configured).
     pub tokens: Vec<Vec<u8>>,
-    /// Current worst-case reported load along the route, 0.0–1.0.
+    /// Current worst-case reported load along the route (1.0 = the
+    /// link's capacity).
     pub reported_load: f64,
     /// Advertised residual capacity of the route's bottleneck link,
     /// bits/sec — what TE clients weight their per-flow route choice
     /// by. Equal to the bottleneck bandwidth when no load is known.
     pub residual_bps: u64,
-}
-
-/// Everything known about one named service.
-#[derive(Debug, Clone, Default)]
-pub struct ServiceRecord {
-    /// Non-routing attributes (the directory is a general database, §3).
-    pub attributes: HashMap<String, String>,
-    /// Registered routes, tagged by the client region they serve.
-    pub routes: Vec<(Name, RouteRecord)>,
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -89,8 +81,12 @@ pub struct TokenIssue {
 
 /// The directory service.
 pub struct Directory {
-    records: HashMap<Name, ServiceRecord>,
-    links: HashMap<(u32, u8), LinkStatus>,
+    /// Registered routes per service, tagged by the client region they
+    /// serve.
+    records: BTreeMap<Name, Vec<(Name, RouteRecord)>>,
+    /// Reported link state, read by [`Directory::query`] only: a TE
+    /// advisory reads the TE map it was computed on.
+    links: BTreeMap<(u32, u8), LinkStatus>,
     issue: Option<TokenIssue>,
     te: Option<TeTopology>,
     /// Aggregated usage collected from router ledgers.
@@ -124,8 +120,8 @@ impl Directory {
     /// +1 ms per region level).
     pub fn new() -> Directory {
         Directory {
-            records: HashMap::new(),
-            links: HashMap::new(),
+            records: BTreeMap::new(),
+            links: BTreeMap::new(),
             issue: None,
             te: None,
             billing: Accounting::new(),
@@ -180,26 +176,7 @@ impl Directory {
         self.records
             .entry(service.clone())
             .or_default()
-            .routes
             .push((client_region, route));
-    }
-
-    /// Set a non-routing attribute.
-    pub fn set_attribute(&mut self, service: &Name, key: &str, value: &str) {
-        self.records
-            .entry(service.clone())
-            .or_default()
-            .attributes
-            .insert(key.to_string(), value.to_string());
-    }
-
-    /// Read an attribute.
-    pub fn attribute(&self, service: &Name, key: &str) -> Option<&str> {
-        self.records
-            .get(service)?
-            .attributes
-            .get(key)
-            .map(|s| s.as_str())
     }
 
     /// A router/monitor load report for one link. With a TE topology
@@ -293,8 +270,8 @@ impl Directory {
         let latency = self.base_query_rtt + self.per_level_rtt.times(levels as u64);
 
         let mut candidates: Vec<(RouteRecord, RouteProperties, f64)> = Vec::new();
-        if let Some(rec) = self.records.get(service) {
-            for (region, route) in &rec.routes {
+        if let Some(routes) = self.records.get(service) {
+            for (region, route) in routes {
                 if !client.within(region) {
                     continue;
                 }
@@ -370,18 +347,21 @@ impl Directory {
         let routes = self.te_query(src_router, dst, q);
         let mut advisories = Vec::with_capacity(routes.len());
         for r in &routes {
-            let record = self
-                .te
-                .as_ref()
-                .and_then(|t| t.record(r, access.clone(), endpoint_selector.to_vec()));
-            let Some(route) = record else {
+            let record = self.te.as_ref().and_then(|t| {
+                let route = t.record(r, access.clone(), endpoint_selector.to_vec())?;
+                let hops = r
+                    .hops
+                    .iter()
+                    .filter_map(|&(rt, port)| t.load_milli(rt, port));
+                Some((route, hops.max().unwrap_or(0)))
+            });
+            let Some((route, load_milli)) = record else {
                 continue;
             };
             let tokens = self.mint_tokens(&route, account);
-            let (_, load) = self.route_status(&route);
             advisories.push(Advisory {
                 props: route.properties(),
-                reported_load: load,
+                reported_load: f64::from(load_milli) / f64::from(LOAD_SCALE),
                 residual_bps: r.residual_bps,
                 tokens,
                 route,
@@ -643,6 +623,7 @@ mod tests {
         assert_eq!(adv.route.hops.len(), 3, "one HopSpec per transit hop");
         assert_eq!(adv.tokens.len(), 3, "one token per hop (§5)");
         assert_eq!(adv.residual_bps, 7_500_000, "10 Mb/s × 0.75 bottleneck");
+        assert_eq!(adv.reported_load, 0.25);
         assert_eq!(adv.route.endpoint_selector, vec![7]);
         let b = key.unseal(&adv.tokens[0]).unwrap();
         assert_eq!(b.account, 42);
@@ -661,16 +642,6 @@ mod tests {
         // probe down the fast arm (three routers).
         assert_eq!(reg.counter("te_searches_total"), 1);
         assert_eq!(reg.counter("te_nodes_settled_total"), 5 + 3);
-    }
-
-    #[test]
-    fn attributes_are_stored_alongside_routes() {
-        let mut d = Directory::new();
-        let s = Name::parse("printsrv.cs.stanford.edu");
-        d.set_attribute(&s, "protocol", "vmtp");
-        d.set_attribute(&s, "owner", "csd-facilities");
-        assert_eq!(d.attribute(&s, "protocol"), Some("vmtp"));
-        assert_eq!(d.attribute(&s, "missing"), None);
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! identifiers — port numbers, pending-timer keys, in-flight frame ids —
 //! and the live population is a handful of entries at any instant. A
 //! linear scan over a dense `Vec` beats hashing at these sizes and,
-//! unlike `HashMap`, iterates in a deterministic order that depends
+//! unlike a hash map, iterates in a deterministic order that depends
 //! only on the operation sequence (insertion order, perturbed by
 //! `swap_remove`), never on a per-instance hasher seed.
 
-/// Vec-backed associative container with `HashMap`-shaped calls.
+/// Vec-backed associative container with std-map-shaped calls.
 ///
 /// `insert` overwrites an existing key in place. `remove` is
 /// `swap_remove`: O(1), at the cost of reordering later entries — the

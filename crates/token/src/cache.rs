@@ -25,7 +25,7 @@
 //! handled by the router switching to blocking authentication when
 //! excessive invalid tokens are received."
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use crate::accounting::Accounting;
 use crate::seal::SealingKey;
@@ -122,7 +122,9 @@ pub struct TokenCache {
     router_id: u32,
     policy: AuthPolicy,
     attack: AttackResponse,
-    entries: HashMap<Vec<u8>, Entry>,
+    /// Keyed by the whole sealed token, never a prefix: a forged token
+    /// sharing a valid one's prefix must not hit its entry.
+    entries: BTreeMap<Vec<u8>, Entry>,
     invalid_events: Vec<u32>, // timestamps (s) of invalid-token sightings
     accounting: Accounting,
     /// Count of packets forwarded optimistically before their token was
@@ -139,7 +141,7 @@ impl TokenCache {
             router_id,
             policy,
             attack: AttackResponse::default(),
-            entries: HashMap::new(),
+            entries: BTreeMap::new(),
             invalid_events: Vec::new(),
             accounting: Accounting::new(),
             optimistic_passes: 0,

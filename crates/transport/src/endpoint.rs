@@ -12,8 +12,8 @@
 //! packets and timer ticks and executes the [`Action`]s it returns
 //! (transmissions carry explicit due times for the host to schedule).
 
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet};
 
 use sirpent_sim::SimTime;
 use sirpent_wire::buf::PacketBuf;
@@ -82,8 +82,13 @@ pub struct TransportStats {
     /// Packets whose 64-bit destination entity wasn't us (§4.1
     /// misdelivery detection).
     pub misdelivered: u64,
-    /// Packets discarded by the lifetime filter (§4.2), by reason.
-    pub lifetime_rejected: HashMap<&'static str, u64>,
+    /// Packets the lifetime filter (§4.2) found older than the MPL.
+    pub too_old: u64,
+    /// Packets the lifetime filter found stamped further ahead than
+    /// clock sync allows.
+    pub from_future: u64,
+    /// Packets the lifetime filter found created before this host booted.
+    pub pre_boot: u64,
     /// Duplicate group members / replays.
     pub duplicates: u64,
     /// Messages delivered.
@@ -126,9 +131,9 @@ pub struct Endpoint {
     /// Unfinished sends by `(peer, transaction)` — the pair an `Ack`'s
     /// `(src, transaction)` names. Transaction ids are per-requester, so
     /// our request 1 to B and our response to C's request 1 coexist.
-    outgoing: HashMap<(EntityId, u32), Outgoing>,
-    incoming: HashMap<(EntityId, u32, u8), GroupReceiver>,
-    completed: HashSet<(EntityId, u32, u8)>,
+    outgoing: BTreeMap<(EntityId, u32), Outgoing>,
+    incoming: BTreeMap<(EntityId, u32, u8), GroupReceiver>,
+    completed: BTreeSet<(EntityId, u32, u8)>,
     /// The empty payload every ack shares (a fresh `PacketBuf` allocates).
     no_payload: PacketBuf,
     /// Counters.
@@ -153,9 +158,9 @@ impl Endpoint {
             lifetime: cfg.lifetime,
             seg_size: cfg.seg_size,
             pacer: cfg.pacer,
-            outgoing: HashMap::new(),
-            incoming: HashMap::new(),
-            completed: HashSet::new(),
+            outgoing: BTreeMap::new(),
+            incoming: BTreeMap::new(),
+            completed: BTreeSet::new(),
             no_payload: PacketBuf::new(),
             stats: TransportStats::default(),
         }
@@ -350,12 +355,11 @@ impl Endpoint {
         // §4.2: lifetime enforcement from the creation timestamp.
         let local_now = self.clock.now_ms(now);
         if let Err(why) = self.lifetime.accept(local_now, pkt.timestamp) {
-            let key = match why {
-                LifetimeReject::TooOld => "too_old",
-                LifetimeReject::FromFuture => "from_future",
-                LifetimeReject::PreBoot => "pre_boot",
-            };
-            *self.stats.lifetime_rejected.entry(key).or_insert(0) += 1;
+            *match why {
+                LifetimeReject::TooOld => &mut self.stats.too_old,
+                LifetimeReject::FromFuture => &mut self.stats.from_future,
+                LifetimeReject::PreBoot => &mut self.stats.pre_boot,
+            } += 1;
             return Vec::new();
         }
 
@@ -671,18 +675,32 @@ mod tests {
         assert!(b.stats.checksum_rejected + b.stats.malformed >= 1);
     }
 
+    /// Each of the lifetime filter's three verdicts lands in its own
+    /// counter.
     #[test]
     fn stale_packet_rejected_by_lifetime() {
+        let secs = |s| SimTime::ZERO + SimDuration::from_secs(s);
         let mut a = endpoint(1);
         let mut b = endpoint(2);
-        let acts = a
-            .send_message(SimTime::ZERO, EntityId(2), 1, Kind::Request, b"old")
-            .unwrap();
-        let bytes = &wire(&acts[0]);
-        // Deliver 10 minutes later (MPL is 60 s).
-        let late = SimTime::ZERO + SimDuration::from_secs(600);
-        assert!(b.on_packet(late, bytes).is_empty());
-        assert_eq!(b.stats.lifetime_rejected["too_old"], 1);
+        b.lifetime.boot_time_ms = b.clock.now_ms(secs(100));
+        let mut stamped = |at, txn| {
+            let acts = a
+                .send_message(at, EntityId(2), txn, Kind::Request, b"t")
+                .unwrap();
+            wire(&acts[0])
+        };
+        let old = stamped(secs(0), 1);
+        let pre_boot = stamped(secs(90), 2);
+        let future = stamped(secs(300), 3);
+        // 200 s old against a 60 s MPL.
+        assert!(b.on_packet(secs(200), &old).is_empty());
+        // 20 s old, inside the MPL, but 10 s after boot.
+        assert!(b.on_packet(secs(110), &pre_boot).is_empty());
+        // 100 s ahead against a 5 s sync residual.
+        assert!(b.on_packet(secs(200), &future).is_empty());
+        let s = &b.stats;
+        assert_eq!((s.too_old, s.pre_boot, s.from_future), (1, 1, 1));
+        assert_eq!(s.delivered, 0);
     }
 
     #[test]

@@ -69,10 +69,10 @@ pub struct Config {
     /// snippets).
     pub all_dataplane: bool,
     /// Fixture mode for the scope-sensitive rules: derive a file's scope
-    /// from its stem (`*core*` → deterministic core, `*node*` →
-    /// node/router code; every file is simulation code, none is the sync
-    /// module) instead of its workspace path, so standalone golden
-    /// snippets can exercise scope-sensitive rules.
+    /// from its stem (`*node*` → node/router code; every file is
+    /// simulation code, none is the sync module) instead of its
+    /// workspace path, so standalone golden snippets can exercise
+    /// scope-sensitive rules.
     pub fixture_scopes: bool,
 }
 
@@ -104,17 +104,6 @@ pub const DATAPLANE_FILES: &[&str] = &[
 /// whose output CI byte-compares — so `determinism` flags its taint
 /// sources there at their own site.
 pub const TOOL_CRATES: &[&str] = &["xtask"];
-
-/// The deterministic core: the subset of simulation crates that may not
-/// own a `HashMap`/`HashSet` at all (elsewhere — the token cache, the
-/// directory — hash-keyed lookup is fine and only iteration is banned).
-pub const CORE_CRATES: &[&str] = &["sim", "router", "wire", "simtest", "telemetry"];
-
-/// Individual files outside [`CORE_CRATES`] held to the same
-/// no-hash-container contract: the TE route search must return byte-identical
-/// k-route sets for a given (topology, query) — client spreading and
-/// the `exp te` digests replay it.
-pub const CORE_FILES: &[&str] = &["crates/directory/src/te.rs"];
 
 /// Crates holding node/router logic, where every random draw must go
 /// through `Context::rng()` so per-shard RNG streams stay aligned.
@@ -151,18 +140,6 @@ impl Config {
         rel.strip_prefix("crates/")
             .and_then(|r| r.split('/').next())
             .is_some_and(|krate| !TOOL_CRATES.contains(&krate))
-    }
-
-    /// Whether `rel` belongs to the deterministic core ([`CORE_CRATES`]
-    /// or the [`CORE_FILES`] additions).
-    pub fn is_core_file(&self, rel: &str) -> bool {
-        if self.fixture_scopes {
-            return stem_has(rel, "core");
-        }
-        CORE_CRATES
-            .iter()
-            .any(|c| rel.starts_with(&format!("crates/{c}/src/")))
-            || CORE_FILES.contains(&rel)
     }
 
     /// Whether `rel` is the sync nucleus ([`SYNC_MODULE`]).

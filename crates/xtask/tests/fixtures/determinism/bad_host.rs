@@ -1,7 +1,7 @@
-//! Violating fixture: a host outside the deterministic core. Nothing in
-//! the fixture set calls `on_event` — the engine reaches it through
-//! `Box<dyn Node>` — so only an at-site check can see the hash-ordered
-//! walk that decides the order of `events`.
+//! Violating fixture: a host. Nothing in the fixture set calls
+//! `on_event` — the engine reaches it through `Box<dyn Node>` — so only
+//! an at-site check can see the hash container whose walk decides the
+//! order of `events`.
 
 use std::collections::HashMap;
 

@@ -1,12 +1,12 @@
-//! Clean fixture: the same host with its walked table ordered. The
-//! lookup-only `HashMap` is legal outside the deterministic core.
+//! Clean fixture: the same host with its tables ordered, the one only
+//! looked up as well as the one walked.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// A host with per-destination state.
 pub struct Host {
     routes: BTreeMap<u32, u8>,
-    pending: HashMap<u64, u32>,
+    pending: BTreeMap<u64, u32>,
     events: Vec<u32>,
 }
 

@@ -60,7 +60,8 @@ fn run(recv_offset_ms: i64, sync: bool) -> (usize, u64) {
     sim.run_until(SimTime(3_000_000_000));
 
     let server = sim.node::<SirpentHost>(b);
-    let rejected: u64 = server.endpoint().stats.lifetime_rejected.values().sum();
+    let s = &server.endpoint().stats;
+    let rejected = s.too_old + s.from_future + s.pre_boot;
     (server.inbox.len(), rejected)
 }
 

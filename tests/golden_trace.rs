@@ -15,10 +15,6 @@
 //! ```sh
 //! GOLDEN_BLESS=1 cargo test --test golden_trace
 //! ```
-//!
-//! CI's determinism job additionally sets `GOLDEN_TRACE_OUT=<dir>` to
-//! capture the computed digests from two independent runs and diffs them
-//! byte-for-byte.
 
 use sirpent::router::cvc::{CvcConfig, CvcRoute, CvcSwitch};
 use sirpent::router::ip::{IpConfig, IpPortConfig, IpRouter, RouteEntry};
@@ -557,19 +553,10 @@ fn fixture_path(seed: u64) -> std::path::PathBuf {
 #[test]
 fn golden_trace_matches_fixture() {
     let bless = std::env::var("GOLDEN_BLESS").is_ok();
-    let out_dir = std::env::var("GOLDEN_TRACE_OUT").ok();
     for seed in SEEDS {
         let d1 = digest(seed);
         let d2 = digest(seed);
         assert_eq!(d1, d2, "same-process rerun diverged for seed {seed}");
-        if let Some(dir) = &out_dir {
-            std::fs::create_dir_all(dir).unwrap();
-            std::fs::write(
-                std::path::Path::new(dir).join(format!("golden_seed{seed}.txt")),
-                &d1,
-            )
-            .unwrap();
-        }
         let path = fixture_path(seed);
         if bless {
             std::fs::create_dir_all(path.parent().unwrap()).unwrap();
