@@ -261,7 +261,7 @@ impl Node for IpGateway {
             Event::TxDone { port, frame } | Event::TxAborted { port, frame } => {
                 let stats = &mut self.stats.pipeline;
                 if let Some(op) = self.ports.iter_mut().find(|p| p.port() == port) {
-                    if op.on_tx_done(frame).is_some() {
+                    if op.on_tx_done(frame) {
                         let _ = op.try_service(ctx, &mut (), stats);
                     }
                 }

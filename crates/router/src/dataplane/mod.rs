@@ -31,7 +31,7 @@ use sirpent_wire::packet::PacketView;
 
 pub mod output;
 
-pub use output::{CurTx, Discipline, OutputPort, Queued, ServiceHooks, StartedTx};
+pub use output::{Discipline, OutputPort, Queued, ServiceHooks, StartedTx};
 
 /// A packet mid-pipeline: the leading segment has been stripped and
 /// parsed, the forwarding decision has not yet been made.

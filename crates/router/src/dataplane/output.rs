@@ -5,8 +5,14 @@
 //! baselines; the discipline differs ([`Discipline::Priority`] with
 //! preemption vs [`Discipline::Fifo`] with O(1) `pop_front`), the state
 //! machine and the drop-tail accounting do not. Router-specific policy
-//! (rate-limit release times, cut-through abort bookkeeping) hooks in
-//! via [`ServiceHooks`] so the scheduler itself stays policy-free.
+//! (rate-limit release times and charging) hooks in via
+//! [`ServiceHooks`] so the scheduler itself stays policy-free.
+//!
+//! A port hears that its transmission ended only when it needs to: it
+//! arms the engine's completion while a frame waits behind the
+//! transmission, and otherwise asks [`Context::tx_finished`] before it
+//! next looks at the slot. An idle port's transmissions finish without
+//! an event.
 
 use std::collections::VecDeque;
 
@@ -52,8 +58,8 @@ pub struct Queued {
     /// its forward delay. `None` for nodes that account forwarding
     /// elsewhere (the CVC switch records at handle time).
     pub record: Option<SimTime>,
-    /// Incoming frame identity while the tail is still arriving (for
-    /// abort propagation).
+    /// The incoming frame this one was cut from, for abort propagation
+    /// (every copy of a fanned-out packet carries it).
     pub in_frame: Option<FrameId>,
     /// Flight-recorder packet identity; `None` when the recorder is off.
     pub flight_key: Option<u64>,
@@ -117,13 +123,17 @@ impl Best {
 }
 
 /// The transmission in progress on a port.
-pub struct CurTx {
+struct CurTx {
     /// Engine id of the outgoing frame.
-    pub frame: FrameId,
+    frame: FrameId,
     /// Its service priority (preemption compares against this).
-    pub priority: Priority,
+    priority: Priority,
     /// The incoming frame it is cut through from, if any.
-    pub in_frame: Option<FrameId>,
+    in_frame: Option<FrameId>,
+    /// When its last bit clocks out.
+    end: SimTime,
+    /// Whether its completion is armed (a frame waited behind it).
+    armed: bool,
 }
 
 /// What the scheduler tells its hooks when a frame starts transmitting.
@@ -132,17 +142,8 @@ pub struct StartedTx {
     pub len: usize,
     /// Transmit start instant.
     pub start: SimTime,
-    /// Engine id of the outgoing frame.
-    pub out_frame: FrameId,
     /// The queued packet's rate-limit classification key.
     pub next_seg_port: Option<u8>,
-    /// The queued packet's earliest-start constraint.
-    pub earliest: SimTime,
-    /// The queued packet's forward-delay record key (its first-bit
-    /// arrival), if the scheduler accounts it.
-    pub record: Option<SimTime>,
-    /// The incoming frame it cuts through from, if any.
-    pub in_frame: Option<FrameId>,
 }
 
 /// Router-specific policy the scheduler calls out to. All methods have
@@ -155,13 +156,8 @@ pub trait ServiceHooks {
         q.earliest
     }
 
-    /// A frame started transmitting (charge rate limits, remember
-    /// cut-through state for abort propagation, …).
+    /// A frame started transmitting (charge rate limits, …).
     fn on_started(&mut self, _port: u8, _tx: &StartedTx) {}
-
-    /// The in-progress transmission was preempted and aborted; its
-    /// cut-through origin (if any) is passed for bookkeeping.
-    fn on_preempt_abort(&mut self, _aborted_in: Option<FrameId>) {}
 }
 
 impl ServiceHooks for () {}
@@ -174,6 +170,8 @@ pub struct OutputPort {
     discipline: Discipline,
     capacity: usize,
     queue: VecDeque<Queued>,
+    /// The transmission last started, until it is seen to finish — which
+    /// may be after it did (see [`OutputPort::refresh`]).
     current: Option<CurTx>,
     /// Earliest armed service-timer instant (stale timers are harmless —
     /// the handler just re-runs the eligibility scan).
@@ -211,13 +209,31 @@ impl OutputPort {
     }
 
     /// Whether a transmission is in progress.
-    pub fn is_busy(&self) -> bool {
-        self.current.is_some()
+    pub fn is_busy(&self, ctx: &Context<'_>) -> bool {
+        self.current
+            .as_ref()
+            .is_some_and(|c| !ctx.tx_finished(self.port, c.frame, c.end))
     }
 
-    /// The transmission in progress, if any.
-    pub fn current(&self) -> Option<&CurTx> {
-        self.current.as_ref()
+    /// Forget the current transmission if it has finished. Every reader
+    /// of `current` goes through here first: a completion nobody armed
+    /// is learned of the next time the port looks.
+    fn refresh(&mut self, ctx: &Context<'_>) {
+        if !self.is_busy(ctx) {
+            self.current = None;
+        }
+    }
+
+    /// A frame waits behind the transmission in progress: have the
+    /// engine announce its end, so the frame starts on time.
+    fn arm_if_waiting(&mut self, ctx: &mut Context<'_>) {
+        if self.queue.is_empty() {
+            return;
+        }
+        if let Some(cur) = self.current.as_mut().filter(|c| !c.armed) {
+            cur.armed = true;
+            ctx.arm_completion(self.port, cur.frame);
+        }
     }
 
     /// The waiting frames, front (oldest) first.
@@ -262,8 +278,21 @@ impl OutputPort {
     /// drop-if-blocked frames behind a busy port, or — when nothing is
     /// eligible yet — request a service timer. A `Some(at)` return asks
     /// the owning node to schedule a wake-up at `at` (the request is
-    /// deduplicated against the already-armed timer).
+    /// deduplicated against the already-armed timer). If frames still
+    /// wait behind a transmission, its completion is armed.
     pub fn try_service<H: ServiceHooks>(
+        &mut self,
+        ctx: &mut Context<'_>,
+        hooks: &mut H,
+        stats: &mut PipelineStats,
+    ) -> Option<SimTime> {
+        self.refresh(ctx);
+        let timer = self.service(ctx, hooks, stats);
+        self.arm_if_waiting(ctx);
+        timer
+    }
+
+    fn service<H: ServiceHooks>(
         &mut self,
         ctx: &mut Context<'_>,
         hooks: &mut H,
@@ -323,9 +352,7 @@ impl OutputPort {
                 if let Some(cur) = &self.current {
                     // Busy: consider preemption (§5: priorities 6 and 7).
                     if best.priority.is_preemptive() && cur.priority.rank() < best.rank {
-                        let aborted_in = cur.in_frame;
                         if ctx.abort_current_tx(self.port).is_ok() {
-                            hooks.on_preempt_abort(aborted_in);
                             stats.drop(DropReason::Preempted);
                             self.current = None;
                             if let Some(q) = self.queue.remove(best.idx) {
@@ -356,7 +383,6 @@ impl OutputPort {
         let Queued {
             frame,
             priority,
-            earliest,
             next_seg_port,
             record,
             in_frame,
@@ -400,11 +426,7 @@ impl OutputPort {
             &StartedTx {
                 len,
                 start: tx.start,
-                out_frame: tx.frame,
                 next_seg_port,
-                earliest,
-                record,
-                in_frame,
             },
         );
         stats.enter(Stage::Transmit);
@@ -416,38 +438,39 @@ impl OutputPort {
             frame: tx.frame,
             priority,
             in_frame,
+            end: tx.end,
+            armed: false,
         });
     }
 
-    /// A TxDone arrived for `frame`. When it matches the transmission in
-    /// progress the port goes idle and `Some(in_frame)` (the completed
-    /// transmission's cut-through origin) is returned — the caller
-    /// should clear its abort bookkeeping and re-run
-    /// [`OutputPort::try_service`]. Stale or foreign completions return
-    /// `None`.
-    pub fn on_tx_done(&mut self, frame: FrameId) -> Option<Option<FrameId>> {
-        match &self.current {
-            Some(cur) if cur.frame == frame => {
-                let in_frame = cur.in_frame;
-                self.current = None;
-                Some(in_frame)
-            }
-            _ => None,
+    /// The armed `TxDone` for `frame` arrived. Returns `true` — the port
+    /// went idle, and the caller should re-run
+    /// [`OutputPort::try_service`] — when it is the transmission in
+    /// progress; stale or foreign completions return `false`.
+    pub fn on_tx_done(&mut self, frame: FrameId) -> bool {
+        let hit = self.current.as_ref().is_some_and(|c| c.frame == frame);
+        if hit {
+            self.current = None;
         }
+        hit
     }
 
-    /// Abort the transmission in progress if it is `out_frame` (upstream
-    /// abort propagation). Counts a [`DropReason::Preempted`] and
-    /// returns `true` when the abort took; the caller should re-run
-    /// [`OutputPort::try_service`].
-    pub fn abort_current(
+    /// Abort the transmission in progress if it is cut through from
+    /// `in_frame`, whose upstream sender aborted it. Counts a
+    /// [`DropReason::Preempted`] and returns `true` when the abort took;
+    /// the caller should re-run [`OutputPort::try_service`].
+    pub fn abort_in_frame(
         &mut self,
         ctx: &mut Context<'_>,
-        out_frame: FrameId,
+        in_frame: FrameId,
         stats: &mut PipelineStats,
     ) -> bool {
-        let is_current = self.current.as_ref().is_some_and(|c| c.frame == out_frame);
-        if is_current && ctx.abort_current_tx(self.port).is_ok() {
+        self.refresh(ctx);
+        let cut = self
+            .current
+            .as_ref()
+            .is_some_and(|c| c.in_frame == Some(in_frame));
+        if cut && ctx.abort_current_tx(self.port).is_ok() {
             self.current = None;
             stats.drop(DropReason::Preempted);
             true

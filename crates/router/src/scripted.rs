@@ -178,7 +178,10 @@ impl Node for ScriptedHost {
                         None
                     };
                     match ctx.transmit(p.port, p.frame) {
-                        Ok(_) => {
+                        Ok(tx) => {
+                            // Every send is armed: `tx_done` records when
+                            // each one finished.
+                            ctx.arm_completion(p.port, tx.frame);
                             self.stats.enter(Stage::Transmit);
                             self.stats.forwarded += 1;
                             if let Some(key) = key {

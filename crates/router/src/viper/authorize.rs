@@ -7,14 +7,14 @@ use sirpent_token::Decision;
 
 use crate::dataplane::Work;
 
-use super::{DropReason, Pending, ViperRouter};
+use super::{DropReason, OutPorts, Pending, ViperRouter};
 
 impl ViperRouter {
     pub(super) fn auth_then_forward(
         &mut self,
         ctx: &mut Context<'_>,
         work: Work,
-        out_ports: Vec<u8>,
+        out_ports: OutPorts,
     ) {
         if let Some(cache) = self.token_cache.as_mut() {
             let require = self
@@ -70,7 +70,7 @@ impl ViperRouter {
                             .map(|a| a.verify_delay)
                             .unwrap_or(SimDuration::from_micros(100));
                         let at = ctx.now() + delay;
-                        self.schedule(ctx, at, Pending::Retry(work, out_ports.clone()));
+                        self.schedule(ctx, at, Pending::Retry(work, out_ports));
                         return;
                     }
                     Decision::Reject(_) => {
@@ -83,7 +83,7 @@ impl ViperRouter {
         self.finish_forward(ctx, work, out_ports);
     }
 
-    pub(super) fn retry(&mut self, ctx: &mut Context<'_>, work: Work, out_ports: Vec<u8>) {
+    pub(super) fn retry(&mut self, ctx: &mut Context<'_>, work: Work, out_ports: OutPorts) {
         // The blocking delay has elapsed; the cache is resolved now.
         if let Some(cache) = self.token_cache.as_mut() {
             let now_s = (ctx.now().as_nanos() / 1_000_000_000) as u32;

@@ -224,6 +224,10 @@ pub struct RouterStats {
     pub token_decrypt_ns: sirpent_telemetry::Histogram,
     /// In-network failover (alternate-branch diversion) counters.
     pub failover: FailoverStats,
+    /// Forwarding decisions that could not be made in the frame's own
+    /// event (the router was not quiet until the decision instant) and
+    /// fell back to a timer.
+    pub decisions_deferred: u64,
 }
 
 impl Deref for RouterStats {
@@ -259,7 +263,23 @@ struct FlowLimit {
 enum Pending {
     Process(Arrival),
     Service(u8),
-    Retry(Work, Vec<u8>),
+    Retry(Work, OutPorts),
+}
+
+/// Where a routed packet goes: one port — the common case, which
+/// allocates nothing — or a fan-out set.
+enum OutPorts {
+    One(u8),
+    Set(Vec<u8>),
+}
+
+impl OutPorts {
+    fn as_slice(&self) -> &[u8] {
+        match self {
+            OutPorts::One(port) => std::slice::from_ref(port),
+            OutPorts::Set(ports) => ports,
+        }
+    }
 }
 
 /// Raw arrival being held until its decision instant.
@@ -292,9 +312,6 @@ pub struct ViperRouter {
     pub local_delivered: Vec<(SimTime, Vec<u8>)>,
     /// Counters.
     pub stats: RouterStats,
-    /// Map from in-flight incoming frames we are cutting through to the
-    /// output (port, frame) — for abort propagation.
-    cutting: LinearMap<FrameId, (u8, FrameId)>,
 }
 
 impl ViperRouter {
@@ -328,7 +345,6 @@ impl ViperRouter {
             last_signal: LinearMap::new(),
             local_delivered: Vec::new(),
             stats: RouterStats::default(),
-            cutting: LinearMap::new(),
         }
     }
 
@@ -420,6 +436,10 @@ impl Node for ViperRouter {
             names::FAILOVER_ALTERNATE_DOWN_TOTAL,
             self.stats.failover.alternate_down,
         )?;
+        reg.publish_count(
+            names::ROUTER_DECISIONS_DEFERRED_TOTAL,
+            self.stats.decisions_deferred,
+        )?;
         if self.token_cache.is_some() {
             reg.publish_count(names::TOKEN_CACHE_HITS_TOTAL, self.stats.token_cache_hits)?;
             // Every full decrypt is a cache miss (the fast path never
@@ -441,7 +461,7 @@ impl Node for ViperRouter {
     /// configuration and already-accumulated counters survive; all soft
     /// state dies — the token cache (entries, accounting), installed
     /// rate limits, held arrivals and retries, congestion bookkeeping,
-    /// cut-through maps, and the output queues. Every packet lost from a
+    /// and the output queues. Every packet lost from a
     /// hold or a queue is accounted as a `RouterDown` drop, so
     /// conservation checks balance across a crash.
     fn on_restart(&mut self) {
@@ -458,7 +478,6 @@ impl Node for ViperRouter {
         self.pending.clear();
         self.tick_armed = false;
         self.last_signal.clear();
-        self.cutting.clear();
         for op in self.ports.values_mut() {
             op.sched.crash_purge(&mut self.stats.pipeline);
         }

@@ -85,7 +85,18 @@ impl ViperRouter {
                     in_frame: fe.frame.id,
                     flight_key,
                 };
-                self.schedule(ctx, ready, Pending::Process(arrival));
+                // The frame's hold on the packet store goes first, so the
+                // decision's trailer append runs in place.
+                drop(fe);
+                // §2.1: one decision per hop, as the header arrives. When
+                // nothing can reach the router before that instant, it is
+                // made in this event; otherwise a timer waits for it.
+                if ctx.quiet_until(ready) {
+                    ctx.decide_at(ready, |ctx| self.process(ctx, arrival));
+                } else {
+                    self.stats.decisions_deferred += 1;
+                    self.schedule(ctx, ready, Pending::Process(arrival));
+                }
             }
             LinkFrame::RateControl(msg) => self.on_rate_control(ctx, port, msg),
             LinkFrame::Ipish(_) | LinkFrame::Cvc(_) => {

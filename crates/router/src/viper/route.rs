@@ -14,7 +14,7 @@ use crate::logical::PortBinding;
 use crate::multicast::decode_tree;
 use sirpent_telemetry::HopKind;
 
-use super::{Arrival, DropReason, ViperRouter, MAX_DEPTH};
+use super::{Arrival, DropReason, OutPorts, ViperRouter, MAX_DEPTH};
 
 impl ViperRouter {
     pub(super) fn process(&mut self, ctx: &mut Context<'_>, a: Arrival) {
@@ -102,7 +102,7 @@ impl ViperRouter {
                         eth_return: work.eth_return,
                         in_tail: work.in_tail,
                         first_bit: work.first_bit,
-                        in_frame: None, // copies decouple from the input
+                        in_frame: work.in_frame,
                         depth: work.depth + 1,
                         flight_key: work.flight_key,
                     },
@@ -138,7 +138,7 @@ impl ViperRouter {
             return;
         }
 
-        let out_ports: Vec<u8> = match self.cfg.logical.resolve(work.seg.port()) {
+        let out_ports = match self.cfg.logical.resolve(work.seg.port()) {
             PortBinding::Physical(p) => {
                 // One liveness question for both failure modes: a dead
                 // wire and a crashed peer router are the same event to the
@@ -147,7 +147,7 @@ impl ViperRouter {
                 // no channel at all falls through to the `NoSuchPort`
                 // check below, as before.)
                 if self.next_hop_up(ctx, p) {
-                    vec![p]
+                    OutPorts::One(p)
                 } else {
                     self.divert_or_drop(ctx, work);
                     return;
@@ -160,7 +160,7 @@ impl ViperRouter {
                     let queued = self
                         .ports
                         .get(&m)
-                        .map(|p| p.sched.len() + usize::from(p.sched.is_busy()))
+                        .map(|p| p.sched.len() + usize::from(p.sched.is_busy(ctx)))
                         .unwrap_or(usize::MAX);
                     if queued > 0 {
                         // Penalize occupied members so FirstFree skips them.
@@ -173,11 +173,14 @@ impl ViperRouter {
                 };
                 // An empty trunk picks nothing: dropped as `NoSuchPort`
                 // below, like an empty multicast set.
-                self.cfg
+                match self
+                    .cfg
                     .logical
                     .pick_trunk_member(&members, strategy, free_at, now_ns)
-                    .into_iter()
-                    .collect()
+                {
+                    Some(p) => OutPorts::One(p),
+                    None => OutPorts::Set(Vec::new()),
+                }
             }
             PortBinding::Splice(route) => {
                 // Logical hop: replace the segment with the explicit
@@ -208,7 +211,7 @@ impl ViperRouter {
                 );
                 return;
             }
-            PortBinding::MulticastSet(ports) => ports,
+            PortBinding::MulticastSet(ports) => OutPorts::Set(ports),
             PortBinding::Broadcast => {
                 // Sorted for a deterministic fan-out order (the port map
                 // itself is hashed).
@@ -219,11 +222,12 @@ impl ViperRouter {
                     .filter(|&p| Some(p) != work.arrival_port)
                     .collect();
                 ps.sort_unstable();
-                ps
+                OutPorts::Set(ps)
             }
         };
 
-        if out_ports.is_empty() || out_ports.iter().any(|p| !self.ports.contains_key(p)) {
+        let ports = out_ports.as_slice();
+        if ports.is_empty() || ports.iter().any(|p| !self.ports.contains_key(p)) {
             self.drop_keyed(ctx, work.flight_key, DropReason::NoSuchPort);
             return;
         }
@@ -278,6 +282,6 @@ impl ViperRouter {
             packet: PacketBuf::from_vec(diverted),
             ..work
         };
-        self.auth_then_forward(ctx, work, vec![out]);
+        self.auth_then_forward(ctx, work, OutPorts::One(out));
     }
 }

@@ -1,8 +1,8 @@
 //! Stages 5–6 — enqueue and transmit: return-hop trailer construction,
 //! MTU truncation, link framing, and the hand-off to the shared
 //! [`crate::dataplane::OutputPort`] scheduler. VIPER-specific service
-//! policy (rate-limit release times, cut-through abort bookkeeping)
-//! plugs into the scheduler through [`ServiceHooks`].
+//! policy (rate-limit release times and charging) plugs into the
+//! scheduler through [`ServiceHooks`].
 
 use sirpent_sim::{transmission_time, Context, FrameId, SimTime};
 use sirpent_telemetry::HopKind;
@@ -15,7 +15,7 @@ use sirpent_wire::viper::{decode, Flags, Priority, SegmentRepr};
 use crate::dataplane::{Queued, ServiceHooks, StartedTx, Work};
 use crate::link::LinkFrame;
 
-use super::{DropReason, FlowLimit, Pending, PortKind, ViperRouter};
+use super::{DropReason, FlowLimit, OutPorts, Pending, PortKind, ViperRouter};
 
 /// Per-packet transmit metadata extracted from the stripped segment.
 /// Everything is `Copy` so the output stage never borrows (or keeps
@@ -30,12 +30,10 @@ struct TxMeta {
 }
 
 /// The VIPER policy plugged into the shared scheduler: rate-limit
-/// release times and charging, plus the cut-through map maintenance the
-/// abort-propagation path depends on. Borrows only the router fields it
-/// needs so the scheduler can be driven with the port map split off.
+/// release times and charging. Borrows only the router field it needs so
+/// the scheduler can be driven with the port map split off.
 struct ViperHooks<'a> {
     limits: &'a mut Vec<FlowLimit>,
-    cutting: &'a mut super::linear::LinearMap<FrameId, (u8, FrameId)>,
 }
 
 impl ServiceHooks for ViperHooks<'_> {
@@ -62,24 +60,16 @@ impl ServiceHooks for ViperHooks<'_> {
                 }
             }
         }
-        if let (Some(inf), Some(first_bit)) = (tx.in_frame, tx.record) {
-            if tx.earliest > first_bit {
-                // Tail may still be arriving: remember for abort
-                // propagation.
-                self.cutting.insert(inf, (out, tx.out_frame));
-            }
-        }
-    }
-
-    fn on_preempt_abort(&mut self, aborted_in: Option<FrameId>) {
-        if let Some(inf) = aborted_in {
-            self.cutting.remove(&inf);
-        }
     }
 }
 
 impl ViperRouter {
-    pub(super) fn finish_forward(&mut self, ctx: &mut Context<'_>, work: Work, out_ports: Vec<u8>) {
+    pub(super) fn finish_forward(
+        &mut self,
+        ctx: &mut Context<'_>,
+        work: Work,
+        out_ports: OutPorts,
+    ) {
         let Work {
             mut packet,
             seg,
@@ -139,6 +129,7 @@ impl ViperRouter {
             }
         }
 
+        let out_ports = out_ports.as_slice();
         let copies = out_ports.len();
         for (i, &out) in out_ports.iter().enumerate() {
             // Fan-out shares the store: every copy but the last is an
@@ -156,7 +147,7 @@ impl ViperRouter {
                 arrival_port,
                 in_tail,
                 first_bit,
-                if copies == 1 { in_frame } else { None },
+                in_frame,
                 flight_key,
             );
         }
@@ -286,14 +277,13 @@ impl ViperRouter {
             let ViperRouter {
                 ports,
                 limits,
-                cutting,
                 stats,
                 ..
             } = self;
             let Some(op) = ports.get_mut(&out) else {
                 return;
             };
-            let mut hooks = ViperHooks { limits, cutting };
+            let mut hooks = ViperHooks { limits };
             op.sched.try_service(ctx, &mut hooks, &mut stats.pipeline)
         };
         if let Some(at) = timer {
@@ -301,56 +291,48 @@ impl ViperRouter {
         }
     }
 
+    /// The armed completion of a port's transmission: a frame waits
+    /// behind it, so serve the port.
     pub(super) fn on_tx_done(&mut self, ctx: &mut Context<'_>, port: u8, frame: FrameId) {
-        let Some(op) = self.ports.get_mut(&port) else {
-            return;
-        };
-        // A `Some` means the completed frame was the port's current
-        // transmission (control frames and stale completions return
-        // `None`); its cut-through origin can be forgotten now.
-        if let Some(in_frame) = op.sched.on_tx_done(frame) {
-            if let Some(inf) = in_frame {
-                self.cutting.remove(&inf);
-            }
+        if self
+            .ports
+            .get_mut(&port)
+            .is_some_and(|op| op.sched.on_tx_done(frame))
+        {
             self.service_port(ctx, port);
         }
     }
 
     /// The engine killed one of our own transmissions (link-down, chaos
-    /// layer). Release the current slot and any cut-through bookkeeping
-    /// pointing at the killed frame — without counting a drop; the
+    /// layer). Release the current slot — without counting a drop; the
     /// engine already accounted the loss.
     pub(super) fn on_tx_aborted(&mut self, ctx: &mut Context<'_>, port: u8, frame: FrameId) {
-        let cleared = self
+        if self
             .ports
             .get_mut(&port)
-            .map(|op| op.sched.on_tx_aborted(frame))
-            .unwrap_or(false);
-        if cleared {
-            self.cutting
-                .retain(|_, &mut (_, out_frame)| out_frame != frame);
+            .is_some_and(|op| op.sched.on_tx_aborted(frame))
+        {
             self.service_port(ctx, port);
         }
     }
 
     pub(super) fn on_frame_aborted(&mut self, ctx: &mut Context<'_>, in_frame: FrameId) {
         // The upstream sender aborted a frame we may be cutting through:
-        // abort our own onward transmission and drop queued copies.
-        if let Some((out, out_frame)) = self.cutting.remove(&in_frame) {
+        // drop every queued copy of it, then abort every copy on the wire.
+        for op in self.ports.values_mut() {
+            op.sched.purge_in_frame(in_frame);
+        }
+        let outs: Vec<u8> = self.ports.keys().copied().collect();
+        for out in outs {
             let aborted = {
                 let ViperRouter { ports, stats, .. } = self;
                 ports
                     .get_mut(&out)
-                    .map(|op| op.sched.abort_current(ctx, out_frame, &mut stats.pipeline))
-                    .unwrap_or(false)
+                    .is_some_and(|op| op.sched.abort_in_frame(ctx, in_frame, &mut stats.pipeline))
             };
             if aborted {
                 self.service_port(ctx, out);
             }
-        }
-        // Also purge any queued packet that came from this frame.
-        for op in self.ports.values_mut() {
-            op.sched.purge_in_frame(in_frame);
         }
         // And any held arrival still waiting on its decision instant:
         // its tail will never arrive, so it must not be processed. No

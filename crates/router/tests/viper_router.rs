@@ -882,3 +882,157 @@ fn cut_through_never_outruns_the_arriving_tail() {
     let view = PacketView::parse(&packet).unwrap();
     assert!(view.data(&packet).iter().all(|&x| x == 0xCA));
 }
+
+// ---------- one event per hop -----------------------------------------
+
+#[test]
+fn an_upstream_abort_reaches_every_copy_of_a_fanned_out_packet() {
+    // A — R1 — R2 ⇒ {B, C}. R2 fans a long low-priority packet out to
+    // B and C, cutting through; a priority-7 packet then preempts it on
+    // R1 → R2 mid-flight. R2 must abort both copies on the wire: the
+    // packet was charged as dropped at R1, so no copy may arrive.
+    for binding in [
+        PortBinding::MulticastSet(vec![2, 3]),
+        PortBinding::Broadcast,
+    ] {
+        let mut sim = Simulator::new(25);
+        let a = sim.add_node(Box::new(ScriptedHost::new()));
+        let b = sim.add_node(Box::new(ScriptedHost::new()));
+        let c = sim.add_node(Box::new(ScriptedHost::new()));
+        let r1 = sim.add_node(Box::new(ViperRouter::new(ViperConfig::basic(1, &[1, 2]))));
+        let mut cfg2 = ViperConfig::basic(2, &[1, 2, 3]);
+        cfg2.logical.bind(200, binding);
+        let r2 = sim.add_node(Box::new(ViperRouter::new(cfg2)));
+        sim.p2p(a, 0, r1, 1, MBPS_10, PROP);
+        sim.p2p(r1, 2, r2, 1, MBPS_10, PROP);
+        sim.p2p(r2, 2, b, 0, MBPS_10, PROP);
+        sim.p2p(r2, 3, c, 0, MBPS_10, PROP);
+
+        let low = PacketBuilder::new()
+            .segment(seg(2))
+            .segment(seg(200))
+            .segment(local())
+            .payload(vec![0x01; 1200])
+            .build()
+            .unwrap();
+        let urgent = PacketBuilder::new()
+            .segment(SegmentRepr {
+                port: 2,
+                priority: Priority::new(7),
+                ..Default::default()
+            })
+            .segment(seg(2))
+            .segment(local())
+            .payload(vec![0x07; 100])
+            .build()
+            .unwrap();
+        {
+            let h = sim.node_mut::<ScriptedHost>(a);
+            h.plan(SimTime::ZERO, 0, sirpent_frame(low));
+            // R1 → R2 takes ~970 µs for `low`; this lands mid-way.
+            h.plan(SimTime(300_000), 0, sirpent_frame(urgent));
+        }
+        ScriptedHost::start(&mut sim, a);
+        sim.run_until(SimTime(10_000_000));
+
+        let payloads = |n: NodeId| -> Vec<u8> {
+            sim.node::<ScriptedHost>(n)
+                .received_p2p()
+                .iter()
+                .filter_map(|(_, f)| {
+                    let LinkFrame::Sirpent { packet, .. } = f else {
+                        return None;
+                    };
+                    PacketView::parse(packet).ok().map(|v| v.data(packet)[0])
+                })
+                .collect()
+        };
+        assert_eq!(payloads(b), vec![0x07], "only the urgent packet reaches B");
+        assert!(payloads(c).is_empty(), "no copy reaches C");
+        for n in [b, c] {
+            assert_eq!(
+                sim.node::<ScriptedHost>(n).aborted,
+                1,
+                "its copy was retracted"
+            );
+        }
+        // Every copy a router started is accounted once: delivered whole
+        // downstream, or preempted there.
+        let (s1, s2) = (
+            &sim.node::<ViperRouter>(r1).stats,
+            &sim.node::<ViperRouter>(r2).stats,
+        );
+        assert_eq!(s1.drops.get(DropReason::Preempted), 1, "charged at R1");
+        assert_eq!(
+            s1.forwarded,
+            1 + 1,
+            "R1 started `low` and the urgent packet"
+        );
+        assert_eq!(
+            s2.drops.get(DropReason::Preempted),
+            2,
+            "both copies aborted"
+        );
+        assert_eq!(
+            s2.forwarded,
+            2 + 1,
+            "R2 started two copies and the urgent packet"
+        );
+        assert_eq!(s2.forwarded, payloads(b).len() as u64 + 2);
+        assert_eq!(s2.total_drops(), 2);
+    }
+}
+
+#[test]
+fn a_quiet_chain_makes_every_decision_in_the_frames_own_event() {
+    use sirpent_sim::{ChaosAction, ChaosEvent, FaultSchedule};
+    use sirpent_telemetry::names;
+
+    // A — R1 — R2 — B, one packet every 2 ms, on links longer than a
+    // router's decision delay (5.3 µs at 10 Mb/s: two bytes of link
+    // header, four of segment, then 500 ns). Alone on their links, the
+    // routers decide every hop as its frame arrives. A chaos action due
+    // inside R1's first decision window (first bit at 20 µs) sends that
+    // one decision back to a timer.
+    const LONG: SimDuration = SimDuration(20_000);
+    let run = |chaos: bool| {
+        let mut sim = Simulator::new(26);
+        let a = sim.add_node(Box::new(ScriptedHost::new()));
+        let b = sim.add_node(Box::new(ScriptedHost::new()));
+        let r1 = sim.add_node(Box::new(ViperRouter::new(ViperConfig::basic(1, &[1, 2]))));
+        let r2 = sim.add_node(Box::new(ViperRouter::new(ViperConfig::basic(2, &[1, 2]))));
+        sim.p2p(a, 0, r1, 1, MBPS_10, LONG);
+        sim.p2p(r1, 2, r2, 1, MBPS_10, LONG);
+        sim.p2p(r2, 2, b, 0, MBPS_10, LONG);
+        for i in 0..5u64 {
+            let pkt = PacketBuilder::new()
+                .segment(seg(2))
+                .segment(seg(2))
+                .segment(local())
+                .payload(vec![i as u8; 64])
+                .build()
+                .unwrap();
+            sim.node_mut::<ScriptedHost>(a)
+                .plan(SimTime(i * 2_000_000), 0, sirpent_frame(pkt));
+        }
+        if chaos {
+            let action = ChaosEvent {
+                at: SimTime(22_000),
+                action: ChaosAction::PartitionEnd,
+            };
+            sim.install_schedule(FaultSchedule::new(vec![action]).unwrap());
+        }
+        ScriptedHost::start(&mut sim, a);
+        sim.run_until(SimTime(20_000_000));
+        let reg = sim.scrape_telemetry().unwrap();
+        (
+            reg.counter(names::ROUTER_DECISIONS_DEFERRED_TOTAL),
+            reg.counter(names::SIM_COMPLETIONS_ARMED_TOTAL),
+            sim.node::<ScriptedHost>(b).received.len(),
+            sim.node::<ViperRouter>(r1).stats.decisions_deferred,
+        )
+    };
+    // The host arms each of its five sends; no router frame ever waits.
+    assert_eq!(run(false), (0, 5, 5, 0), "quiet chain");
+    assert_eq!(run(true), (1, 5, 5, 1), "chaos inside R1's first window");
+}

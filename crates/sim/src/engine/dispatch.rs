@@ -5,10 +5,11 @@ use std::collections::VecDeque;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sirpent_telemetry::FlightRecorder;
+use sirpent_telemetry::{Counter, FlightRecorder};
 
 use super::channel::Channel;
 use super::ledger::FrameLedger;
+use super::quiet::{Ahead, Held, NodeBook};
 use super::{ChannelId, Context, Event, FrameId, NodeId, Simulator};
 use crate::chaos::{ChaosAction, ChaosEvent};
 use crate::queue::{CalendarQueue, EventQueue, HeapQueue, Keyed, QueueKind};
@@ -108,16 +109,30 @@ pub(crate) enum OutMsg {
     },
 }
 
+/// Something keyed that a shard split or merge hands to another core,
+/// in `(time, seq)` order, to take a fresh sequence number there.
+pub(crate) enum Pending {
+    /// A queued event.
+    Event(Scheduled),
+    /// The reserved key of a completion nobody armed: it takes a number
+    /// but queues nothing.
+    Completion(ChannelId, FrameId),
+}
+
 /// Everything in the simulator except the node objects themselves — this
 /// split lets a node borrow the core mutably (through [`Context`]) while
 /// it is itself borrowed for dispatch.
 pub(crate) struct Core {
     pub(crate) now: SimTime,
+    /// Sequence number of the event being dispatched: with `now`, the key
+    /// a transmission's completion is compared against.
+    pub(crate) cur_seq: u64,
     /// Scheduling sequence: strictly monotone for the whole run. Chaos
     /// restarts and purges never rewind it — `node_epoch` fences stale
     /// timers by remembering the sequence watermark instead — so a
     /// `(time, seq)` key is never reused and tie-breaks stay
-    /// deterministic across crash/restart cycles.
+    /// deterministic across crash/restart cycles. Starts at 1, so a fresh
+    /// core's `cur_seq` of 0 precedes every key it hands out.
     seq: u64,
     pub(crate) frame_seq: u64,
     queue: EngineQueue,
@@ -141,6 +156,25 @@ pub(crate) struct Core {
     /// number are stale soft state from before the last crash and are
     /// swallowed.
     node_epoch: Vec<u64>,
+    /// Per-node index of queued instants and quiet-test inputs (indexed
+    /// by `NodeId`).
+    pub(crate) books: Vec<NodeBook>,
+    /// Decisions made ahead, waiting for the run to reach their keys,
+    /// in key order.
+    pub(super) ahead: VecDeque<Ahead>,
+    /// The decision being made ahead right now: every push is held in it.
+    pub(super) holding: Option<Ahead>,
+    /// Emptied held-event lists, for reuse.
+    pub(super) spare: Vec<Vec<Held>>,
+    /// The latest instant a decision may be made ahead for: the running
+    /// `run_until` deadline or the last instant of a shard window. `None`
+    /// outside those loops, so a run stopped by an event budget never
+    /// leaves a decision made ahead of its instant behind.
+    pub(super) horizon: Option<SimTime>,
+    /// Whether the dispatch in progress is a batch of several events.
+    pub(super) batched: bool,
+    /// Completions a sender armed.
+    pub(crate) armed: Counter,
     /// Active partition window: per-node side flag (`true` = side A).
     pub(super) partition: Option<Vec<bool>>,
     /// The per-packet flight recorder; `None` (the default) records
@@ -167,7 +201,8 @@ impl Core {
     pub(crate) fn new(seed: u64, kind: QueueKind) -> Core {
         Core {
             now: SimTime::ZERO,
-            seq: 0,
+            cur_seq: 0,
+            seq: 1,
             frame_seq: 0,
             queue: EngineQueue::new(kind),
             channels: Vec::new(),
@@ -179,6 +214,13 @@ impl Core {
             ledger: FrameLedger::default(),
             down: Vec::new(),
             node_epoch: Vec::new(),
+            books: Vec::new(),
+            ahead: VecDeque::new(),
+            holding: None,
+            spare: Vec::new(),
+            horizon: None,
+            batched: false,
+            armed: Counter::new(),
             partition: None,
             flight: None,
             seed,
@@ -189,17 +231,19 @@ impl Core {
     }
 
     /// A core that sees the same world as `self` and has run nothing. The
-    /// clock, crash flags, partition sides, port map and channel geometry
-    /// are copied — channels as tap-less shells, so ids stay aligned but
-    /// nothing can transmit into them. Queue, sequence and epoch space,
-    /// RNG stream (on `seed`), ledger and counters start fresh. A shard
-    /// is a replica plus what it owns; a merged simulator is a replica of
-    /// shard 0 plus what every shard hands back.
+    /// clock, crash flags, partition sides, port map, channel geometry
+    /// and what each node hears on are copied — channels as tap-less
+    /// shells, so ids stay aligned but nothing can transmit into them.
+    /// Queue, sequence and epoch space, RNG stream (on `seed`), ledger
+    /// and counters start fresh. A shard is a replica plus what it owns;
+    /// a merged simulator is a replica of shard 0 plus what every shard
+    /// hands back.
     pub(crate) fn replica(&self, seed: u64) -> Core {
         let mut c = Core::new(seed, self.queue_kind);
         c.now = self.now;
         c.down = self.down.clone();
         c.node_epoch = vec![0; self.node_epoch.len()];
+        c.books = self.books.iter().map(NodeBook::emptied).collect();
         c.partition = self.partition.clone();
         c.tx_map = self.tx_map.clone();
         c.channels = self
@@ -214,6 +258,7 @@ impl Core {
     pub(super) fn add_node(&mut self) {
         self.down.push(false);
         self.node_epoch.push(0);
+        self.books.push(NodeBook::new());
         if !self.remote.is_empty() {
             self.remote.push(false);
         }
@@ -225,8 +270,39 @@ impl Core {
         self.remote.get(node.0).copied().unwrap_or(false)
     }
 
+    /// The next scheduling sequence number.
+    #[inline]
+    pub(super) fn next_seq(&mut self) -> u64 {
+        let seq = self.seq;
+        self.seq += 1;
+        // Sequence-reuse audit: the counter must never wrap within a run
+        // (a reused `(time, seq)` key would silently break tie-break
+        // determinism — and the calendar queue's drain contract).
+        debug_assert!(self.seq != 0, "scheduling sequence wrapped");
+        seq
+    }
+
+    /// Schedule `event` for `target` at `time`: queued under the next
+    /// sequence number, sent to the owning shard, or — while a decision
+    /// is made ahead — held until the run reaches its key.
     pub(crate) fn push(&mut self, time: SimTime, target: NodeId, event: Event) {
         debug_assert!(time >= self.now, "cannot schedule into the past");
+        if !self.is_remote(target) {
+            self.note(target, time);
+        }
+        match self.holding.as_mut() {
+            Some(ahead) => ahead.held.push(Held::Event {
+                time,
+                target,
+                event,
+            }),
+            None => self.enqueue(time, target, event),
+        }
+    }
+
+    /// Queue an event the target's book already counts (or send it to
+    /// the target's shard), under the next sequence number.
+    pub(super) fn enqueue(&mut self, time: SimTime, target: NodeId, event: Event) {
         if self.is_remote(target) {
             self.outbox.push(OutMsg::Deliver {
                 time,
@@ -235,18 +311,27 @@ impl Core {
             });
             return;
         }
-        let seq = self.seq;
-        self.seq += 1;
-        // Sequence-reuse audit: the counter must never wrap within a run
-        // (a reused `(time, seq)` key would silently break tie-break
-        // determinism — and the calendar queue's drain contract).
-        debug_assert!(self.seq != 0, "scheduling sequence wrapped");
+        let seq = self.next_seq();
+        self.queue_keyed(time, seq, target, event);
+    }
+
+    /// Queue an event under a key already allocated.
+    #[inline]
+    pub(super) fn queue_keyed(&mut self, time: SimTime, seq: u64, target: NodeId, event: Event) {
         self.queue.push(Scheduled {
             time,
             seq,
             target,
             event,
         });
+    }
+
+    /// Count an event queued or held for `node` in its book.
+    #[inline]
+    pub(super) fn note(&mut self, node: NodeId, time: SimTime) {
+        if let Some(book) = self.books.get_mut(node.0) {
+            book.note(time.as_nanos());
+        }
     }
 
     /// The channel `(node, port)` transmits into, if attached.
@@ -268,7 +353,9 @@ impl Core {
         if self.tx_map.len() <= node.0 {
             self.tx_map.resize_with(node.0 + 1, Vec::new);
         }
-        self.tx_map[node.0].push((port, ch));
+        if let Some(ports) = self.tx_map.get_mut(node.0) {
+            ports.push((port, ch));
+        }
         true
     }
 
@@ -280,35 +367,139 @@ impl Core {
             && sched.seq < self.node_epoch.get(sched.target.0).copied().unwrap_or(0)
     }
 
-    /// Pop every pending event in `(time, seq)` order, dropping stale
-    /// timers now: whoever drains a queue re-pushes into a fresh sequence
-    /// space, where this core's restart epochs mean nothing.
-    pub(crate) fn drain_pending(&mut self) -> impl Iterator<Item = Scheduled> + '_ {
-        std::iter::from_fn(move || loop {
-            let sched = self.queue.pop()?;
-            if !self.stale_timer(&sched) {
-                return Some(sched);
+    /// Take everything keyed out of this core, in `(time, seq)` order:
+    /// the queue — less stale timers, which a fresh sequence space could
+    /// not fence — and the reserved keys of completions nobody armed.
+    /// Whoever drains re-sequences into another core with
+    /// [`Core::requeue`]. Split and merge drain between runs, when no
+    /// decision made ahead is waiting (every run loop reaches the keys it
+    /// reserved before it returns).
+    pub(crate) fn drain_pending(&mut self) -> Vec<Pending> {
+        debug_assert!(
+            self.ahead.is_empty() && self.holding.is_none(),
+            "drained with a decision made ahead still waiting"
+        );
+        let mut reserved = self.unarmed_completions();
+        reserved.sort_unstable_by_key(|&(key, ..)| key);
+        let mut reserved = reserved.into_iter().peekable();
+        let mut out = Vec::new();
+        while let Some(sched) = self.queue.pop() {
+            let key = sched.key();
+            while let Some((_, ch, frame)) = reserved.next_if(|&(k, ..)| k < key) {
+                out.push(Pending::Completion(ch, frame));
             }
-        })
+            if !self.stale_timer(&sched) {
+                out.push(Pending::Event(sched));
+            }
+        }
+        out.extend(reserved.map(|(_, ch, frame)| Pending::Completion(ch, frame)));
+        out
+    }
+
+    /// Re-sequence one drained item into this core. A queued `TxDone`'s
+    /// record takes the new number too, so the completion still reads
+    /// as not yet passed until the `TxDone` itself is dispatched.
+    pub(crate) fn requeue(&mut self, item: Pending) {
+        match item {
+            Pending::Event(Scheduled {
+                time,
+                target,
+                event: Event::TxDone { port, frame },
+                ..
+            }) => {
+                let seq = self.next_seq();
+                // The `TxDone` is already in hand; only the record's key
+                // moves (a killed record's stale `TxDone` has none).
+                if let Some(ch) = self.tx_lookup(target, port) {
+                    let _ = self.number_completion(ch, frame, seq);
+                }
+                self.note(target, time);
+                self.queue_keyed(time, seq, target, Event::TxDone { port, frame });
+            }
+            Pending::Event(sched) => self.push(sched.time, sched.target, sched.event),
+            Pending::Completion(ch, frame) => {
+                let seq = self.next_seq();
+                let _ = self.number_completion(ch, frame, seq);
+            }
+        }
+    }
+
+    /// Recount every node's noisy transmit channels from the channels
+    /// themselves (after a split or merge moved them between cores).
+    pub(crate) fn recount_noise(&mut self) {
+        for book in &mut self.books {
+            book.noisy = 0;
+        }
+        for ch in &self.channels {
+            if !ch.noisy {
+                continue;
+            }
+            for sender in &ch.senders {
+                if let Some(book) = self.books.get_mut(sender.0) {
+                    book.noisy += 1;
+                }
+            }
+        }
     }
 }
 
+/// What the run does next.
+enum Next {
+    /// Apply the front chaos action.
+    Chaos,
+    /// Release the earliest decision made ahead.
+    Release,
+    /// Dispatch the queue's head.
+    Dispatch,
+}
+
 impl Simulator {
-    /// Apply the front chaos event if it is due before (or at the same
-    /// instant as) the next node event. Returns whether one was applied.
-    fn step_chaos(&mut self) -> bool {
-        let Some(at) = self.core.chaos.front().map(|ce| ce.at.as_nanos()) else {
-            return false;
+    /// What is due next, and its instant (ns): the one statement of "what
+    /// is due next" behind the run loops and the parallel runner's window
+    /// placement. A chaos action comes before node events and reserved
+    /// keys at its instant; a reserved key and the queue's head go in key
+    /// order.
+    #[inline]
+    fn next(&mut self) -> Option<(u64, Next)> {
+        let queue = self.core.queue.min_key();
+        let ahead = self.core.next_ahead();
+        let (key, next) = match (queue, ahead) {
+            (Some(q), Some(a)) if a < q => (Some(a), Next::Release),
+            (None, Some(a)) => (Some(a), Next::Release),
+            (q, _) => (q, Next::Dispatch),
         };
-        if self.core.queue.min_key().is_some_and(|k| k.0 < at) {
-            return false;
+        let chaos = self.core.chaos.front().map(|ce| ce.at.as_nanos());
+        match (chaos, key) {
+            (Some(at), k) if k.is_none_or(|k| at <= k.0) => Some((at, Next::Chaos)),
+            (_, k) => k.map(|k| (k.0, next)),
         }
-        let Some(ce) = self.core.chaos.pop_front() else {
-            return false;
-        };
-        self.core.now = self.core.now.max(ce.at);
-        self.apply_chaos(ce.action);
-        true
+    }
+
+    /// Do the next thing if it is due at or before `last` (ns). Returns
+    /// `false` when nothing is.
+    fn advance(&mut self, last: u64) -> bool {
+        match self
+            .next()
+            .filter(|&(at, _)| at <= last)
+            .map(|(_, next)| next)
+        {
+            None => false,
+            Some(Next::Chaos) => {
+                if let Some(ce) = self.core.chaos.pop_front() {
+                    self.core.now = self.core.now.max(ce.at);
+                    self.apply_chaos(ce.action);
+                }
+                true
+            }
+            Some(Next::Release) => {
+                self.core.release_next();
+                true
+            }
+            Some(Next::Dispatch) => {
+                self.dispatch();
+                true
+            }
+        }
     }
 
     /// Apply one chaos action at the current instant.
@@ -317,27 +508,26 @@ impl Simulator {
         self.core
             .ledger
             .count(&action, |n| nodes.get(n.0).is_some_and(Option::is_some));
+        let core = &mut self.core;
+        let now = core.now;
         match action {
             ChaosAction::LinkDown { ch } => {
-                self.core.channels[ch.0].up = false;
-                self.core.chaos_kill(ch, DropReason::LinkDown, None);
+                core.set_link(ch, |c| c.up = false);
+                core.chaos_kill(ch, DropReason::LinkDown, None);
             }
-            ChaosAction::LinkUp { ch } => {
-                let now = self.core.now;
-                let c = &mut self.core.channels[ch.0];
+            ChaosAction::LinkUp { ch } => core.set_link(ch, |c| {
                 c.up = true;
                 c.free_at = c.free_at.max(now);
-            }
+            }),
             ChaosAction::RouterCrash { node } => {
-                if let Some(d) = self.core.down.get_mut(node.0) {
+                if let Some(d) = core.down.get_mut(node.0) {
                     *d = true;
                 }
                 // The node's own transmissions die with it, wherever
                 // they are on the wire — which can only be a channel it
                 // transmits into. Ascending channel order is the order a
                 // sweep of every channel kills in.
-                let mut own: Vec<ChannelId> = self
-                    .core
+                let mut own: Vec<ChannelId> = core
                     .tx_map
                     .get(node.0)
                     .map(|ports| ports.iter().map(|&(_, ch)| ch).collect())
@@ -345,16 +535,16 @@ impl Simulator {
                 own.sort_unstable_by_key(|ch| ch.0);
                 own.dedup();
                 for ch in own {
-                    self.core.chaos_kill(ch, DropReason::RouterDown, Some(node));
+                    core.chaos_kill(ch, DropReason::RouterDown, Some(node));
                 }
             }
             ChaosAction::RouterRestart { node } => {
-                if let Some(d) = self.core.down.get_mut(node.0) {
+                if let Some(d) = core.down.get_mut(node.0) {
                     *d = false;
                 }
                 // Timers set before the crash are stale soft state.
-                if let Some(e) = self.core.node_epoch.get_mut(node.0) {
-                    *e = self.core.seq;
+                if let Some(e) = core.node_epoch.get_mut(node.0) {
+                    *e = core.seq;
                 }
                 if let Some(n) = self.nodes.get_mut(node.0).and_then(|n| n.as_mut()) {
                     n.on_restart();
@@ -367,23 +557,22 @@ impl Simulator {
                         *s = true;
                     }
                 }
-                self.core.partition = Some(sides);
+                core.partition = Some(sides);
             }
-            ChaosAction::PartitionEnd => self.core.partition = None,
-            ChaosAction::DuplicateStart { ch, prob } => self.core.channels[ch.0].dup_prob = prob,
-            ChaosAction::DuplicateEnd { ch } => self.core.channels[ch.0].dup_prob = 0.0,
+            ChaosAction::PartitionEnd => core.partition = None,
+            ChaosAction::DuplicateStart { ch, prob } => core.set_link(ch, |c| c.dup_prob = prob),
+            ChaosAction::DuplicateEnd { ch } => core.set_link(ch, |c| c.dup_prob = 0.0),
             ChaosAction::JitterStart { ch, max_extra } => {
-                self.core.channels[ch.0].jitter_max = max_extra;
+                core.set_link(ch, |c| c.jitter_max = max_extra);
             }
             ChaosAction::JitterEnd { ch } => {
-                self.core.channels[ch.0].jitter_max = SimDuration::ZERO;
+                core.set_link(ch, |c| c.jitter_max = SimDuration::ZERO);
             }
-            ChaosAction::ErrorBurstStart { ch, prob, max_run } => {
-                let c = &mut self.core.channels[ch.0];
+            ChaosAction::ErrorBurstStart { ch, prob, max_run } => core.set_link(ch, |c| {
                 c.burst_prob = prob;
                 c.burst_run = max_run;
-            }
-            ChaosAction::ErrorBurstEnd { ch } => self.core.channels[ch.0].burst_prob = 0.0,
+            }),
+            ChaosAction::ErrorBurstEnd { ch } => core.set_link(ch, |c| c.burst_prob = 0.0),
         }
     }
 
@@ -395,36 +584,54 @@ impl Simulator {
     fn admit(core: &mut Core, sched: &Scheduled) -> bool {
         let down = core.down.get(sched.target.0).copied().unwrap_or(false);
         match &sched.event {
-            Event::TxDone { port, .. } => core.retire_tx(sched.target, *port, sched.time) && !down,
+            Event::TxDone { port, frame } => core.retire_tx(sched.target, *port, *frame) && !down,
             Event::Frame(fe) => core.ledger.admit(fe.frame.id, down),
             Event::Timer { .. } => !down && !core.stale_timer(sched),
             Event::FrameAborted { .. } | Event::TxAborted { .. } => !down,
         }
     }
 
+    /// Pop the queue's next event, taking it out of its node's book.
+    #[inline]
+    fn pop_next(&mut self) -> Option<Scheduled> {
+        let sched = self.core.queue.pop()?;
+        if let Some(book) = self.core.books.get_mut(sched.target.0) {
+            book.unnote(sched.time.as_nanos());
+        }
+        Some(sched)
+    }
+
     /// Dispatch the next event — along with any same-instant events for
     /// the same node, batched through [`Node::on_events`](super::Node::on_events)
-    /// — or apply the next due chaos action. Returns `false` when both
-    /// queues are empty.
+    /// — apply the next due chaos action, or release the events of a
+    /// decision made ahead whose reserved key comes first. Returns
+    /// `false` when nothing is left to do.
     ///
-    /// Batching is dispatch-order preserving: the gathered run is
-    /// exactly the consecutive `(time, seq)` prefix addressed to one
-    /// node, every chaos filter is applied per event, and
-    /// `events_dispatched` counts each event individually — so digests
-    /// and traces are byte-identical to one-at-a-time dispatch. `TxDone`
-    /// never joins or extends a batch: its in-flight retirement (done
-    /// here, engine-side) must stay exactly interleaved with any abort
-    /// decisions the node makes in between.
+    /// Batching is dispatch-order preserving: the gathered run is the
+    /// events scheduled one right after another (consecutive sequence
+    /// numbers) for one node at one instant, so no other key — another
+    /// node's event, a reserved decision key, a transmission's
+    /// completion — falls between them; every chaos filter is applied
+    /// per event, and `events_dispatched` counts each event individually
+    /// — so digests and traces are byte-identical to one-at-a-time
+    /// dispatch. An armed `TxDone` never joins or extends a batch: its
+    /// in-flight retirement (done here, engine-side) must stay exactly
+    /// interleaved with any abort decisions the node makes in between.
+    /// An unarmed completion is no event at all.
     pub fn step(&mut self) -> bool {
-        if self.step_chaos() {
-            return true;
-        }
-        let Some(sched) = self.core.queue.pop() else {
-            return false;
+        self.advance(u64::MAX)
+    }
+
+    /// Dispatch the queue's head event, with the rest of its batch (see
+    /// [`Simulator::step`]).
+    fn dispatch(&mut self) {
+        let Some(sched) = self.pop_next() else {
+            return;
         };
         self.core.now = sched.time;
+        self.core.cur_seq = sched.seq;
         if !Self::admit(&mut self.core, &sched) {
-            return true;
+            return;
         }
         self.core.events_dispatched += 1;
         let target = sched.target;
@@ -433,30 +640,40 @@ impl Simulator {
         let mut batch = std::mem::take(&mut self.batch);
         batch.clear();
         batch.push(sched.event);
+        let (mut popped, mut last) = (sched.seq, sched.seq);
         if !solo {
             // Gather the same-instant run for this node. Chaos cannot
             // fire mid-run (every action due at `now` was applied before
             // the first pop), so the filters in `admit` see the same
             // state each event would have seen dispatched one at a time.
             while let Some(next) = self.core.queue.peek() {
-                if next.time != now
+                if next.seq != popped + 1
+                    || next.time != now
                     || next.target != target
                     || matches!(next.event, Event::TxDone { .. })
                 {
                     break;
                 }
-                let Some(next) = self.core.queue.pop() else {
+                let Some(next) = self.pop_next() else {
                     break;
                 };
+                popped = next.seq;
                 if Self::admit(&mut self.core, &next) {
                     self.core.events_dispatched += 1;
+                    last = next.seq;
                     batch.push(next.event);
                 }
             }
         }
-        let mut node = self.nodes[target.0]
-            .take()
-            .expect("node re-entrancy is impossible in a sequential engine");
+        if let Some(book) = self.core.books.get_mut(target.0) {
+            book.last = last;
+        }
+        let Some(mut node) = self.nodes.get_mut(target.0).and_then(Option::take) else {
+            debug_assert!(false, "event for {target:?}, which is absent or re-entered");
+            self.batch = batch;
+            return;
+        };
+        self.core.batched = batch.len() > 1;
         {
             let mut ctx = Context {
                 core: &mut self.core,
@@ -470,13 +687,17 @@ impl Simulator {
                 node.on_events(&mut ctx, &mut batch);
             }
         }
-        self.nodes[target.0] = Some(node);
+        if let Some(slot) = self.nodes.get_mut(target.0) {
+            *slot = Some(node);
+        }
+        self.core.batched = false;
         batch.clear();
         self.batch = batch;
-        true
     }
 
     /// Run until the queue drains or `max_events` have been dispatched.
+    /// No decision is made ahead of its instant (there is no deadline
+    /// for one to stay within).
     pub fn run(&mut self, max_events: u64) {
         let limit = self.core.events_dispatched + max_events;
         while self.core.events_dispatched < limit && self.step() {}
@@ -485,9 +706,9 @@ impl Simulator {
     /// Run until simulated `deadline` (events at exactly `deadline` are
     /// processed; later ones stay queued).
     pub fn run_until(&mut self, deadline: SimTime) {
-        while self.next_event_ns().is_some_and(|t| t <= deadline.0) {
-            self.step();
-        }
+        self.core.horizon = Some(deadline);
+        while self.advance(deadline.0) {}
+        self.core.horizon = None;
         self.core.now = self.core.now.max(deadline);
     }
 
@@ -498,21 +719,20 @@ impl Simulator {
     /// arrivals landing at `end`, which the barrier exchange has not yet
     /// delivered).
     pub(crate) fn run_before(&mut self, end: SimTime) {
-        while self.next_event_ns().is_some_and(|t| t < end.0) {
-            self.step();
+        if let Some(last) = end.as_nanos().checked_sub(1) {
+            self.core.horizon = Some(SimTime(last));
+            while self.advance(last) {}
+            self.core.horizon = None;
         }
         self.core.now = self.core.now.max(end);
     }
 
-    /// The instant of the next pending work item — node event or chaos
-    /// action — in nanoseconds, if any: the one statement of "what is
-    /// due next" behind both run loops and the parallel runner's window
-    /// placement (each window starts at the global minimum of these).
-    #[inline]
+    /// The instant of the next pending work item — node event, chaos
+    /// action or reserved decision key — in nanoseconds, if any: where
+    /// the parallel runner places each window (at the global minimum of
+    /// these).
     pub(crate) fn next_event_ns(&mut self) -> Option<u64> {
-        let next_queue = self.core.queue.min_key().map(|k| k.0);
-        let next_chaos = self.core.chaos.front().map(|c| c.at.as_nanos());
-        [next_queue, next_chaos].into_iter().flatten().min()
+        self.next().map(|(at, _)| at)
     }
 
     /// Take this shard's accumulated cross-shard messages (empty for a

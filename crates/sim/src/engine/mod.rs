@@ -30,15 +30,36 @@
 //! Events are ordered by `(time, sequence)` where the sequence is the
 //! scheduling order; the only randomness flows from the seeded RNG, so a
 //! run is reproducible bit-for-bit from its seed.
-
+//!
+//! ## One event per hop
+//!
+//! Two primitives let a forwarding hop cost the one event its frame
+//! arrives in, without moving an instant or reordering two events:
+//!
+//! * **Completions on demand.** Starting a transmission takes the
+//!   `(end, seq)` key its [`Event::TxDone`] would have had, but queues
+//!   nothing. A sender that needs the completion — a frame waits behind
+//!   the transmission — arms it ([`Context::arm_completion`]) and gets the
+//!   `TxDone` under that key. Any other time it asks
+//!   [`Context::tx_finished`], which answers by the same `(time, seq)`
+//!   rule dispatch uses. An armed `TxDone` is delivered solo, never in a
+//!   batch: its record's retirement must interleave exactly with abort
+//!   decisions.
+//! * **Deciding ahead.** A node that would set a timer for a decision at
+//!   `d` may instead decide in the event it is handling
+//!   ([`Context::decide_at`]) when nothing can reach it before `d`
+//!   ([`Context::quiet_until`]). The timer's key is reserved and what the
+//!   decision schedules is held until the run reaches it, so every event
+//!   gets the sequence number the timer path would have given it.
 //!
 //! ## Layout
 //!
 //! This file holds the vocabulary — ids, events, the [`Node`] trait, the
 //! [`Context`] handed to a node — and the [`Simulator`]'s construction
 //! and inspection surface. `channel` is the wire model (what is in
-//! flight, aborts, kills), `ledger` decides which chaos-lost frames are
-//! charged (exactly once), and `dispatch` owns the event queue, the chaos
+//! flight, completions, aborts, kills), `ledger` decides which
+//! chaos-lost frames are charged (exactly once), `quiet` holds what
+//! deciding ahead needs, and `dispatch` owns the event queue, the chaos
 //! schedule's application and the run loops.
 
 use std::any::Any;
@@ -55,11 +76,12 @@ use crate::time::{transmission_time, SimDuration, SimTime};
 mod channel;
 mod dispatch;
 mod ledger;
+mod quiet;
 #[cfg(test)]
 mod tests;
 
 pub(crate) use channel::Channel;
-pub(crate) use dispatch::{Core, OutMsg};
+pub(crate) use dispatch::{Core, OutMsg, Pending};
 
 /// Identifies a node within a simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -127,8 +149,8 @@ pub enum Event {
         /// Bytes that made it onto the wire before the abort.
         bytes_received: usize,
     },
-    /// A transmission this node started on `port` has finished clocking
-    /// out.
+    /// A transmission this node started on `port` and armed
+    /// ([`Context::arm_completion`]) has finished clocking out.
     TxDone {
         /// The local transmitting port.
         port: u8,
@@ -162,7 +184,8 @@ pub struct TxInfo {
     /// When the first bit goes onto the wire (>= now; later if the
     /// channel was busy).
     pub start: SimTime,
-    /// When the last bit goes onto the wire.
+    /// When the last bit goes onto the wire (what
+    /// [`Context::tx_finished`] takes).
     pub end: SimTime,
 }
 
@@ -271,11 +294,15 @@ pub trait Node: Send + 'static {
     fn on_event(&mut self, ctx: &mut Context<'_>, ev: Event);
 
     /// Handle a batch of same-instant events addressed to this node, in
-    /// scheduling order. The engine gathers maximal runs of events with
-    /// the same `(time, target)` and delivers them through this entry
-    /// point, amortizing dispatch overhead; `TxDone` is always delivered
-    /// solo through [`Node::on_event`] (its transmit-retirement
-    /// bookkeeping must interleave exactly with abort decisions).
+    /// scheduling order. The engine gathers maximal runs of events
+    /// scheduled one right after another for the same `(time, target)`
+    /// — so no other event, reserved decision key or transmission
+    /// completion falls between them — and delivers them through this
+    /// entry point, amortizing dispatch overhead. An armed `TxDone` is
+    /// always delivered solo through [`Node::on_event`] (its
+    /// transmit-retirement bookkeeping must interleave exactly with abort
+    /// decisions). A node handling a batch of more than one event is
+    /// never [quiet](Context::quiet_until).
     ///
     /// The default drains the batch through [`Node::on_event`] one
     /// event at a time, so overriding is purely an optimization; an
@@ -356,6 +383,52 @@ impl Context<'_> {
         self.core.transmit_from(self.me, port, frame.into())
     }
 
+    /// Whether transmission `frame`, started on `port` with its last bit
+    /// clocking out at `end` ([`TxInfo::end`]), has finished as of this
+    /// dispatch: true exactly when its [`Event::TxDone`], had it been
+    /// armed, would already have been delivered. Aborted and killed
+    /// transmissions are the caller's to track (it aborted them, or got
+    /// [`Event::TxAborted`] before they could finish).
+    pub fn tx_finished(&self, port: u8, frame: FrameId, end: SimTime) -> bool {
+        self.core.tx_finished(self.me, port, frame, end)
+    }
+
+    /// Ask for [`Event::TxDone`] when transmission `frame` on `port`
+    /// finishes. Unarmed, a transmission finishes silently and costs no
+    /// event; armed, its `TxDone` is delivered exactly where it would
+    /// have been had every transmission announced its end. Arming twice,
+    /// or arming a finished, aborted or killed transmission, does
+    /// nothing.
+    pub fn arm_completion(&mut self, port: u8, frame: FrameId) {
+        self.core.arm(self.me, port, frame);
+    }
+
+    /// Whether this node may make a decision due at `at` now, in the
+    /// event it is handling ([`Context::decide_at`]): nothing can reach
+    /// it and nothing it reads can change before `at`. Refused while the
+    /// node has another event at or before `at` (or later in this
+    /// dispatch's batch), when a channel into it is shorter than the
+    /// lead, when a chaos action is due by `at`, when `at` is past the
+    /// running `run_until` deadline or shard window (and outside those
+    /// loops), when a channel it sends on has another sender, a fault
+    /// config or a chaos window, and while the flight recorder is on.
+    pub fn quiet_until(&self, at: SimTime) -> bool {
+        self.core.quiet_until(self.me, at)
+    }
+
+    /// Make a decision due at `at` now: `decide` runs with the clock
+    /// reading `at`, and what it schedules is held and numbered when the
+    /// run reaches the key a timer set now for `at` would have had — as
+    /// if `decide` had run from that timer. Only for a node
+    /// [quiet](Context::quiet_until) until `at`; `decide` must draw no
+    /// randomness.
+    pub fn decide_at<R>(&mut self, at: SimTime, decide: impl FnOnce(&mut Context<'_>) -> R) -> R {
+        let restore = self.core.begin_ahead(self.me, at);
+        let r = decide(self);
+        self.core.end_ahead(restore);
+        r
+    }
+
     /// When the channel behind `port` becomes idle (now or earlier means
     /// idle already).
     pub fn channel_free_at(&self, port: u8) -> Result<SimTime, SimError> {
@@ -413,6 +486,10 @@ impl Context<'_> {
 
     /// The seeded simulation RNG.
     pub fn rng(&mut self) -> &mut StdRng {
+        debug_assert!(
+            self.core.holding.is_none(),
+            "a decision made ahead must draw no randomness"
+        );
         &mut self.core.rng
     }
 
@@ -503,7 +580,8 @@ impl Simulator {
             self.core.tx_insert(node, port, ch),
             "port {port} of node {node:?} already attached"
         );
-        self.core.channels[ch.0].taps.push((node, port));
+        self.core.add_tap(ch, node, port);
+        self.core.add_sender(ch, node);
     }
 
     /// Convenience: a full-duplex point-to-point link as two simplex
@@ -522,9 +600,9 @@ impl Simulator {
         // Simplex: the sender is attached; the receiver is a bare tap
         // that never transmits.
         self.attach(ab, a, a_port);
-        self.core.channels[ab.0].taps.push((b, b_port));
+        self.core.add_tap(ab, b, b_port);
         self.attach(ba, b, b_port);
-        self.core.channels[ba.0].taps.push((a, a_port));
+        self.core.add_tap(ba, a, a_port);
         (ab, ba)
     }
 
@@ -538,7 +616,7 @@ impl Simulator {
         if let Err(e) = faults.validate() {
             panic!("set_faults on channel {}: {e}", ch.0);
         }
-        self.core.channels[ch.0].faults = faults;
+        self.core.set_link(ch, |c| c.faults = faults);
     }
 
     /// Install a chaos [`FaultSchedule`]. Events apply when simulated
@@ -589,6 +667,7 @@ impl Simulator {
         }
         let mut engine = Registry::new();
         self.core.ledger.publish(&mut engine)?;
+        engine.publish_counter(names::SIM_COMPLETIONS_ARMED_TOTAL, &self.core.armed)?;
         if let Some(fr) = &self.core.flight {
             engine.publish_counter(names::FLIGHT_EVENTS_RECORDED_TOTAL, &fr.recorded)?;
             engine.publish_counter(names::FLIGHT_EVENTS_EVICTED_TOTAL, &fr.evicted)?;

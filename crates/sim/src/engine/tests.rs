@@ -2,8 +2,9 @@
 //! and the chaos layer, driven through the public `Simulator` surface.
 
 use std::any::Any;
+use std::collections::VecDeque;
 
-use sirpent_telemetry::{HopEvent, HopKind};
+use sirpent_telemetry::{names, HopEvent, HopKind};
 use sirpent_wire::buf::FrameBuf;
 
 use super::*;
@@ -48,7 +49,8 @@ impl Node for Probe {
                     }
                 }
                 if let Some((port, bytes)) = self.send_on_timer.clone() {
-                    ctx.transmit(port, bytes).unwrap();
+                    let tx = ctx.transmit(port, bytes).unwrap();
+                    ctx.arm_completion(port, tx.frame);
                 }
             }
         }
@@ -661,8 +663,6 @@ fn empty_schedule_is_inert() {
 
 #[test]
 fn scrape_telemetry_counts_chaos_and_flight_events() {
-    use sirpent_telemetry::names;
-
     let mut sim = Simulator::new(31);
     let a = sim.add_node(Box::<Probe>::default());
     let b = sim.add_node(Box::<Probe>::default());
@@ -743,4 +743,495 @@ fn set_faults_rejects_nan() {
             corrupt_prob: 0.0,
         },
     );
+}
+
+// ----- completions on demand and deciding ahead ------------------------
+
+const GBPS: u64 = 1_000_000_000;
+
+/// Transmits 125 B (1 µs at 1 Gb/s) on timer 1, setting timer 10 for the
+/// frame's end just before the transmit and timer 11 just after. Arms
+/// the completion at once, or only on timer 2 when `arm_late`, or never
+/// when `arm_never`. Logs each timer with whether the transmission had
+/// finished by then, and the `TxDone`.
+#[derive(Default)]
+struct Tie {
+    arm_late: bool,
+    arm_never: bool,
+    tx: Option<TxInfo>,
+    log: Vec<(SimTime, &'static str, bool)>,
+}
+
+impl Tie {
+    fn finished(&self, ctx: &Context<'_>) -> bool {
+        self.tx
+            .is_some_and(|tx| ctx.tx_finished(0, tx.frame, tx.end))
+    }
+}
+
+impl Node for Tie {
+    fn on_event(&mut self, ctx: &mut Context<'_>, ev: Event) {
+        match ev {
+            Event::Timer { key: 1 } => {
+                ctx.schedule_at(ctx.now() + SimDuration(1_000), 10);
+                let tx = ctx.transmit(0, vec![0; 125]).unwrap();
+                ctx.schedule_at(tx.end, 11);
+                self.tx = Some(tx);
+                if !self.arm_late && !self.arm_never {
+                    ctx.arm_completion(0, tx.frame);
+                }
+            }
+            Event::Timer { key: 2 } => {
+                if let Some(tx) = self.tx.filter(|_| self.arm_late) {
+                    ctx.arm_completion(0, tx.frame);
+                }
+            }
+            Event::Timer { key: 10 } => self.log.push((ctx.now(), "timer 10", self.finished(ctx))),
+            Event::Timer { key: 11 } => self.log.push((ctx.now(), "timer 11", self.finished(ctx))),
+            Event::TxDone { .. } => self.log.push((ctx.now(), "done", self.finished(ctx))),
+            _ => {}
+        }
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+#[test]
+fn an_armed_completion_lands_where_an_unconditional_txdone_did() {
+    // The completion's key is taken when the transmission starts: after
+    // timer 10 was scheduled and before timer 11. Armed at once or half
+    // way through, its `TxDone` sits between them — where a `TxDone`
+    // scheduled with every transmission always sat — and, armed or not,
+    // the transmission reads as finished from that key on.
+    let run = |arm_late: bool, arm_never: bool| {
+        let mut sim = Simulator::new(40);
+        let a = sim.add_node(Box::new(Tie {
+            arm_late,
+            arm_never,
+            ..Tie::default()
+        }));
+        let b = sim.add_node(Box::<Probe>::default());
+        sim.p2p(a, 0, b, 0, GBPS, SimDuration(100));
+        sim.kick(SimTime::ZERO, a, 1);
+        sim.kick(SimTime(500), a, 2);
+        sim.run_until(SimTime(10_000));
+        let armed = sim
+            .scrape_telemetry()
+            .unwrap()
+            .counter(names::SIM_COMPLETIONS_ARMED_TOTAL);
+        (sim.node::<Tie>(a).log.clone(), armed)
+    };
+    let t = SimTime(1_000);
+    let want = vec![
+        (t, "timer 10", false),
+        (t, "done", true),
+        (t, "timer 11", true),
+    ];
+    assert_eq!(run(false, false), (want.clone(), 1), "armed at transmit");
+    assert_eq!(run(true, false), (want, 1), "armed half way through");
+    assert_eq!(
+        run(false, true),
+        (vec![(t, "timer 10", false), (t, "timer 11", true)], 0),
+        "never armed: the transmission finishes silently"
+    );
+}
+
+#[test]
+fn a_split_keeps_a_reserved_completion_key_between_its_neighbours() {
+    use crate::shard::ShardedSimulator;
+
+    // Split mid-transmission: the unarmed completion's key must take a
+    // fresh number in the same pass as the timers around it, or the
+    // shard would read the transmission as finished (or not) on the
+    // wrong side of them.
+    let build = || {
+        let mut sim = Simulator::new(45);
+        let a = sim.add_node(Box::new(Tie {
+            arm_never: true,
+            ..Tie::default()
+        }));
+        let b = sim.add_node(Box::<Probe>::default());
+        sim.p2p(a, 0, b, 0, GBPS, SimDuration(100));
+        sim.kick(SimTime::ZERO, a, 1);
+        sim.run_until(SimTime(500));
+        (sim, a)
+    };
+    let (mut serial, a) = build();
+    serial.run_until(SimTime(10_000));
+    let want = serial.node::<Tie>(a).log.clone();
+    let mut sharded = ShardedSimulator::split(build().0, 2);
+    assert_eq!(sharded.shards(), 2);
+    sharded.run_until(SimTime(10_000), 1);
+    assert_eq!(sharded.into_serial().node::<Tie>(a).log, want);
+}
+
+/// Sends two frames back to back on timer 1 (arming neither) and aborts
+/// on timer 99.
+#[derive(Default)]
+struct TwoThenAbort {
+    sent: Vec<FrameId>,
+    abort: Option<Result<AbortInfo, SimError>>,
+}
+
+impl Node for TwoThenAbort {
+    fn on_event(&mut self, ctx: &mut Context<'_>, ev: Event) {
+        match ev {
+            Event::Timer { key: 1 } => {
+                for _ in 0..2 {
+                    self.sent.push(ctx.transmit(0, vec![7; 125]).unwrap().frame);
+                }
+            }
+            Event::Timer { key: 99 } => self.abort = Some(ctx.abort_current_tx(0)),
+            _ => {}
+        }
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+#[test]
+fn preemption_sees_past_a_finished_record_not_yet_retired() {
+    // The first frame finished at 1 µs and nothing touched the channel
+    // since, so its record is still there; the abort at 1.5 µs must retire
+    // it first, find the second frame alone on the wire, and take.
+    let mut sim = Simulator::new(41);
+    let a = sim.add_node(Box::<TwoThenAbort>::default());
+    let b = sim.add_node(Box::<Probe>::default());
+    let (ab, _) = sim.p2p(a, 0, b, 0, GBPS, SimDuration(100));
+    sim.kick(SimTime::ZERO, a, 1);
+    sim.kick(SimTime(1_500), a, 99);
+    sim.run_until(SimTime(10_000));
+    let node = sim.node::<TwoThenAbort>(a);
+    let abort = node.abort.unwrap().expect("the abort takes");
+    assert_eq!(abort.frame, node.sent[1]);
+    assert_eq!(abort.bytes_sent, 62, "500 ns at 1 Gb/s");
+    let probe = sim.node::<Probe>(b);
+    assert_eq!(probe.frames.len(), 2, "both first bits were announced");
+    assert_eq!(probe.aborted.len(), 1, "only the second was retracted");
+    assert_eq!(sim.channel_stats(ab).aborts, 1);
+}
+
+/// Records, for every frame it hears, whether it could decide `lead`
+/// after the first bit right away.
+#[derive(Default)]
+struct Asker {
+    lead: u64,
+    answers: Vec<bool>,
+}
+
+impl Node for Asker {
+    fn on_event(&mut self, ctx: &mut Context<'_>, ev: Event) {
+        if let Event::Frame(fe) = ev {
+            let at = fe.first_bit + SimDuration(self.lead);
+            self.answers.push(ctx.quiet_until(at));
+        }
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+#[test]
+fn each_quiet_condition_refuses_on_its_own() {
+    // S sends one frame to N at t = 0; its first bit lands at 10 µs and N
+    // asks whether it is quiet until 10.5 µs. Each case breaks exactly one
+    // condition of an otherwise quiet setting.
+    let ask = |case: &str| -> Vec<bool> {
+        let mut sim = Simulator::new(42);
+        let s = sim.add_node(Box::<Probe>::default());
+        let n = sim.add_node(Box::new(Asker {
+            lead: 500,
+            ..Asker::default()
+        }));
+        let t = sim.add_node(Box::<Probe>::default());
+        let (into, _) = sim.p2p(s, 0, n, 0, GBPS, SimDuration(10_000));
+        let (out, _) = sim.p2p(n, 1, t, 0, GBPS, SimDuration(10_000));
+        sim.node_mut::<Probe>(s).send_on_timer = Some((0, vec![1; 64]));
+        sim.kick(SimTime::ZERO, s, 1);
+        let at = |ns, action| ChaosEvent {
+            at: SimTime(ns),
+            action,
+        };
+        let mut run_to_end = true;
+        match case {
+            "quiet" => {}
+            "an event due by the decision" => sim.kick(SimTime(10_500), n, 7),
+            "an event due after it" => sim.kick(SimTime(10_501), n, 7),
+            "a short channel in" => {
+                let u = sim.add_node(Box::<Probe>::default());
+                sim.p2p(u, 0, n, 2, GBPS, SimDuration(500));
+            }
+            "a chaos action due" => {
+                let schedule = FaultSchedule::new(vec![at(10_300, ChaosAction::PartitionEnd)]);
+                sim.install_schedule(schedule.unwrap());
+            }
+            "past the deadline" => {
+                sim.run_until(SimTime(10_499));
+            }
+            "outside run_until" => {
+                sim.run(100);
+                run_to_end = false;
+            }
+            "a shared output" => {
+                let x = sim.add_node(Box::<Probe>::default());
+                let bus = sim.add_channel(GBPS, SimDuration(10_000));
+                sim.attach(bus, n, 3);
+                sim.attach(bus, x, 0);
+            }
+            "a fault config out" => sim.set_faults(
+                out,
+                FaultConfig {
+                    drop_prob: 0.0,
+                    corrupt_prob: 0.1,
+                },
+            ),
+            "a chaos window out" => {
+                let jitter = ChaosAction::JitterStart {
+                    ch: out,
+                    max_extra: SimDuration(10),
+                };
+                sim.install_schedule(FaultSchedule::new(vec![at(5_000, jitter)]).unwrap());
+            }
+            "the flight recorder" => sim.enable_flight(16),
+            "a batch" => {
+                // The frame arrives twice, scheduled back to back: one
+                // batch of two.
+                let dup = ChaosAction::DuplicateStart {
+                    ch: into,
+                    prob: 1.0,
+                };
+                sim.install_schedule(FaultSchedule::new(vec![at(0, dup)]).unwrap());
+            }
+            other => panic!("no case {other}"),
+        }
+        if run_to_end {
+            sim.run_until(SimTime(1_000_000));
+        }
+        sim.node::<Asker>(n).answers.clone()
+    };
+    assert_eq!(ask("quiet"), [true]);
+    assert_eq!(ask("an event due after it"), [true], "the book is exact");
+    for case in [
+        "an event due by the decision",
+        "a short channel in",
+        "a chaos action due",
+        "past the deadline",
+        "outside run_until",
+        "a shared output",
+        "a fault config out",
+        "a chaos window out",
+        "the flight recorder",
+    ] {
+        assert_eq!(ask(case), [false], "{case}");
+    }
+    assert_eq!(ask("a batch"), [false, false], "a batch");
+}
+
+/// A forwarder in miniature: it decides `lead` after a frame's first bit
+/// (in the frame's event when quiet, unless `timers_only`) to send the
+/// frame on out port 1, queueing behind a transmission in progress and
+/// arming that transmission's completion.
+#[derive(Default)]
+struct Hop {
+    lead: u64,
+    timers_only: bool,
+    waiting: Vec<(u64, Vec<u8>)>,
+    next_key: u64,
+    queue: VecDeque<Vec<u8>>,
+    current: Option<(FrameId, SimTime)>,
+    sent: Vec<(SimTime, Vec<u8>)>,
+    ahead: u64,
+    deferred: u64,
+}
+
+impl Hop {
+    fn forward(&mut self, ctx: &mut Context<'_>, bytes: Vec<u8>) {
+        if let Some((frame, end)) = self.current {
+            if !ctx.tx_finished(1, frame, end) {
+                self.queue.push_back(bytes);
+                ctx.arm_completion(1, frame);
+                return;
+            }
+        }
+        self.send(ctx, bytes);
+    }
+
+    fn send(&mut self, ctx: &mut Context<'_>, bytes: Vec<u8>) {
+        self.sent.push((ctx.now(), bytes.clone()));
+        let tx = ctx.transmit(1, bytes).unwrap();
+        self.current = Some((tx.frame, tx.end));
+        if !self.queue.is_empty() {
+            ctx.arm_completion(1, tx.frame);
+        }
+    }
+}
+
+impl Node for Hop {
+    fn on_event(&mut self, ctx: &mut Context<'_>, ev: Event) {
+        match ev {
+            Event::Frame(fe) => {
+                let at = fe.first_bit + SimDuration(self.lead);
+                let bytes = fe.frame.payload.to_vec();
+                if !self.timers_only && ctx.quiet_until(at) {
+                    self.ahead += 1;
+                    ctx.decide_at(at, |ctx| self.forward(ctx, bytes));
+                } else {
+                    self.deferred += 1;
+                    self.next_key += 1;
+                    self.waiting.push((self.next_key, bytes));
+                    ctx.schedule_at(at, self.next_key);
+                }
+            }
+            Event::Timer { key } => {
+                if let Some(i) = self.waiting.iter().position(|&(k, _)| k == key) {
+                    let (_, bytes) = self.waiting.remove(i);
+                    self.forward(ctx, bytes);
+                }
+            }
+            Event::TxDone { frame, .. } if self.current.is_some_and(|(f, _)| f == frame) => {
+                self.current = None;
+                if let Some(bytes) = self.queue.pop_front() {
+                    self.send(ctx, bytes);
+                }
+            }
+            _ => {}
+        }
+    }
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+#[test]
+fn held_events_break_a_next_hop_tie_as_the_timer_path_does() {
+    // X hears a frame at 2 µs and decides at 2.4 µs; W sends at 2.2 µs.
+    // Both frames reach Z at 5.4 µs. On the timer path W's arrival was
+    // scheduled first, so it is delivered first; a decision made ahead
+    // at 2 µs must not jump that queue.
+    let run = |timers_only: bool| {
+        let mut sim = Simulator::new(43);
+        let s = sim.add_node(Box::<Probe>::default());
+        let x = sim.add_node(Box::new(Hop {
+            lead: 400,
+            timers_only,
+            ..Hop::default()
+        }));
+        let w = sim.add_node(Box::<Probe>::default());
+        let z = sim.add_node(Box::<Probe>::default());
+        sim.p2p(s, 0, x, 0, GBPS, SimDuration(2_000));
+        sim.p2p(x, 1, z, 0, GBPS, SimDuration(3_000));
+        sim.p2p(w, 0, z, 1, GBPS, SimDuration(3_200));
+        sim.node_mut::<Probe>(s).send_on_timer = Some((0, vec![1; 64]));
+        sim.node_mut::<Probe>(w).send_on_timer = Some((0, vec![2; 64]));
+        sim.kick(SimTime::ZERO, s, 1);
+        sim.kick(SimTime(2_200), w, 1);
+        sim.run_until(SimTime(100_000));
+        let hop = sim.node::<Hop>(x);
+        let order: Vec<(SimTime, u8)> = sim
+            .node::<Probe>(z)
+            .frames
+            .iter()
+            .map(|f| (f.0, f.2[0]))
+            .collect();
+        (order, hop.ahead, hop.deferred)
+    };
+    let tie = SimTime(5_400);
+    let want = vec![(tie, 2), (tie, 1)];
+    assert_eq!(run(true), (want.clone(), 0, 1), "timer path");
+    assert_eq!(run(false), (want, 1, 0), "decided ahead");
+}
+
+/// Src → H1 → H2 → H3 → sink, H1's output at half rate so frames queue
+/// and completions are armed. Returns the simulator mid-run and the ids.
+fn hop_chain(timers_only: bool) -> (Simulator, Vec<NodeId>) {
+    let mut sim = Simulator::new(44);
+    let src = sim.add_node(Box::<Probe>::default());
+    let hops: Vec<NodeId> = (0..3)
+        .map(|_| {
+            sim.add_node(Box::new(Hop {
+                lead: 300,
+                timers_only,
+                ..Hop::default()
+            }))
+        })
+        .collect();
+    let sink = sim.add_node(Box::<Probe>::default());
+    sim.p2p(src, 0, hops[0], 0, GBPS, SimDuration(2_000));
+    sim.p2p(hops[0], 1, hops[1], 0, GBPS / 2, SimDuration(5_000));
+    sim.p2p(hops[1], 1, hops[2], 0, GBPS, SimDuration(5_000));
+    sim.p2p(hops[2], 1, sink, 0, GBPS, SimDuration(2_000));
+    sim.node_mut::<Probe>(src).send_on_timer = Some((0, vec![9; 200]));
+    for burst in 0..20u64 {
+        for _ in 0..3 {
+            sim.kick(SimTime(burst * 7_919), src, 1);
+        }
+    }
+    let mut ids = vec![src];
+    ids.extend(hops);
+    ids.push(sink);
+    (sim, ids)
+}
+
+#[test]
+fn deciding_ahead_changes_no_outcome_serial_or_sharded() {
+    use crate::shard::ShardedSimulator;
+
+    let mid = SimTime(52_345);
+    let end = SimTime(1_000_000);
+    // What a run delivered and forwarded, and its events less the
+    // decision timers (which only a node that could not decide ahead
+    // dispatches).
+    let outcome = |sim: &Simulator, ids: &[NodeId]| {
+        let hops = &ids[1..4];
+        let sent: Vec<_> = hops
+            .iter()
+            .map(|&h| sim.node::<Hop>(h).sent.clone())
+            .collect();
+        let timers: u64 = hops.iter().map(|&h| sim.node::<Hop>(h).deferred).sum();
+        let sink = sim.node::<Probe>(ids[4]).frames.clone();
+        (sink, sent, sim.events_dispatched() - timers)
+    };
+
+    let (mut timers, ids) = hop_chain(true);
+    timers.run_until(end);
+    let want = outcome(&timers, &ids);
+    assert_eq!(want.0.len(), 60, "every frame arrives");
+
+    let (mut serial, _) = hop_chain(false);
+    serial.run_until(end);
+    assert_eq!(outcome(&serial, &ids), want, "serial, deciding ahead");
+    let armed = serial.scrape_telemetry().unwrap();
+    assert!(
+        armed.counter(names::SIM_COMPLETIONS_ARMED_TOTAL) > 0,
+        "frames queued"
+    );
+    assert!(ids[1..4].iter().all(|&h| serial.node::<Hop>(h).ahead > 0));
+
+    for shards in [2, 4] {
+        let (mut sim, _) = hop_chain(false);
+        sim.run_until(mid);
+        assert!(
+            !sim.core.unarmed_completions().is_empty(),
+            "reserved completion keys are outstanding at the split"
+        );
+        let mut sharded = ShardedSimulator::split(sim, shards);
+        assert!(sharded.shards() > 1);
+        sharded.run_until(end, 2);
+        let merged = sharded.into_serial();
+        assert_eq!(outcome(&merged, &ids), want, "{shards} shards");
+    }
 }

@@ -18,7 +18,7 @@
 use sirpent_telemetry::{FlightRecorder, HopEvent, Registry, RegistryError};
 
 use crate::chaos::{ChaosEvent, ChaosScope};
-use crate::engine::{Core, Simulator};
+use crate::engine::{Core, Pending, Simulator};
 use crate::splitmix64;
 use crate::time::{SimDuration, SimTime};
 
@@ -267,6 +267,10 @@ impl ShardedSimulator {
         );
         let seed = core.seed;
         let orig_chaos: Vec<ChaosEvent> = core.chaos.iter().cloned().collect();
+        // Everything keyed — queued events and the reserved keys of
+        // completions nobody armed — leaves while the channels holding
+        // those records are still here.
+        let pending = core.drain_pending();
         let flight_cap = core.flight.as_ref().map(|f| f.capacity());
 
         let mut sims: Vec<Simulator> = Vec::with_capacity(s);
@@ -292,6 +296,7 @@ impl ShardedSimulator {
             // disjoint id namespace so ids never collide at merge.
             if k == 0 {
                 c.events_dispatched = core.events_dispatched;
+                c.armed.add(core.armed.get());
                 c.frame_seq = core.frame_seq;
                 c.flight = core.flight.take();
             } else {
@@ -322,14 +327,21 @@ impl ShardedSimulator {
             }
         }
 
-        // Route pending events (kicks, planned workload timers) to the
-        // shard owning their target. The drain is (time, seq)-sorted, so
-        // per-shard sequence numbers preserve the serial tie-break order
-        // within each shard.
-        for sch in core.drain_pending() {
-            let own = part.owner.get(sch.target.0).copied().unwrap_or(0);
-            if let Some(sx) = sims.get_mut(own) {
-                sx.core.push(sch.time, sch.target, sch.event);
+        for sx in &mut sims {
+            sx.core.recount_noise();
+        }
+
+        // Route what was pending (kicks, planned workload timers, frames
+        // and completions in flight) to the shard owning its target or
+        // channel. The drain is (time, seq)-sorted, so per-shard sequence
+        // numbers preserve the serial tie-break order within each shard.
+        for item in pending {
+            let own = match &item {
+                Pending::Event(sch) => part.owner.get(sch.target.0),
+                Pending::Completion(ch, _) => part.ch_owner.get(ch.0),
+            };
+            if let Some(sx) = sims.get_mut(own.copied().unwrap_or(0)) {
+                sx.core.requeue(item);
             }
         }
 
@@ -459,6 +471,7 @@ fn merge_shards(
 
     let mut flights = Vec::new();
     for (k, mut c) in cores.into_iter().enumerate() {
+        let pending = c.drain_pending();
         // Channels come back from their owners (shells elsewhere carry
         // no state).
         let channels = merged.channels.iter_mut().zip(&mut c.channels);
@@ -468,6 +481,7 @@ fn merge_shards(
             }
         }
         merged.events_dispatched += c.events_dispatched;
+        merged.armed.add(c.armed.get());
         // Namespacing makes the maximum the global high-water mark.
         merged.frame_seq = merged.frame_seq.max(c.frame_seq);
         merged.ledger.absorb(std::mem::take(&mut c.ledger));
@@ -475,13 +489,15 @@ fn merge_shards(
             // Continue the stream that carried the master seed.
             merged.rng = c.rng.clone();
         }
-        // Pending events: each drain is (time, seq)-sorted, and fresh
-        // sequence numbers give a deterministic (time, shard) order.
-        for sch in c.drain_pending() {
-            merged.push(sch.time, sch.target, sch.event);
+        // Pending events and reserved completion keys: each drain is
+        // (time, seq)-sorted, and fresh sequence numbers give a
+        // deterministic (time, shard) order.
+        for item in pending {
+            merged.requeue(item);
         }
         flights.extend(c.flight.take());
     }
+    merged.recount_noise();
     if !flights.is_empty() {
         merged.flight = merge_flights(flights);
     }
@@ -761,10 +777,11 @@ mod tests {
             (sim, ids)
         };
         let pending = |mut sim: Simulator| -> Vec<String> {
-            let queued: Vec<_> = sim.core.drain_pending().collect();
-            let queued = queued
-                .iter()
-                .map(|s| format!("{:?} {:?} {:?}", s.time, s.target, s.event));
+            let queued = sim.core.drain_pending();
+            let queued = queued.iter().map(|p| match p {
+                Pending::Event(s) => format!("{:?} {:?} {:?}", s.time, s.target, s.event),
+                Pending::Completion(ch, frame) => format!("completion {ch:?} {frame:?}"),
+            });
             queued
                 .chain(sim.core.chaos.iter().map(|ev| format!("{ev:?}")))
                 .collect()

@@ -40,6 +40,10 @@ pub const ROUTER_TRANSMIT_LATENCY_NS: &str = "router_transmit_latency_ns";
 pub const ROUTER_QUEUE_DEPTH: &str = "router_queue_depth";
 /// Peak output-queue occupancy observed (frames).
 pub const ROUTER_QUEUE_PEAK: &str = "router_queue_peak";
+/// Forwarding decisions a router could not make in the frame's own
+/// event (it was not quiet until the decision instant) and so made from
+/// a timer.
+pub const ROUTER_DECISIONS_DEFERRED_TOTAL: &str = "router_decisions_deferred_total";
 
 // ---- token cache (sirpent-token) ----------------------------------------
 
@@ -74,6 +78,12 @@ pub const CHAOS_PARTITION_WINDOWS_TOTAL: &str = "chaos_partition_windows_total";
 /// Channel-condition window updates (duplication / jitter / error
 /// bursts).
 pub const CHAOS_WINDOW_UPDATES_TOTAL: &str = "chaos_window_updates_total";
+
+// ---- engine (sim::engine) -------------------------------------------------
+
+/// Transmission completions a sender armed, each answered by one
+/// `TxDone`; an unarmed transmission finishes without an event.
+pub const SIM_COMPLETIONS_ARMED_TOTAL: &str = "sim_completions_armed_total";
 
 // ---- failover (router::viper alternate branches) ------------------------
 
@@ -152,6 +162,7 @@ mod tests {
             super::ROUTER_TRANSMIT_LATENCY_NS,
             super::ROUTER_QUEUE_DEPTH,
             super::ROUTER_QUEUE_PEAK,
+            super::ROUTER_DECISIONS_DEFERRED_TOTAL,
             super::TOKEN_CACHE_HITS_TOTAL,
             super::TOKEN_CACHE_MISSES_TOTAL,
             super::TOKEN_OPTIMISTIC_ADMITS_TOTAL,
@@ -164,6 +175,7 @@ mod tests {
             super::CHAOS_ROUTER_TRANSITIONS_TOTAL,
             super::CHAOS_PARTITION_WINDOWS_TOTAL,
             super::CHAOS_WINDOW_UPDATES_TOTAL,
+            super::SIM_COMPLETIONS_ARMED_TOTAL,
             super::FAILOVER_DIVERSIONS_TOTAL,
             super::FAILOVER_NO_ALTERNATE_TOTAL,
             super::FAILOVER_ALTERNATE_DOWN_TOTAL,

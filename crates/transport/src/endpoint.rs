@@ -134,8 +134,6 @@ pub struct Endpoint {
     outgoing: BTreeMap<(EntityId, u32), Outgoing>,
     incoming: BTreeMap<(EntityId, u32, u8), GroupReceiver>,
     completed: BTreeSet<(EntityId, u32, u8)>,
-    /// The empty payload every ack shares (a fresh `PacketBuf` allocates).
-    no_payload: PacketBuf,
     /// Counters.
     pub stats: TransportStats,
 }
@@ -161,7 +159,6 @@ impl Endpoint {
             outgoing: BTreeMap::new(),
             incoming: BTreeMap::new(),
             completed: BTreeSet::new(),
-            no_payload: PacketBuf::new(),
             stats: TransportStats::default(),
         }
     }
@@ -325,7 +322,7 @@ impl Endpoint {
                 message_len: 0,
                 payload_len: 0,
             },
-            payload: self.no_payload.clone(),
+            payload: PacketBuf::new(),
             timestamp: self.clock.now_ms(now),
         }
     }

@@ -13,7 +13,8 @@
 //!   trailer appends extend in place while the buffer is uniquely owned
 //!   (the steady state between hops) and copy-on-write otherwise.
 //!   Cloning is an `Arc` bump — multicast fan-out, retry queues and
-//!   transmit all share one allocation.
+//!   transmit all share one allocation. A buffer that never held a byte
+//!   has no store at all, so an empty one costs nothing.
 //! * [`SegmentView`] — the leading VIPER segment, decoded once, whose
 //!   variable fields (`portToken`, `portInfo`) are **borrowed** ranges
 //!   into the shared store, not per-hop `Vec` copies. The view holds its
@@ -59,13 +60,14 @@ const COW_HEADROOM: usize = 64;
 /// tail truncation. See the [module docs](self) for semantics.
 #[derive(Clone, Default)]
 pub struct PacketBuf {
-    store: Arc<Vec<u8>>,
+    /// `None` until the first byte arrives.
+    store: Option<Arc<Vec<u8>>>,
     head: usize,
     tail: usize,
 }
 
 impl PacketBuf {
-    /// An empty buffer.
+    /// An empty buffer. Allocates nothing.
     pub fn new() -> PacketBuf {
         PacketBuf::default()
     }
@@ -74,7 +76,7 @@ impl PacketBuf {
     pub fn from_vec(bytes: Vec<u8>) -> PacketBuf {
         let tail = bytes.len();
         PacketBuf {
-            store: Arc::new(bytes),
+            store: Some(Arc::new(bytes)),
             head: 0,
             tail,
         }
@@ -82,8 +84,11 @@ impl PacketBuf {
 
     /// The live window `store[head..tail]`.
     pub fn as_slice(&self) -> &[u8] {
-        // lint: allow(panic-free-dataplane) -- type invariant: every constructor and mutator keeps head <= tail <= store.len()
-        &self.store[self.head..self.tail]
+        match &self.store {
+            // lint: allow(panic-free-dataplane) -- type invariant: every constructor and mutator keeps head <= tail <= store.len()
+            Some(store) => &store[self.head..self.tail],
+            None => &[],
+        }
     }
 
     /// Length of the live window.
@@ -124,7 +129,7 @@ impl PacketBuf {
     /// exactly `n` bytes). Lets emit-style writers serialize directly
     /// into the store without a temporary `Vec`.
     pub fn append_with(&mut self, n: usize, fill: impl FnOnce(&mut [u8])) {
-        match Arc::get_mut(&mut self.store) {
+        match self.store.as_mut().and_then(Arc::get_mut) {
             Some(v) => {
                 // Unique owner: drop anything beyond our tail (no other
                 // holder can see it) and extend in place.
@@ -139,12 +144,11 @@ impl PacketBuf {
                 // headroom, then extend that.
                 let live = self.len();
                 let mut v = Vec::with_capacity(live + n + COW_HEADROOM);
-                // lint: allow(panic-free-dataplane) -- type invariant: head <= tail <= store.len()
-                v.extend_from_slice(&self.store[self.head..self.tail]);
+                v.extend_from_slice(self.as_slice());
                 v.resize(live + n, 0);
                 // lint: allow(panic-free-dataplane) -- fresh store was just resized to live + n, so live is in range
                 fill(&mut v[live..]);
-                self.store = Arc::new(v);
+                self.store = Some(Arc::new(v));
                 self.head = 0;
                 self.tail = live + n;
             }
@@ -166,13 +170,18 @@ impl PacketBuf {
     /// will be in-place). Exposed for tests asserting the steady-state
     /// forwarding path never copies.
     pub fn is_unique(&self) -> bool {
-        Arc::strong_count(&self.store) == 1
+        self.store
+            .as_ref()
+            .is_none_or(|s| Arc::strong_count(s) == 1)
     }
 
     /// Whether `self` and `other` share one underlying store (fan-out
     /// copies should). Exposed for tests.
     pub fn shares_store_with(&self, other: &PacketBuf) -> bool {
-        Arc::ptr_eq(&self.store, &other.store)
+        match (&self.store, &other.store) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
     }
 }
 
@@ -233,7 +242,8 @@ impl AsRef<[u8]> for PacketBuf {
 /// the segment (the normal strip flow) or cow-copies elsewhere.
 #[derive(Clone)]
 pub struct SegmentView {
-    store: Arc<Vec<u8>>,
+    /// Never `None`: a segment decodes only from a non-empty buffer.
+    store: Option<Arc<Vec<u8>>>,
     /// Where the segment starts in `store`.
     start: usize,
     seg: Decoded,
@@ -244,7 +254,7 @@ impl SegmentView {
     pub fn parse(buf: &PacketBuf) -> Result<SegmentView> {
         let seg = decode(buf.as_slice())?;
         Ok(SegmentView {
-            store: Arc::clone(&buf.store),
+            store: buf.store.clone(),
             start: buf.head,
             seg,
         })
@@ -278,7 +288,10 @@ impl SegmentView {
 
     /// The segment's bytes onward in the shared store.
     fn bytes(&self) -> &[u8] {
-        self.store.get(self.start..).unwrap_or_default()
+        self.store
+            .as_deref()
+            .and_then(|s| s.get(self.start..))
+            .unwrap_or_default()
     }
 
     /// The `portToken` bytes, borrowed from the shared store.

@@ -92,6 +92,9 @@ pub const DATAPLANE_FILES: &[&str] = &[
     "crates/wire/src/buf.rs",
     "crates/wire/src/alt.rs",
     "crates/sim/src/queue.rs",
+    "crates/sim/src/engine/channel.rs",
+    "crates/sim/src/engine/dispatch.rs",
+    "crates/sim/src/engine/quiet.rs",
     "crates/sim/src/shard.rs",
     "crates/sim/src/sync.rs",
     "crates/directory/src/te.rs",

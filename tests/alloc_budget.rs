@@ -4,10 +4,10 @@
 //! test counts every allocation a whole simulation makes while two
 //! `SirpentHost`s run request→response transactions through four
 //! `ViperRouter`s, divides by the number of transactions, and holds the
-//! result under a ceiling pinned against what the commit before the
-//! host-path rewrite (PR 19) measured in this same test. The routers'
-//! own two or three small allocations per forward are in the count and
-//! were not touched by that rewrite.
+//! result to the exact figures it measured when they were last lowered:
+//! a change that adds an allocation or a byte per transaction fails it,
+//! and one that removes some lowers the pins. The routers' one
+//! allocation per forward — the link header — is in the count.
 //!
 //! This file is the one place in the repository with `unsafe`: a
 //! counting `#[global_allocator]` that forwards to `System`. The counter
@@ -155,31 +155,29 @@ fn heap_per_transaction(payload: usize, tokens: bool) -> (u64, u64) {
     )
 }
 
-/// What the parent of PR 19 measured in this test, per transaction, and
-/// the share of it the rewritten host path may use.
+/// The per-transaction ceilings: exactly what this test measures today,
+/// in debug and release builds alike.
 struct Budget {
-    parent_allocations: u64,
-    parent_bytes: u64,
+    allocations: u64,
+    bytes: u64,
 }
 
 impl Budget {
     fn hold(&self, what: &str, (allocations, bytes): (u64, u64)) {
         println!(
             "{what}: {allocations} allocations, {bytes} B per transaction \
-             (parent {}, {} B)",
-            self.parent_allocations, self.parent_bytes
-        );
-        let (max_allocations, max_bytes) = (
-            self.parent_allocations * 60 / 100,
-            self.parent_bytes * 30 / 100,
+             (ceiling {}, {} B)",
+            self.allocations, self.bytes
         );
         assert!(
-            allocations <= max_allocations,
-            "{what}: {allocations} allocations per transaction, ceiling {max_allocations}"
+            allocations <= self.allocations,
+            "{what}: {allocations} allocations per transaction, ceiling {}",
+            self.allocations
         );
         assert!(
-            bytes <= max_bytes,
-            "{what}: {bytes} B allocated per transaction, ceiling {max_bytes}"
+            bytes <= self.bytes,
+            "{what}: {bytes} B allocated per transaction, ceiling {}",
+            self.bytes
         );
     }
 }
@@ -187,8 +185,8 @@ impl Budget {
 #[test]
 fn small_transactions_without_tokens_stay_in_budget() {
     let budget = Budget {
-        parent_allocations: 125,
-        parent_bytes: 15_298,
+        allocations: 41,
+        bytes: 2_593,
     };
     budget.hold("64 B, no tokens", heap_per_transaction(64, false));
 }
@@ -196,8 +194,8 @@ fn small_transactions_without_tokens_stay_in_budget() {
 #[test]
 fn full_size_transactions_with_tokens_stay_in_budget() {
     let budget = Budget {
-        parent_allocations: 205,
-        parent_bytes: 38_254,
+        allocations: 57,
+        bytes: 7_913,
     };
     budget.hold("900 B, 32 B tokens", heap_per_transaction(900, true));
 }
