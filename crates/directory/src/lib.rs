@@ -25,6 +25,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+// The unit tests share the TE suites' topology generator, which names
+// this crate the way those suites do.
+#[cfg(test)]
+extern crate self as sirpent_directory;
+#[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod common;
+
 pub mod alternates;
 pub mod cache;
 pub mod name;

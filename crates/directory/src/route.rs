@@ -111,7 +111,7 @@ impl RouteRecord {
             bw = bw.min(h.bandwidth_bps);
             prop = prop + h.prop_delay;
             mtu = mtu.min(h.mtu);
-            cost += h.cost;
+            cost = cost.saturating_add(h.cost);
             sec = sec.min(h.security);
         }
         RouteProperties {

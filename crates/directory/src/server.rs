@@ -630,6 +630,30 @@ mod tests {
         assert_eq!(b.port, adv.route.hops[0].port);
     }
 
+    /// Regression: `RouteRecord::properties` summed hop costs with `+=`
+    /// while the search saturates, so a route over two half-range links
+    /// panicked on its way out of `te_advisories` in a debug build and
+    /// wrapped to 0 in a release one.
+    #[test]
+    fn te_advisory_cost_saturates_like_the_search() {
+        use crate::te::LinkMetrics;
+        use crate::Peer;
+        let dear = LinkMetrics {
+            cost: u32::MAX / 2 + 1,
+            ..LinkMetrics::basic()
+        };
+        let mut t = crate::TeTopology::new();
+        t.add_link(0, 0, Peer::Router(1), dear);
+        t.add_link(1, 0, Peer::Host(9), dear);
+        let mut d = Directory::new().with_te(t);
+        let q = TeQuery::default();
+        let routes = d.te_query(0, Peer::Host(9), &q);
+        let advs = d.te_advisories(0, Peer::Host(9), &q, &access(), &[], 0);
+        assert_eq!((routes.len(), advs.len()), (1, 1));
+        assert_eq!(routes[0].cost, u32::MAX);
+        assert_eq!(advs[0].props.cost, u32::MAX);
+    }
+
     #[test]
     fn te_counters_publish_under_registered_names() {
         let mut d = Directory::new().with_te(te_diamond());

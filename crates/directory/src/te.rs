@@ -188,8 +188,8 @@ pub struct TeTopology {
 /// id order, then hosts in number order), links are one flat array in
 /// `(router, port)` order — the map's own, so comparing two edge indices
 /// compares the `(router, port)` pairs they stand for — with offsets
-/// into it by the node a link leaves and, through `entering`, by the
-/// node it lands on.
+/// into it by the node a link leaves, and one reverse entry per link
+/// grouped by the node it lands on.
 #[derive(Debug, Clone)]
 struct Compiled {
     /// Every router id (link owners and router peers), ascending. Node
@@ -201,15 +201,35 @@ struct Compiled {
     edges: Vec<Edge>,
     /// `edges[leaving_at[n]..leaving_at[n + 1]]` leave router node `n`.
     leaving_at: Vec<u32>,
-    /// `entering[entering_at[n]..entering_at[n + 1]]` are the indices of
-    /// the edges that land on node `n`, ascending.
+    /// `inbound[entering_at[n]..entering_at[n + 1]]` are the links that
+    /// land on node `n`, in `(router, port)` order — for a host, its
+    /// attachment list.
     entering_at: Vec<u32>,
-    entering: Vec<u32>,
+    inbound: Vec<Inbound>,
+    /// The least and the greatest link weight, up or down: the reverse
+    /// tree's bucket queue is sized from them.
+    min_weight: u64,
+    max_weight: u64,
+}
+
+/// One link as the reverse tree reads it: 16 bytes beside the edge's
+/// 48, so the tree's inner loop walks one dense array.
+#[derive(Debug, Clone, Copy)]
+struct Inbound {
+    /// The search weight, or `u64::MAX` while the link is down.
+    weight: u64,
+    /// The node the link leaves.
+    from: u32,
+    /// The link's index in `edges`, read only by a query that bounds
+    /// MTU or bandwidth.
+    edge: u32,
 }
 
 /// One link. Everything a report can change (`down`, `congested`,
-/// `residual_bps`) is a field, so a report is one store and the
-/// per-query prunes are a predicate ([`Edge::admitted`]), not a rebuild.
+/// `residual_bps`) is a field, so a report is one store — two when it
+/// moves the link up or down, which its reverse entry's weight carries —
+/// and the per-query prunes are a predicate ([`Edge::admitted`]), not a
+/// rebuild.
 #[derive(Debug, Clone, Copy)]
 struct Edge {
     /// The nodes the link leaves and lands on.
@@ -323,7 +343,8 @@ impl TeTopology {
 
     /// Apply a load or up/down report to one link. `change` says
     /// whether it changed anything; if it did the epoch moves and the
-    /// link's compiled edge, when there is one, is patched in place.
+    /// link's compiled edge and reverse entry, when there are some, are
+    /// patched in place.
     fn report(&mut self, router: u32, port: u8, change: impl FnOnce(&mut TeLink) -> bool) {
         let Some(l) = self.links.get_mut(&(router, port)) else {
             return;
@@ -332,12 +353,8 @@ impl TeTopology {
             return;
         }
         self.epoch += 1;
-        let edge = self
-            .compiled
-            .get_mut()
-            .and_then(|g| g.edge_mut(router, port));
-        if let Some(e) = edge {
-            e.set_state(l, self.congestion_milli);
+        if let Some(g) = self.compiled.get_mut() {
+            g.patch(router, port, l, self.congestion_milli);
         }
     }
 
@@ -437,6 +454,17 @@ impl Edge {
         self.prop_ns.saturating_add(HOP_NS)
     }
 
+    /// The weight its reverse entry carries: the search weight, or
+    /// `u64::MAX` — which no relaxation can improve a label with — while
+    /// the link is down.
+    fn reverse_weight(&self) -> u64 {
+        if self.down {
+            u64::MAX
+        } else {
+            self.weight_ns()
+        }
+    }
+
     /// A query's per-link prunes: the link is up, and at least as wide
     /// and as fast as the query asks (a bound of 0 admits every link).
     fn admitted(&self, q: &TeQuery) -> bool {
@@ -482,7 +510,9 @@ impl Compiled {
             edges: Vec::with_capacity(links.len()),
             leaving_at: Vec::new(),
             entering_at: Vec::new(),
-            entering: Vec::new(),
+            inbound: Vec::new(),
+            min_weight: HOP_NS,
+            max_weight: HOP_NS,
             routers,
             hosts,
         };
@@ -514,17 +544,29 @@ impl Compiled {
         }
         g.leaving_at = offsets(leaving);
         g.entering_at = offsets(landing);
-        // Counting sort of edge indices by the node they land on.
-        g.entering = vec![0u32; g.edges.len()];
+        // Counting sort of the reverse entries by the node they land on.
+        let unset = Inbound {
+            weight: u64::MAX,
+            from: 0,
+            edge: 0,
+        };
+        g.inbound = vec![unset; g.edges.len()];
         let mut next = g.entering_at.clone();
         for (i, e) in g.edges.iter().enumerate() {
             if let Some(at) = next.get_mut(e.to as usize) {
-                if let Some(slot) = g.entering.get_mut(*at as usize) {
-                    *slot = i as u32;
+                if let Some(slot) = g.inbound.get_mut(*at as usize) {
+                    *slot = Inbound {
+                        weight: e.reverse_weight(),
+                        from: e.from,
+                        edge: i as u32,
+                    };
                 }
                 *at += 1;
             }
         }
+        let weights = g.edges.iter().map(Edge::weight_ns);
+        g.min_weight = weights.clone().min().unwrap_or(HOP_NS);
+        g.max_weight = weights.max().unwrap_or(HOP_NS);
         g
     }
 
@@ -543,20 +585,41 @@ impl Compiled {
         (span.start as u32..).zip(self.edges.get(span).unwrap_or_default())
     }
 
-    /// Every link landing on `node`, in `(router, port)` order.
-    fn entering(&self, node: u32) -> impl Iterator<Item = &Edge> {
-        let into = self.entering.get(span(&self.entering_at, node));
+    /// The reverse entry of every link landing on `node`, in
+    /// `(router, port)` order.
+    fn inbound(&self, node: u32) -> &[Inbound] {
+        let into = self.inbound.get(span(&self.entering_at, node));
         into.unwrap_or_default()
-            .iter()
-            .filter_map(move |&i| self.edges.get(i as usize))
     }
 
-    /// The compiled edge of link `(router, port)` — two short searches,
-    /// which is what keeps a report O(log n).
-    fn edge_mut(&mut self, router: u32, port: u8) -> Option<&mut Edge> {
-        let node = self.node(Peer::Router(router))?;
-        let out = self.edges.get_mut(span(&self.leaving_at, node))?;
-        out.iter_mut().find(|e| e.port == port)
+    /// Refresh link `(router, port)` after a report: its edge, found by
+    /// two short searches (which is what keeps a report O(log n)), and,
+    /// when the report moved the link up or down, its reverse entry. A
+    /// load report leaves the entry alone: the search weight is
+    /// load-blind.
+    fn patch(&mut self, router: u32, port: u8, l: &TeLink, congestion_milli: u32) {
+        let Some(node) = self.node(Peer::Router(router)) else {
+            return;
+        };
+        let out = span(&self.leaving_at, node);
+        let first = out.start as u32;
+        let edge = self
+            .edges
+            .get_mut(out)
+            .and_then(|out| (first..).zip(out).find(|(_, e)| e.port == port));
+        let Some((ei, e)) = edge else {
+            return;
+        };
+        let was_down = e.down;
+        e.set_state(l, congestion_milli);
+        if e.down == was_down {
+            return;
+        }
+        let (to, weight) = (e.to, e.reverse_weight());
+        let into = self.inbound.get_mut(span(&self.entering_at, to));
+        if let Some(entry) = into.and_then(|into| into.iter_mut().find(|r| r.edge == ei)) {
+            entry.weight = weight;
+        }
     }
 
     /// Reconstruct a route and its metrics from a path of edge indices.
@@ -590,6 +653,92 @@ fn stretch_ceiling(best_ns: u64, stretch_milli: u32) -> u64 {
     u64::try_from(ceiling).unwrap_or(u64::MAX)
 }
 
+/// The most buckets a [`Ring`] holds, whatever the spread of link
+/// weights.
+const RING_CAP: u64 = 4_096;
+
+/// Dial's bucket queue over the reverse tree's `(label, node)` entries.
+///
+/// Bucket `b` holds the labels in `[b × width, (b + 1) × width)`, on a
+/// ring of `max_weight / width + 2` slots: a relaxation adds at most one
+/// link weight to a label of the bucket being drained, so no queued
+/// label is a lap ahead of it. The width is the least link weight, so a
+/// relaxation always lands in a later bucket: every label in the lowest
+/// non-empty bucket is final, and the bucket drains in whatever order it
+/// holds. When that would take more than [`RING_CAP`] slots the width
+/// grows instead, a bucket can then gain labels while it drains, and
+/// it drains in label order.
+struct Ring {
+    slots: Vec<Vec<(u64, u32)>>,
+    width: u64,
+    /// The width grew past the least link weight, so the bucket being
+    /// drained is taken in label order.
+    ordered: bool,
+    /// The number (`label / width`) of the bucket being drained.
+    at: u64,
+    /// Bucket `at` is sorted descending (ordered rings only).
+    sorted: bool,
+}
+
+impl Ring {
+    fn new(min_weight: u64, max_weight: u64) -> Ring {
+        let min = min_weight.max(1);
+        let (width, ordered) = if max_weight / min + 2 <= RING_CAP {
+            (min, false)
+        } else {
+            (max_weight.div_ceil(RING_CAP - 2), true)
+        };
+        Ring {
+            slots: (0..max_weight / width + 2).map(|_| Vec::new()).collect(),
+            width,
+            ordered,
+            at: 0,
+            sorted: false,
+        }
+    }
+
+    /// Queue `node` at `label`, which is no less than the labels
+    /// drained so far.
+    fn push(&mut self, label: u64, node: u32) {
+        let number = label / self.width;
+        let slots = self.slots.len() as u64;
+        let Some(slot) = self.slots.get_mut((number % slots) as usize) else {
+            return;
+        };
+        if self.sorted && number == self.at {
+            // Keep the draining bucket descending, least label last.
+            let at = slot.partition_point(|&e| e > (label, node));
+            slot.insert(at, (label, node));
+        } else {
+            slot.push((label, node));
+        }
+    }
+
+    /// An entry of the lowest non-empty bucket, or `None` once a lap of
+    /// the ring finds every bucket empty or that bucket starts above
+    /// `ceiling` — and so does every label left in it.
+    fn pop(&mut self, ceiling: u64) -> Option<(u64, u32)> {
+        let slots = self.slots.len() as u64;
+        for _ in 0..slots {
+            let slot = self.slots.get_mut((self.at % slots) as usize)?;
+            if slot.is_empty() {
+                self.at += 1;
+                self.sorted = false;
+                continue;
+            }
+            if self.at.saturating_mul(self.width) > ceiling {
+                return None;
+            }
+            if self.ordered && !self.sorted {
+                slot.sort_unstable_by(|a, b| b.cmp(a));
+                self.sorted = true;
+            }
+            return slot.pop();
+        }
+        None
+    }
+}
+
 /// One query's searches and the scratch they share.
 ///
 /// A query is one Dijkstra *backwards* from the destination
@@ -613,12 +762,18 @@ struct Search<'a> {
     /// within the reverse tree's radius, above the radius (or
     /// `u64::MAX`) everywhere else.
     to_dst: Vec<u64>,
+    /// The reverse tree's queue.
+    ring: Ring,
     /// Per router node, a probe's distance from its start and the edge
     /// it was reached over. Allocated once; `touched` lists the slots
     /// the last probe wrote so the next resets only those.
     dist: Vec<u64>,
     via: Vec<u32>,
     touched: Vec<u32>,
+    /// Per router node, the last probe that banned it: a node is banned
+    /// from the running probe iff its stamp is `probe`.
+    banned: Vec<u32>,
+    probe: u32,
     heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
     work: SearchWork,
 }
@@ -636,9 +791,12 @@ impl<'a> Search<'a> {
                 .map(|d| d.as_nanos().saturating_add(64 * HOP_NS))
                 .unwrap_or(u64::MAX),
             to_dst: vec![u64::MAX; n],
+            ring: Ring::new(g.min_weight, g.max_weight),
             dist: vec![u64::MAX; n],
             via: vec![0; n],
             touched: Vec::new(),
+            banned: vec![0; n],
+            probe: 0,
             heap: BinaryHeap::new(),
             work: SearchWork::default(),
         }
@@ -737,9 +895,17 @@ impl<'a> Search<'a> {
     /// `alternates` (no node farther than that from `dst` can lie on a
     /// route within the ceiling), the best distance itself when it will
     /// not.
+    ///
+    /// The tree settles exactly the nodes within the radius, so what it
+    /// leaves in `to_dst` is what a binary-heap Dijkstra leaves, however
+    /// a bucket of the [`Ring`] drains: `src`'s label is final once the
+    /// queue hands out a label at least as large, and the radius is
+    /// fixed then, before any node beyond it can settle.
     fn reverse_tree(&mut self, alternates: bool) -> Option<u64> {
         let (g, q) = (self.g, self.q);
-        let mut heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::new();
+        // Being down is in an entry's weight; only an MTU or bandwidth
+        // bound needs the edge itself.
+        let prune = q.min_mtu > 0 || q.min_bandwidth_bps > 0;
         let mut best = None;
         let mut radius = u64::MAX;
         // A host destination has no slot (and no way back out of it); a
@@ -747,29 +913,36 @@ impl<'a> Search<'a> {
         if let Some(slot) = self.to_dst.get_mut(self.dst as usize) {
             *slot = 0;
         }
-        heap.push(Reverse((0, self.dst)));
-        while let Some(Reverse((d, v))) = heap.pop() {
-            if d > radius {
-                break;
-            }
+        self.ring.push(0, self.dst);
+        while let Some((d, v)) = self.ring.pop(radius) {
             if v != self.dst && self.to_dst.get(v as usize) != Some(&d) {
                 continue; // a shorter label settled this node already
             }
-            self.work.nodes_settled += 1;
-            if v == self.src {
-                best = Some(d);
-                radius = if alternates {
-                    stretch_ceiling(d, q.max_stretch_milli).max(d)
-                } else {
-                    d
-                };
+            if best.is_none() {
+                if let Some(&at_src) = self.to_dst.get(self.src as usize).filter(|&&s| s <= d) {
+                    best = Some(at_src);
+                    radius = if alternates {
+                        stretch_ceiling(at_src, q.max_stretch_milli).max(at_src)
+                    } else {
+                        at_src
+                    };
+                }
             }
-            for e in g.entering(v).filter(|e| e.admitted(q)) {
-                let nd = d.saturating_add(e.weight_ns());
-                if let Some(slot) = self.to_dst.get_mut(e.from as usize) {
+            if d > radius {
+                continue; // past the radius, in the last bucket drained
+            }
+            self.work.nodes_settled += 1;
+            for r in g.inbound(v) {
+                let admitted = r.weight != u64::MAX
+                    && (!prune || g.edges.get(r.edge as usize).is_some_and(|e| e.admitted(q)));
+                if !admitted {
+                    continue;
+                }
+                let nd = d.saturating_add(r.weight);
+                if let Some(slot) = self.to_dst.get_mut(r.from as usize) {
                     if nd < *slot {
                         *slot = nd;
-                        heap.push(Reverse((nd, e.from)));
+                        self.ring.push(nd, r.from);
                     }
                 }
             }
@@ -816,6 +989,12 @@ impl<'a> Search<'a> {
                 *slot = u64::MAX;
             }
         }
+        self.probe += 1;
+        for &n in banned_nodes {
+            if let Some(stamp) = self.banned.get_mut(n as usize) {
+                *stamp = self.probe;
+            }
+        }
         self.heap.clear();
         // `h`: distance to `dst`, if a path through a node that far out
         // can still come in under `bound` after `so_far`.
@@ -852,7 +1031,7 @@ impl<'a> Search<'a> {
                     }
                     continue;
                 }
-                if banned_nodes.contains(&e.to) {
+                if self.banned.get(e.to as usize) == Some(&self.probe) {
                     continue;
                 }
                 let Some(hv) = h(e.to, root_ns.saturating_add(nd)) else {
@@ -900,6 +1079,7 @@ impl<'a> Search<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::{below, build_topology, pick, query_from, splitmix};
 
     /// Diamond: 0 → {1 (fast), 2 (slow)} → 3 → host 9.
     fn diamond() -> TeTopology {
@@ -1149,6 +1329,237 @@ mod tests {
             let mut seen = BTreeSet::new();
             for &(router, _) in &r.hops {
                 assert!(seen.insert(router), "router {router} repeats");
+            }
+        }
+    }
+
+    /// Taking down the one tight link into router 1 has to reach the
+    /// reverse tree through the link's reverse entry, and bringing it
+    /// back up has to restore it: a stale entry either puts `best` below
+    /// every route left (no answer) or hides the fast arm.
+    #[test]
+    fn a_tight_link_down_then_up_answers_like_a_fresh_topology() {
+        let fresh = |down: bool| {
+            let mut t = diamond();
+            if down {
+                t.set_down(1, 0);
+            }
+            t
+        };
+        let mut live = diamond();
+        for k in [1, 2] {
+            let q = TeQuery {
+                k,
+                ..TeQuery::default()
+            };
+            let ask = |t: &TeTopology| t.k_routes(0, Peer::Host(9), &q);
+            ask(&live); // compile, so the reports below patch
+            live.set_down(1, 0);
+            assert!(live.compiled.get().is_some(), "patched, not rebuilt");
+            assert_eq!(ask(&live), ask(&fresh(true)), "k = {k}, link down");
+            live.set_up(1, 0);
+            assert_eq!(ask(&live), ask(&fresh(false)), "k = {k}, link up");
+        }
+    }
+
+    /// The reverse tree as the binary-heap Dijkstra the [`Ring`]
+    /// replaced grows it, reading the edges rather than the reverse
+    /// entries: `best`, the labels it leaves, and how many nodes settle.
+    fn heap_tree(
+        g: &Compiled,
+        q: &TeQuery,
+        src: u32,
+        dst: u32,
+        alternates: bool,
+    ) -> (Option<u64>, Vec<u64>, u64) {
+        let mut to_dst = vec![u64::MAX; g.routers.len()];
+        let mut heap = BinaryHeap::new();
+        let (mut best, mut radius, mut settled) = (None, u64::MAX, 0);
+        if let Some(slot) = to_dst.get_mut(dst as usize) {
+            *slot = 0;
+        }
+        heap.push(Reverse((0, dst)));
+        while let Some(Reverse((d, v))) = heap.pop() {
+            if d > radius {
+                break;
+            }
+            if v != dst && to_dst[v as usize] != d {
+                continue;
+            }
+            settled += 1;
+            if v == src {
+                best = Some(d);
+                radius = if alternates {
+                    stretch_ceiling(d, q.max_stretch_milli).max(d)
+                } else {
+                    d
+                };
+            }
+            for e in g.edges.iter().filter(|e| e.to == v && e.admitted(q)) {
+                let nd = d.saturating_add(e.weight_ns());
+                if nd < to_dst[e.from as usize] {
+                    to_dst[e.from as usize] = nd;
+                    heap.push(Reverse((nd, e.from)));
+                }
+            }
+        }
+        (best, to_dst, settled)
+    }
+
+    /// Grow the ring tree and the heap tree for one query, at the k = 1
+    /// radius and at the k > 1 one, and insist on the same `best`, the
+    /// same label for every node, and every node within the radius
+    /// settled exactly once: each of them must settle, so a count equal
+    /// to theirs leaves no room for a second settle. Returns whether the
+    /// ring drained its buckets in label order, or `None` if the
+    /// topology does not know `src` or `dst`.
+    fn assert_tree_matches_heap(t: &TeTopology, src: u32, dst: Peer, q: &TeQuery) -> Option<bool> {
+        let g = t
+            .compiled
+            .get_or_init(|| Compiled::build(&t.links, t.congestion_milli));
+        let (s, d) = (g.node(Peer::Router(src))?, g.node(dst)?);
+        let mut ordered = None;
+        for alternates in [false, true] {
+            let mut search = Search::new(g, q, s, d);
+            let best = search.reverse_tree(alternates);
+            ordered = Some(search.ring.ordered);
+            let (heap_best, heap_to_dst, heap_settled) = heap_tree(g, q, s, d, alternates);
+            let case = format!("{src} -> {dst:?} under {q:?}, alternates {alternates}");
+            assert_eq!(best, heap_best, "{case}");
+            assert_eq!(search.to_dst, heap_to_dst, "{case}");
+            let radius = match best {
+                Some(b) if alternates => stretch_ceiling(b, q.max_stretch_milli).max(b),
+                Some(b) => b,
+                None => u64::MAX,
+            };
+            let host_dst = d as usize >= g.routers.len();
+            let reached = search.to_dst.iter().filter(|&&l| l != u64::MAX);
+            let within = reached.filter(|&&l| l <= radius).count() as u64 + u64::from(host_dst);
+            assert_eq!(search.work.nodes_settled, within, "{case}");
+            assert_eq!(heap_settled, within, "{case}");
+        }
+        ordered
+    }
+
+    #[test]
+    fn ring_tree_matches_the_heap_tree_on_generated_topologies() {
+        let mut compared = 0;
+        for seed in 0..64u64 {
+            let mut s = seed ^ 0x0D1A_15EA;
+            let n = 4 + below(&mut s, 61) as u32;
+            let mut topo = build_topology(splitmix(&mut s), n);
+            for _ in 0..12 {
+                let src = topo.any_src(&mut s);
+                let dst = topo.any_dst(&mut s, src);
+                let q = query_from(&mut s);
+                assert_tree_matches_heap(&topo.te, src, dst, &q);
+                // Reports land on the compiled graph: down links inside
+                // the tree come from here.
+                topo.report(&mut s);
+                compared += 1;
+            }
+        }
+        assert!(compared >= 700);
+    }
+
+    /// Zero-propagation links beside 10 s ones: the weight ratio is far
+    /// past the ring's cap, so the width grows and buckets drain in
+    /// label order, gaining labels as they drain.
+    #[test]
+    fn ring_tree_matches_the_heap_tree_past_the_ring_cap() {
+        for seed in 0..32u64 {
+            let mut s = seed ^ 0x5B2E_AD00;
+            let n = 8 + below(&mut s, 57) as u32;
+            let mut topo = build_topology(splitmix(&mut s), n);
+            for (i, &(r, p)) in topo.links.clone().iter().enumerate() {
+                let prop_ns = match i {
+                    0 => 0,
+                    1 => 10_000_000_000,
+                    _ => pick(&mut s, &[0u64, 0, 0, 1_000, 3_000_000, 10_000_000_000]),
+                };
+                let metrics = LinkMetrics {
+                    prop_delay: SimDuration::from_nanos(prop_ns),
+                    ..topo.te.metrics(r, p).unwrap()
+                };
+                topo.te.set_metrics(r, p, metrics);
+            }
+            for _ in 0..12 {
+                let src = topo.any_src(&mut s);
+                let dst = topo.any_dst(&mut s, src);
+                let q = TeQuery {
+                    max_stretch_milli: pick(&mut s, &[0, 1_000, 1_500]),
+                    ..query_from(&mut s)
+                };
+                let ordered = assert_tree_matches_heap(&topo.te, src, dst, &q);
+                assert_ne!(ordered, Some(false), "the width did not grow");
+                topo.report(&mut s);
+            }
+        }
+    }
+
+    /// A grid of unit-weight links (no propagation: every link weighs
+    /// one decision delay), so every bucket holds exactly one distance
+    /// and ties are everywhere; between rounds, links of the tree just
+    /// grown go down on the compiled graph, and every third round they
+    /// all come back.
+    #[test]
+    fn ring_tree_matches_the_heap_tree_on_a_unit_grid() {
+        const SIDE: u32 = 12;
+        let unit = LinkMetrics {
+            prop_delay: SimDuration::ZERO,
+            ..LinkMetrics::basic()
+        };
+        let mut t = TeTopology::new();
+        let mut links = Vec::new();
+        for r in 0..SIDE * SIDE {
+            let (row, col) = (r / SIDE, r % SIDE);
+            let mut port = 0;
+            for (ok, peer) in [
+                (col + 1 < SIDE, r + 1),
+                (col > 0, r.wrapping_sub(1)),
+                (row + 1 < SIDE, r + SIDE),
+                (row > 0, r.wrapping_sub(SIDE)),
+            ] {
+                if ok {
+                    t.add_link(r, port, Peer::Router(peer), unit);
+                    links.push((r, port));
+                    port += 1;
+                }
+            }
+        }
+        for home in [SIDE * SIDE - 1, SIDE / 2] {
+            t.add_link(home, 9, Peer::Host(7), unit);
+            links.push((home, 9));
+        }
+        let queries = [
+            TeQuery::default(),
+            TeQuery {
+                k: 3,
+                max_stretch_milli: 1_500,
+                ..TeQuery::default()
+            },
+        ];
+        let dsts = [Peer::Host(7), Peer::Router(SIDE * SIDE / 2 + 3)];
+        let mut s = 0x6121_D000u64;
+        for round in 0..24 {
+            for q in &queries {
+                for dst in dsts {
+                    let src = below(&mut s, (SIDE * SIDE) as usize) as u32;
+                    if dst != Peer::Router(src) {
+                        assert_eq!(assert_tree_matches_heap(&t, src, dst, q), Some(false));
+                    }
+                }
+            }
+            if round % 3 == 2 {
+                for &(r, p) in &links {
+                    t.set_up(r, p);
+                }
+                continue;
+            }
+            let src = below(&mut s, (SIDE * SIDE) as usize) as u32;
+            let best = t.k_routes(src, Peer::Host(7), &TeQuery::default());
+            for &(r, p) in best.iter().flat_map(|b| &b.hops).step_by(2) {
+                t.set_down(r, p);
             }
         }
     }
