@@ -111,8 +111,14 @@ pub struct Directory {
     /// Yen spurs, detours) — with `te_nodes_settled`, what the queries
     /// cost in units no clock or RNG touches.
     pub te_searches: u64,
-    /// Nodes settled across all TE queries, reverse trees included.
+    /// Nodes settled across all TE queries, probes and reverse trees
+    /// alike — new settles only: a query that grows a kept tree counts
+    /// the nodes it added, and one the kept tree already covers counts
+    /// none for it.
     pub te_nodes_settled: u64,
+    /// TE queries answered from a reverse tree kept from an earlier
+    /// query to the same destination under the same link bounds.
+    pub te_trees_reused: u64,
 }
 
 impl Directory {
@@ -135,6 +141,7 @@ impl Directory {
             te_infeasible: 0,
             te_searches: 0,
             te_nodes_settled: 0,
+            te_trees_reused: 0,
         }
     }
 
@@ -181,8 +188,12 @@ impl Directory {
 
     /// A router/monitor load report for one link. With a TE topology
     /// attached the report also updates the link weight there, bumping
-    /// the topology epoch.
+    /// the topology epoch. A load that is not a finite number (NaN, ±∞)
+    /// is refused and changes nothing.
     pub fn report_load(&mut self, router_id: u32, port: u8, load: f64) {
+        if !load.is_finite() {
+            return;
+        }
         let load = load.clamp(0.0, 1.0);
         self.links.entry((router_id, port)).or_default().load = load;
         if let Some(te) = self.te.as_mut() {
@@ -314,15 +325,20 @@ impl Directory {
     /// router to `dst` on the attached TE topology. Returns raw
     /// [`TeRoute`]s, best first; empty when no topology is attached or
     /// no feasible route exists.
+    ///
+    /// The topology keeps the query's reverse tree, so a later query to
+    /// the same destination grows it instead of building another; the
+    /// routes are those [`TeTopology::k_routes`] returns.
     pub fn te_query(&mut self, src_router: u32, dst: crate::Peer, q: &TeQuery) -> Vec<TeRoute> {
         self.te_queries += 1;
         let (routes, work) = self
             .te
-            .as_ref()
+            .as_mut()
             .map(|t| t.k_routes_counted(src_router, dst, q))
             .unwrap_or_default();
         self.te_searches += work.searches;
         self.te_nodes_settled += work.nodes_settled;
+        self.te_trees_reused += work.trees_reused;
         self.te_routes_returned += routes.len() as u64;
         self.te_detours += routes.iter().filter(|r| r.detour).count() as u64;
         if routes.is_empty() {
@@ -379,6 +395,7 @@ impl Directory {
         reg.publish_count(names::TE_EPOCH_BUMPS_TOTAL, self.topology_epoch())?;
         reg.publish_count(names::TE_SEARCHES_TOTAL, self.te_searches)?;
         reg.publish_count(names::TE_NODES_SETTLED_TOTAL, self.te_nodes_settled)?;
+        reg.publish_count(names::TE_TREES_REUSED_TOTAL, self.te_trees_reused)?;
         Ok(())
     }
 }
@@ -666,6 +683,44 @@ mod tests {
         // probe down the fast arm (three routers).
         assert_eq!(reg.counter("te_searches_total"), 1);
         assert_eq!(reg.counter("te_nodes_settled_total"), 5 + 3);
+        assert_eq!(reg.counter("te_trees_reused_total"), 0);
+    }
+
+    /// The second query to host 9 reads the tree the first one grew to
+    /// every router, so all it settles is its probe's two routers (1,
+    /// then 3).
+    #[test]
+    fn a_second_query_to_a_destination_reuses_its_tree() {
+        let mut d = Directory::new().with_te(te_diamond());
+        d.te_query(0, crate::Peer::Host(9), &TeQuery::default());
+        let routes = d.te_query(1, crate::Peer::Host(9), &TeQuery::default());
+        assert_eq!(routes[0].hops, vec![(1, 0), (3, 0)]);
+        let mut reg = Registry::new();
+        d.publish_telemetry(&mut reg).unwrap();
+        assert_eq!(reg.counter("te_trees_reused_total"), 1);
+        assert_eq!(reg.counter("te_searches_total"), 2);
+        assert_eq!(reg.counter("te_nodes_settled_total"), (5 + 3) + 2);
+    }
+
+    /// Regression: `f64::clamp` passes NaN through and `(NaN × 1000) as
+    /// u32` is 0, so a NaN report marked a loaded link idle (and stored
+    /// NaN in the status map); ±∞ clamped to a full or an idle link.
+    #[test]
+    fn a_load_report_that_is_not_a_number_changes_nothing() {
+        let (client, service) = names();
+        let mut d = Directory::new().with_te(te_diamond());
+        d.register_route(&service, Name::root(), route(vec![hop(1, 0, 1, 1, 1)]));
+        d.report_load(1, 0, 0.9);
+        let epoch = d.topology_epoch();
+        for load in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            d.report_load(1, 0, load);
+            let te = d.te().unwrap();
+            assert_eq!(te.load_milli(1, 0), Some(900), "{load}");
+            assert!(te.congested(1, 0), "{load}");
+            assert_eq!(d.topology_epoch(), epoch, "{load}");
+            let r = d.query(&client, &service, Preference::LowDelay, 1, 1);
+            assert_eq!(r.advisories[0].reported_load, 0.9, "{load}");
+        }
     }
 
     #[test]

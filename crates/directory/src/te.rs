@@ -175,13 +175,16 @@ impl TeRoute {
 /// (`add_link`, `set_metrics`, `set_congestion_threshold`) compiles
 /// from it and that load and up/down reports then patch in place: a
 /// topology that only sees reports is compiled once, and one nobody
-/// queries is never compiled.
+/// queries is never compiled. The directory's own queries also keep
+/// their reverse trees (`Parked`), which a structural change drops and
+/// an up/down report drops only where it moves a settled label.
 #[derive(Debug, Clone, Default)]
 pub struct TeTopology {
     links: BTreeMap<(u32, u8), TeLink>,
     epoch: u64,
     congestion_milli: u32,
     compiled: OnceLock<Compiled>,
+    parked: Parked,
 }
 
 /// The link map as the searches see it: nodes are indices (routers in
@@ -251,8 +254,11 @@ struct Edge {
 pub(crate) struct SearchWork {
     /// Goal-directed searches run (first path, Yen spurs, detour).
     pub(crate) searches: u64,
-    /// Nodes settled, reverse tree and goal-directed searches together.
+    /// Nodes settled, the reverse tree's growth and goal-directed
+    /// searches together: a kept tree's nodes are not settled again.
     pub(crate) nodes_settled: u64,
+    /// 1 when the query read a kept reverse tree, 0 when it grew one.
+    pub(crate) trees_reused: u64,
 }
 
 impl TeTopology {
@@ -334,17 +340,20 @@ impl TeTopology {
     }
 
     /// A structural change happened: move the epoch and drop the
-    /// compiled adjacency. The next query recompiles — not this call,
-    /// so building a topology link by link stays linear.
+    /// compiled adjacency and every kept tree. The next query recompiles
+    /// — not this call, so building a topology link by link stays
+    /// linear.
     fn restructured(&mut self) {
         self.epoch += 1;
         self.compiled.take();
+        self.parked.clear();
     }
 
     /// Apply a load or up/down report to one link. `change` says
-    /// whether it changed anything; if it did the epoch moves and the
+    /// whether it changed anything; if it did the epoch moves, the
     /// link's compiled edge and reverse entry, when there are some, are
-    /// patched in place.
+    /// patched in place, and an up/down flip drops the kept trees it
+    /// can move.
     fn report(&mut self, router: u32, port: u8, change: impl FnOnce(&mut TeLink) -> bool) {
         let Some(l) = self.links.get_mut(&(router, port)) else {
             return;
@@ -354,7 +363,9 @@ impl TeTopology {
         }
         self.epoch += 1;
         if let Some(g) = self.compiled.get_mut() {
-            g.patch(router, port, l, self.congestion_milli);
+            if let Some(flipped) = g.patch(router, port, l, self.congestion_milli) {
+                self.parked.flipped(&flipped);
+            }
         }
     }
 
@@ -385,13 +396,28 @@ impl TeTopology {
     /// to `dst`, best first. Routes satisfy every bound in `q`; an empty
     /// result means no feasible route exists. `dst` may be a host or a
     /// router (the route then terminates on the link landing on it).
+    ///
+    /// The reverse tree is grown for this query alone and thrown away;
+    /// the directory's queries keep theirs (`k_routes_counted`), and the
+    /// routes are the same either way.
     pub fn k_routes(&self, src: u32, dst: Peer, q: &TeQuery) -> Vec<TeRoute> {
-        self.k_routes_counted(src, dst, q).0
+        if dst == Peer::Router(src) {
+            return vec![TeRoute::empty()];
+        }
+        let g = self
+            .compiled
+            .get_or_init(|| Compiled::build(&self.links, self.congestion_milli));
+        let Some((src, dst)) = g.endpoints(src, dst) else {
+            return Vec::new();
+        };
+        Search::new(g, q, src, Tree::new(g, dst)).k_routes()
     }
 
-    /// [`TeTopology::k_routes`] plus what the search cost.
+    /// [`TeTopology::k_routes`] plus what the search cost, on the kept
+    /// reverse tree of `dst` under `q`'s link bounds when there is one,
+    /// which the query grows as far as it needs and then parks again.
     pub(crate) fn k_routes_counted(
-        &self,
+        &mut self,
         src: u32,
         dst: Peer,
         q: &TeQuery,
@@ -402,11 +428,20 @@ impl TeTopology {
         let g = self
             .compiled
             .get_or_init(|| Compiled::build(&self.links, self.congestion_milli));
-        let (Some(src), Some(dst)) = (g.node(Peer::Router(src)), g.node(dst)) else {
+        let Some((src, dst)) = g.endpoints(src, dst) else {
             return (Vec::new(), SearchWork::default());
         };
-        let mut search = Search::new(g, q, src, dst);
-        (search.k_routes(), search.work)
+        let key = (dst, q.min_mtu, q.min_bandwidth_bps);
+        let kept = self.parked.take(key);
+        let trees_reused = u64::from(kept.is_some());
+        let mut search = Search::new(g, q, src, kept.unwrap_or_else(|| Tree::new(g, dst)));
+        let routes = search.k_routes();
+        self.parked.park(key, search.tree);
+        let work = SearchWork {
+            trees_reused,
+            ..search.work
+        };
+        (routes, work)
     }
 
     /// Materialize a computed route as a directory [`RouteRecord`],
@@ -468,7 +503,12 @@ impl Edge {
     /// A query's per-link prunes: the link is up, and at least as wide
     /// and as fast as the query asks (a bound of 0 admits every link).
     fn admitted(&self, q: &TeQuery) -> bool {
-        !self.down && self.mtu >= q.min_mtu && self.bw >= q.min_bandwidth_bps
+        !self.down && self.fits(q.min_mtu, q.min_bandwidth_bps)
+    }
+
+    /// At least as wide and as fast as the bounds.
+    fn fits(&self, min_mtu: usize, min_bandwidth_bps: u64) -> bool {
+        self.mtu >= min_mtu && self.bw >= min_bandwidth_bps
     }
 }
 
@@ -579,6 +619,11 @@ impl Compiled {
         Some(at as u32)
     }
 
+    /// The node indices of a query's source router and destination.
+    fn endpoints(&self, src: u32, dst: Peer) -> Option<(u32, u32)> {
+        Some((self.node(Peer::Router(src))?, self.node(dst)?))
+    }
+
     /// `(index, edge)` of every link leaving `node`, in port order.
     fn leaving(&self, node: u32) -> impl Iterator<Item = (u32, &Edge)> {
         let span = span(&self.leaving_at, node);
@@ -596,30 +641,26 @@ impl Compiled {
     /// two short searches (which is what keeps a report O(log n)), and,
     /// when the report moved the link up or down, its reverse entry. A
     /// load report leaves the entry alone: the search weight is
-    /// load-blind.
-    fn patch(&mut self, router: u32, port: u8, l: &TeLink, congestion_milli: u32) {
-        let Some(node) = self.node(Peer::Router(router)) else {
-            return;
-        };
+    /// load-blind. Returns the edge when it went up or down.
+    fn patch(&mut self, router: u32, port: u8, l: &TeLink, congestion_milli: u32) -> Option<Edge> {
+        let node = self.node(Peer::Router(router))?;
         let out = span(&self.leaving_at, node);
         let first = out.start as u32;
-        let edge = self
+        let (ei, e) = self
             .edges
             .get_mut(out)
-            .and_then(|out| (first..).zip(out).find(|(_, e)| e.port == port));
-        let Some((ei, e)) = edge else {
-            return;
-        };
+            .and_then(|out| (first..).zip(out).find(|(_, e)| e.port == port))?;
         let was_down = e.down;
         e.set_state(l, congestion_milli);
         if e.down == was_down {
-            return;
+            return None;
         }
-        let (to, weight) = (e.to, e.reverse_weight());
-        let into = self.inbound.get_mut(span(&self.entering_at, to));
+        let flipped = *e;
+        let into = self.inbound.get_mut(span(&self.entering_at, flipped.to));
         if let Some(entry) = into.and_then(|into| into.iter_mut().find(|r| r.edge == ei)) {
-            entry.weight = weight;
+            entry.weight = flipped.reverse_weight();
         }
+        Some(flipped)
     }
 
     /// Reconstruct a route and its metrics from a path of edge indices.
@@ -697,6 +738,14 @@ impl Ring {
         }
     }
 
+    /// Move the drain position to the bucket of `label`, the least
+    /// label about to be queued: an entry queued behind the drain
+    /// position would land a lap ahead of it.
+    fn rewind(&mut self, label: u64) {
+        self.at = label / self.width;
+        self.sorted = false;
+    }
+
     /// Queue `node` at `label`, which is no less than the labels
     /// drained so far.
     fn push(&mut self, label: u64, node: u32) {
@@ -737,18 +786,271 @@ impl Ring {
         }
         None
     }
+
+    /// Every entry still queued, in no particular order.
+    fn drain(&mut self) -> impl Iterator<Item = (u64, u32)> + '_ {
+        self.slots.iter_mut().flat_map(|slot| slot.drain(..))
+    }
+}
+
+/// The fields of a query a reverse tree depends on: its destination
+/// node and the link bounds its relaxations admit (`min_mtu`,
+/// `min_bandwidth_bps`).
+type TreeKey = (u32, usize, u64);
+
+/// A reverse tree: every router node's distance to one destination,
+/// grown outwards from it only as far as the queries so far needed,
+/// and able to grow further.
+#[derive(Debug, Clone)]
+struct Tree {
+    /// The destination node.
+    dst: u32,
+    /// Per router node, its label: exact wherever it is at most
+    /// `radius`, above `radius` (or `u64::MAX`) everywhere else.
+    labels: Vec<u64>,
+    /// Every node labelled at most this has settled — but for a new
+    /// tree's destination — and `u64::MAX` once every node has.
+    radius: u64,
+    /// The nodes whose label is queued and not yet settled. Each label
+    /// is in `labels`, so a node id is all an entry needs.
+    frontier: Vec<u32>,
+}
+
+impl Tree {
+    /// A tree that has settled nothing: the destination at 0, queued.
+    fn new(g: &Compiled, dst: u32) -> Tree {
+        let mut labels = vec![u64::MAX; g.routers.len()];
+        // A host destination has no slot (and no way back out of it); a
+        // router destination is pinned at 0, so no cycle relabels it.
+        if let Some(slot) = labels.get_mut(dst as usize) {
+            *slot = 0;
+        }
+        Tree {
+            dst,
+            labels,
+            radius: 0,
+            frontier: vec![dst],
+        }
+    }
+
+    /// The label of `node`: 0 for the destination, `u64::MAX` for a
+    /// host that is not it.
+    fn label(&self, node: u32) -> u64 {
+        if node == self.dst {
+            return 0;
+        }
+        self.labels.get(node as usize).copied().unwrap_or(u64::MAX)
+    }
+
+    /// What the tree holds, as the parked-tree cap counts it: 8 bytes
+    /// per label, 4 per frontier node.
+    fn bytes(&self) -> usize {
+        8 * self.labels.len() + 4 * self.frontier.len()
+    }
+
+    /// Grow the tree (Dijkstra backwards from `dst`) over the links `q`
+    /// admits until `src`'s distance is final and every node within the
+    /// query's radius has settled. Returns that distance, or `None` if
+    /// `dst` cannot be reached from `src`.
+    ///
+    /// The radius is fixed the moment `src` settles: the stretch
+    /// ceiling when the query will look for `alternates` (no node
+    /// farther than that from `dst` can lie on a route within the
+    /// ceiling), the best distance itself when it will not. A tree that
+    /// already reaches that far is only read: no [`Ring`] is built.
+    ///
+    /// The growth settles exactly the nodes within the radius that had
+    /// not settled, so what it leaves in `labels` within the radius is
+    /// what a binary-heap Dijkstra from scratch leaves, however a bucket
+    /// of the [`Ring`] drains: `src`'s label is final once the queue
+    /// hands out a label at least as large, and the radius is fixed
+    /// then, before any node beyond it can settle. Every label past the
+    /// radius is above it, as a fresh tree's are. What is still queued
+    /// when the growth stops — entries of the last bucket drained past
+    /// the radius among them — is the frontier the next growth resumes
+    /// from.
+    fn grow(
+        &mut self,
+        g: &Compiled,
+        q: &TeQuery,
+        src: u32,
+        alternates: bool,
+        work: &mut SearchWork,
+    ) -> Option<u64> {
+        let radius_for = |best: u64| {
+            if alternates {
+                stretch_ceiling(best, q.max_stretch_milli).max(best)
+            } else {
+                best
+            }
+        };
+        let mut best = None;
+        let mut radius = u64::MAX;
+        let at_src = self.label(src);
+        if at_src <= self.radius {
+            if at_src == u64::MAX {
+                return None; // every node has settled, and not `src`
+            }
+            best = Some(at_src);
+            radius = radius_for(at_src);
+            if radius <= self.radius {
+                return best;
+            }
+        }
+        // Being down is in an entry's weight; only an MTU or bandwidth
+        // bound needs the edge itself.
+        let prune = q.min_mtu > 0 || q.min_bandwidth_bps > 0;
+        let mut ring = Ring::new(g.min_weight, g.max_weight);
+        let frontier = std::mem::take(&mut self.frontier);
+        ring.rewind(frontier.iter().map(|&v| self.label(v)).min().unwrap_or(0));
+        for v in frontier {
+            ring.push(self.label(v), v);
+        }
+        while let Some((d, v)) = ring.pop(radius) {
+            if self.label(v) != d {
+                continue; // a shorter label settled this node already
+            }
+            if best.is_none() {
+                if let Some(&at_src) = self.labels.get(src as usize).filter(|&&s| s <= d) {
+                    best = Some(at_src);
+                    radius = radius_for(at_src);
+                }
+            }
+            if d > radius {
+                self.frontier.push(v); // past the radius, in the last bucket drained
+                continue;
+            }
+            work.nodes_settled += 1;
+            for r in g.inbound(v) {
+                let admitted = r.weight != u64::MAX
+                    && (!prune || g.edges.get(r.edge as usize).is_some_and(|e| e.admitted(q)));
+                if !admitted {
+                    continue;
+                }
+                let nd = d.saturating_add(r.weight);
+                if let Some(slot) = self.labels.get_mut(r.from as usize) {
+                    if nd < *slot {
+                        *slot = nd;
+                        ring.push(nd, r.from);
+                    }
+                }
+            }
+        }
+        let queued = ring
+            .drain()
+            .filter(|&(d, v)| self.labels.get(v as usize) == Some(&d));
+        self.frontier.extend(queued.map(|(_, v)| v));
+        self.radius = if self.frontier.is_empty() {
+            u64::MAX
+        } else {
+            radius
+        };
+        best
+    }
+
+    /// Whether flipping link `e` — it has just gone down, or come up —
+    /// can move a label the tree holds. Only if the node it lands on
+    /// has settled (until then, the growth that settles it reads the
+    /// patched reverse entry), the tree's bounds admit it, and it is
+    /// tight: going down, it gave the node it leaves its label; coming
+    /// up, it would give that node a shorter one. In every other case
+    /// no label changes, settled or queued.
+    fn moved_by(&self, e: &Edge, (_, min_mtu, min_bandwidth_bps): TreeKey) -> bool {
+        let at_to = self.label(e.to);
+        if at_to == u64::MAX || at_to > self.radius || !e.fits(min_mtu, min_bandwidth_bps) {
+            return false;
+        }
+        let through = at_to.saturating_add(e.weight_ns());
+        let at_from = self.label(e.from);
+        if e.down {
+            at_from == through
+        } else {
+            through < at_from
+        }
+    }
+}
+
+/// The most bytes of reverse trees a topology keeps between queries,
+/// as [`Tree::bytes`] counts them: every destination of a 1 024-router
+/// map, or 16 trees of a 10 000-router one.
+const PARKED_CAP: usize = 1_310_720;
+
+/// The reverse trees a topology keeps between queries, by [`TreeKey`],
+/// within [`PARKED_CAP`] bytes: the least recently used tree goes
+/// first.
+#[derive(Debug, Clone, Default)]
+struct Parked {
+    /// Each tree and the use that parked it.
+    trees: BTreeMap<TreeKey, (u64, Tree)>,
+    /// The key of the tree each use parked, oldest first.
+    by_use: BTreeMap<u64, TreeKey>,
+    /// Trees parked so far: the recency clock.
+    uses: u64,
+    bytes: usize,
+}
+
+impl Parked {
+    /// Drop every tree. Free when there are none, which is every call
+    /// while a topology is being built link by link.
+    fn clear(&mut self) {
+        if !self.trees.is_empty() {
+            *self = Parked::default();
+        }
+    }
+
+    /// Take `key`'s tree out, if there is one.
+    fn take(&mut self, key: TreeKey) -> Option<Tree> {
+        let (used, tree) = self.trees.remove(&key)?;
+        self.by_use.remove(&used);
+        self.bytes = self.bytes.saturating_sub(tree.bytes());
+        Some(tree)
+    }
+
+    /// Keep `tree` as `key`'s, evicting the least recently used trees
+    /// until it fits. A tree over the whole cap is not kept.
+    fn park(&mut self, key: TreeKey, tree: Tree) {
+        let bytes = tree.bytes();
+        if bytes > PARKED_CAP {
+            return;
+        }
+        while self.bytes + bytes > PARKED_CAP {
+            let Some((_, oldest)) = self.by_use.first_key_value() else {
+                break;
+            };
+            let oldest = *oldest;
+            self.take(oldest);
+        }
+        self.uses += 1;
+        self.by_use.insert(self.uses, key);
+        self.bytes += bytes;
+        self.trees.insert(key, (self.uses, tree));
+    }
+
+    /// Link `e` has just gone down or come up: drop every tree it can
+    /// move ([`Tree::moved_by`]).
+    fn flipped(&mut self, e: &Edge) {
+        let moved: Vec<TreeKey> = self
+            .trees
+            .iter()
+            .filter(|(&key, (_, tree))| tree.moved_by(e, key))
+            .map(|(&key, _)| key)
+            .collect();
+        for key in moved {
+            self.take(key);
+        }
+    }
 }
 
 /// One query's searches and the scratch they share.
 ///
 /// A query is one Dijkstra *backwards* from the destination
-/// ([`Search::reverse_tree`]) and then a handful of goal-directed
-/// probes forwards ([`Search::shortest`]): the reverse tree gives every
-/// node its exact distance to the destination over the links the query
-/// admits, which is a consistent A* heuristic for the first path, for
-/// every Yen spur and for the congestion detour (their banned and
-/// congested links only lengthen the true distance), and lets the
-/// stretch ceiling prune a probe the moment `root + g + h` exceeds it.
+/// ([`Tree::grow`]) and then a handful of goal-directed probes forwards
+/// ([`Search::shortest`]): the reverse tree gives every node its exact
+/// distance to the destination over the links the query admits, which
+/// is a consistent A* heuristic for the first path, for every Yen spur
+/// and for the congestion detour (their banned and congested links only
+/// lengthen the true distance), and lets the stretch ceiling prune a
+/// probe the moment `root + g + h` exceeds it.
 struct Search<'a> {
     g: &'a Compiled,
     q: &'a TeQuery,
@@ -758,12 +1060,8 @@ struct Search<'a> {
     /// plus 64 hops' worth of decision delay, measured from the node it
     /// starts at. The exact `max_delay` filter runs on the finished set.
     slack: u64,
-    /// Per router node, the distance to `dst`: exact wherever it is
-    /// within the reverse tree's radius, above the radius (or
-    /// `u64::MAX`) everywhere else.
-    to_dst: Vec<u64>,
-    /// The reverse tree's queue.
-    ring: Ring,
+    /// The reverse tree of `dst`, new or kept from an earlier query.
+    tree: Tree,
     /// Per router node, a probe's distance from its start and the edge
     /// it was reached over. Allocated once; `touched` lists the slots
     /// the last probe wrote so the next resets only those.
@@ -779,19 +1077,18 @@ struct Search<'a> {
 }
 
 impl<'a> Search<'a> {
-    fn new(g: &'a Compiled, q: &'a TeQuery, src: u32, dst: u32) -> Search<'a> {
+    fn new(g: &'a Compiled, q: &'a TeQuery, src: u32, tree: Tree) -> Search<'a> {
         let n = g.routers.len();
         Search {
             g,
             q,
             src,
-            dst,
+            dst: tree.dst,
             slack: q
                 .max_delay
                 .map(|d| d.as_nanos().saturating_add(64 * HOP_NS))
                 .unwrap_or(u64::MAX),
-            to_dst: vec![u64::MAX; n],
-            ring: Ring::new(g.min_weight, g.max_weight),
+            tree,
             dist: vec![u64::MAX; n],
             via: vec![0; n],
             touched: Vec::new(),
@@ -807,7 +1104,8 @@ impl<'a> Search<'a> {
     fn k_routes(&mut self) -> Vec<TeRoute> {
         let (g, q) = (self.g, self.q);
         let k = q.k.max(1);
-        let Some(best_ns) = self.reverse_tree(k > 1 || q.avoid_congested) else {
+        let alternates = k > 1 || q.avoid_congested;
+        let Some(best_ns) = self.tree.grow(g, q, self.src, alternates, &mut self.work) else {
             return Vec::new();
         };
         let Some((_, best)) = self.shortest(self.src, 0, best_ns, &[], &[], false) else {
@@ -886,70 +1184,6 @@ impl<'a> Search<'a> {
         routes
     }
 
-    /// Dijkstra backwards from `dst` over the links the query admits,
-    /// filling `to_dst`. Returns the distance from `src`, or `None` if
-    /// `dst` cannot be reached from it.
-    ///
-    /// The tree stops growing at a radius fixed the moment `src`
-    /// settles: the stretch ceiling when the query will look for
-    /// `alternates` (no node farther than that from `dst` can lie on a
-    /// route within the ceiling), the best distance itself when it will
-    /// not.
-    ///
-    /// The tree settles exactly the nodes within the radius, so what it
-    /// leaves in `to_dst` is what a binary-heap Dijkstra leaves, however
-    /// a bucket of the [`Ring`] drains: `src`'s label is final once the
-    /// queue hands out a label at least as large, and the radius is
-    /// fixed then, before any node beyond it can settle.
-    fn reverse_tree(&mut self, alternates: bool) -> Option<u64> {
-        let (g, q) = (self.g, self.q);
-        // Being down is in an entry's weight; only an MTU or bandwidth
-        // bound needs the edge itself.
-        let prune = q.min_mtu > 0 || q.min_bandwidth_bps > 0;
-        let mut best = None;
-        let mut radius = u64::MAX;
-        // A host destination has no slot (and no way back out of it); a
-        // router destination is pinned at 0, so no cycle relabels it.
-        if let Some(slot) = self.to_dst.get_mut(self.dst as usize) {
-            *slot = 0;
-        }
-        self.ring.push(0, self.dst);
-        while let Some((d, v)) = self.ring.pop(radius) {
-            if v != self.dst && self.to_dst.get(v as usize) != Some(&d) {
-                continue; // a shorter label settled this node already
-            }
-            if best.is_none() {
-                if let Some(&at_src) = self.to_dst.get(self.src as usize).filter(|&&s| s <= d) {
-                    best = Some(at_src);
-                    radius = if alternates {
-                        stretch_ceiling(at_src, q.max_stretch_milli).max(at_src)
-                    } else {
-                        at_src
-                    };
-                }
-            }
-            if d > radius {
-                continue; // past the radius, in the last bucket drained
-            }
-            self.work.nodes_settled += 1;
-            for r in g.inbound(v) {
-                let admitted = r.weight != u64::MAX
-                    && (!prune || g.edges.get(r.edge as usize).is_some_and(|e| e.admitted(q)));
-                if !admitted {
-                    continue;
-                }
-                let nd = d.saturating_add(r.weight);
-                if let Some(slot) = self.to_dst.get_mut(r.from as usize) {
-                    if nd < *slot {
-                        *slot = nd;
-                        self.ring.push(nd, r.from);
-                    }
-                }
-            }
-        }
-        best
-    }
-
     /// Goal-directed (A*) shortest path from `start` to `dst`, as
     /// `(weight, edge indices)`, over admitted links that are not in
     /// `banned_edges` (Yen spur exclusions), do not enter
@@ -998,7 +1232,7 @@ impl<'a> Search<'a> {
         self.heap.clear();
         // `h`: distance to `dst`, if a path through a node that far out
         // can still come in under `bound` after `so_far`.
-        let to_dst = &self.to_dst;
+        let to_dst = &self.tree.labels;
         let h = |node: u32, so_far: u64| {
             let h = *to_dst.get(node as usize)?;
             (h != u64::MAX && so_far.saturating_add(h) <= bound).then_some(h)
@@ -1079,7 +1313,7 @@ impl<'a> Search<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::{below, build_topology, pick, query_from, splitmix};
+    use crate::common::{below, build_topology, metrics_from, pick, query_from, splitmix, GenTopo};
 
     /// Diamond: 0 → {1 (fast), 2 (slow)} → 3 → host 9.
     fn diamond() -> TeTopology {
@@ -1224,14 +1458,13 @@ mod tests {
     /// hop of it, whatever `k` says.
     #[test]
     fn stretch_rejection_does_not_respur() {
-        let t = diamond();
         let work = |k| {
             let q = TeQuery {
                 k,
                 max_stretch_milli: 1200,
                 ..TeQuery::default()
             };
-            let (routes, work) = t.k_routes_counted(0, Peer::Host(9), &q);
+            let (routes, work) = diamond().k_routes_counted(0, Peer::Host(9), &q);
             assert_eq!(routes.len(), 1);
             assert_eq!(routes[0].hops.len(), 3);
             work
@@ -1417,28 +1650,27 @@ mod tests {
         let g = t
             .compiled
             .get_or_init(|| Compiled::build(&t.links, t.congestion_milli));
-        let (s, d) = (g.node(Peer::Router(src))?, g.node(dst)?);
-        let mut ordered = None;
+        let (s, d) = g.endpoints(src, dst)?;
         for alternates in [false, true] {
-            let mut search = Search::new(g, q, s, d);
-            let best = search.reverse_tree(alternates);
-            ordered = Some(search.ring.ordered);
+            let mut tree = Tree::new(g, d);
+            let mut work = SearchWork::default();
+            let best = tree.grow(g, q, s, alternates, &mut work);
             let (heap_best, heap_to_dst, heap_settled) = heap_tree(g, q, s, d, alternates);
             let case = format!("{src} -> {dst:?} under {q:?}, alternates {alternates}");
             assert_eq!(best, heap_best, "{case}");
-            assert_eq!(search.to_dst, heap_to_dst, "{case}");
+            assert_eq!(tree.labels, heap_to_dst, "{case}");
             let radius = match best {
                 Some(b) if alternates => stretch_ceiling(b, q.max_stretch_milli).max(b),
                 Some(b) => b,
                 None => u64::MAX,
             };
             let host_dst = d as usize >= g.routers.len();
-            let reached = search.to_dst.iter().filter(|&&l| l != u64::MAX);
+            let reached = tree.labels.iter().filter(|&&l| l != u64::MAX);
             let within = reached.filter(|&&l| l <= radius).count() as u64 + u64::from(host_dst);
-            assert_eq!(search.work.nodes_settled, within, "{case}");
+            assert_eq!(work.nodes_settled, within, "{case}");
             assert_eq!(heap_settled, within, "{case}");
         }
-        ordered
+        Some(Ring::new(g.min_weight, g.max_weight).ordered)
     }
 
     #[test]
@@ -1462,49 +1694,28 @@ mod tests {
         assert!(compared >= 700);
     }
 
-    /// Zero-propagation links beside 10 s ones: the weight ratio is far
-    /// past the ring's cap, so the width grows and buckets drain in
-    /// label order, gaining labels as they drain.
-    #[test]
-    fn ring_tree_matches_the_heap_tree_past_the_ring_cap() {
-        for seed in 0..32u64 {
-            let mut s = seed ^ 0x5B2E_AD00;
-            let n = 8 + below(&mut s, 57) as u32;
-            let mut topo = build_topology(splitmix(&mut s), n);
-            for (i, &(r, p)) in topo.links.clone().iter().enumerate() {
-                let prop_ns = match i {
-                    0 => 0,
-                    1 => 10_000_000_000,
-                    _ => pick(&mut s, &[0u64, 0, 0, 1_000, 3_000_000, 10_000_000_000]),
-                };
-                let metrics = LinkMetrics {
-                    prop_delay: SimDuration::from_nanos(prop_ns),
-                    ..topo.te.metrics(r, p).unwrap()
-                };
-                topo.te.set_metrics(r, p, metrics);
-            }
-            for _ in 0..12 {
-                let src = topo.any_src(&mut s);
-                let dst = topo.any_dst(&mut s, src);
-                let q = TeQuery {
-                    max_stretch_milli: pick(&mut s, &[0, 1_000, 1_500]),
-                    ..query_from(&mut s)
-                };
-                let ordered = assert_tree_matches_heap(&topo.te, src, dst, &q);
-                assert_ne!(ordered, Some(false), "the width did not grow");
-                topo.report(&mut s);
-            }
+    /// Give `topo`'s links zero-propagation and 10 s delays among
+    /// others: the weight ratio is far past the ring's cap.
+    fn spread_past_the_ring_cap(topo: &mut GenTopo, s: &mut u64) {
+        for (i, &(r, p)) in topo.links.clone().iter().enumerate() {
+            let prop_ns = match i {
+                0 => 0,
+                1 => 10_000_000_000,
+                _ => pick(s, &[0u64, 0, 0, 1_000, 3_000_000, 10_000_000_000]),
+            };
+            let metrics = LinkMetrics {
+                prop_delay: SimDuration::from_nanos(prop_ns),
+                ..topo.te.metrics(r, p).unwrap()
+            };
+            topo.te.set_metrics(r, p, metrics);
         }
     }
 
-    /// A grid of unit-weight links (no propagation: every link weighs
-    /// one decision delay), so every bucket holds exactly one distance
-    /// and ties are everywhere; between rounds, links of the tree just
-    /// grown go down on the compiled graph, and every third round they
-    /// all come back.
-    #[test]
-    fn ring_tree_matches_the_heap_tree_on_a_unit_grid() {
-        const SIDE: u32 = 12;
+    /// A square grid of unit-weight links (no propagation: every link
+    /// weighs one decision delay), so every bucket holds exactly one
+    /// distance and ties are everywhere, with host 7 on two corners of
+    /// it; and every link, in insertion order.
+    fn unit_grid() -> (TeTopology, Vec<(u32, u8)>) {
         let unit = LinkMetrics {
             prop_delay: SimDuration::ZERO,
             ..LinkMetrics::basic()
@@ -1531,6 +1742,46 @@ mod tests {
             t.add_link(home, 9, Peer::Host(7), unit);
             links.push((home, 9));
         }
+        (t, links)
+    }
+
+    /// [`unit_grid`]'s side.
+    const SIDE: u32 = 12;
+
+    /// Zero-propagation links beside 10 s ones: the weight ratio is far
+    /// past the ring's cap, so the width grows and buckets drain in
+    /// label order, gaining labels as they drain.
+    #[test]
+    fn ring_tree_matches_the_heap_tree_past_the_ring_cap() {
+        for seed in 0..32u64 {
+            let mut s = seed ^ 0x5B2E_AD00;
+            let n = 8 + below(&mut s, 57) as u32;
+            let mut topo = build_topology(splitmix(&mut s), n);
+            spread_past_the_ring_cap(&mut topo, &mut s);
+            for _ in 0..12 {
+                let src = topo.any_src(&mut s);
+                let dst = topo.any_dst(&mut s, src);
+                let q = TeQuery {
+                    max_stretch_milli: pick(&mut s, &[0, 1_000, 1_500]),
+                    ..query_from(&mut s)
+                };
+                let ordered = assert_tree_matches_heap(&topo.te, src, dst, &q);
+                assert_ne!(ordered, Some(false), "the width did not grow");
+                topo.report(&mut s);
+            }
+        }
+    }
+
+    /// A grid of unit-weight links (no propagation: every link weighs
+    /// one decision delay), so every bucket holds exactly one distance
+    /// and ties are everywhere; between rounds, links of the tree just
+    /// grown go down on the compiled graph, and every third round they
+    /// all come back. The same queries go through the kept trees too:
+    /// the downed links are tight, so they must drop every tree they
+    /// fed.
+    #[test]
+    fn ring_tree_matches_the_heap_tree_on_a_unit_grid() {
+        let (mut t, links) = unit_grid();
         let queries = [
             TeQuery::default(),
             TeQuery {
@@ -1541,18 +1792,21 @@ mod tests {
         ];
         let dsts = [Peer::Host(7), Peer::Router(SIDE * SIDE / 2 + 3)];
         let mut s = 0x6121_D000u64;
+        let mut reused = 0;
         for round in 0..24 {
             for q in &queries {
                 for dst in dsts {
                     let src = below(&mut s, (SIDE * SIDE) as usize) as u32;
                     if dst != Peer::Router(src) {
                         assert_eq!(assert_tree_matches_heap(&t, src, dst, q), Some(false));
+                        reused += ask_kept(&mut t, src, dst, q).trees_reused;
                     }
                 }
             }
             if round % 3 == 2 {
                 for &(r, p) in &links {
                     t.set_up(r, p);
+                    assert_kept_trees_exact(&t);
                 }
                 continue;
             }
@@ -1560,7 +1814,298 @@ mod tests {
             let best = t.k_routes(src, Peer::Host(7), &TeQuery::default());
             for &(r, p) in best.iter().flat_map(|b| &b.hops).step_by(2) {
                 t.set_down(r, p);
+                assert_kept_trees_exact(&t);
             }
         }
+        assert!(reused >= 50, "only {reused} queries read a kept tree");
+    }
+
+    /// Insist that every tree `t` keeps is the tree a fresh growth to
+    /// its radius leaves: labels within the radius equal a full heap
+    /// tree's, every node past it holds the least relaxation over its
+    /// links into settled nodes (`u64::MAX` if none), and the frontier
+    /// is exactly the nodes holding a finite one. Also checks the byte
+    /// count and the recency index.
+    fn assert_kept_trees_exact(t: &TeTopology) {
+        let Some(g) = t.compiled.get() else {
+            assert!(t.parked.trees.is_empty(), "trees kept without a graph");
+            return;
+        };
+        let mut bytes = 0;
+        for (&key, (used, tree)) in &t.parked.trees {
+            let (dst, min_mtu, min_bandwidth_bps) = key;
+            assert_eq!(t.parked.by_use.get(used), Some(&key));
+            assert_eq!(tree.dst, dst);
+            bytes += tree.bytes();
+            let q = TeQuery {
+                min_mtu,
+                min_bandwidth_bps,
+                ..TeQuery::default()
+            };
+            let (_, full, _) = heap_tree(g, &q, u32::MAX, dst, false);
+            assert_eq!(
+                tree.labels.len(),
+                full.len(),
+                "{key:?}: labels of another graph"
+            );
+            let radius = tree.radius;
+            let settled = |v: u32| tree.label(v) != u64::MAX && tree.label(v) <= radius;
+            let mut frontier = Vec::new();
+            for (v, (&kept, &exact)) in (0u32..).zip(tree.labels.iter().zip(&full)) {
+                let case = format!("{key:?}, node {v}, radius {radius}");
+                if kept <= radius || exact <= radius {
+                    assert_eq!(kept, exact, "{case}");
+                    continue;
+                }
+                let relaxed = g
+                    .leaving(v)
+                    .filter(|(_, e)| e.admitted(&q) && settled(e.to))
+                    .map(|(_, e)| tree.label(e.to).saturating_add(e.weight_ns()))
+                    .min()
+                    .unwrap_or(u64::MAX);
+                assert_eq!(kept, relaxed, "{case}");
+                if kept != u64::MAX {
+                    frontier.push(v);
+                }
+            }
+            let mut held = tree.frontier.clone();
+            held.sort_unstable();
+            assert_eq!(held, frontier, "{key:?}: frontier");
+        }
+        assert_eq!(bytes, t.parked.bytes);
+        assert!(bytes <= PARKED_CAP);
+        assert_eq!(t.parked.by_use.len(), t.parked.trees.len());
+    }
+
+    /// Ask `t` once on a throwaway tree and once on its kept trees, and
+    /// insist on the same routes and on every kept tree staying exact.
+    fn ask_kept(t: &mut TeTopology, src: u32, dst: Peer, q: &TeQuery) -> SearchWork {
+        let fresh = t.k_routes(src, dst, q);
+        let (kept, work) = t.k_routes_counted(src, dst, q);
+        assert_eq!(kept, fresh, "{src} -> {dst:?} under {q:?}");
+        assert_kept_trees_exact(t);
+        work
+    }
+
+    /// Every router, nearest to `dst` first (by a full tree without
+    /// bounds), then farthest first: each query of the first sweep grows
+    /// the kept tree a little, and each of the second finds it grown.
+    fn sweep(t: &mut TeTopology, dst: Peer, q: &TeQuery) {
+        let g = t
+            .compiled
+            .get_or_init(|| Compiled::build(&t.links, t.congestion_milli));
+        let Some(d) = g.node(dst) else {
+            return;
+        };
+        let (_, full, _) = heap_tree(g, &TeQuery::default(), u32::MAX, d, false);
+        let mut by_distance: Vec<(u64, u32)> =
+            full.iter().copied().zip(g.routers.clone()).collect();
+        by_distance.sort_unstable();
+        let order = by_distance.iter().chain(by_distance.iter().rev());
+        for &(_, src) in order.filter(|&&(_, r)| dst != Peer::Router(r)) {
+            ask_kept(t, src, dst, q);
+        }
+    }
+
+    /// Query sequences over a few shared destinations — random sources
+    /// and sweeps out and back in — with load reports, up/down flips and
+    /// structural changes between them; every answer from a kept tree is
+    /// the throwaway tree's, and every kept tree stays exact. Returns
+    /// how many queries read a kept tree.
+    fn kept_trees_answer_like_fresh_ones(topo: &mut GenTopo, s: &mut u64, steps: usize) -> u64 {
+        let dsts: Vec<Peer> = (0..3).map(|_| topo.any_dst(s, u32::MAX)).collect();
+        let mut reused = 0;
+        for _ in 0..steps {
+            let dst = pick(s, &dsts);
+            match below(s, 16) {
+                0..=8 => {
+                    let src = topo.any_src(s);
+                    if dst != Peer::Router(src) {
+                        reused += ask_kept(&mut topo.te, src, dst, &query_from(s)).trees_reused;
+                    }
+                }
+                9 => {
+                    let q = TeQuery {
+                        k: pick(s, &[1, 3]),
+                        max_stretch_milli: pick(s, &[1_000, 1_500]),
+                        ..query_from(s)
+                    };
+                    sweep(&mut topo.te, dst, &q);
+                }
+                10..=14 => topo.report(s),
+                _ => {
+                    let link = topo.any_link(s);
+                    let metrics = metrics_from(s, topo.delay_range_us);
+                    let changed = topo.te.metrics(link.0, link.1) != Some(metrics);
+                    topo.te.set_metrics(link.0, link.1, metrics);
+                    assert!(
+                        !changed || topo.te.parked.trees.is_empty(),
+                        "kept across set_metrics"
+                    );
+                }
+            }
+            assert_kept_trees_exact(&topo.te);
+        }
+        reused
+    }
+
+    #[test]
+    fn kept_trees_answer_like_fresh_ones_on_generated_topologies() {
+        let mut reused = 0;
+        for seed in 0..40u64 {
+            let mut s = seed ^ 0x4E97_7EE5;
+            let n = 4 + below(&mut s, 45) as u32;
+            let mut topo = build_topology(splitmix(&mut s), n);
+            reused += kept_trees_answer_like_fresh_ones(&mut topo, &mut s, 48);
+        }
+        assert!(reused >= 150, "only {reused} queries read a kept tree");
+    }
+
+    /// The same past the ring's cap, where buckets drain in label order
+    /// and a growth stops part-way through a wide bucket.
+    #[test]
+    fn kept_trees_answer_like_fresh_ones_past_the_ring_cap() {
+        let mut reused = 0;
+        for seed in 0..24u64 {
+            let mut s = seed ^ 0x0C4B_11D3;
+            let n = 8 + below(&mut s, 41) as u32;
+            let mut topo = build_topology(splitmix(&mut s), n);
+            spread_past_the_ring_cap(&mut topo, &mut s);
+            let g = topo
+                .te
+                .compiled
+                .get_or_init(|| Compiled::build(&topo.te.links, topo.te.congestion_milli));
+            assert!(Ring::new(g.min_weight, g.max_weight).ordered);
+            reused += kept_trees_answer_like_fresh_ones(&mut topo, &mut s, 32);
+        }
+        assert!(reused >= 80, "only {reused} queries read a kept tree");
+    }
+
+    /// Two links into the destination's router, 1 µs and 1.5 µs of
+    /// search weight, fall in one bucket of a ring 1 µs wide. A k = 1
+    /// query from the nearer router stops at 1 µs, inside that bucket,
+    /// so the farther router is popped past the radius: it must stay on
+    /// the frontier, or a query from behind it finds no route.
+    #[test]
+    fn a_tree_stopped_inside_a_bucket_resumes_from_it() {
+        let weigh = |prop_ns| LinkMetrics {
+            prop_delay: SimDuration::from_nanos(prop_ns),
+            ..LinkMetrics::basic()
+        };
+        let mut t = TeTopology::new();
+        t.add_link(1, 0, Peer::Router(0), weigh(0));
+        t.add_link(2, 0, Peer::Router(0), weigh(500));
+        t.add_link(3, 0, Peer::Router(2), weigh(0));
+        let q = TeQuery::default();
+        ask_kept(&mut t, 1, Peer::Router(0), &q);
+        let tree = &t.parked.trees.values().next().unwrap().1;
+        assert_eq!(
+            (tree.radius, tree.labels.clone()),
+            (1_000, vec![0, 1_000, 1_500, u64::MAX])
+        );
+        assert_eq!(tree.frontier, vec![2], "router 2 popped past the radius");
+        let routes = ask_kept(&mut t, 3, Peer::Router(0), &q);
+        assert_eq!(routes.trees_reused, 1);
+        assert_eq!(
+            t.k_routes(3, Peer::Router(0), &q)[0].hops,
+            vec![(3, 0), (2, 0)]
+        );
+        // Router 2 and then router 3 settle; the probe walks them.
+        assert_eq!(routes.nodes_settled, 2 + 2);
+    }
+
+    /// Which mutators keep a tree and which drop it, on the diamond
+    /// (labels to host 9: router 3 at 11 µs, 1 and 2 at 22 µs, 0 at 33
+    /// µs over the fast arm — its slow arm's first link weighs 51 µs).
+    #[test]
+    fn reports_drop_only_the_trees_they_can_move() {
+        let mut t = diamond();
+        let q = TeQuery::default();
+        let kept = |t: &TeTopology| t.parked.trees.len();
+        ask_kept(&mut t, 0, Peer::Host(9), &q);
+        t.set_load_milli(0, 0, 900);
+        t.add_load_milli(1, 0, 100);
+        assert_eq!(kept(&t), 1, "load is weight-blind");
+        t.set_down(0, 1);
+        t.set_up(0, 1);
+        assert_eq!(kept(&t), 1, "the slow arm is not tight: 22 + 51 > 33");
+        t.set_down(0, 0);
+        assert_eq!(
+            kept(&t),
+            0,
+            "the fast arm's first link gave router 0 its label"
+        );
+        ask_kept(&mut t, 0, Peer::Host(9), &q);
+        t.set_up(0, 0);
+        assert_eq!(kept(&t), 0, "coming back up, it shortens router 0's label");
+
+        // A tree from router 3 has settled only the host and router 3: a
+        // flip of a link landing on an unsettled router keeps it.
+        ask_kept(&mut t, 3, Peer::Host(9), &q);
+        t.set_down(0, 0);
+        t.set_up(0, 0);
+        assert_eq!(kept(&t), 1, "router 1 has not settled");
+        assert_eq!(ask_kept(&mut t, 0, Peer::Host(9), &q).trees_reused, 1);
+
+        // A tree that does not admit the link ignores it.
+        let narrow = TeQuery {
+            min_bandwidth_bps: 20_000_000,
+            ..q
+        };
+        t.set_metrics(
+            0,
+            1,
+            LinkMetrics {
+                bandwidth_bps: 100_000_000,
+                ..t.metrics(0, 1).unwrap()
+            },
+        );
+        ask_kept(&mut t, 0, Peer::Host(9), &narrow);
+        t.set_down(3, 0);
+        t.set_up(3, 0);
+        assert_eq!(kept(&t), 1, "a 10 Mb/s link is not in a 20 Mb/s tree");
+
+        // A structural change drops every tree.
+        let dear = LinkMetrics {
+            cost: 2,
+            ..LinkMetrics::basic()
+        };
+        for change in 0..3 {
+            ask_kept(&mut t, 0, Peer::Host(9), &q);
+            assert!(kept(&t) >= 1);
+            match change {
+                0 => t.add_link(2, 1, Peer::Router(1), LinkMetrics::basic()),
+                1 => t.set_metrics(2, 1, dear),
+                _ => t.set_congestion_threshold(500),
+            }
+            assert_eq!(kept(&t), 0, "change {change}");
+        }
+    }
+
+    /// The cap is in bytes: on a 20 000-router chain a tree is 160 KB
+    /// of labels (and one frontier node), so the cap holds eight, and
+    /// the ninth destination evicts the least recently used.
+    #[test]
+    fn kept_trees_stay_within_the_cap_least_recently_used_out_first() {
+        const N: u32 = 20_000;
+        let mut t = TeTopology::new();
+        for r in 0..N - 1 {
+            t.add_link(r, 0, Peer::Router(r + 1), LinkMetrics::basic());
+            t.add_link(r + 1, 1, Peer::Router(r), LinkMetrics::basic());
+        }
+        let q = TeQuery::default();
+        let ask = |t: &mut TeTopology, dst: u32| t.k_routes_counted(0, Peer::Router(dst), &q).1;
+        for dst in 1..=8 {
+            assert_eq!(ask(&mut t, dst).trees_reused, 0);
+        }
+        assert_eq!(t.parked.trees.len(), 8);
+        assert_eq!(t.parked.bytes, 8 * (8 * N as usize + 4));
+        assert_eq!(ask(&mut t, 1).trees_reused, 1, "refreshes dst 1");
+        assert_eq!(ask(&mut t, 9).trees_reused, 0, "evicts dst 2");
+        assert_eq!(t.parked.trees.len(), 8);
+        assert!(t.parked.bytes <= PARKED_CAP);
+        assert_eq!(ask(&mut t, 1).trees_reused, 1);
+        assert_eq!(ask(&mut t, 3).trees_reused, 1);
+        assert_eq!(ask(&mut t, 2).trees_reused, 0, "dst 2 was evicted");
     }
 }

@@ -3,7 +3,7 @@
 //! `k_routes` promises byte-identical route sets for a given (topology,
 //! query) — clients spread flows over them and the TE experiment's
 //! digests replay them — so a rewrite of the search is only correct if
-//! it returns what the search before it returned, ties included. Two
+//! it returns what the search before it returned, ties included. Three
 //! guards:
 //!
 //! * [`route_sets_match_the_recorded_digest`] folds every route set of
@@ -11,15 +11,20 @@
 //!   constant. The constant was recorded on the per-query-graph Yen
 //!   search this crate shipped before the compiled graph existed; a
 //!   change that moves it has changed which routes clients are given.
+//! * [`kept_trees_match_the_recorded_digest`] asks the same queries
+//!   through a directory, which keeps each destination's reverse tree
+//!   from one query to the next across the reports in between, and
+//!   must fold to the same constant.
 //! * [`patched_topology_answers_like_a_rebuilt_one`] is the guard on
 //!   in-place patching: after any interleaving of all seven mutators
 //!   and queries, the live topology answers exactly like one built from
-//!   scratch to the same final state.
+//!   scratch to the same final state — on a throwaway reverse tree and
+//!   through a directory's kept ones alike.
 
 mod common;
 
 use common::{below, build_topology, metrics_from, pick, query_from, splitmix, GenTopo};
-use sirpent_directory::{Peer, TeTopology};
+use sirpent_directory::{Directory, Peer, TeQuery, TeRoute, TeTopology};
 
 /// FNV-1a over `bytes`, continuing from `h`.
 fn fold(h: u64, bytes: &[u8]) -> u64 {
@@ -31,8 +36,18 @@ fn fold(h: u64, bytes: &[u8]) -> u64 {
 /// Recorded on the unmodified parent search; see the module docs.
 const GOLDEN: u64 = 0x7f75_ba32_5241_bd83;
 
-#[test]
-fn route_sets_match_the_recorded_digest() {
+/// `te`'s routes through a directory, which keeps the query's reverse
+/// tree in `te` for the next query to the same destination.
+fn kept_k_routes(te: &mut TeTopology, src: u32, dst: Peer, q: &TeQuery) -> Vec<TeRoute> {
+    let mut dir = Directory::new().with_te(std::mem::take(te));
+    let routes = dir.te_query(src, dst, q);
+    *te = std::mem::take(dir.te_mut().expect("attached"));
+    routes
+}
+
+/// The golden queries' route sets folded into one digest, each set
+/// computed on a throwaway tree or (`kept`) through a directory.
+fn golden_digest(kept: bool) -> u64 {
     let mut digest = 0xcbf2_9ce4_8422_2325u64;
     for seed in 0..512u64 {
         let mut s = seed ^ 0x0060_1DE2;
@@ -42,14 +57,33 @@ fn route_sets_match_the_recorded_digest() {
             let src = topo.any_src(&mut s);
             let dst = topo.any_dst(&mut s, src);
             let q = query_from(&mut s);
-            let routes = topo.te.k_routes(src, dst, &q);
+            let routes = if kept {
+                kept_k_routes(&mut topo.te, src, dst, &q)
+            } else {
+                topo.te.k_routes(src, dst, &q)
+            };
             digest = fold(digest, format!("{routes:?}").as_bytes());
             topo.report(&mut s);
         }
     }
+    digest
+}
+
+#[test]
+fn route_sets_match_the_recorded_digest() {
+    let digest = golden_digest(false);
     assert_eq!(
         digest, GOLDEN,
         "route sets changed: digest is now {digest:#018x}"
+    );
+}
+
+#[test]
+fn kept_trees_match_the_recorded_digest() {
+    let digest = golden_digest(true);
+    assert_eq!(
+        digest, GOLDEN,
+        "kept trees changed route sets: digest is now {digest:#018x}"
     );
 }
 
@@ -116,13 +150,23 @@ fn patched_topology_answers_like_a_rebuilt_one() {
                 // Queries, so most mutations land on a compiled graph.
                 _ => {
                     let src = live.any_src(&mut s);
-                    let dst = live.any_dst(&mut s, src);
+                    // Half the queries go to one of two destinations,
+                    // so kept trees meet the reports in between.
+                    let dst = match below(&mut s, 4) {
+                        0 => Peer::Host(live.hosts[seed as usize % live.hosts.len()]),
+                        1 => Peer::Router(live.routers[0]),
+                        _ => live.any_dst(&mut s, src),
+                    };
                     let q = query_from(&mut s);
+                    let fresh = format!("{:?}", rebuilt(&live, threshold).k_routes(src, dst, &q));
+                    let case = format!("seed {seed}: {src} -> {dst:?} under {q:?}");
                     assert_eq!(
                         format!("{:?}", live.te.k_routes(src, dst, &q)),
-                        format!("{:?}", rebuilt(&live, threshold).k_routes(src, dst, &q)),
-                        "seed {seed}: {src} -> {dst:?} under {q:?}"
+                        fresh,
+                        "{case}"
                     );
+                    let kept = kept_k_routes(&mut live.te, src, dst, &q);
+                    assert_eq!(format!("{kept:?}"), fresh, "kept tree, {case}");
                     compared += 1;
                 }
             }

@@ -119,8 +119,11 @@ pub const TE_EPOCH_BUMPS_TOTAL: &str = "te_epoch_bumps_total";
 /// Goal-directed searches run across all TE queries (first path, Yen
 /// spurs, detours). A count of work, not of time: it repeats exactly.
 pub const TE_SEARCHES_TOTAL: &str = "te_searches_total";
-/// Nodes settled across all TE queries, reverse trees included.
+/// Nodes settled across all TE queries, reverse trees included — new
+/// settles only: a node of a kept reverse tree is not counted again.
 pub const TE_NODES_SETTLED_TOTAL: &str = "te_nodes_settled_total";
+/// TE queries answered from a reverse tree kept from an earlier query.
+pub const TE_TREES_REUSED_TOTAL: &str = "te_trees_reused_total";
 
 // ---- hosts --------------------------------------------------------------
 
@@ -186,6 +189,7 @@ mod tests {
             super::TE_EPOCH_BUMPS_TOTAL,
             super::TE_SEARCHES_TOTAL,
             super::TE_NODES_SETTLED_TOTAL,
+            super::TE_TREES_REUSED_TOTAL,
             super::FLIGHT_EVENTS_RECORDED_TOTAL,
             super::FLIGHT_EVENTS_EVICTED_TOTAL,
             super::HOST_INJECTED_TOTAL,
