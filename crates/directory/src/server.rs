@@ -24,7 +24,7 @@ use sirpent_wire::viper::Priority;
 
 use crate::name::Name;
 use crate::route::{AccessSpec, Preference, RouteProperties, RouteRecord};
-use crate::te::{TeQuery, TeRoute, TeTopology, LOAD_SCALE};
+use crate::te::{Granted, TeQuery, TeRoute, TeTopology, LOAD_SCALE};
 
 /// A route advisory returned to a client.
 #[derive(Debug, Clone)]
@@ -330,6 +330,13 @@ impl Directory {
     /// the same destination grows it instead of building another; the
     /// routes are those [`TeTopology::k_routes`] returns.
     pub fn te_query(&mut self, src_router: u32, dst: crate::Peer, q: &TeQuery) -> Vec<TeRoute> {
+        let granted = self.te_granted(src_router, dst, q);
+        granted.into_iter().map(|g| g.route).collect()
+    }
+
+    /// [`Directory::te_query`]'s routes, each with its hop specs and
+    /// peak reported load, counted into the TE counters.
+    fn te_granted(&mut self, src_router: u32, dst: crate::Peer, q: &TeQuery) -> Vec<Granted> {
         self.te_queries += 1;
         let (routes, work) = self
             .te
@@ -340,7 +347,7 @@ impl Directory {
         self.te_nodes_settled += work.nodes_settled;
         self.te_trees_reused += work.trees_reused;
         self.te_routes_returned += routes.len() as u64;
-        self.te_detours += routes.iter().filter(|r| r.detour).count() as u64;
+        self.te_detours += routes.iter().filter(|g| g.route.detour).count() as u64;
         if routes.is_empty() {
             self.te_infeasible += 1;
         }
@@ -350,7 +357,9 @@ impl Directory {
     /// Like [`Directory::te_query`], but materializes full advisories:
     /// route records (with the client's access link), aggregate
     /// properties, per-hop tokens (when minting is configured), and the
-    /// advertised residual capacity.
+    /// advertised residual capacity. Each record is the one
+    /// [`TeTopology::record`] builds for the route, read from the links
+    /// the search walked, so every route returned becomes an advisory.
     pub fn te_advisories(
         &mut self,
         src_router: u32,
@@ -360,25 +369,19 @@ impl Directory {
         endpoint_selector: &[u8],
         account: u32,
     ) -> Vec<Advisory> {
-        let routes = self.te_query(src_router, dst, q);
-        let mut advisories = Vec::with_capacity(routes.len());
-        for r in &routes {
-            let record = self.te.as_ref().and_then(|t| {
-                let route = t.record(r, access.clone(), endpoint_selector.to_vec())?;
-                let hops = r
-                    .hops
-                    .iter()
-                    .filter_map(|&(rt, port)| t.load_milli(rt, port));
-                Some((route, hops.max().unwrap_or(0)))
-            });
-            let Some((route, load_milli)) = record else {
-                continue;
+        let granted = self.te_granted(src_router, dst, q);
+        let mut advisories = Vec::with_capacity(granted.len());
+        for g in granted {
+            let route = RouteRecord {
+                access: access.clone(),
+                hops: g.hops,
+                endpoint_selector: endpoint_selector.to_vec(),
             };
             let tokens = self.mint_tokens(&route, account);
             advisories.push(Advisory {
                 props: route.properties(),
-                reported_load: f64::from(load_milli) / f64::from(LOAD_SCALE),
-                residual_bps: r.residual_bps,
+                reported_load: f64::from(g.load_milli) / f64::from(LOAD_SCALE),
+                residual_bps: g.route.residual_bps,
                 tokens,
                 route,
             });

@@ -177,7 +177,8 @@ impl TeRoute {
 /// topology that only sees reports is compiled once, and one nobody
 /// queries is never compiled. The directory's own queries also keep
 /// their reverse trees (`Parked`), which a structural change drops and
-/// an up/down report drops only where it moves a settled label.
+/// an up/down report drops only where it moves a settled label, and the
+/// probes' per-node scratch (`Scratch`).
 #[derive(Debug, Clone, Default)]
 pub struct TeTopology {
     links: BTreeMap<(u32, u8), TeLink>,
@@ -185,6 +186,7 @@ pub struct TeTopology {
     congestion_milli: u32,
     compiled: OnceLock<Compiled>,
     parked: Parked,
+    scratch: Scratch,
 }
 
 /// The link map as the searches see it: nodes are indices (routers in
@@ -202,6 +204,8 @@ struct Compiled {
     /// is `hosts[i]`; hosts terminate routes and never transit.
     hosts: Vec<u32>,
     edges: Vec<Edge>,
+    /// What a route record reads of each link, at the edge's index.
+    recorded: Vec<Recorded>,
     /// `edges[leaving_at[n]..leaving_at[n + 1]]` leave router node `n`.
     leaving_at: Vec<u32>,
     /// `inbound[entering_at[n]..entering_at[n + 1]]` are the links that
@@ -246,6 +250,26 @@ struct Edge {
     bw: u64,
     mtu: usize,
     residual_bps: u64,
+}
+
+/// What a route record reads of a link and the searches never do: 8
+/// bytes beside the edge's 48, so the probes' edge array stays dense.
+/// `build` and `patch` keep it current with the link map.
+#[derive(Debug, Clone, Copy)]
+struct Recorded {
+    security: Security,
+    load_milli: u32,
+}
+
+/// A route as the directory grants it, with what its advisory needs of
+/// the links the route crosses, read from the compiled edges the search
+/// walked: a hop spec per link and the most load reported on any of
+/// them.
+#[derive(Debug)]
+pub(crate) struct Granted {
+    pub(crate) route: TeRoute,
+    pub(crate) hops: Vec<HopSpec>,
+    pub(crate) load_milli: u32,
 }
 
 /// What one query cost, in figures that repeat exactly: no clock, no
@@ -410,20 +434,31 @@ impl TeTopology {
         let Some((src, dst)) = g.endpoints(src, dst) else {
             return Vec::new();
         };
-        Search::new(g, q, src, Tree::new(g, dst)).k_routes()
+        let mut scratch = Scratch::default();
+        let mut search = Search::new(g, q, src, Tree::new(g, dst), &mut scratch);
+        let routes = search.k_routes();
+        routes.into_iter().map(|(route, _)| route).collect()
     }
 
     /// [`TeTopology::k_routes`] plus what the search cost, on the kept
     /// reverse tree of `dst` under `q`'s link bounds when there is one,
-    /// which the query grows as far as it needs and then parks again.
+    /// which the query grows as far as it needs and then parks again,
+    /// and on the kept probe scratch. Each route comes with its hop
+    /// specs and peak load, which are what [`TeTopology::record`] and
+    /// [`TeTopology::load_milli`] read for it from the link map.
     pub(crate) fn k_routes_counted(
         &mut self,
         src: u32,
         dst: Peer,
         q: &TeQuery,
-    ) -> (Vec<TeRoute>, SearchWork) {
+    ) -> (Vec<Granted>, SearchWork) {
         if dst == Peer::Router(src) {
-            return (vec![TeRoute::empty()], SearchWork::default());
+            let empty = Granted {
+                route: TeRoute::empty(),
+                hops: Vec::new(),
+                load_milli: 0,
+            };
+            return (vec![empty], SearchWork::default());
         }
         let g = self
             .compiled
@@ -434,14 +469,23 @@ impl TeTopology {
         let key = (dst, q.min_mtu, q.min_bandwidth_bps);
         let kept = self.parked.take(key);
         let trees_reused = u64::from(kept.is_some());
-        let mut search = Search::new(g, q, src, kept.unwrap_or_else(|| Tree::new(g, dst)));
+        let tree = kept.unwrap_or_else(|| Tree::new(g, dst));
+        let mut search = Search::new(g, q, src, tree, &mut self.scratch);
         let routes = search.k_routes();
-        self.parked.park(key, search.tree);
         let work = SearchWork {
             trees_reused,
             ..search.work
         };
-        (routes, work)
+        self.parked.park(key, search.tree);
+        let granted = routes.into_iter().map(|(route, path)| {
+            let (hops, load_milli) = g.hop_specs(&path);
+            Granted {
+                route,
+                hops,
+                load_milli,
+            }
+        });
+        (granted.collect(), work)
     }
 
     /// Materialize a computed route as a directory [`RouteRecord`],
@@ -548,6 +592,7 @@ impl Compiled {
         }
         let mut g = Compiled {
             edges: Vec::with_capacity(links.len()),
+            recorded: Vec::with_capacity(links.len()),
             leaving_at: Vec::new(),
             entering_at: Vec::new(),
             inbound: Vec::new(),
@@ -581,6 +626,10 @@ impl Compiled {
             };
             e.set_state(l, congestion_milli);
             g.edges.push(e);
+            g.recorded.push(Recorded {
+                security: l.metrics.security,
+                load_milli: l.load_milli,
+            });
         }
         g.leaving_at = offsets(leaving);
         g.entering_at = offsets(landing);
@@ -650,6 +699,9 @@ impl Compiled {
             .edges
             .get_mut(out)
             .and_then(|out| (first..).zip(out).find(|(_, e)| e.port == port))?;
+        if let Some(recorded) = self.recorded.get_mut(ei as usize) {
+            recorded.load_milli = l.load_milli;
+        }
         let was_down = e.down;
         e.set_state(l, congestion_milli);
         if e.down == was_down {
@@ -680,6 +732,33 @@ impl Compiled {
         }
         route.delay = SimDuration::from_nanos(delay_ns);
         route
+    }
+
+    /// The hop specs of a path of edge indices, as
+    /// [`TeTopology::record`] builds them from the link map, and the
+    /// most load reported on any of its links.
+    fn hop_specs(&self, path: &[u32]) -> (Vec<HopSpec>, u32) {
+        let mut load_milli = 0;
+        let mut hops = Vec::with_capacity(path.len());
+        for &i in path {
+            let (Some(e), Some(recorded)) =
+                (self.edges.get(i as usize), self.recorded.get(i as usize))
+            else {
+                continue;
+            };
+            load_milli = load_milli.max(recorded.load_milli);
+            hops.extend(self.routers.get(e.from as usize).map(|&router_id| HopSpec {
+                router_id,
+                port: e.port,
+                ethernet_next: None,
+                bandwidth_bps: e.bw,
+                prop_delay: SimDuration::from_nanos(e.prop_ns),
+                mtu: e.mtu,
+                cost: e.cost,
+                security: recorded.security,
+            }));
+        }
+        (hops, load_milli)
     }
 }
 
@@ -1041,6 +1120,61 @@ impl Parked {
     }
 }
 
+/// The probes' per-router-node scratch, kept by a topology from one
+/// query to the next so that a query allocates none of it: sized when
+/// the router count changes, and otherwise reset slot by slot through
+/// `touched` and by moving the ban stamp on.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// Per router node, a probe's distance from its start and the edge
+    /// it was reached over; `touched` lists the slots the last probe
+    /// wrote, so the next resets only those.
+    dist: Vec<u64>,
+    via: Vec<u32>,
+    touched: Vec<u32>,
+    /// Per router node, the last probe that banned it: a node is banned
+    /// from the running probe iff its stamp is `probe`.
+    banned: Vec<u32>,
+    probe: u32,
+    heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
+}
+
+impl Scratch {
+    /// Size the scratch for `routers` router nodes; a no-op while the
+    /// count stays the same. A node index names the same slot in every
+    /// graph of that size, so what was touched is reset as ever.
+    fn fit(&mut self, routers: usize) {
+        if self.dist.len() != routers {
+            *self = Scratch {
+                dist: vec![u64::MAX; routers],
+                via: vec![0; routers],
+                banned: vec![0; routers],
+                ..Scratch::default()
+            };
+        }
+    }
+
+    /// Start a probe: reset the slots the last one touched and move the
+    /// ban stamp on. Stamp 0 is every node's never-banned stamp, so when
+    /// the stamp wraps every stamp is cleared and counting resumes at 1.
+    fn next_probe(&mut self) -> u32 {
+        for n in self.touched.drain(..) {
+            if let Some(slot) = self.dist.get_mut(n as usize) {
+                *slot = u64::MAX;
+            }
+        }
+        self.heap.clear();
+        self.probe = match self.probe.checked_add(1) {
+            Some(probe) => probe,
+            None => {
+                self.banned.fill(0);
+                1
+            }
+        };
+        self.probe
+    }
+}
+
 /// One query's searches and the scratch they share.
 ///
 /// A query is one Dijkstra *backwards* from the destination
@@ -1062,23 +1196,20 @@ struct Search<'a> {
     slack: u64,
     /// The reverse tree of `dst`, new or kept from an earlier query.
     tree: Tree,
-    /// Per router node, a probe's distance from its start and the edge
-    /// it was reached over. Allocated once; `touched` lists the slots
-    /// the last probe wrote so the next resets only those.
-    dist: Vec<u64>,
-    via: Vec<u32>,
-    touched: Vec<u32>,
-    /// Per router node, the last probe that banned it: a node is banned
-    /// from the running probe iff its stamp is `probe`.
-    banned: Vec<u32>,
-    probe: u32,
-    heap: BinaryHeap<Reverse<(u64, u64, u32)>>,
+    /// The probes' scratch, fitted to `g`.
+    scratch: &'a mut Scratch,
     work: SearchWork,
 }
 
 impl<'a> Search<'a> {
-    fn new(g: &'a Compiled, q: &'a TeQuery, src: u32, tree: Tree) -> Search<'a> {
-        let n = g.routers.len();
+    fn new(
+        g: &'a Compiled,
+        q: &'a TeQuery,
+        src: u32,
+        tree: Tree,
+        scratch: &'a mut Scratch,
+    ) -> Search<'a> {
+        scratch.fit(g.routers.len());
         Search {
             g,
             q,
@@ -1089,19 +1220,15 @@ impl<'a> Search<'a> {
                 .map(|d| d.as_nanos().saturating_add(64 * HOP_NS))
                 .unwrap_or(u64::MAX),
             tree,
-            dist: vec![u64::MAX; n],
-            via: vec![0; n],
-            touched: Vec::new(),
-            banned: vec![0; n],
-            probe: 0,
-            heap: BinaryHeap::new(),
+            scratch,
             work: SearchWork::default(),
         }
     }
 
     /// Yen's loopless k-shortest enumeration, then the congestion
-    /// detour and the exact filters.
-    fn k_routes(&mut self) -> Vec<TeRoute> {
+    /// detour and the exact filters: each route with the edge indices
+    /// it was reconstructed from.
+    fn k_routes(&mut self) -> Vec<(TeRoute, Vec<u32>)> {
         let (g, q) = (self.g, self.q);
         let k = q.k.max(1);
         let alternates = k > 1 || q.avoid_congested;
@@ -1158,29 +1285,33 @@ impl<'a> Search<'a> {
             accepted.push(next);
         }
 
-        let mut routes: Vec<TeRoute> = accepted.iter().map(|path| g.route(path)).collect();
+        let mut routes: Vec<(TeRoute, Vec<u32>)> = accepted
+            .into_iter()
+            .map(|path| (g.route(&path), path))
+            .collect();
         // Every route crosses a congested link: offer the shortest one
         // that crosses none, in place of the worst alternate if the set
         // is full.
-        if q.avoid_congested && routes.iter().all(|r| r.congested_hops > 0) {
+        if q.avoid_congested && routes.iter().all(|(r, _)| r.congested_hops > 0) {
             if let Some((_, path)) = self.shortest(self.src, 0, ceiling, &[], &[], true) {
                 if routes.len() >= k {
                     routes.pop();
                 }
-                routes.push(TeRoute {
+                let detour = TeRoute {
                     detour: true,
                     ..g.route(&path)
-                });
+                };
+                routes.push((detour, path));
             }
         }
 
         // Final exact filters on reconstructed metrics.
-        routes.retain(|r| {
+        routes.retain(|(r, _)| {
             let delay_ok = q.max_delay.map(|d| r.delay <= d).unwrap_or(true);
             let cost_ok = q.max_cost.map(|c| r.cost <= c).unwrap_or(true);
             delay_ok && cost_ok
         });
-        routes.sort_by(|a, b| (a.weight_ns(), &a.hops).cmp(&(b.weight_ns(), &b.hops)));
+        routes.sort_by(|(a, _), (b, _)| (a.weight_ns(), &a.hops).cmp(&(b.weight_ns(), &b.hops)));
         routes
     }
 
@@ -1218,18 +1349,13 @@ impl<'a> Search<'a> {
     ) -> Option<(u64, Vec<u32>)> {
         let (g, q) = (self.g, self.q);
         self.work.searches += 1;
-        for n in self.touched.drain(..) {
-            if let Some(slot) = self.dist.get_mut(n as usize) {
-                *slot = u64::MAX;
-            }
-        }
-        self.probe += 1;
+        let s = &mut *self.scratch;
+        let probe = s.next_probe();
         for &n in banned_nodes {
-            if let Some(stamp) = self.banned.get_mut(n as usize) {
-                *stamp = self.probe;
+            if let Some(stamp) = s.banned.get_mut(n as usize) {
+                *stamp = probe;
             }
         }
-        self.heap.clear();
         // `h`: distance to `dst`, if a path through a node that far out
         // can still come in under `bound` after `so_far`.
         let to_dst = &self.tree.labels;
@@ -1238,15 +1364,15 @@ impl<'a> Search<'a> {
             (h != u64::MAX && so_far.saturating_add(h) <= bound).then_some(h)
         };
         let h_start = h(start, root_ns)?;
-        *self.dist.get_mut(start as usize)? = 0;
-        self.touched.push(start);
-        self.heap.push(Reverse((h_start, 0, start)));
+        *s.dist.get_mut(start as usize)? = 0;
+        s.touched.push(start);
+        s.heap.push(Reverse((h_start, 0, start)));
         let mut arrival: Option<(u64, u32)> = None;
-        while let Some(Reverse((f, d, u))) = self.heap.pop() {
+        while let Some(Reverse((f, d, u))) = s.heap.pop() {
             if arrival.is_some_and(|(best, _)| f > best) {
                 break; // nothing left can tie the arrival in hand
             }
-            if self.dist.get(u as usize) != Some(&d) {
+            if s.dist.get(u as usize) != Some(&d) {
                 continue; // a shorter label settled this node already
             }
             self.work.nodes_settled += 1;
@@ -1265,25 +1391,24 @@ impl<'a> Search<'a> {
                     }
                     continue;
                 }
-                if self.banned.get(e.to as usize) == Some(&self.probe) {
+                if s.banned.get(e.to as usize) == Some(&probe) {
                     continue;
                 }
                 let Some(hv) = h(e.to, root_ns.saturating_add(nd)) else {
                     continue; // a host, or too far out
                 };
-                let (Some(dv), Some(via)) = (
-                    self.dist.get_mut(e.to as usize),
-                    self.via.get_mut(e.to as usize),
-                ) else {
+                let (Some(dv), Some(via)) =
+                    (s.dist.get_mut(e.to as usize), s.via.get_mut(e.to as usize))
+                else {
                     continue;
                 };
                 if nd < *dv {
                     if *dv == u64::MAX {
-                        self.touched.push(e.to);
+                        s.touched.push(e.to);
                     }
                     *dv = nd;
                     *via = ei;
-                    self.heap.push(Reverse((nd.saturating_add(hv), nd, e.to)));
+                    s.heap.push(Reverse((nd.saturating_add(hv), nd, e.to)));
                 } else if nd == *dv {
                     // `*via` tied first; its tail settled at `nd` less
                     // its own weight.
@@ -1301,7 +1426,7 @@ impl<'a> Search<'a> {
         let mut path = vec![last];
         let mut at = g.edges.get(last as usize)?.from;
         while at != start {
-            let ei = *self.via.get(at as usize)?;
+            let ei = *s.via.get(at as usize)?;
             path.push(ei);
             at = g.edges.get(ei as usize)?.from;
         }
@@ -1466,7 +1591,7 @@ mod tests {
             };
             let (routes, work) = diamond().k_routes_counted(0, Peer::Host(9), &q);
             assert_eq!(routes.len(), 1);
-            assert_eq!(routes[0].hops.len(), 3);
+            assert_eq!(routes[0].route.hops.len(), 3);
             work
         };
         assert_eq!(work(4), work(2));
@@ -1882,6 +2007,7 @@ mod tests {
     fn ask_kept(t: &mut TeTopology, src: u32, dst: Peer, q: &TeQuery) -> SearchWork {
         let fresh = t.k_routes(src, dst, q);
         let (kept, work) = t.k_routes_counted(src, dst, q);
+        let kept: Vec<TeRoute> = kept.into_iter().map(|g| g.route).collect();
         assert_eq!(kept, fresh, "{src} -> {dst:?} under {q:?}");
         assert_kept_trees_exact(t);
         work
@@ -2079,6 +2205,43 @@ mod tests {
                 _ => t.set_congestion_threshold(500),
             }
             assert_eq!(kept(&t), 0, "change {change}");
+        }
+    }
+
+    /// The probe stamp lives across queries, and every stamp a node
+    /// holds is one an earlier probe left, below the running one. Wound
+    /// to one short of wrapping over stamps of 0 to 3, queries must
+    /// still answer like a throwaway scratch: the wrap has to clear the
+    /// stamps, or stamp 0 — never banned — and the old stamps the count
+    /// comes round to again ban nodes from the probes after it.
+    #[test]
+    fn queries_across_the_stamp_wrap_answer_like_a_fresh_scratch() {
+        for seed in 0..16u64 {
+            let mut s = seed ^ 0x57A3_9000;
+            let n = 8 + below(&mut s, 41) as u32;
+            let mut topo = build_topology(splitmix(&mut s), n);
+            let t = &mut topo.te;
+            let g = t
+                .compiled
+                .get_or_init(|| Compiled::build(&t.links, t.congestion_milli));
+            t.scratch.fit(g.routers.len());
+            for stamp in &mut t.scratch.banned {
+                *stamp = below(&mut s, 4) as u32;
+            }
+            t.scratch.probe = u32::MAX - 1;
+            let mut wrapped = false;
+            for _ in 0..12 {
+                let src = pick(&mut s, &topo.routers);
+                let dst = topo.any_dst(&mut s, src);
+                let q = TeQuery {
+                    k: pick(&mut s, &[2, 3, 4]),
+                    ..query_from(&mut s)
+                };
+                let before = topo.te.scratch.probe;
+                ask_kept(&mut topo.te, src, dst, &q);
+                wrapped |= topo.te.scratch.probe < before;
+            }
+            assert!(wrapped, "seed {seed}: the stamp did not wrap");
         }
     }
 

@@ -13,7 +13,7 @@
 //! feed-forward shim is also present after the Ethernet header for
 //! Sirpent frames, so hints survive multi-access hops too.
 
-use sirpent_wire::buf::{FrameBuf, PacketBuf};
+use sirpent_wire::buf::{FrameBuf, PacketBuf, HEADER_ROOM};
 use sirpent_wire::ethernet;
 use sirpent_wire::{Error, Result};
 
@@ -49,11 +49,14 @@ impl RateControlMsg {
     /// Serialized size.
     pub const LEN: usize = 4 + 1 + 8 + 2;
 
-    fn emit(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.congested_router.to_be_bytes());
-        out.push(self.congested_port);
-        out.extend_from_slice(&self.allowed_bps.to_be_bytes());
-        out.extend_from_slice(&self.queue_len.to_be_bytes());
+    fn to_bytes(self) -> [u8; Self::LEN] {
+        let mut bytes = [0; Self::LEN];
+        let mut out = Cursor::new(&mut bytes);
+        out.put(&self.congested_router.to_be_bytes());
+        out.put(&[self.congested_port]);
+        out.put(&self.allowed_bps.to_be_bytes());
+        out.put(&self.queue_len.to_be_bytes());
+        bytes
     }
 
     fn parse(b: &[u8]) -> Result<RateControlMsg> {
@@ -96,7 +99,7 @@ impl LinkFrame {
     /// body, the Ipish/Cvc bytes *move* into the body, and a
     /// rate-control message is all header.
     pub fn into_p2p_frame(self) -> FrameBuf {
-        self.compose(Vec::new())
+        self.compose(None)
     }
 
     /// Encode for an Ethernet, consuming the frame: the 14-byte header
@@ -109,37 +112,47 @@ impl LinkFrame {
             LinkFrame::Ipish(_) => ethernet::EtherType::Ipish,
             LinkFrame::Cvc(_) => ethernet::EtherType::Cvc,
         };
-        let hdr = ethernet::Repr {
+        self.compose(Some(ethernet::Repr {
             dst,
             src,
             ethertype,
-        };
-        self.compose(hdr.to_bytes())
+        }))
     }
 
-    /// Append this frame's link header to `header` and pair it with the
-    /// body it fronts.
-    fn compose(self, mut header: Vec<u8>) -> FrameBuf {
+    /// Write this frame's link header, behind `ethernet`'s when there
+    /// is one, and pair it with the body it fronts. The header is
+    /// composed on the stack and held inline by the frame, so framing
+    /// allocates nothing.
+    fn compose(self, ethernet: Option<ethernet::Repr>) -> FrameBuf {
+        let mut header = [0; HEADER_ROOM];
+        let mut out = Cursor::new(&mut header);
+        if let Some(h) = ethernet {
+            let mut eth = [0; ethernet::HEADER_LEN];
+            if h.emit(&mut eth).is_ok() {
+                out.put(&eth);
+            }
+        }
         let body = match self {
             LinkFrame::Sirpent { ff_hint, packet } => {
-                header.extend_from_slice(&[proto::SIRPENT, ff_hint]);
+                out.put(&[proto::SIRPENT, ff_hint]);
                 packet
             }
             LinkFrame::RateControl(m) => {
-                header.push(proto::RATE_CONTROL);
-                m.emit(&mut header);
+                out.put(&[proto::RATE_CONTROL]);
+                out.put(&m.to_bytes());
                 PacketBuf::new()
             }
             LinkFrame::Ipish(d) => {
-                header.push(proto::IPISH);
+                out.put(&[proto::IPISH]);
                 PacketBuf::from_vec(d)
             }
             LinkFrame::Cvc(d) => {
-                header.push(proto::CVC);
+                out.put(&[proto::CVC]);
                 PacketBuf::from_vec(d)
             }
         };
-        FrameBuf::new(header, body)
+        let len = out.at;
+        FrameBuf::new(header.get(..len).unwrap_or_default(), body)
     }
 
     /// Decode from a point-to-point frame. The Sirpent arm is zero-copy:
@@ -179,6 +192,28 @@ impl LinkFrame {
             proto::IPISH => Ok(LinkFrame::Ipish(payload(1)?.to_vec())),
             proto::CVC => Ok(LinkFrame::Cvc(payload(1)?.to_vec())),
             _ => Err(Error::Malformed),
+        }
+    }
+}
+
+/// Runs of bytes written one after another into a fixed buffer. A run
+/// that does not fit is dropped; every caller sizes the buffer for all
+/// of its runs.
+struct Cursor<'a> {
+    buf: &'a mut [u8],
+    at: usize,
+}
+
+impl<'a> Cursor<'a> {
+    fn new(buf: &'a mut [u8]) -> Cursor<'a> {
+        Cursor { buf, at: 0 }
+    }
+
+    fn put(&mut self, bytes: &[u8]) {
+        let end = self.at + bytes.len();
+        if let Some(room) = self.buf.get_mut(self.at..end) {
+            room.copy_from_slice(bytes);
+            self.at = end;
         }
     }
 }
@@ -230,7 +265,7 @@ mod oracle {
             }
             LinkFrame::RateControl(m) => {
                 v.push(proto::RATE_CONTROL);
-                m.emit(&mut v);
+                v.extend_from_slice(&m.to_bytes());
             }
             LinkFrame::Ipish(d) => {
                 v.push(proto::IPISH);
@@ -347,7 +382,7 @@ mod tests {
                                        split in 0usize..64) {
             // Flat, and split at an arbitrary header/body boundary.
             let cut = split.min(bytes.len());
-            let mixed = FrameBuf::new(bytes[..cut].to_vec(), PacketBuf::from(&bytes[cut..]));
+            let mixed = FrameBuf::new(&bytes[..cut], PacketBuf::from(&bytes[cut..]));
             for f in [FrameBuf::from(bytes.clone()), mixed] {
                 let p2p = LinkFrame::from_p2p_frame(&f);
                 let eth = LinkFrame::from_ethernet_frame(&f);

@@ -9,13 +9,17 @@ use sirpent_telemetry::HopKind;
 use sirpent_wire::buf::{FrameBuf, PacketBuf};
 use sirpent_wire::ethernet;
 use sirpent_wire::packet::truncate_packet_buf;
-use sirpent_wire::trailer::Entry as TrailerEntry;
-use sirpent_wire::viper::{decode, Flags, Priority, SegmentRepr};
+use sirpent_wire::trailer;
+use sirpent_wire::viper::{decode, Flags, Priority, SegmentRef};
 
 use crate::dataplane::{Queued, ServiceHooks, StartedTx, Work};
 use crate::link::LinkFrame;
 
 use super::{DropReason, FlowLimit, OutPorts, Pending, PortKind, ViperRouter};
+
+/// The longest port token a return hop carries from the stack: twice a
+/// sealed token. A longer one is copied to the heap.
+const TOKEN_ROOM: usize = 64;
 
 /// Per-packet transmit metadata extracted from the stripped segment.
 /// Everything is `Copy` so the output stage never borrows (or keeps
@@ -103,24 +107,41 @@ impl ViperRouter {
             },
         };
         // Return hop: arrival port, same link token, reversed network
-        // header of the arrival network (§2).
-        let return_hop = arrival_port.map(|ap| SegmentRepr {
-            port: ap,
-            flags: Flags {
-                rpf: true,
-                ..Default::default()
-            },
-            priority: meta.priority,
-            port_token: seg.port_token().to_vec(),
-            port_info: eth_return.map(|h| h.to_bytes()).unwrap_or_default(),
-            alt: None,
-        });
+        // header of the arrival network (§2). The token is copied to the
+        // stack (to the heap only past `TOKEN_ROOM`) so the view can be
+        // released before the append.
+        let token = seg.port_token();
+        let mut held = [0u8; TOKEN_ROOM];
+        let spilled: Vec<u8>;
+        let token: &[u8] = match held.get_mut(..token.len()) {
+            Some(room) => {
+                room.copy_from_slice(token);
+                room
+            }
+            None => {
+                spilled = token.to_vec();
+                &spilled
+            }
+        };
         drop(seg);
-        if let Some(rh) = return_hop {
-            if TrailerEntry::ReturnHop(rh)
-                .append_to_buf(&mut packet)
-                .is_err()
-            {
+        let mut info = [0u8; ethernet::HEADER_LEN];
+        let info: &[u8] = match eth_return.map(|h| h.emit(&mut info)) {
+            Some(Ok(len)) => info.get(..len).unwrap_or_default(),
+            _ => &[],
+        };
+        if let Some(ap) = arrival_port {
+            let return_hop = SegmentRef {
+                port: ap,
+                flags: Flags {
+                    rpf: true,
+                    ..Default::default()
+                },
+                priority: meta.priority,
+                port_token: token,
+                port_info: info,
+                alt: None,
+            };
+            if trailer::append_return_hop(return_hop, &mut packet).is_err() {
                 self.stats.drop(DropReason::BadStructure);
                 return;
             }

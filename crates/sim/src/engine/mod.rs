@@ -97,7 +97,7 @@ pub struct FrameId(pub u64);
 
 /// A frame in flight: an identity plus its bytes.
 ///
-/// The contents are a [`FrameBuf`]: an owned link header in front of a
+/// The contents are a [`FrameBuf`]: a link header held inline in front of a
 /// shared, cheaply-cloneable packet body. The engine's per-tap fan-out
 /// clones the `FrameBuf`, so a broadcast to N taps copies N small link
 /// headers and zero packet bodies.

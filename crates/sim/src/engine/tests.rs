@@ -228,7 +228,7 @@ fn bus_fanout_shares_packet_body() {
     }
 
     let body = PacketBuf::from(vec![0xEE; 512]);
-    let frame = FrameBuf::new(vec![1, 0], body.clone());
+    let frame = FrameBuf::new(&[1, 0], body.clone());
     let mut sim = Simulator::new(12);
     let a = sim.add_node(Box::new(Sender(frame)));
     let b = sim.add_node(Box::<Cap>::default());

@@ -20,7 +20,7 @@
 //!   into the shared store, not per-hop `Vec` copies. The view holds its
 //!   own `Arc` so it stays valid even after the packet is advanced past
 //!   it or cow-copied elsewhere.
-//! * [`FrameBuf`] — a link frame as a small owned header plus a shared
+//! * [`FrameBuf`] — a link frame as a small inline header plus a shared
 //!   [`PacketBuf`] body, so prepending the link header on transmit does
 //!   not copy the packet, and the receiver can take the body back out
 //!   zero-copy.
@@ -58,12 +58,21 @@ const COW_HEADROOM: usize = 64;
 
 /// A shared, cheaply-cloneable packet buffer with O(1) front strip and
 /// tail truncation. See the [module docs](self) for semantics.
+///
+/// The offsets are `u32`, so a window holds at most `u32::MAX` bytes
+/// (an offset past that saturates): 16 bytes a handle, which keeps a
+/// [`FrameBuf`] with its link header inline at 48.
 #[derive(Clone, Default)]
 pub struct PacketBuf {
     /// `None` until the first byte arrives.
     store: Option<Arc<Vec<u8>>>,
-    head: usize,
-    tail: usize,
+    head: u32,
+    tail: u32,
+}
+
+/// A byte offset as a window stores it.
+fn offset(at: usize) -> u32 {
+    u32::try_from(at).unwrap_or(u32::MAX)
 }
 
 impl PacketBuf {
@@ -74,7 +83,7 @@ impl PacketBuf {
 
     /// Take ownership of `bytes` as the live window.
     pub fn from_vec(bytes: Vec<u8>) -> PacketBuf {
-        let tail = bytes.len();
+        let tail = offset(bytes.len());
         PacketBuf {
             store: Some(Arc::new(bytes)),
             head: 0,
@@ -86,14 +95,14 @@ impl PacketBuf {
     pub fn as_slice(&self) -> &[u8] {
         match &self.store {
             // lint: allow(panic-free-dataplane) -- type invariant: every constructor and mutator keeps head <= tail <= store.len()
-            Some(store) => &store[self.head..self.tail],
+            Some(store) => &store[self.head as usize..self.tail as usize],
             None => &[],
         }
     }
 
     /// Length of the live window.
     pub fn len(&self) -> usize {
-        self.tail - self.head
+        (self.tail - self.head) as usize
     }
 
     /// Whether the live window is empty.
@@ -108,14 +117,14 @@ impl PacketBuf {
     pub fn advance(&mut self, n: usize) {
         // lint: allow(panic-free-dataplane) -- documented `# Panics` contract; callers advance by a parsed segment length already validated against the window
         assert!(n <= self.len(), "advance past end of PacketBuf");
-        self.head += n;
+        self.head += n as u32;
     }
 
     /// Keep only the first `keep` bytes of the live window by lowering
     /// the tail watermark. O(1). A `keep` beyond the window is a no-op.
     pub fn truncate(&mut self, keep: usize) {
         if keep < self.len() {
-            self.tail = self.head + keep;
+            self.tail = self.head + keep as u32;
         }
     }
 
@@ -133,11 +142,12 @@ impl PacketBuf {
             Some(v) => {
                 // Unique owner: drop anything beyond our tail (no other
                 // holder can see it) and extend in place.
-                v.truncate(self.tail);
-                v.resize(self.tail + n, 0);
+                let tail = self.tail as usize;
+                v.truncate(tail);
+                v.resize(tail + n, 0);
                 // lint: allow(panic-free-dataplane) -- store was just resized to tail + n, so tail is in range
-                fill(&mut v[self.tail..]);
-                self.tail += n;
+                fill(&mut v[tail..]);
+                self.tail = offset(tail + n);
             }
             None => {
                 // Shared: copy the live window into a fresh store with
@@ -150,7 +160,7 @@ impl PacketBuf {
                 fill(&mut v[live..]);
                 self.store = Some(Arc::new(v));
                 self.head = 0;
-                self.tail = live + n;
+                self.tail = offset(live + n);
             }
         }
     }
@@ -163,7 +173,7 @@ impl PacketBuf {
     /// How many bytes have been stripped off the front of this store
     /// (diagnostic; the paper's "header shrinks, trailer grows").
     pub fn head_offset(&self) -> usize {
-        self.head
+        self.head as usize
     }
 
     /// Whether this handle is the unique owner of the store (appends
@@ -255,7 +265,7 @@ impl SegmentView {
         let seg = decode(buf.as_slice())?;
         Ok(SegmentView {
             store: buf.store.clone(),
-            start: buf.head,
+            start: buf.head_offset(),
             seg,
         })
     }
@@ -325,29 +335,60 @@ impl core::fmt::Debug for SegmentView {
     }
 }
 
-/// A link-layer frame: a small owned header (link tag, Ethernet header,
-/// …) in front of a shared packet body.
+/// The link-header bytes a [`FrameBuf`] holds inline: a 14-byte
+/// Ethernet header in front of a 16-byte rate-control header, the
+/// longest link header this workspace composes.
+pub const HEADER_ROOM: usize = 30;
+
+/// A link-layer frame: a small header (link tag, Ethernet header, …)
+/// held inline in front of a shared packet body.
 ///
 /// Prepending a link header onto a shared contiguous buffer cannot be
 /// zero-copy, so the frame keeps the header (a few bytes, copied per
-/// frame) separate from the body (shared via [`PacketBuf`]). Cloning a
-/// `FrameBuf` — which the simulator does once per receiving tap, and the
-/// router does per fan-out copy — copies only the header.
+/// frame) separate from the body (shared via [`PacketBuf`]). The header
+/// lives in the frame itself, so composing or cloning a `FrameBuf` —
+/// which the simulator does once per receiving tap, and the router does
+/// per fan-out copy — allocates nothing.
 #[derive(Clone, Default)]
 pub struct FrameBuf {
-    header: Vec<u8>,
+    header: [u8; HEADER_ROOM],
+    header_len: u8,
     body: PacketBuf,
 }
 
 impl FrameBuf {
-    /// A frame with `header` prepended to `body`.
-    pub fn new(header: Vec<u8>, body: PacketBuf) -> FrameBuf {
-        FrameBuf { header, body }
+    /// A frame with `header` prepended to `body`. A header longer than
+    /// [`HEADER_ROOM`] keeps its first `HEADER_ROOM` bytes inline and
+    /// moves the rest in front of the body, which copies the body; the
+    /// frame's bytes are the same either way.
+    pub fn new(header: &[u8], body: PacketBuf) -> FrameBuf {
+        let split = header.len().min(HEADER_ROOM);
+        let (inline, overflow) = (
+            header.get(..split).unwrap_or_default(),
+            header.get(split..).unwrap_or_default(),
+        );
+        let body = if overflow.is_empty() {
+            body
+        } else {
+            let mut v = Vec::with_capacity(overflow.len() + body.len());
+            v.extend_from_slice(overflow);
+            v.extend_from_slice(body.as_slice());
+            PacketBuf::from_vec(v)
+        };
+        let mut frame = FrameBuf {
+            header: [0; HEADER_ROOM],
+            header_len: split as u8,
+            body,
+        };
+        if let Some(room) = frame.header.get_mut(..split) {
+            room.copy_from_slice(inline);
+        }
+        frame
     }
 
     /// Total on-the-wire length.
     pub fn len(&self) -> usize {
-        self.header.len() + self.body.len()
+        self.header().len() + self.body.len()
     }
 
     /// Whether the frame has no bytes at all.
@@ -355,10 +396,12 @@ impl FrameBuf {
         self.len() == 0
     }
 
-    /// The owned header part (may be empty for frames built from a flat
-    /// byte vector).
+    /// The header part (may be empty for frames built from a flat byte
+    /// vector).
     pub fn header(&self) -> &[u8] {
-        &self.header
+        self.header
+            .get(..usize::from(self.header_len))
+            .unwrap_or_default()
     }
 
     /// The shared body part.
@@ -368,9 +411,10 @@ impl FrameBuf {
 
     /// Byte `i` of the frame (header and body concatenated).
     pub fn byte(&self, i: usize) -> Option<u8> {
-        match self.header.get(i) {
+        let header = self.header();
+        match header.get(i) {
             Some(&b) => Some(b),
-            None => self.body.as_slice().get(i - self.header.len()).copied(),
+            None => self.body.as_slice().get(i - header.len()).copied(),
         }
     }
 
@@ -380,14 +424,15 @@ impl FrameBuf {
     /// copying only in the mixed case. Link-header parsers use this.
     pub fn prefix(&self, n: usize) -> Option<std::borrow::Cow<'_, [u8]>> {
         use std::borrow::Cow;
-        if let Some(h) = self.header.get(..n) {
+        let header = self.header();
+        if let Some(h) = header.get(..n) {
             Some(Cow::Borrowed(h))
-        } else if self.header.is_empty() {
+        } else if header.is_empty() {
             self.body.as_slice().get(..n).map(Cow::Borrowed)
         } else {
-            let rest = self.body.as_slice().get(..n - self.header.len())?;
+            let rest = self.body.as_slice().get(..n - header.len())?;
             let mut v = Vec::with_capacity(n);
-            v.extend_from_slice(&self.header);
+            v.extend_from_slice(header);
             v.extend_from_slice(rest);
             Some(Cow::Owned(v))
         }
@@ -398,7 +443,7 @@ impl FrameBuf {
     /// (`n == header.len()`) or the frame is one flat buffer; copies
     /// only in the mixed case.
     pub fn strip_header(&self, n: usize) -> Option<PacketBuf> {
-        match n.checked_sub(self.header.len()) {
+        match n.checked_sub(self.header().len()) {
             Some(extra) => {
                 if extra > self.body.len() {
                     return None;
@@ -410,7 +455,7 @@ impl FrameBuf {
             None => {
                 // Header longer than n: keep the header remainder plus
                 // the body (rare — only link formats we don't compose).
-                let keep = self.header.get(n..)?;
+                let keep = self.header().get(n..)?;
                 let mut v = Vec::with_capacity(keep.len() + self.body.len());
                 v.extend_from_slice(keep);
                 v.extend_from_slice(self.body.as_slice());
@@ -423,7 +468,7 @@ impl FrameBuf {
     /// fault-injection corrupt path).
     pub fn to_vec(&self) -> Vec<u8> {
         let mut v = Vec::with_capacity(self.len());
-        v.extend_from_slice(&self.header);
+        v.extend_from_slice(self.header());
         v.extend_from_slice(self.body.as_slice());
         v
     }
@@ -431,18 +476,15 @@ impl FrameBuf {
 
 impl From<Vec<u8>> for FrameBuf {
     fn from(bytes: Vec<u8>) -> FrameBuf {
-        FrameBuf {
-            header: Vec::new(),
-            body: PacketBuf::from_vec(bytes),
-        }
+        FrameBuf::from(PacketBuf::from_vec(bytes))
     }
 }
 
 impl From<PacketBuf> for FrameBuf {
     fn from(body: PacketBuf) -> FrameBuf {
         FrameBuf {
-            header: Vec::new(),
             body,
+            ..FrameBuf::default()
         }
     }
 }
@@ -450,7 +492,7 @@ impl From<PacketBuf> for FrameBuf {
 impl core::fmt::Debug for FrameBuf {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("FrameBuf")
-            .field("header_len", &self.header.len())
+            .field("header_len", &self.header_len)
             .field("body_len", &self.body.len())
             .finish()
     }
@@ -461,8 +503,8 @@ impl PartialEq for FrameBuf {
         if self.len() != other.len() {
             return false;
         }
-        let a = self.header.iter().chain(self.body.as_slice());
-        let b = other.header.iter().chain(other.body.as_slice());
+        let a = self.header().iter().chain(self.body.as_slice());
+        let b = other.header().iter().chain(other.body.as_slice());
         a.eq(b)
     }
 }
@@ -519,7 +561,7 @@ mod tests {
     #[test]
     fn framebuf_prefix_and_strip() {
         let body = PacketBuf::from_vec(vec![10, 11, 12]);
-        let f = FrameBuf::new(vec![1, 2], body);
+        let f = FrameBuf::new(&[1, 2], body);
         assert_eq!(f.len(), 5);
         assert_eq!(&*f.prefix(2).unwrap(), &[1, 2]);
         assert_eq!(&*f.prefix(4).unwrap(), &[1, 2, 10, 11]);
@@ -535,6 +577,21 @@ mod tests {
         assert!(p2.shares_store_with(flat.body()));
         assert_eq!(flat.to_vec(), f.to_vec());
         assert_eq!(flat, f);
+    }
+
+    /// A header past the inline room keeps its first `HEADER_ROOM`
+    /// bytes inline and moves the rest in front of the body: the
+    /// frame's bytes, and every accessor's answer, are the same.
+    #[test]
+    fn framebuf_header_past_the_inline_room_moves_into_the_body() {
+        let header: Vec<u8> = (0..40).collect();
+        let f = FrameBuf::new(&header, PacketBuf::from_vec(vec![100, 101]));
+        assert_eq!(f.header(), &header[..HEADER_ROOM]);
+        assert_eq!(f.len(), 42);
+        assert_eq!(f.byte(35), Some(35));
+        assert_eq!(&*f.prefix(41).unwrap(), &[&header[..], &[100]].concat()[..]);
+        assert_eq!(f.strip_header(40).unwrap().as_slice(), &[100, 101]);
+        assert_eq!(f, FrameBuf::from([&header[..], &[100, 101]].concat()));
     }
 
     #[test]

@@ -35,7 +35,8 @@
 //!   appended when a cut-through router discovers mid-flight that the
 //!   packet exceeds the next hop's MTU.
 
-use crate::viper::{decode, Decoded, SegmentRepr};
+use crate::buf::PacketBuf;
+use crate::viper::{decode, Decoded, SegmentRef, SegmentRepr};
 use crate::{Error, Result};
 
 /// Bytes of fixed framing per entry (u16 length + u8 kind).
@@ -88,24 +89,12 @@ impl Entry {
         }
     }
 
-    /// Validate that the entry payload fits the u16 length field of the
-    /// framing. A return-hop segment can exceed it via the 255/32-bit
-    /// length escape; writing `plen as u16` would silently corrupt the
-    /// backwards walk, so oversize payloads are rejected instead.
-    fn checked_payload_len(&self) -> Result<usize> {
-        let plen = self.payload_len();
-        if plen > u16::MAX as usize {
-            return Err(Error::TrailerPayloadTooLong);
-        }
-        Ok(plen)
-    }
-
     /// Append this entry to the end of a packet buffer.
     ///
     /// Fails with [`Error::TrailerPayloadTooLong`] when the payload
     /// exceeds the u16 length field; the packet is left untouched.
     pub(crate) fn append_to(&self, packet: &mut Vec<u8>) -> Result<()> {
-        let plen = self.checked_payload_len()?;
+        let plen = checked(self.payload_len())?;
         match self {
             Entry::Base => {}
             Entry::ReturnHop(seg) => {
@@ -128,23 +117,57 @@ impl Entry {
     ///
     /// Fails with [`Error::TrailerPayloadTooLong`] when the payload
     /// exceeds the u16 length field; the packet is left untouched.
-    pub fn append_to_buf(&self, packet: &mut crate::buf::PacketBuf) -> Result<()> {
-        let plen = self.checked_payload_len()?;
-        packet.append_with(plen + ENTRY_OVERHEAD, |dst| {
-            match self {
-                Entry::Base => {}
-                Entry::ReturnHop(seg) => {
-                    seg.emit(&mut dst[..plen]).expect("sized exactly");
-                }
-                Entry::Truncated { lost_bytes } => {
-                    dst[..4].copy_from_slice(&lost_bytes.to_be_bytes());
-                }
-            }
-            dst[plen..plen + 2].copy_from_slice(&(plen as u16).to_be_bytes());
-            dst[plen + 2] = self.kind_byte();
-        });
-        Ok(())
+    pub fn append_to_buf(&self, packet: &mut PacketBuf) -> Result<()> {
+        match self {
+            Entry::ReturnHop(seg) => append_return_hop(seg.by_ref(), packet),
+            Entry::Base => append_entry(packet, 0, kind::BASE, |_| {}),
+            Entry::Truncated { lost_bytes } => append_entry(packet, 4, kind::TRUNCATED, |dst| {
+                dst.copy_from_slice(&lost_bytes.to_be_bytes());
+            }),
+        }
     }
+}
+
+/// `plen`, if an entry payload that long fits the u16 length field of
+/// the framing. A return-hop segment can exceed it via the 255/32-bit
+/// length escape; writing `plen as u16` would silently corrupt the
+/// backwards walk, so oversize payloads are rejected instead.
+fn checked(plen: usize) -> Result<usize> {
+    if plen > u16::MAX as usize {
+        return Err(Error::TrailerPayloadTooLong);
+    }
+    Ok(plen)
+}
+
+/// Append one entry of `plen` payload bytes, which `payload` writes, and
+/// its framing to `packet`.
+fn append_entry(
+    packet: &mut PacketBuf,
+    plen: usize,
+    kind: u8,
+    payload: impl FnOnce(&mut [u8]),
+) -> Result<()> {
+    let plen = checked(plen)?;
+    packet.append_with(plen + ENTRY_OVERHEAD, |dst| {
+        payload(&mut dst[..plen]);
+        dst[plen..plen + 2].copy_from_slice(&(plen as u16).to_be_bytes());
+        dst[plen + 2] = kind;
+    });
+    Ok(())
+}
+
+/// Append a return-hop entry for `seg` — the bytes
+/// `Entry::ReturnHop` of the same segment appends — to a shared
+/// [`PacketBuf`], in place when the router uniquely owns the packet,
+/// with the segment's fields borrowed rather than owned: a router
+/// appends its return hop without allocating.
+///
+/// Fails with [`Error::TrailerPayloadTooLong`] when the segment exceeds
+/// the u16 length field; the packet is left untouched.
+pub fn append_return_hop(seg: SegmentRef<'_>, packet: &mut PacketBuf) -> Result<()> {
+    append_entry(packet, seg.buffer_len(), kind::RETURN_HOP, |dst| {
+        seg.emit(dst).expect("sized exactly");
+    })
 }
 
 /// One trailer entry with its payload still in the packet: what the

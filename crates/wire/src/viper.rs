@@ -349,6 +349,63 @@ impl SegmentRepr {
         Ok((seg.to_repr(buffer), seg.len))
     }
 
+    /// The same segment with its variable fields borrowed.
+    pub fn by_ref(&self) -> SegmentRef<'_> {
+        SegmentRef {
+            port: self.port,
+            flags: self.flags,
+            priority: self.priority,
+            port_token: &self.port_token,
+            port_info: &self.port_info,
+            alt: self.alt,
+        }
+    }
+
+    /// The number of bytes `emit` will write.
+    pub fn buffer_len(&self) -> usize {
+        self.by_ref().buffer_len()
+    }
+
+    /// Emit into the front of `buffer`, which must be at least
+    /// [`SegmentRepr::buffer_len`] bytes. Returns the bytes written.
+    /// Fails as [`SegmentRef::emit`] does.
+    pub fn emit(&self, buffer: &mut [u8]) -> Result<usize> {
+        self.by_ref().emit(buffer)
+    }
+
+    /// Emit into a fresh vector.
+    ///
+    /// # Panics
+    /// On the non-canonical flag/branch combinations [`SegmentRepr::emit`]
+    /// rejects (no construction site in this workspace produces them).
+    pub fn to_bytes(&self) -> Vec<u8> {
+        let mut v = vec![0u8; self.buffer_len()];
+        self.emit(&mut v).expect("canonical repr sized exactly");
+        v
+    }
+}
+
+/// A header segment whose variable fields are borrowed: what
+/// [`SegmentRepr`] emits through, and what a router emits a return hop
+/// from without copying its token into an owned segment first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SegmentRef<'a> {
+    /// Output port at the router this segment addresses. 0 = local.
+    pub port: u8,
+    /// Segment flags.
+    pub flags: Flags,
+    /// Switching/forwarding priority.
+    pub priority: Priority,
+    /// The (opaque, possibly encrypted) port token. Empty = absent.
+    pub port_token: &'a [u8],
+    /// Network-specific port information. Empty for point-to-point
+    /// links.
+    pub port_info: &'a [u8],
+    /// Optional Slick-Packets fallback branch.
+    pub alt: Option<AltBranch>,
+}
+
+impl SegmentRef<'_> {
     /// Encoded length of one variable field, including a possible
     /// extended-length word.
     fn var_field_len(payload: usize) -> usize {
@@ -372,7 +429,7 @@ impl SegmentRepr {
     }
 
     /// Emit into the front of `buffer`, which must be at least
-    /// [`SegmentRepr::buffer_len`] bytes. Returns the bytes written.
+    /// [`SegmentRef::buffer_len`] bytes. Returns the bytes written.
     ///
     /// Fails with [`Error::Malformed`] on the non-canonical flag/branch
     /// combinations: VNT+TRB set together without an alternate branch
@@ -413,7 +470,7 @@ impl SegmentRepr {
         };
         buffer[field::FLAGS_PRIORITY] = (wire_nibble << 4) | self.priority.raw();
         let mut at = FIXED_LEN;
-        for (bytes, _name) in [(&self.port_token, "token"), (&self.port_info, "info")] {
+        for bytes in [self.port_token, self.port_info] {
             if bytes.len() > 254 {
                 buffer[at..at + 4].copy_from_slice(&(bytes.len() as u32).to_be_bytes());
                 at += 4;
@@ -428,17 +485,6 @@ impl SegmentRepr {
         }
         debug_assert_eq!(at, need);
         Ok(need)
-    }
-
-    /// Emit into a fresh vector.
-    ///
-    /// # Panics
-    /// On the non-canonical flag/branch combinations [`SegmentRepr::emit`]
-    /// rejects (no construction site in this workspace produces them).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut v = vec![0u8; self.buffer_len()];
-        self.emit(&mut v).expect("canonical repr sized exactly");
-        v
     }
 }
 
