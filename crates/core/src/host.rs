@@ -177,10 +177,6 @@ pub struct SirpentHost {
     ports: BTreeMap<u8, HostPortKind>,
     routes: BTreeMap<EntityId, RouteSet<InstalledRoute>>,
     reply_ctx: BTreeMap<EntityId, Path>,
-    /// Responses already sent, retained for re-send on replayed
-    /// requests (the VMTP server-side transaction record). Auto-responses
-    /// all share `response`'s buffer.
-    sent_responses: BTreeMap<(EntityId, u32), PacketBuf>,
     /// `auto_respond`'s bytes as the one buffer every auto-response is a
     /// window of; rebuilt when the public field has been reassigned.
     response: PacketBuf,
@@ -219,7 +215,6 @@ impl SirpentHost {
             ports: ports.into_iter().collect(),
             routes: BTreeMap::new(),
             reply_ctx: BTreeMap::new(),
-            sent_responses: BTreeMap::new(),
             response: PacketBuf::new(),
             inflight: BTreeMap::new(),
             pending: BTreeMap::new(),
@@ -296,10 +291,9 @@ impl SirpentHost {
     }
 
     /// Transaction state held and due to retire: requests awaiting a
-    /// response, packet groups sent and still needed (awaiting
-    /// acknowledgement, or a request's kept for probing), and incoming
-    /// groups with members missing. Returns to 0 when every transaction
-    /// has run its course.
+    /// response with their packet groups, and incoming groups with
+    /// members missing. Returns to 0 when every transaction has run its
+    /// course.
     pub fn open_transactions(&self) -> usize {
         self.inflight.len() + self.endpoint.open_groups()
     }
@@ -415,31 +409,6 @@ impl SirpentHost {
                 } => {
                     self.deliver(ctx, peer, transaction, kind, message, false);
                 }
-                Action::SendComplete { peer, transaction } => {
-                    // A response's group is finished once acknowledged.
-                    // While a request of ours to `peer` with this number
-                    // is open the group stays: `probe` re-sends from it,
-                    // and that request's timers read the pair's slot even
-                    // when a response to `peer`'s same-numbered request
-                    // has taken it over.
-                    let ours = self.inflight.get(&transaction);
-                    if ours.is_none_or(|t| t.dst != peer) {
-                        self.endpoint.retire(peer, transaction);
-                    }
-                }
-                Action::ReplayedRequest { peer, transaction } => {
-                    // The requester is missing our response: re-send it
-                    // over the (fresh) reply route.
-                    if let Some(body) = self.sent_responses.get(&(peer, transaction)).cloned() {
-                        let now = ctx.now();
-                        if let Some(actions) =
-                            self.endpoint
-                                .send_message(now, peer, transaction, Kind::Response, body)
-                        {
-                            self.run_actions(ctx, actions, peer, true);
-                        }
-                    }
-                }
             }
         }
     }
@@ -506,15 +475,11 @@ impl SirpentHost {
             }
             Kind::Request => {
                 if let Some(body) = response {
-                    if let Some(actions) = self.endpoint.send_message(
-                        now,
-                        peer,
-                        transaction,
-                        Kind::Response,
-                        body.clone(),
-                    ) {
+                    if let Some(actions) =
+                        self.endpoint
+                            .send_message(now, peer, transaction, Kind::Response, body)
+                    {
                         self.stats.responses_sent += 1;
-                        self.sent_responses.insert((peer, transaction), body);
                         self.run_actions(ctx, actions, peer, true);
                     }
                 }
@@ -619,12 +584,7 @@ impl SirpentHost {
         if let Some(set) = self.routes.get_mut(&dst) {
             set.select_for_flow(txn as u64);
         }
-        let mut actions = self.endpoint.on_retransmit_timer(now, dst, txn);
-        if actions.is_empty() {
-            // The request is fully acknowledged but no response came:
-            // probe the server so it re-sends the response.
-            actions = self.endpoint.probe(now, dst, txn);
-        }
+        let actions = self.endpoint.on_retransmit_timer(now, dst, txn);
         self.run_actions(ctx, actions, dst, false);
         let timeout = self.txn_timeout(dst, payload_len);
         let at = now + timeout;

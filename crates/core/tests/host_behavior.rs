@@ -558,20 +558,40 @@ fn packet_without_a_route_is_counted_not_silently_dropped() {
     assert!(sim.node::<ScriptedHost>(tap).received.is_empty());
 }
 
-/// Two hosts either side of one router, and the channel on which the
-/// router forwards the server's frames to the client.
-fn client_router_server(seed: u64) -> (Simulator, NodeId, NodeId, ChannelId) {
+/// Two hosts either side of one router, and the client's link: the
+/// channel to the router, and the one on which the router forwards the
+/// server's frames to the client.
+fn client_router_server(seed: u64) -> (Simulator, NodeId, NodeId, (ChannelId, ChannelId)) {
     let mut net = Net::new(seed);
     let a = net.host(0xA, vec![(0, HostPortKind::PointToPoint)]);
     let b = net.host(0xB, vec![(0, HostPortKind::PointToPoint)]);
     let r = net.viper(ViperConfig::basic(1, &[1, 2]));
-    let (_, to_client) = net.p2p(a, 0, r, 1, RATE, PROP);
+    let client_link = net.p2p(a, 0, r, 1, RATE, PROP);
     net.p2p(r, 2, b, 0, RATE, PROP);
     let routes = routes(&net, a, b);
     let mut sim = net.into_sim();
     sim.node_mut::<SirpentHost>(a)
         .install_routes(EntityId(0xB), routes);
-    (sim, a, b, to_client)
+    (sim, a, b, client_link)
+}
+
+/// Run `sim` until `channel` has carried `n - 1` frames, then lose the
+/// `n`th.
+fn lose_frame(sim: &mut Simulator, channel: ChannelId, n: u64) {
+    let carried = |sim: &Simulator| sim.channel_stats(channel).frames;
+    while carried(sim) < n - 1 {
+        assert!(sim.step(), "the frames before it come through");
+    }
+    let lossy = FaultConfig {
+        drop_prob: 1.0,
+        corrupt_prob: 0.0,
+    };
+    sim.set_faults(channel, lossy);
+    while carried(sim) < n {
+        assert!(sim.step(), "frame {n} is sent");
+    }
+    sim.set_faults(channel, FaultConfig::default());
+    assert_eq!(sim.channel_stats(channel).drops, 1);
 }
 
 #[test]
@@ -608,13 +628,13 @@ fn completed_transactions_leave_no_open_state() {
 }
 
 #[test]
-fn probe_recovers_a_response_lost_after_the_request_was_acked() {
+fn a_probe_recovers_a_response_lost_after_the_request_was_acked() {
     // The server's ack gets through and its response does not. The
     // client's request group is then fully acknowledged, and must stay
     // until the response arrives: the retransmission timer has nothing
     // to resend and probes from it, the server answers the replay from
     // its transaction record, and only then is everything retired.
-    let (mut sim, a, b, to_client) = client_router_server(15);
+    let (mut sim, a, b, (_, to_client)) = client_router_server(15);
     sim.node_mut::<SirpentHost>(b).auto_respond = Some(vec![0xA5; 200]);
     sim.node_mut::<SirpentHost>(a)
         .queue_request(SimTime::ZERO, EntityId(0xB), vec![0x5A; 300]);
@@ -622,20 +642,7 @@ fn probe_recovers_a_response_lost_after_the_request_was_acked() {
 
     // The server sends the ack, then the response: lose exactly the
     // second frame the router forwards to the client.
-    let forwarded = |sim: &Simulator| sim.channel_stats(to_client).frames;
-    while forwarded(&sim) < 1 {
-        assert!(sim.step(), "the ack comes through");
-    }
-    let lossy = FaultConfig {
-        drop_prob: 1.0,
-        corrupt_prob: 0.0,
-    };
-    sim.set_faults(to_client, lossy);
-    while forwarded(&sim) < 2 {
-        assert!(sim.step(), "the response follows");
-    }
-    sim.set_faults(to_client, FaultConfig::default());
-    assert_eq!(sim.channel_stats(to_client).drops, 1);
+    lose_frame(&mut sim, to_client, 2);
 
     sim.run_until(SimTime(2_000_000_000));
     let (client, server) = (sim.node::<SirpentHost>(a), sim.node::<SirpentHost>(b));
@@ -649,6 +656,30 @@ fn probe_recovers_a_response_lost_after_the_request_was_acked() {
     assert_eq!(server.endpoint().stats.duplicates, 1, "seen as a replay");
     assert_eq!(server.stats.responses_sent, 1, "re-sent, not re-answered");
     assert!(client.events.is_empty(), "nobody gave up");
+    assert_eq!(client.open_transactions(), 0);
+    assert_eq!(server.open_transactions(), 0);
+}
+
+#[test]
+fn a_response_whose_ack_is_lost_leaves_no_open_state() {
+    // The server keeps a response only to answer a replay and times
+    // nothing, so losing the client's ack of it leaves nothing open: no
+    // retransmission follows, and nothing waits for an ack.
+    let (mut sim, a, b, (to_server, _)) = client_router_server(16);
+    sim.node_mut::<SirpentHost>(b).auto_respond = Some(vec![0xA5; 200]);
+    sim.node_mut::<SirpentHost>(a)
+        .queue_request(SimTime::ZERO, EntityId(0xB), vec![0x5A; 300]);
+    SirpentHost::start(&mut sim, a);
+
+    // The client sends its request, then its ack of the response: lose
+    // that second frame.
+    lose_frame(&mut sim, to_server, 2);
+
+    sim.run_until(SimTime(2_000_000_000));
+    let (client, server) = (sim.node::<SirpentHost>(a), sim.node::<SirpentHost>(b));
+    assert_eq!(client.rtt_samples.len(), 1);
+    assert_eq!(client.endpoint().stats.acks_sent, 1);
+    assert_eq!(server.endpoint().stats.retransmissions, 0);
     assert_eq!(client.open_transactions(), 0);
     assert_eq!(server.open_transactions(), 0);
 }

@@ -54,11 +54,6 @@ impl SimDuration {
         SimDuration(s * 1_000_000_000)
     }
 
-    /// Construct from fractional seconds (rounds to nearest ns).
-    pub fn from_secs_f64(s: f64) -> SimDuration {
-        SimDuration((s * 1e9).round() as u64)
-    }
-
     /// Nanoseconds in the span.
     pub fn as_nanos(self) -> u64 {
         self.0
@@ -161,7 +156,6 @@ mod tests {
     fn conversions() {
         assert_eq!(SimDuration::from_millis(2).as_nanos(), 2_000_000);
         assert_eq!(SimDuration::from_secs(1).as_secs_f64(), 1.0);
-        assert_eq!(SimDuration::from_secs_f64(0.25).as_nanos(), 250_000_000);
     }
 
     #[test]

@@ -11,6 +11,8 @@
 //! The endpoint is a pure state machine: the owning host node feeds it
 //! packets and timer ticks and executes the [`Action`]s it returns
 //! (transmissions carry explicit due times for the host to schedule).
+//! It also keeps VMTP's server-side transaction record: each response
+//! it sends is kept, and a replayed request is answered with it again.
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
@@ -53,22 +55,6 @@ pub enum Action {
         /// The reassembled message.
         message: Vec<u8>,
     },
-    /// A transaction's packet group is fully acknowledged.
-    SendComplete {
-        /// The entity the group was sent to.
-        peer: EntityId,
-        /// The transaction.
-        transaction: u32,
-    },
-    /// A request already delivered was received again — the peer
-    /// evidently lacks our response; the application layer should
-    /// re-send it (VMTP servers retain responses for exactly this).
-    ReplayedRequest {
-        /// The requesting entity.
-        peer: EntityId,
-        /// The transaction being replayed.
-        transaction: u32,
-    },
 }
 
 /// Why incoming packets were rejected.
@@ -99,12 +85,6 @@ pub struct TransportStats {
     pub acks_sent: u64,
 }
 
-struct Outgoing {
-    kind: Kind,
-    group: GroupSender,
-    done: bool,
-}
-
 /// Configuration of one endpoint.
 pub struct EndpointConfig {
     /// Our 64-bit identity.
@@ -128,12 +108,17 @@ pub struct Endpoint {
     seg_size: usize,
     /// The pacer, public for backpressure/loss feedback wiring.
     pub pacer: RatePacer,
-    /// Unfinished sends by `(peer, transaction)` — the pair an `Ack`'s
-    /// `(src, transaction)` names. Transaction ids are per-requester, so
-    /// our request 1 to B and our response to C's request 1 coexist.
-    outgoing: BTreeMap<(EntityId, u32), Outgoing>,
+    /// Our requests' groups by `(peer, transaction)` — the pair an
+    /// `Ack`'s `(src, transaction)` names. The peer's ack of our
+    /// response to its own request with that number names it too.
+    outgoing: BTreeMap<(EntityId, u32), GroupSender>,
     incoming: BTreeMap<(EntityId, u32, u8), GroupReceiver>,
     completed: BTreeSet<(EntityId, u32, u8)>,
+    /// The responses we sent, by the request they answer: a replay of
+    /// that request is answered with it again. Transaction ids are
+    /// per-requester, so our request 1 to B and our response to B's
+    /// request 1 coexist.
+    responses: BTreeMap<(EntityId, u32), PacketBuf>,
     /// Counters.
     pub stats: TransportStats,
 }
@@ -159,6 +144,7 @@ impl Endpoint {
             outgoing: BTreeMap::new(),
             incoming: BTreeMap::new(),
             completed: BTreeSet::new(),
+            responses: BTreeMap::new(),
             stats: TransportStats::default(),
         }
     }
@@ -209,6 +195,10 @@ impl Endpoint {
     /// Returns paced `Transmit` actions for every member.
     /// Fails (None) when the message exceeds 32 segments — split across
     /// transactions above.
+    ///
+    /// A request's group is kept for its retransmission timer. A
+    /// response is never timed: it is kept only to answer a replay of
+    /// the request, which is how a client recovers a lost response.
     pub fn send_message(
         &mut self,
         now: SimTime,
@@ -217,85 +207,64 @@ impl Endpoint {
         kind: Kind,
         data: impl Into<PacketBuf>,
     ) -> Option<Vec<Action>> {
-        let group = GroupSender::split(data.into(), self.seg_size)?;
+        let body = data.into();
+        let group = GroupSender::split(body.clone(), self.seg_size)?;
         let actions = (0..group.group_size())
             .map(|i| self.member(now, dst, transaction, kind, &group, i))
             .collect();
-        self.outgoing.insert(
-            (dst, transaction),
-            Outgoing {
-                kind,
-                group,
-                done: false,
-            },
-        );
+        if kind == Kind::Response {
+            self.responses.insert((dst, transaction), body);
+        } else {
+            self.outgoing.insert((dst, transaction), group);
+        }
         Some(actions)
-    }
-
-    /// Re-send the members of the group to `(dst, transaction)` that
-    /// `which` picks, counting each as a retransmission.
-    fn resend(
-        &mut self,
-        now: SimTime,
-        dst: EntityId,
-        transaction: u32,
-        which: impl FnOnce(&Outgoing) -> Vec<usize>,
-    ) -> Vec<Action> {
-        let Some(o) = self.outgoing.get(&(dst, transaction)) else {
-            return Vec::new();
-        };
-        // A handle on the shared message, so `member` can borrow the
-        // pacer and clock.
-        let (kind, group, members) = (o.kind, o.group.clone(), which(o));
-        self.stats.retransmissions += members.len() as u64;
-        members
-            .into_iter()
-            .map(|i| self.member(now, dst, transaction, kind, &group, i))
-            .collect()
-    }
-
-    /// Re-send the final member of a (possibly fully acknowledged)
-    /// group as a **probe**: the receiver deduplicates it, re-acks, and
-    /// — for requests — reports the replay so the response can be
-    /// re-sent. This is how a client recovers when its request got
-    /// through but the response was lost.
-    pub fn probe(&mut self, now: SimTime, dst: EntityId, transaction: u32) -> Vec<Action> {
-        self.resend(now, dst, transaction, |o| vec![o.group.group_size() - 1])
     }
 
     /// Which members of `transaction` to `dst` remain unacknowledged.
     pub fn unacked(&self, dst: EntityId, transaction: u32) -> Option<Vec<usize>> {
-        Some(self.outgoing.get(&(dst, transaction))?.group.missing())
+        Some(self.outgoing.get(&(dst, transaction))?.missing())
     }
 
     /// A retransmission timer fired for `transaction` to `dst`: resend
-    /// every unacknowledged member (selective, §4.3).
+    /// every unacknowledged member (selective, §4.3). A fully
+    /// acknowledged request whose response has not come re-sends its
+    /// last member as a **probe**: the server deduplicates it, re-acks
+    /// and re-sends its kept response. Each member counts as a
+    /// retransmission.
     pub fn on_retransmit_timer(
         &mut self,
         now: SimTime,
         dst: EntityId,
         transaction: u32,
     ) -> Vec<Action> {
-        self.resend(now, dst, transaction, |o| {
-            if o.done {
-                Vec::new()
-            } else {
-                o.group.missing()
-            }
-        })
+        let Some(group) = self.outgoing.get(&(dst, transaction)) else {
+            return Vec::new();
+        };
+        let members = if group.complete() {
+            vec![group.group_size() - 1]
+        } else {
+            group.missing()
+        };
+        // A handle on the shared message, so `member` can borrow the
+        // pacer and clock.
+        let group = group.clone();
+        self.stats.retransmissions += members.len() as u64;
+        members
+            .into_iter()
+            .map(|i| self.member(now, dst, transaction, Kind::Request, &group, i))
+            .collect()
     }
 
-    /// Forget the group sent to `(dst, transaction)`. The owner calls
-    /// this once no later protocol step needs the group: with it gone,
-    /// an ack, a retransmission timer or a probe for the pair yields no
-    /// action — which is what a fully acknowledged group already yields
-    /// to all of them but the probe.
+    /// Forget the request group sent to `(dst, transaction)`. The owner
+    /// calls this once no later protocol step needs the group: with it
+    /// gone, an ack or a retransmission timer for the pair yields no
+    /// action.
     pub fn retire(&mut self, dst: EntityId, transaction: u32) {
         self.outgoing.remove(&(dst, transaction));
     }
 
-    /// Packet groups in progress: sent and not yet retired, or arriving
-    /// with members still missing.
+    /// Packet groups in progress: requests sent and not yet retired, or
+    /// groups arriving with members still missing.
     pub fn open_groups(&self) -> usize {
         self.outgoing.len() + self.incoming.len()
     }
@@ -362,14 +331,9 @@ impl Endpoint {
 
         match pkt.header.kind {
             Kind::Ack => {
-                let (peer, transaction) = (pkt.header.src, pkt.header.transaction);
-                let Some(o) = self.outgoing.get_mut(&(peer, transaction)) else {
-                    return Vec::new();
-                };
-                let missing = o.group.on_ack(pkt.header.delivery_mask);
-                if missing.is_empty() && !o.done {
-                    o.done = true;
-                    return vec![Action::SendComplete { peer, transaction }];
+                let key = (pkt.header.src, pkt.header.transaction);
+                if let Some(group) = self.outgoing.get_mut(&key) {
+                    group.on_ack(pkt.header.delivery_mask);
                 }
                 Vec::new()
             }
@@ -379,17 +343,18 @@ impl Endpoint {
                 let key = (peer, txn, kind_tag(kind));
                 if self.completed.contains(&key) {
                     // Replay of a finished message: re-ack, don't
-                    // re-deliver — but surface replayed *requests* so the
-                    // application can re-send its response.
+                    // re-deliver. A replayed request means the peer
+                    // lacks our response, so that goes again too.
                     self.stats.duplicates += 1;
                     let full = GroupSender::full_mask(pkt.header.group_size as usize);
-                    let mut acts = Vec::with_capacity(2);
-                    acts.push(self.make_ack(now, peer, txn, pkt.header.group_size, full));
-                    if kind == Kind::Request {
-                        acts.push(Action::ReplayedRequest {
-                            peer,
-                            transaction: txn,
-                        });
+                    let mut acts = vec![self.make_ack(now, peer, txn, pkt.header.group_size, full)];
+                    let response = match kind {
+                        Kind::Request => self.responses.get(&(peer, txn)).cloned(),
+                        _ => None,
+                    };
+                    if let Some(body) = response {
+                        let resent = self.send_message(now, peer, txn, Kind::Response, body);
+                        acts.extend(resent.into_iter().flatten());
                     }
                     return acts;
                 }
@@ -541,13 +506,8 @@ mod tests {
                 message: b"hello".to_vec(),
             }]
         );
-        assert_eq!(
-            complete,
-            vec![Action::SendComplete {
-                peer: EntityId(2),
-                transaction: 7
-            }]
-        );
+        assert!(complete.is_empty(), "an ack yields no action: {complete:?}");
+        assert!(a.unacked(EntityId(2), 7).unwrap().is_empty());
         assert_eq!(b.stats.delivered, 1);
     }
 
@@ -595,54 +555,61 @@ mod tests {
             [Action::Deliver { message, .. }] => assert_eq!(message, &msg),
             other => panic!("unexpected {other:?}"),
         }
-        assert_eq!(
-            complete,
-            vec![Action::SendComplete {
-                peer: EntityId(2),
-                transaction: 9
-            }]
-        );
+        assert!(complete.is_empty(), "an ack yields no action: {complete:?}");
+        assert!(a.unacked(EntityId(2), 9).unwrap().is_empty());
     }
 
     /// Transaction ids are per-requester: our request 1 to B and our
     /// response to C's request 1 are distinct sends, and losing the
-    /// first copy of both must not let one shadow the other.
+    /// first copy of both must not let one shadow the other. The
+    /// request retransmits from its own group; the response, never
+    /// timed, comes back through C's replay.
     #[test]
     fn same_transaction_id_to_two_peers_retransmits_each_to_its_own() {
         let mut a = endpoint(1);
         let mut b = endpoint(2);
         let mut c = endpoint(3);
+        let ask = c
+            .send_message(SimTime::ZERO, EntityId(1), 1, Kind::Request, b"from-c")
+            .unwrap();
+        let (served, _) = exchange(&mut c, &mut a, ask, SimTime(1000), &|_| false);
+        assert_eq!(served.len(), 1, "A delivers C's request: {served:?}");
         // Both first copies are lost: nothing is delivered anywhere.
-        a.send_message(SimTime::ZERO, EntityId(2), 1, Kind::Request, b"to-b")
+        a.send_message(SimTime(1000), EntityId(3), 1, Kind::Response, b"to-c")
             .unwrap();
-        a.send_message(SimTime::ZERO, EntityId(3), 1, Kind::Response, b"to-c")
+        a.send_message(SimTime(1000), EntityId(2), 1, Kind::Request, b"to-b")
             .unwrap();
-        for (peer, to, kind, body) in [
-            (EntityId(2), &mut b, Kind::Request, &b"to-b"[..]),
-            (EntityId(3), &mut c, Kind::Response, &b"to-c"[..]),
-        ] {
-            assert_eq!(a.unacked(peer, 1).unwrap(), vec![0]);
-            let re = a.on_retransmit_timer(SimTime(2000), peer, 1);
-            assert_eq!(re.len(), 1);
-            let (delivered, complete) = exchange(&mut a, to, re, SimTime(3000), &|_| false);
-            assert_eq!(
-                delivered,
-                vec![Action::Deliver {
-                    peer: EntityId(1),
-                    transaction: 1,
-                    kind,
-                    message: body.to_vec(),
-                }]
-            );
-            assert_eq!(
-                complete,
-                vec![Action::SendComplete {
-                    peer,
-                    transaction: 1
-                }]
-            );
-        }
-        assert_eq!(a.stats.retransmissions, 2);
+        assert_eq!(a.unacked(EntityId(3), 1), None, "a response is not timed");
+        assert_eq!(a.unacked(EntityId(2), 1).unwrap(), vec![0]);
+
+        let re = a.on_retransmit_timer(SimTime(2000), EntityId(2), 1);
+        assert_eq!(re.len(), 1);
+        let (delivered, _) = exchange(&mut a, &mut b, re, SimTime(3000), &|_| false);
+        assert_eq!(
+            delivered,
+            vec![Action::Deliver {
+                peer: EntityId(1),
+                transaction: 1,
+                kind: Kind::Request,
+                message: b"to-b".to_vec(),
+            }]
+        );
+        // C's request is acknowledged, so its timer probes, and A answers
+        // the replay with the response it kept.
+        let probe = c.on_retransmit_timer(SimTime(2000), EntityId(1), 1);
+        assert_eq!(probe.len(), 1);
+        let (at_a, at_c) = exchange(&mut c, &mut a, probe, SimTime(3000), &|_| false);
+        assert!(at_a.is_empty(), "a replay is not re-delivered: {at_a:?}");
+        assert_eq!(
+            at_c,
+            vec![Action::Deliver {
+                peer: EntityId(1),
+                transaction: 1,
+                kind: Kind::Response,
+                message: b"to-c".to_vec(),
+            }]
+        );
+        assert_eq!(a.stats.retransmissions, 1, "the request alone");
     }
 
     #[test]
@@ -710,19 +677,64 @@ mod tests {
         let bytes = &wire(&acts[0]);
         let first = b.on_packet(SimTime(1), bytes);
         assert!(first.iter().any(|x| matches!(x, Action::Deliver { .. })));
-        // Replay (e.g. a duplicate in the network).
+        // Replay (e.g. a duplicate in the network). B sent no response,
+        // as a silent sink would not, so the re-ack is all it sends.
         let again = b.on_packet(SimTime(2), bytes);
-        assert!(
-            again
-                .iter()
-                .all(|x| matches!(x, Action::Transmit { .. } | Action::ReplayedRequest { .. })),
-            "re-ack plus replay notice: {again:?}"
-        );
-        assert!(again
-            .iter()
-            .any(|x| matches!(x, Action::ReplayedRequest { transaction: 4, .. })));
+        match &again[..] {
+            [Action::Transmit { header, .. }] => assert_eq!(header.kind, Kind::Ack),
+            other => panic!("expected only the re-ack: {other:?}"),
+        }
         assert_eq!(b.stats.delivered, 1);
         assert_eq!(b.stats.duplicates, 1);
+    }
+
+    /// VMTP's server-side transaction record: a replayed request is
+    /// re-acked and answered with every member of the kept response.
+    #[test]
+    fn replayed_request_is_answered_with_the_kept_response() {
+        let mut a = endpoint(1);
+        let mut b = endpoint(2);
+        let ask = a
+            .send_message(SimTime::ZERO, EntityId(2), 4, Kind::Request, b"ask")
+            .unwrap();
+        let bytes = &wire(&ask[0]);
+        let first = b.on_packet(SimTime(1), bytes);
+        assert!(first.iter().any(|x| matches!(x, Action::Deliver { .. })));
+        let body: Vec<u8> = (0..1200u32).map(|i| i as u8).collect();
+        let response = b
+            .send_message(SimTime(2), EntityId(1), 4, Kind::Response, &body[..])
+            .unwrap();
+        assert_eq!(response.len(), 3);
+        assert_eq!(b.open_groups(), 0, "a response is never tracked");
+
+        let again = b.on_packet(SimTime(3), bytes);
+        let [Action::Transmit { header: ack, .. }, members @ ..] = &again[..] else {
+            panic!("expected the re-ack first: {again:?}")
+        };
+        assert_eq!(ack.kind, Kind::Ack);
+        assert_eq!(members.len(), response.len());
+        for (old, new) in response.iter().zip(members) {
+            let (
+                Action::Transmit {
+                    header: h0,
+                    payload: p0,
+                    ..
+                },
+                Action::Transmit {
+                    header: h1,
+                    payload: p1,
+                    ..
+                },
+            ) = (old, new)
+            else {
+                panic!("not Transmits: {old:?} / {new:?}")
+            };
+            assert_eq!((h1, p1), (h0, p0), "the same member, byte for byte");
+        }
+        assert_eq!(
+            b.stats.retransmissions, 0,
+            "a re-send, not a retransmission"
+        );
     }
 
     #[test]

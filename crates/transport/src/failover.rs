@@ -253,20 +253,6 @@ impl<R> RouteSet<R> {
         }
     }
 
-    /// Crash/restart state-loss contract (chaos layer): RTT samples and
-    /// loss counts are observations — soft state — while the route set
-    /// itself is directory-sourced configuration and survives. A
-    /// restarted client forgets all health history and starts over on
-    /// the primary route; the cumulative `switches` telemetry is kept.
-    pub fn reset_health(&mut self) {
-        for m in &mut self.routes {
-            m.consecutive_losses = 0;
-            m.samples = 0;
-            m.last_rtt = None;
-        }
-        self.current = 0;
-    }
-
     /// Replace the whole set after a directory re-query.
     pub fn replace(&mut self, routes: Vec<(R, SimDuration)>) {
         assert!(!routes.is_empty());
@@ -285,10 +271,10 @@ impl<R> RouteSet<R> {
     /// current.
     ///
     /// Health still matters: a route that crossed the loss threshold
-    /// receives no new flows until a success resets its counter or
-    /// [`RouteSet::reset_health`] runs, but selection never touches the
-    /// failover bookkeeping (`switches` / `last_switch`), so the two
-    /// mechanisms stay independently observable.
+    /// receives no new flows until a success on it resets its counter,
+    /// but selection never touches the failover bookkeeping
+    /// (`switches` / `last_switch`), so the two mechanisms stay
+    /// independently observable.
     pub fn select_for_flow(&mut self, flow: u64) -> usize {
         if !self.spread {
             return self.current;
@@ -397,20 +383,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_health_forgets_observations_keeps_routes() {
-        let mut s = set();
-        s.on_loss(SimTime(1));
-        s.on_loss(SimTime(2)); // switched to backup
-        assert_eq!(*s.current(), "backup");
-        s.reset_health();
-        assert_eq!(*s.current(), "primary", "starts over on the primary");
-        assert_eq!(s.len(), 2, "routes are configuration and survive");
-        assert_eq!(s.switches, 1, "telemetry survives");
-        assert_eq!(s.timeout(), SimDuration::from_millis(4), "2× base again");
-        assert_eq!(s.on_loss(SimTime(3)), Verdict::Stay, "counters cleared");
-    }
-
-    #[test]
     fn weighted_pick_is_deterministic_and_proportional() {
         let weights = [3_000_000u64, 1_000_000];
         let mut counts = [0usize; 2];
@@ -467,11 +439,16 @@ mod tests {
         for flow in 0..100u64 {
             assert_eq!(s.select_for_flow(flow), 1, "dead route gets no flows");
         }
-        // Operator recovery: forget health, both routes rotate again.
-        s.reset_health();
-        let spread: std::collections::BTreeSet<usize> =
-            (0..100u64).map(|f| s.select_for_flow(f)).collect();
-        assert_eq!(spread.len(), 2, "both routes back in rotation");
+        // b fails too and, with nowhere healthy to go, stays current.
+        assert_eq!(s.on_loss(SimTime(3)), Verdict::Stay);
+        assert_eq!(s.on_loss(SimTime(4)), Verdict::Requery);
+        // A success restores b's health: one more loss leaves it in
+        // rotation, and a, still dead, gets no flows.
+        s.on_rtt_sample(SimTime(5), SimDuration::from_millis(2));
+        assert_eq!(s.on_loss(SimTime(6)), Verdict::Stay);
+        for flow in 0..100u64 {
+            assert_eq!(s.select_for_flow(flow), 1, "only the restored route");
+        }
     }
 
     #[test]

@@ -73,15 +73,13 @@ impl GroupSender {
         w
     }
 
-    /// Incorporate a delivery mask from an acknowledgement. Returns the
-    /// member indices that still need retransmission (§4.3's selective
-    /// retransmission set).
-    pub fn on_ack(&mut self, delivery_mask: u32) -> Vec<usize> {
+    /// Incorporate a delivery mask from an acknowledgement.
+    pub fn on_ack(&mut self, delivery_mask: u32) {
         self.acked |= delivery_mask;
-        self.missing()
     }
 
-    /// The member indices not yet acknowledged.
+    /// The member indices not yet acknowledged: §4.3's selective
+    /// retransmission set.
     pub fn missing(&self) -> Vec<usize> {
         (0..self.group_size)
             .filter(|&i| self.acked & (1 << i) == 0)
@@ -194,11 +192,11 @@ mod tests {
         let msg = vec![7u8; 100];
         // Four members; the receiver got 0 and 2 only.
         let mut g = GroupSender::split(msg.into(), 25).unwrap();
-        let missing = g.on_ack(0b0101);
-        assert_eq!(missing, vec![1, 3], "retransmit only the lost ones");
+        g.on_ack(0b0101);
+        assert_eq!(g.missing(), vec![1, 3], "retransmit only the lost ones");
         assert!(!g.complete());
-        let missing = g.on_ack(0b1010);
-        assert!(missing.is_empty());
+        g.on_ack(0b1010);
+        assert!(g.missing().is_empty());
         assert!(g.complete());
     }
 
@@ -284,7 +282,8 @@ mod proptests {
             prop_assert_eq!(g.group_size(), n);
             let mut missing_len = n;
             for m in masks {
-                let missing = g.on_ack(m);
+                g.on_ack(m);
+                let missing = g.missing();
                 prop_assert!(missing.len() <= missing_len, "missing set shrinks");
                 missing_len = missing.len();
             }

@@ -10,10 +10,7 @@
 //! boot time."
 //!
 //! Timestamps are 32-bit milliseconds modulo 2³² ("wrap-around occurs in
-//! roughly one month"); comparisons are wraparound-aware, and the
-//! optimization the paper sketches — a cheap high-order-bits equality
-//! test before the full modular difference — is implemented as
-//! [`LifetimeFilter::fast_accept`].
+//! roughly one month"); comparisons are wraparound-aware.
 
 /// Why a packet was rejected by the lifetime filter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -84,20 +81,6 @@ impl LifetimeFilter {
         }
         Ok(())
     }
-
-    /// The paper's fast path: compare high-order bits only; on mismatch,
-    /// fall back to the full check. Returns the same verdicts as
-    /// [`LifetimeFilter::accept`].
-    pub fn fast_accept(&self, now: u32, timestamp: u32) -> Result<(), LifetimeReject> {
-        if timestamp != crate::TIMESTAMP_INVALID && (now >> 20) == (timestamp >> 20) {
-            // Same ~17-minute window: certainly fresh (provided the MPL
-            // is at least that coarse — which the fast path assumes).
-            if self.max_age_ms >= (1 << 20) && self.boot_time_ms == 0 {
-                return Ok(());
-            }
-        }
-        self.accept(now, timestamp)
-    }
 }
 
 #[cfg(test)]
@@ -165,20 +148,6 @@ mod tests {
         // A long-running host (boot cutoff 0) would have accepted it.
         let steady = LifetimeFilter::steady(600_000, 5_000);
         assert_eq!(steady.accept(now, HOUR_MS - 30_000), Ok(()));
-    }
-
-    #[test]
-    fn fast_path_agrees_with_full_check() {
-        let f = LifetimeFilter::steady(2 << 20, 5_000);
-        let now = 40 * HOUR_MS;
-        for delta in [0i64, 100, 10_000, 1 << 19, 1 << 21, (2 << 20) + 1] {
-            let ts = (now as i64 - delta) as u32;
-            assert_eq!(
-                f.fast_accept(now, ts).is_ok(),
-                f.accept(now, ts).is_ok(),
-                "delta={delta}"
-            );
-        }
     }
 
     #[test]

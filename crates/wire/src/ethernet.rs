@@ -29,11 +29,6 @@ impl Address {
     pub fn is_broadcast(self) -> bool {
         self == Self::BROADCAST
     }
-
-    /// Whether the group bit (multicast) is set.
-    pub fn is_multicast(self) -> bool {
-        self.0[0] & 0x01 != 0
-    }
 }
 
 impl core::fmt::Display for Address {
@@ -266,8 +261,7 @@ mod tests {
     #[test]
     fn broadcast_and_multicast_bits() {
         assert!(Address::BROADCAST.is_broadcast());
-        assert!(Address::BROADCAST.is_multicast());
-        assert!(!Address::from_index(3).is_multicast());
+        assert!(!Address::from_index(3).is_broadcast());
         assert_eq!(Address::from_index(3).to_string(), "02:00:00:00:00:03");
     }
 }

@@ -156,8 +156,9 @@ fn heap_per_transaction(payload: usize, tokens: bool) -> (u64, u64) {
     )
 }
 
-/// The per-transaction ceilings: exactly what this test measures today,
-/// in debug and release builds alike.
+/// The per-transaction ceilings: the figures this test measured when
+/// they were last lowered, the same in debug and release builds. A
+/// change that measures less lowers them to match.
 struct Budget {
     allocations: u64,
     bytes: u64,
@@ -186,8 +187,8 @@ impl Budget {
 #[test]
 fn small_transactions_without_tokens_stay_in_budget() {
     let budget = Budget {
-        allocations: 21,
-        bytes: 2_438,
+        allocations: 19,
+        bytes: 2_211,
     };
     budget.hold("64 B, no tokens", heap_per_transaction(64, false));
 }
@@ -195,8 +196,8 @@ fn small_transactions_without_tokens_stay_in_budget() {
 #[test]
 fn full_size_transactions_with_tokens_stay_in_budget() {
     let budget = Budget {
-        allocations: 21,
-        bytes: 7_242,
+        allocations: 19,
+        bytes: 7_019,
     };
     budget.hold("900 B, 32 B tokens", heap_per_transaction(900, true));
 }
