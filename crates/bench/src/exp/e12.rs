@@ -16,10 +16,10 @@ use crate::json::obj;
 use crate::{pct, Report, Table};
 use sirpent::directory::TeQuery;
 use sirpent::host::{HostPortKind, SirpentHost};
-use sirpent::router::ip::{IpConfig, IpPortConfig, IpRouter, RouteEntry};
+use sirpent::router::ip::{IpConfig, IpRouter, RouteEntry};
 use sirpent::router::link::LinkFrame;
 use sirpent::router::scripted::ScriptedHost;
-use sirpent::router::viper::{PortKind, ViperConfig, ViperRouter};
+use sirpent::router::viper::{PortConfig, PortKind, ViperConfig, ViperRouter};
 use sirpent::sim::stats::DropReason;
 use sirpent::sim::{FaultConfig, SimDuration, SimTime};
 use sirpent::transport::RatePacer;
@@ -121,12 +121,12 @@ fn ip_run(corrupt: f64) -> (u64, u64, u64) {
         IpRouter::new(IpConfig {
             process_delay: SimDuration::from_micros(50),
             ports: vec![
-                IpPortConfig {
+                PortConfig {
                     port: 1,
                     kind: PortKind::PointToPoint,
                     mtu: 1550,
                 },
-                IpPortConfig {
+                PortConfig {
                     port: 2,
                     kind: PortKind::PointToPoint,
                     mtu: 1550,

@@ -15,9 +15,9 @@
 use crate::json::obj;
 use crate::topo::{chain, frame, packet};
 use crate::{Report, Table};
-use sirpent::router::ip::{IpConfig, IpPortConfig, IpRouter, RouteEntry};
+use sirpent::router::ip::{IpConfig, IpRouter, RouteEntry};
 use sirpent::router::scripted::ScriptedHost;
-use sirpent::router::viper::{PortKind, SwitchMode, ViperRouter};
+use sirpent::router::viper::{PortConfig, PortKind, SwitchMode, ViperRouter};
 use sirpent::sim::{SimDuration, SimTime};
 use sirpent::wire::ipish::Address;
 use sirpent::wire::viper::Priority;
@@ -58,7 +58,7 @@ pub fn run() -> Report {
         let ip = IpRouter::new(IpConfig {
             process_delay: SimDuration::ZERO,
             ports: (1..=8)
-                .map(|p| IpPortConfig {
+                .map(|p| PortConfig {
                     port: p,
                     kind: PortKind::PointToPoint,
                     mtu: 1500,

@@ -74,6 +74,18 @@ pub enum HostEvent {
     },
 }
 
+impl HostEvent {
+    /// What a failover [`Verdict`] on the routes to `dst` at `at` tells
+    /// the experiments: nothing when the current route stays.
+    fn of_verdict(verdict: Verdict, dst: EntityId, at: SimTime) -> Option<HostEvent> {
+        match verdict {
+            Verdict::Switched(index) => Some(HostEvent::RouteSwitched { dst, index, at }),
+            Verdict::Requery => Some(HostEvent::NeedsRequery { dst, at }),
+            Verdict::Stay => None,
+        }
+    }
+}
+
 /// Host counters.
 #[derive(Debug, Default)]
 pub struct HostStats {
@@ -460,17 +472,8 @@ impl SirpentHost {
                 let dst = t.dst;
                 self.rtt_samples.push((now, rtt));
                 if let Some(set) = self.routes.get_mut(&dst) {
-                    match set.on_rtt_sample(now, rtt) {
-                        Verdict::Switched(i) => self.events.push(HostEvent::RouteSwitched {
-                            dst,
-                            index: i,
-                            at: now,
-                        }),
-                        Verdict::Requery => {
-                            self.events.push(HostEvent::NeedsRequery { dst, at: now })
-                        }
-                        Verdict::Stay => {}
-                    }
+                    let verdict = set.on_rtt_sample(now, rtt);
+                    self.events.extend(HostEvent::of_verdict(verdict, dst, now));
                 }
             }
             Kind::Request => {
@@ -567,15 +570,8 @@ impl SirpentHost {
         t.attempts += 1;
         // Loss signal to failover (may switch route) and to the pacer.
         if let Some(set) = self.routes.get_mut(&dst) {
-            match set.on_loss(now) {
-                Verdict::Switched(i) => self.events.push(HostEvent::RouteSwitched {
-                    dst,
-                    index: i,
-                    at: now,
-                }),
-                Verdict::Requery => self.events.push(HostEvent::NeedsRequery { dst, at: now }),
-                Verdict::Stay => {}
-            }
+            let verdict = set.on_loss(now);
+            self.events.extend(HostEvent::of_verdict(verdict, dst, now));
         }
         self.endpoint.pacer.on_loss();
         // Re-pin the transaction's weighted route among the still-healthy
@@ -715,15 +711,8 @@ impl SirpentHost {
             if !set.current().router_ids.contains(&msg.congested_router) {
                 continue;
             }
-            match set.on_backpressure(now) {
-                Verdict::Switched(i) => self.events.push(HostEvent::RouteSwitched {
-                    dst,
-                    index: i,
-                    at: now,
-                }),
-                Verdict::Requery => self.events.push(HostEvent::NeedsRequery { dst, at: now }),
-                Verdict::Stay => {}
-            }
+            let verdict = set.on_backpressure(now);
+            self.events.extend(HostEvent::of_verdict(verdict, dst, now));
         }
     }
 }

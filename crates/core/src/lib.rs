@@ -65,12 +65,11 @@
 pub mod build;
 pub mod compile;
 pub mod host;
-pub mod interop;
 
 pub use build::Net;
 pub use compile::CompiledRoute;
 pub use host::{DeliveredMsg, HostEvent, HostPortKind, HostStats, SirpentHost};
-pub use interop::{GatewayConfig, IpGateway, IPPROTO_SIRPENT};
+pub use sirpent_router::{GatewayConfig, IpGateway, IPPROTO_SIRPENT};
 
 pub use sirpent_directory as directory;
 pub use sirpent_router as router;

@@ -14,9 +14,10 @@
 //! 3-byte header. Both the setup round trip and the state growth are the
 //! quantities E10 measures.
 //!
-//! Output ports drive the shared [`OutputPort`] scheduler
-//! ([`crate::dataplane`]) in plain FIFO discipline — O(1) service at any
-//! queue depth — and report through the unified
+//! Held arrivals and output ports live in the shared node shell
+//! (`dataplane`, DESIGN §6.4), whose `OutputPort` schedulers run in
+//! plain FIFO discipline — O(1) service at any queue depth — and report
+//! through the unified
 //! [`PipelineStats`] / [`DropReason`] surface.
 
 use std::any::Any;
@@ -24,11 +25,11 @@ use std::collections::BTreeMap;
 use std::ops::{Deref, DerefMut};
 
 use sirpent_sim::stats::{DropReason, PipelineStats, Stage};
-use sirpent_sim::{Context, Event, FrameId, Node, SimDuration, SimTime};
+use sirpent_sim::{Context, Event, Node, SimDuration, SimTime};
 use sirpent_telemetry::HopKind;
 use sirpent_wire::cvc::{Message, Vci};
 
-use crate::dataplane::{Discipline, OutputPort, Queued};
+use crate::dataplane::{Discipline, Held, OutputPort, Port, PortSet, Queued};
 use crate::link::LinkFrame;
 
 /// Routing entry: flat destination → output port (0 = this switch is the
@@ -111,15 +112,11 @@ pub(crate) fn cvc_flight_key(msg: &Message) -> Option<u64> {
     }
 }
 
-enum Pending {
-    Deliver {
-        port: u8,
-        msg: Message,
-        first_bit: SimTime,
-        /// The carrying frame — a held arrival is purged if its frame
-        /// is aborted before the store-and-forward instant.
-        in_frame: FrameId,
-    },
+/// A message held until its store-and-forward instant.
+struct Arrival {
+    port: u8,
+    msg: Message,
+    first_bit: SimTime,
 }
 
 /// The CVC switch node.
@@ -134,12 +131,11 @@ pub struct CvcSwitch {
     reserved_bps: BTreeMap<u8, u64>,
     /// Reservation carried by each circuit leg, for release on teardown.
     leg_reserve: BTreeMap<(u8, Vci), u64>,
-    pending: BTreeMap<u64, Pending>,
-    next_key: u64,
+    held: Held<Arrival>,
     /// Output schedulers, created on first use (ports are discovered
     /// from traffic). Unbounded FIFO, as circuit admission — not
     /// drop-tail — is the CVC overload control.
-    ports: BTreeMap<u8, OutputPort>,
+    ports: PortSet<()>,
     /// Data delivered locally (this switch is the endpoint attachment):
     /// (time, vci, payload).
     pub local_delivered: Vec<(SimTime, Vci, Vec<u8>)>,
@@ -158,9 +154,8 @@ impl CvcSwitch {
             next_vci: BTreeMap::new(),
             reserved_bps: BTreeMap::new(),
             leg_reserve: BTreeMap::new(),
-            pending: BTreeMap::new(),
-            next_key: 1,
-            ports: BTreeMap::new(),
+            held: Held::new(),
+            ports: PortSet::new(),
             local_delivered: Vec::new(),
             local_control: Vec::new(),
             stats: CvcStats::default(),
@@ -183,7 +178,7 @@ impl CvcSwitch {
     /// Total frames sitting in output queues across all ports (the chaos
     /// harness's in-system conservation term).
     pub fn queued_frames(&self) -> u64 {
-        self.ports.values().map(|s| s.len() as u64).sum()
+        self.ports.queued_frames()
     }
 
     fn alloc_vci(&mut self, port: u8) -> Vci {
@@ -210,15 +205,18 @@ impl CvcSwitch {
             None
         };
         let CvcSwitch { ports, stats, .. } = self;
-        let sched = ports
-            .entry(port)
-            .or_insert_with(|| OutputPort::new(port, Discipline::Fifo, usize::MAX));
+        if !ports.contains_key(&port) {
+            let sched = OutputPort::new(port, Discipline::Fifo, usize::MAX);
+            ports.insert(port, Port { cfg: (), sched });
+        }
         // `record: None` — forwarding is accounted at handle time (the
         // circuit decision), not at transmit start.
         let mut q = Queued::fifo(frame, now, None);
         q.flight_key = flight_key;
-        sched.push(ctx, q, stats);
-        let _ = sched.try_service(ctx, &mut (), stats);
+        if let Some(p) = ports.get_mut(&port) {
+            p.sched.push(ctx, q, stats);
+        }
+        ports.serve(ctx, port, &mut (), stats);
     }
 
     fn handle(&mut self, ctx: &mut Context<'_>, in_port: u8, msg: Message, first_bit: SimTime) {
@@ -397,53 +395,28 @@ impl Node for CvcSwitch {
                     Message::Setup { .. } => self.cfg.setup_delay,
                     _ => self.cfg.process_delay,
                 };
-                let key = self.next_key;
-                self.next_key += 1;
-                self.pending.insert(
-                    key,
-                    Pending::Deliver {
-                        port: fe.port,
-                        msg,
-                        first_bit: fe.first_bit,
-                        in_frame: fe.frame.id,
-                    },
-                );
+                let arrival = Arrival {
+                    port: fe.port,
+                    msg,
+                    first_bit: fe.first_bit,
+                };
                 // Store-and-forward discipline.
-                ctx.schedule_at(fe.last_bit + delay, key);
+                self.held
+                    .hold(ctx, fe.last_bit + delay, Some(fe.frame.id), arrival);
             }
-            Event::TxDone { port, frame } => {
-                let CvcSwitch { ports, stats, .. } = self;
-                if let Some(sched) = ports.get_mut(&port) {
-                    sched.on_tx_done(frame);
-                    let _ = sched.try_service(ctx, &mut (), stats);
-                }
-            }
-            Event::TxAborted { port, frame } => {
-                // The engine killed our transmission (link-down, chaos
-                // layer) and accounted the loss; just free the port.
-                let CvcSwitch { ports, stats, .. } = self;
-                if let Some(sched) = ports.get_mut(&port) {
-                    if sched.on_tx_aborted(frame) {
-                        let _ = sched.try_service(ctx, &mut (), stats);
-                    }
-                }
+            Event::TxDone { port, frame } | Event::TxAborted { port, frame } => {
+                let stats = &mut self.stats.pipeline;
+                self.ports.on_tx_end(ctx, port, frame, &mut (), stats);
             }
             Event::Timer { key } => {
-                if let Some(Pending::Deliver {
-                    port,
-                    msg,
-                    first_bit,
-                    ..
-                }) = self.pending.remove(&key)
-                {
-                    self.handle(ctx, port, msg, first_bit);
+                if let Some(a) = self.held.take(key) {
+                    self.handle(ctx, a.port, a.msg, a.first_bit);
                 }
             }
             Event::FrameAborted { frame, .. } => {
-                // A held arrival whose tail never arrived must not be
-                // handled; the abort was accounted upstream.
-                self.pending
-                    .retain(|_, Pending::Deliver { in_frame, .. }| *in_frame != frame);
+                self.held.abort(frame);
+                let stats = &mut self.stats.pipeline;
+                self.ports.on_frame_aborted(ctx, frame, &mut (), stats);
             }
         }
     }
@@ -456,10 +429,7 @@ impl Node for CvcSwitch {
         &self,
         reg: &mut sirpent_telemetry::Registry,
     ) -> Result<(), sirpent_telemetry::RegistryError> {
-        self.stats.pipeline.publish_telemetry(reg)?;
-        let mut depth = sirpent_telemetry::Gauge::new();
-        depth.set(self.queued_frames() as i64);
-        reg.publish_gauge(sirpent_telemetry::names::ROUTER_QUEUE_DEPTH, &depth)
+        self.ports.publish(&self.stats.pipeline, reg)
     }
 
     /// Crash/restart state-loss contract (chaos layer): ALL circuit
@@ -473,14 +443,9 @@ impl Node for CvcSwitch {
         self.next_vci.clear();
         self.reserved_bps.clear();
         self.leg_reserve.clear();
-        for _ in 0..self.pending.len() {
-            self.stats.pipeline.drop(DropReason::RouterDown);
-        }
-        self.pending.clear();
+        self.held.crash(&mut self.stats.pipeline);
         self.stats.circuits_active = 0;
-        for sched in self.ports.values_mut() {
-            sched.crash_purge(&mut self.stats.pipeline);
-        }
+        self.ports.crash(&mut self.stats.pipeline);
     }
 
     fn as_any(&self) -> &dyn Any {

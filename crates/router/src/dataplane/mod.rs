@@ -17,8 +17,12 @@
 //!   the router owns the store uniquely — PR 1's refcount discipline).
 //! * [`output::OutputPort`] is the one output scheduler every node type
 //!   drives: priority queues with preemption for VIPER, plain O(1) FIFO
-//!   for the IP and CVC baselines, one busy/done transmit state machine
-//!   and one drop-tail accounting path for all three.
+//!   for the IP and CVC baselines and the gateway, one busy/done
+//!   transmit state machine and one drop-tail accounting path for all.
+//! * [`shell`] is what each forwarding node keeps around its own
+//!   decisions: the held-arrival store ([`Held`]) and the port set
+//!   ([`PortSet`]), with the abort, crash and completion rules stated
+//!   once.
 //!
 //! Stage and drop accounting go through
 //! [`sirpent_sim::stats::PipelineStats`], the uniform per-node stats
@@ -29,9 +33,13 @@ use sirpent_wire::buf::{PacketBuf, SegmentView};
 use sirpent_wire::ethernet;
 use sirpent_wire::packet::PacketView;
 
-pub mod output;
+mod linear;
+mod output;
+mod shell;
 
-pub use output::{Discipline, OutputPort, Queued, ServiceHooks, StartedTx};
+pub(crate) use linear::LinearMap;
+pub(crate) use output::{Discipline, OutputPort, Queued, ServiceHooks, StartedTx};
+pub(crate) use shell::{Held, Port, PortSet};
 
 /// A packet mid-pipeline: the leading segment has been stripped and
 /// parsed, the forwarding decision has not yet been made.

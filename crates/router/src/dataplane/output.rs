@@ -193,19 +193,9 @@ impl OutputPort {
         }
     }
 
-    /// The port number this scheduler serves.
-    pub fn port(&self) -> u8 {
-        self.port
-    }
-
     /// Queued frames (not counting the one in transmission).
     pub fn len(&self) -> usize {
         self.queue.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
     }
 
     /// Whether a transmission is in progress.
@@ -443,8 +433,10 @@ impl OutputPort {
         });
     }
 
-    /// The armed `TxDone` for `frame` arrived. Returns `true` — the port
-    /// went idle, and the caller should re-run
+    /// The transmission of `frame` ended: its armed `TxDone` arrived, or
+    /// the engine killed it (`TxAborted`: link down, chaos layer — the
+    /// engine already accounted the loss, so no drop is counted here).
+    /// Returns `true` — the port went idle, and the caller should re-run
     /// [`OutputPort::try_service`] — when it is the transmission in
     /// progress; stale or foreign completions return `false`.
     pub fn on_tx_done(&mut self, frame: FrameId) -> bool {
@@ -483,19 +475,6 @@ impl OutputPort {
     /// will never arrive).
     pub fn purge_in_frame(&mut self, in_frame: FrameId) {
         self.queue.retain(|q| q.in_frame != Some(in_frame));
-    }
-
-    /// The engine killed this port's transmission (link went down,
-    /// chaos layer). Clears the current slot **without** counting a
-    /// drop — the engine already accounted the loss — and returns
-    /// `true` when it matched, so the caller re-runs the service scan.
-    pub fn on_tx_aborted(&mut self, frame: FrameId) -> bool {
-        if self.current.as_ref().is_some_and(|c| c.frame == frame) {
-            self.current = None;
-            true
-        } else {
-            false
-        }
     }
 
     /// Crash teardown (chaos layer): the node lost its output queues.

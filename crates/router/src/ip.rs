@@ -18,13 +18,13 @@
 //! internetwork: the routing table names every reachable prefix (§2.3's
 //! scalability contrast).
 //!
-//! Output ports drive the shared [`OutputPort`] scheduler
-//! ([`crate::dataplane`]) in plain FIFO discipline — O(1) service at any
-//! queue depth — and report through the unified
+//! Held arrivals and output ports live in the shared node shell
+//! (`dataplane`, DESIGN §6.4), whose `OutputPort` schedulers run in
+//! plain FIFO discipline — O(1) service at any queue depth — and report
+//! through the unified
 //! [`PipelineStats`] / [`DropReason`] surface.
 
 use std::any::Any;
-use std::collections::VecDeque;
 use std::ops::{Deref, DerefMut};
 
 use sirpent_sim::stats::{DropReason, PipelineStats, Stage};
@@ -33,9 +33,9 @@ use sirpent_telemetry::HopKind;
 use sirpent_wire::ethernet;
 use sirpent_wire::ipish::{self, Address};
 
-use crate::dataplane::{Discipline, OutputPort, Queued};
+use crate::dataplane::{Discipline, Held, OutputPort, Port, PortSet, Queued};
 use crate::link::{decode_port_frame, LinkFrame, PortDecode};
-use crate::viper::PortKind;
+use crate::viper::{PortConfig, PortKind};
 
 /// One forwarding-table entry.
 #[derive(Debug, Clone)]
@@ -48,17 +48,6 @@ pub struct RouteEntry {
     pub out_port: u8,
     /// Next-hop station when the output port is an Ethernet.
     pub next_hop_mac: Option<ethernet::Address>,
-}
-
-/// Port description for the IP router.
-#[derive(Debug, Clone)]
-pub struct IpPortConfig {
-    /// Port number.
-    pub port: u8,
-    /// Link type.
-    pub kind: PortKind,
-    /// MTU of the attached network.
-    pub mtu: usize,
 }
 
 /// A rejected [`IpConfig`] — the router refuses to build rather than
@@ -101,7 +90,7 @@ pub struct IpConfig {
     /// checksum work).
     pub process_delay: SimDuration,
     /// Ports.
-    pub ports: Vec<IpPortConfig>,
+    pub ports: Vec<PortConfig>,
     /// The forwarding table.
     pub routes: Vec<RouteEntry>,
     /// Output queue capacity (packets), FIFO drop-tail.
@@ -134,22 +123,13 @@ impl DerefMut for IpStats {
     }
 }
 
-struct OutPort {
-    cfg: IpPortConfig,
-    sched: OutputPort,
-}
-
-enum Pending {
-    Process {
-        datagram: Vec<u8>,
-        first_bit: SimTime,
-        /// The carrying frame — a held arrival is purged if its frame
-        /// is aborted before the store-and-forward instant.
-        in_frame: sirpent_sim::FrameId,
-        /// Flight-recorder identity, extracted once at parse time;
-        /// `None` when the recorder is off.
-        flight_key: Option<u64>,
-    },
+/// A datagram held until its store-and-forward instant.
+struct Arrival {
+    datagram: Vec<u8>,
+    first_bit: SimTime,
+    /// Flight-recorder identity, extracted once at parse time; `None`
+    /// when the recorder is off.
+    flight_key: Option<u64>,
 }
 
 /// Flight-recorder identity of an ipish datagram: the first 8
@@ -168,11 +148,8 @@ pub(crate) fn ip_flight_key(datagram: &[u8]) -> Option<u64> {
 /// The store-and-forward IP-like router node.
 pub struct IpRouter {
     cfg: IpConfig,
-    ports: Vec<OutPort>,
-    // Held arrivals, FIFO by timer key. A handful are in flight at
-    // once, so a scan beats hashing on the per-packet path.
-    pending: VecDeque<(u64, Pending)>,
-    next_key: u64,
+    ports: PortSet<PortConfig>,
+    held: Held<Arrival>,
     /// Datagrams addressed to this router (matched a local route).
     pub local_delivered: Vec<(SimTime, Vec<u8>)>,
     /// Counters.
@@ -199,16 +176,20 @@ impl IpRouter {
         let ports = cfg
             .ports
             .iter()
-            .map(|p| OutPort {
-                cfg: p.clone(),
-                sched: OutputPort::new(p.port, Discipline::Fifo, cfg.queue_capacity),
+            .map(|p| {
+                (
+                    p.port,
+                    Port {
+                        cfg: p.clone(),
+                        sched: OutputPort::new(p.port, Discipline::Fifo, cfg.queue_capacity),
+                    },
+                )
             })
             .collect();
         Ok(IpRouter {
             cfg,
             ports,
-            pending: VecDeque::new(),
-            next_key: 1,
+            held: Held::new(),
             local_delivered: Vec::new(),
             stats: IpStats::default(),
         })
@@ -232,7 +213,7 @@ impl IpRouter {
     /// Total frames sitting in output queues across all ports (the chaos
     /// harness's in-system conservation term).
     pub fn queued_frames(&self) -> u64 {
-        self.ports.iter().map(|p| p.sched.len() as u64).sum()
+        self.ports.queued_frames()
     }
 
     /// Count a drop and, when the packet carries a flight key, record
@@ -244,13 +225,12 @@ impl IpRouter {
         }
     }
 
-    fn process(
-        &mut self,
-        ctx: &mut Context<'_>,
-        datagram: Vec<u8>,
-        first_bit: SimTime,
-        flight_key: Option<u64>,
-    ) {
+    fn process(&mut self, ctx: &mut Context<'_>, arrival: Arrival) {
+        let Arrival {
+            datagram,
+            first_bit,
+            flight_key,
+        } = arrival;
         // The decision instant: first-bit arrival → now spans full
         // reception plus the per-packet processing delay.
         self.stats
@@ -306,7 +286,7 @@ impl IpRouter {
             }
         }
 
-        let Some(op) = self.ports.iter().find(|p| p.cfg.port == route.out_port) else {
+        let Some(op) = self.ports.get(&route.out_port) else {
             self.drop_keyed(ctx, flight_key, DropReason::NoRoute);
             return;
         };
@@ -336,7 +316,7 @@ impl IpRouter {
         }
         let now = ctx.now();
         let IpRouter { ports, stats, .. } = self;
-        let Some(op) = ports.iter_mut().find(|p| p.cfg.port == route.out_port) else {
+        let Some(op) = ports.get_mut(&route.out_port) else {
             stats.drop(DropReason::NoRoute);
             return;
         };
@@ -353,18 +333,9 @@ impl IpRouter {
             q.flight_key = flight_key;
             op.sched.push(ctx, q, stats);
         }
-        self.service(ctx, route.out_port);
-    }
-
-    fn service(&mut self, ctx: &mut Context<'_>, port: u8) {
-        let IpRouter { ports, stats, .. } = self;
-        let Some(op) = ports.iter_mut().find(|p| p.cfg.port == port) else {
-            return;
-        };
         // FIFO service is O(1): only the head is examined, pop_front
-        // never shifts. No timer is ever requested — FIFO frames are
-        // eligible the moment they are pushed.
-        let _ = op.sched.try_service(ctx, &mut (), stats);
+        // never shifts.
+        ports.serve(ctx, route.out_port, &mut (), stats);
     }
 }
 
@@ -372,7 +343,7 @@ impl Node for IpRouter {
     fn on_event(&mut self, ctx: &mut Context<'_>, ev: Event) {
         match ev {
             Event::Frame(fe) => {
-                let Some(op) = self.ports.iter().find(|p| p.cfg.port == fe.port) else {
+                let Some(op) = self.ports.get(&fe.port) else {
                     self.stats.drop(DropReason::BadFrame);
                     return;
                 };
@@ -397,59 +368,27 @@ impl Node for IpRouter {
                 }
                 // Store-and-forward: act only after the full frame + the
                 // per-packet processing delay.
-                let key = self.next_key;
-                self.next_key += 1;
-                self.pending.push_back((
-                    key,
-                    Pending::Process {
-                        datagram,
-                        first_bit: fe.first_bit,
-                        in_frame: fe.frame.id,
-                        flight_key,
-                    },
-                ));
-                ctx.schedule_at(fe.last_bit + self.cfg.process_delay, key);
+                let arrival = Arrival {
+                    datagram,
+                    first_bit: fe.first_bit,
+                    flight_key,
+                };
+                let at = fe.last_bit + self.cfg.process_delay;
+                self.held.hold(ctx, at, Some(fe.frame.id), arrival);
             }
-            Event::TxDone { port, frame } => {
-                if let Some(op) = self.ports.iter_mut().find(|p| p.cfg.port == port) {
-                    op.sched.on_tx_done(frame);
-                }
-                self.service(ctx, port);
-            }
-            Event::TxAborted { port, frame } => {
-                // The engine killed our transmission (link-down, chaos
-                // layer) and accounted the loss; just free the port.
-                if let Some(op) = self.ports.iter_mut().find(|p| p.cfg.port == port) {
-                    if op.sched.on_tx_aborted(frame) {
-                        self.service(ctx, port);
-                    }
-                }
+            Event::TxDone { port, frame } | Event::TxAborted { port, frame } => {
+                let stats = &mut self.stats.pipeline;
+                self.ports.on_tx_end(ctx, port, frame, &mut (), stats);
             }
             Event::Timer { key } => {
-                // Timers fire in key order, so the match is nearly
-                // always at the front.
-                let Some(i) = self.pending.iter().position(|(k, _)| *k == key) else {
-                    return;
-                };
-                let Some((
-                    _,
-                    Pending::Process {
-                        datagram,
-                        first_bit,
-                        flight_key,
-                        ..
-                    },
-                )) = self.pending.remove(i)
-                else {
-                    return;
-                };
-                self.process(ctx, datagram, first_bit, flight_key);
+                if let Some(arrival) = self.held.take(key) {
+                    self.process(ctx, arrival);
+                }
             }
             Event::FrameAborted { frame, .. } => {
-                // A held arrival whose tail never arrived must not be
-                // processed; the abort was accounted upstream.
-                self.pending
-                    .retain(|(_, Pending::Process { in_frame, .. })| *in_frame != frame);
+                self.held.abort(frame);
+                let stats = &mut self.stats.pipeline;
+                self.ports.on_frame_aborted(ctx, frame, &mut (), stats);
             }
         }
     }
@@ -462,10 +401,7 @@ impl Node for IpRouter {
         &self,
         reg: &mut sirpent_telemetry::Registry,
     ) -> Result<(), sirpent_telemetry::RegistryError> {
-        self.stats.pipeline.publish_telemetry(reg)?;
-        let mut depth = sirpent_telemetry::Gauge::new();
-        depth.set(self.queued_frames() as i64);
-        reg.publish_gauge(sirpent_telemetry::names::ROUTER_QUEUE_DEPTH, &depth)
+        self.ports.publish(&self.stats.pipeline, reg)
     }
 
     /// Crash/restart state-loss contract (chaos layer): the forwarding
@@ -473,13 +409,8 @@ impl Node for IpRouter {
     /// queues are lost, each accounted as a `RouterDown` drop so
     /// conservation checks balance across a crash.
     fn on_restart(&mut self) {
-        for _ in 0..self.pending.len() {
-            self.stats.pipeline.drop(DropReason::RouterDown);
-        }
-        self.pending.clear();
-        for op in self.ports.iter_mut() {
-            op.sched.crash_purge(&mut self.stats.pipeline);
-        }
+        self.held.crash(&mut self.stats.pipeline);
+        self.ports.crash(&mut self.stats.pipeline);
     }
 
     fn as_any(&self) -> &dyn Any {
@@ -531,12 +462,12 @@ mod tests {
             IpRouter::new(IpConfig {
                 process_delay: SimDuration::from_micros(50),
                 ports: vec![
-                    IpPortConfig {
+                    PortConfig {
                         port: 1,
                         kind: PortKind::PointToPoint,
                         mtu: 1500,
                     },
-                    IpPortConfig {
+                    PortConfig {
                         port: 2,
                         kind: PortKind::PointToPoint,
                         mtu: 1500,
@@ -654,12 +585,12 @@ mod tests {
             IpRouter::new(IpConfig {
                 process_delay: SimDuration::from_micros(50),
                 ports: vec![
-                    IpPortConfig {
+                    PortConfig {
                         port: 1,
                         kind: PortKind::PointToPoint,
                         mtu: 1500,
                     },
-                    IpPortConfig {
+                    PortConfig {
                         port: 2,
                         kind: PortKind::PointToPoint,
                         mtu: 256,
@@ -724,12 +655,12 @@ mod tests {
             IpRouter::new(IpConfig {
                 process_delay: SimDuration::from_micros(50),
                 ports: vec![
-                    IpPortConfig {
+                    PortConfig {
                         port: 1,
                         kind: PortKind::PointToPoint,
                         mtu: 1500,
                     },
-                    IpPortConfig {
+                    PortConfig {
                         port: 2,
                         kind: PortKind::PointToPoint,
                         mtu: 1500,
@@ -830,7 +761,7 @@ mod tests {
     fn undersized_mtu_rejected_at_construction() {
         let cfg = |mtu| IpConfig {
             process_delay: SimDuration::ZERO,
-            ports: vec![IpPortConfig {
+            ports: vec![PortConfig {
                 port: 1,
                 kind: PortKind::PointToPoint,
                 mtu,

@@ -13,10 +13,12 @@
 //! * [`cvc`] — the X.75-style concatenated-virtual-circuit switch (§1's
 //!   other baseline): call setup/teardown, per-circuit state, bandwidth
 //!   reservation.
-//! * [`dataplane`] — the shared staged data plane: the
+//! * [`gateway`] — the Sirpent↔IP gateway (§2.3): the IP internetwork
+//!   as one logical hop.
+//! * `dataplane` (crate-private) — the shared staged data plane: the
 //!   `parse → route → authorize → police → enqueue → transmit` pipeline
-//!   context ([`dataplane::Work`]) and the one output-port scheduler
-//!   ([`dataplane::OutputPort`]) all three node types drive.
+//!   context, the one output-port scheduler, and the node shell — held
+//!   arrivals and the port set — all four node types use.
 //! * [`link`] — link framing shared by all node types, including the
 //!   rate-control feedback message and feed-forward hints.
 //! * [`logical`] — logical ports: replicated trunks, logical-hop route
@@ -29,7 +31,8 @@
 #![warn(missing_docs)]
 
 pub mod cvc;
-pub mod dataplane;
+mod dataplane;
+pub mod gateway;
 pub mod ip;
 pub mod link;
 pub mod logical;
@@ -37,6 +40,7 @@ pub mod multicast;
 pub mod scripted;
 pub mod viper;
 
+pub use gateway::{GatewayConfig, IpGateway, IPPROTO_SIRPENT};
 pub use link::{LinkFrame, RateControlMsg};
 pub use logical::{LogicalTable, PortBinding, TrunkStrategy};
 pub use scripted::ScriptedHost;

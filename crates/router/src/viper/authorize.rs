@@ -70,7 +70,8 @@ impl ViperRouter {
                             .map(|a| a.verify_delay)
                             .unwrap_or(SimDuration::from_micros(100));
                         let at = ctx.now() + delay;
-                        self.schedule(ctx, at, Pending::Retry(work, out_ports));
+                        self.held
+                            .hold(ctx, at, work.in_frame, Pending::Retry(work, out_ports));
                         return;
                     }
                     Decision::Reject(_) => {

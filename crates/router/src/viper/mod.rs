@@ -2,7 +2,7 @@
 //!
 //! Per packet, the router runs the shared staged pipeline
 //! (`parse → route → authorize → police → enqueue → transmit`,
-//! [`crate::dataplane`]); the stages live in one submodule each:
+//! `dataplane`); the stages live in one submodule each:
 //!
 //! 1. [`parse`](self): receive the first bits of the frame; under
 //!    **cut-through** the router acts as soon as the leading header
@@ -21,7 +21,7 @@
 //! 5. `transmit`: append the **return hop** to the trailer — the
 //!    arrival port, the same link token, and the arrival network's
 //!    header with source and destination reversed — then hand the frame
-//!    to the shared [`OutputPort`] scheduler: immediate transmit if
+//!    to the shared `OutputPort` scheduler: immediate transmit if
 //!    idle, else queued by priority, dropped (DIB flag), or — at
 //!    priorities 6/7 — **preempting** the transmission in progress.
 
@@ -34,13 +34,10 @@ use sirpent_token::{AuthPolicy, SealingKey, TokenCache};
 use sirpent_wire::buf::PacketBuf;
 use sirpent_wire::{ethernet, VIPER_TRANSMISSION_UNIT};
 
-use crate::dataplane::{Discipline, OutputPort, Work};
+use crate::dataplane::{Discipline, Held, LinearMap, OutputPort, Port, PortSet, Work};
 use crate::logical::LogicalTable;
 
-use linear::LinearMap;
-
 mod authorize;
-mod linear;
 mod parse;
 mod police;
 mod route;
@@ -244,13 +241,6 @@ impl DerefMut for RouterStats {
     }
 }
 
-/// One output port: its physical configuration plus the shared output
-/// scheduler.
-struct OutPort {
-    cfg: PortConfig,
-    sched: OutputPort,
-}
-
 /// A soft rate-limit installed by upstream backpressure (§2.2's
 /// dynamically generated per-flow soft state).
 struct FlowLimit {
@@ -260,9 +250,10 @@ struct FlowLimit {
     next_release: SimTime,
 }
 
+/// What the router holds under a timer: an arrival until its decision
+/// instant, or a token-blocked packet until its verification is done.
 enum Pending {
     Process(Arrival),
-    Service(u8),
     Retry(Work, OutPorts),
 }
 
@@ -301,11 +292,10 @@ const MAX_DEPTH: u8 = 8;
 /// The router node.
 pub struct ViperRouter {
     cfg: ViperConfig,
-    ports: LinearMap<u8, OutPort>,
+    ports: PortSet<PortConfig>,
     token_cache: Option<TokenCache>,
     limits: Vec<FlowLimit>,
-    pending: LinearMap<u64, Pending>,
-    next_key: u64,
+    held: Held<Pending>,
     tick_armed: bool,
     last_signal: LinearMap<(u8, u8), SimTime>,
     /// Packets whose final segment addressed this router (port 0).
@@ -323,7 +313,7 @@ impl ViperRouter {
             .map(|p| {
                 (
                     p.port,
-                    OutPort {
+                    Port {
                         cfg: p.clone(),
                         sched: OutputPort::new(p.port, Discipline::Priority, cfg.queue_capacity),
                     },
@@ -339,8 +329,7 @@ impl ViperRouter {
             ports,
             token_cache,
             limits: Vec::new(),
-            pending: LinearMap::new(),
-            next_key: 1,
+            held: Held::new(),
             tick_armed: false,
             last_signal: LinearMap::new(),
             local_delivered: Vec::new(),
@@ -368,19 +357,10 @@ impl ViperRouter {
         self.limits.len()
     }
 
-    /// Total frames sitting in output queues across all ports. The chaos
-    /// harness closes its conservation ledger with this term: a packet
-    /// stranded behind a downed link is in-system, not lost, so at any
-    /// observation instant injected = delivered + dropped + queued.
+    /// Total frames sitting in output queues across all ports (the chaos
+    /// harness's in-system conservation term).
     pub fn queued_frames(&self) -> u64 {
-        self.ports.values().map(|p| p.sched.len() as u64).sum()
-    }
-
-    fn schedule(&mut self, ctx: &mut Context<'_>, at: SimTime, p: Pending) {
-        let key = self.next_key;
-        self.next_key += 1;
-        self.pending.insert(key, p);
-        ctx.schedule_at(at, key);
+        self.ports.queued_frames()
     }
 }
 
@@ -388,24 +368,21 @@ impl Node for ViperRouter {
     fn on_event(&mut self, ctx: &mut Context<'_>, ev: Event) {
         match ev {
             Event::Frame(fe) => self.on_frame(ctx, fe),
-            Event::TxDone { port, frame } => self.on_tx_done(ctx, port, frame),
-            Event::TxAborted { port, frame } => self.on_tx_aborted(ctx, port, frame),
+            Event::TxDone { port, frame } | Event::TxAborted { port, frame } => {
+                self.on_tx_end(ctx, port, frame)
+            }
             Event::FrameAborted { frame, .. } => self.on_frame_aborted(ctx, frame),
             Event::Timer { key } => {
                 if key == KEY_INCREASE_TICK {
                     self.on_increase_tick(ctx);
-                    return;
-                }
-                match self.pending.remove(&key) {
-                    Some(Pending::Process(a)) => self.process(ctx, a),
-                    Some(Pending::Service(port)) => {
-                        if let Some(op) = self.ports.get_mut(&port) {
-                            op.sched.clear_service_timer();
-                        }
-                        self.service_port(ctx, port);
+                } else if let Some(port) = self.ports.service_due(key) {
+                    self.service_port(ctx, port);
+                } else {
+                    match self.held.take(key) {
+                        Some(Pending::Process(a)) => self.process(ctx, a),
+                        Some(Pending::Retry(work, out_ports)) => self.retry(ctx, work, out_ports),
+                        None => {}
                     }
-                    Some(Pending::Retry(work, out_ports)) => self.retry(ctx, work, out_ports),
-                    None => {}
                 }
             }
         }
@@ -420,10 +397,7 @@ impl Node for ViperRouter {
         reg: &mut sirpent_telemetry::Registry,
     ) -> Result<(), sirpent_telemetry::RegistryError> {
         use sirpent_telemetry::names;
-        self.stats.pipeline.publish_telemetry(reg)?;
-        let mut depth = sirpent_telemetry::Gauge::new();
-        depth.set(self.queued_frames() as i64);
-        reg.publish_gauge(names::ROUTER_QUEUE_DEPTH, &depth)?;
+        self.ports.publish(&self.stats.pipeline, reg)?;
         reg.publish_count(
             names::FAILOVER_DIVERSIONS_TOTAL,
             self.stats.failover.diversions,
@@ -469,18 +443,10 @@ impl Node for ViperRouter {
             tc.clear();
         }
         self.limits.clear();
-        for p in self.pending.values() {
-            // Held packets die with the router; service timers carry none.
-            if matches!(p, Pending::Process(_) | Pending::Retry(..)) {
-                self.stats.pipeline.drop(DropReason::RouterDown);
-            }
-        }
-        self.pending.clear();
+        self.held.crash(&mut self.stats.pipeline);
         self.tick_armed = false;
         self.last_signal.clear();
-        for op in self.ports.values_mut() {
-            op.sched.crash_purge(&mut self.stats.pipeline);
-        }
+        self.ports.crash(&mut self.stats.pipeline);
     }
 
     fn as_any(&self) -> &dyn Any {

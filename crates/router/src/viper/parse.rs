@@ -95,7 +95,9 @@ impl ViperRouter {
                     ctx.decide_at(ready, |ctx| self.process(ctx, arrival));
                 } else {
                     self.stats.decisions_deferred += 1;
-                    self.schedule(ctx, ready, Pending::Process(arrival));
+                    let in_frame = Some(arrival.in_frame);
+                    self.held
+                        .hold(ctx, ready, in_frame, Pending::Process(arrival));
                 }
             }
             LinkFrame::RateControl(msg) => self.on_rate_control(ctx, port, msg),

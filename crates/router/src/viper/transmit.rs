@@ -12,10 +12,10 @@ use sirpent_wire::packet::truncate_packet_buf;
 use sirpent_wire::trailer;
 use sirpent_wire::viper::{decode, Flags, Priority, SegmentRef};
 
-use crate::dataplane::{Queued, ServiceHooks, StartedTx, Work};
+use crate::dataplane::{PortSet, Queued, ServiceHooks, StartedTx, Work};
 use crate::link::LinkFrame;
 
-use super::{DropReason, FlowLimit, OutPorts, Pending, PortKind, ViperRouter};
+use super::{DropReason, FlowLimit, OutPorts, PipelineStats, PortConfig, PortKind, ViperRouter};
 
 /// The longest port token a return hop carries from the stack: twice a
 /// sealed token. A longer one is copied to the heap.
@@ -291,74 +291,36 @@ impl ViperRouter {
 
     // ----- output service -----------------------------------------------
 
+    /// The port set, with the VIPER policy hooks and the counters that
+    /// drive it.
+    fn port_set(&mut self) -> (&mut PortSet<PortConfig>, ViperHooks<'_>, &mut PipelineStats) {
+        let ViperRouter {
+            ports,
+            limits,
+            stats,
+            ..
+        } = self;
+        (ports, ViperHooks { limits }, &mut stats.pipeline)
+    }
+
     /// Drive the shared scheduler on one port, with the VIPER policy
-    /// hooks plugged in; arm a service timer if the scheduler asks.
+    /// hooks plugged in.
     pub(super) fn service_port(&mut self, ctx: &mut Context<'_>, out: u8) {
-        let timer = {
-            let ViperRouter {
-                ports,
-                limits,
-                stats,
-                ..
-            } = self;
-            let Some(op) = ports.get_mut(&out) else {
-                return;
-            };
-            let mut hooks = ViperHooks { limits };
-            op.sched.try_service(ctx, &mut hooks, &mut stats.pipeline)
-        };
-        if let Some(at) = timer {
-            self.schedule(ctx, at, Pending::Service(out));
-        }
+        let (ports, mut hooks, stats) = self.port_set();
+        ports.serve(ctx, out, &mut hooks, stats);
     }
 
-    /// The armed completion of a port's transmission: a frame waits
-    /// behind it, so serve the port.
-    pub(super) fn on_tx_done(&mut self, ctx: &mut Context<'_>, port: u8, frame: FrameId) {
-        if self
-            .ports
-            .get_mut(&port)
-            .is_some_and(|op| op.sched.on_tx_done(frame))
-        {
-            self.service_port(ctx, port);
-        }
+    /// A port's transmission ended (armed completion or engine kill).
+    pub(super) fn on_tx_end(&mut self, ctx: &mut Context<'_>, port: u8, frame: FrameId) {
+        let (ports, mut hooks, stats) = self.port_set();
+        ports.on_tx_end(ctx, port, frame, &mut hooks, stats);
     }
 
-    /// The engine killed one of our own transmissions (link-down, chaos
-    /// layer). Release the current slot — without counting a drop; the
-    /// engine already accounted the loss.
-    pub(super) fn on_tx_aborted(&mut self, ctx: &mut Context<'_>, port: u8, frame: FrameId) {
-        if self
-            .ports
-            .get_mut(&port)
-            .is_some_and(|op| op.sched.on_tx_aborted(frame))
-        {
-            self.service_port(ctx, port);
-        }
-    }
-
+    /// The upstream sender aborted a frame we may be holding or cutting
+    /// through.
     pub(super) fn on_frame_aborted(&mut self, ctx: &mut Context<'_>, in_frame: FrameId) {
-        // The upstream sender aborted a frame we may be cutting through:
-        // drop every queued copy of it, then abort every copy on the wire.
-        for op in self.ports.values_mut() {
-            op.sched.purge_in_frame(in_frame);
-        }
-        let outs: Vec<u8> = self.ports.keys().copied().collect();
-        for out in outs {
-            let aborted = {
-                let ViperRouter { ports, stats, .. } = self;
-                ports
-                    .get_mut(&out)
-                    .is_some_and(|op| op.sched.abort_in_frame(ctx, in_frame, &mut stats.pipeline))
-            };
-            if aborted {
-                self.service_port(ctx, out);
-            }
-        }
-        // And any held arrival still waiting on its decision instant:
-        // its tail will never arrive, so it must not be processed. No
-        // drop is counted here — the kill was accounted upstream.
-        self.pending
-            .retain(|_, p| !matches!(p, Pending::Process(a) if a.in_frame == in_frame));
+        self.held.abort(in_frame);
+        let (ports, mut hooks, stats) = self.port_set();
+        ports.on_frame_aborted(ctx, in_frame, &mut hooks, stats);
     }
 }

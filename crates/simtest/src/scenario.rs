@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 
 use sirpent_router::cvc::{CvcConfig, CvcRoute, CvcSwitch};
-use sirpent_router::ip::{IpConfig, IpPortConfig, IpRouter, RouteEntry};
+use sirpent_router::ip::{IpConfig, IpRouter, RouteEntry};
 use sirpent_router::link::LinkFrame;
 use sirpent_router::scripted::ScriptedHost;
 use sirpent_router::viper::{
@@ -342,12 +342,12 @@ fn build_inner(spec: &Scenario, queue: sirpent_sim::QueueKind, arm: bool) -> Bui
                             IpRouter::new(IpConfig {
                                 process_delay: SimDuration::from_micros(20),
                                 ports: vec![
-                                    IpPortConfig {
+                                    PortConfig {
                                         port: 1,
                                         kind: PortKind::PointToPoint,
                                         mtu: 1500,
                                     },
-                                    IpPortConfig {
+                                    PortConfig {
                                         port: 2,
                                         kind: PortKind::PointToPoint,
                                         mtu: 1500,

@@ -17,7 +17,7 @@
 //! ```
 
 use sirpent::router::cvc::{CvcConfig, CvcRoute, CvcSwitch};
-use sirpent::router::ip::{IpConfig, IpPortConfig, IpRouter, RouteEntry};
+use sirpent::router::ip::{IpConfig, IpRouter, RouteEntry};
 use sirpent::router::link::LinkFrame;
 use sirpent::router::scripted::ScriptedHost;
 use sirpent::router::viper::{
@@ -289,12 +289,12 @@ fn build(seed: u64) -> Topology {
         IpRouter::new(IpConfig {
             process_delay: SimDuration::from_micros(50),
             ports: vec![
-                IpPortConfig {
+                PortConfig {
                     port: 1,
                     kind: PortKind::PointToPoint,
                     mtu: 1500,
                 },
-                IpPortConfig {
+                PortConfig {
                     port: 2,
                     kind: PortKind::PointToPoint,
                     mtu: 256,

@@ -3,17 +3,20 @@
 //! trailer-built replies re-crossing the cloud.
 
 use sirpent::host::{HostPortKind, SirpentHost};
-use sirpent::interop::{GatewayConfig, IpGateway, IPPROTO_SIRPENT};
-use sirpent::router::ip::{IpConfig, IpPortConfig, IpRouter, RouteEntry};
-use sirpent::router::viper::PortKind;
+use sirpent::router::ip::{IpConfig, IpRouter, RouteEntry};
+use sirpent::router::link::LinkFrame;
+use sirpent::router::scripted::ScriptedHost;
+use sirpent::router::viper::{PortConfig, PortKind};
 use sirpent::sim::stats::DropReason;
 use sirpent::sim::{
     ChaosAction, ChaosEvent, FaultSchedule, NodeId, SimDuration, SimTime, Simulator,
 };
-use sirpent::wire::ipish::Address;
+use sirpent::telemetry::names;
+use sirpent::wire::ipish::{self, Address};
+use sirpent::wire::packet::PacketBuilder;
 use sirpent::wire::viper::{Flags, Priority, SegmentRepr, PORT_LOCAL};
 use sirpent::wire::vmtp::EntityId;
-use sirpent::{CompiledRoute, Net};
+use sirpent::{CompiledRoute, GatewayConfig, IpGateway, Net, IPPROTO_SIRPENT};
 
 const RATE: u64 = 10_000_000;
 const PROP: SimDuration = SimDuration(10_000);
@@ -51,12 +54,12 @@ fn across_the_cloud(seed: u64) -> (Simulator, [NodeId; 5]) {
         IpRouter::new(IpConfig {
             process_delay: SimDuration::from_micros(50),
             ports: vec![
-                IpPortConfig {
+                PortConfig {
                     port: 1,
                     kind: PortKind::PointToPoint,
                     mtu: 1600,
                 },
-                IpPortConfig {
+                PortConfig {
                     port: 2,
                     kind: PortKind::PointToPoint,
                     mtu: 1600,
@@ -200,15 +203,29 @@ fn gateway_forwards_again_after_a_crash_mid_transmission() {
     assert_eq!(answers[1].message, b"after the restart!!");
 }
 
-/// Wrong-protocol and wrong-address datagrams are dropped at the
-/// gateway, not misinterpreted.
-#[test]
-fn gateway_rejects_foreign_datagrams() {
-    use sirpent::router::link::LinkFrame;
-    use sirpent::router::scripted::ScriptedHost;
-    use sirpent::wire::ipish;
+/// An IP-like datagram from GW2 carrying `protocol`, addressed to `dst`.
+fn datagram(ident: u16, protocol: u8, dst: Address) -> Vec<u8> {
+    let mut d = ipish::Repr {
+        tos: 0,
+        total_len: (ipish::HEADER_LEN + 4) as u16,
+        ident,
+        dont_frag: false,
+        more_frags: false,
+        frag_offset: 0,
+        ttl: 9,
+        protocol,
+        src: GW2_IP,
+        dst,
+    }
+    .to_bytes();
+    d.extend_from_slice(&[1, 2, 3, 4]);
+    d
+}
 
-    let mut net = Net::new(56);
+/// A scripted outsider on GW1's cloud-facing port. Returns the
+/// simulator and `[outsider, gw]`.
+fn outsider_on_the_cloud_side(seed: u64) -> (Simulator, [NodeId; 2]) {
+    let mut net = Net::new(seed);
     let outsider = net.sim.add_node(Box::new(ScriptedHost::new()));
     let gw = net.sim.add_node(Box::new(IpGateway::new(GatewayConfig {
         my_ip: GW1_IP,
@@ -219,42 +236,21 @@ fn gateway_rejects_foreign_datagrams() {
         ttl: 16,
     })));
     net.p2p(outsider, 0, gw, 2, RATE, PROP);
-    let mut sim = net.into_sim();
+    (net.into_sim(), [outsider, gw])
+}
 
-    // Datagram with the right address but a foreign protocol.
-    let mut d1 = ipish::Repr {
-        tos: 0,
-        total_len: (ipish::HEADER_LEN + 4) as u16,
-        ident: 1,
-        dont_frag: false,
-        more_frags: false,
-        frag_offset: 0,
-        ttl: 9,
-        protocol: 17, // UDP-ish, not Sirpent
-        src: GW2_IP,
-        dst: GW1_IP,
-    }
-    .to_bytes();
-    d1.extend_from_slice(&[1, 2, 3, 4]);
-    // Datagram with the Sirpent protocol but addressed elsewhere.
-    let mut d2 = ipish::Repr {
-        tos: 0,
-        total_len: (ipish::HEADER_LEN + 4) as u16,
-        ident: 2,
-        dont_frag: false,
-        more_frags: false,
-        frag_offset: 0,
-        ttl: 9,
-        protocol: IPPROTO_SIRPENT,
-        src: GW2_IP,
-        dst: Address(0x0A00FFFF),
-    }
-    .to_bytes();
-    d2.extend_from_slice(&[1, 2, 3, 4]);
-
+/// Wrong-protocol and wrong-address datagrams are dropped at the
+/// gateway, not misinterpreted.
+#[test]
+fn gateway_rejects_foreign_datagrams() {
+    let (mut sim, [outsider, gw]) = outsider_on_the_cloud_side(56);
     {
         let h = sim.node_mut::<ScriptedHost>(outsider);
+        // The right address but a foreign (UDP-ish) protocol.
+        let d1 = datagram(1, 17, GW1_IP);
         h.plan(SimTime::ZERO, 0, LinkFrame::Ipish(d1).into_p2p_frame());
+        // The Sirpent protocol but addressed elsewhere.
+        let d2 = datagram(2, IPPROTO_SIRPENT, Address(0x0A00FFFF));
         h.plan(SimTime(1_000_000), 0, LinkFrame::Ipish(d2).into_p2p_frame());
     }
     ScriptedHost::start(&mut sim, outsider);
@@ -263,4 +259,77 @@ fn gateway_rejects_foreign_datagrams() {
     let g = sim.node::<IpGateway>(gw);
     assert_eq!(g.stats.dropped, 2);
     assert_eq!(g.stats.decapsulated, 0);
+}
+
+/// The gateway publishes the routers' pipeline surface: a fleet scrape
+/// counts the packet it refused.
+#[test]
+fn gateway_drops_reach_the_telemetry_scrape() {
+    let (mut sim, [outsider, gw]) = outsider_on_the_cloud_side(59);
+    let foreign = datagram(1, 17, GW1_IP);
+    sim.node_mut::<ScriptedHost>(outsider).plan(
+        SimTime::ZERO,
+        0,
+        LinkFrame::Ipish(foreign).into_p2p_frame(),
+    );
+    ScriptedHost::start(&mut sim, outsider);
+    sim.run_until(SimTime(10_000_000));
+
+    let g = sim.node::<IpGateway>(gw);
+    assert_eq!(g.stats.pipeline.total_drops(), 1);
+    assert_eq!(g.queued_frames(), 0);
+    let fleet = sim.scrape_telemetry().expect("scrape");
+    assert_eq!(
+        fleet.counter(names::ROUTER_DROPS_TOTAL),
+        g.stats.pipeline.total_drops()
+    );
+    assert!(fleet.get(names::ROUTER_QUEUE_DEPTH).is_some());
+}
+
+/// A frame the engine kills while it is still clocking into the gateway
+/// is one loss, counted once upstream: the gateway forgets its hold on
+/// it rather than encapsulating it when the processing delay is up.
+#[test]
+fn gateway_does_not_forward_a_frame_killed_in_flight() {
+    const MBPS_1: u64 = 1_000_000;
+    let mut sim = Simulator::new(58);
+    let sender = sim.add_node(Box::new(ScriptedHost::new()));
+    let cloud = sim.add_node(Box::new(ScriptedHost::new()));
+    let gw = sim.add_node(Box::new(IpGateway::new(GatewayConfig {
+        my_ip: GW1_IP,
+        ip_port: 2,
+        encap_map: vec![(ENCAP_TO_GW2, GW2_IP)],
+        local_ports: vec![1],
+        process_delay: SimDuration::from_micros(30),
+        ttl: 16,
+    })));
+    let (into_gw, _) = sim.p2p(sender, 0, gw, 1, MBPS_1, SimDuration::from_micros(5));
+    sim.p2p(gw, 2, cloud, 0, RATE, PROP);
+    // Across the cloud, then local: a 200 B payload takes 1.6 ms to clock
+    // in at 1 Mb/s, and the link dies 0.5 ms in.
+    let packet = PacketBuilder::new()
+        .segment(SegmentRepr::minimal(ENCAP_TO_GW2))
+        .segment(SegmentRepr::minimal(PORT_LOCAL))
+        .payload(vec![0xAB; 200])
+        .build()
+        .expect("packet");
+    let frame = LinkFrame::Sirpent {
+        ff_hint: 0,
+        packet: packet.into(),
+    };
+    sim.node_mut::<ScriptedHost>(sender)
+        .plan(SimTime::ZERO, 0, frame.into_p2p_frame());
+    sim.install_schedule(
+        FaultSchedule::new(vec![ChaosEvent {
+            at: SimTime(500_000),
+            action: ChaosAction::LinkDown { ch: into_gw },
+        }])
+        .expect("no probabilities to reject"),
+    );
+    ScriptedHost::start(&mut sim, sender);
+    sim.run_until(SimTime(100_000_000));
+
+    assert_eq!(sim.chaos_stats().drops[DropReason::LinkDown], 1);
+    assert_eq!(sim.node::<IpGateway>(gw).stats.encapsulated, 0);
+    assert!(sim.node::<ScriptedHost>(cloud).received.is_empty());
 }
