@@ -69,7 +69,6 @@ pub mod host;
 pub use build::Net;
 pub use compile::CompiledRoute;
 pub use host::{DeliveredMsg, HostEvent, HostPortKind, HostStats, SirpentHost};
-pub use sirpent_router::{GatewayConfig, IpGateway, IPPROTO_SIRPENT};
 
 pub use sirpent_directory as directory;
 pub use sirpent_router as router;

@@ -17,7 +17,7 @@
 //!   the router owns the store uniquely — PR 1's refcount discipline).
 //! * [`output::OutputPort`] is the one output scheduler every node type
 //!   drives: priority queues with preemption for VIPER, plain O(1) FIFO
-//!   for the IP and CVC baselines and the gateway, one busy/done
+//!   for the IP and CVC baselines, one busy/done
 //!   transmit state machine and one drop-tail accounting path for all.
 //! * [`shell`] is what each forwarding node keeps around its own
 //!   decisions: the held-arrival store ([`Held`]) and the port set

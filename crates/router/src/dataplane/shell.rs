@@ -1,6 +1,6 @@
 //! The forwarding-node shell: what every node that forwards — the VIPER
-//! router, the IP router, the CVC switch and the Sirpent↔IP gateway —
-//! keeps around its own decisions.
+//! router, the IP router and the CVC switch — keeps around its own
+//! decisions.
 //!
 //! * [`Held`] — arrivals (and VIPER's token-blocked retries) waiting
 //!   under a timer key for their decision instant.

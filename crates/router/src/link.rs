@@ -94,6 +94,14 @@ pub enum LinkFrame {
 }
 
 impl LinkFrame {
+    /// Link-header bytes in front of a Sirpent packet: the protocol tag
+    /// and the feed-forward hint (behind the header, on an Ethernet).
+    pub const SIRPENT_HEADER_LEN: usize = 2;
+
+    /// Link-header bytes in front of an IP-like datagram or a CVC
+    /// message: the protocol tag (behind the header, on an Ethernet).
+    pub const TAG_LEN: usize = 1;
+
     /// Encode for a point-to-point link, consuming the frame. Only the
     /// link header is written: the Sirpent packet rides as the shared
     /// body, the Ipish/Cvc bytes *move* into the body, and a
@@ -180,7 +188,7 @@ impl LinkFrame {
         match f.byte(at).ok_or(Error::Truncated)? {
             proto::SIRPENT => Ok(LinkFrame::Sirpent {
                 ff_hint: f.byte(at + 1).ok_or(Error::Truncated)?,
-                packet: payload(2)?,
+                packet: payload(Self::SIRPENT_HEADER_LEN)?,
             }),
             proto::RATE_CONTROL => {
                 let p = f
@@ -189,8 +197,8 @@ impl LinkFrame {
                 let msg = p.get(at + 1..).ok_or(Error::Truncated)?;
                 Ok(LinkFrame::RateControl(RateControlMsg::parse(msg)?))
             }
-            proto::IPISH => Ok(LinkFrame::Ipish(payload(1)?.to_vec())),
-            proto::CVC => Ok(LinkFrame::Cvc(payload(1)?.to_vec())),
+            proto::IPISH => Ok(LinkFrame::Ipish(payload(Self::TAG_LEN)?.to_vec())),
+            proto::CVC => Ok(LinkFrame::Cvc(payload(Self::TAG_LEN)?.to_vec())),
             _ => Err(Error::Malformed),
         }
     }

@@ -7,8 +7,12 @@
 //! destination", which the router expands into an explicit source route
 //! on entry (the Blazenet transit example). Port values can also be
 //! "reserved to specify multiple ports, rather than just one port"
-//! (multicast mechanism 1), including a broadcast value.
+//! (multicast mechanism 1), including a broadcast value. And "a Sirpent
+//! packet can view the Internet as providing one logical hop across its
+//! internetwork" (§2.3): a tunnel value crosses an IP cloud to the
+//! router at its far side.
 
+use sirpent_wire::ipish;
 use sirpent_wire::viper::SegmentRepr;
 
 /// Strategy for picking a member of a replicated-trunk group.
@@ -43,6 +47,18 @@ pub enum PortBinding {
     MulticastSet(Vec<u8>),
     /// Broadcast: forward a copy out every port except the arrival port.
     Broadcast,
+    /// One logical hop across the IP cloud behind physical port `via`,
+    /// to the router at `remote`: the packet leaves `via` inside an
+    /// IP-like datagram from `local`, and a datagram from `remote`
+    /// arriving on `via` is a packet arriving on this port value.
+    Tunnel {
+        /// The physical port facing the cloud.
+        via: u8,
+        /// This router's address in the cloud.
+        local: ipish::Address,
+        /// The address of the router at the far side.
+        remote: ipish::Address,
+    },
 }
 
 /// Per-router table of non-identity port bindings.
@@ -72,6 +88,22 @@ impl LogicalTable {
             .find(|(p, _)| *p == port)
             .map(|(_, b)| b.clone())
             .unwrap_or(PortBinding::Physical(port))
+    }
+
+    /// The tunnels over physical port `via`, as `(port value, local,
+    /// remote)`, in binding order.
+    pub fn tunnels_via(
+        &self,
+        via: u8,
+    ) -> impl Iterator<Item = (u8, ipish::Address, ipish::Address)> + '_ {
+        self.entries.iter().filter_map(move |(port, b)| match *b {
+            PortBinding::Tunnel {
+                via: v,
+                local,
+                remote,
+            } if v == via => Some((*port, local, remote)),
+            _ => None,
+        })
     }
 
     /// Pick a trunk member given each member's next-free time (as
@@ -172,5 +204,18 @@ mod tests {
         let inner = vec![SegmentRepr::minimal(4), SegmentRepr::minimal(9)];
         t.bind(150, PortBinding::Splice(inner.clone()));
         assert_eq!(t.resolve(150), PortBinding::Splice(inner));
+    }
+
+    #[test]
+    fn tunnels_are_found_by_their_physical_port() {
+        let mut t = LogicalTable::new();
+        let (local, far, other) = (ipish::Address(1), ipish::Address(2), ipish::Address(3));
+        let tunnel = |via, remote| PortBinding::Tunnel { via, local, remote };
+        t.bind(100, tunnel(2, far));
+        t.bind(101, tunnel(3, other));
+        t.bind(102, tunnel(2, other));
+        let over_2: Vec<_> = t.tunnels_via(2).collect();
+        assert_eq!(over_2, vec![(100, local, far), (102, local, other)]);
+        assert_eq!(t.tunnels_via(1).count(), 0);
     }
 }

@@ -12,7 +12,7 @@
 //!    waits for the whole frame plus a processing delay;
 //! 2. `route`: strip the leading VIPER segment and resolve its port
 //!    (identity, replicated trunk, logical-hop splice, multicast set,
-//!    broadcast, or tree branches);
+//!    broadcast, tree branches, or a tunnel across an IP cloud);
 //! 3. `authorize`: check the port token against the token cache
 //!    (optimistic / blocking / drop, §2.2);
 //! 4. `police`: monitor each output queue and push **rate-control
@@ -24,6 +24,12 @@
 //!    to the shared `OutputPort` scheduler: immediate transmit if
 //!    idle, else queued by priority, dropped (DIB flag), or — at
 //!    priorities 6/7 — **preempting** the transmission in progress.
+//!
+//! A tunnel port value makes the IP internetwork one logical hop
+//! (§2.3): `transmit` wraps the packet in an IP-like datagram to the
+//! router at the far side, and `parse` unwraps such a datagram into an
+//! arrival on the tunnel's port value, so the return hop names the
+//! tunnel and the reply crosses the cloud again.
 
 use std::any::Any;
 use std::ops::{Deref, DerefMut};
@@ -32,9 +38,10 @@ use sirpent_sim::stats::PipelineStats;
 use sirpent_sim::{Context, Event, FrameId, Node, SimDuration, SimTime};
 use sirpent_token::{AuthPolicy, SealingKey, TokenCache};
 use sirpent_wire::buf::PacketBuf;
-use sirpent_wire::{ethernet, VIPER_TRANSMISSION_UNIT};
+use sirpent_wire::{ethernet, ipish, VIPER_TRANSMISSION_UNIT};
 
 use crate::dataplane::{Discipline, Held, LinearMap, OutputPort, Port, PortSet, Work};
+use crate::link::LinkFrame;
 use crate::logical::LogicalTable;
 
 mod authorize;
@@ -258,18 +265,40 @@ enum Pending {
 }
 
 /// Where a routed packet goes: one port — the common case, which
-/// allocates nothing — or a fan-out set.
+/// allocates nothing — a fan-out set, or a tunnel's physical port `via`,
+/// inside a datagram from `local` to `remote`.
 enum OutPorts {
     One(u8),
     Set(Vec<u8>),
+    Tunnel {
+        via: u8,
+        local: ipish::Address,
+        remote: ipish::Address,
+    },
 }
 
 impl OutPorts {
     fn as_slice(&self) -> &[u8] {
         match self {
-            OutPorts::One(port) => std::slice::from_ref(port),
+            OutPorts::One(port) | OutPorts::Tunnel { via: port, .. } => std::slice::from_ref(port),
             OutPorts::Set(ports) => ports,
         }
+    }
+}
+
+/// Bytes in front of a Sirpent packet on a port of `kind`: the Ethernet
+/// header, if any, then the Sirpent link header — or, on a tunnel, the
+/// protocol tag and the IP header. The cut-through decision instant and
+/// MTU truncation both count them.
+fn header_len(kind: &PortKind, tunnel: bool) -> usize {
+    let link = match kind {
+        PortKind::PointToPoint => 0,
+        PortKind::Ethernet { .. } => ethernet::HEADER_LEN,
+    };
+    link + if tunnel {
+        LinkFrame::TAG_LEN + ipish::HEADER_LEN
+    } else {
+        LinkFrame::SIRPENT_HEADER_LEN
     }
 }
 
@@ -298,6 +327,8 @@ pub struct ViperRouter {
     held: Held<Pending>,
     tick_armed: bool,
     last_signal: LinearMap<(u8, u8), SimTime>,
+    /// Identification of the next datagram a tunnel sends.
+    ident: u16,
     /// Packets whose final segment addressed this router (port 0).
     pub local_delivered: Vec<(SimTime, Vec<u8>)>,
     /// Counters.
@@ -332,6 +363,7 @@ impl ViperRouter {
             held: Held::new(),
             tick_armed: false,
             last_signal: LinearMap::new(),
+            ident: 1,
             local_delivered: Vec::new(),
             stats: RouterStats::default(),
         }

@@ -1,6 +1,6 @@
 //! Stage 2 — route: strip the leading segment and resolve its port
 //! through the logical table (identity, trunk, splice, multicast set,
-//! broadcast, tree branches).
+//! broadcast, tree branches, tunnel).
 
 use sirpent_sim::stats::Stage;
 use sirpent_sim::Context;
@@ -153,6 +153,16 @@ impl ViperRouter {
                     return;
                 }
             }
+            PortBinding::Tunnel { via, local, remote } => {
+                // One logical hop across the IP cloud (§2.3): it is live
+                // exactly when `via`'s link and peer are.
+                if self.next_hop_up(ctx, via) {
+                    OutPorts::Tunnel { via, local, remote }
+                } else {
+                    self.divert_or_drop(ctx, work);
+                    return;
+                }
+            }
             PortBinding::Trunk { members, strategy } => {
                 let now_ns = ctx.now().as_nanos();
                 // Prefer a member that is idle *and* has an empty queue.
@@ -213,13 +223,21 @@ impl ViperRouter {
             }
             PortBinding::MulticastSet(ports) => OutPorts::Set(ports),
             PortBinding::Broadcast => {
+                // A packet that came through a tunnel arrived on its
+                // `via` too: no copy goes back onto that cloud.
+                let arrival_via =
+                    work.arrival_port
+                        .and_then(|p| match self.cfg.logical.resolve(p) {
+                            PortBinding::Tunnel { via, .. } => Some(via),
+                            _ => None,
+                        });
                 // Sorted for a deterministic fan-out order (the port map
                 // itself is hashed).
                 let mut ps: Vec<u8> = self
                     .ports
                     .keys()
                     .copied()
-                    .filter(|&p| Some(p) != work.arrival_port)
+                    .filter(|&p| Some(p) != work.arrival_port && Some(p) != arrival_via)
                     .collect();
                 ps.sort_unstable();
                 OutPorts::Set(ps)

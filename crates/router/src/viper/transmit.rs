@@ -1,21 +1,24 @@
 //! Stages 5–6 — enqueue and transmit: return-hop trailer construction,
-//! MTU truncation, link framing, and the hand-off to the shared
+//! MTU truncation, link framing (a tunnel's IP-like datagram among
+//! them), and the hand-off to the shared
 //! [`crate::dataplane::OutputPort`] scheduler. VIPER-specific service
 //! policy (rate-limit release times and charging) plugs into the
 //! scheduler through [`ServiceHooks`].
 
 use sirpent_sim::{transmission_time, Context, FrameId, SimTime};
 use sirpent_telemetry::HopKind;
-use sirpent_wire::buf::{FrameBuf, PacketBuf};
-use sirpent_wire::ethernet;
+use sirpent_wire::buf::PacketBuf;
 use sirpent_wire::packet::truncate_packet_buf;
 use sirpent_wire::trailer;
 use sirpent_wire::viper::{decode, Flags, Priority, SegmentRef};
+use sirpent_wire::{ethernet, ipish};
 
 use crate::dataplane::{PortSet, Queued, ServiceHooks, StartedTx, Work};
 use crate::link::LinkFrame;
 
-use super::{DropReason, FlowLimit, OutPorts, PipelineStats, PortConfig, PortKind, ViperRouter};
+use super::{
+    header_len, DropReason, FlowLimit, OutPorts, PipelineStats, PortConfig, PortKind, ViperRouter,
+};
 
 /// The longest port token a return hop carries from the stack: twice a
 /// sealed token. A longer one is copied to the heap.
@@ -31,6 +34,9 @@ struct TxMeta {
     /// Next-hop Ethernet destination parsed from the stripped segment's
     /// portInfo (full or compressed form), if any.
     eth_dst: Option<ethernet::Address>,
+    /// The `(local, remote)` addresses of the tunnel the packet leaves
+    /// through, if it does.
+    tunnel: Option<(ipish::Address, ipish::Address)>,
 }
 
 /// The VIPER policy plugged into the shared scheduler: rate-limit
@@ -104,6 +110,10 @@ impl ViperRouter {
                 } else {
                     ethernet::Repr::parse(info).ok().map(|h| h.dst)
                 }
+            },
+            tunnel: match out_ports {
+                OutPorts::Tunnel { local, remote, .. } => Some((local, remote)),
+                _ => None,
             },
         };
         // Return hop: arrival port, same link token, reversed network
@@ -200,50 +210,64 @@ impl ViperRouter {
             (op.cfg.mtu, op.cfg.kind.clone(), op.sched.len())
         };
 
-        // Frame for the outgoing network: a small owned link header in
-        // front of the shared packet body — the body is never copied.
-        let compose = |packet: &PacketBuf, qlen: usize| -> Option<FrameBuf> {
-            let lf = LinkFrame::Sirpent {
-                ff_hint: qlen.min(255) as u8,
-                packet: packet.clone(),
-            };
-            match &kind {
-                PortKind::PointToPoint => Some(lf.into_p2p_frame()),
-                PortKind::Ethernet { mac } => {
-                    // The stripped segment's portInfo was the Ethernet
-                    // header for this hop (§2's running example), already
-                    // resolved to a destination in `meta`.
-                    Some(lf.into_ethernet_frame(*mac, meta.eth_dst?))
-                }
-            }
-        };
-        let mut frame = match compose(&packet, qlen) {
-            Some(f) => f,
-            None => {
-                self.stats.drop(DropReason::BadStructure);
-                return;
-            }
-        };
-
-        // Next-hop MTU: truncate and mark (§2) — the receiver's transport
-        // detects the damage; nothing is silently lost.
-        if frame.len() > mtu {
-            let overhead = frame.len() - packet.len();
-            let marker = 7; // truncation trailer entry size
-            let keep = mtu.saturating_sub(overhead + marker);
-            // Release the composed frame's body reference first so the
-            // truncation runs on a uniquely-owned store where possible.
-            drop(frame);
-            truncate_packet_buf(&mut packet, keep);
-            self.stats.truncated += 1;
-            frame = match compose(&packet, qlen) {
-                Some(f) => f,
+        let ethernet = match &kind {
+            PortKind::PointToPoint => None,
+            // The stripped segment's portInfo was the Ethernet header for
+            // this hop (§2's running example), already resolved to a
+            // destination in `meta`.
+            PortKind::Ethernet { mac } => match meta.eth_dst {
+                Some(dst) => Some((*mac, dst)),
                 None => {
                     self.stats.drop(DropReason::BadStructure);
                     return;
                 }
-            };
+            },
+        };
+
+        // Next-hop MTU: truncate and mark (§2) — the receiver's transport
+        // detects the damage; nothing is silently lost.
+        let overhead = header_len(&kind, meta.tunnel.is_some());
+        if overhead + packet.len() > mtu {
+            let marker = 7; // truncation trailer entry size
+            truncate_packet_buf(&mut packet, mtu.saturating_sub(overhead + marker));
+            self.stats.truncated += 1;
         }
+
+        // Frame for the outgoing network: a small owned link header in
+        // front of the shared packet body — the body is never copied,
+        // except into a tunnel's datagram.
+        let link_frame = match meta.tunnel {
+            None => LinkFrame::Sirpent {
+                ff_hint: qlen.min(255) as u8,
+                packet,
+            },
+            Some((local, remote)) => {
+                let Ok(total_len) = ipish::checked_total_len(packet.len()) else {
+                    self.stats.drop(DropReason::BadLength);
+                    return;
+                };
+                let mut datagram = ipish::Repr {
+                    tos: 0,
+                    total_len,
+                    ident: self.ident,
+                    dont_frag: false,
+                    more_frags: false,
+                    frag_offset: 0,
+                    ttl: ipish::DEFAULT_TTL,
+                    protocol: ipish::IPPROTO_SIRPENT,
+                    src: local,
+                    dst: remote,
+                }
+                .to_bytes();
+                self.ident = self.ident.wrapping_add(1);
+                datagram.extend_from_slice(packet.as_slice());
+                LinkFrame::Ipish(datagram)
+            }
+        };
+        let frame = match ethernet {
+            None => link_frame.into_p2p_frame(),
+            Some((src, dst)) => link_frame.into_ethernet_frame(src, dst),
+        };
 
         // Cut-through constraint: we may not finish transmitting before
         // the tail has arrived (equal-rate links make this vacuous; on a

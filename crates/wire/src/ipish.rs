@@ -60,6 +60,12 @@ pub fn checked_total_len(payload: usize) -> Result<u16> {
 /// Default TTL for new datagrams.
 pub const DEFAULT_TTL: u8 = 32;
 
+/// Protocol number of a datagram carrying a Sirpent packet (§2.3: "an
+/// IP protocol number is assigned to the Sirpent protocol"). A router
+/// whose tunnel port crosses an IP cloud stamps it on the datagram, and
+/// the router at the far end demultiplexes on it.
+pub const IPPROTO_SIRPENT: u8 = 0x5E;
+
 /// The classic ones-complement Internet checksum over `data`.
 pub fn internet_checksum(data: &[u8]) -> u16 {
     let mut sum: u32 = 0;

@@ -86,7 +86,6 @@ pub const DATAPLANE_PREFIXES: &[&str] =
 pub const DATAPLANE_FILES: &[&str] = &[
     "crates/router/src/ip.rs",
     "crates/router/src/cvc.rs",
-    "crates/router/src/gateway.rs",
     "crates/router/src/link.rs",
     "crates/router/src/logical.rs",
     "crates/router/src/multicast.rs",

@@ -1,54 +1,105 @@
 //! Sirpent over IP (§2.3): source-routed traffic crossing a cloud of
 //! standard store-and-forward IP routers as one logical hop, including
-//! trailer-built replies re-crossing the cloud.
+//! trailer-built replies re-crossing the cloud. The gateways at either
+//! side are VIPER routers with a tunnel port binding.
 
 use sirpent::host::{HostPortKind, SirpentHost};
 use sirpent::router::ip::{IpConfig, IpRouter, RouteEntry};
 use sirpent::router::link::LinkFrame;
 use sirpent::router::scripted::ScriptedHost;
-use sirpent::router::viper::{PortConfig, PortKind};
+use sirpent::router::viper::{
+    AuthConfig, PortConfig, PortKind, SwitchMode, ViperConfig, ViperRouter,
+};
+use sirpent::router::PortBinding;
 use sirpent::sim::stats::DropReason;
 use sirpent::sim::{
-    ChaosAction, ChaosEvent, FaultSchedule, NodeId, SimDuration, SimTime, Simulator,
+    ChannelId, ChaosAction, ChaosEvent, FaultSchedule, NodeId, SimDuration, SimTime, Simulator,
 };
 use sirpent::telemetry::names;
-use sirpent::wire::ipish::{self, Address};
+use sirpent::token::{AuthPolicy, Grant, TokenMinter};
+use sirpent::wire::ipish::{self, Address, IPPROTO_SIRPENT};
 use sirpent::wire::packet::PacketBuilder;
+use sirpent::wire::trailer::Trailer;
 use sirpent::wire::viper::{Flags, Priority, SegmentRepr, PORT_LOCAL};
 use sirpent::wire::vmtp::EntityId;
-use sirpent::{CompiledRoute, GatewayConfig, IpGateway, Net, IPPROTO_SIRPENT};
+use sirpent::{CompiledRoute, Net};
 
 const RATE: u64 = 10_000_000;
 const PROP: SimDuration = SimDuration(10_000);
 
 const GW1_IP: Address = Address(0x0A000101); // 10.0.1.1
 const GW2_IP: Address = Address(0x0A000201); // 10.0.2.1
-const ENCAP_TO_GW2: u8 = 100; // GW1's logical port across the cloud
-const ENCAP_TO_GW1: u8 = 100; // GW2's logical port back
+/// Each gateway's port value across the cloud to the other.
+const TUNNEL: u8 = 100;
+/// Each gateway's physical port facing the cloud.
+const CLOUD_PORT: u8 = 2;
+
+/// A gateway: a store-and-forward VIPER router (30 µs per packet, a
+/// host-grade node) with local port 1 and the cloud behind port 2, where
+/// port value [`TUNNEL`] is one logical hop across the cloud from
+/// `local` to the gateway at `remote`.
+fn gateway(router_id: u32, local: Address, remote: Address) -> ViperConfig {
+    let mut cfg = ViperConfig::basic(router_id, &[1, CLOUD_PORT]);
+    cfg.mode = SwitchMode::StoreAndForward {
+        process_delay: SimDuration::from_micros(30),
+    };
+    let tunnel = PortBinding::Tunnel {
+        via: CLOUD_PORT,
+        local,
+        remote,
+    };
+    cfg.logical.bind(TUNNEL, tunnel);
+    cfg
+}
+
+/// Token checking under the blocking policy, for router `router_id`.
+fn auth(minter: &TokenMinter, router_id: u32) -> AuthConfig {
+    AuthConfig {
+        key: minter.router_key(router_id),
+        policy: AuthPolicy::Blocking,
+        verify_delay: SimDuration::from_micros(100),
+        require_token: true,
+    }
+}
+
+/// A token for `port` at `router_id` that also covers the reply.
+fn token(minter: &mut TokenMinter, router_id: u32, port: u8) -> Vec<u8> {
+    minter
+        .mint(Grant {
+            router_id,
+            port,
+            max_priority: Priority::new(5),
+            reverse_ok: true,
+            account: 7,
+            byte_limit: 0,
+            expiry_s: 0,
+        })
+        .to_vec()
+}
 
 /// host A — GW1 — [IP router] — GW2 — host B, with A's route to B
-/// installed and B echoing. Returns the simulator and
-/// `[a, b, gw1, gw2, cloud]`.
-fn across_the_cloud(seed: u64) -> (Simulator, [NodeId; 5]) {
+/// installed and B echoing. With `auth`, both gateways check tokens
+/// under its minter, and A's route carries its two tokens (GW1's, GW2's).
+/// Returns the simulator and `[a, b, gw1, gw2, cloud]`.
+fn across_the_cloud(
+    seed: u64,
+    auth: Option<(&TokenMinter, [Vec<u8>; 2])>,
+) -> (Simulator, [NodeId; 5]) {
     let mut net = Net::new(seed);
     let a = net.host(0xA, vec![(0, HostPortKind::PointToPoint)]);
     let b = net.host(0xB, vec![(0, HostPortKind::PointToPoint)]);
-    let gw1 = net.sim.add_node(Box::new(IpGateway::new(GatewayConfig {
-        my_ip: GW1_IP,
-        ip_port: 2,
-        encap_map: vec![(ENCAP_TO_GW2, GW2_IP)],
-        local_ports: vec![1],
-        process_delay: SimDuration::from_micros(30),
-        ttl: 16,
-    })));
-    let gw2 = net.sim.add_node(Box::new(IpGateway::new(GatewayConfig {
-        my_ip: GW2_IP,
-        ip_port: 2,
-        encap_map: vec![(ENCAP_TO_GW1, GW1_IP)],
-        local_ports: vec![1],
-        process_delay: SimDuration::from_micros(30),
-        ttl: 16,
-    })));
+    let mut cfg1 = gateway(1, GW1_IP, GW2_IP);
+    let mut cfg2 = gateway(2, GW2_IP, GW1_IP);
+    let [token1, token2] = match auth {
+        Some((minter, tokens)) => {
+            cfg1.auth = Some(self::auth(minter, 1));
+            cfg2.auth = Some(self::auth(minter, 2));
+            tokens
+        }
+        None => Default::default(),
+    };
+    let gw1 = net.viper(cfg1);
+    let gw2 = net.viper(cfg2);
     // One IP router in the middle of the cloud.
     let cloud = net.sim.add_node(Box::new(
         IpRouter::new(IpConfig {
@@ -84,8 +135,8 @@ fn across_the_cloud(seed: u64) -> (Simulator, [NodeId; 5]) {
         .expect("ip config"),
     ));
     net.p2p(a, 0, gw1, 1, RATE, PROP);
-    net.p2p(gw1, 2, cloud, 1, RATE, PROP);
-    net.p2p(cloud, 2, gw2, 2, RATE, PROP);
+    net.p2p(gw1, CLOUD_PORT, cloud, 1, RATE, PROP);
+    net.p2p(cloud, 2, gw2, CLOUD_PORT, RATE, PROP);
     net.p2p(gw2, 1, b, 0, RATE, PROP);
     let mut sim = net.into_sim();
 
@@ -95,11 +146,12 @@ fn across_the_cloud(seed: u64) -> (Simulator, [NodeId; 5]) {
         first_eth: None,
         segments: vec![
             SegmentRepr {
-                port: ENCAP_TO_GW2,
+                port: TUNNEL,
                 flags: Flags {
                     vnt: true,
                     ..Default::default()
                 },
+                port_token: token1,
                 ..Default::default()
             },
             SegmentRepr {
@@ -108,6 +160,7 @@ fn across_the_cloud(seed: u64) -> (Simulator, [NodeId; 5]) {
                     vnt: true,
                     ..Default::default()
                 },
+                port_token: token2,
                 ..Default::default()
             },
             SegmentRepr {
@@ -129,7 +182,7 @@ fn across_the_cloud(seed: u64) -> (Simulator, [NodeId; 5]) {
 
 #[test]
 fn sirpent_crosses_ip_cloud_and_reply_returns() {
-    let (mut sim, [a, b, gw1, gw2, cloud]) = across_the_cloud(55);
+    let (mut sim, [a, b, gw1, gw2, cloud]) = across_the_cloud(55, None);
     sim.node_mut::<SirpentHost>(a).queue_request(
         SimTime::ZERO,
         EntityId(0xB),
@@ -147,15 +200,14 @@ fn sirpent_crosses_ip_cloud_and_reply_returns() {
     assert_eq!(client.inbox.len(), 1, "reply recrossed the cloud");
     assert_eq!(client.inbox[0].message, b"across the internet");
 
-    // Gateways actually encapsulated/decapsulated (both directions:
-    // request + its ack + response + its ack = ≥2 each way).
-    let g1 = sim.node::<IpGateway>(gw1);
-    let g2 = sim.node::<IpGateway>(gw2);
-    assert!(g1.stats.encapsulated >= 2, "{:?}", g1.stats);
-    assert!(g1.stats.decapsulated >= 2);
-    assert!(g2.stats.encapsulated >= 2);
-    assert!(g2.stats.decapsulated >= 2);
-    assert_eq!(g1.stats.dropped, 0);
+    // Both gateways forwarded both ways (request + its ack + response +
+    // its ack: ≥ 2 into the tunnel and ≥ 2 out of it each) and refused
+    // nothing.
+    for gw in [gw1, gw2] {
+        let g = &sim.node::<ViperRouter>(gw).stats;
+        assert!(g.forwarded >= 4, "{g:?}");
+        assert_eq!(g.total_drops(), 0, "{g:?}");
+    }
 
     // The IP router in the cloud did standard IP work on every crossing.
     let c = sim.node::<IpRouter>(cloud);
@@ -169,7 +221,7 @@ fn sirpent_crosses_ip_cloud_and_reply_returns() {
 /// complete.
 #[test]
 fn gateway_forwards_again_after_a_crash_mid_transmission() {
-    let (mut sim, [a, _, gw1, ..]) = across_the_cloud(57);
+    let (mut sim, [a, _, gw1, ..]) = across_the_cloud(57, None);
     // The request reaches GW1 at ≈ 80 µs and, after the 30 µs processing
     // delay, takes ≈ 80 µs more to clock out toward the cloud.
     let crash = |at, action| ChaosEvent {
@@ -203,9 +255,45 @@ fn gateway_forwards_again_after_a_crash_mid_transmission() {
     assert_eq!(answers[1].message, b"after the restart!!");
 }
 
-/// An IP-like datagram from GW2 carrying `protocol`, addressed to `dst`.
-fn datagram(ident: u16, protocol: u8, dst: Address) -> Vec<u8> {
-    let mut d = ipish::Repr {
+/// A token minted for GW1's tunnel port value carries the request across
+/// the cloud, and the reply back through it; a forged one is refused at
+/// the tunnel entry and nothing reaches the cloud.
+#[test]
+fn tokens_are_checked_at_the_tunnel_entry() {
+    let mut minter = TokenMinter::new(0x5EED_7E11, 3);
+    let tokens = [token(&mut minter, 1, TUNNEL), token(&mut minter, 2, 1)];
+    let mut forged = tokens.clone();
+    forged[0][5] ^= 0x40;
+    for (tokens, honest) in [(tokens, true), (forged, false)] {
+        let (mut sim, [a, b, gw1, gw2, cloud]) = across_the_cloud(60, Some((&minter, tokens)));
+        sim.node_mut::<SirpentHost>(a).queue_request(
+            SimTime::ZERO,
+            EntityId(0xB),
+            b"with a ticket".to_vec(),
+        );
+        SirpentHost::start(&mut sim, a);
+        sim.run_until(SimTime(100_000_000));
+
+        let g1 = &sim.node::<ViperRouter>(gw1).stats;
+        if honest {
+            assert_eq!(sim.node::<SirpentHost>(a).inbox.len(), 1, "echo came back");
+            assert!(g1.token_decrypts >= 1, "{g1:?}");
+            assert_eq!(g1.total_drops(), 0, "{g1:?}");
+            assert_eq!(sim.node::<ViperRouter>(gw2).stats.total_drops(), 0);
+        } else {
+            assert!(sim.node::<SirpentHost>(b).inbox.is_empty());
+            assert!(g1.drops[DropReason::TokenRejected] >= 1, "{g1:?}");
+            assert_eq!(g1.total_drops(), g1.drops[DropReason::TokenRejected]);
+            assert_eq!(g1.forwarded, 0);
+            assert_eq!(sim.node::<IpRouter>(cloud).stats.forwarded, 0);
+        }
+    }
+}
+
+/// The header of a 24-byte IP-like datagram from GW2 carrying
+/// `protocol`, addressed to `dst`.
+fn header(ident: u16, protocol: u8, dst: Address) -> ipish::Repr {
+    ipish::Repr {
         tos: 0,
         total_len: (ipish::HEADER_LEN + 4) as u16,
         ident,
@@ -217,7 +305,11 @@ fn datagram(ident: u16, protocol: u8, dst: Address) -> Vec<u8> {
         src: GW2_IP,
         dst,
     }
-    .to_bytes();
+}
+
+/// The datagram under `hdr`, with a 4-byte body.
+fn datagram(hdr: ipish::Repr) -> Vec<u8> {
+    let mut d = hdr.to_bytes();
     d.extend_from_slice(&[1, 2, 3, 4]);
     d
 }
@@ -227,38 +319,55 @@ fn datagram(ident: u16, protocol: u8, dst: Address) -> Vec<u8> {
 fn outsider_on_the_cloud_side(seed: u64) -> (Simulator, [NodeId; 2]) {
     let mut net = Net::new(seed);
     let outsider = net.sim.add_node(Box::new(ScriptedHost::new()));
-    let gw = net.sim.add_node(Box::new(IpGateway::new(GatewayConfig {
-        my_ip: GW1_IP,
-        ip_port: 2,
-        encap_map: vec![(ENCAP_TO_GW2, GW2_IP)],
-        local_ports: vec![1],
-        process_delay: SimDuration::from_micros(10),
-        ttl: 16,
-    })));
-    net.p2p(outsider, 0, gw, 2, RATE, PROP);
+    let gw = net.viper(gateway(1, GW1_IP, GW2_IP));
+    net.p2p(outsider, 0, gw, CLOUD_PORT, RATE, PROP);
     (net.into_sim(), [outsider, gw])
 }
 
-/// Wrong-protocol and wrong-address datagrams are dropped at the
-/// gateway, not misinterpreted.
+/// Wrong-protocol, wrong-address, unknown-sender and wrong-length
+/// datagrams are dropped at the gateway, not misinterpreted.
 #[test]
 fn gateway_rejects_foreign_datagrams() {
     let (mut sim, [outsider, gw]) = outsider_on_the_cloud_side(56);
     {
         let h = sim.node_mut::<ScriptedHost>(outsider);
-        // The right address but a foreign (UDP-ish) protocol.
-        let d1 = datagram(1, 17, GW1_IP);
-        h.plan(SimTime::ZERO, 0, LinkFrame::Ipish(d1).into_p2p_frame());
-        // The Sirpent protocol but addressed elsewhere.
-        let d2 = datagram(2, IPPROTO_SIRPENT, Address(0x0A00FFFF));
-        h.plan(SimTime(1_000_000), 0, LinkFrame::Ipish(d2).into_p2p_frame());
+        let sirpent = |ident| header(ident, IPPROTO_SIRPENT, GW1_IP);
+        let foreign = [
+            // The right address but a foreign (UDP-ish) protocol.
+            header(1, 17, GW1_IP),
+            // The Sirpent protocol but addressed elsewhere.
+            header(2, IPPROTO_SIRPENT, Address(0x0A00FFFF)),
+            // From an address bound to no tunnel.
+            ipish::Repr {
+                src: Address(0x0A000301),
+                ..sirpent(3)
+            },
+            // A `total_len` shorter than the header...
+            ipish::Repr {
+                total_len: 10,
+                ..sirpent(4)
+            },
+            // ...and one past the body.
+            ipish::Repr {
+                total_len: (ipish::HEADER_LEN + 5) as u16,
+                ..sirpent(5)
+            },
+        ];
+        for (i, hdr) in foreign.into_iter().enumerate() {
+            let at = SimTime(i as u64 * 1_000_000);
+            h.plan(at, 0, LinkFrame::Ipish(datagram(hdr)).into_p2p_frame());
+        }
     }
     ScriptedHost::start(&mut sim, outsider);
     sim.run_until(SimTime(10_000_000));
 
-    let g = sim.node::<IpGateway>(gw);
-    assert_eq!(g.stats.dropped, 2);
-    assert_eq!(g.stats.decapsulated, 0);
+    let g = sim.node::<ViperRouter>(gw);
+    assert_eq!(g.stats.drops[DropReason::BadFrame], 1);
+    assert_eq!(g.stats.drops[DropReason::NoRoute], 2);
+    assert_eq!(g.stats.drops[DropReason::BadLength], 2);
+    assert_eq!(g.stats.total_drops(), 5);
+    assert_eq!(g.stats.forwarded, 0);
+    assert_eq!(g.stats.local, 0);
 }
 
 /// The gateway publishes the routers' pipeline surface: a fleet scrape
@@ -266,7 +375,7 @@ fn gateway_rejects_foreign_datagrams() {
 #[test]
 fn gateway_drops_reach_the_telemetry_scrape() {
     let (mut sim, [outsider, gw]) = outsider_on_the_cloud_side(59);
-    let foreign = datagram(1, 17, GW1_IP);
+    let foreign = datagram(header(1, 17, GW1_IP));
     sim.node_mut::<ScriptedHost>(outsider).plan(
         SimTime::ZERO,
         0,
@@ -275,15 +384,30 @@ fn gateway_drops_reach_the_telemetry_scrape() {
     ScriptedHost::start(&mut sim, outsider);
     sim.run_until(SimTime(10_000_000));
 
-    let g = sim.node::<IpGateway>(gw);
-    assert_eq!(g.stats.pipeline.total_drops(), 1);
+    let g = sim.node::<ViperRouter>(gw);
+    assert_eq!(g.stats.total_drops(), 1);
     assert_eq!(g.queued_frames(), 0);
     let fleet = sim.scrape_telemetry().expect("scrape");
     assert_eq!(
         fleet.counter(names::ROUTER_DROPS_TOTAL),
-        g.stats.pipeline.total_drops()
+        g.stats.total_drops()
     );
     assert!(fleet.get(names::ROUTER_QUEUE_DEPTH).is_some());
+}
+
+/// A sender on GW1's local port 1 and a scripted cloud on its port 2,
+/// whose MTU is `cloud_mtu`. Returns the simulator, the channel into
+/// the gateway and `[sender, cloud, gw]`.
+fn into_the_tunnel(seed: u64, rate: u64, cloud_mtu: usize) -> (Simulator, ChannelId, [NodeId; 3]) {
+    let mut sim = Simulator::new(seed);
+    let sender = sim.add_node(Box::new(ScriptedHost::new()));
+    let cloud = sim.add_node(Box::new(ScriptedHost::new()));
+    let mut cfg = gateway(1, GW1_IP, GW2_IP);
+    cfg.ports[1].mtu = cloud_mtu;
+    let gw = sim.add_node(Box::new(ViperRouter::new(cfg)));
+    let (into_gw, _) = sim.p2p(sender, 0, gw, 1, rate, SimDuration::from_micros(5));
+    sim.p2p(gw, CLOUD_PORT, cloud, 0, RATE, PROP);
+    (sim, into_gw, [sender, cloud, gw])
 }
 
 /// A frame the engine kills while it is still clocking into the gateway
@@ -292,23 +416,11 @@ fn gateway_drops_reach_the_telemetry_scrape() {
 #[test]
 fn gateway_does_not_forward_a_frame_killed_in_flight() {
     const MBPS_1: u64 = 1_000_000;
-    let mut sim = Simulator::new(58);
-    let sender = sim.add_node(Box::new(ScriptedHost::new()));
-    let cloud = sim.add_node(Box::new(ScriptedHost::new()));
-    let gw = sim.add_node(Box::new(IpGateway::new(GatewayConfig {
-        my_ip: GW1_IP,
-        ip_port: 2,
-        encap_map: vec![(ENCAP_TO_GW2, GW2_IP)],
-        local_ports: vec![1],
-        process_delay: SimDuration::from_micros(30),
-        ttl: 16,
-    })));
-    let (into_gw, _) = sim.p2p(sender, 0, gw, 1, MBPS_1, SimDuration::from_micros(5));
-    sim.p2p(gw, 2, cloud, 0, RATE, PROP);
+    let (mut sim, into_gw, [sender, cloud, gw]) = into_the_tunnel(58, MBPS_1, 1600);
     // Across the cloud, then local: a 200 B payload takes 1.6 ms to clock
     // in at 1 Mb/s, and the link dies 0.5 ms in.
     let packet = PacketBuilder::new()
-        .segment(SegmentRepr::minimal(ENCAP_TO_GW2))
+        .segment(SegmentRepr::minimal(TUNNEL))
         .segment(SegmentRepr::minimal(PORT_LOCAL))
         .payload(vec![0xAB; 200])
         .build()
@@ -330,6 +442,97 @@ fn gateway_does_not_forward_a_frame_killed_in_flight() {
     sim.run_until(SimTime(100_000_000));
 
     assert_eq!(sim.chaos_stats().drops[DropReason::LinkDown], 1);
-    assert_eq!(sim.node::<IpGateway>(gw).stats.encapsulated, 0);
+    assert_eq!(sim.node::<ViperRouter>(gw).stats.forwarded, 0);
+    assert!(sim.node::<ScriptedHost>(cloud).received.is_empty());
+}
+
+/// A packet too long for one datagram never puts a wrapped `total_len`
+/// on the cloud link: under a datagram-sized MTU it is truncated to fit,
+/// with the §2 marker, the IP header counted against the MTU; under a
+/// larger one it is refused, one counted drop.
+#[test]
+fn an_oversize_packet_never_wraps_the_datagram_length() {
+    for (cloud_mtu, truncated) in [(1564, true), (100_000, false)] {
+        let (mut sim, _, [sender, cloud, gw]) = into_the_tunnel(61, RATE, cloud_mtu);
+        let packet = PacketBuilder::new()
+            .segment(SegmentRepr::minimal(TUNNEL))
+            .segment(SegmentRepr::minimal(PORT_LOCAL))
+            .payload(vec![0x70; 70_000])
+            .without_mtu_check()
+            .build()
+            .expect("packet");
+        let frame = LinkFrame::Sirpent {
+            ff_hint: 0,
+            packet: packet.into(),
+        };
+        sim.node_mut::<ScriptedHost>(sender)
+            .plan(SimTime::ZERO, 0, frame.into_p2p_frame());
+        ScriptedHost::start(&mut sim, sender);
+        sim.run_until(SimTime(200_000_000));
+
+        let stats = &sim.node::<ViperRouter>(gw).stats;
+        let on_the_cloud = sim.node::<ScriptedHost>(cloud).received_p2p();
+        if !truncated {
+            assert_eq!(stats.drops[DropReason::BadLength], 1, "{stats:?}");
+            assert_eq!(stats.total_drops(), 1);
+            assert!(on_the_cloud.is_empty());
+            continue;
+        }
+        assert_eq!(stats.truncated, 1);
+        assert_eq!(stats.total_drops(), 0);
+        assert_eq!(on_the_cloud.len(), 1);
+        let LinkFrame::Ipish(d) = &on_the_cloud[0].1 else {
+            panic!("the tunnel sends datagrams");
+        };
+        assert_eq!(d.len() + LinkFrame::TAG_LEN, cloud_mtu);
+        let hdr = ipish::Repr::parse(d).expect("datagram");
+        assert_eq!(usize::from(hdr.total_len), d.len());
+        assert_eq!(
+            (hdr.protocol, hdr.ttl, hdr.src, hdr.dst),
+            (IPPROTO_SIRPENT, ipish::DEFAULT_TTL, GW1_IP, GW2_IP)
+        );
+        let inner = &d[ipish::HEADER_LEN..];
+        let marked = Trailer::parse(inner).expect("trailer").truncated;
+        assert!(marked.is_some(), "the far side can detect the truncation");
+    }
+}
+
+/// A broadcast that came through the tunnel is copied out every port but
+/// the cloud it crossed: no plain Sirpent frame goes back onto the cloud,
+/// whose IP routers would refuse it.
+#[test]
+fn a_broadcast_through_the_tunnel_stays_off_the_cloud() {
+    const BROADCAST: u8 = 255;
+    let mut sim = Simulator::new(62);
+    let local = sim.add_node(Box::new(ScriptedHost::new()));
+    let cloud = sim.add_node(Box::new(ScriptedHost::new()));
+    let mut cfg = gateway(1, GW1_IP, GW2_IP);
+    cfg.logical.bind(BROADCAST, PortBinding::Broadcast);
+    let gw = sim.add_node(Box::new(ViperRouter::new(cfg)));
+    sim.p2p(gw, 1, local, 0, RATE, PROP);
+    sim.p2p(gw, CLOUD_PORT, cloud, 0, RATE, PROP);
+    let packet = PacketBuilder::new()
+        .segment(SegmentRepr::minimal(BROADCAST))
+        .segment(SegmentRepr::minimal(PORT_LOCAL))
+        .payload(vec![0xBC; 64])
+        .build()
+        .expect("packet");
+    let mut d = ipish::Repr {
+        total_len: ipish::checked_total_len(packet.len()).expect("one datagram"),
+        ..header(1, IPPROTO_SIRPENT, GW1_IP)
+    }
+    .to_bytes();
+    d.extend_from_slice(&packet);
+    sim.node_mut::<ScriptedHost>(cloud).plan(
+        SimTime::ZERO,
+        0,
+        LinkFrame::Ipish(d).into_p2p_frame(),
+    );
+    ScriptedHost::start(&mut sim, cloud);
+    sim.run_until(SimTime(10_000_000));
+
+    let g = &sim.node::<ViperRouter>(gw).stats;
+    assert_eq!(g.total_drops(), 0, "{g:?}");
+    assert_eq!(sim.node::<ScriptedHost>(local).received.len(), 1);
     assert!(sim.node::<ScriptedHost>(cloud).received.is_empty());
 }
