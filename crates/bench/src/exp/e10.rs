@@ -72,14 +72,11 @@ fn cvc_total(m: usize, msg_bytes: usize) -> f64 {
     sim.node_mut::<ScriptedHost>(host).plan(
         SimTime::ZERO,
         0,
-        LinkFrame::Cvc(
-            Message::Setup {
-                vci: 1,
-                dest: DEST,
-                reserve: 0,
-            }
-            .to_bytes(),
-        )
+        LinkFrame::Cvc(Ok(Message::Setup {
+            vci: 1,
+            dest: DEST,
+            reserve: 0,
+        }))
         .into_p2p_frame(),
     );
     ScriptedHost::start(&mut sim, host);
@@ -93,13 +90,10 @@ fn cvc_total(m: usize, msg_bytes: usize) -> f64 {
         sim.node_mut::<ScriptedHost>(host).plan(
             SimTime(accept_at.as_nanos() + i as u64 * 10_000),
             0,
-            LinkFrame::Cvc(
-                Message::Data {
-                    vci: 1,
-                    payload: vec![0xAB; msg_bytes],
-                }
-                .to_bytes(),
-            )
+            LinkFrame::Cvc(Ok(Message::Data {
+                vci: 1,
+                payload: vec![0xAB; msg_bytes].into(),
+            }))
             .into_p2p_frame(),
         );
     }
@@ -195,14 +189,11 @@ pub fn run() -> Report {
             sim.node_mut::<ScriptedHost>(host).plan(
                 SimTime(i as u64 * 200_000),
                 0,
-                LinkFrame::Cvc(
-                    Message::Setup {
-                        vci: i as u16,
-                        dest: DEST,
-                        reserve: 0,
-                    }
-                    .to_bytes(),
-                )
+                LinkFrame::Cvc(Ok(Message::Setup {
+                    vci: i as u16,
+                    dest: DEST,
+                    reserve: 0,
+                }))
                 .into_p2p_frame(),
             );
         }

@@ -160,7 +160,7 @@ fn ip_run(corrupt: f64) -> (u64, u64, u64) {
         },
     );
     for i in 0..N {
-        let mut d = ipish::Repr {
+        let repr = ipish::Repr {
             tos: 0,
             total_len: (ipish::HEADER_LEN + 600) as u16,
             ident: i as u16,
@@ -171,9 +171,8 @@ fn ip_run(corrupt: f64) -> (u64, u64, u64) {
             protocol: 17,
             src: ipish::Address::new(10, 0, 1, 1),
             dst: ipish::Address::new(10, 0, 2, 2),
-        }
-        .to_bytes();
-        d.extend(vec![0x44; 600]);
+        };
+        let d = ipish::Datagram::new(&repr, vec![0x44; 600].into());
         sim.node_mut::<ScriptedHost>(src).plan(
             SimTime(i as u64 * 2_000_000),
             0,
@@ -195,7 +194,7 @@ fn ip_run(corrupt: f64) -> (u64, u64, u64) {
         .iter()
         .filter(|f| {
             matches!(LinkFrame::from_p2p_frame(&f.frame),
-                Ok(LinkFrame::Ipish(d)) if d[ipish::HEADER_LEN..].iter().any(|&b| b != 0x44))
+                Ok(LinkFrame::Ipish(d)) if d.payload.iter().any(|&b| b != 0x44))
         })
         .count() as u64;
     (checksum_drops, delivered, corrupt_payloads)

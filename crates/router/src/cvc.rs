@@ -138,7 +138,7 @@ pub struct CvcSwitch {
     ports: PortSet<()>,
     /// Data delivered locally (this switch is the endpoint attachment):
     /// (time, vci, payload).
-    pub local_delivered: Vec<(SimTime, Vci, Vec<u8>)>,
+    pub local_delivered: Vec<(SimTime, Vci, sirpent_wire::buf::PacketBuf)>,
     /// Accept/Reject messages delivered locally.
     pub local_control: Vec<(SimTime, Message)>,
     /// Counters.
@@ -196,14 +196,14 @@ impl CvcSwitch {
             .map(|r| r.out_port)
     }
 
-    fn send(&mut self, ctx: &mut Context<'_>, port: u8, msg: &Message) {
-        let frame = LinkFrame::Cvc(msg.to_bytes()).into_p2p_frame();
+    fn send(&mut self, ctx: &mut Context<'_>, port: u8, msg: Message) {
         let now = ctx.now();
         let flight_key = if ctx.flight_enabled() {
-            cvc_flight_key(msg)
+            cvc_flight_key(&msg)
         } else {
             None
         };
+        let frame = LinkFrame::Cvc(Ok(msg)).into_p2p_frame();
         let CvcSwitch { ports, stats, .. } = self;
         if !ports.contains_key(&port) {
             let sched = OutputPort::new(port, Discipline::Fifo, usize::MAX);
@@ -240,12 +240,12 @@ impl CvcSwitch {
                 self.stats.setups += 1;
                 let Some(out_port) = self.route(dest) else {
                     self.stats.rejects += 1;
-                    self.send(ctx, in_port, &Message::Reject { vci, reason: 1 });
+                    self.send(ctx, in_port, Message::Reject { vci, reason: 1 });
                     return;
                 };
                 if self.circuits() >= self.cfg.max_circuits {
                     self.stats.rejects += 1;
-                    self.send(ctx, in_port, &Message::Reject { vci, reason: 2 });
+                    self.send(ctx, in_port, Message::Reject { vci, reason: 2 });
                     return;
                 }
                 // Bandwidth reservation on the outgoing link.
@@ -255,7 +255,7 @@ impl CvcSwitch {
                     let used = *self.reserved_bps.get(&out_port).unwrap_or(&0);
                     if used + reserve as u64 > cap {
                         self.stats.rejects += 1;
-                        self.send(ctx, in_port, &Message::Reject { vci, reason: 3 });
+                        self.send(ctx, in_port, Message::Reject { vci, reason: 3 });
                         return;
                     }
                     *self.reserved_bps.entry(out_port).or_insert(0) += reserve as u64;
@@ -266,7 +266,7 @@ impl CvcSwitch {
                     self.table.insert((in_port, vci), Leg { port: 0, vci });
                     self.table.insert((0, vci), Leg { port: in_port, vci });
                     self.bump_peak();
-                    self.send(ctx, in_port, &Message::Accept { vci });
+                    self.send(ctx, in_port, Message::Accept { vci });
                     return;
                 }
                 let out_vci = self.alloc_vci(out_port);
@@ -286,7 +286,7 @@ impl CvcSwitch {
                 self.send(
                     ctx,
                     out_port,
-                    &Message::Setup {
+                    Message::Setup {
                         vci: out_vci,
                         dest,
                         reserve,
@@ -297,7 +297,7 @@ impl CvcSwitch {
                 // Travels back along the reverse mapping.
                 match self.table.get(&(in_port, vci)).copied() {
                     Some(back) if back.port != 0 => {
-                        self.send(ctx, back.port, &Message::Accept { vci: back.vci })
+                        self.send(ctx, back.port, Message::Accept { vci: back.vci })
                     }
                     _ => self
                         .local_control
@@ -311,7 +311,7 @@ impl CvcSwitch {
                     self.send(
                         ctx,
                         back.port,
-                        &Message::Reject {
+                        Message::Reject {
                             vci: back.vci,
                             reason,
                         },
@@ -330,7 +330,7 @@ impl CvcSwitch {
                         }
                     }
                     if fwd.port != 0 {
-                        self.send(ctx, fwd.port, &Message::Teardown { vci: fwd.vci });
+                        self.send(ctx, fwd.port, Message::Teardown { vci: fwd.vci });
                     }
                 }
                 self.stats.circuits_active = self.circuits();
@@ -338,13 +338,16 @@ impl CvcSwitch {
             Message::Data { vci, payload } => match self.table.get(&(in_port, vci)).copied() {
                 Some(fwd) if fwd.port != 0 => {
                     self.stats.forwarded += 1;
-                    let msg = Message::Data {
-                        vci: fwd.vci,
-                        payload,
-                    };
                     let now = ctx.now();
                     self.stats.forward_delay.record_duration(now - first_bit);
-                    self.send(ctx, fwd.port, &msg);
+                    self.send(
+                        ctx,
+                        fwd.port,
+                        Message::Data {
+                            vci: fwd.vci,
+                            payload,
+                        },
+                    );
                 }
                 Some(fwd) => {
                     if let Some(key) = flight_key {
@@ -377,11 +380,8 @@ impl Node for CvcSwitch {
                 // Undecodable input (foreign or corrupted bytes) is a
                 // counted loss: conservation checks must see every frame
                 // either delivered or in exactly one drop counter.
-                let Ok(LinkFrame::Cvc(bytes)) = LinkFrame::from_p2p_frame(&fe.frame.payload) else {
-                    self.stats.drop(DropReason::BadFrame);
-                    return;
-                };
-                let Ok(msg) = Message::parse(&bytes) else {
+                let Ok(LinkFrame::Cvc(Ok(msg))) = LinkFrame::from_p2p_frame(&fe.frame.payload)
+                else {
                     self.stats.drop(DropReason::BadFrame);
                     return;
                 };
@@ -462,6 +462,7 @@ mod tests {
     use super::*;
     use crate::scripted::ScriptedHost;
     use sirpent_sim::{NodeId, Simulator};
+    use sirpent_wire::buf::PacketBuf;
 
     const MBPS_10: u64 = 10_000_000;
     const DEST: u32 = 0xC0A80202;
@@ -507,7 +508,7 @@ mod tests {
         sim.node_mut::<ScriptedHost>(a).plan(
             SimTime::ZERO,
             0,
-            LinkFrame::Cvc(setup.to_bytes()).into_p2p_frame(),
+            LinkFrame::Cvc(Ok(setup)).into_p2p_frame(),
         );
         ScriptedHost::start(&mut sim, a);
         sim.run(10_000);
@@ -515,10 +516,10 @@ mod tests {
         // Host got the Accept (full round trip).
         let rx = sim.node::<ScriptedHost>(a).received_p2p();
         assert_eq!(rx.len(), 1);
-        let LinkFrame::Cvc(b) = &rx[0].1 else {
+        let LinkFrame::Cvc(Ok(m)) = &rx[0].1 else {
             panic!()
         };
-        assert_eq!(Message::parse(b).unwrap(), Message::Accept { vci: 9 });
+        assert_eq!(m, &Message::Accept { vci: 9 });
         let accept_time = rx[0].0;
         // Setup RTT ≥ 2 hops each way + 2 × setup_delay ≈ > 400 µs.
         assert!(accept_time > SimTime(400_000), "accept at {accept_time}");
@@ -530,26 +531,23 @@ mod tests {
         sim.node_mut::<ScriptedHost>(a).plan(
             t0,
             0,
-            LinkFrame::Cvc(
-                Message::Data {
-                    vci: 9,
-                    payload: b"on-circuit".to_vec(),
-                }
-                .to_bytes(),
-            )
+            LinkFrame::Cvc(Ok(Message::Data {
+                vci: 9,
+                payload: PacketBuf::from(b"on-circuit"),
+            }))
             .into_p2p_frame(),
         );
         sim.node_mut::<ScriptedHost>(a).plan(
             t0 + SimDuration::from_millis(1),
             0,
-            LinkFrame::Cvc(Message::Teardown { vci: 9 }.to_bytes()).into_p2p_frame(),
+            LinkFrame::Cvc(Ok(Message::Teardown { vci: 9 })).into_p2p_frame(),
         );
         ScriptedHost::start(&mut sim, a);
         sim.run(10_000);
 
         let s2ref = sim.node::<CvcSwitch>(s2);
         assert_eq!(s2ref.local_delivered.len(), 1);
-        assert_eq!(s2ref.local_delivered[0].2, b"on-circuit");
+        assert_eq!(s2ref.local_delivered[0].2.as_slice(), b"on-circuit");
         assert_eq!(s2ref.circuits(), 0, "torn down");
         assert_eq!(sim.node::<CvcSwitch>(s1).circuits(), 0);
         assert_eq!(sim.node::<CvcSwitch>(s1).stats.circuits_peak, 1);
@@ -566,19 +564,16 @@ mod tests {
         sim.node_mut::<ScriptedHost>(a).plan(
             SimTime::ZERO,
             0,
-            LinkFrame::Cvc(setup.to_bytes()).into_p2p_frame(),
+            LinkFrame::Cvc(Ok(setup)).into_p2p_frame(),
         );
         ScriptedHost::start(&mut sim, a);
         sim.run(10_000);
         let rx = sim.node::<ScriptedHost>(a).received_p2p();
         assert_eq!(rx.len(), 1);
-        let LinkFrame::Cvc(b) = &rx[0].1 else {
+        let LinkFrame::Cvc(Ok(m)) = &rx[0].1 else {
             panic!()
         };
-        assert!(matches!(
-            Message::parse(b).unwrap(),
-            Message::Reject { vci: 4, .. }
-        ));
+        assert!(matches!(m, Message::Reject { vci: 4, .. }));
         assert_eq!(sim.node::<CvcSwitch>(s1).stats.rejects, 1);
     }
 
@@ -598,7 +593,7 @@ mod tests {
             sim.node_mut::<ScriptedHost>(a).plan(
                 SimTime(i as u64 * 2_000_000),
                 0,
-                LinkFrame::Cvc(setup.to_bytes()).into_p2p_frame(),
+                LinkFrame::Cvc(Ok(setup)).into_p2p_frame(),
             );
         }
         ScriptedHost::start(&mut sim, a);
@@ -622,7 +617,7 @@ mod tests {
             sim.node_mut::<ScriptedHost>(a).plan(
                 SimTime(i * 2_000_000),
                 0,
-                LinkFrame::Cvc(setup.to_bytes()).into_p2p_frame(),
+                LinkFrame::Cvc(Ok(setup)).into_p2p_frame(),
             );
         }
         ScriptedHost::start(&mut sim, a);
@@ -644,7 +639,7 @@ mod tests {
             sim.node_mut::<ScriptedHost>(a).plan(
                 SimTime(i as u64 * 1_000_000),
                 0,
-                LinkFrame::Cvc(setup.to_bytes()).into_p2p_frame(),
+                LinkFrame::Cvc(Ok(setup)).into_p2p_frame(),
             );
         }
         ScriptedHost::start(&mut sim, a);

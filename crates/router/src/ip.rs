@@ -31,7 +31,7 @@ use sirpent_sim::stats::{DropReason, PipelineStats, Stage};
 use sirpent_sim::{Context, Event, Node, SimDuration, SimTime};
 use sirpent_telemetry::HopKind;
 use sirpent_wire::ethernet;
-use sirpent_wire::ipish::{self, Address};
+use sirpent_wire::ipish::{self, Address, Datagram};
 
 use crate::dataplane::{Discipline, Held, OutputPort, Port, PortSet, Queued};
 use crate::link::{decode_port_frame, LinkFrame, PortDecode};
@@ -125,7 +125,7 @@ impl DerefMut for IpStats {
 
 /// A datagram held until its store-and-forward instant.
 struct Arrival {
-    datagram: Vec<u8>,
+    datagram: Datagram,
     first_bit: SimTime,
     /// Flight-recorder identity, extracted once at parse time; `None`
     /// when the recorder is off.
@@ -136,12 +136,8 @@ struct Arrival {
 /// little-endian bytes of its payload (after the fixed header) — the
 /// simtest marker convention. Returns `None` (never panics) for short
 /// or header-only datagrams.
-pub(crate) fn ip_flight_key(datagram: &[u8]) -> Option<u64> {
-    let head: [u8; 8] = datagram
-        .get(ipish::HEADER_LEN..)?
-        .get(..8)?
-        .try_into()
-        .ok()?;
+pub(crate) fn ip_flight_key(datagram: &Datagram) -> Option<u64> {
+    let head: [u8; 8] = datagram.payload.get(..8)?.try_into().ok()?;
     Some(u64::from_le_bytes(head))
 }
 
@@ -151,7 +147,7 @@ pub struct IpRouter {
     ports: PortSet<PortConfig>,
     held: Held<Arrival>,
     /// Datagrams addressed to this router (matched a local route).
-    pub local_delivered: Vec<(SimTime, Vec<u8>)>,
+    pub local_delivered: Vec<(SimTime, Datagram)>,
     /// Counters.
     pub stats: IpStats,
 }
@@ -227,7 +223,7 @@ impl IpRouter {
 
     fn process(&mut self, ctx: &mut Context<'_>, arrival: Arrival) {
         let Arrival {
-            datagram,
+            mut datagram,
             first_bit,
             flight_key,
         } = arrival;
@@ -240,7 +236,7 @@ impl IpRouter {
             ctx.flight_record(key, HopKind::SwitchDecision);
         }
         // Verify + parse (checksum check is mandatory per-hop work).
-        let repr = match ipish::Repr::parse(&datagram) {
+        let repr = match ipish::Repr::parse(datagram.header()) {
             Ok(r) => r,
             Err(sirpent_wire::Error::Checksum) => {
                 self.drop_keyed(ctx, flight_key, DropReason::Checksum);
@@ -272,9 +268,9 @@ impl IpRouter {
             self.local_delivered.push((ctx.now(), datagram));
             return;
         }
-        let mut datagram = datagram;
-        // TTL decrement + incremental checksum rewrite.
-        match ipish::decrement_ttl(&mut datagram) {
+        // TTL decrement + incremental checksum rewrite, in the header
+        // copy this router holds: the payload is never touched.
+        match ipish::decrement_ttl(datagram.header_mut()) {
             Ok(true) => {}
             Ok(false) => {
                 self.drop_keyed(ctx, flight_key, DropReason::TtlExpired);
@@ -294,33 +290,22 @@ impl IpRouter {
         let kind = op.cfg.kind.clone();
         // The link framing costs a byte or 14; fragment the IP datagram
         // so the *framed* size fits. `new` guarantees the budget covers
-        // at least a minimum fragment.
-        let overhead = link_overhead(&kind);
-        let budget = mtu.saturating_sub(overhead);
-        // Steady-state fast path: a datagram that already fits moves
-        // straight into the frame body, zero copies. `fragment` applies
-        // the same fits-check first, so behavior is identical.
-        let pieces = if datagram.len() <= budget {
-            vec![datagram]
-        } else {
-            match ipish::fragment(&datagram, budget) {
-                Ok(p) => p,
-                Err(_) => {
-                    self.drop_keyed(ctx, flight_key, DropReason::CannotFragment);
-                    return;
-                }
-            }
+        // at least a minimum fragment. A datagram that fits goes out
+        // whole, with the same body.
+        let budget = mtu.saturating_sub(link_overhead(&kind));
+        let Ok(pieces) = ipish::fragment(datagram, budget) else {
+            self.drop_keyed(ctx, flight_key, DropReason::CannotFragment);
+            return;
         };
-        if pieces.len() > 1 {
-            self.stats.fragments_made += pieces.len() as u64;
-        }
         let now = ctx.now();
         let IpRouter { ports, stats, .. } = self;
         let Some(op) = ports.get_mut(&route.out_port) else {
             stats.drop(DropReason::NoRoute);
             return;
         };
+        let mut made = 0;
         for piece in pieces {
+            made += 1;
             let frame = match &kind {
                 PortKind::PointToPoint => LinkFrame::Ipish(piece).into_p2p_frame(),
                 PortKind::Ethernet { mac } => {
@@ -332,6 +317,9 @@ impl IpRouter {
             let mut q = Queued::fifo(frame, now, Some(first_bit));
             q.flight_key = flight_key;
             op.sched.push(ctx, q, stats);
+        }
+        if made > 1 {
+            stats.fragments_made += made;
         }
         // FIFO service is O(1): only the head is examined, pop_front
         // never shifts.
@@ -427,12 +415,13 @@ mod tests {
     use super::*;
     use crate::scripted::ScriptedHost;
     use sirpent_sim::Simulator;
+    use sirpent_wire::buf::PacketBuf;
     use sirpent_wire::ipish::{Repr, DEFAULT_TTL, HEADER_LEN};
 
     const MBPS_10: u64 = 10_000_000;
 
-    fn datagram(src: Address, dst: Address, payload: usize, ttl: u8) -> Vec<u8> {
-        let mut d = Repr {
+    fn datagram(src: Address, dst: Address, payload: usize, ttl: u8) -> Datagram {
+        let repr = Repr {
             tos: 0,
             total_len: ipish::checked_total_len(payload).expect("test payload fits"),
             ident: 7,
@@ -443,10 +432,8 @@ mod tests {
             protocol: 17,
             src,
             dst,
-        }
-        .to_bytes();
-        d.extend(vec![0xAB; payload]);
-        d
+        };
+        Datagram::new(&repr, PacketBuf::from(vec![0xAB; payload]))
     }
 
     fn one_router() -> (
@@ -511,7 +498,7 @@ mod tests {
         let LinkFrame::Ipish(got) = &rx[0].1 else {
             panic!("wrong frame kind")
         };
-        let repr = Repr::parse(got).unwrap();
+        let repr = Repr::parse(got.header()).unwrap();
         assert_eq!(repr.ttl, DEFAULT_TTL - 1, "TTL decremented");
         assert_eq!(got.len(), dlen);
 
@@ -550,7 +537,7 @@ mod tests {
     fn corrupt_header_dropped_at_router() {
         let (mut sim, src, r, dst) = one_router();
         let mut d = datagram(Address::new(10, 0, 1, 1), Address::new(10, 0, 2, 2), 10, 9);
-        d[16] ^= 0x55; // corrupt destination
+        d.header_mut()[16] ^= 0x55; // corrupt destination
         sim.node_mut::<ScriptedHost>(src).plan(
             SimTime::ZERO,
             0,
@@ -635,14 +622,16 @@ mod tests {
         }
         let out = out.expect("reassembles");
         assert_eq!(out.len(), HEADER_LEN + 1000);
-        assert!(out[HEADER_LEN..].iter().all(|&b| b == 0xAB));
+        assert!(out.payload.iter().all(|&b| b == 0xAB));
         assert_eq!(
             sim.node::<IpRouter>(r).stats.fragments_made,
             rx.len() as u64
         );
     }
 
-    fn big_packet_router() -> (
+    fn router_with_exit_mtu(
+        exit_mtu: usize,
+    ) -> (
         Simulator,
         sirpent_sim::NodeId,
         sirpent_sim::NodeId,
@@ -663,7 +652,7 @@ mod tests {
                     PortConfig {
                         port: 2,
                         kind: PortKind::PointToPoint,
-                        mtu: 1500,
+                        mtu: exit_mtu,
                     },
                 ],
                 routes: vec![RouteEntry {
@@ -686,7 +675,7 @@ mod tests {
     fn max_total_len_datagram_is_forwarded() {
         // Boundary: payload = 65535 − HEADER_LEN fills total_len exactly
         // and must traverse the router (fragmented to the MTU) intact.
-        let (mut sim, src, r, dst) = big_packet_router();
+        let (mut sim, src, r, dst) = router_with_exit_mtu(1500);
         let d = datagram(
             Address::new(10, 0, 1, 1),
             Address::new(10, 0, 2, 2),
@@ -727,9 +716,9 @@ mod tests {
         // ...and a hand-forged datagram whose total_len wrapped to 0 is
         // dropped at the router with an explicit BadLength, not
         // forwarded with a forged tiny length.
-        let (mut sim, src, r, dst) = big_packet_router();
+        let (mut sim, src, r, dst) = router_with_exit_mtu(1500);
         let payload = ipish::MAX_PAYLOAD + 1;
-        let mut d = Repr {
+        let repr = Repr {
             tos: 0,
             total_len: (HEADER_LEN + payload) as u16, // wraps to 0
             ident: 7,
@@ -740,9 +729,8 @@ mod tests {
             protocol: 17,
             src: Address::new(10, 0, 1, 1),
             dst: Address::new(10, 0, 2, 2),
-        }
-        .to_bytes();
-        d.extend(vec![0xAB; payload]);
+        };
+        let d = Datagram::new(&repr, PacketBuf::from(vec![0xAB; payload]));
         sim.node_mut::<ScriptedHost>(src).plan(
             SimTime::ZERO,
             0,
@@ -755,6 +743,37 @@ mod tests {
         assert_eq!(rstats.drops[DropReason::BadLength], 1);
         assert_eq!(rstats.forwarded, 0);
         assert!(sim.node::<ScriptedHost>(dst).received_p2p().is_empty());
+    }
+
+    /// A datagram that arrives with a high fragment offset is refused,
+    /// not cut into fragments whose 13-bit offsets wrap to near 0.
+    #[test]
+    fn a_fragment_offset_past_the_field_cannot_fragment() {
+        let (mut sim, src, r, dst) = router_with_exit_mtu(601);
+        let mut d = datagram(
+            Address::new(10, 0, 1, 1),
+            Address::new(10, 0, 2, 2),
+            1400,
+            9,
+        );
+        let repr = Repr {
+            frag_offset: 8150,
+            more_frags: true,
+            ..Repr::parse(d.header()).unwrap()
+        };
+        d = Datagram::new(&repr, d.payload);
+        sim.node_mut::<ScriptedHost>(src).plan(
+            SimTime::ZERO,
+            0,
+            LinkFrame::Ipish(d).into_p2p_frame(),
+        );
+        ScriptedHost::start(&mut sim, src);
+        sim.run(10_000);
+
+        let stats = &sim.node::<IpRouter>(r).stats;
+        assert_eq!(stats.drops[DropReason::CannotFragment], 1);
+        assert_eq!(stats.fragments_made, 0);
+        assert!(sim.node::<ScriptedHost>(dst).received.is_empty());
     }
 
     #[test]

@@ -12,9 +12,22 @@
 //! tag in its type field, exactly as the paper's running example; the
 //! feed-forward shim is also present after the Ethernet header for
 //! Sirpent frames, so hints survive multi-access hops too.
+//!
+//! Every arm frames the same way: a link header of a few bytes — the
+//! tag, then the feed-forward hint, the rate-control message, the IP
+//! header or a CVC message's fixed part — held inline by the
+//! [`FrameBuf`], in front of a shared [`PacketBuf`] body: the Sirpent
+//! packet, the datagram's payload or the CVC data. What the sender
+//! composes is exactly what the receiver strips, so neither side copies
+//! a body. The one exception is a header past
+//! [`HEADER_ROOM`](sirpent_wire::buf::HEADER_ROOM): an IP
+//! header behind an Ethernet header is 35 B, and [`FrameBuf::new`]
+//! copies the body once to carry the last 5.
 
-use sirpent_wire::buf::{FrameBuf, PacketBuf, HEADER_ROOM};
+use sirpent_wire::buf::{FrameBuf, PacketBuf};
+use sirpent_wire::cvc::{self, Message};
 use sirpent_wire::ethernet;
+use sirpent_wire::ipish::{self, Datagram};
 use sirpent_wire::{Error, Result};
 
 /// Protocol tag values on point-to-point links.
@@ -87,10 +100,13 @@ pub enum LinkFrame {
     },
     /// Rate-control feedback.
     RateControl(RateControlMsg),
-    /// An IP-like baseline datagram.
-    Ipish(Vec<u8>),
-    /// A CVC baseline message.
-    Cvc(Vec<u8>),
+    /// An IP-like baseline datagram (a runt too, unverified: the
+    /// receiving router's checks decide what it is worth).
+    Ipish(Datagram),
+    /// A CVC baseline message — or, when the bytes behind the tag do not
+    /// parse as one, those bytes: a node that does not speak CVC treats
+    /// both alike, and a CVC switch counts the second as a bad frame.
+    Cvc(core::result::Result<Message, PacketBuf>),
 }
 
 impl LinkFrame {
@@ -103,8 +119,8 @@ impl LinkFrame {
     pub const TAG_LEN: usize = 1;
 
     /// Encode for a point-to-point link, consuming the frame. Only the
-    /// link header is written: the Sirpent packet rides as the shared
-    /// body, the Ipish/Cvc bytes *move* into the body, and a
+    /// link header is written: the Sirpent packet, the datagram's
+    /// payload and a CVC message's data ride as the shared body, and a
     /// rate-control message is all header.
     pub fn into_p2p_frame(self) -> FrameBuf {
         self.compose(None)
@@ -130,9 +146,11 @@ impl LinkFrame {
     /// Write this frame's link header, behind `ethernet`'s when there
     /// is one, and pair it with the body it fronts. The header is
     /// composed on the stack and held inline by the frame, so framing
-    /// allocates nothing.
+    /// allocates nothing — but for the 5 bytes an IP header behind an
+    /// Ethernet header runs past
+    /// [`HEADER_ROOM`](sirpent_wire::buf::HEADER_ROOM).
     fn compose(self, ethernet: Option<ethernet::Repr>) -> FrameBuf {
-        let mut header = [0; HEADER_ROOM];
+        let mut header = [0; ethernet::HEADER_LEN + Self::TAG_LEN + ipish::HEADER_LEN];
         let mut out = Cursor::new(&mut header);
         if let Some(h) = ethernet {
             let mut eth = [0; ethernet::HEADER_LEN];
@@ -152,28 +170,35 @@ impl LinkFrame {
             }
             LinkFrame::Ipish(d) => {
                 out.put(&[proto::IPISH]);
-                PacketBuf::from_vec(d)
+                out.put(d.header());
+                d.payload
             }
-            LinkFrame::Cvc(d) => {
+            LinkFrame::Cvc(m) => {
                 out.put(&[proto::CVC]);
-                PacketBuf::from_vec(d)
+                let mut fixed = [0; cvc::MAX_HEADER_LEN];
+                let n = m.as_ref().map_or(Ok(0), |m| m.emit_header(&mut fixed));
+                out.put(fixed.get(..n.unwrap_or_default()).unwrap_or_default());
+                match m {
+                    Ok(Message::Data { payload, .. }) | Err(payload) => payload,
+                    Ok(_) => PacketBuf::new(),
+                }
             }
         };
         let len = out.at;
         FrameBuf::new(header.get(..len).unwrap_or_default(), body)
     }
 
-    /// Decode from a point-to-point frame. The Sirpent arm is zero-copy:
-    /// the returned packet shares the frame's body store, whether the
-    /// frame was composed (header + body) or arrived flat. The Ipish/Cvc
-    /// arms copy their owned payload exactly once (they are mutated in
-    /// place by the receiving router), never the whole frame.
+    /// Decode from a point-to-point frame. Every arm is zero-copy: the
+    /// returned packet, datagram payload or CVC data shares the frame's
+    /// body store, whether the frame was composed (link header + body)
+    /// or arrived flat; only the link header's few bytes are copied.
     pub fn from_p2p_frame(f: &FrameBuf) -> Result<LinkFrame> {
         LinkFrame::decode(f, 0)
     }
 
     /// Decode an Ethernet frame; returns the header and the link frame.
-    /// Copies exactly what [`Self::from_p2p_frame`] does.
+    /// Copies what [`Self::from_p2p_frame`] does, and for a datagram the
+    /// IP header too, which runs past the frame's inline room.
     pub fn from_ethernet_frame(f: &FrameBuf) -> Result<(ethernet::Repr, LinkFrame)> {
         let hdr = {
             let p = f.prefix(ethernet::HEADER_LEN).ok_or(Error::Truncated)?;
@@ -197,8 +222,25 @@ impl LinkFrame {
                 let msg = p.get(at + 1..).ok_or(Error::Truncated)?;
                 Ok(LinkFrame::RateControl(RateControlMsg::parse(msg)?))
             }
-            proto::IPISH => Ok(LinkFrame::Ipish(payload(Self::TAG_LEN)?.to_vec())),
-            proto::CVC => Ok(LinkFrame::Cvc(payload(Self::TAG_LEN)?.to_vec())),
+            tag @ (proto::IPISH | proto::CVC) => {
+                // Split where the sender did: behind the IP header (all a
+                // runt has of one) or the message's fixed part.
+                let start = at + Self::TAG_LEN;
+                let fixed = match tag {
+                    proto::IPISH => ipish::HEADER_LEN,
+                    _ => f.byte(start).map_or(0, Message::header_len),
+                };
+                let end = f.len().min(start + fixed);
+                let head = f.prefix(end).ok_or(Error::Truncated)?;
+                let (head, body) = (head.get(start..).unwrap_or_default(), payload(end - at)?);
+                Ok(match tag {
+                    proto::IPISH => LinkFrame::Ipish(Datagram::from_parts(head, body)),
+                    _ => LinkFrame::Cvc(
+                        Message::parse(head, body)
+                            .map_err(|_| payload(Self::TAG_LEN).unwrap_or_default()),
+                    ),
+                })
+            }
             _ => Err(Error::Malformed),
         }
     }
@@ -277,14 +319,37 @@ mod oracle {
             }
             LinkFrame::Ipish(d) => {
                 v.push(proto::IPISH);
-                v.extend_from_slice(d);
+                v.extend_from_slice(d.header());
+                v.extend_from_slice(&d.payload);
             }
-            LinkFrame::Cvc(d) => {
+            LinkFrame::Cvc(m) => {
                 v.push(proto::CVC);
-                v.extend_from_slice(d);
+                v.extend_from_slice(&cvc_bytes(m));
             }
         }
         v
+    }
+
+    /// A CVC message's bytes, written field by field.
+    fn cvc_bytes(m: &core::result::Result<Message, PacketBuf>) -> Vec<u8> {
+        let vci = |kind: u8, vci: u16| [&[kind][..], &vci.to_be_bytes()].concat();
+        match m {
+            Ok(Message::Setup {
+                vci: v,
+                dest,
+                reserve,
+            }) => [
+                vci(1, *v),
+                dest.to_be_bytes().to_vec(),
+                reserve.to_be_bytes().to_vec(),
+            ]
+            .concat(),
+            Ok(Message::Accept { vci: v }) => vci(2, *v),
+            Ok(Message::Reject { vci: v, reason }) => [vci(3, *v), vec![*reason]].concat(),
+            Ok(Message::Teardown { vci: v }) => vci(4, *v),
+            Ok(Message::Data { vci: v, payload }) => [vci(5, *v), payload.to_vec()].concat(),
+            Err(bytes) => bytes.to_vec(),
+        }
     }
 
     pub fn to_ethernet_bytes(
@@ -313,7 +378,11 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// A frame of `kind`. Ipish frames carry `data` behind a header, or
+    /// are runts of its first bytes; CVC frames carry one message of
+    /// each type, `data` as its payload, or `data` that is no message.
     fn frame(kind: u8, ff_hint: u8, rc: (u32, u8, u64, u16), data: Vec<u8>) -> LinkFrame {
+        let (sub, vci) = (ff_hint % 6, u16::from(ff_hint) << 3);
         match kind {
             0 => LinkFrame::Sirpent {
                 ff_hint,
@@ -325,15 +394,52 @@ mod tests {
                 allowed_bps: rc.2,
                 queue_len: rc.3,
             }),
-            2 => LinkFrame::Ipish(data),
-            _ => LinkFrame::Cvc(data),
+            2 if sub == 0 => {
+                let runt = data.get(..data.len().min(ipish::HEADER_LEN - 1));
+                LinkFrame::Ipish(Datagram::from_parts(
+                    runt.unwrap_or_default(),
+                    PacketBuf::new(),
+                ))
+            }
+            2 => {
+                let repr = ipish::Repr {
+                    total_len: rc.3,
+                    ident: vci,
+                    ttl: rc.1,
+                    protocol: ff_hint,
+                    src: ipish::Address(rc.0),
+                    ..Default::default()
+                };
+                LinkFrame::Ipish(Datagram::new(&repr, PacketBuf::from_vec(data)))
+            }
+            _ => LinkFrame::Cvc(match sub {
+                0 => Ok(Message::Setup {
+                    vci,
+                    dest: rc.0,
+                    reserve: rc.2 as u32,
+                }),
+                1 => Ok(Message::Accept { vci }),
+                2 => Ok(Message::Reject { vci, reason: rc.1 }),
+                3 => Ok(Message::Teardown { vci }),
+                4 => Ok(Message::Data {
+                    vci,
+                    payload: PacketBuf::from_vec(data),
+                }),
+                // A message type no CVC node knows.
+                _ => Err(PacketBuf::from_vec([&[99][..], &data].concat())),
+            }),
         }
     }
 
-    /// The packet of a Sirpent frame.
-    fn packet_of(f: &LinkFrame) -> Option<&PacketBuf> {
+    /// The body a frame shares with the link frame's: a Sirpent packet,
+    /// a datagram's payload or CVC data.
+    fn body_of(f: &LinkFrame) -> Option<&PacketBuf> {
         match f {
             LinkFrame::Sirpent { packet, .. } => Some(packet),
+            LinkFrame::Ipish(d) if !d.payload.is_empty() => Some(&d.payload),
+            LinkFrame::Cvc(Ok(Message::Data { payload, .. })) if !payload.is_empty() => {
+                Some(payload)
+            }
             _ => None,
         }
     }
@@ -359,11 +465,11 @@ mod tests {
             let back_flat = LinkFrame::from_p2p_frame(&flat).unwrap();
             prop_assert_eq!(&back, &f);
             prop_assert_eq!(&back_flat, &f);
-            if let Some(orig) = packet_of(&f) {
-                // Neither direction copies a Sirpent packet.
+            if let Some(orig) = body_of(&f) {
+                // Neither direction copies a body.
                 prop_assert!(composed.body().shares_store_with(orig));
-                prop_assert!(packet_of(&back).unwrap().shares_store_with(orig));
-                prop_assert!(packet_of(&back_flat).unwrap().shares_store_with(flat.body()));
+                prop_assert!(body_of(&back).unwrap().shares_store_with(orig));
+                prop_assert!(body_of(&back_flat).unwrap().shares_store_with(flat.body()));
             }
 
             // Ethernet: likewise, behind the 14-byte header.
@@ -377,11 +483,15 @@ mod tests {
             prop_assert_eq!(hdr_flat, hdr);
             prop_assert_eq!(&back, &f);
             prop_assert_eq!(&back_flat, &f);
-            if let Some(orig) = packet_of(&f) {
-                prop_assert_eq!(hdr.ethertype, ethernet::EtherType::Sirpent);
-                prop_assert!(composed.body().shares_store_with(orig));
-                prop_assert!(packet_of(&back).unwrap().shares_store_with(orig));
-                prop_assert!(packet_of(&back_flat).unwrap().shares_store_with(flat.body()));
+            if let Some(orig) = body_of(&f) {
+                // Past the inline room, an IP header behind an Ethernet
+                // header takes the body with it into one copy.
+                if !matches!(f, LinkFrame::Ipish(_)) {
+                    prop_assert!(composed.body().shares_store_with(orig));
+                    prop_assert!(body_of(&back).unwrap().shares_store_with(orig));
+                }
+                prop_assert!(body_of(&back).unwrap().shares_store_with(composed.body()));
+                prop_assert!(body_of(&back_flat).unwrap().shares_store_with(flat.body()));
             }
         }
 
@@ -423,7 +533,7 @@ mod tests {
         // Parsing shares the same store too: no copy on receive.
         let back = LinkFrame::from_p2p_frame(&frame).unwrap();
         assert_eq!(back, f);
-        assert!(packet_of(&back).unwrap().shares_store_with(&packet));
+        assert!(body_of(&back).unwrap().shares_store_with(&packet));
     }
 
     #[test]
@@ -441,7 +551,7 @@ mod tests {
         assert_eq!(frame.to_vec(), oracle::to_ethernet_bytes(&f, src, dst));
         let (hdr, back) = LinkFrame::from_ethernet_frame(&frame).unwrap();
         assert_eq!((hdr.src, hdr.dst), (src, dst));
-        assert!(packet_of(&back).unwrap().shares_store_with(&packet));
+        assert!(body_of(&back).unwrap().shares_store_with(&packet));
     }
 
     #[test]
@@ -452,8 +562,8 @@ mod tests {
             allowed_bps: 3,
             queue_len: 4,
         };
-        // A rate-control frame is all link header; Ipish/Cvc bytes move
-        // into the body behind a 1-byte tag.
+        // A rate-control frame is all link header; so is a CVC message
+        // without data, behind its 1-byte tag.
         let frame = LinkFrame::RateControl(rc).into_p2p_frame();
         assert_eq!(frame.header().len(), 1 + RateControlMsg::LEN);
         assert!(frame.body().is_empty());
@@ -461,11 +571,19 @@ mod tests {
             LinkFrame::from_p2p_frame(&frame).unwrap(),
             LinkFrame::RateControl(rc)
         );
-        for f in [LinkFrame::Ipish(vec![4, 5]), LinkFrame::Cvc(vec![6])] {
-            let frame = f.clone().into_p2p_frame();
-            assert_eq!(frame.header().len(), 1);
-            assert_eq!(LinkFrame::from_p2p_frame(&frame).unwrap(), f);
-        }
+        let f = LinkFrame::Cvc(Ok(Message::Teardown { vci: 6 }));
+        let frame = f.clone().into_p2p_frame();
+        assert_eq!(frame.header().len(), 1 + cvc::DATA_HEADER_LEN);
+        assert!(frame.body().is_empty());
+        assert_eq!(LinkFrame::from_p2p_frame(&frame).unwrap(), f);
+        // A datagram's IP header joins the tag in the link header.
+        let f = LinkFrame::Ipish(Datagram::new(
+            &ipish::Repr::default(),
+            PacketBuf::from(&[4, 5]),
+        ));
+        let frame = f.clone().into_p2p_frame();
+        assert_eq!(frame.header().len(), 1 + ipish::HEADER_LEN);
+        assert_eq!(LinkFrame::from_p2p_frame(&frame).unwrap(), f);
     }
 
     #[test]

@@ -25,10 +25,7 @@ fn link_flight_key(link: &LinkFrame) -> Option<u64> {
     match link {
         LinkFrame::Sirpent { packet, .. } => crate::dataplane::flight_key_of(packet),
         LinkFrame::Ipish(datagram) => crate::ip::ip_flight_key(datagram),
-        LinkFrame::Cvc(bytes) => {
-            let msg = sirpent_wire::cvc::Message::parse(bytes).ok()?;
-            crate::cvc::cvc_flight_key(&msg)
-        }
+        LinkFrame::Cvc(msg) => crate::cvc::cvc_flight_key(msg.as_ref().ok()?),
         LinkFrame::RateControl(_) => None,
     }
 }
@@ -275,8 +272,9 @@ mod tests {
         let mac_c = ethernet::Address::from_index(3);
         sim.node_mut::<ScriptedHost>(b).mac = Some(mac_b);
         sim.node_mut::<ScriptedHost>(c).mac = Some(mac_c);
+        let runt = sirpent_wire::ipish::Datagram::from_parts(&[7], Default::default());
         let frame =
-            LinkFrame::Ipish(vec![7]).into_ethernet_frame(ethernet::Address::from_index(1), mac_b);
+            LinkFrame::Ipish(runt).into_ethernet_frame(ethernet::Address::from_index(1), mac_b);
         sim.node_mut::<ScriptedHost>(a)
             .plan(SimTime::ZERO, 0, frame);
         ScriptedHost::start(&mut sim, a);

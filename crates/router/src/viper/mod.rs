@@ -330,7 +330,7 @@ pub struct ViperRouter {
     /// Identification of the next datagram a tunnel sends.
     ident: u16,
     /// Packets whose final segment addressed this router (port 0).
-    pub local_delivered: Vec<(SimTime, Vec<u8>)>,
+    pub local_delivered: Vec<(SimTime, PacketBuf)>,
     /// Counters.
     pub stats: RouterStats,
 }

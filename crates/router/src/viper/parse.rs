@@ -6,7 +6,7 @@ use sirpent_sim::stats::Stage;
 use sirpent_sim::Context;
 use sirpent_telemetry::HopKind;
 use sirpent_wire::buf::PacketBuf;
-use sirpent_wire::ipish;
+use sirpent_wire::ipish::{self, Datagram};
 use sirpent_wire::viper::decode;
 
 use crate::link::{decode_port_frame, LinkFrame, PortDecode};
@@ -31,6 +31,10 @@ impl ViperRouter {
             }
         };
 
+        // A tunnel arrival keeps `eth_return` too: its return hop crosses
+        // the cloud again from `via`, and on an Ethernet the reversed
+        // header addresses the reply's datagram to the IP router this one
+        // came from.
         let (packet, arrival_port, ff_hint, tunnel) = match link {
             LinkFrame::Sirpent { ff_hint, packet } => (packet, port, ff_hint, false),
             LinkFrame::Ipish(datagram) => match decapsulate(&self.cfg.logical, port, datagram) {
@@ -46,9 +50,6 @@ impl ViperRouter {
                 return;
             }
         };
-        // A tunnel arrival's return hop crosses the cloud again, not the
-        // network `via` sits on.
-        let eth_return = if tunnel { None } else { eth_return };
 
         self.stats.enter(Stage::Parse);
         // The leading segment's output port and length, read once.
@@ -126,12 +127,12 @@ impl ViperRouter {
 fn decapsulate(
     logical: &LogicalTable,
     via: u8,
-    datagram: Vec<u8>,
+    datagram: Datagram,
 ) -> Result<(u8, PacketBuf), DropReason> {
     if logical.tunnels_via(via).next().is_none() {
         return Err(DropReason::BadFrame);
     }
-    let hdr = ipish::Repr::parse(&datagram).map_err(|_| DropReason::BadFrame)?;
+    let hdr = ipish::Repr::parse(datagram.header()).map_err(|_| DropReason::BadFrame)?;
     // The tunnels over `via` that this datagram is addressed to: each
     // sends from its own `local`, so each receives at it.
     let mut to_us = logical
@@ -151,9 +152,8 @@ fn decapsulate(
     if end < ipish::HEADER_LEN || end > datagram.len() {
         return Err(DropReason::BadLength);
     }
-    let mut packet = PacketBuf::from_vec(datagram);
-    packet.truncate(end);
-    packet.advance(ipish::HEADER_LEN);
+    let mut packet = datagram.payload;
+    packet.truncate(end - ipish::HEADER_LEN);
     Ok((value, packet))
 }
 
@@ -164,8 +164,8 @@ mod tests {
 
     const VIA: u8 = 2;
 
-    fn datagram(protocol: u8, src: Address, dst: Address, total_len: usize) -> Vec<u8> {
-        let mut d = ipish::Repr {
+    fn datagram(protocol: u8, src: Address, dst: Address, total_len: usize) -> Datagram {
+        let repr = ipish::Repr {
             tos: 0,
             total_len: total_len as u16,
             ident: 1,
@@ -176,10 +176,8 @@ mod tests {
             protocol,
             src,
             dst,
-        }
-        .to_bytes();
-        d.extend_from_slice(&[1, 2, 3, 4]);
-        d
+        };
+        Datagram::new(&repr, PacketBuf::from(&[1, 2, 3, 4]))
     }
 
     /// Each tunnel over one port receives at its own `local`, as it

@@ -115,21 +115,15 @@ impl ViperRouter {
             // A terminating segment's alternate slot is overloaded as the
             // recovery-list descriptor: the detour segments ride between
             // the header and the data and must be skipped on delivery.
-            let payload = match work.seg.alt() {
-                None => work.packet.to_vec(),
-                Some(d) => {
-                    let skipped = recovery_block_len(work.packet.as_slice(), d.port)
-                        .ok()
-                        .and_then(|n| work.packet.as_slice().get(n..).map(<[u8]>::to_vec));
-                    match skipped {
-                        Some(p) => p,
-                        None => {
-                            self.drop_keyed(ctx, work.flight_key, DropReason::BadStructure);
-                            return;
-                        }
-                    }
-                }
-            };
+            let mut payload = work.packet;
+            if let Some(d) = work.seg.alt() {
+                let block = recovery_block_len(payload.as_slice(), d.port).ok();
+                let Some(n) = block.filter(|&n| n <= payload.len()) else {
+                    self.drop_keyed(ctx, work.flight_key, DropReason::BadStructure);
+                    return;
+                };
+                payload.advance(n);
+            }
             self.stats.local += 1;
             if let Some(key) = work.flight_key {
                 ctx.flight_record(key, HopKind::Delivered);

@@ -234,8 +234,8 @@ impl ViperRouter {
         }
 
         // Frame for the outgoing network: a small owned link header in
-        // front of the shared packet body — the body is never copied,
-        // except into a tunnel's datagram.
+        // front of the shared packet body — the body is never copied; a
+        // tunnel puts its IP header in the link header too.
         let link_frame = match meta.tunnel {
             None => LinkFrame::Sirpent {
                 ff_hint: qlen.min(255) as u8,
@@ -246,22 +246,17 @@ impl ViperRouter {
                     self.stats.drop(DropReason::BadLength);
                     return;
                 };
-                let mut datagram = ipish::Repr {
-                    tos: 0,
+                let repr = ipish::Repr {
                     total_len,
                     ident: self.ident,
-                    dont_frag: false,
-                    more_frags: false,
-                    frag_offset: 0,
                     ttl: ipish::DEFAULT_TTL,
                     protocol: ipish::IPPROTO_SIRPENT,
                     src: local,
                     dst: remote,
-                }
-                .to_bytes();
+                    ..Default::default()
+                };
                 self.ident = self.ident.wrapping_add(1);
-                datagram.extend_from_slice(packet.as_slice());
-                LinkFrame::Ipish(datagram)
+                LinkFrame::Ipish(ipish::Datagram::new(&repr, packet))
             }
         };
         let frame = match ethernet {

@@ -276,7 +276,7 @@ fn ip_rail_addrs(rail_idx: usize) -> (Address, Address) {
 fn ip_workload_frame(rail_idx: usize, marker: u64, len: usize, ident: u16) -> FrameBuf {
     let (src, dst) = ip_rail_addrs(rail_idx);
     let payload = marker_payload(marker, len);
-    let mut d = ipish::Repr {
+    let repr = ipish::Repr {
         tos: 0,
         total_len: (ipish::HEADER_LEN + payload.len()) as u16,
         ident,
@@ -287,10 +287,8 @@ fn ip_workload_frame(rail_idx: usize, marker: u64, len: usize, ident: u16) -> Fr
         protocol: 17,
         src,
         dst,
-    }
-    .to_bytes();
-    d.extend(payload);
-    LinkFrame::Ipish(d).into_p2p_frame()
+    };
+    LinkFrame::Ipish(ipish::Datagram::new(&repr, payload.into())).into_p2p_frame()
 }
 
 fn cvc_dest(rail_idx: usize) -> u32 {
@@ -298,7 +296,7 @@ fn cvc_dest(rail_idx: usize) -> u32 {
 }
 
 fn cvc_frame(m: Message) -> FrameBuf {
-    LinkFrame::Cvc(m.to_bytes()).into_p2p_frame()
+    LinkFrame::Cvc(Ok(m)).into_p2p_frame()
 }
 
 /// Instantiate the scenario: nodes, channels, static fault configs,
@@ -485,7 +483,7 @@ fn build_inner(spec: &Scenario, queue: sirpent_sim::QueueKind, arm: bool) -> Bui
                             0,
                             cvc_frame(Message::Data {
                                 vci: 9,
-                                payload: marker_payload(p.marker, p.payload_len),
+                                payload: marker_payload(p.marker, p.payload_len).into(),
                             }),
                         );
                     }
@@ -494,7 +492,7 @@ fn build_inner(spec: &Scenario, queue: sirpent_sim::QueueKind, arm: bool) -> Bui
                         0,
                         cvc_frame(Message::Data {
                             vci: 9,
-                            payload: marker_payload(flush_marker, 16),
+                            payload: marker_payload(flush_marker, 16).into(),
                         }),
                     );
                 }

@@ -23,7 +23,10 @@
 //! * [`FrameBuf`] — a link frame as a small inline header plus a shared
 //!   [`PacketBuf`] body, so prepending the link header on transmit does
 //!   not copy the packet, and the receiver can take the body back out
-//!   zero-copy.
+//!   zero-copy. Every frame kind uses it so: a Sirpent packet, an IP
+//!   datagram's payload (its 20-byte header joins the link header) and
+//!   a CVC message's data are all bodies, and nothing on the wire is a
+//!   `Vec`.
 //!
 //! ## Ownership and offset semantics
 //!
@@ -336,8 +339,10 @@ impl core::fmt::Debug for SegmentView {
 }
 
 /// The link-header bytes a [`FrameBuf`] holds inline: a 14-byte
-/// Ethernet header in front of a 16-byte rate-control header, the
-/// longest link header this workspace composes.
+/// Ethernet header in front of a 16-byte rate-control header. The one
+/// longer header composed, an IP datagram's on an Ethernet (14 + 1 +
+/// 20 = 35 bytes), takes [`FrameBuf::new`]'s copying path rather than
+/// growing every frame.
 pub const HEADER_ROOM: usize = 30;
 
 /// A link-layer frame: a small header (link tag, Ethernet header, …)

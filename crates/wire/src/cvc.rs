@@ -9,6 +9,7 @@
 //! switches use to pick the next hop (and allocate per-circuit state);
 //! data packets carry only the VCI.
 
+use crate::buf::PacketBuf;
 use crate::{Error, Result};
 
 /// Message discriminants.
@@ -58,8 +59,8 @@ pub enum Message {
     Data {
         /// The circuit this belongs to.
         vci: Vci,
-        /// Payload bytes.
-        payload: Vec<u8>,
+        /// Payload bytes, shared: a switch hands them on uncopied.
+        payload: PacketBuf,
     },
 }
 
@@ -67,89 +68,97 @@ pub enum Message {
 /// per-packet header-size advantage circuits buy with their setup cost.
 pub const DATA_HEADER_LEN: usize = 3;
 
+/// The longest fixed part of a message (a `Setup`'s).
+pub const MAX_HEADER_LEN: usize = 11;
+
 impl Message {
-    /// Bytes `emit` writes.
-    pub fn buffer_len(&self) -> usize {
-        match self {
-            Message::Setup { .. } => 1 + 2 + 4 + 4,
-            Message::Accept { .. } | Message::Teardown { .. } => 1 + 2,
-            Message::Reject { .. } => 1 + 2 + 1,
-            Message::Data { payload, .. } => DATA_HEADER_LEN + payload.len(),
+    /// Bytes in the fixed part of a message whose type byte is `kind`:
+    /// all of it but a `Data` payload.
+    pub fn header_len(kind: u8) -> usize {
+        match kind {
+            msgtype::SETUP => MAX_HEADER_LEN,
+            msgtype::REJECT => 4,
+            _ => DATA_HEADER_LEN,
         }
     }
 
-    /// Serialize to a fresh vector.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut v = Vec::with_capacity(self.buffer_len());
-        match self {
+    /// Emit everything but a `Data` payload, which travels behind these
+    /// bytes as it is. Returns the bytes written.
+    pub fn emit_header(&self, buffer: &mut [u8]) -> Result<usize> {
+        let mut v = [0; MAX_HEADER_LEN];
+        let (kind, vci) = match *self {
             Message::Setup { vci, dest, reserve } => {
-                v.push(msgtype::SETUP);
-                v.extend_from_slice(&vci.to_be_bytes());
-                v.extend_from_slice(&dest.to_be_bytes());
-                v.extend_from_slice(&reserve.to_be_bytes());
+                v[3..7].copy_from_slice(&dest.to_be_bytes());
+                v[7..11].copy_from_slice(&reserve.to_be_bytes());
+                (msgtype::SETUP, vci)
             }
-            Message::Accept { vci } => {
-                v.push(msgtype::ACCEPT);
-                v.extend_from_slice(&vci.to_be_bytes());
-            }
+            Message::Accept { vci } => (msgtype::ACCEPT, vci),
             Message::Reject { vci, reason } => {
-                v.push(msgtype::REJECT);
-                v.extend_from_slice(&vci.to_be_bytes());
-                v.push(*reason);
+                v[3] = reason;
+                (msgtype::REJECT, vci)
             }
-            Message::Teardown { vci } => {
-                v.push(msgtype::TEARDOWN);
-                v.extend_from_slice(&vci.to_be_bytes());
-            }
-            Message::Data { vci, payload } => {
-                v.push(msgtype::DATA);
-                v.extend_from_slice(&vci.to_be_bytes());
-                v.extend_from_slice(payload);
-            }
-        }
-        v
+            Message::Teardown { vci } => (msgtype::TEARDOWN, vci),
+            Message::Data { vci, .. } => (msgtype::DATA, vci),
+        };
+        v[0] = kind;
+        v[1..3].copy_from_slice(&vci.to_be_bytes());
+        let len = Message::header_len(kind);
+        let out = buffer.get_mut(..len).ok_or(Error::Truncated)?;
+        out.copy_from_slice(&v[..len]);
+        Ok(len)
     }
 
-    /// Parse from a byte slice.
-    pub fn parse(buffer: &[u8]) -> Result<Message> {
-        if buffer.len() < 3 {
+    /// Parse a message from its fixed part, `head` (bytes past
+    /// [`Message::header_len`] are ignored), and what follows it, `data`:
+    /// a `Data` message's payload, kept as a window onto `data`'s store.
+    pub fn parse(head: &[u8], data: PacketBuf) -> Result<Message> {
+        let &[kind, v0, v1, ref rest @ ..] = head else {
             return Err(Error::Truncated);
-        }
-        let vci = u16::from_be_bytes([buffer[1], buffer[2]]);
-        match buffer[0] {
-            msgtype::SETUP => {
-                if buffer.len() < 11 {
-                    return Err(Error::Truncated);
-                }
-                Ok(Message::Setup {
-                    vci,
-                    dest: u32::from_be_bytes([buffer[3], buffer[4], buffer[5], buffer[6]]),
-                    reserve: u32::from_be_bytes([buffer[7], buffer[8], buffer[9], buffer[10]]),
-                })
-            }
-            msgtype::ACCEPT => Ok(Message::Accept { vci }),
-            msgtype::REJECT => {
-                if buffer.len() < 4 {
-                    return Err(Error::Truncated);
-                }
-                Ok(Message::Reject {
-                    vci,
-                    reason: buffer[3],
-                })
-            }
-            msgtype::TEARDOWN => Ok(Message::Teardown { vci }),
-            msgtype::DATA => Ok(Message::Data {
+        };
+        let vci = u16::from_be_bytes([v0, v1]);
+        let word = |at: usize| {
+            let bytes = rest.get(at..at + 4).ok_or(Error::Truncated)?;
+            Ok(u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]))
+        };
+        Ok(match kind {
+            msgtype::SETUP => Message::Setup {
                 vci,
-                payload: buffer[3..].to_vec(),
-            }),
-            _ => Err(Error::Malformed),
-        }
+                dest: word(0)?,
+                reserve: word(4)?,
+            },
+            msgtype::ACCEPT => Message::Accept { vci },
+            msgtype::REJECT => Message::Reject {
+                vci,
+                reason: *rest.first().ok_or(Error::Truncated)?,
+            },
+            msgtype::TEARDOWN => Message::Teardown { vci },
+            msgtype::DATA => Message::Data { vci, payload: data },
+            _ => return Err(Error::Malformed),
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The message's bytes, flat: its fixed part, then any payload.
+    pub(super) fn flat(m: &Message) -> Vec<u8> {
+        let mut v = vec![0; MAX_HEADER_LEN];
+        let n = m.emit_header(&mut v).unwrap();
+        v.truncate(n);
+        if let Message::Data { payload, .. } = m {
+            v.extend_from_slice(payload);
+        }
+        v
+    }
+
+    /// Parse flat bytes the way a receiver splits them.
+    pub(super) fn parse(bytes: &[u8]) -> Result<Message> {
+        let n = bytes.first().map_or(0, |&k| Message::header_len(k));
+        let n = n.min(bytes.len());
+        Message::parse(&bytes[..n], PacketBuf::from(&bytes[n..]))
+    }
 
     #[test]
     fn all_messages_roundtrip() {
@@ -164,13 +173,13 @@ mod tests {
             Message::Teardown { vci: 42 },
             Message::Data {
                 vci: 42,
-                payload: b"circuit bytes".to_vec(),
+                payload: PacketBuf::from(b"circuit bytes"),
             },
         ];
-        for m in msgs {
-            let bytes = m.to_bytes();
-            assert_eq!(bytes.len(), m.buffer_len());
-            assert_eq!(Message::parse(&bytes).unwrap(), m);
+        for (m, len) in msgs.into_iter().zip([11, 3, 4, 3, 16]) {
+            let bytes = flat(&m);
+            assert_eq!(bytes.len(), len);
+            assert_eq!(parse(&bytes).unwrap(), m);
         }
     }
 
@@ -178,34 +187,42 @@ mod tests {
     fn data_header_is_three_bytes() {
         let m = Message::Data {
             vci: 1,
-            payload: vec![0; 100],
+            payload: PacketBuf::from(vec![0; 100]),
         };
-        assert_eq!(m.buffer_len() - 100, DATA_HEADER_LEN);
+        assert_eq!(m.emit_header(&mut [0; MAX_HEADER_LEN]), Ok(DATA_HEADER_LEN));
+        assert_eq!(m.emit_header(&mut [0; 2]), Err(Error::Truncated));
+        // The payload is kept as a window, not copied.
+        let data = PacketBuf::from(vec![7; 10]);
+        let Ok(Message::Data { payload, .. }) = Message::parse(&[5, 0, 1], data.clone()) else {
+            panic!("data")
+        };
+        assert!(payload.shares_store_with(&data));
     }
 
     #[test]
     fn junk_rejected() {
-        assert!(Message::parse(&[]).is_err());
-        assert!(Message::parse(&[9, 0, 1]).is_err());
-        assert!(Message::parse(&[msgtype::SETUP, 0, 1]).is_err());
+        assert!(parse(&[]).is_err());
+        assert!(parse(&[9, 0, 1]).is_err());
+        assert!(parse(&[msgtype::SETUP, 0, 1]).is_err());
     }
 }
 
 #[cfg(test)]
 mod proptests {
+    use super::tests::{flat, parse};
     use super::*;
     use proptest::prelude::*;
 
     proptest! {
         #[test]
         fn data_roundtrip(vci in any::<u16>(), payload in proptest::collection::vec(any::<u8>(), 0..512)) {
-            let m = Message::Data { vci, payload };
-            prop_assert_eq!(Message::parse(&m.to_bytes()).unwrap(), m);
+            let m = Message::Data { vci, payload: PacketBuf::from(payload) };
+            prop_assert_eq!(parse(&flat(&m)).unwrap(), m);
         }
 
         #[test]
         fn parse_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
-            let _ = Message::parse(&bytes);
+            let _ = parse(&bytes);
         }
     }
 }

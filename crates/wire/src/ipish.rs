@@ -9,6 +9,7 @@
 //! store-and-forward baseline router pays the same per-packet costs the
 //! paper attributes to IP.
 
+use crate::buf::PacketBuf;
 use crate::{Error, Result};
 
 /// A 32-bit internetwork address, rendered dotted-quad.
@@ -83,7 +84,7 @@ pub fn internet_checksum(data: &[u8]) -> u16 {
 }
 
 /// An owned IP-like header.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Repr {
     /// Type-of-service byte.
     pub tos: u8,
@@ -140,11 +141,6 @@ impl Repr {
         })
     }
 
-    /// Bytes `emit` writes — always [`HEADER_LEN`].
-    pub fn buffer_len(&self) -> usize {
-        HEADER_LEN
-    }
-
     /// Emit, computing the header checksum.
     pub fn emit(&self, buffer: &mut [u8]) -> Result<usize> {
         if buffer.len() < HEADER_LEN {
@@ -171,12 +167,64 @@ impl Repr {
         buffer[10..12].copy_from_slice(&csum.to_be_bytes());
         Ok(HEADER_LEN)
     }
+}
 
-    /// Emit into a fresh vector.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut v = vec![0u8; HEADER_LEN];
-        self.emit(&mut v).expect("sized exactly");
-        v
+/// A datagram as nodes hand it on: the header held by value, the
+/// payload a shared window. A router rewrites its own copy of the header
+/// and passes the payload on untouched, a fragment is a window onto the
+/// same store, and a tunnel puts a header in front of a Sirpent packet
+/// without copying it.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Datagram {
+    header: [u8; HEADER_LEN],
+    /// [`HEADER_LEN`], or fewer for a runt too short to hold a header
+    /// (whose payload is then empty).
+    header_len: u8,
+    /// The bytes behind the header.
+    pub payload: PacketBuf,
+}
+
+impl Datagram {
+    /// `repr`'s header in front of `payload`.
+    pub fn new(repr: &Repr, payload: PacketBuf) -> Datagram {
+        let mut header = [0; HEADER_LEN];
+        let n = repr.emit(&mut header).unwrap_or_default();
+        Datagram::from_parts(&header[..n], payload)
+    }
+
+    /// A datagram received as `header` — its first [`HEADER_LEN`] bytes,
+    /// or all of a runt's — in front of `payload`. Nothing is verified:
+    /// [`Repr::parse`] of [`Self::header`] does that.
+    pub fn from_parts(header: &[u8], payload: PacketBuf) -> Datagram {
+        let mut d = Datagram {
+            payload,
+            ..Datagram::default()
+        };
+        for (to, &from) in d.header.iter_mut().zip(header) {
+            *to = from;
+            d.header_len += 1;
+        }
+        d
+    }
+
+    /// The header bytes.
+    pub fn header(&self) -> &[u8] {
+        &self.header[..usize::from(self.header_len)]
+    }
+
+    /// The header bytes, for a router's in-place rewrite.
+    pub fn header_mut(&mut self) -> &mut [u8] {
+        &mut self.header[..usize::from(self.header_len)]
+    }
+
+    /// Header and payload bytes.
+    pub fn len(&self) -> usize {
+        usize::from(self.header_len) + self.payload.len()
+    }
+
+    /// Whether the datagram has no bytes at all.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 }
 
@@ -198,54 +246,68 @@ pub fn decrement_ttl(buffer: &mut [u8]) -> Result<bool> {
     Ok(true)
 }
 
-/// Fragment an IP-like datagram (header + payload in `packet`) to fit
-/// `mtu`. Returns the fragments, each a complete datagram. Errors with
-/// [`Error::Malformed`] when `dont_frag` is set and fragmentation is
-/// needed — the caller then drops the packet.
-pub fn fragment(packet: &[u8], mtu: usize) -> Result<Vec<Vec<u8>>> {
+/// The largest fragment offset, in 8-byte units: the field has 13 bits.
+const MAX_FRAG_OFFSET: usize = 0x1FFF;
+
+/// Cut `datagram` into pieces of at most `mtu` bytes each, in offset
+/// order. A datagram that fits is its own one piece, header untouched;
+/// otherwise each fragment is a fresh header in front of a window onto
+/// the same payload store. Errors with [`Error::Malformed`] when
+/// `dont_frag` is set and fragmentation is needed, or when a fragment's
+/// offset would not fit its 13-bit field — the caller then drops the
+/// packet.
+pub fn fragment(datagram: Datagram, mtu: usize) -> Result<impl Iterator<Item = Datagram>> {
     // A zero fragment budget can never carry anything — reject before
     // the fits-fast-path so an empty packet cannot sneak through as a
     // zero-byte "fragment" (the misconfigured-MTU failure mode).
     if mtu == 0 {
         return Err(Error::Malformed);
     }
-    if packet.len() <= mtu {
-        return Ok(vec![packet.to_vec()]);
+    // The next fragment's header and the payload bytes each carries;
+    // `None` when the datagram goes whole.
+    let mut split = None;
+    if datagram.len() > mtu {
+        let repr = Repr::parse(datagram.header())?;
+        if repr.dont_frag || mtu < HEADER_LEN + 8 {
+            return Err(Error::Malformed);
+        }
+        // Fragment payload size must be a multiple of 8 except for the last.
+        let chunk = ((mtu - HEADER_LEN) / 8) * 8;
+        let last_offset = datagram.payload.len().saturating_sub(1) / chunk * chunk / 8;
+        if usize::from(repr.frag_offset) + last_offset > MAX_FRAG_OFFSET {
+            return Err(Error::Malformed);
+        }
+        split = Some((repr, chunk));
     }
-    let repr = Repr::parse(packet)?;
-    if repr.dont_frag {
-        return Err(Error::Malformed);
-    }
-    if mtu < HEADER_LEN + 8 {
-        return Err(Error::Malformed);
-    }
-    let payload = &packet[HEADER_LEN..];
-    // Fragment payload size must be a multiple of 8 except for the last.
-    let chunk = ((mtu - HEADER_LEN) / 8) * 8;
-    let mut frags = Vec::new();
-    let mut off = 0usize;
-    while off < payload.len() {
-        let take = chunk.min(payload.len() - off);
-        let last = off + take >= payload.len();
-        let fr = Repr {
+    let mut rest = Some(datagram);
+    Ok(std::iter::from_fn(move || {
+        let mut whole = rest.take()?;
+        let Some((repr, chunk)) = split.as_mut() else {
+            return Some(whole);
+        };
+        let take = whole.payload.len().min(*chunk);
+        let last = take == whole.payload.len();
+        let mut piece = whole.payload.clone();
+        piece.truncate(take);
+        let header = Repr {
             total_len: (HEADER_LEN + take) as u16,
             more_frags: !last || repr.more_frags,
-            frag_offset: repr.frag_offset + (off / 8) as u16,
-            ..repr
+            ..*repr
         };
-        let mut buf = fr.to_bytes();
-        buf.extend_from_slice(&payload[off..off + take]);
-        frags.push(buf);
-        off += take;
-    }
-    Ok(frags)
+        if !last {
+            repr.frag_offset += (take / 8) as u16;
+            whole.payload.advance(take);
+            rest = Some(whole);
+        }
+        Some(Datagram::new(&header, piece))
+    }))
 }
 
 /// Reassembly buffer for one datagram (keyed by src/dst/ident/protocol by
 /// the caller). Exhibits the "all-or-nothing behavior of IP in the
 /// reassembly of packets" the paper criticizes (§4.3): the datagram is
 /// useless until every fragment has arrived.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Reassembly {
     repr: Repr,
     data: Vec<u8>,
@@ -256,34 +318,20 @@ pub struct Reassembly {
 impl Reassembly {
     /// Create an empty reassembly context.
     pub fn new() -> Reassembly {
-        Reassembly {
-            repr: Repr {
-                tos: 0,
-                total_len: 0,
-                ident: 0,
-                dont_frag: false,
-                more_frags: false,
-                frag_offset: 0,
-                ttl: 0,
-                protocol: 0,
-                src: Address(0),
-                dst: Address(0),
-            },
-            data: Vec::new(),
-            have: Vec::new(),
-            total: None,
-        }
+        Reassembly::default()
     }
 
-    /// Feed one fragment. Returns the reassembled datagram when complete.
-    pub fn push(&mut self, fragment: &[u8]) -> Result<Option<Vec<u8>>> {
-        let repr = Repr::parse(fragment)?;
+    /// Feed one fragment. Returns the reassembled datagram when complete;
+    /// errors with [`Error::DatagramTooLong`] when the fragments cover
+    /// more than one datagram's `total_len` can state.
+    pub fn push(&mut self, fragment: &Datagram) -> Result<Option<Datagram>> {
+        let repr = Repr::parse(fragment.header())?;
         let end = repr.total_len as usize;
         if end < HEADER_LEN || end > fragment.len() {
             // A wrapped or forged total_len must never index the buffer.
             return Err(Error::Truncated);
         }
-        let payload = &fragment[HEADER_LEN..end];
+        let payload = &fragment.payload[..end - HEADER_LEN];
         let start = repr.frag_offset as usize * 8;
         let end = start + payload.len();
         if self.data.len() < end {
@@ -307,23 +355,18 @@ impl Reassembly {
             }
             if covered.iter().all(|&c| c) {
                 let hdr = Repr {
-                    total_len: (HEADER_LEN + total) as u16,
+                    total_len: checked_total_len(total)?,
                     more_frags: false,
                     frag_offset: 0,
                     ..self.repr
                 };
-                let mut out = hdr.to_bytes();
-                out.extend_from_slice(&self.data[..total]);
-                return Ok(Some(out));
+                return Ok(Some(Datagram::new(
+                    &hdr,
+                    PacketBuf::from(&self.data[..total]),
+                )));
             }
         }
         Ok(None)
-    }
-}
-
-impl Default for Reassembly {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -346,12 +389,25 @@ mod tests {
         }
     }
 
+    /// `r`'s header in front of `payload`, with `total_len` set to match.
+    fn datagram(r: Repr, payload: &[u8]) -> Datagram {
+        let r = Repr {
+            total_len: (HEADER_LEN + payload.len()) as u16,
+            ..r
+        };
+        Datagram::new(&r, PacketBuf::from(payload))
+    }
+
     #[test]
     fn header_roundtrip_with_checksum() {
         let r = header();
-        let bytes = r.to_bytes();
-        assert_eq!(internet_checksum(&bytes), 0, "checksum over header is 0");
-        assert_eq!(Repr::parse(&bytes).unwrap(), r);
+        let d = Datagram::new(&r, PacketBuf::new());
+        assert_eq!(
+            internet_checksum(d.header()),
+            0,
+            "checksum over header is 0"
+        );
+        assert_eq!(Repr::parse(d.header()).unwrap(), r);
     }
 
     #[test]
@@ -359,69 +415,69 @@ mod tests {
         // IP's behaviour: corruption is detected at the next router and
         // the packet dropped — contrast with Sirpent's checksum-free
         // header (E12).
-        let r = header();
-        let bytes = r.to_bytes();
-        for i in 0..bytes.len() {
-            let mut c = bytes.clone();
-            c[i] ^= 0x40;
-            assert!(Repr::parse(&c).is_err(), "flip at byte {i} must fail");
+        let d = Datagram::new(&header(), PacketBuf::new());
+        for i in 0..HEADER_LEN {
+            let mut c = d.clone();
+            c.header_mut()[i] ^= 0x40;
+            assert!(
+                Repr::parse(c.header()).is_err(),
+                "flip at byte {i} must fail"
+            );
         }
     }
 
     #[test]
     fn ttl_decrement_preserves_checksum() {
-        let r = header();
-        let mut bytes = r.to_bytes();
+        let mut d = Datagram::new(&header(), PacketBuf::new());
         for expect in (1..DEFAULT_TTL).rev() {
-            assert!(decrement_ttl(&mut bytes).unwrap());
-            let back = Repr::parse(&bytes).expect("checksum still valid");
+            assert!(decrement_ttl(d.header_mut()).unwrap());
+            let back = Repr::parse(d.header()).expect("checksum still valid");
             assert_eq!(back.ttl, expect);
         }
         // Expired: refuse to forward.
-        assert!(!decrement_ttl(&mut bytes).unwrap());
+        assert!(!decrement_ttl(d.header_mut()).unwrap());
     }
 
     #[test]
     fn fragmentation_roundtrip() {
         let payload: Vec<u8> = (0..997u32).map(|i| i as u8).collect();
-        let mut pkt = Repr {
-            total_len: (HEADER_LEN + payload.len()) as u16,
-            ..header()
-        }
-        .to_bytes();
-        pkt.extend_from_slice(&payload);
+        let pkt = datagram(header(), &payload);
 
-        let frags = fragment(&pkt, 256).unwrap();
+        let frags: Vec<Datagram> = fragment(pkt.clone(), 256).unwrap().collect();
         assert!(frags.len() > 1);
         for f in &frags {
             assert!(f.len() <= 256);
+            // Every fragment is a window onto the datagram's payload.
+            assert!(f.payload.shares_store_with(&pkt.payload));
         }
 
         let mut re = Reassembly::new();
         let mut done = None;
         // Deliver out of order to exercise hole tracking.
-        let mut order: Vec<usize> = (0..frags.len()).collect();
-        order.reverse();
-        for i in order {
-            if let Some(d) = re.push(&frags[i]).unwrap() {
+        for f in frags.iter().rev() {
+            if let Some(d) = re.push(f).unwrap() {
                 done = Some(d);
             }
         }
         let done = done.expect("reassembly completes");
-        assert_eq!(&done[HEADER_LEN..], &payload[..]);
+        assert_eq!(done.payload.as_slice(), &payload[..]);
+    }
+
+    #[test]
+    fn a_datagram_that_fits_goes_whole() {
+        let mut pkt = datagram(header(), &[3; 100]);
+        pkt.header_mut()[6] |= 0x80; // the reserved flag, which a re-emit would clear
+        let pieces: Vec<Datagram> = fragment(pkt.clone(), 120).unwrap().collect();
+        assert_eq!(pieces, [pkt.clone()]);
+        assert!(pieces[0].payload.shares_store_with(&pkt.payload));
     }
 
     #[test]
     fn all_or_nothing_reassembly() {
         // Missing one fragment ⇒ nothing is delivered (§4.3 criticism).
-        let payload = vec![7u8; 600];
-        let mut pkt = Repr {
-            total_len: (HEADER_LEN + payload.len()) as u16,
-            ..header()
-        }
-        .to_bytes();
-        pkt.extend_from_slice(&payload);
-        let frags = fragment(&pkt, 256).unwrap();
+        let frags: Vec<Datagram> = fragment(datagram(header(), &[7; 600]), 256)
+            .unwrap()
+            .collect();
         assert!(frags.len() >= 3);
         let mut re = Reassembly::new();
         for (i, f) in frags.iter().enumerate() {
@@ -434,15 +490,66 @@ mod tests {
 
     #[test]
     fn dont_frag_blocks_fragmentation() {
-        let payload = vec![1u8; 600];
-        let mut pkt = Repr {
-            total_len: (HEADER_LEN + payload.len()) as u16,
+        let r = Repr {
             dont_frag: true,
             ..header()
-        }
-        .to_bytes();
-        pkt.extend_from_slice(&payload);
-        assert!(fragment(&pkt, 256).is_err());
+        };
+        assert!(fragment(datagram(r, &[1; 600]), 256).is_err());
+    }
+
+    /// A fragment that arrives with a high offset may not be cut into
+    /// pieces whose offsets run past the 13-bit field: they would wrap to
+    /// near 0 and overwrite the datagram's front at reassembly.
+    #[test]
+    fn fragment_offsets_never_wrap() {
+        let high = |frag_offset| Repr {
+            frag_offset,
+            more_frags: true,
+            ..header()
+        };
+        assert!(matches!(
+            fragment(datagram(high(8150), &[9; 1400]), 600),
+            Err(Error::Malformed)
+        ));
+        // The last piece of 1 400 B at a 600 B MTU starts 2 × 576 B in:
+        // offset 8 191 − 144 is the highest that still fits.
+        let pieces: Vec<Datagram> = fragment(datagram(high(8047), &[9; 1400]), 600)
+            .unwrap()
+            .collect();
+        let offsets: Vec<u16> = pieces
+            .iter()
+            .map(|p| Repr::parse(p.header()).unwrap().frag_offset)
+            .collect();
+        assert_eq!(offsets, [8047, 8119, 8191]);
+        assert!(fragment(datagram(high(8048), &[9; 1400]), 600).is_err());
+    }
+
+    /// Fragments that cover more than a datagram's 16-bit `total_len`
+    /// can state are refused, not reassembled under a wrapped length.
+    #[test]
+    fn reassembly_refuses_a_length_past_the_total_len_field() {
+        let piece = |frag_offset, len, more_frags| {
+            datagram(
+                Repr {
+                    frag_offset,
+                    more_frags,
+                    ..header()
+                },
+                &vec![5; len],
+            )
+        };
+        let mut re = Reassembly::new();
+        assert_eq!(re.push(&piece(0, 65_512, true)), Ok(None));
+        assert_eq!(re.push(&piece(8_189, 16, true)), Ok(None));
+        assert_eq!(
+            re.push(&piece(8_191, 8, false)),
+            Err(Error::DatagramTooLong)
+        );
+        // The largest datagram still reassembles.
+        let mut re = Reassembly::new();
+        assert_eq!(re.push(&piece(0, 65_512, true)), Ok(None));
+        let done = re.push(&piece(8_189, 3, false)).unwrap().expect("complete");
+        assert_eq!(done.len(), usize::from(u16::MAX));
     }
 
     #[test]
@@ -461,38 +568,30 @@ mod tests {
     fn zero_mtu_is_rejected() {
         // Even an empty packet must not escape through the fits-fast-path
         // as a zero-byte "fragment".
-        assert!(fragment(&[], 0).is_err());
-        let pkt = header().to_bytes();
-        assert!(fragment(&pkt, 0).is_err());
+        assert!(fragment(Datagram::default(), 0).is_err());
+        assert!(fragment(datagram(header(), &[]), 0).is_err());
         // A budget below header + 8 is equally unusable once the packet
         // actually needs splitting.
-        let mut big = Repr {
-            total_len: (HEADER_LEN + 64) as u16,
-            ..header()
-        }
-        .to_bytes();
-        big.extend_from_slice(&[0u8; 64]);
-        assert!(fragment(&big, HEADER_LEN + 7).is_err());
+        assert!(fragment(datagram(header(), &[0; 64]), HEADER_LEN + 7).is_err());
     }
 
     #[test]
     fn reassembly_rejects_forged_total_len() {
         // A total_len pointing past the buffer (or inside the header)
         // must error instead of indexing out of bounds.
-        let mut short = Repr {
+        let long = Repr {
             total_len: (HEADER_LEN + 64) as u16,
             ..header()
-        }
-        .to_bytes();
-        short.extend_from_slice(&[0u8; 8]); // 56 bytes missing
+        };
+        let short = Datagram::new(&long, PacketBuf::from(&[0u8; 8])); // 56 bytes missing
         let mut re = Reassembly::new();
         assert_eq!(re.push(&short), Err(Error::Truncated));
 
         let tiny = Repr {
             total_len: (HEADER_LEN - 1) as u16,
             ..header()
-        }
-        .to_bytes();
+        };
+        let tiny = Datagram::new(&tiny, PacketBuf::new());
         assert_eq!(Reassembly::new().push(&tiny), Err(Error::Truncated));
     }
 
@@ -531,7 +630,7 @@ mod proptests {
         ) {
             let payload: Vec<u8> =
                 (0..len).map(|i| (i as u64 ^ seed) as u8).collect();
-            let mut pkt = Repr {
+            let repr = Repr {
                 tos: 0,
                 total_len: (HEADER_LEN + payload.len()) as u16,
                 ident: seed as u16,
@@ -542,20 +641,18 @@ mod proptests {
                 protocol: 6,
                 src: Address(seed as u32),
                 dst: Address((seed >> 32) as u32),
-            }
-            .to_bytes();
-            pkt.extend_from_slice(&payload);
-            let frags = fragment(&pkt, mtu).unwrap();
+            };
+            let pkt = Datagram::new(&repr, PacketBuf::from(&payload[..]));
             let mut re = Reassembly::new();
             let mut out = None;
-            for f in &frags {
+            for f in fragment(pkt, mtu).unwrap() {
                 prop_assert!(f.len() <= mtu.max(HEADER_LEN + 8));
-                if let Some(d) = re.push(f).unwrap() {
+                if let Some(d) = re.push(&f).unwrap() {
                     out = Some(d);
                 }
             }
             let out = out.expect("complete");
-            prop_assert_eq!(&out[HEADER_LEN..], &payload[..]);
+            prop_assert_eq!(out.payload.as_slice(), &payload[..]);
         }
 
         #[test]

@@ -41,7 +41,10 @@
 //! segment is read by one function, [`viper::decode`], into plain data —
 //! port, flags, priority, branch, and the byte ranges of its variable
 //! fields — which [`buf::SegmentView`] keeps against the shared packet
-//! store, and [`vmtp::Packet`] borrows its payload. Parsing never panics
+//! store, and [`vmtp::Packet`] borrows its payload. A body that travels
+//! on is a [`buf::PacketBuf`] window, never a copy: a
+//! [`cvc::Message::Data`] payload, and an [`ipish::Datagram`]'s payload
+//! beside the header it holds by value. Parsing never panics
 //! on hostile input: every read that could run off the end of the buffer
 //! is a checked one returning [`Error`].
 //!

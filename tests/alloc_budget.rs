@@ -8,7 +8,9 @@
 //! a change that adds an allocation or a byte per transaction fails it,
 //! and one that removes some lowers the pins. A router's forward
 //! allocates nothing: the link header is held inline by the frame and
-//! the return hop is written straight into the trailer.
+//! the return hop is written straight into the trailer. Nor does a
+//! crossing of an IP cloud (§2.3): the tunnel's IP header rides in the
+//! link header, and the IP router rewrites its own copy of it.
 //!
 //! This file is the one place in the repository with `unsafe`: a
 //! counting `#[global_allocator]` that forwards to `System`. The counter
@@ -20,12 +22,15 @@ use std::cell::Cell;
 
 use sirpent::directory::{TeQuery, TokenIssue};
 use sirpent::host::{HostPortKind, SirpentHost};
-use sirpent::router::viper::{AuthConfig, ViperConfig};
-use sirpent::sim::{SimDuration, SimTime};
+use sirpent::router::ip::{IpConfig, IpRouter, RouteEntry};
+use sirpent::router::viper::{AuthConfig, PortConfig, PortKind, ViperConfig};
+use sirpent::router::PortBinding;
+use sirpent::sim::{NodeId, SimDuration, SimTime, Simulator};
 use sirpent::token::{AuthPolicy, TokenMinter};
-use sirpent::wire::viper::Priority;
+use sirpent::wire::ipish::Address;
+use sirpent::wire::viper::{Flags, Priority, SegmentRepr, PORT_LOCAL};
 use sirpent::wire::vmtp::EntityId;
-use sirpent::Net;
+use sirpent::{CompiledRoute, Net};
 
 thread_local! {
     /// (allocations, bytes requested) on this thread.
@@ -89,8 +94,7 @@ const SPACING_NS: u64 = 2_000_000;
 
 /// Run request→response exchanges of `payload` bytes each way over a
 /// 2-host / 4-router chain, with 32-byte tokens checked at every hop
-/// when `tokens`. Returns (allocations, bytes allocated) per transaction
-/// over the [`TRANSACTIONS`] that follow the warm-up.
+/// when `tokens`. Returns [`measure`]'s figures.
 fn heap_per_transaction(payload: usize, tokens: bool) -> (u64, u64) {
     let minter = TokenMinter::new(0x0A11_0C8E, 19);
     let mut net = Net::new(19);
@@ -126,9 +130,99 @@ fn heap_per_transaction(payload: usize, tokens: bool) -> (u64, u64) {
         .routes(&mut dir, a, b, &TeQuery::default(), 7)
         .remove(0)
         .0;
-    let mut sim = net.into_sim();
     assert!(!tokens || route.segments[0].port_token.len() == 32);
+    measure(net.into_sim(), [a, b], route, payload)
+}
 
+/// The port value, at routers 2 and 3, of the tunnel between them.
+const TUNNEL: u8 = 100;
+
+/// [`heap_per_transaction`] without tokens, with the link between
+/// routers 2 and 3 replaced by a tunnel through one `IpRouter`: every
+/// request and reply crosses the cloud as one logical hop.
+fn heap_across_a_cloud(payload: usize) -> (u64, u64) {
+    let (ip2, ip3) = (Address(0x0A00_0201), Address(0x0A00_0301));
+    let mut net = Net::new(19);
+    let a = net.host(0xA, vec![(0, HostPortKind::PointToPoint)]);
+    let b = net.host(0xB, vec![(0, HostPortKind::PointToPoint)]);
+    let routers = [1, 2, 3, 4].map(|id| {
+        let mut cfg = ViperConfig::basic(id, &[1, 2]);
+        let (via, local, remote) = match id {
+            2 => (2, ip2, ip3),
+            3 => (1, ip3, ip2),
+            _ => return net.viper(cfg),
+        };
+        let tunnel = PortBinding::Tunnel { via, local, remote };
+        cfg.logical.bind(TUNNEL, tunnel);
+        net.viper(cfg)
+    });
+    let port = |port| PortConfig {
+        port,
+        kind: PortKind::PointToPoint,
+        mtu: 1600,
+    };
+    let route = |dst, out_port| RouteEntry {
+        prefix: dst,
+        prefix_len: 32,
+        out_port,
+        next_hop_mac: None,
+    };
+    let cloud = net.sim.add_node(Box::new(
+        IpRouter::new(IpConfig {
+            process_delay: SimDuration::from_micros(2),
+            ports: vec![port(1), port(2)],
+            routes: vec![route(ip2, 1), route(ip3, 2)],
+            queue_capacity: 64,
+        })
+        .expect("ip config"),
+    ));
+    let [r1, r2, r3, r4] = routers;
+    for (from, to) in [((a, 0), (r1, 1)), ((r1, 2), (r2, 1))] {
+        net.p2p(from.0, from.1, to.0, to.1, RATE, PROP);
+    }
+    for (from, to) in [((r2, 2), (cloud, 1)), ((cloud, 2), (r3, 1))] {
+        net.p2p(from.0, from.1, to.0, to.1, RATE, PROP);
+    }
+    for (from, to) in [((r3, 2), (r4, 1)), ((r4, 2), (b, 0))] {
+        net.p2p(from.0, from.1, to.0, to.1, RATE, PROP);
+    }
+    // Out port 2 at every router but router 2, which sends into the
+    // tunnel; router 3 hears the tunnel on its port 1.
+    let hop = |port| SegmentRepr {
+        port,
+        flags: Flags {
+            vnt: true,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let route = CompiledRoute {
+        host_port: 0,
+        first_eth: None,
+        segments: vec![
+            hop(2),
+            hop(TUNNEL),
+            hop(2),
+            hop(2),
+            SegmentRepr::minimal(PORT_LOCAL),
+        ],
+        recovery: vec![],
+        path_mtu: 1564,
+        base_rtt: SimDuration::from_millis(1),
+        router_ids: vec![],
+    };
+    measure(net.into_sim(), [a, b], route, payload)
+}
+
+/// Run `payload`-byte request→response exchanges from host `a` to host
+/// `b` over `route`. Returns (allocations, bytes allocated) per
+/// transaction over the [`TRANSACTIONS`] that follow the warm-up.
+fn measure(
+    mut sim: Simulator,
+    [a, b]: [NodeId; 2],
+    route: CompiledRoute,
+    payload: usize,
+) -> (u64, u64) {
     sim.node_mut::<SirpentHost>(a)
         .install_routes(EntityId(0xB), vec![route]);
     sim.node_mut::<SirpentHost>(b).auto_respond = Some(vec![0xA5; payload]);
@@ -200,4 +294,27 @@ fn full_size_transactions_with_tokens_stay_in_budget() {
         bytes: 7_019,
     };
     budget.hold("900 B, 32 B tokens", heap_per_transaction(900, true));
+}
+
+/// The same transactions with the middle link replaced by a tunnel
+/// across an `IpRouter`: crossing the cloud allocates nothing, so each
+/// size costs no more than it does on the chain without the cloud.
+#[test]
+fn transactions_across_an_ip_cloud_stay_in_budget() {
+    let small = Budget {
+        allocations: 19,
+        bytes: 2_152,
+    };
+    let large = Budget {
+        allocations: 19,
+        bytes: 5_478,
+    };
+    for (payload, budget) in [(64, small), (900, large)] {
+        let (allocations, bytes) = heap_per_transaction(payload, false);
+        assert!(budget.allocations <= allocations && budget.bytes <= bytes);
+        budget.hold(
+            &format!("{payload} B across an IP cloud"),
+            heap_across_a_cloud(payload),
+        );
+    }
 }

@@ -135,8 +135,8 @@ fn viper_packet(token: Vec<u8>, priority: u8, dib: bool, payload: Vec<u8>) -> Ve
         .unwrap()
 }
 
-fn ip_datagram(src: Address, dst: Address, payload: usize, ttl: u8) -> Vec<u8> {
-    let mut d = ipish::Repr {
+fn ip_datagram(src: Address, dst: Address, payload: usize, ttl: u8) -> ipish::Datagram {
+    let repr = ipish::Repr {
         tos: 0,
         total_len: (ipish::HEADER_LEN + payload) as u16,
         ident: 7,
@@ -147,10 +147,8 @@ fn ip_datagram(src: Address, dst: Address, payload: usize, ttl: u8) -> Vec<u8> {
         protocol: 17,
         src,
         dst,
-    }
-    .to_bytes();
-    d.extend(vec![0xAB; payload]);
-    d
+    };
+    ipish::Datagram::new(&repr, vec![0xAB; payload].into())
 }
 
 /// Build the mixed topology and script every workload.
@@ -332,7 +330,7 @@ fn build(seed: u64) -> Topology {
         );
         // Corrupted header: checksum drop.
         let mut bad = ip_datagram(src, dst, 40, 9);
-        bad[16] ^= 0x55;
+        bad.header_mut()[16] ^= 0x55;
         h.plan(
             SimTime(4_000_000),
             0,
@@ -372,11 +370,7 @@ fn build(seed: u64) -> Topology {
     {
         let h = sim.node_mut::<ScriptedHost>(he);
         let plan_cvc = |h: &mut ScriptedHost, at: u64, m: Message| {
-            h.plan(
-                SimTime(at),
-                0,
-                LinkFrame::Cvc(m.to_bytes()).into_p2p_frame(),
-            );
+            h.plan(SimTime(at), 0, LinkFrame::Cvc(Ok(m)).into_p2p_frame());
         };
         plan_cvc(
             h,
@@ -393,7 +387,7 @@ fn build(seed: u64) -> Topology {
                 5_000_000 + i * 100_000,
                 Message::Data {
                     vci: 9,
-                    payload: vec![0xC0; 48],
+                    payload: vec![0xC0; 48].into(),
                 },
             );
         }

@@ -17,7 +17,9 @@ use sirpent::sim::{
 };
 use sirpent::telemetry::names;
 use sirpent::token::{AuthPolicy, Grant, TokenMinter};
-use sirpent::wire::ipish::{self, Address, IPPROTO_SIRPENT};
+use sirpent::wire::buf::PacketBuf;
+use sirpent::wire::ethernet;
+use sirpent::wire::ipish::{self, Address, Datagram, IPPROTO_SIRPENT};
 use sirpent::wire::packet::PacketBuilder;
 use sirpent::wire::trailer::Trailer;
 use sirpent::wire::viper::{Flags, Priority, SegmentRepr, PORT_LOCAL};
@@ -77,14 +79,27 @@ fn token(minter: &mut TokenMinter, router_id: u32, port: u8) -> Vec<u8> {
         .to_vec()
 }
 
+/// The station of node `i` on the cloud's Ethernets.
+fn station(i: u32) -> ethernet::Address {
+    ethernet::Address::from_index(i)
+}
+
 /// host A — GW1 — [IP router] — GW2 — host B, with A's route to B
 /// installed and B echoing. With `auth`, both gateways check tokens
 /// under its minter, and A's route carries its two tokens (GW1's, GW2's).
+/// With `ethernet`, the two links of the cloud are Ethernets (stations
+/// 1 and 2 the gateways', 11 and 12 the IP router's), so A's route names
+/// the IP router's station for the hop into the tunnel.
 /// Returns the simulator and `[a, b, gw1, gw2, cloud]`.
 fn across_the_cloud(
     seed: u64,
     auth: Option<(&TokenMinter, [Vec<u8>; 2])>,
+    ethernet: bool,
 ) -> (Simulator, [NodeId; 5]) {
+    let kind = |i| match ethernet {
+        true => PortKind::Ethernet { mac: station(i) },
+        false => PortKind::PointToPoint,
+    };
     let mut net = Net::new(seed);
     let a = net.host(0xA, vec![(0, HostPortKind::PointToPoint)]);
     let b = net.host(0xB, vec![(0, HostPortKind::PointToPoint)]);
@@ -98,6 +113,8 @@ fn across_the_cloud(
         }
         None => Default::default(),
     };
+    cfg1.ports[1].kind = kind(1);
+    cfg2.ports[1].kind = kind(2);
     let gw1 = net.viper(cfg1);
     let gw2 = net.viper(cfg2);
     // One IP router in the middle of the cloud.
@@ -107,12 +124,12 @@ fn across_the_cloud(
             ports: vec![
                 PortConfig {
                     port: 1,
-                    kind: PortKind::PointToPoint,
+                    kind: kind(11),
                     mtu: 1600,
                 },
                 PortConfig {
                     port: 2,
-                    kind: PortKind::PointToPoint,
+                    kind: kind(12),
                     mtu: 1600,
                 },
             ],
@@ -121,13 +138,13 @@ fn across_the_cloud(
                     prefix: GW2_IP,
                     prefix_len: 24,
                     out_port: 2,
-                    next_hop_mac: None,
+                    next_hop_mac: ethernet.then(|| station(2)),
                 },
                 RouteEntry {
                     prefix: GW1_IP,
                     prefix_len: 24,
                     out_port: 1,
-                    next_hop_mac: None,
+                    next_hop_mac: ethernet.then(|| station(1)),
                 },
             ],
             queue_capacity: 64,
@@ -148,10 +165,19 @@ fn across_the_cloud(
             SegmentRepr {
                 port: TUNNEL,
                 flags: Flags {
-                    vnt: true,
+                    vnt: !ethernet,
                     ..Default::default()
                 },
                 port_token: token1,
+                port_info: match ethernet {
+                    true => ethernet::Repr {
+                        dst: station(11),
+                        src: station(1),
+                        ethertype: ethernet::EtherType::Ipish,
+                    }
+                    .to_bytes(),
+                    false => vec![],
+                },
                 ..Default::default()
             },
             SegmentRepr {
@@ -182,7 +208,19 @@ fn across_the_cloud(
 
 #[test]
 fn sirpent_crosses_ip_cloud_and_reply_returns() {
-    let (mut sim, [a, b, gw1, gw2, cloud]) = across_the_cloud(55, None);
+    crosses_and_returns(55, false);
+}
+
+/// As above, over Ethernets: the request's `portInfo` names the IP
+/// router's station for the way in, and the arrival's reversed Ethernet
+/// header, recorded in the trailer, names it for the reply.
+#[test]
+fn sirpent_crosses_an_ethernet_cloud_and_reply_returns() {
+    crosses_and_returns(63, true);
+}
+
+fn crosses_and_returns(seed: u64, ethernet: bool) {
+    let (mut sim, [a, b, gw1, gw2, cloud]) = across_the_cloud(seed, None, ethernet);
     sim.node_mut::<SirpentHost>(a).queue_request(
         SimTime::ZERO,
         EntityId(0xB),
@@ -221,7 +259,7 @@ fn sirpent_crosses_ip_cloud_and_reply_returns() {
 /// complete.
 #[test]
 fn gateway_forwards_again_after_a_crash_mid_transmission() {
-    let (mut sim, [a, _, gw1, ..]) = across_the_cloud(57, None);
+    let (mut sim, [a, _, gw1, ..]) = across_the_cloud(57, None, false);
     // The request reaches GW1 at ≈ 80 µs and, after the 30 µs processing
     // delay, takes ≈ 80 µs more to clock out toward the cloud.
     let crash = |at, action| ChaosEvent {
@@ -265,7 +303,8 @@ fn tokens_are_checked_at_the_tunnel_entry() {
     let mut forged = tokens.clone();
     forged[0][5] ^= 0x40;
     for (tokens, honest) in [(tokens, true), (forged, false)] {
-        let (mut sim, [a, b, gw1, gw2, cloud]) = across_the_cloud(60, Some((&minter, tokens)));
+        let (mut sim, [a, b, gw1, gw2, cloud]) =
+            across_the_cloud(60, Some((&minter, tokens)), false);
         sim.node_mut::<SirpentHost>(a).queue_request(
             SimTime::ZERO,
             EntityId(0xB),
@@ -308,10 +347,8 @@ fn header(ident: u16, protocol: u8, dst: Address) -> ipish::Repr {
 }
 
 /// The datagram under `hdr`, with a 4-byte body.
-fn datagram(hdr: ipish::Repr) -> Vec<u8> {
-    let mut d = hdr.to_bytes();
-    d.extend_from_slice(&[1, 2, 3, 4]);
-    d
+fn datagram(hdr: ipish::Repr) -> Datagram {
+    Datagram::new(&hdr, PacketBuf::from(&[1, 2, 3, 4]))
 }
 
 /// A scripted outsider on GW1's cloud-facing port. Returns the
@@ -485,13 +522,13 @@ fn an_oversize_packet_never_wraps_the_datagram_length() {
             panic!("the tunnel sends datagrams");
         };
         assert_eq!(d.len() + LinkFrame::TAG_LEN, cloud_mtu);
-        let hdr = ipish::Repr::parse(d).expect("datagram");
+        let hdr = ipish::Repr::parse(d.header()).expect("datagram");
         assert_eq!(usize::from(hdr.total_len), d.len());
         assert_eq!(
             (hdr.protocol, hdr.ttl, hdr.src, hdr.dst),
             (IPPROTO_SIRPENT, ipish::DEFAULT_TTL, GW1_IP, GW2_IP)
         );
-        let inner = &d[ipish::HEADER_LEN..];
+        let inner = &d.payload;
         let marked = Trailer::parse(inner).expect("trailer").truncated;
         assert!(marked.is_some(), "the far side can detect the truncation");
     }
@@ -517,12 +554,11 @@ fn a_broadcast_through_the_tunnel_stays_off_the_cloud() {
         .payload(vec![0xBC; 64])
         .build()
         .expect("packet");
-    let mut d = ipish::Repr {
+    let hdr = ipish::Repr {
         total_len: ipish::checked_total_len(packet.len()).expect("one datagram"),
         ..header(1, IPPROTO_SIRPENT, GW1_IP)
-    }
-    .to_bytes();
-    d.extend_from_slice(&packet);
+    };
+    let d = Datagram::new(&hdr, packet.into());
     sim.node_mut::<ScriptedHost>(cloud).plan(
         SimTime::ZERO,
         0,
