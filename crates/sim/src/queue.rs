@@ -15,10 +15,21 @@
 //! whole spans `SLOTS × 2^SLOT_SHIFT` ns from the current drain position
 //! (`cur_abs`, an absolute bucket index). Items beyond that horizon go
 //! to a sorted **overflow** level (a binary heap — the "far-future
-//! timer" fallback). Buckets are unsorted append-only vectors until the
-//! drain reaches them, at which point they are sorted once (descending,
-//! so `pop` is an O(1) tail removal); bucket vectors are reused across
-//! rotations, so a warm wheel allocates nothing on the hot path.
+//! timer" fallback).
+//!
+//! ## Storage
+//!
+//! Every queued item lives once in one `Vec` **store**, found by a `u32`
+//! index; a vacated cell goes on a **free list** and the next push takes
+//! it (LIFO), so a warm queue allocates nothing and works in a small,
+//! hot region. Each bucket is a singly linked **list** threaded through
+//! the store, with one head index per slot, and the overflow level is a
+//! heap of `(key, index)`. When the drain reaches a bucket — or a peek
+//! finds the minimum there — its list moves once into the one sorted
+//! **run** of `(key, index)` pairs (descending, so `pop` is an O(1) tail
+//! removal), tagged with the bucket's absolute index; a later push into
+//! that bucket is a binary insert. So what the queue keeps is bounded by
+//! the most items queued at once, not by each slot's busiest moment.
 //!
 //! ## The caller contract
 //!
@@ -149,35 +160,38 @@ pub const SLOTS: usize = 512;
 const SLOT_MASK: u64 = SLOTS as u64 - 1;
 const WORDS: usize = SLOTS / 64;
 
-/// One wheel bucket. `sorted` means `items` is in *descending* key
-/// order, so the minimum is at the tail and `pop` moves nothing.
-struct Bucket<T> {
-    items: Vec<(Key, T)>,
-    sorted: bool,
-}
-
-impl<T> Default for Bucket<T> {
-    fn default() -> Bucket<T> {
-        Bucket {
-            items: Vec::new(),
-            sorted: false,
-        }
-    }
+/// A store cell. While queued it holds the item and the next index on
+/// its bucket list; while vacant, the next index on the free list.
+struct Cell<T> {
+    item: Option<T>,
+    next: Option<u32>,
 }
 
 /// The calendar queue: a timing wheel over near-future buckets with a
-/// heap-sorted overflow level. See the module docs for geometry and the
-/// caller contract.
+/// heap-sorted overflow level. See the module docs for geometry, storage
+/// and the caller contract.
 pub struct CalendarQueue<T> {
-    buckets: Vec<Bucket<T>>,
-    /// Occupancy bitmap over slots (bit set ⇔ bucket non-empty).
+    /// Every queued item, once, found by its index.
+    store: Vec<Cell<T>>,
+    /// The vacant cell reused first: freed cells are reused LIFO.
+    free: Option<u32>,
+    /// Each slot's bucket list, threaded through `store`.
+    heads: Vec<Option<u32>>,
+    /// Occupancy bitmap over slots (bit set ⇔ bucket non-empty, its
+    /// list or the run).
     occupied: [u64; WORDS],
+    /// The open bucket's `(key, index)` pairs in *descending* key order,
+    /// so the minimum is at the tail and `pop` moves nothing.
+    run: Vec<(Key, u32)>,
+    /// Absolute index of the bucket `run` holds; `Some` exactly while
+    /// `run` is non-empty. An open bucket's list is empty.
+    run_abs: Option<u64>,
     /// Absolute index (`time_ns >> SLOT_SHIFT`) of the drain bucket: no
     /// queued item lives below it.
     cur_abs: u64,
     /// Items currently on the wheel (the rest are in `overflow`).
     wheel_len: usize,
-    overflow: BinaryHeap<Reverse<Entry<T>>>,
+    overflow: BinaryHeap<Reverse<(Key, u32)>>,
     len: usize,
 }
 
@@ -190,11 +204,13 @@ impl<T: Keyed> Default for CalendarQueue<T> {
 impl<T: Keyed> CalendarQueue<T> {
     /// An empty calendar queue with its drain position at time zero.
     pub fn new() -> CalendarQueue<T> {
-        let mut buckets = Vec::with_capacity(SLOTS);
-        buckets.resize_with(SLOTS, Bucket::default);
         CalendarQueue {
-            buckets,
+            store: Vec::new(),
+            free: None,
+            heads: vec![None; SLOTS],
             occupied: [0; WORDS],
+            run: Vec::new(),
+            run_abs: None,
             cur_abs: 0,
             wheel_len: 0,
             overflow: BinaryHeap::new(),
@@ -241,27 +257,58 @@ impl<T: Keyed> CalendarQueue<T> {
         None
     }
 
-    /// Place an item into its wheel bucket (`abs` must be within the
-    /// current window).
-    fn wheel_insert(&mut self, abs: u64, key: Key, item: T) {
+    /// Put `item` in a store cell, the most recently freed one if any.
+    fn store_put(&mut self, item: T) -> u32 {
+        if let Some(idx) = self.free {
+            if let Some(cell) = self.store.get_mut(idx as usize) {
+                self.free = cell.next;
+                *cell = Cell {
+                    item: Some(item),
+                    next: None,
+                };
+                return idx;
+            }
+        }
+        debug_assert!(self.store.len() < u32::MAX as usize);
+        self.store.push(Cell {
+            item: Some(item),
+            next: None,
+        });
+        (self.store.len() - 1) as u32
+    }
+
+    /// Take the item out of cell `idx` and put the cell on the free list.
+    fn store_take(&mut self, idx: u32) -> Option<T> {
+        let cell = self.store.get_mut(idx as usize)?;
+        cell.next = self.free;
+        self.free = Some(idx);
+        cell.item.take()
+    }
+
+    /// Link cell `idx` at the head of `slot`'s bucket list.
+    fn link(&mut self, slot: usize, idx: u32) {
+        if let (Some(head), Some(cell)) =
+            (self.heads.get_mut(slot), self.store.get_mut(idx as usize))
+        {
+            cell.next = head.replace(idx);
+        }
+    }
+
+    /// Place cell `idx` (key `key`) into its wheel bucket (`abs` must be
+    /// within the current window).
+    fn wheel_insert(&mut self, abs: u64, key: Key, idx: u32) {
         debug_assert!(abs >= self.cur_abs && abs < self.cur_abs + SLOTS as u64);
         let slot = Self::slot_of(abs);
-        if let Some(b) = self.buckets.get_mut(slot) {
-            if b.items.is_empty() {
-                // Fresh fill: cheap append mode until the drain arrives.
-                b.sorted = false;
-                b.items.push((key, item));
-            } else if b.sorted {
-                // The drain is (or has been) in this bucket: keep the
-                // descending order with a binary-search insert.
-                let pos = b.items.partition_point(|e| e.0 > key);
-                b.items.insert(pos, (key, item));
-            } else {
-                b.items.push((key, item));
-            }
-            self.set_bit(slot);
-            self.wheel_len += 1;
+        if self.run_abs == Some(abs) {
+            // The bucket is open: keep the run descending with a
+            // binary-search insert.
+            let pos = self.run.partition_point(|e| e.0 > key);
+            self.run.insert(pos, (key, idx));
+        } else {
+            self.link(slot, idx);
         }
+        self.set_bit(slot);
+        self.wheel_len += 1;
     }
 
     /// Advance the drain position and pull overflow items that the wider
@@ -273,38 +320,62 @@ impl<T: Keyed> CalendarQueue<T> {
         debug_assert!(new_abs >= self.cur_abs);
         self.cur_abs = new_abs;
         let horizon = new_abs + SLOTS as u64;
-        while let Some(Reverse(e)) = self.overflow.peek() {
-            if (e.key.0 >> SLOT_SHIFT) >= horizon {
+        while let Some(&Reverse((key, idx))) = self.overflow.peek() {
+            let abs = key.0 >> SLOT_SHIFT;
+            if abs >= horizon {
                 break;
             }
-            if let Some(Reverse(e)) = self.overflow.pop() {
-                let abs = e.key.0 >> SLOT_SHIFT;
-                self.wheel_insert(abs, e.key, e.item);
+            self.overflow.pop();
+            self.wheel_insert(abs, key, idx);
+        }
+    }
+
+    /// Make bucket `abs` the open one: its list moves into the run,
+    /// sorted descending. Keys are unique, so unstable sort is
+    /// deterministic. A run left open on a later bucket (an earlier one
+    /// gained an item after a peek) goes back on its own list first.
+    fn open(&mut self, abs: u64) {
+        if self.run_abs == Some(abs) {
+            return;
+        }
+        if let Some(open) = self.run_abs.take() {
+            let slot = Self::slot_of(open);
+            let mut run = std::mem::take(&mut self.run);
+            for (_, idx) in run.drain(..) {
+                self.link(slot, idx);
             }
+            self.run = run;
         }
+        let mut next = self
+            .heads
+            .get_mut(Self::slot_of(abs))
+            .and_then(Option::take);
+        while let Some(idx) = next {
+            let Some(cell) = self.store.get(idx as usize) else {
+                break;
+            };
+            if let Some(item) = &cell.item {
+                self.run.push((item.key(), idx));
+            }
+            next = cell.next;
+        }
+        self.run.sort_unstable_by_key(|e| Reverse(e.0));
+        self.run_abs = Some(abs);
     }
 
-    /// Sort the drain bucket on first touch (descending: minimum at the
-    /// tail). Keys are unique, so unstable sort is deterministic.
-    fn ensure_sorted(b: &mut Bucket<T>) {
-        if !b.sorted {
-            b.items.sort_unstable_by_key(|z| Reverse(z.0));
-            b.sorted = true;
-        }
-    }
-
-    /// Locate the bucket holding the wheel minimum and sort it. Returns
-    /// its absolute index. Does not advance the drain position.
-    fn locate_min(&mut self) -> Option<u64> {
+    /// Open the bucket holding the wheel minimum. Returns whether the
+    /// wheel holds anything. Does not advance the drain position.
+    fn locate_min(&mut self) -> bool {
         if self.wheel_len == 0 {
-            return None;
+            return false;
         }
-        let abs = self.next_occupied(self.cur_abs)?;
-        let slot = Self::slot_of(abs);
-        if let Some(b) = self.buckets.get_mut(slot) {
-            Self::ensure_sorted(b);
+        match self.next_occupied(self.cur_abs) {
+            Some(abs) => {
+                self.open(abs);
+                true
+            }
+            None => false,
         }
-        Some(abs)
     }
 }
 
@@ -316,36 +387,30 @@ impl<T: Keyed> EventQueue<T> for CalendarQueue<T> {
             abs >= self.cur_abs,
             "pushed key below the drain position (scheduling into the past)"
         );
+        let idx = self.store_put(item);
         if abs < self.cur_abs + SLOTS as u64 {
-            self.wheel_insert(abs, key, item);
+            self.wheel_insert(abs, key, idx);
         } else {
-            self.overflow.push(Reverse(Entry { key, item }));
+            self.overflow.push(Reverse((key, idx)));
         }
         self.len += 1;
     }
 
     fn min_key(&mut self) -> Option<Key> {
-        if let Some(abs) = self.locate_min() {
-            let slot = Self::slot_of(abs);
-            return self
-                .buckets
-                .get(slot)
-                .and_then(|b| b.items.last())
-                .map(|e| e.0);
+        if self.locate_min() {
+            return self.run.last().map(|e| e.0);
         }
-        self.overflow.peek().map(|Reverse(e)| e.key)
+        self.overflow.peek().map(|Reverse(e)| e.0)
     }
 
     fn peek(&mut self) -> Option<&T> {
-        if let Some(abs) = self.locate_min() {
-            let slot = Self::slot_of(abs);
-            return self
-                .buckets
-                .get(slot)
-                .and_then(|b| b.items.last())
-                .map(|e| &e.1);
-        }
-        self.overflow.peek().map(|Reverse(e)| &e.item)
+        let idx = if self.locate_min() {
+            self.run.last()?.1
+        } else {
+            let Reverse((_, idx)) = self.overflow.peek()?;
+            *idx
+        };
+        self.store.get(idx as usize)?.item.as_ref()
     }
 
     fn pop(&mut self) -> Option<T> {
@@ -354,11 +419,8 @@ impl<T: Keyed> EventQueue<T> for CalendarQueue<T> {
             // is the only place the drain may skip ahead, and it is safe
             // because the caller contract forbids later pushes below the
             // popped key.
-            let min_abs = {
-                let Reverse(e) = self.overflow.peek()?;
-                e.key.0 >> SLOT_SHIFT
-            };
-            self.advance_to(min_abs);
+            let Reverse((key, _)) = self.overflow.peek()?;
+            self.advance_to(key.0 >> SLOT_SHIFT);
         }
         let abs = self.next_occupied(self.cur_abs)?;
         if abs > self.cur_abs {
@@ -367,26 +429,16 @@ impl<T: Keyed> EventQueue<T> for CalendarQueue<T> {
             // above `abs`, so the minimum stays where we found it).
             self.advance_to(abs);
         }
-        let slot = Self::slot_of(abs);
-        let popped = if let Some(b) = self.buckets.get_mut(slot) {
-            Self::ensure_sorted(b);
-            let popped = b.items.pop();
-            if b.items.is_empty() {
-                // Keep the allocation (bucket pooling), drop the bit.
-                b.sorted = false;
-                self.clear_bit(slot);
-            }
-            popped
-        } else {
-            None
-        };
-        if let Some((_, item)) = popped {
-            self.wheel_len -= 1;
-            self.len -= 1;
-            Some(item)
-        } else {
-            None
+        self.open(abs);
+        let (_, idx) = self.run.pop()?;
+        if self.run.is_empty() {
+            // The open bucket's list is empty, so the bucket is.
+            self.run_abs = None;
+            self.clear_bit(Self::slot_of(abs));
         }
+        self.wheel_len -= 1;
+        self.len -= 1;
+        self.store_take(idx)
     }
 
     fn len(&self) -> usize {
@@ -487,6 +539,44 @@ mod tests {
         w.push(Item(horizon + 20, 2));
         assert_eq!(w.pop().map(|i| i.key()), Some((horizon + 10, 0)));
         assert_eq!(w.pop().map(|i| i.key()), Some((horizon + 20, 2)));
+    }
+
+    #[test]
+    fn storage_follows_the_live_count_not_each_slots_busiest_moment() {
+        // Every slot takes one 512-item burst, at a different time, over
+        // about 256 rotations of the wheel, with 64 far-future items
+        // waiting in the overflow level throughout.
+        let mut w: CalendarQueue<Item> = CalendarQueue::new();
+        let mut h: HeapQueue<Item> = HeapQueue::new();
+        let mut seq = 0u64;
+        let mut push = |w: &mut CalendarQueue<Item>, h: &mut HeapQueue<Item>, t: u64| {
+            w.push(Item(t, seq));
+            h.push(Item(t, seq));
+            seq += 1;
+        };
+        let far = (SLOTS as u64 * 300) << SLOT_SHIFT;
+        for _ in 0..64 {
+            push(&mut w, &mut h, far);
+        }
+        let mut peak = 0;
+        for burst in 0..SLOTS as u64 {
+            // 257 is odd, so bursts 257 buckets apart visit every slot.
+            let t = (burst * 257) << SLOT_SHIFT;
+            for i in 0..512 {
+                push(&mut w, &mut h, t + i);
+            }
+            peak = peak.max(w.len());
+            for _ in 0..512 {
+                assert_eq!(w.pop().map(|i| i.key()), h.pop().map(|i| i.key()));
+            }
+        }
+        assert_eq!(peak, 576);
+        assert_eq!(drain(&mut w).len(), 64);
+        let retained = w.store.capacity() + w.run.capacity() + w.overflow.capacity();
+        assert!(
+            retained <= 2 * peak + SLOTS,
+            "{retained} entries retained for at most {peak} live"
+        );
     }
 
     #[test]

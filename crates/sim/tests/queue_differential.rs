@@ -269,3 +269,106 @@ fn bucket_boundary_ties_match_heap() {
     }
     assert!(wheel.pop().is_none());
 }
+
+/// Both queues under one schedule: every push goes to both with the next
+/// seq, and every step compares pop, `len` and `min_key`.
+struct Both {
+    heap: HeapQueue<Item>,
+    wheel: CalendarQueue<Item>,
+    seq: u64,
+}
+
+impl Both {
+    fn new() -> Both {
+        Both {
+            heap: HeapQueue::new(),
+            wheel: CalendarQueue::new(),
+            seq: 0,
+        }
+    }
+
+    fn push(&mut self, time: u64) {
+        let item = Item {
+            time,
+            seq: self.seq,
+        };
+        self.seq += 1;
+        self.heap.push(item.clone());
+        self.wheel.push(item);
+        self.check();
+    }
+
+    fn pop(&mut self) -> Option<Item> {
+        let a = self.heap.pop();
+        assert_eq!(a, self.wheel.pop(), "pop diverged");
+        self.check();
+        a
+    }
+
+    fn check(&mut self) {
+        assert_eq!(self.heap.len(), self.wheel.len(), "length diverged");
+        assert_eq!(self.heap.min_key(), self.wheel.min_key(), "min diverged");
+    }
+
+    fn drain(&mut self) {
+        while self.pop().is_some() {}
+    }
+}
+
+/// A store index freed by a pop is taken again by a far-future push;
+/// that item waits in the overflow level, then migrates onto the wheel
+/// when the drain comes within a horizon of it, where later pushes join
+/// its bucket on both sides of it.
+#[test]
+fn reused_index_waits_in_overflow_then_migrates() {
+    let width = 1u64 << SLOT_SHIFT;
+    let horizon = (SLOTS as u64) << SLOT_SHIFT;
+    let mut q = Both::new();
+    q.push(100);
+    q.push(200);
+    assert_eq!(q.pop().map(|i| i.time), Some(100));
+    // Reuses the index the pop freed, beyond the horizon.
+    let far = 2 * horizon + 3 * width + 50;
+    q.push(far);
+    // Walk the drain forward a bucket at a time until the far item is
+    // on the wheel, freeing and reusing indices on the way.
+    let mut t = 200;
+    while t + width < far - horizon + 2 * width {
+        t += width;
+        q.push(t);
+        q.push(t + 1);
+        q.pop();
+        q.pop();
+    }
+    q.pop();
+    // Now within the window: pushes land before, at and after it.
+    q.push(far - 1);
+    q.push(far);
+    q.push(far + 1);
+    q.drain();
+}
+
+/// The chaos layer's abort-injection pattern across buckets: a peek
+/// lands on a later bucket, then the engine pushes at the peeked instant
+/// and into an earlier bucket, and peeks again before it pops.
+#[test]
+fn peek_on_a_later_bucket_then_pushes_at_and_before_it() {
+    let width = 1u64 << SLOT_SHIFT;
+    let mut q = Both::new();
+    for dt in [7, 3, 5] {
+        q.push(10 * width + dt);
+    }
+    assert_eq!(q.wheel.peek().map(|i| i.time), Some(10 * width + 3));
+    // At the peeked instant, and into the bucket the peek opened.
+    q.push(10 * width + 3);
+    q.push(10 * width + 4);
+    // Into an earlier bucket: it now holds the minimum.
+    q.push(3 * width + 9);
+    q.push(3 * width + 1);
+    assert_eq!(q.wheel.peek().map(|i| i.time), Some(3 * width + 1));
+    // The later bucket gains an item while it is not the open one.
+    q.push(10 * width);
+    assert_eq!(q.pop().map(|i| i.time), Some(3 * width + 1));
+    q.push(3 * width + 1);
+    q.drain();
+}
