@@ -20,9 +20,7 @@
 //! * TE peak trunk utilization ≤ 80 % of the shortest-path-only peak
 //!   (the load actually spread);
 //! * every TE route respects the 1.5× stretch bound;
-//! * zero starved flows and zero unroutable flows in both configs;
-//! * the sharded engine (2 and 4 shards) reproduces the serial digest
-//!   byte for byte.
+//! * zero starved flows and zero unroutable flows in both configs.
 
 use crate::json::{obj, Json};
 use crate::{Report, Table};
@@ -30,8 +28,6 @@ use sirpent_simtest::te::{plan, run, TeRunReport, TeWorkload};
 
 /// Bench seed — fixed so CI compares like with like across commits.
 const SEED: u64 = 42;
-/// Shard counts the digest gate sweeps.
-const SHARD_SWEEP: [usize; 2] = [2, 4];
 /// TE peak must come in at or under this many percent of the
 /// shortest-path-only peak.
 const PEAK_PCT_CEILING: u64 = 80;
@@ -95,19 +91,8 @@ fn flash_crowd(te_spec: TeWorkload) -> Report {
     let te_plan = plan(&te_spec);
     let sp_plan = plan(&sp_spec);
 
-    let te = run(&te_spec, &te_plan, 1, 1);
-    let sp = run(&sp_spec, &sp_plan, 1, 1);
-
-    // Shard-invariance gate: same plan, sharded engine, byte-identical
-    // digest. Single worker thread — the digest must not depend on
-    // parallelism, and CI containers may have one core.
-    let mut digests_match = true;
-    for &shards in &SHARD_SWEEP {
-        let sharded = run(&te_spec, &te_plan, shards, 1);
-        let same = sharded.digest == te.digest;
-        r.gate(same, format!("{shards}-shard digest diverged from serial"));
-        digests_match &= same;
-    }
+    let te = run(&te_spec, &te_plan);
+    let sp = run(&sp_spec, &sp_plan);
 
     let mut t = Table::new(
         "TE: flash-crowd load spread, weighted k-constrained routes vs shortest path",
@@ -128,11 +113,9 @@ fn flash_crowd(te_spec: TeWorkload) -> Report {
 
     let reduction = 100i64 - (te.peak_util_milli as i64 * 100) / sp.peak_util_milli.max(1) as i64;
     r.note(format!(
-        "[peak trunk utilization: {:.1}% -> {:.1}% ({reduction}% reduction); \
-         sharded digests: {}]",
+        "[peak trunk utilization: {:.1}% -> {:.1}% ({reduction}% reduction)]",
         sp.peak_util_milli as f64 / 10.0,
         te.peak_util_milli as f64 / 10.0,
-        if digests_match { "match" } else { "MISMATCH" }
     ));
 
     r.gate(
@@ -166,7 +149,6 @@ fn flash_crowd(te_spec: TeWorkload) -> Report {
         nodes: te_spec.nodes,
         peak_reduction_percent: reduction,
         stretch_bound_milli: te_spec.max_stretch_milli,
-        sharded_digest_match: digests_match,
         configs: vec![
             config_out("shortest_path", &sp_spec, &sp),
             config_out("te", &te_spec, &te),

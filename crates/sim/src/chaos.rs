@@ -119,45 +119,6 @@ pub enum ChaosAction {
     },
 }
 
-/// What a [`ChaosAction`] acts on — and therefore where it goes when the
-/// simulator is sharded, and which shard counts it. Channel state lives
-/// with the channel's owner shard, so channel-scoped actions go there
-/// alone. Crash flags and partition sides are read by every shard
-/// (`Context::peer_up` looks at a neighbour's flag from across a
-/// boundary; every shard must refuse traffic across a cut it can see), so
-/// node- and global-scoped actions are broadcast: chaos applies at window
-/// barriers, so every shard sees the flip before any event in the
-/// affected window dispatches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ChaosScope {
-    /// One channel's state.
-    Channel(ChannelId),
-    /// One node's crash flag (and, on its host shard, the node itself).
-    Node(NodeId),
-    /// Simulation-wide state (the partition window).
-    Global,
-}
-
-impl ChaosAction {
-    /// The one statement of which state each action touches.
-    pub(crate) fn scope(&self) -> ChaosScope {
-        match *self {
-            ChaosAction::LinkDown { ch }
-            | ChaosAction::LinkUp { ch }
-            | ChaosAction::DuplicateStart { ch, .. }
-            | ChaosAction::DuplicateEnd { ch }
-            | ChaosAction::JitterStart { ch, .. }
-            | ChaosAction::JitterEnd { ch }
-            | ChaosAction::ErrorBurstStart { ch, .. }
-            | ChaosAction::ErrorBurstEnd { ch } => ChaosScope::Channel(ch),
-            ChaosAction::RouterCrash { node } | ChaosAction::RouterRestart { node } => {
-                ChaosScope::Node(node)
-            }
-            ChaosAction::PartitionStart { .. } | ChaosAction::PartitionEnd => ChaosScope::Global,
-        }
-    }
-}
-
 /// A fault action bound to its firing time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChaosEvent {

@@ -25,7 +25,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use sirpent_wire::buf::FrameBuf;
 
-use super::dispatch::{Core, OutMsg};
+use super::dispatch::Core;
 use super::ledger::Fate;
 use super::quiet::Held;
 use super::{
@@ -93,10 +93,7 @@ pub(crate) struct Channel {
 }
 
 impl Channel {
-    /// An idle, tap-less channel. Also the *shell* a shard holds for a
-    /// channel another shard owns: same wire parameters (so id-indexed
-    /// lookups stay aligned) but no taps, so nothing can transmit into it
-    /// and no state ever accrues.
+    /// An idle, tap-less channel.
     pub(crate) fn new(rate_bps: u64, prop: SimDuration) -> Channel {
         Channel {
             rate_bps,
@@ -494,7 +491,7 @@ impl Core {
     }
 
     /// Give the completion of `frame` on `ch` the sequence number `seq`
-    /// (a held decision's release, or a shard split or merge). Returns
+    /// (a held decision's release). Returns
     /// the `TxDone` to queue under the key — instant, sender, event — if
     /// the completion is armed.
     pub(super) fn number_completion(
@@ -513,20 +510,6 @@ impl Core {
         let port = rec.port;
         rec.armed
             .then_some((rec.end, rec.sender, Event::TxDone { port, frame }))
-    }
-
-    /// Retire every passed record, then list the reserved keys of the
-    /// completions nobody armed (a split or merge re-sequences them).
-    pub(super) fn unarmed_completions(&mut self) -> Vec<((u64, u64), ChannelId, FrameId)> {
-        let (now, cur) = (self.now, self.cur_seq);
-        let mut out = Vec::new();
-        for (i, ch) in self.channels.iter_mut().enumerate() {
-            ch.retire_passed(now, cur);
-            for r in ch.in_flight.iter().filter(|r| !r.armed && r.done != 0) {
-                out.push(((r.end.as_nanos(), r.done), ChannelId(i), r.frame));
-            }
-        }
-        out
     }
 
     /// Chaos layer: kill every unfinished transmission on `ch_id` — or,
@@ -590,14 +573,6 @@ impl Core {
                         },
                     );
                 }
-            } else if taps.iter().any(|&(n, _)| self.is_remote(n)) {
-                // Queued, and a tap lives on another shard: the delivery
-                // was already exported — send the tombstone after it. The
-                // window algebra guarantees it wins the race: the kill
-                // happens inside the current window while the delivery
-                // dispatches no earlier than the next one, and the
-                // barrier exchange sits in between.
-                self.outbox.push(OutMsg::Cancel { frame: rec.frame });
             }
             if let Some(&(_, tx_port)) = taps.iter().find(|&&(n, _)| n == rec.sender) {
                 self.push(

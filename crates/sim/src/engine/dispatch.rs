@@ -10,7 +10,7 @@ use sirpent_telemetry::{Counter, FlightRecorder};
 use super::channel::Channel;
 use super::ledger::FrameLedger;
 use super::quiet::{Ahead, Held, NodeBook};
-use super::{ChannelId, Context, Event, FrameId, NodeId, Simulator};
+use super::{ChannelId, Context, Event, NodeId, Simulator};
 use crate::chaos::{ChaosAction, ChaosEvent};
 use crate::queue::{CalendarQueue, EventQueue, HeapQueue, Keyed, QueueKind};
 use crate::stats::DropReason;
@@ -80,45 +80,6 @@ impl EngineQueue {
     }
 }
 
-/// A scheduling request that crossed a shard boundary. Produced by
-/// [`Core::push`] when the target node lives on another shard (and by
-/// [`Core::chaos_kill`] for tombstones of frames already exported); the
-/// window runner in [`crate::sync`] exchanges these between shards at
-/// window barriers. Conservative-lookahead windows guarantee every
-/// `Deliver` lands at or after the next window's start, so the receiving
-/// shard's clock has never passed it.
-#[derive(Debug, Clone)]
-pub(crate) enum OutMsg {
-    /// Schedule `event` for `target` at `time` on the target's shard.
-    Deliver {
-        /// Absolute delivery instant (≥ the end of the window that
-        /// produced it).
-        time: SimTime,
-        /// The remote node the event is addressed to.
-        target: NodeId,
-        /// The event itself.
-        event: Event,
-    },
-    /// Tombstone a frame id on every other shard: its queued transmission
-    /// was chaos-killed before the first bit, after delivery events may
-    /// already have been exported. Exchanged at the window barrier, which
-    /// always precedes the delivery's dispatch window.
-    Cancel {
-        /// The cancelled frame.
-        frame: FrameId,
-    },
-}
-
-/// Something keyed that a shard split or merge hands to another core,
-/// in `(time, seq)` order, to take a fresh sequence number there.
-pub(crate) enum Pending {
-    /// A queued event.
-    Event(Scheduled),
-    /// The reserved key of a completion nobody armed: it takes a number
-    /// but queues nothing.
-    Completion(ChannelId, FrameId),
-}
-
 /// Everything in the simulator except the node objects themselves — this
 /// split lets a node borrow the core mutably (through [`Context`]) while
 /// it is itself borrowed for dispatch.
@@ -167,9 +128,9 @@ pub(crate) struct Core {
     /// Emptied held-event lists, for reuse.
     pub(super) spare: Vec<Vec<Held>>,
     /// The latest instant a decision may be made ahead for: the running
-    /// `run_until` deadline or the last instant of a shard window. `None`
-    /// outside those loops, so a run stopped by an event budget never
-    /// leaves a decision made ahead of its instant behind.
+    /// `run_until` deadline. `None` outside that loop, so a run stopped
+    /// by an event budget never leaves a decision made ahead of its
+    /// instant behind.
     pub(super) horizon: Option<SimTime>,
     /// Whether the dispatch in progress is a batch of several events.
     pub(super) batched: bool,
@@ -180,20 +141,6 @@ pub(crate) struct Core {
     /// The per-packet flight recorder; `None` (the default) records
     /// nothing and leaves every instrumented path byte-identical.
     pub(crate) flight: Option<FlightRecorder>,
-    /// The RNG seed this core was created with (recorded so the shard
-    /// splitter can derive per-shard streams from the master seed).
-    pub(crate) seed: u64,
-    /// Which [`EngineQueue`] implementation this core runs on (recorded
-    /// so shard replicas inherit it).
-    pub(crate) queue_kind: QueueKind,
-    /// Sharding: `remote[n]` marks nodes owned by another shard. Empty
-    /// (or all-false) in a serial simulator, so the single branch it adds
-    /// to [`Core::push`] never fires and serial behavior — including seq
-    /// allocation — is byte-identical.
-    pub(crate) remote: Vec<bool>,
-    /// Sharding: events addressed to remote nodes, awaiting the next
-    /// window-barrier exchange. Always empty in a serial simulator.
-    pub(super) outbox: Vec<OutMsg>,
 }
 
 impl Core {
@@ -223,35 +170,7 @@ impl Core {
             armed: Counter::new(),
             partition: None,
             flight: None,
-            seed,
-            queue_kind: kind,
-            remote: Vec::new(),
-            outbox: Vec::new(),
         }
-    }
-
-    /// A core that sees the same world as `self` and has run nothing. The
-    /// clock, crash flags, partition sides, port map, channel geometry
-    /// and what each node hears on are copied — channels as tap-less
-    /// shells, so ids stay aligned but nothing can transmit into them.
-    /// Queue, sequence and epoch space, RNG stream (on `seed`), ledger
-    /// and counters start fresh. A shard is a replica plus what it owns;
-    /// a merged simulator is a replica of shard 0 plus what every shard
-    /// hands back.
-    pub(crate) fn replica(&self, seed: u64) -> Core {
-        let mut c = Core::new(seed, self.queue_kind);
-        c.now = self.now;
-        c.down = self.down.clone();
-        c.node_epoch = vec![0; self.node_epoch.len()];
-        c.books = self.books.iter().map(NodeBook::emptied).collect();
-        c.partition = self.partition.clone();
-        c.tx_map = self.tx_map.clone();
-        c.channels = self
-            .channels
-            .iter()
-            .map(|ch| Channel::new(ch.rate_bps, ch.prop))
-            .collect();
-        c
     }
 
     /// Register a node slot.
@@ -259,15 +178,6 @@ impl Core {
         self.down.push(false);
         self.node_epoch.push(0);
         self.books.push(NodeBook::new());
-        if !self.remote.is_empty() {
-            self.remote.push(false);
-        }
-    }
-
-    /// Whether `node` is owned by another shard.
-    #[inline]
-    pub(super) fn is_remote(&self, node: NodeId) -> bool {
-        self.remote.get(node.0).copied().unwrap_or(false)
     }
 
     /// The next scheduling sequence number.
@@ -283,13 +193,11 @@ impl Core {
     }
 
     /// Schedule `event` for `target` at `time`: queued under the next
-    /// sequence number, sent to the owning shard, or — while a decision
-    /// is made ahead — held until the run reaches its key.
+    /// sequence number or — while a decision is made ahead — held until
+    /// the run reaches its key.
     pub(crate) fn push(&mut self, time: SimTime, target: NodeId, event: Event) {
         debug_assert!(time >= self.now, "cannot schedule into the past");
-        if !self.is_remote(target) {
-            self.note(target, time);
-        }
+        self.note(target, time);
         match self.holding.as_mut() {
             Some(ahead) => ahead.held.push(Held::Event {
                 time,
@@ -300,17 +208,9 @@ impl Core {
         }
     }
 
-    /// Queue an event the target's book already counts (or send it to
-    /// the target's shard), under the next sequence number.
+    /// Queue an event the target's book already counts, under the next
+    /// sequence number.
     pub(super) fn enqueue(&mut self, time: SimTime, target: NodeId, event: Event) {
-        if self.is_remote(target) {
-            self.outbox.push(OutMsg::Deliver {
-                time,
-                target,
-                event,
-            });
-            return;
-        }
         let seq = self.next_seq();
         self.queue_keyed(time, seq, target, event);
     }
@@ -366,81 +266,6 @@ impl Core {
         matches!(sched.event, Event::Timer { .. })
             && sched.seq < self.node_epoch.get(sched.target.0).copied().unwrap_or(0)
     }
-
-    /// Take everything keyed out of this core, in `(time, seq)` order:
-    /// the queue — less stale timers, which a fresh sequence space could
-    /// not fence — and the reserved keys of completions nobody armed.
-    /// Whoever drains re-sequences into another core with
-    /// [`Core::requeue`]. Split and merge drain between runs, when no
-    /// decision made ahead is waiting (every run loop reaches the keys it
-    /// reserved before it returns).
-    pub(crate) fn drain_pending(&mut self) -> Vec<Pending> {
-        debug_assert!(
-            self.ahead.is_empty() && self.holding.is_none(),
-            "drained with a decision made ahead still waiting"
-        );
-        let mut reserved = self.unarmed_completions();
-        reserved.sort_unstable_by_key(|&(key, ..)| key);
-        let mut reserved = reserved.into_iter().peekable();
-        let mut out = Vec::new();
-        while let Some(sched) = self.queue.pop() {
-            let key = sched.key();
-            while let Some((_, ch, frame)) = reserved.next_if(|&(k, ..)| k < key) {
-                out.push(Pending::Completion(ch, frame));
-            }
-            if !self.stale_timer(&sched) {
-                out.push(Pending::Event(sched));
-            }
-        }
-        out.extend(reserved.map(|(_, ch, frame)| Pending::Completion(ch, frame)));
-        out
-    }
-
-    /// Re-sequence one drained item into this core. A queued `TxDone`'s
-    /// record takes the new number too, so the completion still reads
-    /// as not yet passed until the `TxDone` itself is dispatched.
-    pub(crate) fn requeue(&mut self, item: Pending) {
-        match item {
-            Pending::Event(Scheduled {
-                time,
-                target,
-                event: Event::TxDone { port, frame },
-                ..
-            }) => {
-                let seq = self.next_seq();
-                // The `TxDone` is already in hand; only the record's key
-                // moves (a killed record's stale `TxDone` has none).
-                if let Some(ch) = self.tx_lookup(target, port) {
-                    let _ = self.number_completion(ch, frame, seq);
-                }
-                self.note(target, time);
-                self.queue_keyed(time, seq, target, Event::TxDone { port, frame });
-            }
-            Pending::Event(sched) => self.push(sched.time, sched.target, sched.event),
-            Pending::Completion(ch, frame) => {
-                let seq = self.next_seq();
-                let _ = self.number_completion(ch, frame, seq);
-            }
-        }
-    }
-
-    /// Recount every node's noisy transmit channels from the channels
-    /// themselves (after a split or merge moved them between cores).
-    pub(crate) fn recount_noise(&mut self) {
-        for book in &mut self.books {
-            book.noisy = 0;
-        }
-        for ch in &self.channels {
-            if !ch.noisy {
-                continue;
-            }
-            for sender in &ch.senders {
-                if let Some(book) = self.books.get_mut(sender.0) {
-                    book.noisy += 1;
-                }
-            }
-        }
-    }
 }
 
 /// What the run does next.
@@ -455,10 +280,9 @@ enum Next {
 
 impl Simulator {
     /// What is due next, and its instant (ns): the one statement of "what
-    /// is due next" behind the run loops and the parallel runner's window
-    /// placement. A chaos action comes before node events and reserved
-    /// keys at its instant; a reserved key and the queue's head go in key
-    /// order.
+    /// is due next" behind the run loops. A chaos action comes before
+    /// node events and reserved keys at its instant; a reserved key and
+    /// the queue's head go in key order.
     #[inline]
     fn next(&mut self) -> Option<(u64, Next)> {
         let queue = self.core.queue.min_key();
@@ -504,10 +328,7 @@ impl Simulator {
 
     /// Apply one chaos action at the current instant.
     fn apply_chaos(&mut self, action: ChaosAction) {
-        let nodes = &self.nodes;
-        self.core
-            .ledger
-            .count(&action, |n| nodes.get(n.0).is_some_and(Option::is_some));
+        self.core.ledger.count(&action);
         let core = &mut self.core;
         let now = core.now;
         match action {
@@ -710,55 +531,5 @@ impl Simulator {
         while self.advance(deadline.0) {}
         self.core.horizon = None;
         self.core.now = self.core.now.max(deadline);
-    }
-
-    /// Run strictly *before* `end`: process every event and chaos action
-    /// with `time < end`, then advance the clock to `end`. This is the
-    /// window primitive of the parallel runner — events at exactly `end`
-    /// belong to the next window (they may be preceded by cross-shard
-    /// arrivals landing at `end`, which the barrier exchange has not yet
-    /// delivered).
-    pub(crate) fn run_before(&mut self, end: SimTime) {
-        if let Some(last) = end.as_nanos().checked_sub(1) {
-            self.core.horizon = Some(SimTime(last));
-            while self.advance(last) {}
-            self.core.horizon = None;
-        }
-        self.core.now = self.core.now.max(end);
-    }
-
-    /// The instant of the next pending work item — node event, chaos
-    /// action or reserved decision key — in nanoseconds, if any: where
-    /// the parallel runner places each window (at the global minimum of
-    /// these).
-    pub(crate) fn next_event_ns(&mut self) -> Option<u64> {
-        self.next().map(|(at, _)| at)
-    }
-
-    /// Take this shard's accumulated cross-shard messages (empty for a
-    /// serial simulator).
-    pub(crate) fn take_outbox(&mut self) -> Vec<OutMsg> {
-        std::mem::take(&mut self.core.outbox)
-    }
-
-    /// Apply one message from another shard. A `Deliver` is scheduled
-    /// here, on the shard owning its target — the window algebra
-    /// guarantees `time >= now`. A `Cancel` tombstones the frame, so any
-    /// delivery of it still queued here is swallowed on surfacing.
-    pub(crate) fn inject(&mut self, msg: OutMsg) {
-        match msg {
-            OutMsg::Deliver {
-                time,
-                target,
-                event,
-            } => {
-                debug_assert!(
-                    !self.core.is_remote(target),
-                    "cross-shard injection must target the owning shard"
-                );
-                self.core.push(time, target, event);
-            }
-            OutMsg::Cancel { frame } => self.core.ledger.cancel(frame),
-        }
     }
 }

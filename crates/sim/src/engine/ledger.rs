@@ -9,21 +9,18 @@
 //! * its record is **killed** on the wire by a link-down or a sender
 //!   crash — mid-flight (receivers were told, the delivery events stay
 //!   queued) or still queued (its deliveries must never surface);
-//! * its delivery **surfaces at a crashed receiver**;
-//! * the kill happened on **another shard**, and only a cancel crosses.
+//! * its delivery **surfaces at a crashed receiver**.
 //!
 //! Each transition is a method here, so packet conservation — `injected
 //! = delivered + dropped + queued` — depends on this file alone. The
-//! ledger also carries the chaos-layer event counters, and knows how to
-//! [`fork`](FrameLedger::fork) itself across shards and
-//! [`absorb`](FrameLedger::absorb) the forks back.
+//! ledger also carries the chaos-layer event counters.
 
 use std::collections::BTreeSet;
 
 use sirpent_telemetry::{names, Counter, Registry, RegistryError};
 
-use super::{FrameId, NodeId};
-use crate::chaos::{ChaosAction, ChaosScope};
+use super::FrameId;
+use crate::chaos::ChaosAction;
 use crate::stats::{DropReason, PipelineStats};
 
 /// What the ledger already knows about one transmission's loss. Carried
@@ -78,10 +75,6 @@ pub(crate) struct FrameLedger {
     charged: BTreeSet<FrameId>,
     /// Indexed like [`COUNTERS`].
     counters: [Counter; 5],
-    /// This is a fork held by a shard other than 0: it sees broadcast
-    /// chaos actions but leaves counting the global ones to shard 0, so a
-    /// merged scrape counts each exactly once.
-    mirror: bool,
 }
 
 impl FrameLedger {
@@ -113,12 +106,6 @@ impl FrameLedger {
         }
     }
 
-    /// Tombstone a frame whose queued transmission was killed on another
-    /// shard (which charged it there).
-    pub(crate) fn cancel(&mut self, frame: FrameId) {
-        self.cancelled.insert(frame);
-    }
-
     /// A delivery of `frame` surfaces. Returns whether the receiver gets
     /// it: not if the frame was cancelled, and not if the receiver is
     /// down — a `RouterDown` loss unless a mid-flight kill already
@@ -136,19 +123,18 @@ impl FrameLedger {
         !receiver_down
     }
 
-    /// Count an applied chaos action — on the one shard that should.
-    /// Channel-scoped actions reach only the channel's owner; node and
-    /// global ones are broadcast, so the shard hosting the node object
-    /// (`resident`) and shard 0 respectively count them.
-    pub(crate) fn count(&mut self, action: &ChaosAction, resident: impl FnOnce(NodeId) -> bool) {
-        let kind = match action.scope() {
-            ChaosScope::Channel(_) => match action {
-                ChaosAction::LinkDown { .. } | ChaosAction::LinkUp { .. } => LINK,
-                _ => WINDOWS,
-            },
-            ChaosScope::Node(n) if resident(n) => ROUTER,
-            ChaosScope::Global if !self.mirror => PARTITION,
-            ChaosScope::Node(_) | ChaosScope::Global => return,
+    /// Count an applied chaos action.
+    pub(crate) fn count(&mut self, action: &ChaosAction) {
+        let kind = match action {
+            ChaosAction::LinkDown { .. } | ChaosAction::LinkUp { .. } => LINK,
+            ChaosAction::RouterCrash { .. } | ChaosAction::RouterRestart { .. } => ROUTER,
+            ChaosAction::PartitionStart { .. } | ChaosAction::PartitionEnd => PARTITION,
+            ChaosAction::DuplicateStart { .. }
+            | ChaosAction::DuplicateEnd { .. }
+            | ChaosAction::JitterStart { .. }
+            | ChaosAction::JitterEnd { .. }
+            | ChaosAction::ErrorBurstStart { .. }
+            | ChaosAction::ErrorBurstEnd { .. } => WINDOWS,
         };
         self.counters[kind].inc();
         self.counters[EVENTS].inc();
@@ -161,32 +147,6 @@ impl FrameLedger {
         }
         Ok(())
     }
-
-    /// Split into one ledger per shard: shard 0 continues this one;
-    /// every other shard gets a mirror that starts with nothing charged
-    /// or counted but knows every tombstone (a tombstoned frame's
-    /// deliveries may be queued on any shard).
-    pub(crate) fn fork(self, shards: usize) -> Vec<FrameLedger> {
-        let mirrors: Vec<FrameLedger> = (1..shards)
-            .map(|_| FrameLedger {
-                cancelled: self.cancelled.clone(),
-                charged: self.charged.clone(),
-                mirror: true,
-                ..FrameLedger::default()
-            })
-            .collect();
-        std::iter::once(self).chain(mirrors).collect()
-    }
-
-    /// Fold a fork back in: charges and counts add, tombstones union.
-    pub(crate) fn absorb(&mut self, fork: FrameLedger) {
-        self.stats.absorb(&fork.stats);
-        for (mine, theirs) in self.counters.iter_mut().zip(fork.counters) {
-            mine.add(theirs.get());
-        }
-        self.cancelled.extend(fork.cancelled);
-        self.charged.extend(fork.charged);
-    }
 }
 
 #[cfg(test)]
@@ -194,17 +154,15 @@ mod tests {
     use super::*;
 
     /// One thing that happens to the single one-copy frame each table row
-    /// follows. `away` steps happen on a second shard's fork.
+    /// follows.
     #[derive(Clone, Copy)]
     enum Step {
         /// Its copy is cut by a partition at transmit.
         Suppress,
         /// Its record is killed on the wire (link-down).
         Kill { mid_flight: bool },
-        /// The kill's cancel crosses to the other shard.
-        CancelAway,
-        /// A delivery event surfaces.
-        Surface { away: bool, down: bool },
+        /// A delivery event surfaces, at a receiver that is down or not.
+        Surface { down: bool },
     }
     use Step::*;
 
@@ -215,7 +173,7 @@ mod tests {
     fn every_fate_is_charged_exactly_once() {
         let mid = Kill { mid_flight: true };
         let queued = Kill { mid_flight: false };
-        let here = |down| Surface { away: false, down };
+        let here = |down| Surface { down };
         let table: &[(&str, &[Step], Option<DropReason>)] = &[
             ("delivered untouched", &[here(false)], None),
             (
@@ -243,24 +201,10 @@ mod tests {
                 &[queued, here(true)],
                 Some(DropReason::LinkDown),
             ),
-            (
-                "cancel crossing a shard boundary: fork, cancel, absorb",
-                &[
-                    queued,
-                    CancelAway,
-                    Surface {
-                        away: true,
-                        down: false,
-                    },
-                ],
-                Some(DropReason::LinkDown),
-            ),
         ];
         let frame = FrameId(7);
         for &(name, steps, charged) in table {
-            let mut forks = FrameLedger::default().fork(2).into_iter();
-            let (mut home, mut away) = (forks.next().unwrap(), forks.next().unwrap());
-            assert!(!home.mirror && away.mirror, "{name}");
+            let mut home = FrameLedger::default();
             let (mut suppressed, mut delivered) = (0, 0u64);
             for &step in steps {
                 match step {
@@ -272,14 +216,9 @@ mod tests {
                         let fate = Fate::at_transmit(suppressed, 1);
                         home.kill(frame, fate, DropReason::LinkDown, mid_flight);
                     }
-                    CancelAway => away.cancel(frame),
-                    Surface { away: there, down } => {
-                        let ledger = if there { &mut away } else { &mut home };
-                        delivered += u64::from(ledger.admit(frame, down));
-                    }
+                    Surface { down } => delivered += u64::from(home.admit(frame, down)),
                 }
             }
-            home.absorb(away);
             let dropped = home.stats().total_drops();
             assert_eq!(dropped, u64::from(charged.is_some()), "{name}: charges");
             if let Some(why) = charged {

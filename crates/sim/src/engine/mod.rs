@@ -80,8 +80,8 @@ mod quiet;
 #[cfg(test)]
 mod tests;
 
-pub(crate) use channel::Channel;
-pub(crate) use dispatch::{Core, OutMsg, Pending};
+use channel::Channel;
+use dispatch::Core;
 
 /// Identifies a node within a simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -283,12 +283,7 @@ impl ChannelStats {
 }
 
 /// The behaviour of a simulated node.
-///
-/// `Send` is a supertrait so a [`Simulator`] (and therefore one shard of
-/// a [`crate::shard::ShardedSimulator`]) can move across the scoped
-/// worker threads of the parallel runner; node state is owned plain data,
-/// never shared, so no `Sync` bound is needed.
-pub trait Node: Send + 'static {
+pub trait Node: 'static {
     /// Handle one event. `ctx` gives access to the clock, channels and
     /// scheduler.
     fn on_event(&mut self, ctx: &mut Context<'_>, ev: Event);
@@ -409,9 +404,9 @@ impl Context<'_> {
     /// node has another event at or before `at` (or later in this
     /// dispatch's batch), when a channel into it is shorter than the
     /// lead, when a chaos action is due by `at`, when `at` is past the
-    /// running `run_until` deadline or shard window (and outside those
-    /// loops), when a channel it sends on has another sender, a fault
-    /// config or a chaos window, and while the flight recorder is on.
+    /// running `run_until` deadline (and outside that loop), when a
+    /// channel it sends on has another sender, a fault config or a chaos
+    /// window, and while the flight recorder is on.
     pub fn quiet_until(&self, at: SimTime) -> bool {
         self.core.quiet_until(self.me, at)
     }
@@ -524,10 +519,10 @@ impl Context<'_> {
 
 /// The simulator: nodes + core.
 pub struct Simulator {
-    pub(crate) core: Core,
-    pub(crate) nodes: Vec<Option<Box<dyn Node>>>,
+    core: Core,
+    nodes: Vec<Option<Box<dyn Node>>>,
     /// Reusable same-instant dispatch batch (see [`Node::on_events`]).
-    pub(crate) batch: Vec<Event>,
+    batch: Vec<Event>,
 }
 
 impl Simulator {
@@ -541,15 +536,9 @@ impl Simulator {
     /// heap or the calendar queue. Identical seeds must produce
     /// identical runs on either; the differential suite asserts it.
     pub fn with_queue(seed: u64, kind: QueueKind) -> Simulator {
-        Simulator::from_parts(Core::new(seed, kind), Vec::new())
-    }
-
-    /// A simulator over an existing core and node set (shard split and
-    /// merge assemble theirs this way).
-    pub(crate) fn from_parts(core: Core, nodes: Vec<Option<Box<dyn Node>>>) -> Simulator {
         Simulator {
-            core,
-            nodes,
+            core: Core::new(seed, kind),
+            nodes: Vec::new(),
             batch: Vec::new(),
         }
     }

@@ -77,19 +77,11 @@ impl NodeBook {
     pub(crate) fn earliest(&self) -> u64 {
         self.queued.front().copied().unwrap_or(u64::MAX)
     }
-
-    /// The same node with nothing queued (a replica's starting book).
-    pub(crate) fn emptied(&self) -> NodeBook {
-        NodeBook {
-            hear_prop: self.hear_prop,
-            ..NodeBook::default()
-        }
-    }
 }
 
 /// What a decision made ahead scheduled, in the order it did.
 pub(crate) enum Held {
-    /// An event to queue (or send to another shard).
+    /// An event to queue.
     Event {
         time: SimTime,
         target: NodeId,
@@ -127,7 +119,7 @@ impl Core {
     /// * every channel `me` is a tap of takes longer than `at − now` to
     ///   cross, so nothing sent from now on lands first;
     /// * no chaos action is due at or before `at`;
-    /// * `at` is within the running `run_until` deadline or shard window;
+    /// * `at` is within the running `run_until` deadline;
     /// * no channel `me` transmits on has another sender, a fault config
     ///   or a chaos window — the decision's transmissions draw no
     ///   randomness and find the wire as they would have at `at`;

@@ -840,35 +840,6 @@ fn an_armed_completion_lands_where_an_unconditional_txdone_did() {
     );
 }
 
-#[test]
-fn a_split_keeps_a_reserved_completion_key_between_its_neighbours() {
-    use crate::shard::ShardedSimulator;
-
-    // Split mid-transmission: the unarmed completion's key must take a
-    // fresh number in the same pass as the timers around it, or the
-    // shard would read the transmission as finished (or not) on the
-    // wrong side of them.
-    let build = || {
-        let mut sim = Simulator::new(45);
-        let a = sim.add_node(Box::new(Tie {
-            arm_never: true,
-            ..Tie::default()
-        }));
-        let b = sim.add_node(Box::<Probe>::default());
-        sim.p2p(a, 0, b, 0, GBPS, SimDuration(100));
-        sim.kick(SimTime::ZERO, a, 1);
-        sim.run_until(SimTime(500));
-        (sim, a)
-    };
-    let (mut serial, a) = build();
-    serial.run_until(SimTime(10_000));
-    let want = serial.node::<Tie>(a).log.clone();
-    let mut sharded = ShardedSimulator::split(build().0, 2);
-    assert_eq!(sharded.shards(), 2);
-    sharded.run_until(SimTime(10_000), 1);
-    assert_eq!(sharded.into_serial().node::<Tie>(a).log, want);
-}
-
 /// Sends two frames back to back on timer 1 (arming neither) and aborts
 /// on timer 99.
 #[derive(Default)]
@@ -1187,10 +1158,7 @@ fn hop_chain(timers_only: bool) -> (Simulator, Vec<NodeId>) {
 }
 
 #[test]
-fn deciding_ahead_changes_no_outcome_serial_or_sharded() {
-    use crate::shard::ShardedSimulator;
-
-    let mid = SimTime(52_345);
+fn deciding_ahead_changes_no_outcome() {
     let end = SimTime(1_000_000);
     // What a run delivered and forwarded, and its events less the
     // decision timers (which only a node that could not decide ahead
@@ -1213,25 +1181,11 @@ fn deciding_ahead_changes_no_outcome_serial_or_sharded() {
 
     let (mut serial, _) = hop_chain(false);
     serial.run_until(end);
-    assert_eq!(outcome(&serial, &ids), want, "serial, deciding ahead");
+    assert_eq!(outcome(&serial, &ids), want, "deciding ahead");
     let armed = serial.scrape_telemetry().unwrap();
     assert!(
         armed.counter(names::SIM_COMPLETIONS_ARMED_TOTAL) > 0,
         "frames queued"
     );
     assert!(ids[1..4].iter().all(|&h| serial.node::<Hop>(h).ahead > 0));
-
-    for shards in [2, 4] {
-        let (mut sim, _) = hop_chain(false);
-        sim.run_until(mid);
-        assert!(
-            !sim.core.unarmed_completions().is_empty(),
-            "reserved completion keys are outstanding at the split"
-        );
-        let mut sharded = ShardedSimulator::split(sim, shards);
-        assert!(sharded.shards() > 1);
-        sharded.run_until(end, 2);
-        let merged = sharded.into_serial();
-        assert_eq!(outcome(&merged, &ids), want, "{shards} shards");
-    }
 }

@@ -23,10 +23,9 @@
 //!   schedule.
 //! * [`stats`] — summaries, histograms, time-weighted averages, and the
 //!   analytic M/D/1 results §6.1 quotes.
-//! * [`shard`] — deterministic topology partitioner and the sharded
-//!   simulator façade (split / parallel run / merge back to serial).
-//! * `sync` (crate-private) — conservative time-window runner driving
-//!   the shards on scoped worker threads.
+//! * [`shard`] — [`ShardedSimulator`], a serial stand-in kept only for
+//!   the benchmark's sharded-engine probe. The engine runs on one
+//!   thread; a seed fixes every run byte for byte (DESIGN.md §9.3).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,7 +35,6 @@ pub mod engine;
 pub mod queue;
 pub mod shard;
 pub mod stats;
-mod sync;
 pub mod time;
 pub mod workload;
 
@@ -46,12 +44,12 @@ pub use engine::{
     SimError, Simulator, TxInfo,
 };
 pub use queue::QueueKind;
-pub use shard::{partition_topology, shard_seed, Partition, ShardedSimulator};
+pub use shard::ShardedSimulator;
 pub use time::{bytes_in, transmission_time, SimDuration, SimTime};
 
 /// SplitMix64 finalizer — a strong bijective mixer. The one way the
-/// workspace derives seed-dependent *structure* (per-shard seeds, flow
-/// picks, send times, markers); never a source of run-time randomness.
+/// workspace derives seed-dependent *structure* (flow picks, send
+/// times, markers); never a source of run-time randomness.
 pub fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -256,16 +256,6 @@ impl DropCounters {
     pub fn iter(&self) -> impl Iterator<Item = (DropReason, u64)> + '_ {
         DropReason::ALL.iter().map(|&r| (r, self.0[r.index()]))
     }
-
-    /// Add every counter from `other` — the shard-merge path. Counts
-    /// recorded through [`PipelineStats::drop`] on different shards sum
-    /// reason-by-reason; merging preserves the exactly-once discipline
-    /// because each drop was recorded on exactly one shard.
-    pub fn absorb(&mut self, other: &DropCounters) {
-        for (a, b) in self.0.iter_mut().zip(other.0.iter()) {
-            *a += *b;
-        }
-    }
 }
 
 impl Index<DropReason> for DropCounters {
@@ -299,13 +289,6 @@ impl StageCounters {
     /// `(stage, count)` pairs in pipeline order.
     pub fn iter(&self) -> impl Iterator<Item = (Stage, u64)> + '_ {
         Stage::ALL.iter().map(|&s| (s, self.0[s.index()]))
-    }
-
-    /// Add every counter from `other` (shard-merge support).
-    pub fn absorb(&mut self, other: &StageCounters) {
-        for (a, b) in self.0.iter_mut().zip(other.0.iter()) {
-            *a += *b;
-        }
     }
 }
 
@@ -368,25 +351,6 @@ impl PipelineStats {
     /// Total drops across reasons.
     pub fn total_drops(&self) -> u64 {
         self.drops.total()
-    }
-
-    /// Merge another pipeline's counters into this one — the shard-merge
-    /// path: per-shard accounting sums exactly (counters add, histograms
-    /// merge bucket-wise, summaries combine via the parallel Welford
-    /// identity, peaks take the max). Each underlying observation was
-    /// recorded on exactly one shard, so the merged surface equals what a
-    /// single accounting instance would have seen.
-    pub fn absorb(&mut self, other: &PipelineStats) {
-        self.forwarded += other.forwarded;
-        self.local += other.local;
-        self.drops.absorb(&other.drops);
-        self.stages.absorb(&other.stages);
-        self.forward_delay.absorb(&other.forward_delay);
-        self.queue_depth.absorb(&other.queue_depth);
-        self.max_queue = self.max_queue.max(other.max_queue);
-        self.parse_latency_ns.merge(&other.parse_latency_ns);
-        self.queue_wait_ns.merge(&other.queue_wait_ns);
-        self.transmit_latency_ns.merge(&other.transmit_latency_ns);
     }
 
     /// Publish the shared pipeline surface into a scrape registry under
@@ -516,29 +480,6 @@ impl Summary {
     /// Record a duration in seconds.
     pub fn record_duration(&mut self, d: SimDuration) {
         self.record(d.as_secs_f64());
-    }
-
-    /// Combine another summary into this one using the parallel Welford
-    /// (Chan et al.) identity, so `a.absorb(&b)` matches the summary of
-    /// the concatenated observation streams up to floating-point
-    /// associativity.
-    pub fn absorb(&mut self, other: &Summary) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let n = n1 + n2;
-        let d = other.mean - self.mean;
-        self.m2 += other.m2 + d * d * n1 * n2 / n;
-        self.mean += d * n2 / n;
-        self.n += other.n;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Number of observations.

@@ -23,14 +23,14 @@
 //! 6. **Determinism** — the same seed produces a byte-identical run
 //!    digest, every time.
 //!
-//! When a seed fails, the [`shrink`] module minimizes the scenario with
-//! a ddmin-style pass and writes a rerunnable text fixture.
+//! When a seed fails, the [`shrink`](mod@shrink) module minimizes the
+//! scenario with a ddmin-style pass and writes a rerunnable text fixture.
 //!
 //! Beside the chaos harness sits the one scale workload: [`te`] plans a
 //! flash crowd with the directory's TE search and runs it on cut-through
 //! `ViperRouter`s over a [`topo`] mesh of up to 10 000 nodes. The TE
-//! experiment (`exp te`) and the sharded engine's digest-equality suite
-//! (`tests/parallel_digest.rs`) are the same code at different sizes.
+//! experiment (`exp te`) and the determinism suite
+//! (`tests/te_determinism.rs`) are the same code at different sizes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,8 +44,8 @@ pub mod topo;
 
 pub use invariants::{check_corpus, check_exact, diverted_replies_route_back};
 pub use scenario::{
-    build, build_stripped, build_with_queue, execute, execute_sharded, execute_stripped,
-    execute_with_queue, outcome_digest, run, run_traced, ReplyRecord, RunReport,
+    build, build_stripped, build_with_queue, execute, execute_stripped, execute_with_queue,
+    outcome_digest, run, run_traced, ReplyRecord, RunReport,
 };
 pub use shrink::{shrink, write_fixture};
 pub use spec::{Profile, Scenario};

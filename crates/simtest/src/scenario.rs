@@ -19,8 +19,8 @@ use sirpent_router::viper::{
 use sirpent_router::LogicalTable;
 use sirpent_sim::stats::Summary;
 use sirpent_sim::{
-    ChannelId, ChaosAction, ChaosEvent, FaultConfig, FaultSchedule, NodeId, ShardedSimulator,
-    SimDuration, SimTime, Simulator,
+    ChannelId, ChaosAction, ChaosEvent, FaultConfig, FaultSchedule, NodeId, SimDuration, SimTime,
+    Simulator,
 };
 use sirpent_wire::buf::FrameBuf;
 use sirpent_wire::cvc::Message;
@@ -669,29 +669,6 @@ pub fn run_traced(
     mut built: BuiltScenario,
 ) -> (RunReport, Option<sirpent_telemetry::FlightRecorder>) {
     built.sim.run_until(PHASE1_END);
-    finish(built)
-}
-
-/// Run phase 1 on a spatially sharded engine, merge the shards back to
-/// one serial simulator, then finish phase 2 and scrape as usual.
-///
-/// `shards <= 1` wraps the serial engine untouched, so its report —
-/// digest included — is byte-identical to [`execute`]. For a fixed
-/// shard count the report is also independent of `threads`: worker
-/// threads only execute the (already deterministic) per-shard work.
-pub fn execute_sharded(spec: &Scenario, shards: usize, threads: usize) -> RunReport {
-    let mut built = build(spec);
-    let serial = std::mem::replace(&mut built.sim, Simulator::new(0));
-    let mut sharded = ShardedSimulator::split(serial, shards);
-    sharded.run_until(PHASE1_END, threads);
-    built.sim = sharded.into_serial();
-    finish(built).0
-}
-
-/// Phase 2 + scrape, shared by the serial and sharded entry points:
-/// phase 1 has run to [`PHASE1_END`] by whatever engine arrangement,
-/// and everything from reply planning onward is serial.
-fn finish(mut built: BuiltScenario) -> (RunReport, Option<sirpent_telemetry::FlightRecorder>) {
     // Phase 2: reverse-route replies from delivered trailers.
     let mut reply_book: Vec<ReplyRecord> = Vec::new();
     for rail in &built.rails {

@@ -5,8 +5,8 @@
 //! Everything downstream (topology construction, chaos events, packet
 //! bytes) is a pure function of a [`Scenario`], so a failing run is
 //! reproduced by re-running its spec and minimized by shrinking the spec
-//! (see [`crate::shrink`]). Probabilities are stored in per-mille so the
-//! text fixture round-trips exactly.
+//! (see [`crate::shrink`](mod@crate::shrink)). Probabilities are stored
+//! in per-mille so the text fixture round-trips exactly.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

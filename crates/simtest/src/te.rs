@@ -33,10 +33,9 @@
 //! time gives ground-truth trunk utilization, header and trailer bytes
 //! included: a stretched route is also a fatter packet.
 //!
-//! Digests are shard-invariant (DESIGN.md §11.6) because the run draws
-//! no RNG, every send instant is hashed to its own nanosecond so
-//! packets do not tie at a router, and [`digest`] folds each router's
-//! deliveries commutatively.
+//! The run draws no RNG, every send instant is hashed to its own
+//! nanosecond so packets do not tie at a router, and [`digest`] folds
+//! each router's deliveries commutatively.
 
 use std::collections::BTreeMap;
 
@@ -45,9 +44,7 @@ use sirpent_directory::{Directory, Peer, TeTopology};
 use sirpent_router::link::LinkFrame;
 use sirpent_router::scripted::ScriptedHost;
 use sirpent_router::viper::{ViperConfig, ViperRouter};
-use sirpent_sim::{
-    splitmix64, ChannelId, NodeId, ShardedSimulator, SimDuration, SimTime, Simulator,
-};
+use sirpent_sim::{splitmix64, ChannelId, NodeId, SimDuration, SimTime, Simulator};
 use sirpent_transport::weighted_pick;
 use sirpent_wire::buf::FrameBuf;
 use sirpent_wire::packet::PacketBuilder;
@@ -136,7 +133,7 @@ impl TeWorkload {
 
     /// A test-sized crowd on a seed-derived mesh — ring, grid or
     /// random-regular, 16..=96 routers, a few dozen flows: the
-    /// property-test and sharding-suite workload.
+    /// property-test and determinism-suite workload.
     pub fn from_seed(seed: u64) -> TeWorkload {
         let r = |salt: u64| splitmix64(seed ^ salt);
         let shape = match r(1) % 3 {
@@ -263,7 +260,7 @@ pub struct TePlan {
 /// What one run measured: digest, delivery, utilization, latency.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TeRunReport {
-    /// Canonical run digest (shard-invariant).
+    /// Canonical run digest.
     pub digest: String,
     /// Engine events dispatched.
     pub events: u64,
@@ -578,16 +575,8 @@ fn marker_of(payload: &[u8]) -> Option<u64> {
 /// Canonical digest of a finished TE run: engine event count plus every
 /// router's counters and a commutative fold of what it delivered (when,
 /// and the bytes — data and the trailer's record of the path taken).
-///
-/// The count leaves out the routers' decision timers. A router decides
-/// in the frame's own event when nothing can reach it first, and a shard
-/// window edge rules that out more often than a serial run does; either
-/// way the decision and everything after it are the same, so only the
-/// timers differ.
 pub fn digest(sim: &Simulator, nodes: usize) -> (String, u64) {
-    let routers = (0..nodes).map(|i| sim.node::<ViperRouter>(NodeId(i)));
-    let timers: u64 = routers.map(|r| r.stats.decisions_deferred).sum();
-    let events = sim.events_dispatched() - timers;
+    let events = sim.events_dispatched();
     let mut out = String::with_capacity(nodes * 56 + 32);
     out.push_str("te-digest v3\n");
     out.push_str(&format!("events={events}\n"));
@@ -707,36 +696,19 @@ fn report(
     }
 }
 
-/// Run an already-planned crowd. `shards = 1` runs the serial engine;
-/// more shards run the conservative time-window engine on `threads`
-/// workers and merge back before digesting. Either way the digest is
-/// identical — that invariance is what the determinism suite checks.
-pub fn run(spec: &TeWorkload, plan: &TePlan, shards: usize, threads: usize) -> TeRunReport {
+/// Run an already-planned crowd to the horizon.
+pub fn run(spec: &TeWorkload, plan: &TePlan) -> TeRunReport {
     let mut spec = spec.clone();
     spec.normalize();
-    let (sim, channels) = build(&spec, plan);
-    let sim = if shards <= 1 {
-        let mut sim = sim;
-        sim.run_until(SimTime(spec.horizon_ns));
-        sim
-    } else {
-        let mut sharded = ShardedSimulator::split(sim, shards);
-        sharded.run_until(SimTime(spec.horizon_ns), threads);
-        sharded.into_serial()
-    };
+    let (mut sim, channels) = build(&spec, plan);
+    sim.run_until(SimTime(spec.horizon_ns));
     report(&spec, plan, &sim, &channels)
 }
 
-/// Plan and run on the serial engine.
+/// Plan and run.
 pub fn execute(spec: &TeWorkload) -> TeRunReport {
     let p = plan(spec);
-    run(spec, &p, 1, 1)
-}
-
-/// Plan and run on the sharded engine.
-pub fn execute_sharded(spec: &TeWorkload, shards: usize, threads: usize) -> TeRunReport {
-    let p = plan(spec);
-    run(spec, &p, shards, threads)
+    run(spec, &p)
 }
 
 #[cfg(test)]
@@ -817,21 +789,6 @@ mod tests {
         assert_eq!(r.injected_pkts, r.delivered_pkts);
         assert!(r.peak_util_milli > 0, "some trunk carried traffic");
         assert!(r.max_stretch_milli >= 1_000);
-    }
-
-    #[test]
-    fn sharded_digest_matches_serial() {
-        let spec = TeWorkload::small(14);
-        let p = plan(&spec);
-        let serial = run(&spec, &p, 1, 1);
-        for shards in [2usize, 4] {
-            let sharded = run(&spec, &p, shards, 1);
-            assert_eq!(
-                serial.digest, sharded.digest,
-                "digest differs at {shards} shards"
-            );
-            assert_eq!(serial.delivered_pkts, sharded.delivered_pkts);
-        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! runs need orders of magnitude more. [`adjacency`] draws **no RNG**:
 //! the random-regular shape takes its circulant offsets from
 //! [`splitmix64`] of the seed, so the same `(seed, shape, n)` is the
-//! same graph in every process, shard count and thread count.
+//! same graph in every process.
 
 use sirpent_sim::splitmix64;
 

@@ -20,7 +20,6 @@
 //!   call sites never pass raw string literals.
 //! * `determinism` — no hash-ordered iteration, wall clock, env, thread
 //!   or ambient-RNG source in any crate a simulation runs.
-//! * `sync-discipline` — `std::sync` construction only in `sim/sync.rs`.
 //! * `rng-draw-order` — node/router code draws only from
 //!   `Context::rng()`.
 //!

@@ -1,8 +1,8 @@
 //! `determinism`: no nondeterminism source in any crate a simulation
 //! runs.
 //!
-//! The simulation's whole verification story — golden digests, 32-seed
-//! replay suites, shard-count invariance — rests on simulated behaviour
+//! The simulation's whole verification story — golden digests and the
+//! 32-seed replay suites — rests on simulated behaviour
 //! being a pure function of (topology, seed). This rule finds the
 //! ambient-state sources that silently break that contract:
 //!
@@ -12,8 +12,8 @@
 //!   and an ordered map does the same lookups),
 //! * wall-clock reads (`std::time::Instant`, `SystemTime`),
 //! * process environment reads (`std::env`),
-//! * thread creation outside the sync nucleus (`thread::spawn`,
-//!   `thread::scope`, builder `.spawn(..)`),
+//! * thread creation (`thread::spawn`, `thread::scope`, builder
+//!   `.spawn(..)`): the engine runs on one thread,
 //! * ambient RNG (`thread_rng`, `from_entropy`, `OsRng`) that bypasses
 //!   the engine-owned seeded stream behind `Context::rng()`.
 //!
@@ -43,8 +43,7 @@ impl Rule for Determinism {
             if is_test_location(&f.rel) || !ctx.cfg.is_sim_file(&f.rel) {
                 continue;
             }
-            let exempt_thread = ctx.cfg.is_sync_module(&f.rel);
-            for (line, what) in find_sources(f, exempt_thread) {
+            for (line, what) in find_sources(f) {
                 out.push(Diagnostic::new(&f.rel, line, self.name(), what));
             }
         }
@@ -52,7 +51,7 @@ impl Rule for Determinism {
 }
 
 /// Scan one file for nondeterminism sources, as `(line, message)`.
-fn find_sources(f: &SourceFile, exempt_thread: bool) -> Vec<(u32, String)> {
+fn find_sources(f: &SourceFile) -> Vec<(u32, String)> {
     let mut sites = Vec::new();
     let n = f.code.len();
     for i in 0..n {
@@ -95,8 +94,7 @@ fn find_sources(f: &SourceFile, exempt_thread: bool) -> Vec<(u32, String)> {
                 ));
             }
             "spawn" | "scope"
-                if !exempt_thread
-                    && next == Some("(")
+                if next == Some("(")
                     && ((i >= 3 && f.tok(i - 3).text == "thread") || prev == Some(".")) =>
             {
                 // `thread::spawn` / `thread::scope` / builder `.spawn(`.
@@ -110,9 +108,8 @@ fn find_sources(f: &SourceFile, exempt_thread: bool) -> Vec<(u32, String)> {
                 sites.push((
                     t.line,
                     format!(
-                        "`{}` creates threads outside sim/sync.rs — scheduling order would \
-                         leak into results; all parallelism goes through the conservative \
-                         window protocol",
+                        "`{}` creates threads — scheduling order would leak into results; \
+                         the engine runs on one thread",
                         t.text
                     ),
                 ));
@@ -167,7 +164,7 @@ mod tests {
             "use std::collections::BTreeMap;\n\
              fn go(m: &BTreeMap<u8, u8>) { for k in m.keys() {} }\n",
         );
-        assert!(find_sources(&f, false).is_empty());
+        assert!(find_sources(&f).is_empty());
     }
 
     #[test]
@@ -177,19 +174,10 @@ mod tests {
             "fn a() { let t = std::time::Instant::now(); }\n\
              fn b() { let p = std::env::var(\"X\"); }\n\
              fn c() { std::thread::spawn(|| {}); }\n\
-             fn d() { let r = rand::thread_rng(); }\n",
+             fn d() { let r = rand::thread_rng(); }\n\
+             fn e() { std::thread::scope(|_| {}); }\n",
         );
-        assert_eq!(find_sources(&f, false).len(), 4);
-    }
-
-    #[test]
-    fn sync_module_thread_use_is_exempt() {
-        let f = SourceFile::analyze(
-            "crates/sim/src/sync.rs".into(),
-            "fn run() { std::thread::scope(|s| { s.spawn(|| {}); }); }\n",
-        );
-        let sites = find_sources(&f, true);
-        assert!(sites.is_empty(), "{sites:?}");
+        assert_eq!(find_sources(&f).len(), 5);
     }
 
     #[test]

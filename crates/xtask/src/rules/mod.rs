@@ -15,7 +15,6 @@ mod drop_accounting;
 mod panic_free;
 mod queue_discipline;
 mod rng_draw_order;
-mod sync_discipline;
 mod telemetry_naming;
 
 pub use determinism::Determinism;
@@ -23,7 +22,6 @@ pub use drop_accounting::DropAccounting;
 pub use panic_free::PanicFree;
 pub use queue_discipline::QueueDiscipline;
 pub use rng_draw_order::RngDrawOrder;
-pub use sync_discipline::SyncDiscipline;
 pub use telemetry_naming::TelemetryNaming;
 
 /// One CI-failing finding, rendered as `file:line: [rule] message`.
@@ -70,8 +68,7 @@ pub struct Config {
     pub all_dataplane: bool,
     /// Fixture mode for the scope-sensitive rules: derive a file's scope
     /// from its stem (`*node*` → node/router code; every file is
-    /// simulation code, none is the sync module) instead of its
-    /// workspace path, so standalone golden snippets can exercise
+    /// simulation code) instead of its workspace path, so standalone golden snippets can exercise
     /// scope-sensitive rules.
     pub fixture_scopes: bool,
 }
@@ -95,8 +92,6 @@ pub const DATAPLANE_FILES: &[&str] = &[
     "crates/sim/src/engine/channel.rs",
     "crates/sim/src/engine/dispatch.rs",
     "crates/sim/src/engine/quiet.rs",
-    "crates/sim/src/shard.rs",
-    "crates/sim/src/sync.rs",
     "crates/directory/src/te.rs",
     "crates/simtest/src/te.rs",
 ];
@@ -109,16 +104,13 @@ pub const DATAPLANE_FILES: &[&str] = &[
 pub const TOOL_CRATES: &[&str] = &["xtask"];
 
 /// Crates holding node/router logic, where every random draw must go
-/// through `Context::rng()` so per-shard RNG streams stay aligned.
+/// through `Context::rng()` so the engine's seeded stream stays the only
+/// one.
 pub const NODE_CODE_PREFIXES: &[&str] = &[
     "crates/router/src/",
     "crates/core/src/",
     "crates/transport/src/",
 ];
-
-/// The one file allowed to construct `std::sync` primitives: the sharded
-/// engine's synchronization nucleus.
-pub const SYNC_MODULE: &str = "crates/sim/src/sync.rs";
 
 fn stem_has(rel: &str, marker: &str) -> bool {
     let stem = rel.rsplit('/').next().unwrap_or(rel);
@@ -143,11 +135,6 @@ impl Config {
         rel.strip_prefix("crates/")
             .and_then(|r| r.split('/').next())
             .is_some_and(|krate| !TOOL_CRATES.contains(&krate))
-    }
-
-    /// Whether `rel` is the sync nucleus ([`SYNC_MODULE`]).
-    pub fn is_sync_module(&self, rel: &str) -> bool {
-        rel == SYNC_MODULE
     }
 
     /// Whether `rel` is node/router code ([`NODE_CODE_PREFIXES`]).
@@ -185,7 +172,6 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(DropAccounting),
         Box::new(TelemetryNaming),
         Box::new(Determinism),
-        Box::new(SyncDiscipline),
         Box::new(RngDrawOrder),
     ]
 }

@@ -1,12 +1,11 @@
 //! `rng-draw-order`: node/router code draws randomness only through
 //! `Context::rng()`.
 //!
-//! The engine owns one seeded `StdRng` per shard (seeds derived as
-//! `master ^ splitmix64(shard)`), and replay-by-seed plus shard-count
-//! invariance depend on every draw coming out of those streams in
-//! event order. A node that constructs its own RNG — even a seeded one
-//! — forks a private stream the engine cannot align across shard
-//! counts, and an entropy-seeded one breaks replay outright. So in
+//! The engine owns one seeded `StdRng`, and replay-by-seed depends on
+//! every draw coming out of that stream in event order. A node that
+//! constructs its own RNG — even a seeded one — forks a private stream
+//! whose draws the engine does not order, and an entropy-seeded one
+//! breaks replay outright. So in
 //! node/router code ([`crate::rules::NODE_CODE_PREFIXES`]) the rule
 //! bans naming RNG types and seeding/entropy constructors at all;
 //! calling `.gen_range(..)` on the `&mut StdRng` handed out by
@@ -69,8 +68,7 @@ impl Rule for RngDrawOrder {
                     self.name(),
                     format!(
                         "`{}` in node/router code forks a private RNG stream — take draws \
-                         from `ctx.rng()` so event-order replay and shard-count invariance \
-                         hold",
+                         from `ctx.rng()` so event-order replay holds",
                         t.text
                     ),
                 ));

@@ -1,6 +1,6 @@
 //! Violating fixture: node code forking a private RNG stream. Even a
 //! seeded private stream desynchronizes replay — its draws do not come
-//! out of the engine's per-shard sequence.
+//! out of the engine's seeded sequence.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

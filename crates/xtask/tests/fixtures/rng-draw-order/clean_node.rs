@@ -1,9 +1,9 @@
 //! Clean fixture: all randomness flows through the engine-owned,
-//! per-shard seeded stream behind `Context::rng()`.
+//! seeded stream behind `Context::rng()`.
 
 use rand::Rng;
 
-/// Draws come from the per-shard stream, in event order.
+/// Draws come from the engine's stream, in event order.
 pub fn jitter_nanos(rng: &mut impl Rng) -> u64 {
     rng.gen_range(0..128)
 }

@@ -19,7 +19,6 @@ const FIXTURES: &[(&str, &str)] = &[
     ("telemetry-naming", "telemetry-naming"),
     ("lint-allow", "panic-free-dataplane"),
     ("determinism", "determinism"),
-    ("sync-discipline", "sync-discipline"),
     ("rng-draw-order", "rng-draw-order"),
 ];
 
