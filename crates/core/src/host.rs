@@ -14,7 +14,7 @@
 //!   corruption) is counted for the experiments.
 
 use std::any::Any;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 use sirpent_router::link::{decode_port_frame, LinkFrame, PortDecode};
 use sirpent_sim::{transmission_time, Context, Event, Node, SimDuration, SimTime};
@@ -156,8 +156,8 @@ impl InstalledRoute {
 }
 
 /// A request awaiting its response. Dropped when the response is
-/// delivered; a request the client gave up on keeps it, so a response
-/// that still arrives is timed.
+/// delivered; a request the client gave up on keeps it for two retention
+/// periods, so a response that still arrives is timed.
 struct SendTracker {
     dst: EntityId,
     started: SimTime,
@@ -193,11 +193,17 @@ pub struct SirpentHost {
     /// window of; rebuilt when the public field has been reassigned.
     response: PacketBuf,
     inflight: BTreeMap<u32, SendTracker>,
+    /// Given-up requests' trackers, by when they retire.
+    given_up: VecDeque<(SimTime, u32)>,
     pending: BTreeMap<u64, Pending>,
     next_key: u64,
     next_txn: u32,
+    /// Requests queued since they were last armed, in queue order.
     app_queue: Vec<QueuedRequest>,
-    queue_next: usize,
+    /// Armed requests in send order: by time, then by queue order.
+    /// Sending one frees its slot.
+    armed: BTreeMap<(SimTime, u64), QueuedRequest>,
+    armed_total: u64,
     failover: FailoverPolicy,
     /// The intra-host endpoint selector this host answers to, matched
     /// against the final local segment's `portInfo` (§2.2: "a Sirpent
@@ -229,11 +235,13 @@ impl SirpentHost {
             reply_ctx: BTreeMap::new(),
             response: PacketBuf::new(),
             inflight: BTreeMap::new(),
+            given_up: VecDeque::new(),
             pending: BTreeMap::new(),
             next_key: 1,
             next_txn: 1,
             app_queue: Vec::new(),
-            queue_next: 0,
+            armed: BTreeMap::new(),
+            armed_total: 0,
             failover: FailoverPolicy::default(),
             endpoint_selector: Vec::new(),
             auto_respond: None,
@@ -305,7 +313,7 @@ impl SirpentHost {
     /// Transaction state held and due to retire: requests awaiting a
     /// response with their packet groups, and incoming groups with
     /// members missing. Returns to 0 when every transaction has run its
-    /// course.
+    /// course — a given-up one two retention periods after the give-up.
     pub fn open_transactions(&self) -> usize {
         self.inflight.len() + self.endpoint.open_groups()
     }
@@ -316,16 +324,14 @@ impl SirpentHost {
         self.app_queue.push(QueuedRequest { at, dst, payload });
     }
 
-    /// Arm the host's queued requests (sorts pending ones and kicks the
-    /// first timer). Mirrors `ScriptedHost::start`.
+    /// Arm the host's queued requests (moves them into send order and
+    /// kicks the first one's timer). Mirrors `ScriptedHost::start`.
     pub fn start(sim: &mut sirpent_sim::Simulator, me: sirpent_sim::NodeId) {
         let now = sim.now();
         let host = sim.node_mut::<SirpentHost>(me);
-        let n = host.queue_next;
-        host.app_queue[n..].sort_by_key(|q| q.at);
-        if let Some(next) = host.app_queue.get(n) {
-            let at = next.at.max(now);
-            sim.kick(at, me, KEY_KICK);
+        host.arm();
+        if let Some(&(at, _)) = host.armed.keys().next() {
+            sim.kick(at.max(now), me, KEY_KICK);
         }
     }
 
@@ -491,14 +497,27 @@ impl SirpentHost {
         }
     }
 
+    /// Move the requests queued since the last call into `armed`, built
+    /// in bulk: one insert per request would cost set-up more.
+    fn arm(&mut self) {
+        let first = self.armed_total;
+        self.armed_total += self.app_queue.len() as u64;
+        let queued = std::mem::take(&mut self.app_queue).into_iter();
+        let mut batch = queued.zip(first..).map(|(q, n)| ((q.at, n), q)).collect();
+        self.armed.append(&mut batch);
+    }
+
     fn send_queued(&mut self, ctx: &mut Context<'_>) {
-        while self.queue_next < self.app_queue.len()
-            && self.app_queue[self.queue_next].at <= ctx.now()
-        {
+        if !self.app_queue.is_empty() {
+            self.arm();
+        }
+        while let Some(q) = self.armed.first_entry() {
+            if q.key().0 > ctx.now() {
+                ctx.schedule_at(q.key().0, KEY_KICK);
+                break;
+            }
             // The queue entry's `Vec` becomes the request group's buffer.
-            let q = &mut self.app_queue[self.queue_next];
-            let (dst, payload) = (q.dst, std::mem::take(&mut q.payload));
-            self.queue_next += 1;
+            let QueuedRequest { dst, payload, .. } = q.remove();
             let txn = self.next_txn;
             self.next_txn += 1;
             let now = ctx.now();
@@ -530,10 +549,6 @@ impl SirpentHost {
             let at = now + timeout;
             self.schedule(ctx, at, Pending::Retransmit { transaction: txn });
         }
-        if self.queue_next < self.app_queue.len() {
-            let at = self.app_queue[self.queue_next].at;
-            ctx.schedule_at(at, KEY_KICK);
-        }
     }
 
     /// Retransmission timeout for a transaction: the failover layer's
@@ -564,7 +579,11 @@ impl SirpentHost {
                 at: now,
             });
             // No timer follows, so nothing re-sends from the group again.
+            // The tracker waits out two retention periods for a late
+            // response: past one, the lifetime filter refuses it anyway.
             self.endpoint.retire(dst, txn);
+            let retires = now + self.endpoint.retention().times(2);
+            self.given_up.push_back((retires, txn));
             return;
         }
         t.attempts += 1;
@@ -646,6 +665,13 @@ impl SirpentHost {
 
 impl Node for SirpentHost {
     fn on_event(&mut self, ctx: &mut Context<'_>, ev: Event) {
+        while let Some(&(at, txn)) = self.given_up.front() {
+            if at > ctx.now() {
+                break;
+            }
+            self.given_up.pop_front();
+            self.inflight.remove(&txn);
+        }
         match ev {
             Event::Frame(fe) => {
                 let port = fe.port;

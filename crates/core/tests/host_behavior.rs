@@ -684,6 +684,115 @@ fn a_response_whose_ack_is_lost_leaves_no_open_state() {
     assert_eq!(server.open_transactions(), 0);
 }
 
+/// Queue `n` requests from `a` to `0xB`, one a millisecond from `from`,
+/// and run until all are answered.
+fn transactions(sim: &mut Simulator, a: NodeId, from: SimTime, n: u64) {
+    for i in 0..n {
+        let at = from + SimDuration::from_millis(i);
+        sim.node_mut::<SirpentHost>(a)
+            .queue_request(at, EntityId(0xB), vec![0x5A; 64]);
+    }
+    SirpentHost::start(sim, a);
+    sim.run_until(from + SimDuration::from_secs(1));
+}
+
+#[test]
+fn replay_state_returns_to_its_size_two_retention_periods_later() {
+    // Ten times more transactions leave ten times more replay entries,
+    // but only for a while: once both hosts next run two retention
+    // periods on, what the burst left is gone, and N new transactions
+    // hold what N held before.
+    let (mut sim, a, b, _) = client_router_server(17);
+    sim.node_mut::<SirpentHost>(b).auto_respond = Some(vec![0xA5; 64]);
+    let entries = |sim: &Simulator| {
+        let [a, b] = [a, b].map(|h| sim.node::<SirpentHost>(h).endpoint().replay_entries());
+        (a, b)
+    };
+    let n = 20;
+    transactions(&mut sim, a, SimTime::ZERO, n);
+    // The client keeps each response's id; the server each request's id
+    // and the response it sent.
+    let after_n = entries(&sim);
+    assert_eq!(after_n, (20, 40));
+    transactions(&mut sim, a, SimTime(1_000_000_000), 10 * n);
+    assert_eq!(entries(&sim), (220, 440));
+
+    let period = sim.node::<SirpentHost>(a).endpoint().retention();
+    assert_eq!(period, SimDuration::from_secs(65), "60 s MPL + 5 s skew");
+    transactions(&mut sim, a, SimTime(2_000_000_000) + period.times(2), n);
+    assert_eq!(entries(&sim), after_n);
+    let (client, server) = (sim.node::<SirpentHost>(a), sim.node::<SirpentHost>(b));
+    assert_eq!(client.rtt_samples.len() as u64, 12 * n);
+    assert_eq!(server.endpoint().stats.duplicates, 0);
+    assert_eq!(client.open_transactions(), 0);
+}
+
+#[test]
+fn a_probe_just_inside_the_retention_period_is_answered() {
+    // As `a_probe_recovers_a_response_lost_after_the_request_was_acked`,
+    // but the client's timer runs for almost a whole retention period,
+    // and the server's replay state has aged a generation meanwhile: the
+    // probe still finds the request and the response kept for it.
+    let mut net = Net::new(18);
+    let a = net.host(0xA, vec![(0, HostPortKind::PointToPoint)]);
+    let b = net.host(0xB, vec![(0, HostPortKind::PointToPoint)]);
+    let r = net.viper(ViperConfig::basic(1, &[1, 2]));
+    let to_client = net.p2p(a, 0, r, 1, RATE, PROP).1;
+    net.p2p(r, 2, b, 0, RATE, PROP);
+    let mut slow = routes(&net, a, b);
+    let mut sim = net.into_sim();
+    let period = sim.node::<SirpentHost>(b).endpoint().retention();
+    // The first timeout is twice the base RTT: 10 ms short of a period.
+    slow[0].base_rtt = SimDuration((period.as_nanos() - 10_000_000) / 2);
+    sim.node_mut::<SirpentHost>(a)
+        .install_routes(EntityId(0xB), slow);
+    sim.node_mut::<SirpentHost>(b).auto_respond = Some(vec![0xA5; 200]);
+    // Half a period in, so the server's state changes generation before
+    // the probe comes.
+    let sent = SimTime::ZERO + SimDuration(period.as_nanos() / 2);
+    sim.node_mut::<SirpentHost>(a)
+        .queue_request(sent, EntityId(0xB), vec![0x5A; 300]);
+    SirpentHost::start(&mut sim, a);
+    lose_frame(&mut sim, to_client, 2);
+
+    sim.run_until(sent + period + SimDuration::from_secs(1));
+    let (client, server) = (sim.node::<SirpentHost>(a), sim.node::<SirpentHost>(b));
+    assert_eq!(
+        client.rtt_samples.len(),
+        1,
+        "the probe brought the response"
+    );
+    assert!(client.rtt_samples[0].1 + SimDuration::from_millis(11) > period);
+    assert_eq!(client.inbox[0].message, vec![0xA5; 200]);
+    assert_eq!(client.endpoint().stats.retransmissions, 1, "one probe");
+    assert_eq!(server.endpoint().stats.duplicates, 1, "seen as a replay");
+    assert_eq!(server.stats.responses_sent, 1, "re-sent, not re-answered");
+    assert_eq!(client.open_transactions(), 0);
+}
+
+#[test]
+fn a_request_given_up_on_retires_two_retention_periods_later() {
+    // A silent server acks and never answers, so the client gives up.
+    // Its tracker stays for a late response, and goes once the client
+    // next runs two retention periods on.
+    let (mut sim, a, b, _) = client_router_server(19);
+    sim.node_mut::<SirpentHost>(a)
+        .queue_request(SimTime::ZERO, EntityId(0xB), vec![0x5A; 64]);
+    SirpentHost::start(&mut sim, a);
+    sim.run_until(SimTime(2_000_000_000));
+    let client = sim.node::<SirpentHost>(a);
+    let gave_up = |e: &HostEvent| matches!(e, HostEvent::GaveUp { .. });
+    assert!(client.events.iter().any(gave_up));
+    assert_eq!(client.open_transactions(), 1, "kept for a late response");
+
+    let period = client.endpoint().retention();
+    sim.node_mut::<SirpentHost>(b).auto_respond = Some(vec![0xA5; 64]);
+    transactions(&mut sim, a, SimTime(2_000_000_000) + period.times(2), 1);
+    let client = sim.node::<SirpentHost>(a);
+    assert_eq!(client.rtt_samples.len(), 1, "the next request's");
+    assert_eq!(client.open_transactions(), 0);
+}
+
 #[test]
 fn rate_control_events_come_out_in_destination_order() {
     // Twelve destinations all transit router 9 and all have an alternate,

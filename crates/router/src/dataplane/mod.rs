@@ -31,7 +31,7 @@
 use sirpent_sim::{FrameId, SimTime};
 use sirpent_wire::buf::{PacketBuf, SegmentView};
 use sirpent_wire::ethernet;
-use sirpent_wire::packet::PacketView;
+use sirpent_wire::packet::data_range;
 
 mod linear;
 mod output;
@@ -79,12 +79,13 @@ pub struct Work {
 /// Flight-recorder identity of a Sirpent packet: the first 8
 /// little-endian bytes of its transport payload — the simtest marker
 /// convention. Works mid-route because the terminating local segment
-/// survives every per-hop strip, so `PacketView` finds the payload at
-/// any hop. Returns `None` (never panics) for malformed or short
-/// packets; callers only invoke this when the recorder is enabled.
+/// survives every per-hop strip, so [`data_range`] finds the payload at
+/// any hop, without allocating. Returns `None` (never panics) for
+/// malformed or short packets; callers only invoke this when the
+/// recorder is enabled.
 pub fn flight_key_of(packet: &PacketBuf) -> Option<u64> {
     let bytes = packet.as_slice();
-    let view = PacketView::parse(bytes).ok()?;
-    let head: [u8; 8] = view.data(bytes).get(..8)?.try_into().ok()?;
+    let data = data_range(bytes).ok()?;
+    let head: [u8; 8] = bytes.get(data)?.get(..8)?.try_into().ok()?;
     Some(u64::from_le_bytes(head))
 }

@@ -13,11 +13,24 @@
 //! (transmissions carry explicit due times for the host to schedule).
 //! It also keeps VMTP's server-side transaction record: each response
 //! it sends is kept, and a replayed request is answered with it again.
+//!
+//! That record, and the ids of delivered messages that detect a replay,
+//! live one packet lifetime, not forever. Sirpent has no TTL: the
+//! receiver's [`LifetimeFilter`] refuses a packet stamped more than the
+//! MPL ago or further ahead than clock sync allows (§4.2). So replay
+//! state is kept [`Endpoint::retention`] — the filter's two bounds
+//! added — after the last packet of its transaction arrived. A copy
+//! created before that packet arrived and arriving later still is
+//! older than the MPL, or was stamped further ahead than clock sync
+//! allows, so the filter refuses it before any lookup. Each peer's
+//! state is a log in transaction order, held in two generations that
+//! age by one on the endpoint's first call a period after the current
+//! one began; nothing is timestamped per entry.
 
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use sirpent_sim::SimTime;
+use sirpent_sim::{SimDuration, SimTime};
 use sirpent_wire::buf::PacketBuf;
 use sirpent_wire::vmtp::{EntityId, Header, Kind, Packet, HEADER_LEN};
 
@@ -113,12 +126,11 @@ pub struct Endpoint {
     /// response to its own request with that number names it too.
     outgoing: BTreeMap<(EntityId, u32), GroupSender>,
     incoming: BTreeMap<(EntityId, u32, u8), GroupReceiver>,
-    completed: BTreeSet<(EntityId, u32, u8)>,
-    /// The responses we sent, by the request they answer: a replay of
-    /// that request is answered with it again. Transaction ids are
-    /// per-requester, so our request 1 to B and our response to B's
-    /// request 1 coexist.
-    responses: BTreeMap<(EntityId, u32), PacketBuf>,
+    /// Replay state by peer, in two generations: `[0]` holds what was
+    /// delivered, sent or replayed since `generation` began, `[1]` what
+    /// was before. See [`Endpoint::age_logs`].
+    logs: [BTreeMap<EntityId, PeerLog>; 2],
+    generation: SimTime,
     /// Counters.
     pub stats: TransportStats,
 }
@@ -129,6 +141,49 @@ fn kind_tag(k: Kind) -> u8 {
         Kind::Response => 2,
         Kind::Ack => 3,
     }
+}
+
+/// What replay detection needs of one peer's finished transactions,
+/// each list in ascending transaction order. A peer numbers its
+/// requests in the order it sends them, so an entry is nearly always
+/// appended, and a lookup is a binary search.
+#[derive(Default)]
+struct PeerLog {
+    /// Transactions whose request (`[0]`) or response (`[1]`) was
+    /// delivered: a later copy is a replay.
+    delivered: [Vec<u32>; 2],
+    /// The responses we sent, by the request they answer: a replay of
+    /// that request is answered with it again. Transaction ids are
+    /// per-requester, so our request 1 to B and our response to B's
+    /// request 1 coexist.
+    responses: Vec<(u32, PacketBuf)>,
+}
+
+impl PeerLog {
+    fn len(&self) -> usize {
+        self.delivered[0].len() + self.delivered[1].len() + self.responses.len()
+    }
+}
+
+/// Which of [`PeerLog::delivered`]'s lists records `kind`.
+fn slot(kind: Kind) -> usize {
+    usize::from(kind == Kind::Response)
+}
+
+/// Put `entry` under `txn` into `log`, which stays in ascending
+/// transaction order; an entry already under `txn` is replaced.
+fn upsert<T>(log: &mut Vec<T>, txn: u32, entry: T, id: fn(&T) -> u32) {
+    match log.binary_search_by_key(&txn, id) {
+        Ok(i) => log[i] = entry,
+        Err(i) => log.insert(i, entry),
+    }
+    debug_assert!(log.windows(2).all(|w| id(&w[0]) < id(&w[1])));
+}
+
+/// Take the entry under `txn` out of `log`.
+fn take<T>(log: &mut Vec<T>, txn: u32, id: fn(&T) -> u32) -> Option<T> {
+    let i = log.binary_search_by_key(&txn, id).ok()?;
+    Some(log.remove(i))
 }
 
 impl Endpoint {
@@ -143,8 +198,8 @@ impl Endpoint {
             pacer: cfg.pacer,
             outgoing: BTreeMap::new(),
             incoming: BTreeMap::new(),
-            completed: BTreeSet::new(),
-            responses: BTreeMap::new(),
+            logs: Default::default(),
+            generation: SimTime::ZERO,
             stats: TransportStats::default(),
         }
     }
@@ -157,6 +212,83 @@ impl Endpoint {
     /// Mutable access to the clock (sync service integration).
     pub fn clock_mut(&mut self) -> &mut HostClock {
         &mut self.clock
+    }
+
+    /// How long replay state is kept after the last packet of its
+    /// transaction: the oldest a packet the lifetime filter accepts can
+    /// be, plus how far ahead of our clock it may be stamped.
+    pub fn retention(&self) -> SimDuration {
+        let ms = u64::from(self.lifetime.max_age_ms) + u64::from(self.lifetime.max_future_ms);
+        SimDuration::from_millis(ms)
+    }
+
+    /// Replay entries held: delivered transaction ids and kept
+    /// responses, over every peer and both generations.
+    pub fn replay_entries(&self) -> usize {
+        self.logs
+            .iter()
+            .flat_map(|g| g.values())
+            .map(PeerLog::len)
+            .sum()
+    }
+
+    /// Age the replay logs to `now`, lazily: once a retention period has
+    /// passed since the current generation began, it becomes the old one
+    /// and the old one is dropped — both, once two periods have. An
+    /// entry thus lives between one and two periods after it was last
+    /// touched.
+    fn age_logs(&mut self, now: SimTime) {
+        let (period, elapsed) = (self.retention(), now - self.generation);
+        if elapsed < period {
+            return;
+        }
+        let [current, old] = &mut self.logs;
+        *old = std::mem::take(current);
+        if elapsed < period.times(2) {
+            self.generation += period;
+        } else {
+            old.clear();
+            self.generation = now;
+        }
+    }
+
+    /// Move what the old generation holds of `peer`'s transaction `txn`
+    /// — its delivery in `slot`, and for a request the response kept for
+    /// it — into the current one, so it lives a full period from now.
+    fn refresh(&mut self, peer: EntityId, txn: u32, slot: usize) {
+        let [current, old] = &mut self.logs;
+        let Some(log) = old.get_mut(&peer) else {
+            return;
+        };
+        let delivered = take(&mut log.delivered[slot], txn, |&t| t);
+        let response = match slot {
+            0 => take(&mut log.responses, txn, |r| r.0),
+            _ => None,
+        };
+        if delivered.is_none() && response.is_none() {
+            return;
+        }
+        let log = current.entry(peer).or_default();
+        if delivered.is_some() {
+            upsert(&mut log.delivered[slot], txn, txn, |&t| t);
+        }
+        if let Some(r) = response {
+            upsert(&mut log.responses, txn, r, |r| r.0);
+        }
+    }
+
+    /// Whether `peer`'s `kind` of `txn` was delivered already, and if so
+    /// the response we keep for it (a request's only).
+    fn recall(&mut self, peer: EntityId, txn: u32, kind: Kind) -> Option<Option<PacketBuf>> {
+        let slot = slot(kind);
+        self.refresh(peer, txn, slot);
+        let log = self.logs[0].get(&peer)?;
+        log.delivered[slot].binary_search(&txn).ok()?;
+        let kept = match kind {
+            Kind::Request => log.responses.binary_search_by_key(&txn, |r| r.0),
+            _ => return Some(None),
+        };
+        Some(kept.ok().map(|i| log.responses[i].1.clone()))
     }
 
     /// A `Transmit` for member `index` of `group`, paced from `now`.
@@ -207,13 +339,16 @@ impl Endpoint {
         kind: Kind,
         data: impl Into<PacketBuf>,
     ) -> Option<Vec<Action>> {
+        self.age_logs(now);
         let body = data.into();
         let group = GroupSender::split(body.clone(), self.seg_size)?;
         let actions = (0..group.group_size())
             .map(|i| self.member(now, dst, transaction, kind, &group, i))
             .collect();
         if kind == Kind::Response {
-            self.responses.insert((dst, transaction), body);
+            self.refresh(dst, transaction, slot(Kind::Request));
+            let log = &mut self.logs[0].entry(dst).or_default().responses;
+            upsert(log, transaction, (transaction, body), |r| r.0);
         } else {
             self.outgoing.insert((dst, transaction), group);
         }
@@ -302,6 +437,7 @@ impl Endpoint {
     /// waiting for the rest of its group is kept as a sub-window, so the
     /// payload is copied once — into the delivered message.
     pub fn on_packet(&mut self, now: SimTime, bytes: &PacketBuf) -> Vec<Action> {
+        self.age_logs(now);
         let pkt = match Packet::parse(bytes) {
             Ok(p) => p,
             Err(sirpent_wire::Error::Checksum) => {
@@ -341,17 +477,13 @@ impl Endpoint {
                 let peer = pkt.header.src;
                 let txn = pkt.header.transaction;
                 let key = (peer, txn, kind_tag(kind));
-                if self.completed.contains(&key) {
+                if let Some(response) = self.recall(peer, txn, kind) {
                     // Replay of a finished message: re-ack, don't
                     // re-deliver. A replayed request means the peer
                     // lacks our response, so that goes again too.
                     self.stats.duplicates += 1;
                     let full = GroupSender::full_mask(pkt.header.group_size as usize);
                     let mut acts = vec![self.make_ack(now, peer, txn, pkt.header.group_size, full)];
-                    let response = match kind {
-                        Kind::Request => self.responses.get(&(peer, txn)).cloned(),
-                        _ => None,
-                    };
                     if let Some(body) = response {
                         let resent = self.send_message(now, peer, txn, Kind::Response, body);
                         acts.extend(resent.into_iter().flatten());
@@ -387,7 +519,8 @@ impl Endpoint {
                 match completed {
                     Some(message) => {
                         self.incoming.remove(&key);
-                        self.completed.insert(key);
+                        let log = &mut self.logs[0].entry(peer).or_default().delivered;
+                        upsert(&mut log[slot(kind)], txn, txn, |&t| t);
                         self.stats.delivered += 1;
                         actions.push(self.make_ack(now, peer, txn, pkt.header.group_size, mask));
                         actions.push(Action::Deliver {
@@ -422,7 +555,7 @@ mod tests {
     use super::*;
     use sirpent_sim::SimDuration;
 
-    fn endpoint(id: u64) -> Endpoint {
+    pub(super) fn endpoint(id: u64) -> Endpoint {
         Endpoint::new(EndpointConfig {
             entity: EntityId(id),
             clock: HostClock::perfect(1_000_000),
@@ -433,7 +566,7 @@ mod tests {
     }
 
     /// What the host puts inside the routed packet for a `Transmit`.
-    fn wire(a: &Action) -> PacketBuf {
+    pub(super) fn wire(a: &Action) -> PacketBuf {
         let Action::Transmit {
             header,
             payload,
@@ -749,5 +882,88 @@ mod tests {
                 vec![0u8; 512 * 33],
             )
             .is_none());
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use std::collections::BTreeSet;
+
+    use super::tests::{endpoint, wire};
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// The per-peer logs answer "already delivered?" and "which kept
+        /// response?" as sets that never forget would, for every packet
+        /// the lifetime filter lets through: in-order, out-of-order and
+        /// repeated ids of both kinds from three peers, byte-for-byte
+        /// replays of earlier packets, responses to delivered requests
+        /// kept and replaced, and time running across many retention
+        /// periods. Each op is `(what, peer, transaction, step)`.
+        #[test]
+        fn logs_answer_as_sets_that_never_forget(
+            ops in proptest::collection::vec((0u8..10, 0u8..3, 0u32..40, 0u64..8), 1..300),
+        ) {
+            let mut b = endpoint(2);
+            b.lifetime = LifetimeFilter::steady(20, 5);
+            let mut peers: Vec<Endpoint> = (10..13).map(endpoint).collect();
+            let mut delivered = BTreeSet::new();
+            let mut kept: BTreeMap<(u8, u32), Vec<u8>> = BTreeMap::new();
+            let mut sent: BTreeMap<(u8, u32, u8), PacketBuf> = BTreeMap::new();
+            let mut now = SimTime::ZERO;
+            for (i, (what, p, txn, step)) in ops.into_iter().enumerate() {
+                let peer = EntityId(10 + u64::from(p));
+                match what {
+                    0..=5 => {
+                        let kind = if what % 2 == 0 { Kind::Request } else { Kind::Response };
+                        let key = (p, txn, kind_tag(kind));
+                        let body = vec![p, txn as u8, key.2];
+                        let bytes = sent.entry(key).or_insert_with(|| {
+                            let acts = peers[p as usize]
+                                .send_message(now, EntityId(2), txn, kind, body.clone())
+                                .unwrap();
+                            wire(&acts[0])
+                        });
+                        let too_old = b.stats.too_old;
+                        let out = b.on_packet(now, bytes);
+                        if b.stats.too_old > too_old {
+                            prop_assert!(out.is_empty());
+                            continue;
+                        }
+                        let Some((Action::Transmit { header, .. }, rest)) = out.split_first() else {
+                            panic!("no ack: {out:?}")
+                        };
+                        prop_assert_eq!(header.kind, Kind::Ack);
+                        if delivered.insert(key) {
+                            let deliver = Action::Deliver { peer, transaction: txn, kind, message: body };
+                            prop_assert_eq!(rest, &[deliver][..]);
+                            continue;
+                        }
+                        let mut resent = Vec::new();
+                        for a in rest {
+                            let Action::Transmit { header, payload, .. } = a else {
+                                panic!("a replay is re-delivered: {a:?}")
+                            };
+                            prop_assert_eq!(header.kind, Kind::Response);
+                            resent.extend_from_slice(payload);
+                        }
+                        let expected = match kind {
+                            Kind::Request => kept.get(&(p, txn)).cloned().unwrap_or_default(),
+                            _ => Vec::new(),
+                        };
+                        prop_assert_eq!(resent, expected);
+                    }
+                    // A server answers a request it has delivered.
+                    6 | 7 if delivered.contains(&(p, txn, kind_tag(Kind::Request))) => {
+                        let body = vec![i as u8; 1 + i % 700];
+                        b.send_message(now, peer, txn, Kind::Response, body.clone()).unwrap();
+                        kept.insert((p, txn), body);
+                    }
+                    6 | 7 => {}
+                    _ => now += SimDuration::from_millis(2 * step),
+                }
+            }
+        }
     }
 }

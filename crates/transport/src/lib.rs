@@ -15,7 +15,11 @@
 //!   backpressure (§6.3);
 //! * [`endpoint`] — the endpoint state machine combining all of the
 //!   above over the `sirpent-wire` VMTP format, including §4.1
-//!   misdelivery detection by 64-bit entity identifiers.
+//!   misdelivery detection by 64-bit entity identifiers, and replay
+//!   detection whose state retires one packet lifetime after its
+//!   transaction's last packet — the lifetime filter refuses any older
+//!   copy, so Sirpent's timestamps bound replay state as they bound
+//!   packet life.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -296,6 +296,19 @@ impl PacketView {
     }
 }
 
+/// Where the user data of a complete Sirpent packet lies, found by the
+/// header walk and the backward trailer walk without allocating.
+/// Accepts and rejects exactly the inputs [`PacketView::parse`] does,
+/// with the same [`Error`].
+pub fn data_range(buffer: &[u8]) -> Result<core::ops::Range<usize>> {
+    let data_start = walk(buffer, |_, _, _| {})?.data_start;
+    let (_, trailer_start) = walk_backwards(buffer, |_, _| {})?;
+    if trailer_start < data_start {
+        return Err(Error::Malformed);
+    }
+    Ok(data_start..trailer_start)
+}
+
 /// What a receiving host needs from a packet, found in one borrowed
 /// pass: no segment is decoded into a [`SegmentRepr`] and nothing is
 /// allocated but the reply header. Accepts and rejects exactly the
@@ -955,7 +968,10 @@ mod host_path_proptests {
     /// `bytes`: the same refusal, or the same route length, selector,
     /// data window, truncation and reply header.
     pub(super) fn scan_agrees_with_view(bytes: &[u8]) {
-        match (Scan::parse(bytes), PacketView::parse(bytes)) {
+        let view = PacketView::parse(bytes);
+        let data = view.as_ref().map(|v| v.data_start..v.data_end);
+        assert_eq!(data_range(bytes), data.map_err(|e| *e));
+        match (Scan::parse(bytes), view) {
             (Err(scan), Err(view)) => assert_eq!(scan, view),
             (Ok(scan), Ok(view)) => {
                 assert_eq!(scan.route_len, view.route.len());

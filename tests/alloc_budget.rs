@@ -282,7 +282,7 @@ impl Budget {
 fn small_transactions_without_tokens_stay_in_budget() {
     let budget = Budget {
         allocations: 19,
-        bytes: 2_134,
+        bytes: 2_064,
     };
     budget.hold("64 B, no tokens", heap_per_transaction(64, false));
 }
@@ -291,7 +291,7 @@ fn small_transactions_without_tokens_stay_in_budget() {
 fn full_size_transactions_with_tokens_stay_in_budget() {
     let budget = Budget {
         allocations: 19,
-        bytes: 7_014,
+        bytes: 6_944,
     };
     budget.hold("900 B, 32 B tokens", heap_per_transaction(900, true));
 }
@@ -303,11 +303,11 @@ fn full_size_transactions_with_tokens_stay_in_budget() {
 fn transactions_across_an_ip_cloud_stay_in_budget() {
     let small = Budget {
         allocations: 19,
-        bytes: 2_134,
+        bytes: 2_064,
     };
     let large = Budget {
         allocations: 19,
-        bytes: 5_478,
+        bytes: 5_408,
     };
     for (payload, budget) in [(64, small), (900, large)] {
         let (allocations, bytes) = heap_per_transaction(payload, false);
