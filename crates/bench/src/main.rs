@@ -9,8 +9,11 @@ use std::process::ExitCode;
 
 use sirpent_bench::exp::{Experiment, REGISTRY, RESULTS_DIR};
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "argv selects which experiment runs, never what it computes"
+)]
 fn main() -> ExitCode {
-    // lint: allow(determinism) -- argv selects which experiment runs, never what it computes
     let args: Vec<String> = std::env::args().skip(1).collect();
     let selected: Option<Vec<&Experiment>> = if args == ["all"] {
         Some(REGISTRY.iter().collect())

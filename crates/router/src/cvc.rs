@@ -20,6 +20,20 @@
 //! through the unified
 //! [`PipelineStats`] / [`DropReason`] surface.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::ops::{Deref, DerefMut};

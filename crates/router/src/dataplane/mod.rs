@@ -28,6 +28,20 @@
 //! [`sirpent_sim::stats::PipelineStats`], the uniform per-node stats
 //! surface, so the sim engine and bench binaries scrape any node alike.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 use sirpent_sim::{FrameId, SimTime};
 use sirpent_wire::buf::{PacketBuf, SegmentView};
 use sirpent_wire::ethernet;

@@ -24,6 +24,20 @@
 //! header behind an Ethernet header is 35 B, and [`FrameBuf::new`]
 //! copies the body once to carry the last 5.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 use sirpent_wire::buf::{FrameBuf, PacketBuf};
 use sirpent_wire::cvc::{self, Message};
 use sirpent_wire::ethernet;

@@ -12,6 +12,20 @@
 //! internetwork" (§2.3): a tunnel value crosses an IP cloud to the
 //! router at its far side.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 use sirpent_wire::ipish;
 use sirpent_wire::viper::SegmentRepr;
 

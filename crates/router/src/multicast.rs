@@ -15,6 +15,20 @@
 //! multicast-agent mechanism, each copy carries *only its portion of the
 //! route*.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 use sirpent_wire::viper::SegmentRepr;
 use sirpent_wire::{Error, Result};
 

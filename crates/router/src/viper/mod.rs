@@ -31,6 +31,20 @@
 //! arrival on the tunnel's port value, so the return hop names the
 //! tunnel and the reply crosses the cloud again.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 use std::any::Any;
 use std::ops::{Deref, DerefMut};
 

@@ -184,7 +184,10 @@ impl ViperRouter {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one call site, the fan-out loop: a struct for its arrival record would be a type used once"
+    )]
     fn enqueue(
         &mut self,
         ctx: &mut Context<'_>,

@@ -19,6 +19,20 @@
 //! delivered — and [`Core::tx_finished`] answers by that rule. A passed
 //! record is retired the next time its channel is touched.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 use std::collections::VecDeque;
 
 use rand::rngs::StdRng;

@@ -1,6 +1,20 @@
 //! Dispatch: the event queue, the [`Core`] that owns it, the chaos
 //! schedule's application, and the run loops.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 use std::collections::VecDeque;
 
 use rand::rngs::StdRng;

@@ -17,6 +17,20 @@
 //! the timer fired there, so a same-nanosecond tie downstream breaks as
 //! it always did.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 use std::collections::VecDeque;
 
 use super::dispatch::Core;

@@ -46,6 +46,20 @@
 //! [`peek`]: EventQueue::peek
 //! [`min_key`]: EventQueue::min_key
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 

@@ -37,6 +37,20 @@
 //! nanosecond so packets do not tie at a router, and [`digest`] folds
 //! each router's deliveries commutatively.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 use std::collections::BTreeMap;
 
 use sirpent_directory::te::{LinkMetrics, TeQuery};
@@ -728,8 +742,9 @@ mod tests {
 
     #[test]
     fn planned_routes_fit_frames_and_terminate() {
-        // Deployability (ROADMAP item 4): a route the planner keeps is
-        // one the wire format carries and the mesh actually has.
+        // Deployability: every route the planner keeps, on every
+        // topology shape, fits a VIPER header and frame, and walking
+        // its ports over the mesh ends at the flow's destination.
         let mut shapes = [0usize; 3];
         for seed in 0..32u64 {
             let mut spec = TeWorkload::from_seed(seed);

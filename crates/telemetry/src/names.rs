@@ -199,7 +199,7 @@ mod tests {
             super::HOST_NO_ROUTE_TOTAL,
             super::HOST_OPEN_TRANSACTIONS,
         ];
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for n in all {
             assert!(
                 n.as_bytes()[0].is_ascii_lowercase()

@@ -33,6 +33,20 @@
 //! to skip the block), so the O(route-length) cost never taxes the
 //! per-hop forwarding argument of §2.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 use crate::viper::{decode, Decoded, PORT_LOCAL};
 use crate::{Error, Result, VIPER_MAX_SEGMENTS};
 

@@ -50,6 +50,20 @@
 //! strip→append→forward cycle does O(segment) work, independent of
 //! payload length.
 
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::todo,
+        clippy::unimplemented,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::allow_attributes_without_reason
+    )
+)]
+
 use std::sync::Arc;
 
 use crate::viper::{decode, AltBranch, Decoded, Flags, Priority, SegmentRepr};
@@ -97,7 +111,10 @@ impl PacketBuf {
     /// The live window `store[head..tail]`.
     pub fn as_slice(&self) -> &[u8] {
         match &self.store {
-            // lint: allow(panic-free-dataplane) -- type invariant: every constructor and mutator keeps head <= tail <= store.len()
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "type invariant: every constructor and mutator keeps head <= tail <= store.len()"
+            )]
             Some(store) => &store[self.head as usize..self.tail as usize],
             None => &[],
         }
@@ -114,13 +131,15 @@ impl PacketBuf {
     }
 
     /// Strip `n` bytes off the front by advancing the head offset. O(1).
+    /// An `n` beyond the window empties it, as a `keep` beyond the window
+    /// is a no-op for [`truncate`](Self::truncate): callers advance by a
+    /// parsed segment length already validated against the window.
     ///
     /// # Panics
-    /// If `n` exceeds the live window.
+    /// In debug builds only, if `n` exceeds the live window.
     pub fn advance(&mut self, n: usize) {
-        // lint: allow(panic-free-dataplane) -- documented `# Panics` contract; callers advance by a parsed segment length already validated against the window
-        assert!(n <= self.len(), "advance past end of PacketBuf");
-        self.head += n as u32;
+        debug_assert!(n <= self.len(), "advance past end of PacketBuf");
+        self.head += n.min(self.len()) as u32;
     }
 
     /// Keep only the first `keep` bytes of the live window by lowering
@@ -148,7 +167,10 @@ impl PacketBuf {
                 let tail = self.tail as usize;
                 v.truncate(tail);
                 v.resize(tail + n, 0);
-                // lint: allow(panic-free-dataplane) -- store was just resized to tail + n, so tail is in range
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "store was just resized to tail + n, so tail is in range"
+                )]
                 fill(&mut v[tail..]);
                 self.tail = offset(tail + n);
             }
@@ -159,7 +181,10 @@ impl PacketBuf {
                 let mut v = Vec::with_capacity(live + n + COW_HEADROOM);
                 v.extend_from_slice(self.as_slice());
                 v.resize(live + n, 0);
-                // lint: allow(panic-free-dataplane) -- fresh store was just resized to live + n, so live is in range
+                #[expect(
+                    clippy::indexing_slicing,
+                    reason = "fresh store was just resized to live + n, so live is in range"
+                )]
                 fill(&mut v[live..]);
                 self.store = Some(Arc::new(v));
                 self.head = 0;
@@ -532,6 +557,25 @@ mod tests {
         // The peer still sees the original window.
         assert_eq!(peer.as_slice(), &(0u8..32).collect::<Vec<_>>()[..]);
         assert!(b.shares_store_with(&peer), "offset ops never copy");
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "advance past end of PacketBuf")]
+    fn advance_past_the_window_panics_in_debug() {
+        PacketBuf::from_vec(vec![1, 2, 3]).advance(4);
+    }
+
+    #[cfg(not(debug_assertions))]
+    #[test]
+    fn advance_past_the_window_empties_it_in_release() {
+        let mut b = PacketBuf::from_vec(vec![1, 2, 3]);
+        b.advance(1);
+        b.advance(9);
+        assert!(b.is_empty());
+        assert_eq!(b.head_offset(), 3, "head stops at the tail");
+        b.append(&[7]);
+        assert_eq!(b.as_slice(), &[7]);
     }
 
     #[test]

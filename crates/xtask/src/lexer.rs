@@ -1,11 +1,10 @@
 //! A minimal hand-rolled Rust lexer — just enough fidelity for
 //! token-pattern lints.
 //!
-//! Produces a flat token stream with 1-based line numbers. Comments are
-//! kept as tokens (the rule framework reads them for `lint: allow`
-//! annotations); only whitespace is discarded. String/char/byte/raw
-//! literals are lexed as single opaque tokens so that source text inside
-//! them (`"don't panic!"`) can never trip a rule. Multi-character
+//! Produces a flat token stream with 1-based line numbers; comments and
+//! whitespace are discarded. String/char/byte/raw literals are lexed as
+//! single opaque tokens so that source text inside them
+//! (`"don't panic!"`) can never trip a rule. Multi-character
 //! punctuation is emitted one character at a time; rules match short
 //! sequences (`.` `unwrap` `(`) instead of compound operators, which
 //! keeps the lexer trivial and the rules explicit.
@@ -19,10 +18,6 @@ pub enum TokKind {
     Num,
     /// String, raw-string, byte-string, or character literal.
     Str,
-    /// `// …` comment (including `///` and `//!` doc comments).
-    LineComment,
-    /// `/* … */` comment (nesting handled), including doc variants.
-    BlockComment,
     /// A single punctuation character (`.`, `(`, `[`, `!`, `:`, …).
     Punct,
     /// A lifetime (`'a`, `'static`).
@@ -70,20 +65,13 @@ pub fn lex(src: &str) -> Vec<Token> {
             continue;
         }
         if c == '/' && i + 1 < b.len() && b[i + 1] == '/' {
-            let start = i;
             while i < b.len() && b[i] != '\n' {
                 i += 1;
             }
-            out.push(Token::new(
-                TokKind::LineComment,
-                b[start..i].iter().collect::<String>(),
-                line,
-            ));
             continue;
         }
+        // Block comments nest.
         if c == '/' && i + 1 < b.len() && b[i + 1] == '*' {
-            let start = i;
-            let start_line = line;
             let mut depth = 1usize;
             i += 2;
             while i < b.len() && depth > 0 {
@@ -100,11 +88,6 @@ pub fn lex(src: &str) -> Vec<Token> {
                     i += 1;
                 }
             }
-            out.push(Token::new(
-                TokKind::BlockComment,
-                b[start..i].iter().collect::<String>(),
-                start_line,
-            ));
             continue;
         }
         // Raw / byte string prefixes: r"…", r#"…"#, b"…", br#"…"#, b'…'.
@@ -269,7 +252,7 @@ fn try_prefixed_literal(b: &[char], i: usize, line: u32) -> Option<(Token, usize
     if j < b.len() && (b[j] == '"' || b[j] == '\'') {
         let quote = b[j];
         let (mut tok, ni, nl) = lex_quoted(b, j, line, quote);
-        tok.text.insert(0, 'b');
+        tok.text = b[i..ni].iter().collect();
         return Some((tok, ni, nl));
     }
     None

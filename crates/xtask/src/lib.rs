@@ -9,23 +9,25 @@
 //!
 //! Rules (see DESIGN.md §7 for the full contract):
 //!
-//! * `panic-free-dataplane` — no `unwrap`/`expect`/`panic!`-family/
-//!   slice-indexing in data-plane modules outside `#[cfg(test)]`.
+//! * `panic-free-dataplane` — no `assert!`/`assert_eq!`/`assert_ne!`
+//!   outside `#[cfg(test)]` in a data-plane module: a file whose inner
+//!   attribute denies `clippy::panic`, or any file under the directory
+//!   of a `mod.rs` that does. Clippy enforces the attribute's own lints
+//!   (`unwrap`, `expect`, the `panic!` family, indexing).
 //! * `queue-discipline` — no O(n) head ops (`remove(0)`, `insert(0,..)`)
-//!   in data-plane modules.
+//!   in non-test code under `crates/`.
 //! * `drop-accounting` — every `DropReason` variant is constructed in
 //!   product code.
 //! * `telemetry-naming` — metric names are snake_case constants
 //!   registered exactly once in the telemetry name registry; `publish_*`
 //!   call sites never pass raw string literals.
-//! * `determinism` — no hash-ordered iteration, wall clock, env, thread
-//!   or ambient-RNG source in any crate a simulation runs.
 //! * `rng-draw-order` — node/router code draws only from
 //!   `Context::rng()`.
 //!
-//! Escape hatch: `// lint: allow(<rule>) -- <reason>` on the offending
-//! line or the line above. The reason is mandatory; a reason-less allow
-//! is itself a diagnostic (rule `lint-allow`).
+//! Determinism (no hash containers, wall clock, environment or threads
+//! in simulation code) is `crates/clippy.toml`'s to enforce, and a site
+//! that must break a lint carries clippy's
+//! `#[expect(<lint>, reason = "…")]`.
 
 #![forbid(unsafe_code)]
 
@@ -37,7 +39,7 @@ pub mod lexer;
 pub mod rules;
 pub mod source;
 
-use rules::{Config, Diagnostic, LintCtx, Rule};
+use rules::{Config, Diagnostic, LintCtx};
 use source::SourceFile;
 
 /// Walk `root` for `.rs` files, returning workspace-relative paths with
@@ -81,91 +83,25 @@ pub fn walk_rs_files(root: &Path) -> Vec<String> {
 
 /// Lint the file set `rels` (workspace-relative) under `root`, running
 /// the named rules (or the full registry when `rule_filter` is `None`).
-/// Returns the surviving diagnostics, sorted.
+/// Returns the diagnostics, sorted.
 pub fn lint_files(
     root: &Path,
     rels: &[String],
     cfg: &Config,
     rule_filter: Option<&[String]>,
 ) -> Vec<Diagnostic> {
-    let mut files = Vec::new();
-    for rel in rels {
-        let Ok(src) = fs::read_to_string(root.join(rel)) else {
-            continue;
-        };
-        files.push(SourceFile::analyze(rel.clone(), &src));
-    }
-    let ctx = LintCtx { files: &files, cfg };
-    let rules: Vec<Box<dyn Rule>> = rules::all_rules()
-        .into_iter()
-        .filter(|r| rule_filter.is_none_or(|names| names.iter().any(|n| n == r.name())))
+    let files: Vec<SourceFile> = rels
+        .iter()
+        .filter_map(|rel| {
+            let src = fs::read_to_string(root.join(rel)).ok()?;
+            Some(SourceFile::analyze(rel.clone(), &src))
+        })
         .collect();
+    let ctx = LintCtx { files: &files, cfg };
     let mut diags = Vec::new();
-    for rule in &rules {
-        rule.check(&ctx, &mut diags);
-    }
-    // Honor `lint: allow(<rule>) -- <reason>` annotations, remembering
-    // what each one actually suppressed so stale allows can be flagged.
-    let mut suppressed: Vec<Diagnostic> = Vec::new();
-    diags.retain(|d| {
-        let covered = files
-            .iter()
-            .find(|f| f.rel == d.file)
-            .is_some_and(|f| f.is_allowed(&d.rule, d.line));
-        if covered {
-            suppressed.push(d.clone());
-        }
-        !covered
-    });
-    // The escape hatch itself is linted: a reason is mandatory, the rule
-    // name must exist (a typo would silently suppress nothing), and a
-    // reasoned allow must still be earning its keep — an allow whose
-    // rule ran but which suppressed no diagnostic is stale and must be
-    // deleted, or it will mask a future regression at that site.
-    let known: Vec<&'static str> = rules::all_rules().iter().map(|r| r.name()).collect();
-    let active: Vec<&'static str> = rules.iter().map(|r| r.name()).collect();
-    for f in &files {
-        for a in &f.allows {
-            if !known.contains(&a.rule.as_str()) {
-                diags.push(Diagnostic::new(
-                    &f.rel,
-                    a.line,
-                    "lint-allow",
-                    format!(
-                        "`lint: allow({})` names an unknown rule — known rules: {}",
-                        a.rule,
-                        known.join(", ")
-                    ),
-                ));
-            } else if !a.has_reason {
-                diags.push(Diagnostic::new(
-                    &f.rel,
-                    a.line,
-                    "lint-allow",
-                    format!(
-                        "`lint: allow({})` requires a written reason: \
-                         `// lint: allow({}) -- <why this site is safe>`",
-                        a.rule, a.rule
-                    ),
-                ));
-            } else if active.contains(&a.rule.as_str())
-                && !suppressed.iter().any(|d| {
-                    d.file == f.rel
-                        && d.rule == a.rule
-                        && (d.line == a.line || d.line == a.line + 1)
-                })
-            {
-                diags.push(Diagnostic::new(
-                    &f.rel,
-                    a.line,
-                    "lint-allow",
-                    format!(
-                        "stale `lint: allow({})` — it suppresses nothing; delete it so it \
-                         cannot mask a future violation at this site",
-                        a.rule
-                    ),
-                ));
-            }
+    for rule in rules::all_rules() {
+        if rule_filter.is_none_or(|names| names.iter().any(|n| n == rule.name())) {
+            rule.check(&ctx, &mut diags);
         }
     }
     diags.sort();
@@ -196,8 +132,10 @@ pub fn count_loc(root: &Path, rels: &[String]) -> Vec<(String, usize)> {
             continue;
         };
         let f = SourceFile::analyze(rel.clone(), &src);
-        let mut lines: Vec<u32> = (0..f.code.len())
-            .map(|i| f.tok(i).line)
+        let mut lines: Vec<u32> = f
+            .tokens
+            .iter()
+            .map(|t| t.line)
             .filter(|&l| !f.is_test_line(l))
             .collect();
         lines.dedup();

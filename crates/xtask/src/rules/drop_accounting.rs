@@ -44,7 +44,7 @@ impl Rule for DropAccounting {
             } else {
                 Vec::new()
             };
-            for i in 2..f.code.len() {
+            for i in 2..f.tokens.len() {
                 let t = f.tok(i);
                 if t.kind != TokKind::Ident || f.is_test_line(t.line) || f.in_attribute(i) {
                     continue;
@@ -83,14 +83,14 @@ impl Rule for DropAccounting {
 /// their lines. Variant names are identifiers directly following `{` or
 /// `,` at the enum's top brace depth.
 fn find_enum_variants(f: &SourceFile, name: &str) -> Option<Vec<(String, u32)>> {
-    let start = (1..f.code.len()).find(|&i| {
+    let start = (1..f.tokens.len()).find(|&i| {
         f.tok(i).text == name && f.tok(i - 1).text == "enum" && !f.is_test_line(f.tok(i).line)
     })?;
-    let open = (start + 1..f.code.len()).find(|&i| f.tok(i).text == "{")?;
+    let open = (start + 1..f.tokens.len()).find(|&i| f.tok(i).text == "{")?;
     let mut depth = 0usize;
     let mut variants = Vec::new();
     let mut i = open;
-    while i < f.code.len() {
+    while i < f.tokens.len() {
         let t = f.tok(i);
         match t.text.as_str() {
             "{" | "(" | "[" => depth += 1,
@@ -121,9 +121,9 @@ fn find_enum_variants(f: &SourceFile, name: &str) -> Option<Vec<(String, u32)>> 
 fn taxonomy_spans(f: &SourceFile, name: &str) -> Vec<(u32, u32)> {
     let mut spans = Vec::new();
     let mut i = 0usize;
-    while i < f.code.len() {
+    while i < f.tokens.len() {
         let t = f.tok(i);
-        let is_enum_decl = t.text == "enum" && i + 1 < f.code.len() && f.tok(i + 1).text == name;
+        let is_enum_decl = t.text == "enum" && i + 1 < f.tokens.len() && f.tok(i + 1).text == name;
         let is_impl = t.text == "impl";
         if !(is_enum_decl || is_impl) {
             i += 1;
@@ -133,20 +133,20 @@ fn taxonomy_spans(f: &SourceFile, name: &str) -> Vec<(u32, u32)> {
         // braces of their own); bail at `;` (e.g. `impl` in a macro).
         let mut j = i + 1;
         let mut names_it = is_enum_decl;
-        while j < f.code.len() && f.tok(j).text != "{" && f.tok(j).text != ";" {
+        while j < f.tokens.len() && f.tok(j).text != "{" && f.tok(j).text != ";" {
             if f.tok(j).text == name {
                 names_it = true;
             }
             j += 1;
         }
-        if j >= f.code.len() || f.tok(j).text == ";" || !names_it {
+        if j >= f.tokens.len() || f.tok(j).text == ";" || !names_it {
             i += 1;
             continue;
         }
         // Brace-match the body.
         let mut depth = 0usize;
         let mut m = j;
-        while m < f.code.len() {
+        while m < f.tokens.len() {
             match f.tok(m).text.as_str() {
                 "{" => depth += 1,
                 "}" => {
@@ -159,7 +159,7 @@ fn taxonomy_spans(f: &SourceFile, name: &str) -> Vec<(u32, u32)> {
             }
             m += 1;
         }
-        let end = m.min(f.code.len() - 1);
+        let end = m.min(f.tokens.len() - 1);
         spans.push((t.line, f.tok(end).line));
         i = m + 1;
     }

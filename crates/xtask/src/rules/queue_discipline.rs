@@ -1,11 +1,12 @@
 //! `queue-discipline`: O(n) head operations on growable buffers are
-//! forbidden in the data plane. `Vec::remove(0)` / `insert(0, ..)`
+//! forbidden in product code. `Vec::remove(0)` / `insert(0, ..)`
 //! memmove the whole queue on every service — exactly the regression
 //! class the `VecDeque::pop_front` migration removed; this rule keeps it
-//! from creeping back.
+//! from creeping back. It covers all non-test code under `crates/`: a
+//! queue outside the data plane today is one refactor away from it.
 
 use crate::rules::{Diagnostic, LintCtx, Rule};
-use crate::source::SourceFile;
+use crate::source::{is_test_location, SourceFile};
 
 /// See the module docs.
 pub struct QueueDiscipline;
@@ -16,15 +17,14 @@ impl Rule for QueueDiscipline {
     }
 
     fn describe(&self) -> &'static str {
-        "no O(n) head ops (remove(0)/insert(0, ..)/swap_remove(0)) in data-plane modules"
+        "no O(n) head ops (remove(0)/insert(0, ..)/swap_remove(0)) in non-test code under crates/"
     }
 
     fn check(&self, ctx: &LintCtx<'_>, out: &mut Vec<Diagnostic>) {
         for f in ctx.files {
-            if !ctx.cfg.is_dataplane(&f.rel) {
-                continue;
+            if f.rel.starts_with("crates/") && !is_test_location(&f.rel) {
+                self.check_file(f, out);
             }
-            self.check_file(f, out);
         }
     }
 }
@@ -32,7 +32,7 @@ impl Rule for QueueDiscipline {
 impl QueueDiscipline {
     fn check_file(&self, f: &SourceFile, out: &mut Vec<Diagnostic>) {
         // Pattern: `.` <method> `(` `0` <terminator>
-        for i in 2..f.code.len() {
+        for i in 2..f.tokens.len() {
             if f.in_attribute(i) {
                 continue;
             }
@@ -52,7 +52,7 @@ impl QueueDiscipline {
             let open = i + 1;
             let zero = i + 2;
             let term = i + 3;
-            if term >= f.code.len()
+            if term >= f.tokens.len()
                 || f.tok(open).text != "("
                 || f.tok(zero).text != "0"
                 || f.tok(term).text != terminator
@@ -70,5 +70,47 @@ impl QueueDiscipline {
                 ),
             ));
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::rules::Config;
+
+    #[test]
+    fn scope_is_non_test_code_under_crates() {
+        let src = "fn f(q: &mut Vec<u8>) { q.remove(0); }\n\
+                   #[cfg(test)]\nmod tests { fn t(q: &mut Vec<u8>) { q.remove(0); } }\n";
+        let files: Vec<SourceFile> = [
+            "crates/bench/src/exp/e4.rs",
+            "crates/directory/src/te.rs",
+            "crates/xtask/src/lib.rs",
+            "crates/sim/tests/queue.rs",
+            "crates/sim/src/engine/tests.rs",
+            "examples/quickstart.rs",
+            "shims/rand/src/lib.rs",
+        ]
+        .iter()
+        .map(|rel| SourceFile::analyze(rel.to_string(), src))
+        .collect();
+        let cfg = Config::default();
+        let mut out = Vec::new();
+        QueueDiscipline.check(
+            &LintCtx {
+                files: &files,
+                cfg: &cfg,
+            },
+            &mut out,
+        );
+        let flagged: Vec<(&str, u32)> = out.iter().map(|d| (d.file.as_str(), d.line)).collect();
+        assert_eq!(
+            flagged,
+            [
+                ("crates/bench/src/exp/e4.rs", 1),
+                ("crates/directory/src/te.rs", 1),
+                ("crates/xtask/src/lib.rs", 1),
+            ]
+        );
     }
 }

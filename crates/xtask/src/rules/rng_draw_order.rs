@@ -46,7 +46,7 @@ impl Rule for RngDrawOrder {
             if !ctx.cfg.is_node_code(&f.rel) || crate::source::is_test_location(&f.rel) {
                 continue;
             }
-            for i in 0..f.code.len() {
+            for i in 0..f.tokens.len() {
                 if f.in_attribute(i) {
                     continue;
                 }
@@ -87,7 +87,6 @@ mod tests {
         let files = vec![SourceFile::analyze(rel.to_string(), src)];
         let cfg = Config {
             fixture_scopes: true,
-            ..Config::default()
         };
         let ctx = LintCtx {
             files: &files,

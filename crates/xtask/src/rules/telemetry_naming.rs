@@ -40,7 +40,7 @@ impl Rule for TelemetryNaming {
     fn check(&self, ctx: &LintCtx<'_>, out: &mut Vec<Diagnostic>) {
         let mut seen: BTreeMap<String, (String, u32)> = BTreeMap::new();
         for f in ctx.files {
-            let is_registry = ctx.cfg.all_dataplane || f.rel == REGISTRY_FILE;
+            let is_registry = ctx.cfg.fixture_scopes || f.rel == REGISTRY_FILE;
             if is_registry {
                 self.check_registry(f, &mut seen, out);
             }
@@ -59,7 +59,7 @@ impl TelemetryNaming {
         out: &mut Vec<Diagnostic>,
     ) {
         let mut i = 0usize;
-        while i < f.code.len() {
+        while i < f.tokens.len() {
             let t = f.tok(i);
             if t.text != "const" || f.is_test_line(t.line) || f.in_attribute(i) {
                 i += 1;
@@ -67,7 +67,7 @@ impl TelemetryNaming {
             }
             // const <IDENT> : … = <Str> ; — only &str-typed constants
             // (the name registry's shape) are audited.
-            let Some(name_tok) = f.code.get(i + 1).map(|_| f.tok(i + 1)) else {
+            let Some(name_tok) = f.tokens.get(i + 1) else {
                 break;
             };
             if name_tok.kind != TokKind::Ident || name_tok.text == "fn" {
@@ -77,7 +77,7 @@ impl TelemetryNaming {
             let mut j = i + 2;
             let mut is_str_type = false;
             let mut value: Option<(String, u32)> = None;
-            while j < f.code.len() && f.tok(j).text != ";" {
+            while j < f.tokens.len() && f.tok(j).text != ";" {
                 let tj = f.tok(j);
                 if tj.text == "str" {
                     is_str_type = true;
@@ -121,7 +121,7 @@ impl TelemetryNaming {
     /// Flag `publish_*("literal", …)` call sites: the first argument
     /// must be a registered constant, not an inline string.
     fn check_call_sites(&self, f: &SourceFile, out: &mut Vec<Diagnostic>) {
-        for i in 0..f.code.len().saturating_sub(2) {
+        for i in 0..f.tokens.len().saturating_sub(2) {
             let t = f.tok(i);
             if t.kind != TokKind::Ident
                 || !PUBLISH_FNS.contains(&t.text.as_str())

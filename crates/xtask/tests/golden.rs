@@ -8,41 +8,49 @@ use std::path::Path;
 
 use xtask::rules::Config;
 
-/// Fixture directory name → the rule the run is filtered to. The
-/// `lint-allow` fixtures exercise the annotation mechanics, which ride
-/// on a real rule (`panic-free-dataplane`) plus the always-on
-/// `lint-allow` meta diagnostics.
+/// Fixture directory name → the rule the run is filtered to.
 const FIXTURES: &[(&str, &str)] = &[
     ("panic-free-dataplane", "panic-free-dataplane"),
     ("queue-discipline", "queue-discipline"),
     ("drop-accounting", "drop-accounting"),
     ("telemetry-naming", "telemetry-naming"),
-    ("lint-allow", "panic-free-dataplane"),
-    ("determinism", "determinism"),
     ("rng-draw-order", "rng-draw-order"),
 ];
 
+/// The `.rs` files of fixture directory `dir` whose name starts with
+/// `prefix`, and every `.rs` file under a subdirectory whose name does
+/// (a fixture module tree).
 fn fixture_rels(root: &Path, dir: &str, prefix: &str) -> Vec<String> {
-    let abs = root.join("crates/xtask/tests/fixtures").join(dir);
-    let mut rels: Vec<String> = fs::read_dir(&abs)
-        .unwrap_or_else(|e| panic!("fixture dir {}: {e}", abs.display()))
-        .flatten()
-        .filter_map(|e| {
+    let top = format!("crates/xtask/tests/fixtures/{dir}");
+    let mut rels = Vec::new();
+    let mut pending = vec![top.clone()];
+    while let Some(d) = pending.pop() {
+        let abs = root.join(&d);
+        for e in fs::read_dir(&abs)
+            .unwrap_or_else(|e| panic!("fixture dir {}: {e}", abs.display()))
+            .flatten()
+        {
             let name = e.file_name().to_string_lossy().to_string();
-            (name.starts_with(prefix) && name.ends_with(".rs"))
-                .then(|| format!("crates/xtask/tests/fixtures/{dir}/{name}"))
-        })
-        .collect();
+            let rel = format!("{d}/{name}");
+            if d == top && !name.starts_with(prefix) {
+                continue;
+            }
+            if e.path().is_dir() {
+                pending.push(rel);
+            } else if name.ends_with(".rs") {
+                rels.push(rel);
+            }
+        }
+    }
     rels.sort();
     rels
 }
 
-/// Lint the fixture files (treating them all as data-plane modules, so
-/// data-plane rules apply to standalone snippets) and render the
+/// Lint the fixture files (with scopes read from file stems, so the
+/// scope-sensitive rules apply to standalone snippets) and render the
 /// diagnostics one per line.
 fn run(root: &Path, rule: &str, rels: &[String]) -> String {
     let cfg = Config {
-        all_dataplane: true,
         fixture_scopes: true,
     };
     let filter = [rule.to_string()];
